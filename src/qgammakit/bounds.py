@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConvergenceError, DomainError, UsageError
 from . import specfun
 from .specfun import (
@@ -46,6 +48,7 @@ __all__ = [
     "lemma10_lhs_rhs",
     "a_poly",
     "a_poly_root",
+    "a_poly_sign_changes",
     "psi_pair_inequality",
     "cor51_expr",
     "cor5_inequality",
@@ -509,6 +512,13 @@ def a_poly_root(m: int, n: int, c: float, tol: float = 1e-13) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def a_poly_sign_changes(m: int, n: int, c: float, hi: float, points: int) -> int:
+    """Number of sign changes of a(t) between neighbouring points of an even
+    ``points``-point grid on [1, hi] (zero counts as positive)."""
+    neg = [a_poly(float(t), m, n, c) < 0.0 for t in np.linspace(1.0, hi, points)]
+    return sum(1 for a, b in zip(neg, neg[1:]) if a != b)
 
 
 # ---------------------------------------------------------------------------

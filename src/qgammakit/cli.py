@@ -3,8 +3,10 @@
 Exit codes: 0 success / all claims verified, 1 verification failure,
 2 domain error, 64 usage error, 74 I/O failure.  Reports are serialized
 canonically (sorted keys, floats with 17 significant digits, lowercase
-e-notation) so runs diff cleanly; the only environment override is
-QGK_JOBS for the worker count.
+e-notation) so runs diff cleanly.  The only environment override is
+QGK_JOBS, the default of ``verify --jobs``; both are validated (>= 1) and
+kept for compatibility, and claims are checked sequentially whatever
+their value.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ import io
 import math
 import os
 import sys
-
-import numpy as np
 
 from .errors import ConvergenceError, DomainError, PreconditionError, UsageError
 from . import bounds as bd
@@ -269,7 +269,7 @@ def _cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _report_document(suite_label, ids, grid_points, max_order, tol, jobs):
+def _report_document(suite_label, ids, grid_points, max_order, tol):
     config = {
         "suite": suite_label,
         "grid_points": grid_points if grid_points is not None else "default",
@@ -285,7 +285,7 @@ def _report_document(suite_label, ids, grid_points, max_order, tol, jobs):
         overrides = {}
         if grid_points is not None and "grid_points" in desc.parameter_domains:
             overrides["grid_points"] = grid_points
-        rep = corpus.run_descriptor(cid, overrides, tol=tol, max_order=max_order, jobs=jobs)
+        rep = corpus.run_descriptor(cid, overrides, tol=tol, max_order=max_order)
         if desc.expects_violation:
             ok = rep.status == "fail" and len(rep.violations) >= 1
         else:
@@ -364,6 +364,7 @@ def _cmd_verify(args) -> int:
         for cid in ids:
             corpus.get_descriptor(cid)  # raises UsageError on unknown ids
         label = ",".join(ids)
+    # validated for compatibility only: claims are checked sequentially
     jobs = args.jobs
     if jobs is None:
         jobs = int(os.environ.get("QGK_JOBS", "1"))
@@ -371,7 +372,7 @@ def _cmd_verify(args) -> int:
         raise UsageError("--jobs must be >= 1")
 
     doc, unexpected = _report_document(
-        label, ids, args.grid_points, args.max_order, args.tol, jobs
+        label, ids, args.grid_points, args.max_order, args.tol
     )
     payload = _canonical_json(doc) + "\n" if args.format == "json" else _report_csv(doc)
     try:
@@ -395,13 +396,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_roots(args) -> int:
     root = bd.a_poly_root(args.m, args.n, args.c)
-    ts = np.linspace(1.0, 2.0 * root, 10000)
-    vals = [bd.a_poly(float(t), args.m, args.n, args.c) for t in ts]
-    changes = sum(
-        1
-        for i in range(len(vals) - 1)
-        if (vals[i] >= 0.0 > vals[i + 1]) or (vals[i] < 0.0 <= vals[i + 1])
-    )
+    changes = bd.a_poly_sign_changes(args.m, args.n, args.c, 2.0 * root, 10000)
     print(f"root={_fmt(root)} residual={bd.a_poly(root, args.m, args.n, args.c):.3e} "
           f"sign_changes={changes} over [1, {2.0 * root:.6g}] (10000 points)")
     return EXIT_OK

@@ -7,14 +7,13 @@ targets without an analytic route.  Checks report pass / fail /
 inconclusive; a point is inconclusive when the certified evaluation error
 swamps the margin, and it is never silently passed.
 
-Grid evaluation is embarrassingly parallel; reports are canonically sorted
-so that single-threaded and multi-threaded runs are bit-identical.
+Grid points are evaluated sequentially in grid order, and violations are
+sorted by (point, order), so a report depends only on the check's inputs.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,21 +145,6 @@ def merge_reports(claim_id: str, reports: list[VerificationReport]) -> Verificat
         grid=reports[0].grid,
         orders_checked=max(r.orders_checked for r in reports),
     )
-
-
-def _pmap(fn, items, jobs: int):
-    """Order-preserving map, chunked across a thread pool when jobs > 1.
-
-    Results are identical to the sequential map (pure evaluations, stable
-    ordering), so reports cannot depend on the worker count.
-    """
-    if jobs <= 1 or len(items) < 32:
-        return [fn(it) for it in items]
-    chunk = max(1, (len(items) + jobs - 1) // jobs)
-    slices = [items[i : i + chunk] for i in range(0, len(items), chunk)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = pool.map(lambda sl: [fn(it) for it in sl], slices)
-    return [r for part in parts for r in part]
 
 
 def _tau(tol: float, *vals: float) -> float:
@@ -493,14 +477,13 @@ class ExpNegForm:
     """A function f = exp(-H) presented through h' = -(ln f)' = H'.
 
     Bundles the target whose complete monotonicity witnesses logarithmic
-    complete monotonicity of f.  ``value_fn`` optionally evaluates f itself.
+    complete monotonicity of f.
     """
 
     source = ANALYTIC_SOURCE
 
-    def __init__(self, h_prime: AnalyticTarget, value_fn=None):
+    def __init__(self, h_prime: AnalyticTarget):
         self.h_prime = h_prime
-        self.value_fn = value_fn
 
 
 class FiniteDifference:
@@ -614,6 +597,8 @@ def check_sign_pattern(
     same pattern is asserted for h' = -(ln f)' at orders 0..K-1.  A claimed
     strict inequality is tested as non-strict with margin tau plus a
     strictness spot check at three interior grid points requiring > 10 tau.
+    ``jobs`` is accepted for compatibility and ignored: points are evaluated
+    sequentially.
     """
     if claim == "log_completely_monotonic":
         if not isinstance(target, ExpNegForm):
@@ -643,7 +628,7 @@ def check_sign_pattern(
         except (DomainError, ConvergenceError):
             return None
 
-    rows = _pmap(eval_point, xs, jobs)
+    rows = [eval_point(x) for x in xs]
     violations = []
     worst = math.inf
     inconclusive = False
@@ -700,7 +685,8 @@ def check_chain(
     ``exprs`` are callables mapping a parameter dict to a float or Enclosure;
     ``points`` is a sequence of parameter dicts (key 'x' is used as the
     reported point when present).  chain_lt additionally requires a margin
-    > 10 tau at three interior points.
+    > 10 tau at three interior points.  ``jobs`` is accepted for
+    compatibility and ignored: points are evaluated sequentially.
     """
     if claim not in ("chain_lt", "chain_le"):
         raise UsageError(f"claim {claim!r} is not a chain claim")
@@ -714,7 +700,7 @@ def check_chain(
         except (DomainError, ConvergenceError):
             return None
 
-    rows = _pmap(eval_point, pts, jobs)
+    rows = [eval_point(pt) for pt in pts]
     violations = []
     worst = math.inf
     inconclusive = False
@@ -788,22 +774,21 @@ def monotonicity_probe(
 
     ``value_range = (lo, hi)`` additionally asserts lo < f(x) <= hi at every
     grid point (the range-containment form used by the ratio targets).
+    ``jobs`` is accepted for compatibility and ignored: points are evaluated
+    sequentially.
     """
     if direction not in ("increasing", "decreasing"):
         raise UsageError(f"direction must be increasing|decreasing, got {direction!r}")
     xs = _grid_values(grid)
     base_params = dict(params or {})
 
-    def guarded(f):
-        def call(x):
-            try:
-                return f(x)
-            except (DomainError, ConvergenceError):
-                return None
+    def guarded(f, x):
+        try:
+            return f(x)
+        except (DomainError, ConvergenceError):
+            return None
 
-        return call
-
-    vals = _pmap(guarded(fn), xs, jobs)
+    vals = [guarded(fn, x) for x in xs]
     inconclusive = None in vals
     sgn = 1.0 if direction == "increasing" else -1.0
     violations = []
@@ -819,7 +804,7 @@ def monotonicity_probe(
                 Violation(xs[i], base_params, 0, vals[i], vals[i + 1], margin)
             )
     if deriv_fn is not None:
-        dvals = _pmap(guarded(deriv_fn), xs, jobs)
+        dvals = [guarded(deriv_fn, x) for x in xs]
         inconclusive = inconclusive or None in dvals
         for x, d in zip(xs, dvals):
             if d is None:

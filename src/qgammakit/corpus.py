@@ -35,6 +35,7 @@ from .cm_engine import (
     QPolyGammaShift,
     QSeriesTarget,
     VerificationReport,
+    Violation,
     XLogX,
     check_chain,
     check_majorization,
@@ -77,13 +78,19 @@ class PropertyDescriptor:
 
 @dataclass(frozen=True)
 class Check:
-    """A single engine invocation prepared from a descriptor."""
+    """A single engine invocation prepared from a descriptor.
+
+    Running it calls ``fn(**kwargs, tol=tol, label=label)``.  ``fn`` is
+    looked up when the check is built, so a replaced module binding of an
+    engine function is the one that runs.
+    """
 
     label: str
-    runner: Callable[[float, int], VerificationReport]
+    fn: Callable[..., VerificationReport]
+    kwargs: dict
 
-    def run(self, tol: float = 1e-12, jobs: int = 1) -> VerificationReport:
-        return self.runner(tol, jobs)
+    def run(self, tol: float = 1e-12) -> VerificationReport:
+        return self.fn(**self.kwargs, tol=tol, label=self.label)
 
 
 _REGISTRY: dict[str, PropertyDescriptor] = {}
@@ -157,10 +164,9 @@ def run_descriptor(
     overrides: dict | None = None,
     tol: float = 1e-12,
     max_order: int | None = None,
-    jobs: int = 1,
 ) -> VerificationReport:
     checks = instantiate(claim_id, overrides, max_order)
-    return merge_reports(claim_id, [c.run(tol, jobs) for c in checks])
+    return merge_reports(claim_id, [c.run(tol) for c in checks])
 
 
 # ---------------------------------------------------------------------------
@@ -208,32 +214,36 @@ def _gq_neg_log_deriv(a: float, b: float, c: float, q: float, sign: float = 1.0)
 def _lcm_check(label, target, grid, K):
     if not isinstance(target, (LinComb, QSeriesTarget)):
         target = LinComb(target)
-    wrapped = ExpNegForm(target)
-    return Check(
-        label,
-        lambda tol, jobs, t=wrapped, g=grid, k=K, lb=label: check_sign_pattern(
-            t, k, g, "log_completely_monotonic", tol=tol, jobs=jobs, label=lb
-        ),
-    )
+    return Check(label, check_sign_pattern, dict(
+        target=ExpNegForm(target), K=K, grid=grid, claim="log_completely_monotonic",
+    ))
 
 
 def _cm_check(label, target, grid, K, strict=False, params=None):
-    return Check(
-        label,
-        lambda tol, jobs, t=target, g=grid, k=K, lb=label: check_sign_pattern(
-            t, k, g, "completely_monotonic", tol=tol, jobs=jobs, label=lb,
-            strict=strict, params=params,
-        ),
-    )
+    return Check(label, check_sign_pattern, dict(
+        target=target, K=K, grid=grid, claim="completely_monotonic",
+        strict=strict, params=params,
+    ))
 
 
 def _chain_check(label, exprs, points, claim="chain_le"):
-    return Check(
-        label,
-        lambda tol, jobs, e=exprs, p=points, c=claim, lb=label: check_chain(
-            e, p, c, tol=tol, jobs=jobs, label=lb
-        ),
-    )
+    return Check(label, check_chain, dict(exprs=exprs, points=points, claim=claim))
+
+
+def _probe_check(label, fn, grid, direction, params, **kw):
+    return Check(label, monotonicity_probe, dict(
+        fn=fn, grid=grid, direction=direction, params=params, **kw
+    ))
+
+
+def _constants(*values):
+    """Chain expressions that ignore the point and return fixed values."""
+    return [lambda p, v=v: v for v in values]
+
+
+def _value(target, k):
+    """x -> the value of the k-th derivative of ``target`` at x."""
+    return lambda x: target.deriv(k, x).value
 
 
 def _x_points(grid: GridSpec, extra: dict | None = None) -> list[dict]:
@@ -258,33 +268,22 @@ _THM5_CASES = (
     "Bustoz-Ismail / Ismail-Muldoon shifted-bracket ratio family",
     {"grid_points": (8, 4096)},
 ))
-def _build_thm5(desc, grid, K, ov):
-    checks = []
-    for a, b, c in [(a, b, cl) for a, b, cl, _ in _THM5_CASES]:
-        lo = max(1e-2, max(-a, -c) + 1e-2)
-        g = GridSpec(lo, 100.0, grid.points, "log")
-        for q in (0.5, 1.0):
-            checks.append(_lcm_check(
-                f"thm5-lcm[a={a},b={b},c={c},q={q}]",
-                _gq_neg_log_deriv(a, b, c, q), g, K,
-            ))
-    return checks
-
-
 @_register(PropertyDescriptor(
     "thm5-recip-lcm", "log_completely_monotonic",
     "Bustoz-Ismail / Ismail-Muldoon reciprocal branch (c >= a)",
     {"grid_points": (8, 4096)},
 ))
-def _build_thm5_recip(desc, grid, K, ov):
+def _build_thm5(desc, grid, K, ov):
+    recip = desc.id == "thm5-recip-lcm"
     checks = []
-    for a, b, c in [(a, b, ch) for a, b, _, ch in _THM5_CASES]:
+    for a, b, c_low, c_high in _THM5_CASES:
+        c = c_high if recip else c_low
         lo = max(1e-2, max(-a, -c) + 1e-2)
         g = GridSpec(lo, 100.0, grid.points, "log")
         for q in (0.5, 1.0):
             checks.append(_lcm_check(
-                f"thm5-recip-lcm[a={a},b={b},c={c},q={q}]",
-                _gq_neg_log_deriv(a, b, c, q, sign=-1.0), g, K,
+                f"{desc.id}[a={a},b={b},c={c},q={q}]",
+                _gq_neg_log_deriv(a, b, c, q, sign=-1.0 if recip else 1.0), g, K,
             ))
     return checks
 
@@ -336,38 +335,28 @@ def _sharp_points(grid):
     {"grid_points": (8, 4096)}, GridSpec(0.01, 0.5, 64, "linear"),
     notes="expected-failure detector check", expects_violation=True,
 ))
-def _build_sharp_u(desc, grid, K, ov):
-    u = bd.alzer_u(0.5, 0.5) + 0.05
-    v = bd.alzer_v(0.5, 0.5)
-
-    def lower(p):
-        return bd.ratio_bounds(p["x"], 0.5, 0.5, "alzer_uv", u_override=u, v_override=v).lower
-
-    return [_chain_check(
-        "eq14-sharp-u",
-        [lower, lambda p: bd.gamma_ratio(p["x"], 0.5, 0.5)],
-        _sharp_points(grid),
-    )]
-
-
 @_register(PropertyDescriptor(
     "eq14-sharp-v", "chain_le",
     "sharpness probe: upper shift - 0.05 must undershoot the ratio",
     {"grid_points": (8, 4096)}, GridSpec(0.01, 0.5, 64, "linear"),
     notes="expected-failure detector check", expects_violation=True,
 ))
-def _build_sharp_v(desc, grid, K, ov):
-    u = bd.alzer_u(0.5, 0.5)
-    v = bd.alzer_v(0.5, 0.5) - 0.05
+def _build_sharp(desc, grid, K, ov):
+    lower_probe = desc.id == "eq14-sharp-u"
+    u = bd.alzer_u(0.5, 0.5) + (0.05 if lower_probe else 0.0)
+    v = bd.alzer_v(0.5, 0.5) - (0.0 if lower_probe else 0.05)
 
-    def upper(p):
-        return bd.ratio_bounds(p["x"], 0.5, 0.5, "alzer_uv", u_override=u, v_override=v).upper
+    def bracket(p):
+        return bd.ratio_bounds(p["x"], 0.5, 0.5, "alzer_uv", u_override=u, v_override=v)
 
-    return [_chain_check(
-        "eq14-sharp-v",
-        [lambda p: bd.gamma_ratio(p["x"], 0.5, 0.5), upper],
-        _sharp_points(grid),
-    )]
+    def ratio(p):
+        return bd.gamma_ratio(p["x"], 0.5, 0.5)
+
+    if lower_probe:
+        exprs = [lambda p: bracket(p).lower, ratio]
+    else:
+        exprs = [ratio, lambda p: bracket(p).upper]
+    return [_chain_check(desc.id, exprs, _sharp_points(grid))]
 
 
 # ---------------------------------------------------------------------------
@@ -1090,24 +1079,15 @@ def _build_thm11(desc, grid, K, ov):
     for a in (0.5, 1.0):
         for n in (1, 2, 3):
             tgt = _f_an(a, n)
-            checks.append(Check(
-                f"lem-thm11[incr,a={a},n={n}]",
-                lambda tol, jobs, t=tgt, g=grid, a=a, n=n: monotonicity_probe(
-                    lambda x: t.deriv(0, x).value, g, "increasing",
-                    deriv_fn=lambda x: t.deriv(1, x).value,
-                    tol=tol, jobs=jobs, label=f"lem-thm11[incr,a={a},n={n}]",
-                    params={"a": a, "n": n},
-                ),
+            checks.append(_probe_check(
+                f"lem-thm11[incr,a={a},n={n}]", _value(tgt, 0), grid, "increasing",
+                {"a": a, "n": n}, deriv_fn=_value(tgt, 1),
             ))
     dec_grid = GridSpec(1e-2, 20.0, grid.points, "log")
     for n in (1, 2, 3):
-        tgt = _f_an(0.0, n)
-        checks.append(Check(
-            f"lem-thm11[decr,n={n}]",
-            lambda tol, jobs, t=tgt, g=dec_grid, n=n: monotonicity_probe(
-                lambda x: t.deriv(0, x).value, g, "decreasing",
-                tol=tol, jobs=jobs, label=f"lem-thm11[decr,n={n}]", params={"n": n},
-            ),
+        checks.append(_probe_check(
+            f"lem-thm11[decr,n={n}]", _value(_f_an(0.0, n), 0), dec_grid, "decreasing",
+            {"n": n},
         ))
     # companion CM forms: x psi'(x) and psi'(x+a) + x psi''(x+a)
     checks.append(_cm_check(
@@ -1129,13 +1109,8 @@ def _build_thm11(desc, grid, K, ov):
     notes="expected-failure detector check", expects_violation=True,
 ))
 def _build_thm11_onlyif(desc, grid, K, ov):
-    tgt = _f_an(0.4, 1)
-    return [Check(
-        "thm11-onlyif",
-        lambda tol, jobs, t=tgt, g=grid: monotonicity_probe(
-            lambda x: t.deriv(0, x).value, g, "increasing",
-            tol=tol, jobs=jobs, label="thm11-onlyif", params={"a": 0.4, "n": 1},
-        ),
+    return [_probe_check(
+        "thm11-onlyif", _value(_f_an(0.4, 1), 0), grid, "increasing", {"a": 0.4, "n": 1}
     )]
 
 
@@ -1150,12 +1125,9 @@ def _build_eq43(desc, grid, K, ov):
         def fn(x, n=n):
             return -x * sf.polygamma(n + 1, x).value / sf.polygamma(n, x).value
 
-        checks.append(Check(
-            f"eq43-range[n={n}]",
-            lambda tol, jobs, f=fn, g=grid, n=n: monotonicity_probe(
-                f, g, "decreasing", value_range=(float(n), float(n + 1)),
-                tol=tol, jobs=jobs, label=f"eq43-range[n={n}]", params={"n": n},
-            ),
+        checks.append(_probe_check(
+            f"eq43-range[n={n}]", fn, grid, "decreasing", {"n": n},
+            value_range=(float(n), float(n + 1)),
         ))
     return checks
 
@@ -1172,12 +1144,8 @@ def _build_cor45(desc, grid, K, ov):
             def fn(x, a=a, n=n):
                 return x * sf.polygamma(n + 1, x + a).value / sf.polygamma(n, x + a).value
 
-            checks.append(Check(
-                f"prop-cor45[a={a},n={n}]",
-                lambda tol, jobs, f=fn, g=grid, a=a, n=n: monotonicity_probe(
-                    f, g, "decreasing", tol=tol, jobs=jobs,
-                    label=f"prop-cor45[a={a},n={n}]", params={"a": a, "n": n},
-                ),
+            checks.append(_probe_check(
+                f"prop-cor45[a={a},n={n}]", fn, grid, "decreasing", {"a": a, "n": n}
             ))
             checks.append(_chain_check(
                 f"prop-cor45[limit,a={a},n={n}]",
@@ -1259,12 +1227,8 @@ def _build_qthm(desc, grid, K, ov):
                 sign = 1.0 if n % 2 == 1 else -1.0
                 return w * sign * sf.q_polygamma(n, x, q).value
 
-            checks.append(Check(
-                f"qthm-monotone[q={q},n={n}]",
-                lambda tol, jobs, f=fn, g=grid, q=q, n=n: monotonicity_probe(
-                    f, g, "decreasing", tol=tol, jobs=jobs,
-                    label=f"qthm-monotone[q={q},n={n}]", params={"q": q, "n": n},
-                ),
+            checks.append(_probe_check(
+                f"qthm-monotone[q={q},n={n}]", fn, grid, "decreasing", {"q": q, "n": n}
             ))
     return checks
 
@@ -1283,14 +1247,12 @@ def _build_ball51(desc, grid, K, ov):
     n_max = int(ov.get("n_max", 200))
     checks = []
     for n in range(1, n_max + 1):
-        def runner(tol, jobs, n=n):
-            bb = bd.ball_ratio_bounds(n)
-            return check_chain(
-                [lambda p: bb.thm51.lower, lambda p: bb.thm51_exact, lambda p: bb.thm51.upper],
-                [{"x": float(n)}], "chain_le", tol=tol, label=f"ball-thm51[n={n}]",
-            )
-
-        checks.append(Check(f"ball-thm51[n={n}]", runner))
+        bb = bd.ball_ratio_bounds(n)
+        checks.append(_chain_check(
+            f"ball-thm51[n={n}]",
+            _constants(bb.thm51.lower, bb.thm51_exact, bb.thm51.upper),
+            [{"x": float(n)}],
+        ))
     return checks
 
 
@@ -1304,19 +1266,14 @@ def _build_ball13(desc, grid, K, ov):
     n_max = int(ov.get("n_max", 200))
     checks = []
     for n in range(2, n_max + 1):
-        def runner(tol, jobs, n=n):
-            bb = bd.ball_ratio_bounds(n)
-            lo = check_chain(
-                [lambda p: bb.eq13.lower, lambda p: bb.eq13_exact],
-                [{"x": float(n)}], "chain_lt", tol=tol, label=f"ball-eq13[lo,n={n}]",
-            )
-            hi = check_chain(
-                [lambda p: bb.eq13_exact, lambda p: bb.eq13.upper],
-                [{"x": float(n)}], "chain_le", tol=tol, label=f"ball-eq13[hi,n={n}]",
-            )
-            return merge_reports(f"ball-eq13[n={n}]", [lo, hi])
-
-        checks.append(Check(f"ball-eq13[n={n}]", runner))
+        bb = bd.ball_ratio_bounds(n)
+        pts = [{"x": float(n)}]
+        checks.append(_chain_check(
+            f"ball-eq13[lo,n={n}]", _constants(bb.eq13.lower, bb.eq13_exact), pts, "chain_lt"
+        ))
+        checks.append(_chain_check(
+            f"ball-eq13[hi,n={n}]", _constants(bb.eq13_exact, bb.eq13.upper), pts
+        ))
     return checks
 
 
@@ -1351,29 +1308,25 @@ _LEM5_CASES = ((3, 1, 0.5), (2, 1, 0.9), (5, 2, 0.3), (4, 3, 0.7))
     {"grid_points": (8, 100000)}, GridSpec(1.0, 2.0, 10000, "linear"),
 ))
 def _build_lem5(desc, grid, K, ov):
-    def runner(tol, jobs):
-        from .cm_engine import Violation
+    return [Check("lem5-root", _check_lem5, dict(grid=grid))]
 
-        violations = []
-        worst = math.inf
-        for m, n, c in _LEM5_CASES:
-            root = bd.a_poly_root(m, n, c)
-            resid = abs(bd.a_poly(root, m, n, c))
-            ts = np.linspace(1.0, 2.0 * root, grid.points)
-            vals = [bd.a_poly(float(t), m, n, c) for t in ts]
-            changes = sum(
-                1 for i in range(len(vals) - 1) if vals[i] >= 0.0 > vals[i + 1]
-                or vals[i] < 0.0 <= vals[i + 1]
-            )
-            worst = min(worst, 1e-12 - resid)
-            if resid > 1e-12:
-                violations.append(Violation(root, {"m": m, "n": n, "c": c}, 0, resid, 1e-12, 1e-12 - resid))
-            if changes != 1:
-                violations.append(Violation(root, {"m": m, "n": n, "c": c, "sign_changes": changes}, 0, float(changes), 1.0, -abs(changes - 1)))
-        status = "fail" if violations else "pass"
-        return VerificationReport("lem5-root", status, worst, violations, grid=grid)
 
-    return [Check("lem5-root", runner)]
+def _check_lem5(grid, tol, label):
+    """Each case's root has residual <= 1e-12 and a(t) changes sign exactly
+    once on [1, 2 * root]; ``tol`` is unused (the residual bound is fixed)."""
+    violations = []
+    worst = math.inf
+    for m, n, c in _LEM5_CASES:
+        root = bd.a_poly_root(m, n, c)
+        resid = abs(bd.a_poly(root, m, n, c))
+        changes = bd.a_poly_sign_changes(m, n, c, 2.0 * root, grid.points)
+        worst = min(worst, 1e-12 - resid)
+        if resid > 1e-12:
+            violations.append(Violation(root, {"m": m, "n": n, "c": c}, 0, resid, 1e-12, 1e-12 - resid))
+        if changes != 1:
+            violations.append(Violation(root, {"m": m, "n": n, "c": c, "sign_changes": changes}, 0, float(changes), 1.0, -abs(changes - 1)))
+    status = "fail" if violations else "pass"
+    return VerificationReport(label, status, worst, violations, grid=grid)
 
 
 @_register(PropertyDescriptor(

@@ -71,9 +71,10 @@ class Enclosure:
     """A computed value with a certified absolute truncation-error bound.
 
     ``abs_error`` bounds the truncation tail of the defining series plus a
-    heuristic rounding-slop term (terms_used * machine epsilon * |value|,
-    which is not rigorous for floating point).  ``warn_slow`` is set when a
-    q-series needed more than 10**5 terms (q very close to 1).
+    heuristic rounding-slop term (about terms_used * machine epsilon * the
+    sum of the magnitudes of the summands, which is not rigorous for
+    floating point).  ``warn_slow`` is set when a q-series needed more than
+    10**5 terms (q very close to 1).
     """
 
     value: float
@@ -90,23 +91,19 @@ class Enclosure:
 class TruncationPolicy:
     """Stopping rule for the certified series evaluators.
 
-    ``eps`` is the relative stopping tolerance, ``max_terms`` a hard term
+    ``eps`` is the relative stopping tolerance and ``max_terms`` a hard term
     budget (exceeding it raises ConvergenceError rather than returning an
-    uncertified value), and ``tail_strategy`` the preferred tail certificate
-    where a series admits both.
+    uncertified value).
     """
 
     eps: float = 1e-16
     max_terms: int = 10**6
-    tail_strategy: str = "geometric_ratio"  # or "integral_comparison"
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
             raise ValueError("eps must lie in (0, 1)")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
-        if self.tail_strategy not in ("geometric_ratio", "integral_comparison"):
-            raise ValueError(f"unknown tail strategy {self.tail_strategy!r}")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -145,8 +142,10 @@ def _as_q(q) -> float:
     return qf
 
 
-def _slop(terms: int, value: float) -> float:
-    return terms * _EPS_MACH * abs(value)
+def _slop(terms: int, magnitude: float) -> float:
+    """Rounding slop of a sum of ``terms`` summands whose magnitudes add up
+    to ``magnitude`` (|value| when nothing cancels)."""
+    return terms * _EPS_MACH * abs(magnitude)
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +188,14 @@ def ln_gamma(x: float, policy: TruncationPolicy | None = None) -> Enclosure:
     while y < _LNGAMMA_SHIFT:
         shift_logs.append(math.log(y))
         y += 1.0
-    val, tail, terms = _stirling_ln_gamma(y, policy.eps)
-    if shift_logs:
-        val -= math.fsum(shift_logs)
+    stirling, tail, terms = _stirling_ln_gamma(y, policy.eps)
+    # the shift cancels logs of size ~ln 20 against a Stirling value of ~40;
+    # only log(x) can be negative, so sum |log| = shift - 2 min(log x, 0)
+    shift = math.fsum(shift_logs)
+    val = stirling - shift
+    magnitude = abs(stirling) + shift - 2.0 * min(math.log(x), 0.0)
     terms += len(shift_logs)
-    return Enclosure(val, tail + _slop(terms + 4, val), terms)
+    return Enclosure(val, tail + _slop(terms + 4, magnitude), terms)
 
 
 def digamma(x: float, policy: TruncationPolicy | None = None) -> Enclosure:
@@ -205,7 +207,7 @@ def digamma(x: float, policy: TruncationPolicy | None = None) -> Enclosure:
     while y < _DIGAMMA_SHIFT:
         recips.append(1.0 / y)
         y += 1.0
-    val = math.log(y) - 0.5 / y
+    asym = math.log(y) - 0.5 / y
     y2 = y * y
     ypow = y2
     corr = 0.0
@@ -213,7 +215,7 @@ def digamma(x: float, policy: TruncationPolicy | None = None) -> Enclosure:
     terms = 0
     for k, b2k in enumerate(_BERNOULLI_2K, start=1):
         term = b2k / ((2 * k) * ypow)
-        if k > 1 and abs(term) <= policy.eps * (abs(val) + abs(corr)):
+        if k > 1 and abs(term) <= policy.eps * (abs(asym) + abs(corr)):
             tail = abs(term)
             break
         corr -= term
@@ -221,11 +223,11 @@ def digamma(x: float, policy: TruncationPolicy | None = None) -> Enclosure:
         terms += 1
     else:
         tail = abs(_BERNOULLI_2K[-1]) / (30 * ypow)
-    val += corr
-    if recips:
-        val -= math.fsum(recips)
+    asym += corr
+    shift = math.fsum(recips)  # cancels against asym near the zero x0 = 1.4616
+    val = asym - shift
     terms += len(recips)
-    return Enclosure(val, tail + _slop(terms + 4, val), terms)
+    return Enclosure(val, tail + _slop(terms + 4, abs(asym) + shift), terms)
 
 
 def digamma_series(x: float, policy: TruncationPolicy | None = None) -> Enclosure:
@@ -541,6 +543,8 @@ def kernel_derivative(
         coefs.append(c)
     # m = 0 contribution: d^k/dt^k t^n
     total = math.perm(n, k) * t ** (n - k) if k <= n else 0.0
+    # the alternating terms cancel heavily at small t: base the slop on them
+    abs_total = abs(total)
     m0 = 0
     block = 512
     while True:
@@ -554,6 +558,7 @@ def kernel_derivative(
             acc += c * ((-1.0) ** (k - j)) * mp
             bound += c * mp
         total += float(np.sum(acc * emt))
+        abs_total += float(bound @ emt)
         m0 = hi
         block = min(2 * block, _BLOCK_MAX)
         ratio = math.exp(-t) * ((m0 + 2.0) / (m0 + 1.0)) ** k
@@ -561,7 +566,7 @@ def kernel_derivative(
             pb = sum(c * (m0 + 1.0) ** (k - j) for j, c in enumerate(coefs))
             tail = pb * math.exp(-(m0 + 1.0) * t) / (1.0 - ratio)
             if tail <= policy.eps * (1.0 + abs(total)):
-                return Enclosure(total, tail + _slop(m0, total), m0)
+                return Enclosure(total, tail + _slop(m0, abs_total), m0)
         if m0 >= policy.max_terms:
             raise ConvergenceError(
                 f"kernel derivative series did not certify within "

@@ -220,8 +220,6 @@ def test_truncation_policy_validation_and_budget():
         sf.TruncationPolicy(eps=2.0)
     with pytest.raises(ValueError):
         sf.TruncationPolicy(max_terms=0)
-    with pytest.raises(ValueError):
-        sf.TruncationPolicy(tail_strategy="magic")
     tight = sf.TruncationPolicy(max_terms=64)
     with pytest.raises(ConvergenceError):
         sf.q_digamma(0.5, 0.999, tight)
@@ -289,6 +287,32 @@ def test_kernel_derivative():
         sf.kernel_derivative(1, 21, 1.0)
     with pytest.raises(DomainError):
         sf.kernel_derivative(1, 2, -1.0)
+
+
+def test_certificates_bound_the_error_where_summands_cancel():
+    """|value - truth| <= abs_error with no extra slack, against 40-digit mpmath,
+    where the summands are much larger than the result: ln_gamma below the
+    recurrence shift, digamma around its zero x0 = 1.4616, and the alternating
+    kernel-derivative series at small t."""
+    from mpmath import diff, expm1, loggamma, mp, mpf, psi
+
+    def misses(fn, args, truth):
+        enc = fn(*args)
+        return abs(mpf(enc.value) - truth) > enc.abs_error
+
+    with mp.workdps(40):
+        bad = [("ln_gamma", x) for x in np.linspace(0.01, 2.6, 60)
+               if misses(sf.ln_gamma, (float(x),), loggamma(mpf(float(x))))]
+        x0 = 1.4616321449683623
+        bad += [("digamma", x) for x in x0 + np.linspace(-1e-3, 1e-3, 21)
+                if misses(sf.digamma, (float(x),), psi(0, mpf(float(x))))]
+        for n in range(1, 17):
+            for t in np.geomspace(0.01, 1.0, 5):
+                t = float(t)
+                truth = diff(lambda s, n=n: s**n / (-expm1(-s)), mpf(t), n)
+                if misses(sf.kernel_derivative, (n, n, t), truth):
+                    bad.append(("kernel_derivative", n, t))
+    assert not bad, bad
 
 
 def test_unit_ball_volume():
