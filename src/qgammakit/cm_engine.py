@@ -3,9 +3,13 @@
 Targets are registered, known families only: each analytic target knows its
 k-th derivative in closed form (term-wise differentiated series with
 certified tails), and a central finite-difference fallback exists for
-targets without an analytic route.  Checks report pass / fail /
-inconclusive; a point is inconclusive when the certified evaluation error
-swamps the margin, and it is never silently passed.
+targets without an analytic route.  A target's jet ``jet(x, K)`` gives the
+Enclosures of orders 0..K at x in one pass (Taylor-mode propagation):
+Leibniz and linear combinations evaluate each inner order once per point,
+and a q-series shares its blocks of terms across the orders.  Checks report
+pass / fail / inconclusive; a point is inconclusive when the certified
+evaluation error swamps the margin, or when any order at it cannot be
+evaluated, and it is never silently passed.
 
 Grid points are evaluated sequentially in grid order, and violations are
 sorted by (point, order), so a report depends only on the check's inputs.
@@ -160,13 +164,26 @@ def _tau(tol: float, *vals: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-class AnalyticTarget:
-    """Base for targets with closed-form k-th derivatives."""
+class Target:
+    """A function of x whose derivatives are evaluated as Enclosures.
+
+    ``deriv(k, x)`` gives one order and ``jet(x, K)`` orders 0..K.  Leaf
+    targets define ``deriv`` and inherit the ``jet`` below, which loops over
+    it; composite targets define ``jet``, evaluating each inner order once
+    per point, and read ``deriv`` off it.
+    """
 
     source = ANALYTIC_SOURCE
 
     def deriv(self, k: int, x: float, policy: TruncationPolicy | None = None) -> Enclosure:
         raise NotImplementedError
+
+    def jet(self, x: float, K: int, policy: TruncationPolicy | None = None) -> list[Enclosure]:
+        return [self.deriv(k, x, policy) for k in range(K + 1)]
+
+
+class AnalyticTarget(Target):
+    """Base for targets with closed-form k-th derivatives."""
 
 
 def _exact(value: float) -> Enclosure:
@@ -310,49 +327,66 @@ class QSeriesTarget(AnalyticTarget):
         self.sign = sign
 
     def deriv(self, k, x, policy=None):
+        return self.jet(x, k, policy)[k]
+
+    def jet(self, x, K, policy=None):
+        """One block loop for orders 0..K: each block's j, log j and
+        coefficients are shared, while every order keeps its own sums, tail
+        test and stop, so each stops exactly where a lone order would."""
         policy = policy or DEFAULT_POLICY
         lnq = math.log(self.q)
-        pref = -lnq * lnq**k  # T^(k) = sign*(const[k=0] + pref * sum j^k ...)
         for shift, _, _, _ in self.components:
             if x + shift <= 0.0:
                 raise DomainError(f"x + {shift} must be positive, got x={x}")
-        total = 0.0
-        abs_total = 0.0
+        total = [0.0] * (K + 1)
+        abs_total = [0.0] * (K + 1)
+        out = [None] * (K + 1)
+        active = list(range(K + 1))
         j0 = 0
         block = 256
-        while True:
+        while active:
             hi = min(j0 + block, policy.max_terms)
             j = np.arange(j0 + 1, hi + 1, dtype=float)
-            jk = k * np.log(j) if k else 0.0
-            for shift, coeff_fn, _, _ in self.components:
-                t = np.exp(j * ((x + shift) * lnq) + jk) * coeff_fn(j)
-                total += float(np.sum(t))
-                abs_total += float(np.sum(np.abs(t)))
+            logj = np.log(j) if K else None
+            parts = [
+                (j * ((x + shift) * lnq), coeff_fn(j))
+                for shift, coeff_fn, _, _ in self.components
+            ]
+            for k in active:
+                jk = k * logj if k else 0.0
+                for e, c in parts:
+                    t = np.exp(e + jk) * c
+                    total[k] += float(t.sum())
+                    abs_total[k] += float(np.abs(t).sum())
             j0 = hi
             block = min(2 * block, 1 << 16)
-            tail = 0.0
-            converged = True
-            for shift, _, amp, jpow in self.components:
-                rho = ((j0 + 2.0) / (j0 + 1.0)) ** (k + jpow) * self.q ** (x + shift)
-                if rho >= 1.0:
-                    converged = False
-                    break
-                tail += (
-                    amp
-                    * (j0 + 1.0) ** (k + jpow)
-                    * self.q ** ((j0 + 1.0) * (x + shift))
-                    / (1.0 - rho)
-                )
-            if converged and tail <= policy.eps * (1.0 + abs(total)):
-                break
-            if j0 >= policy.max_terms:
+            for k in list(active):
+                tail = 0.0
+                converged = True
+                for shift, _, amp, jpow in self.components:
+                    rho = ((j0 + 2.0) / (j0 + 1.0)) ** (k + jpow) * self.q ** (x + shift)
+                    if rho >= 1.0:
+                        converged = False
+                        break
+                    tail += (
+                        amp
+                        * (j0 + 1.0) ** (k + jpow)
+                        * self.q ** ((j0 + 1.0) * (x + shift))
+                        / (1.0 - rho)
+                    )
+                if converged and tail <= policy.eps * (1.0 + abs(total[k])):
+                    # T^(k) = sign*(const[k=0] + pref * sum j^k ...)
+                    pref = -lnq * lnq**k
+                    val = self.sign * ((self.const if k == 0 else 0.0) + pref * total[k])
+                    slop = (2.0 + math.log2(max(j0, 2))) * _EPS_MACH * abs(pref) * abs_total[k]
+                    out[k] = Enclosure(val, abs(pref) * tail + slop, j0)
+                    active.remove(k)
+            if active and j0 >= policy.max_terms:
                 raise ConvergenceError(
                     f"combined q-series did not certify within {policy.max_terms} "
-                    f"terms (x={x}, q={self.q}, k={k})"
+                    f"terms (x={x}, q={self.q}, k={active[0]})"
                 )
-        val = self.sign * ((self.const if k == 0 else 0.0) + pref * total)
-        slop = (2.0 + math.log2(max(j0, 2))) * _EPS_MACH * abs(pref) * abs_total
-        return Enclosure(val, abs(pref) * tail + slop, j0)
+        return out
 
 
 class ExpNegX(AnalyticTarget):
@@ -384,19 +418,26 @@ class MonomialPolyGamma(AnalyticTarget):
         self.p, self.m, self.a, self.sign = p, m, a, sign
 
     def deriv(self, k, x, policy=None):
-        val = 0.0
-        err = 0.0
-        for j in range(min(k, self.p) + 1):
-            xc = math.comb(k, j) * math.perm(self.p, j) * x ** (self.p - j)
-            order = self.m + k - j
-            g = (
-                digamma(x + self.a, policy)
-                if order == 0
-                else polygamma(order, x + self.a, policy)
-            )
-            val += xc * g.value
-            err += abs(xc) * g.abs_error
-        return Enclosure(self.sign * val, err + 4.0 * _EPS_MACH * abs(val), 1)
+        return self.jet(x, k, policy)[k]
+
+    def jet(self, x, K, policy=None):
+        # psi^(m + i)(x + a) for i = 0..K, each evaluated once
+        g = [
+            digamma(x + self.a, policy)
+            if self.m + i == 0
+            else polygamma(self.m + i, x + self.a, policy)
+            for i in range(K + 1)
+        ]
+        out = []
+        for k in range(K + 1):
+            val = 0.0
+            err = 0.0
+            for j in range(min(k, self.p) + 1):
+                xc = math.comb(k, j) * math.perm(self.p, j) * x ** (self.p - j)
+                val += xc * g[k - j].value
+                err += abs(xc) * g[k - j].abs_error
+            out.append(Enclosure(self.sign * val, err + 4.0 * _EPS_MACH * abs(val), 1))
+        return out
 
 
 class PolyProductTarget(AnalyticTarget):
@@ -411,41 +452,54 @@ class PolyProductTarget(AnalyticTarget):
         self.c = c
         self.sign = sign
 
-    @staticmethod
-    def _factor(order: int, j: int, x: float, policy) -> Enclosure:
-        if order == 0:
-            return _exact(1.0 if j == 0 else 0.0)
-        g = polygamma(order + j, x, policy)
-        s = 1.0 if order % 2 == 1 else -1.0
-        return Enclosure(s * g.value, g.abs_error, g.terms_used)
-
     def deriv(self, k, x, policy=None):
-        m, n, p, q_idx = self.orders
-        val = 0.0
-        err = 0.0
-        for j in range(k + 1):
-            ck = math.comb(k, j)
-            a = self._factor(m, j, x, policy)
-            b = self._factor(n, k - j, x, policy)
-            cc = self._factor(p, j, x, policy)
-            dd = self._factor(q_idx, k - j, x, policy)
-            val += ck * (a.value * b.value - self.c * cc.value * dd.value)
-            err += ck * (
-                abs(a.value) * b.abs_error
-                + abs(b.value) * a.abs_error
-                + self.c * (abs(cc.value) * dd.abs_error + abs(dd.value) * cc.abs_error)
-            )
-        return Enclosure(self.sign * val, err + 8.0 * _EPS_MACH * abs(val), 1)
+        return self.jet(x, k, policy)[k]
+
+    def jet(self, x, K, policy=None):
+        # the four factors share their polygamma orders: evaluate each once
+        needed = {order + j for order in self.orders if order for j in range(K + 1)}
+        psi = {n: polygamma(n, x, policy) for n in sorted(needed)}
+
+        def factor(order: int, j: int) -> Enclosure:
+            if order == 0:
+                return _exact(1.0 if j == 0 else 0.0)
+            g = psi[order + j]
+            s = 1.0 if order % 2 == 1 else -1.0
+            return Enclosure(s * g.value, g.abs_error, g.terms_used)
+
+        a, b, cc, dd = (
+            [factor(order, j) for j in range(K + 1)] for order in self.orders
+        )
+        out = []
+        for k in range(K + 1):
+            val = 0.0
+            err = 0.0
+            for j in range(k + 1):
+                ck = math.comb(k, j)
+                val += ck * (a[j].value * b[k - j].value - self.c * cc[j].value * dd[k - j].value)
+                err += ck * (
+                    abs(a[j].value) * b[k - j].abs_error
+                    + abs(b[k - j].value) * a[j].abs_error
+                    + self.c * (
+                        abs(cc[j].value) * dd[k - j].abs_error
+                        + abs(dd[k - j].value) * cc[j].abs_error
+                    )
+                )
+            out.append(Enclosure(self.sign * val, err + 8.0 * _EPS_MACH * abs(val), 1))
+        return out
 
 
 class DerivOffset(AnalyticTarget):
     """d^offset of another target, viewed as a target itself."""
 
-    def __init__(self, base: AnalyticTarget, offset: int):
+    def __init__(self, base: Target, offset: int):
         self.base, self.offset = base, offset
 
     def deriv(self, k, x, policy=None):
-        return self.base.deriv(k + self.offset, x, policy)
+        return self.jet(x, k, policy)[k]
+
+    def jet(self, x, K, policy=None):
+        return self.base.jet(x, K + self.offset, policy)[self.offset:]
 
 
 class LinComb(AnalyticTarget):
@@ -461,16 +515,26 @@ class LinComb(AnalyticTarget):
         self.terms = tuple(norm)
 
     def deriv(self, k, x, policy=None):
-        val = 0.0
-        err = 0.0
-        terms_used = 0
-        for coef, target, shift, scale in self.terms:
-            e = target.deriv(k, scale * x + shift, policy)
-            w = coef * scale**k
-            val += w * e.value
-            err += abs(w) * e.abs_error
-            terms_used = max(terms_used, e.terms_used)
-        return Enclosure(val, err + 4.0 * _EPS_MACH * abs(val), terms_used)
+        return self.jet(x, k, policy)[k]
+
+    def jet(self, x, K, policy=None):
+        jets = [
+            (coef, scale, target.jet(scale * x + shift, K, policy))
+            for coef, target, shift, scale in self.terms
+        ]
+        out = []
+        for k in range(K + 1):
+            val = 0.0
+            err = 0.0
+            terms_used = 0
+            for coef, scale, jet in jets:
+                e = jet[k]
+                w = coef * scale**k
+                val += w * e.value
+                err += abs(w) * e.abs_error
+                terms_used = max(terms_used, e.terms_used)
+            out.append(Enclosure(val, err + 4.0 * _EPS_MACH * abs(val), terms_used))
+        return out
 
 
 class ExpNegForm:
@@ -486,7 +550,7 @@ class ExpNegForm:
         self.h_prime = h_prime
 
 
-class FiniteDifference:
+class FiniteDifference(Target):
     """Central-stencil derivatives of a black-box function.
 
     The h and 2h stencils are Richardson-combined (O(h^4)), so the step
@@ -619,14 +683,13 @@ def check_sign_pattern(
 
     def eval_point(x: float):
         try:
-            out = []
-            for k in orders:
-                enc = inner.deriv(k, x, policy)
-                signed = (1.0 if k % 2 == 0 else -1.0) * enc.value
-                out.append((k, signed, enc.abs_error))
-            return out
+            jet = inner.jet(x, len(orders) - 1, policy) if orders else []
         except (DomainError, ConvergenceError):
             return None
+        return [
+            (k, (1.0 if k % 2 == 0 else -1.0) * enc.value, enc.abs_error)
+            for k, enc in enumerate(jet)
+        ]
 
     rows = [eval_point(x) for x in xs]
     violations = []

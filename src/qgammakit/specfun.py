@@ -61,6 +61,9 @@ _BERNOULLI_2K = (
     -23749461029.0 / 870.0,
     8615841276005.0 / 14322.0,
 )
+# B_32: the first term past the table, which bounds the error of the
+# polygamma asymptotic series when the table runs out
+_BERNOULLI_32 = -7709321041217.0 / 510.0
 
 _LNGAMMA_SHIFT = 20.0
 _DIGAMMA_SHIFT = 20.0
@@ -262,7 +265,12 @@ def digamma_series(x: float, policy: TruncationPolicy | None = None) -> Enclosur
 
 
 def _polygamma_asymptotic(n: int, y: float, eps: float):
-    """(-1)^(n+1) psi^(n)(y) asymptotic, y large; first-omitted-term bound."""
+    """(-1)^(n+1) psi^(n)(y) asymptotic, y large; first-omitted-term bound.
+
+    The series stops at the first term that is negligible, no smaller than
+    the term before it (the series has started to diverge), or past the
+    Bernoulli table; that term is omitted and bounds the error.
+    """
     lead = math.factorial(n - 1) / y**n + math.factorial(n) / (2.0 * y ** (n + 1))
     corr = 0.0
     # term_k = B_2k * (2k+n-1)! / ((2k)! * y^(2k+n))
@@ -271,26 +279,19 @@ def _polygamma_asymptotic(n: int, y: float, eps: float):
     ypow = y**n
     y2 = y * y
     terms = 0
-    tail = None
     prev = math.inf
-    for k, b2k in enumerate(_BERNOULLI_2K, start=1):
+    for k, b2k in enumerate(_BERNOULLI_2K + (_BERNOULLI_32,), start=1):
         # rising = (n)(n+1)...(n+2k-1) / (2k)!
         rising *= (n + 2 * k - 2) * (n + 2 * k - 1) / ((2 * k - 1) * (2 * k))
         ypow *= y2
         term = b2k * rising * fact_nm1 / ypow
-        if abs(term) >= prev:
-            # asymptotic series started diverging; certify by last added term
-            tail = prev
-            break
-        if abs(term) <= eps * (lead + abs(corr)):
-            tail = abs(term)
+        past_table = k > len(_BERNOULLI_2K)
+        if past_table or abs(term) >= prev or abs(term) <= eps * (lead + abs(corr)):
             break
         corr += term
         prev = abs(term)
         terms += 1
-    if tail is None:
-        tail = prev if math.isfinite(prev) else abs(corr)
-    return lead + corr, tail, terms
+    return lead + corr, abs(term), terms
 
 
 def polygamma(n: int, x: float, policy: TruncationPolicy | None = None) -> Enclosure:
@@ -446,18 +447,17 @@ def q_digamma(x: float, q, policy: TruncationPolicy | None = None) -> Enclosure:
     policy = policy or DEFAULT_POLICY
     _require_positive(x)
     qv = _as_q(q)
+    p = 1.0 / qv if qv > 1.0 else qv
+    s, tail, terms = _q_psi_sum(x, p, 0, policy)
+    lnp = math.log(p)
+    val = -math.log1p(-p) + lnp * s
+    # the two summands cancel near the zero x0 ~ 1.46: base the slop on them
+    magnitude = -math.log1p(-p) + abs(lnp * s)
     if qv > 1.0:
-        p = 1.0 / qv
-        s, tail, terms = _q_psi_sum(x, p, 0, policy)
-        lnp = math.log(p)
-        val = (1.5 - x) * lnp + (-math.log1p(-p) + lnp * s)
-        err = abs(lnp) * tail
-    else:
-        s, tail, terms = _q_psi_sum(x, qv, 0, policy)
-        lnq = math.log(qv)
-        val = -math.log1p(-qv) + lnq * s
-        err = abs(lnq) * tail
-    return Enclosure(val, err + _slop(terms, val), terms, warn_slow=terms > 10**5)
+        val = (1.5 - x) * lnp + val
+        magnitude += abs((1.5 - x) * lnp)
+    err = abs(lnp) * tail
+    return Enclosure(val, err + _slop(terms, magnitude), terms, warn_slow=terms > 10**5)
 
 
 def q_polygamma(n: int, x: float, q, policy: TruncationPolicy | None = None) -> Enclosure:
@@ -483,7 +483,9 @@ def q_polygamma(n: int, x: float, q, policy: TruncationPolicy | None = None) -> 
     scale = lnq ** (n + 1)
     val = scale * s + extra
     err = abs(scale) * tail
-    return Enclosure(val, err + _slop(terms, val), terms, warn_slow=terms > 10**5)
+    return Enclosure(
+        val, err + _slop(terms, abs(scale * s) + abs(extra)), terms, warn_slow=terms > 10**5
+    )
 
 
 # ---------------------------------------------------------------------------

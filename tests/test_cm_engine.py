@@ -1,3 +1,5 @@
+import collections
+import inspect
 import math
 
 import numpy as np
@@ -5,7 +7,8 @@ import pytest
 
 from qgammakit import cm_engine as ce
 from qgammakit import specfun as sf
-from qgammakit.errors import DomainError, PreconditionError, UsageError
+from qgammakit import bounds as bd
+from qgammakit.errors import ConvergenceError, DomainError, PreconditionError, UsageError
 
 import oracles
 
@@ -76,6 +79,219 @@ def test_qseries_target_matches_q_polygamma():
 
 
 # ---------------------------------------------------------------------------
+# jets: orders 0..K in one pass, bit for bit the per-order derivatives
+# ---------------------------------------------------------------------------
+
+_EPS = 2.220446049250313e-16
+
+
+def _per_order(t, k, x, policy=None):
+    """d^k t at x, one order at a time, as the composite targets computed it
+    before jets; leaf targets are asked through their own ``deriv``."""
+    if isinstance(t, ce.LinComb):
+        val = err = 0.0
+        used = 0
+        for coef, target, shift, scale in t.terms:
+            e = _per_order(target, k, scale * x + shift, policy)
+            w = coef * scale**k
+            val += w * e.value
+            err += abs(w) * e.abs_error
+            used = max(used, e.terms_used)
+        return sf.Enclosure(val, err + 4.0 * _EPS * abs(val), used)
+    if isinstance(t, ce.DerivOffset):
+        return _per_order(t.base, k + t.offset, x, policy)
+    if isinstance(t, ce.MonomialPolyGamma):
+        val = err = 0.0
+        for j in range(min(k, t.p) + 1):
+            xc = math.comb(k, j) * math.perm(t.p, j) * x ** (t.p - j)
+            order = t.m + k - j
+            g = sf.digamma(x + t.a, policy) if order == 0 else sf.polygamma(order, x + t.a, policy)
+            val += xc * g.value
+            err += abs(xc) * g.abs_error
+        return sf.Enclosure(t.sign * val, err + 4.0 * _EPS * abs(val), 1)
+    if isinstance(t, ce.PolyProductTarget):
+        def factor(order, j):
+            if order == 0:
+                return sf.Enclosure(1.0 if j == 0 else 0.0, 0.0, 0)
+            g = sf.polygamma(order + j, x, policy)
+            return sf.Enclosure((1.0 if order % 2 == 1 else -1.0) * g.value, g.abs_error, 0)
+
+        m, n, p, q_idx = t.orders
+        val = err = 0.0
+        for j in range(k + 1):
+            ck = math.comb(k, j)
+            a, b = factor(m, j), factor(n, k - j)
+            cc, dd = factor(p, j), factor(q_idx, k - j)
+            val += ck * (a.value * b.value - t.c * cc.value * dd.value)
+            err += ck * (
+                abs(a.value) * b.abs_error
+                + abs(b.value) * a.abs_error
+                + t.c * (abs(cc.value) * dd.abs_error + abs(dd.value) * cc.abs_error)
+            )
+        return sf.Enclosure(t.sign * val, err + 8.0 * _EPS * abs(val), 1)
+    if isinstance(t, ce.QSeriesTarget):
+        policy = policy or sf.DEFAULT_POLICY
+        lnq = math.log(t.q)
+        pref = -lnq * lnq**k
+        total = abs_total = 0.0
+        j0, block = 0, 256
+        while True:
+            hi = min(j0 + block, policy.max_terms)
+            j = np.arange(j0 + 1, hi + 1, dtype=float)
+            jk = k * np.log(j) if k else 0.0
+            for shift, coeff_fn, _, _ in t.components:
+                terms = np.exp(j * ((x + shift) * lnq) + jk) * coeff_fn(j)
+                total += float(np.sum(terms))
+                abs_total += float(np.sum(np.abs(terms)))
+            j0 = hi
+            block = min(2 * block, 1 << 16)
+            tail, converged = 0.0, True
+            for shift, _, amp, jpow in t.components:
+                rho = ((j0 + 2.0) / (j0 + 1.0)) ** (k + jpow) * t.q ** (x + shift)
+                if rho >= 1.0:
+                    converged = False
+                    break
+                tail += (
+                    amp * (j0 + 1.0) ** (k + jpow) * t.q ** ((j0 + 1.0) * (x + shift)) / (1.0 - rho)
+                )
+            if converged and tail <= policy.eps * (1.0 + abs(total)):
+                break
+            if j0 >= policy.max_terms:
+                raise ConvergenceError("combined q-series did not certify")
+        val = t.sign * ((t.const if k == 0 else 0.0) + pref * total)
+        slop = (2.0 + math.log2(max(j0, 2))) * _EPS * abs(pref) * abs_total
+        return sf.Enclosure(val, abs(pref) * tail + slop, j0)
+    return t.deriv(k, x, policy)
+
+
+def _bits(enc):
+    return (enc.value.hex(), enc.abs_error.hex(), enc.terms_used)
+
+
+class _SwampedTarget(ce.AnalyticTarget):
+    """Positive value drowned by its own certificate at every order."""
+
+    def deriv(self, k, x, policy=None):
+        return sf.Enclosure(1e-30, 1.0, 1)
+
+
+class _AlternatingTarget(ce.AnalyticTarget):
+    """(-1)^k / (1 + x), defined only through ``deriv``; raises at order 3
+    for x > 1."""
+
+    def deriv(self, k, x, policy=None):
+        if k == 3 and x > 1.0:
+            raise DomainError("order 3 is undefined past x = 1")
+        return sf.Enclosure((-1.0) ** k / (1.0 + x), 0.0, 1)
+
+
+def _q_components(q):
+    lnq = math.log(q)
+    return [
+        (0.5, lambda j: np.full_like(j, -0.3), 0.3, 0),
+        (0.0, lambda j: 1.0 / (-np.expm1(j * lnq)), 1.0 / (1.0 - q), 0),
+        (0.25, lambda j: j * np.exp(j * (0.5 * lnq)), 1.0, 1),
+    ]
+
+
+def _jet_targets():
+    """One or more instances of every target class in cm_engine."""
+    consts = bd.poly_constants(3, 2, 2, 1)
+    return [
+        ce.Const(2.5),
+        ce.Affine(1.0, -2.0),
+        ce.PowShift(0.5, -1.5),
+        ce.LogShift(1.0),
+        ce.XLogX(),
+        ce.LnGammaFn(),
+        ce.PolyGammaShift(0, 0.5),
+        ce.PolyGammaShift(2),
+        ce.QLnGammaFn(0.6),
+        ce.QPolyGammaShift(0, 0.6, 0.5),
+        ce.QSeriesTarget(0.7, _q_components(0.7), const=0.2, sign=-1.0),
+        ce.ExpNegX(),
+        ce.SinPlus2(),
+        ce.MonomialPolyGamma(2, 1, 1.0, 1.0),
+        ce.MonomialPolyGamma(1, 0, 0.5, -1.0),
+        ce.PolyProductTarget(3, 2, 2, 1, consts.c),
+        ce.PolyProductTarget(2, 1, 1, 0, 1.0, sign=-1.0),
+        ce.DerivOffset(ce.MonomialPolyGamma(2, 1, 1.0, 1.0), 2),
+        ce.DerivOffset(ce.QSeriesTarget(0.5, _q_components(0.5)), 1),
+        ce.LinComb([
+            (1.0, ce.PolyGammaShift(1), 0.0),
+            (-0.5, ce.PolyGammaShift(1, 0.5), 0.0, 2.0),
+            (2.0, ce.DerivOffset(ce.LogShift(1.0), 1), 0.5),
+            (0.3, ce.MonomialPolyGamma(1, 2, 0.5, 1.0), 0.0),
+        ]),
+        ce.FiniteDifference(lambda x: sf.digamma(x).value),
+        _SwampedTarget(),
+        _AlternatingTarget(),
+    ]
+
+
+def test_jets_cover_every_target_class():
+    classes = {
+        cls for _, cls in inspect.getmembers(ce, inspect.isclass)
+        if issubclass(cls, ce.Target) and cls.__module__ == ce.__name__
+    } - {ce.Target, ce.AnalyticTarget}
+    assert classes <= {type(t) for t in _jet_targets()}
+
+
+@pytest.mark.parametrize("target", _jet_targets(), ids=lambda t: type(t).__name__)
+def test_jet_equals_per_order_derivatives_bit_for_bit(target):
+    cap = target.source.max_order
+    for x in (0.05, 0.7, 3.0, 25.0):
+        if isinstance(target, _AlternatingTarget) and x > 1.0:
+            continue
+        full = target.jet(x, cap)
+        assert len(full) == cap + 1
+        for k in range(cap + 1):
+            ref = _bits(_per_order(target, k, x))
+            assert _bits(full[k]) == ref, (k, x)
+            assert _bits(target.deriv(k, x)) == ref, (k, x)
+        for K in (0, 1, cap // 2):
+            assert [_bits(e) for e in target.jet(x, K)] == [_bits(e) for e in full[:K + 1]]
+
+
+def test_one_raising_order_makes_the_point_inconclusive():
+    grid = ce.GridSpec(0.5, 4.0, 8, "log")
+    target = _AlternatingTarget()
+    assert ce.check_sign_pattern(target, 2, grid, "completely_monotonic").status == "pass"
+    rep = ce.check_sign_pattern(target, 4, grid, "completely_monotonic")
+    assert rep.status == "inconclusive" and not rep.violations
+    with pytest.raises(DomainError):
+        target.jet(2.0, 4)
+    # a q-series whose high orders run out of terms before the low ones
+    q = 0.9
+    series = ce.QSeriesTarget(q, _q_components(q)[1:2])
+    tight = sf.TruncationPolicy(max_terms=768)
+    rep = ce.check_sign_pattern(series, 0, grid, "completely_monotonic", policy=tight)
+    assert rep.status == "pass"
+    with pytest.raises(ConvergenceError):
+        series.jet(0.5, 12, tight)
+    rep = ce.check_sign_pattern(series, 12, grid, "completely_monotonic", policy=tight)
+    assert rep.status == "inconclusive" and not rep.violations
+
+
+def test_sign_pattern_evaluates_each_polygamma_order_once_per_point(monkeypatch):
+    calls = collections.Counter()
+    polygamma = ce.polygamma
+
+    def counted(n, x, policy=None):
+        calls[n, x] += 1
+        return polygamma(n, x, policy)
+
+    monkeypatch.setattr(ce, "polygamma", counted)
+    consts = bd.poly_constants(4, 3, 2, 1)
+    target = ce.PolyProductTarget(4, 3, 2, 1, consts.c)
+    grid = ce.GridSpec(1e-2, 10.0, 16, "log")
+    rep = ce.check_sign_pattern(target, 8, grid, "completely_monotonic")
+    assert rep.status == "pass"
+    assert len({x for _, x in calls}) == 16
+    assert max(calls.values()) == 1
+
+
+# ---------------------------------------------------------------------------
 # sign-pattern checks
 # ---------------------------------------------------------------------------
 
@@ -115,13 +331,6 @@ def test_lcm_checks_neg_log_derivative():
         ce.ExpNegForm(ce.Const(1.0)), 4, GRID, "log_completely_monotonic"
     )
     assert rep.status == "pass"
-
-
-class _SwampedTarget(ce.AnalyticTarget):
-    """Positive value drowned by its own certificate at every order."""
-
-    def deriv(self, k, x, policy=None):
-        return sf.Enclosure(1e-30, 1.0, 1)
 
 
 def test_inconclusive_reported_not_passed():

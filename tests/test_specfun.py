@@ -315,6 +315,62 @@ def test_certificates_bound_the_error_where_summands_cancel():
     assert not bad, bad
 
 
+def test_q_series_certificates_bound_the_error_near_the_zero():
+    """|value - truth| <= abs_error against 40-digit mpmath where the two
+    summands of psi_q cancel, around its zero x0 ~ 1.46, on both q branches."""
+    from mpmath import log, mp, mpf
+
+    def q_psi(x, q):
+        x, q = mpf(x), mpf(q)
+        if q > 1:
+            p = 1 / q
+            return (mpf(3) / 2 - x) * log(p) + q_psi(x, p)
+        qx = q**x
+        s, qnx, qn = mpf(0), qx, q  # q^(nx) and q^n at n = 1
+        while True:
+            t = qnx / (1 - qn)
+            s += t
+            if t < mpf(10) ** -45:
+                return -log(1 - q) + log(q) * s
+            qnx, qn = qnx * qx, qn * q
+
+    bad = []
+    with mp.workdps(40):
+        for q, x0 in ((0.3, 1.43328), (0.9, 1.45951), (0.99, 1.46143), (3.0, 1.47955)):
+            for x in x0 + np.linspace(-2e-4, 2e-4, 3):
+                enc = sf.q_digamma(float(x), q)
+                if abs(mpf(enc.value) - q_psi(float(x), q)) > enc.abs_error:
+                    bad.append(("q_digamma", q, float(x)))
+        # psi_q' for q > 1 adds -ln p to the p = 1/q series
+        for x in (0.2, 1.0, 5.0):
+            enc = sf.q_polygamma(1, x, 3.0)
+            p = mpf(1) / 3
+            s = sum(k * p ** (k * mpf(x)) / (1 - p**k) for k in range(1, 400))
+            if abs(mpf(enc.value) - (log(p) ** 2 * s - log(p))) > enc.abs_error:
+                bad.append(("q_polygamma", 3.0, x))
+    assert not bad, bad
+
+
+def test_polygamma_asymptotic_bounds_by_the_first_omitted_term():
+    """At small y the asymptotic series diverges early, or runs past the
+    Bernoulli table; the error bound is then the first omitted term, which
+    bounds the remainder, checked against 40-digit mpmath."""
+    from mpmath import bernoulli, factorial, mp, mpf, psi
+
+    with mp.workdps(40):
+        for n in (1, 2, 5, 12, 20):
+            for y in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0):
+                value, tail, terms = sf._polygamma_asymptotic(n, y, 1e-16)
+                k = terms + 1
+                omitted = abs(bernoulli(2 * k) * factorial(2 * k + n - 1)) / (
+                    factorial(2 * k) * mpf(y) ** (2 * k + n)
+                )
+                assert abs(tail - omitted) <= 1e-12 * omitted, (n, y, terms)
+                truth = (-1) ** (n + 1) * psi(n, mpf(y))
+                rounding = (terms + 4) * 2.220446049250313e-16 * abs(value)
+                assert abs(mpf(value) - truth) <= tail + rounding, (n, y, terms)
+
+
 def test_unit_ball_volume():
     within(sf.unit_ball_volume(0), 1.0, 1e-14)
     within(sf.unit_ball_volume(1), 2.0, 1e-13)
