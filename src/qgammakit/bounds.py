@@ -143,6 +143,11 @@ def _check_s(s: float):
         raise DomainError(f"s must lie in (0, 1), got {s}")
 
 
+def _check_q(q: float):
+    if not (0.0 < q < 1.0):
+        raise DomainError(f"q must lie in (0, 1), got {q}")
+
+
 def _ln_gamma_q(x: float, q: float, policy=None) -> float:
     """log Gamma_q(x) with the classical-gamma reading at q = 1."""
     if q == 1.0:
@@ -164,8 +169,7 @@ def _psi_q(x: float, q: float, policy=None) -> float:
 def alzer_u(q: float, s: float) -> float:
     """Best lower shift u(q, s) = ln((q^s - q)/((1-s)(1-q))) / ln q."""
     _check_s(s)
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    _check_q(q)
     arg = (q**s - q) / ((1.0 - s) * (1.0 - q))
     if arg <= 0.0:
         raise DomainError(f"log argument is nonpositive at (q, s)=({q}, {s})")
@@ -175,8 +179,7 @@ def alzer_u(q: float, s: float) -> float:
 def alzer_v(q: float, s: float, policy: TruncationPolicy | None = None) -> float:
     """Best upper shift v(q, s) = ln(1 - (1-q) Gamma_q(s)^(1/(s-1))) / ln q."""
     _check_s(s)
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    _check_q(q)
     g = math.exp(q_ln_gamma(s, q, policy).value / (s - 1.0))
     arg = 1.0 - (1.0 - q) * g
     if arg <= 0.0:
@@ -246,7 +249,8 @@ def ratio_bounds(
         hi = math.exp(one_minus_s * _qbracket_log(x + v, q))
         return BoundPair(lo, hi, method)
 
-    if method in ("im_midpoint", "psi_average"):
+    # at q = 1 (the only q 'merkle' accepts) _psi_q is digamma
+    if method in ("im_midpoint", "psi_average", "merkle"):
         lo = math.exp(
             0.5 * one_minus_s * (_psi_q(x + 1.0, q, policy) + _psi_q(x + s, q, policy))
         )
@@ -254,12 +258,6 @@ def ratio_bounds(
         return BoundPair(lo, hi, method)
 
     # classical q = 1 chains: exp((1-s) psi(point)) with method-specific points
-    if method == "merkle":
-        lo = math.exp(
-            0.5 * one_minus_s * (digamma(x + 1.0, policy).value + digamma(x + s, policy).value)
-        )
-        hi = math.exp(one_minus_s * digamma(x + 0.5 * (1.0 + s), policy).value)
-        return BoundPair(lo, hi, method)
     if method == "kershaw":
         lo_pt, hi_pt = x + math.sqrt(s), x + 0.5 * (1.0 + s)
     elif method == "logmean_refined":
@@ -456,8 +454,7 @@ def poly_constants(p: int, m: int, n: int, q_idx: int) -> PolyConstants:
 def w_qn(s: float, q: float, n: int) -> float:
     """w(s) = q^n - q^(ns) + (1-s) q^(n u(q,s)) (1 - q^n); nonnegative."""
     _check_s(s)
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    _check_q(q)
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
     u = alzer_u(q, s)
@@ -471,8 +468,7 @@ def lemma10_lhs_rhs(s: float, q: float, n: int) -> BoundPair:
     expresses ((q^s-q)/((1-s)(1-q)))^n >= (q^(ns)-q^n)/((1-s)(1-q^n)).
     """
     _check_s(s)
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    _check_q(q)
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
     lhs = ((q**s - q) / ((1.0 - s) * (1.0 - q))) ** n
@@ -548,8 +544,7 @@ def psi_pair_inequality(
         raise UsageError(f"unknown variant {variant!r}")
     if q is None:
         raise UsageError("q_analogue requires q")
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    _check_q(q)
     d = q_digamma(x + c, q, policy).value - q_digamma(x, q, policy).value
     mid = (q**x) * (
         q_polygamma(1, x, q, policy).value - q_polygamma(1, x + c, q, policy).value
@@ -561,8 +556,7 @@ def psi_pair_inequality(
 def cor51_expr(x: float, q: float, policy=None) -> float:
     """(psi_q'(x))^2 + (ln(1/q) q^x / (1-q)) psi_q''(x); claimed >= 0."""
     specfun._require_positive(x)
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    _check_q(q)
     p1 = q_polygamma(1, x, q, policy).value
     p2 = q_polygamma(2, x, q, policy).value
     return p1 * p1 + math.log(1.0 / q) * (q**x) / (1.0 - q) * p2

@@ -142,8 +142,7 @@ def _cmd_eval(args) -> int:
 
     if name == "gamma":
         enc = sf.ln_gamma(_need_x(args), policy)
-        val = math.exp(enc.value)
-        enc = sf.Enclosure(val, val * math.expm1(enc.abs_error), enc.terms_used)
+        enc = sf._exp(enc.value, enc)
     elif name == "lngamma":
         enc = sf.ln_gamma(_need_x(args), policy)
     elif name == "digamma":
@@ -160,12 +159,12 @@ def _cmd_eval(args) -> int:
         if args.y is None:
             raise UsageError("logmean needs --x and --y")
         val = sf.log_mean(_parse_float(suffix, fn), _need_x(args), args.y)
-        enc = sf.Enclosure(val, 4.0 * 2.22e-16 * abs(val), 1)
+        enc = sf.Enclosure(val, 4.0 * sf._EPS_MACH * abs(val), 1)
     elif name == "ball":
         enc = sf.unit_ball_volume(_parse_int(suffix, fn), policy)
     elif name == "kernel":
         val = sf.kernel_h(_need_x(args))
-        enc = sf.Enclosure(val, 4.0 * 2.22e-16 * abs(val), 1)
+        enc = sf.Enclosure(val, 4.0 * sf._EPS_MACH * abs(val), 1)
     else:
         raise UsageError(f"unknown function {fn!r}")
 

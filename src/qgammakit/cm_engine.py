@@ -25,6 +25,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, PreconditionError, UsageError
 from .specfun import (
     DEFAULT_POLICY,
+    _EPS_MACH,
+    _blocks,
     Enclosure,
     TruncationPolicy,
     digamma,
@@ -49,8 +51,6 @@ __all__ = [
     "make_target",
     "merge_reports",
 ]
-
-_EPS_MACH = 2.220446049250313e-16
 
 CLAIM_KINDS = (
     "completely_monotonic",
@@ -342,10 +342,7 @@ class QSeriesTarget(AnalyticTarget):
         abs_total = [0.0] * (K + 1)
         out = [None] * (K + 1)
         active = list(range(K + 1))
-        j0 = 0
-        block = 256
-        while active:
-            hi = min(j0 + block, policy.max_terms)
+        for j0, hi in _blocks(policy, "combined q-series (x={}, q={}, K={})", x, self.q, K):
             j = np.arange(j0 + 1, hi + 1, dtype=float)
             logj = np.log(j) if K else None
             parts = [
@@ -358,35 +355,29 @@ class QSeriesTarget(AnalyticTarget):
                     t = np.exp(e + jk) * c
                     total[k] += float(t.sum())
                     abs_total[k] += float(np.abs(t).sum())
-            j0 = hi
-            block = min(2 * block, 1 << 16)
             for k in list(active):
                 tail = 0.0
                 converged = True
                 for shift, _, amp, jpow in self.components:
-                    rho = ((j0 + 2.0) / (j0 + 1.0)) ** (k + jpow) * self.q ** (x + shift)
+                    rho = ((hi + 2.0) / (hi + 1.0)) ** (k + jpow) * self.q ** (x + shift)
                     if rho >= 1.0:
                         converged = False
                         break
                     tail += (
                         amp
-                        * (j0 + 1.0) ** (k + jpow)
-                        * self.q ** ((j0 + 1.0) * (x + shift))
+                        * (hi + 1.0) ** (k + jpow)
+                        * self.q ** ((hi + 1.0) * (x + shift))
                         / (1.0 - rho)
                     )
                 if converged and tail <= policy.eps * (1.0 + abs(total[k])):
                     # T^(k) = sign*(const[k=0] + pref * sum j^k ...)
                     pref = -lnq * lnq**k
                     val = self.sign * ((self.const if k == 0 else 0.0) + pref * total[k])
-                    slop = (2.0 + math.log2(max(j0, 2))) * _EPS_MACH * abs(pref) * abs_total[k]
-                    out[k] = Enclosure(val, abs(pref) * tail + slop, j0)
+                    slop = (2.0 + math.log2(max(hi, 2))) * _EPS_MACH * abs(pref) * abs_total[k]
+                    out[k] = Enclosure(val, abs(pref) * tail + slop, hi)
                     active.remove(k)
-            if active and j0 >= policy.max_terms:
-                raise ConvergenceError(
-                    f"combined q-series did not certify within {policy.max_terms} "
-                    f"terms (x={x}, q={self.q}, k={active[0]})"
-                )
-        return out
+            if not active:
+                return out
 
 
 class ExpNegX(AnalyticTarget):

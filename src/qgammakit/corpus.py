@@ -62,6 +62,11 @@ _Q_DEFAULT = (0.3, 0.5, 0.7, 0.9)
 _S_DEFAULT = (0.25, 0.5, 0.75)
 
 
+def _domains(**extra) -> dict:
+    """Parameter domains of a claim: grid_points in [8, 4096] plus ``extra``."""
+    return {"grid_points": (8, 4096), **extra}
+
+
 @dataclass(frozen=True)
 class PropertyDescriptor:
     """One verifiable claim: its kind, domains, default grid and source."""
@@ -69,7 +74,7 @@ class PropertyDescriptor:
     id: str
     claim: str
     citation: str
-    parameter_domains: dict = field(default_factory=dict)
+    parameter_domains: dict = field(default_factory=_domains)
     default_grid: GridSpec = _STD_GRID
     max_order: int = 8
     notes: str = ""
@@ -266,12 +271,10 @@ _THM5_CASES = (
 @_register(PropertyDescriptor(
     "thm5-lcm", "log_completely_monotonic",
     "Bustoz-Ismail / Ismail-Muldoon shifted-bracket ratio family",
-    {"grid_points": (8, 4096)},
 ))
 @_register(PropertyDescriptor(
     "thm5-recip-lcm", "log_completely_monotonic",
     "Bustoz-Ismail / Ismail-Muldoon reciprocal branch (c >= a)",
-    {"grid_points": (8, 4096)},
 ))
 def _build_thm5(desc, grid, K, ov):
     recip = desc.id == "thm5-recip-lcm"
@@ -292,7 +295,7 @@ def _build_thm5(desc, grid, K, ov):
 # 2. sharp two-sided bracket chain (and its sharpness probes)
 # ---------------------------------------------------------------------------
 
-_EQ14_DOM = {"grid_points": (8, 4096), "q": (0.01, 0.99), "s": (0.01, 0.99)}
+_EQ14_DOM = _domains(q=(0.01, 0.99), s=(0.01, 0.99))
 
 
 def _eq14_points(qs, ss, grid):
@@ -332,13 +335,13 @@ def _sharp_points(grid):
 @_register(PropertyDescriptor(
     "eq14-sharp-u", "chain_le",
     "sharpness probe: lower shift + 0.05 must overshoot the ratio",
-    {"grid_points": (8, 4096)}, GridSpec(0.01, 0.5, 64, "linear"),
+    default_grid=GridSpec(0.01, 0.5, 64, "linear"),
     notes="expected-failure detector check", expects_violation=True,
 ))
 @_register(PropertyDescriptor(
     "eq14-sharp-v", "chain_le",
     "sharpness probe: upper shift - 0.05 must undershoot the ratio",
-    {"grid_points": (8, 4096)}, GridSpec(0.01, 0.5, 64, "linear"),
+    default_grid=GridSpec(0.01, 0.5, 64, "linear"),
     notes="expected-failure detector check", expects_violation=True,
 ))
 def _build_sharp(desc, grid, K, ov):
@@ -367,7 +370,6 @@ def _build_sharp(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "thm30-lcm", "log_completely_monotonic",
     "Grinshpan-Ismail alternating subset-sum gamma product",
-    {"grid_points": (8, 4096)},
 ))
 def _build_thm30(desc, grid, K, ov):
     from itertools import combinations
@@ -427,7 +429,6 @@ def _major_target(a_seq, b_seq, q):
 @_register(PropertyDescriptor(
     "thm1-lcm", "log_completely_monotonic",
     "majorized shift differences of a function with CM second derivative",
-    {"grid_points": (8, 4096)},
 ))
 def _build_thm1(desc, grid, K, ov):
     checks = []
@@ -445,7 +446,6 @@ def _build_thm1(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "cor1-lcm", "log_completely_monotonic",
     "products of gamma-ratios at majorized shifts",
-    {"grid_points": (8, 4096)},
 ))
 def _build_cor1(desc, grid, K, ov):
     a_seq, b_seq = (0.2, 0.7), (0.5, 0.8)
@@ -465,7 +465,6 @@ def _build_cor1(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "thm2-lcm", "log_completely_monotonic",
     "midpoint and trapezoid corrections for a CM second derivative",
-    {"grid_points": (8, 4096)},
     notes="instantiated with f = -ln x, whose second derivative 1/x^2 is CM",
 ))
 def _build_thm2(desc, grid, K, ov):
@@ -491,7 +490,6 @@ def _build_thm2(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "cor2-lcm", "log_completely_monotonic",
     "midpoint and trapezoid gamma-ratio corrections",
-    {"grid_points": (8, 4096)},
 ))
 def _build_cor2(desc, grid, K, ov):
     checks = []
@@ -552,7 +550,7 @@ def _bracket_chain(method, qs, ss, grid, claim, label):
 @_register(PropertyDescriptor(
     "thm3-chain", "chain_le",
     "Hadamard chain for psi_q: endpoint average below, midpoint above",
-    {"grid_points": (8, 4096), "q": (0.01, 0.99)}, _GRID20,
+    _domains(q=(0.01, 0.99)), _GRID20,
 ))
 def _build_thm3(desc, grid, K, ov):
     qs = [ov["q"]] if "q" in ov else list(_Q_DEFAULT)
@@ -562,7 +560,7 @@ def _build_thm3(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "merkle-chain", "chain_lt",
     "Merkle's strict digamma chain for the classical ratio",
-    {"grid_points": (8, 4096)}, _GRID20,
+    default_grid=_GRID20,
 ))
 def _build_merkle(desc, grid, K, ov):
     return [_bracket_chain("merkle", (1.0,), _S_DEFAULT, grid, "chain_lt", "merkle-chain")]
@@ -571,7 +569,7 @@ def _build_merkle(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "refined-chain", "chain_le",
     "geometric-mean and logarithmic-mean refinements of the digamma bracket",
-    {"grid_points": (8, 4096)}, _GRID20,
+    default_grid=_GRID20,
 ))
 def _build_refined(desc, grid, K, ov):
     return [
@@ -583,7 +581,7 @@ def _build_refined(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "kershaw-chain", "chain_le",
     "Kershaw's two-sided digamma bracket",
-    {"grid_points": (8, 4096)}, _GRID20,
+    default_grid=_GRID20,
 ))
 def _build_kershaw(desc, grid, K, ov):
     return [_bracket_chain("kershaw", (1.0,), _S_DEFAULT, grid, "chain_le", "kershaw-chain")]
@@ -597,7 +595,7 @@ def _build_kershaw(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "noncompare", "chain_lt",
     "the average and geometric-shift lower bounds are not comparable",
-    {"grid_points": (8, 4096)}, GridSpec(0.1, 0.9, 9, "linear"),
+    default_grid=GridSpec(0.1, 0.9, 9, "linear"),
 ))
 def _build_noncompare(desc, grid, K, ov):
     ss = [round(0.1 * i, 1) for i in range(1, 10)]
@@ -630,7 +628,7 @@ def _build_noncompare(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "thm8-lcm", "log_completely_monotonic",
     "the sharp lower-shift bracket ratio is LCM for 0 < q < 1",
-    {"grid_points": (8, 4096), "q": (0.01, 0.99), "s": (0.01, 0.99)},
+    _domains(q=(0.01, 0.99), s=(0.01, 0.99)),
 ))
 def _build_thm8(desc, grid, K, ov):
     qs = [ov["q"]] if "q" in ov else list(_Q_DEFAULT)
@@ -649,7 +647,7 @@ def _build_thm8(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "lemma10-ineq", "chain_le",
     "n-th power of the shift bracket dominates the n-step bracket",
-    {"grid_points": (8, 4096)}, GridSpec(0.1, 0.9, 9, "linear"),
+    default_grid=GridSpec(0.1, 0.9, 9, "linear"),
 ))
 def _build_lemma10(desc, grid, K, ov):
     pts = [
@@ -671,7 +669,7 @@ def _build_lemma10(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "wqn-nonneg", "chain_le",
     "series weights of the refined lower shift are nonnegative",
-    {"grid_points": (8, 4096)}, GridSpec(0.1, 0.9, 9, "linear"),
+    default_grid=GridSpec(0.1, 0.9, 9, "linear"),
 ))
 def _build_wqn(desc, grid, K, ov):
     pts = [
@@ -695,7 +693,6 @@ def _build_wqn(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "cor4-lcm", "log_completely_monotonic",
     "Bustoz-Ismail squared-ratio functions with shifted prefactors",
-    {"grid_points": (8, 4096)},
 ))
 def _build_cor4(desc, grid, K, ov):
     f1 = [
@@ -722,7 +719,7 @@ def _build_cor4(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "cor4-lcm-orig", "log_completely_monotonic",
     "original Bustoz-Ismail variant with prefactor (1 - 1/(2x))^(-1/2)",
-    {"grid_points": (8, 4096)}, GridSpec(0.51, 100.0, 64, "log"),
+    default_grid=GridSpec(0.51, 100.0, 64, "log"),
     notes="stated classically as CM on (1/2, inf); the stronger LCM form is verified",
 ))
 def _build_cor4_orig(desc, grid, K, ov):
@@ -744,7 +741,6 @@ def _build_cor4_orig(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "ilm-lcm", "log_completely_monotonic",
     "Ismail-Lorch-Muldoon Stirling quotient x^a Gamma(x) (e/x)^x",
-    {"grid_points": (8, 4096)},
 ))
 def _build_ilm(desc, grid, K, ov):
     def terms(alpha):
@@ -767,7 +763,7 @@ def _build_ilm(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "kv-bounds", "chain_le",
     "Keckic-Vasic bracket for the gamma ratio",
-    {"grid_points": (8, 4096)}, GridSpec(0.5, 8.0, 16, "linear"),
+    default_grid=GridSpec(0.5, 8.0, 16, "linear"),
 ))
 def _build_kv(desc, grid, K, ov):
     pts = [
@@ -794,7 +790,7 @@ def _build_kv(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "qpow-lcm", "log_completely_monotonic",
     "the weight (1-q)^x Gamma_q(x) is LCM",
-    {"grid_points": (8, 4096), "q": (0.01, 0.99)},
+    _domains(q=(0.01, 0.99)),
 ))
 def _build_qpow(desc, grid, K, ov):
     qs = [ov["q"]] if "q" in ov else list(_Q_DEFAULT)
@@ -815,7 +811,7 @@ def _build_qpow(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "ag-gx", "chain_le",
     "Alzer-Grinshpan three-point ratio stays above its limit 1",
-    {"grid_points": (8, 4096)}, _GRID20,
+    default_grid=_GRID20,
 ))
 def _build_ag(desc, grid, K, ov):
     pts = [
@@ -842,7 +838,7 @@ def _build_ag(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "beta-lcm", "log_completely_monotonic",
     "beta-rescaled q-gamma quotient, both regimes",
-    {"grid_points": (8, 4096), "q": (0.01, 0.99)},
+    _domains(q=(0.01, 0.99)),
 ))
 def _build_beta(desc, grid, K, ov):
     qs = [ov["q"]] if "q" in ov else (0.3, 0.7)
@@ -863,7 +859,7 @@ def _build_beta(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "cor5-ineq", "chain_le",
     "power-scaled four-gamma inequality, both regimes",
-    {"grid_points": (8, 4096)}, GridSpec(0.1, 5.0, 8, "linear"),
+    default_grid=GridSpec(0.1, 5.0, 8, "linear"),
 ))
 def _build_cor5(desc, grid, K, ov):
     triples = ((1.0, 1.0, 1.0), (0.5, 1.0, 2.0), (2.0, 0.3, 0.7), (1e-4, 1.0, 1.0))
@@ -901,7 +897,7 @@ def _falpha_terms(alpha):
 @_register(PropertyDescriptor(
     "falpha-cm", "completely_monotonic",
     "Stirling-defect derivative with trigamma correction is strictly CM",
-    {"grid_points": (8, 4096), "alpha": (0.0, 5.0)},
+    _domains(alpha=(0.0, 5.0)),
 ))
 def _build_falpha(desc, grid, K, ov):
     checks = [
@@ -917,7 +913,7 @@ def _build_falpha(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "falpha-onlyif", "completely_monotonic",
     "only-if probe: alpha = 0.4 must break complete monotonicity",
-    {"grid_points": (8, 4096)}, _GRID50,
+    default_grid=_GRID50,
     notes="expected-failure detector check", expects_violation=True,
 ))
 def _build_falpha_onlyif(desc, grid, K, ov):
@@ -937,7 +933,7 @@ def _gc_terms(c):
 @_register(PropertyDescriptor(
     "gc-cm", "completely_monotonic",
     "Alzer-Batir normalized log-gamma with half-digamma correction",
-    {"grid_points": (8, 4096), "c": (0.0, 5.0)},
+    _domains(c=(0.0, 5.0)),
 ))
 def _build_gc(desc, grid, K, ov):
     checks = [
@@ -951,7 +947,6 @@ def _build_gc(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "gc-onlyif", "completely_monotonic",
     "only-if probe: c = 0.2 must break complete monotonicity",
-    {"grid_points": (8, 4096)},
     notes="expected-failure detector check", expects_violation=True,
 ))
 def _build_gc_onlyif(desc, grid, K, ov):
@@ -968,7 +963,6 @@ _THM4_TUPLES = ((3, 2, 2, 1), (4, 3, 2, 1), (2, 1, 1, 0))
 @_register(PropertyDescriptor(
     "thm4-cm", "completely_monotonic",
     "polygamma product comparisons at the critical constants",
-    {"grid_points": (8, 4096)},
 ))
 def _build_thm4(desc, grid, K, ov):
     checks = []
@@ -987,7 +981,6 @@ def _build_thm4(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "eq42-nonneg", "chain_lt",
     "squared trigamma dominates the negated tetragamma",
-    {"grid_points": (8, 4096)},
 ))
 def _build_eq42(desc, grid, K, ov):
     pts = _x_points(grid)
@@ -1026,7 +1019,7 @@ def _pair_chain(label, variant, qs, cs, grid):
 @_register(PropertyDescriptor(
     "prop51-chain", "chain_lt",
     "squared digamma-difference chain, both regimes",
-    {"grid_points": (8, 4096)}, _GRID50,
+    default_grid=_GRID50,
 ))
 def _build_prop51(desc, grid, K, ov):
     return [_pair_chain("prop51-chain", "classical", (None,), (0.5, 2.0), grid)]
@@ -1035,7 +1028,7 @@ def _build_prop51(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "thm52-chain", "chain_lt",
     "q-analogue of the squared-difference chain, both regimes",
-    {"grid_points": (8, 4096), "q": (0.01, 0.99)}, _GRID20,
+    _domains(q=(0.01, 0.99)), _GRID20,
 ))
 def _build_thm52(desc, grid, K, ov):
     qs = [ov["q"]] if "q" in ov else (0.3, 0.7)
@@ -1045,7 +1038,7 @@ def _build_thm52(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "cor51-nonneg", "chain_le",
     "squared q-trigamma dominates the weighted q-tetragamma",
-    {"grid_points": (8, 4096), "q": (0.01, 0.99)}, _GRID50,
+    _domains(q=(0.01, 0.99)), _GRID50,
 ))
 def _build_cor51(desc, grid, K, ov):
     qs = [ov["q"]] if "q" in ov else list(_Q_DEFAULT)
@@ -1071,7 +1064,7 @@ def _f_an(a, n):
 @_register(PropertyDescriptor(
     "lem-thm11", "increasing",
     "x^n-weighted polygamma: increasing iff the shift is >= 1/2",
-    {"grid_points": (8, 4096)}, GridSpec(0.0, 20.0, 64, "linear"),
+    default_grid=GridSpec(0.0, 20.0, 64, "linear"),
     max_order=6,
 ))
 def _build_thm11(desc, grid, K, ov):
@@ -1105,7 +1098,7 @@ def _build_thm11(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "thm11-onlyif", "increasing",
     "only-if probe: shift 0.4 must break the increasing claim",
-    {"grid_points": (8, 4096)}, _GRID50,
+    default_grid=_GRID50,
     notes="expected-failure detector check", expects_violation=True,
 ))
 def _build_thm11_onlyif(desc, grid, K, ov):
@@ -1117,7 +1110,7 @@ def _build_thm11_onlyif(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "eq43-range", "decreasing",
     "the polygamma log-slope ratio decreases onto (n, n+1]",
-    {"grid_points": (8, 4096)}, _GRID50,
+    default_grid=_GRID50,
 ))
 def _build_eq43(desc, grid, K, ov):
     checks = []
@@ -1135,7 +1128,7 @@ def _build_eq43(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "prop-cor45", "decreasing",
     "shifted polygamma slope ratio decreases; tends to -n",
-    {"grid_points": (8, 4096)}, GridSpec(0.0, 50.0, 64, "linear"),
+    default_grid=GridSpec(0.0, 50.0, 64, "linear"),
 ))
 def _build_cor45(desc, grid, K, ov):
     checks = []
@@ -1163,7 +1156,7 @@ def _build_cor45(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "ci-kernel", "chain_lt",
     "Clark-Ismail kernel derivatives stay positive up to order 16",
-    {"grid_points": (8, 4096), "n_max": (1, 16)}, GridSpec(1e-2, 40.0, 64, "log"),
+    _domains(n_max=(1, 16)), GridSpec(1e-2, 40.0, 64, "log"),
 ))
 def _build_ci_kernel(desc, grid, K, ov):
     n_max = int(ov.get("n_max", 16))
@@ -1182,7 +1175,7 @@ def _build_ci_kernel(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "f0n-cm", "completely_monotonic",
     "x^n-weighted polygamma is CM up to weight 16",
-    {"grid_points": (8, 4096), "n_max": (1, 16)}, _STD_GRID, max_order=6,
+    _domains(n_max=(1, 16)), max_order=6,
 ))
 def _build_f0n(desc, grid, K, ov):
     n_max = int(ov.get("n_max", 16))
@@ -1198,7 +1191,7 @@ def _build_f0n(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "xf01-cm", "completely_monotonic",
     "second derivative of x^2 psi'(x) is strictly CM",
-    {"grid_points": (8, 4096)}, _STD_GRID, max_order=6,
+    max_order=6,
 ))
 def _build_xf01(desc, grid, K, ov):
     # x^2 psi'(x) = 1 + x^2 psi'(x+1), so past order 1 the shifted form has
@@ -1215,7 +1208,7 @@ def _build_xf01(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "qthm-monotone", "decreasing",
     "(1-q^x)^n-weighted q-polygamma decreases",
-    {"grid_points": (8, 4096), "q": (0.01, 0.99)}, _GRID20,
+    _domains(q=(0.01, 0.99)), _GRID20,
 ))
 def _build_qthm(desc, grid, K, ov):
     qs = [ov["q"]] if "q" in ov else (0.3, 0.7)
@@ -1280,7 +1273,7 @@ def _build_ball13(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "dup-psi", "chain_le",
     "digamma duplication identity residual stays below 1e-12",
-    {"grid_points": (8, 4096)}, GridSpec(1e-2, 25.0, 64, "log"),
+    default_grid=GridSpec(1e-2, 25.0, 64, "log"),
 ))
 def _build_dup(desc, grid, K, ov):
     def resid(p):
@@ -1332,7 +1325,7 @@ def _check_lem5(grid, tol, label):
 @_register(PropertyDescriptor(
     "lem6-kernel", "chain_le",
     "exponential smoothing kernel is superadditive under splitting",
-    {"grid_points": (8, 4096)}, GridSpec(1e-2, 20.0, 32, "log"),
+    default_grid=GridSpec(1e-2, 20.0, 32, "log"),
 ))
 def _build_lem6(desc, grid, K, ov):
     pts = [
@@ -1353,7 +1346,7 @@ def _build_lem6(desc, grid, K, ov):
 @_register(PropertyDescriptor(
     "lem4-lr", "chain_lt",
     "generalized logarithmic mean increases in its order",
-    {"grid_points": (8, 4096)}, GridSpec(1.0, 3.0, 2, "linear"),
+    default_grid=GridSpec(1.0, 3.0, 2, "linear"),
 ))
 def _build_lem4(desc, grid, K, ov):
     orders = (-2.0, -1.0, 0.0, 1.0, 2.0, 3.0)

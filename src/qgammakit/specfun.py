@@ -6,6 +6,14 @@ a certified bound on the truncation error of the defining series or product
 evaluation routes exist for the digamma/polygamma functions: the default
 recurrence-shift + asymptotic route and a direct-series route with an
 integral-comparison tail bracket, used to cross-check the former.
+
+The geometric series (the q-gamma product, the psi_q series, the kernel
+derivative series and cm_engine.QSeriesTarget) share one block schedule,
+``_blocks``: a first block of 256 terms (512 for the kernel), then blocks
+that double up to 2**17 terms, the last one clamped to
+``TruncationPolicy.max_terms``.  After each block the caller bounds the
+rest of the series geometrically and stops once that tail is at most
+eps * (1 + |partial sum|); if the budget runs out first, ConvergenceError.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ _BERNOULLI_2K = (
     8615841276005.0 / 14322.0,
 )
 # B_32: the first term past the table, which bounds the error of the
-# polygamma asymptotic series when the table runs out
+# asymptotic series when the table runs out
 _BERNOULLI_32 = -7709321041217.0 / 510.0
 
 _LNGAMMA_SHIFT = 20.0
@@ -151,6 +159,14 @@ def _slop(terms: int, magnitude: float) -> float:
     return terms * _EPS_MACH * abs(magnitude)
 
 
+def _exp(log_val: float, enc: Enclosure, ops: int = 0) -> Enclosure:
+    """Enclosure of exp(log_val), where log_val is known to within
+    ``enc.abs_error`` and took ``enc.terms_used + ops`` operations."""
+    val = math.exp(log_val)
+    err = val * math.expm1(enc.abs_error) if enc.abs_error < 1.0 else math.inf
+    return Enclosure(val, err + _slop(enc.terms_used + ops, val), enc.terms_used, enc.warn_slow)
+
+
 # ---------------------------------------------------------------------------
 # classical gamma family
 # ---------------------------------------------------------------------------
@@ -177,8 +193,8 @@ def _stirling_ln_gamma(y: float, eps: float):
         ypow *= y2
         terms += 1
     else:
-        # table exhausted; certify by the magnitude of the next Bernoulli term
-        tail = abs(_BERNOULLI_2K[-1] / ((2 * 15) * (2 * 15 - 1) * ypow))
+        # table exhausted; certify by the first omitted term, k = 16
+        tail = abs(_BERNOULLI_32 / (32 * 31 * ypow))
     return base + corr, tail, terms
 
 
@@ -225,7 +241,7 @@ def digamma(x: float, policy: TruncationPolicy | None = None) -> Enclosure:
         ypow *= y2
         terms += 1
     else:
-        tail = abs(_BERNOULLI_2K[-1]) / (30 * ypow)
+        tail = abs(_BERNOULLI_32) / (32 * ypow)
     asym += corr
     shift = math.fsum(recips)  # cancels against asym near the zero x0 = 1.4616
     val = asym - shift
@@ -348,6 +364,23 @@ _BLOCK = 256
 _BLOCK_MAX = 1 << 17
 
 
+def _blocks(policy: TruncationPolicy, what: str, *context, first: int = _BLOCK):
+    """Index ranges [lo, hi) of the block schedule in the module docstring.
+
+    The caller returns as soon as its tail certifies; once the budget is
+    spent this raises ConvergenceError with ``what.format(*context)`` in
+    its message, formatted only then so that it costs nothing per call.
+    """
+    lo, block = 0, first
+    while lo < policy.max_terms:
+        hi = min(lo + block, policy.max_terms)
+        yield lo, hi
+        lo, block = hi, min(2 * block, _BLOCK_MAX)
+    raise ConvergenceError(
+        f"{what.format(*context)} did not certify within {policy.max_terms} terms"
+    )
+
+
 def _q_ln_gamma_sub1(x: float, q: float, policy: TruncationPolicy):
     """log Gamma_q(x) for 0 < q < 1 from the infinite product, in log space.
 
@@ -359,27 +392,17 @@ def _q_ln_gamma_sub1(x: float, q: float, policy: TruncationPolicy):
     diff = abs(q**x - q)
     m = min(x, 1.0)
     total = 0.0
-    n0 = 0
-    block = _BLOCK
-    while True:
-        hi = min(n0 + block, policy.max_terms)
+    for n0, hi in _blocks(policy, "q-gamma product (x={}, q={})", x, q):
         n = np.arange(n0, hi, dtype=float)
         a = np.exp((n + 1.0) * lnq)  # q^(n+1)
         b = np.exp((n + x) * lnq)  # q^(n+x)
         total += float(np.sum(np.log1p((b - a) / (1.0 - b))))
-        n0 = hi
-        block = min(2 * block, _BLOCK_MAX)
-        qN = math.exp(n0 * lnq)
-        denom = (1.0 - math.exp((n0 + m) * lnq)) * (1.0 - q)
+        qN = math.exp(hi * lnq)
+        denom = (1.0 - math.exp((hi + m) * lnq)) * (1.0 - q)
         tail = diff * qN / denom if denom > 0.0 else math.inf
         val = const + total
         if tail <= policy.eps * (1.0 + abs(val)):
-            return val, tail, n0
-        if n0 >= policy.max_terms:
-            raise ConvergenceError(
-                f"q-gamma product did not certify within {policy.max_terms} terms "
-                f"(x={x}, q={q})"
-            )
+            return val, tail, hi
 
 
 def q_ln_gamma(x: float, q, policy: TruncationPolicy | None = None) -> Enclosure:
@@ -399,9 +422,7 @@ def q_ln_gamma(x: float, q, policy: TruncationPolicy | None = None) -> Enclosure
 def q_gamma(x: float, q, policy: TruncationPolicy | None = None) -> Enclosure:
     """Gamma_q(x) for x > 0, q > 0, q != 1 (q = 1 callers use ln_gamma)."""
     enc = q_ln_gamma(x, q, policy)
-    val = math.exp(enc.value)
-    err = val * math.expm1(enc.abs_error) if enc.abs_error < 1.0 else math.inf
-    return Enclosure(val, err + _slop(enc.terms_used, val), enc.terms_used, enc.warn_slow)
+    return _exp(enc.value, enc)
 
 
 def _q_psi_sum(x: float, q: float, n: int, policy: TruncationPolicy):
@@ -412,30 +433,18 @@ def _q_psi_sum(x: float, q: float, n: int, policy: TruncationPolicy):
     """
     lnq = math.log(q)
     total = 0.0
-    k0 = 0
-    last = math.inf
-    block = _BLOCK
-    while True:
-        hi = min(k0 + block, policy.max_terms)
+    for k0, hi in _blocks(policy, "q-series (x={}, q={}, order={})", x, q, n):
         k = np.arange(k0 + 1, hi + 1, dtype=float)
         logs = k * (x * lnq)
         if n:
             logs = logs + n * np.log(k)
         t = np.exp(logs) / (-np.expm1(k * lnq))
         total += float(np.sum(t))
-        last = float(t[-1])
-        k0 = hi
-        block = min(2 * block, _BLOCK_MAX)
-        ratio = ((k0 + 1.0) / k0) ** n * math.exp(x * lnq)
+        ratio = ((hi + 1.0) / hi) ** n * math.exp(x * lnq)
         if ratio < 1.0:
-            tail = last * ratio / (1.0 - ratio)
+            tail = float(t[-1]) * ratio / (1.0 - ratio)
             if tail <= policy.eps * (1.0 + total):
-                return total, tail, k0
-        if k0 >= policy.max_terms:
-            raise ConvergenceError(
-                f"q-series did not certify within {policy.max_terms} terms "
-                f"(x={x}, q={q}, order={n})"
-            )
+                return total, tail, hi
 
 
 def q_digamma(x: float, q, policy: TruncationPolicy | None = None) -> Enclosure:
@@ -547,10 +556,9 @@ def kernel_derivative(
     total = math.perm(n, k) * t ** (n - k) if k <= n else 0.0
     # the alternating terms cancel heavily at small t: base the slop on them
     abs_total = abs(total)
-    m0 = 0
-    block = 512
-    while True:
-        hi = min(m0 + block, policy.max_terms)
+    for m0, hi in _blocks(
+        policy, "kernel derivative series (n={}, k={}, t={})", n, k, t, first=512
+    ):
         m = np.arange(m0 + 1, hi + 1, dtype=float)
         emt = np.exp(-m * t)
         acc = np.zeros_like(m)
@@ -561,19 +569,12 @@ def kernel_derivative(
             bound += c * mp
         total += float(np.sum(acc * emt))
         abs_total += float(bound @ emt)
-        m0 = hi
-        block = min(2 * block, _BLOCK_MAX)
-        ratio = math.exp(-t) * ((m0 + 2.0) / (m0 + 1.0)) ** k
+        ratio = math.exp(-t) * ((hi + 2.0) / (hi + 1.0)) ** k
         if ratio < 1.0:
-            pb = sum(c * (m0 + 1.0) ** (k - j) for j, c in enumerate(coefs))
-            tail = pb * math.exp(-(m0 + 1.0) * t) / (1.0 - ratio)
+            pb = sum(c * (hi + 1.0) ** (k - j) for j, c in enumerate(coefs))
+            tail = pb * math.exp(-(hi + 1.0) * t) / (1.0 - ratio)
             if tail <= policy.eps * (1.0 + abs(total)):
-                return Enclosure(total, tail + _slop(m0, abs_total), m0)
-        if m0 >= policy.max_terms:
-            raise ConvergenceError(
-                f"kernel derivative series did not certify within "
-                f"{policy.max_terms} terms (n={n}, k={k}, t={t})"
-            )
+                return Enclosure(total, tail + _slop(hi, abs_total), hi)
 
 
 def unit_ball_volume(n: int, policy: TruncationPolicy | None = None) -> Enclosure:
@@ -581,7 +582,4 @@ def unit_ball_volume(n: int, policy: TruncationPolicy | None = None) -> Enclosur
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"dimension must be a nonnegative integer, got {n!r}")
     enc = ln_gamma(1.0 + 0.5 * n, policy)
-    log_val = 0.5 * n * math.log(math.pi) - enc.value
-    val = math.exp(log_val)
-    err = val * math.expm1(enc.abs_error) if enc.abs_error < 1.0 else math.inf
-    return Enclosure(val, err + _slop(enc.terms_used + 2, val), enc.terms_used)
+    return _exp(0.5 * n * math.log(math.pi) - enc.value, enc, 2)

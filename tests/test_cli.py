@@ -5,6 +5,7 @@ import os
 import pytest
 
 from qgammakit import cli
+from qgammakit import specfun as sf
 
 import oracles
 
@@ -43,6 +44,18 @@ def test_eval_gamma_and_kernel(capsys):
     assert code == 0 and abs(float(out.split()[0]) - 24.0) <= 1e-11
     code, out, _ = run(capsys, "eval", "--fn", "kernel", "--x", "1")
     assert code == 0 and abs(float(out.split()[0]) - oracles.KERNEL_H_1) <= 1e-13
+
+
+def test_eval_gamma_propagates_the_log_error_like_q_gamma(capsys):
+    """exp turns the ln Gamma error into val * expm1(err) and adds its own
+    rounding slop, as q_gamma and unit_ball_volume do."""
+    code, out, _ = run(capsys, "eval", "--fn", "gamma", "--x", "5", "--json")
+    doc = json.loads(out)
+    enc = sf.ln_gamma(5.0)
+    val = math.exp(enc.value)
+    slop = enc.terms_used * 2.220446049250313e-16 * val
+    assert code == 0 and doc["value"] == val
+    assert doc["abs_error"] == val * math.expm1(enc.abs_error) + slop
 
 
 def test_eval_json_output(capsys):

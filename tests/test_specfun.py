@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qgammakit import cm_engine
 from qgammakit import specfun as sf
 from qgammakit.errors import ConvergenceError, DomainError
 
@@ -369,6 +370,46 @@ def test_polygamma_asymptotic_bounds_by_the_first_omitted_term():
                 truth = (-1) ** (n + 1) * psi(n, mpf(y))
                 rounding = (terms + 4) * 2.220446049250313e-16 * abs(value)
                 assert abs(mpf(value) - truth) <= tail + rounding, (n, y, terms)
+
+
+def test_stirling_past_the_table_bounds_by_the_first_omitted_term():
+    """With eps below every tabulated Bernoulli term, the ln Gamma tail is the
+    first omitted term, k = 16: |B_32| / (32 * 31 * y^31)."""
+    from mpmath import bernoulli, mp, mpf
+
+    value, tail, terms = sf._stirling_ln_gamma(20.0, 1e-40)
+    assert terms == 15
+    with mp.workdps(40):
+        omitted = abs(bernoulli(32)) / (32 * 31 * mpf(20) ** 31)
+        assert abs(tail - omitted) <= 1e-12 * omitted, (tail, float(omitted))
+
+
+def _q_series_jet(x, q, policy):
+    lnq = math.log(q)
+    target = cm_engine.QSeriesTarget(
+        q, [(0.0, lambda j: 1.0 / (-np.expm1(j * lnq)), 1.0 / (1.0 - q), 0)]
+    )
+    return target.jet(x, 2, policy)[2]
+
+
+@pytest.mark.parametrize(
+    "series, easy, hard",
+    [
+        (sf.q_ln_gamma, (1.5, 0.96), (1.5, 0.99)),
+        (sf.q_digamma, (1.5, 0.97), (1.5, 0.99)),
+        (sf.kernel_derivative, (2, 1, 0.05), (2, 1, 0.01)),
+        (_q_series_jet, (1.5, 0.966), (1.5, 0.99)),
+    ],
+    ids=["q_ln_gamma", "q_digamma", "kernel_derivative", "QSeriesTarget"],
+)
+def test_every_series_keeps_to_the_term_budget(series, easy, hard):
+    """A budget that is not a multiple of any block: the last block is
+    clamped to it, a series that certifies there reports at most the budget,
+    and one that needs more raises."""
+    tight = sf.TruncationPolicy(max_terms=1000)
+    assert series(*easy, tight).terms_used == tight.max_terms
+    with pytest.raises(ConvergenceError, match="did not certify within 1000 terms"):
+        series(*hard, tight)
 
 
 def test_unit_ball_volume():
