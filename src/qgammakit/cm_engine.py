@@ -6,13 +6,21 @@ certified tails), and a central finite-difference fallback exists for
 targets without an analytic route.  A target's jet ``jet(x, K)`` gives the
 Enclosures of orders 0..K at x in one pass (Taylor-mode propagation):
 Leibniz and linear combinations evaluate each inner order once per point,
-and a q-series shares its blocks of terms across the orders.  Checks report
-pass / fail / inconclusive; a point is inconclusive when the certified
-evaluation error swamps the margin, or when any order at it cannot be
-evaluated, and it is never silently passed.
+and a q-series shares its blocks of terms across the orders.
 
-Grid points are evaluated sequentially in grid order, and violations are
-sorted by (point, order), so a report depends only on the check's inputs.
+``jet_grid(xs, K)`` gives orders 0..K at every point of a grid as arrays:
+values and errors of shape (K+1, P), and ``ok`` of shape (P,), False where
+the scalar jet raises DomainError/ConvergenceError.  A q-series sums each
+block for many points at once, in chunks of points that keep every block
+temporary within 2**14 float64 elements (or one row of the block), and the
+composite targets combine the inner arrays in the scalar operation order,
+so each column holds exactly the bits of the scalar jet.  A sign-pattern
+check asks for one grid.  Checks report pass / fail / inconclusive; a point
+is inconclusive when the certified evaluation error swamps the margin, or
+when any order at it cannot be evaluated, and it is never silently passed.
+
+Violations are sorted by (point, order), so a report depends only on the
+check's inputs.
 """
 
 from __future__ import annotations
@@ -64,6 +72,8 @@ CLAIM_KINDS = (
 
 ANALYTIC_ORDER_CAP = 12
 FINITE_DIFF_ORDER_CAP = 8
+# largest block temporary of QSeriesTarget._jets, in float64 elements
+_CHUNK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -151,6 +161,15 @@ def merge_reports(claim_id: str, reports: list[VerificationReport]) -> Verificat
     )
 
 
+def _running_min(vals: np.ndarray) -> float:
+    """min(inf, *vals) as Python's min takes it: NaN never wins, and of
+    equal smallest values (0.0 and -0.0) the first one does."""
+    vals = vals[~np.isnan(vals)]
+    if not vals.size:
+        return math.inf
+    return float(vals[np.argmax(vals == vals.min())])
+
+
 def _tau(tol: float, *vals: float) -> float:
     scale = 1.0
     for v in vals:
@@ -164,13 +183,73 @@ def _tau(tol: float, *vals: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+class _JetGrid:
+    """Orders 0..K of a target at P points.
+
+    ``values``, ``errors`` and ``terms`` have shape (K+1, P): column p is the
+    jet at point p.  ``failures[p]`` is the DomainError/ConvergenceError the
+    scalar jet raises at point p, or None; such a column holds nan.
+    """
+
+    def __init__(self, values, errors, terms, failures):
+        self.values, self.errors, self.terms = values, errors, terms
+        self.failures = failures
+
+    @property
+    def ok(self) -> np.ndarray:
+        return np.array([f is None for f in self.failures], dtype=bool)
+
+    def fail(self, p: int, exc: Exception) -> None:
+        self.failures[p] = exc
+        self.values[:, p] = self.errors[:, p] = np.nan
+
+    def jet(self, p: int) -> list[Enclosure]:
+        """The scalar jet at point p; re-raises the error it failed with."""
+        if self.failures[p] is not None:
+            raise self.failures[p]
+        return [
+            Enclosure(v, e, t)
+            for v, e, t in zip(
+                self.values[:, p].tolist(), self.errors[:, p].tolist(), self.terms[:, p].tolist()
+            )
+        ]
+
+
+def _pointwise(xs: np.ndarray, n: int, fn) -> _JetGrid:
+    """The n Enclosures ``fn(x)`` at each point, one point at a time; a point
+    where fn raises DomainError/ConvergenceError fails."""
+    failures = [None] * len(xs)
+    rows = []
+    for p, x in enumerate(xs.tolist()):
+        try:
+            rows.append([(e.value, e.abs_error, e.terms_used) for e in fn(x)])
+        except (DomainError, ConvergenceError) as exc:
+            failures[p] = exc
+            rows.append([(math.nan, math.nan, 0)] * n)
+    cells = np.array(rows, dtype=float).reshape(len(xs), n, 3)
+    return _JetGrid(
+        cells[:, :, 0].T.copy(), cells[:, :, 1].T.copy(),
+        cells[:, :, 2].T.astype(np.int64), failures,
+    )
+
+
+def _first_failures(grids) -> list:
+    """Per point, the failure of the first grid that failed there."""
+    return [
+        next((f for f in fs if f is not None), None)
+        for fs in zip(*(g.failures for g in grids))
+    ]
+
+
 class Target:
     """A function of x whose derivatives are evaluated as Enclosures.
 
-    ``deriv(k, x)`` gives one order and ``jet(x, K)`` orders 0..K.  Leaf
-    targets define ``deriv`` and inherit the ``jet`` below, which loops over
-    it; composite targets define ``jet``, evaluating each inner order once
-    per point, and read ``deriv`` off it.
+    ``deriv(k, x)`` gives one order, ``jet(x, K)`` orders 0..K at one point,
+    and ``jet_grid(xs, K)`` orders 0..K at every point of a grid.  Leaf
+    targets define ``deriv`` and inherit the ``jet`` and ``jet_grid`` below,
+    which loop over orders and points.  ``QSeriesTarget`` and the composite
+    targets compute the whole grid at once in ``_jets``; their ``jet`` is
+    that grid at one point and their ``deriv`` reads one order off it.
     """
 
     source = ANALYTIC_SOURCE
@@ -180,6 +259,20 @@ class Target:
 
     def jet(self, x: float, K: int, policy: TruncationPolicy | None = None) -> list[Enclosure]:
         return [self.deriv(k, x, policy) for k in range(K + 1)]
+
+    def jet_grid(self, xs, K: int, policy: TruncationPolicy | None = None):
+        """Orders 0..K at every point of ``xs``: (values, errors, ok).
+
+        ``values`` and ``errors`` have shape (K+1, P), one column per point,
+        and hold exactly the bits ``jet(x, K)`` gives.  ``ok`` has shape
+        (P,) and is False where ``jet(x, K)`` raises DomainError or
+        ConvergenceError; the columns of such a point hold nan.
+        """
+        grid = self._jets(np.asarray(xs, dtype=float), K, policy)
+        return grid.values, grid.errors, grid.ok
+
+    def _jets(self, xs: np.ndarray, K: int, policy) -> _JetGrid:
+        return _pointwise(xs, K + 1, lambda x: self.jet(x, K, policy))
 
 
 class AnalyticTarget(Target):
@@ -330,54 +423,90 @@ class QSeriesTarget(AnalyticTarget):
         return self.jet(x, k, policy)[k]
 
     def jet(self, x, K, policy=None):
-        """One block loop for orders 0..K: each block's j, log j and
-        coefficients are shared, while every order keeps its own sums, tail
-        test and stop, so each stops exactly where a lone order would."""
+        return self._jets(np.array([x], dtype=float), K, policy).jet(0)
+
+    def _jets(self, xs, K, policy):
+        """One block loop for orders 0..K at every point.
+
+        The rows (points x block) of a block share its j, log j and
+        coefficients, while every (order, point) keeps its own sums, tail
+        test and stop, so each stops exactly where a lone order at a lone
+        point would.  Points run in chunks, so that no temporary holds more
+        than _CHUNK_ELEMENTS elements or one row of the block.
+        """
         policy = policy or DEFAULT_POLICY
-        lnq = math.log(self.q)
-        for shift, _, _, _ in self.components:
-            if x + shift <= 0.0:
-                raise DomainError(f"x + {shift} must be positive, got x={x}")
-        total = [0.0] * (K + 1)
-        abs_total = [0.0] * (K + 1)
-        out = [None] * (K + 1)
-        active = list(range(K + 1))
-        for j0, hi in _blocks(policy, "combined q-series (x={}, q={}, K={})", x, self.q, K):
-            j = np.arange(j0 + 1, hi + 1, dtype=float)
-            logj = np.log(j) if K else None
-            parts = [
-                (j * ((x + shift) * lnq), coeff_fn(j))
-                for shift, coeff_fn, _, _ in self.components
-            ]
-            for k in active:
-                jk = k * logj if k else 0.0
-                for e, c in parts:
-                    t = np.exp(e + jk) * c
-                    total[k] += float(t.sum())
-                    abs_total[k] += float(np.abs(t).sum())
-            for k in list(active):
-                tail = 0.0
-                converged = True
-                for shift, _, amp, jpow in self.components:
-                    rho = ((hi + 2.0) / (hi + 1.0)) ** (k + jpow) * self.q ** (x + shift)
-                    if rho >= 1.0:
-                        converged = False
-                        break
-                    tail += (
-                        amp
-                        * (hi + 1.0) ** (k + jpow)
-                        * self.q ** ((hi + 1.0) * (x + shift))
-                        / (1.0 - rho)
+        q, lnq = self.q, math.log(self.q)
+        P = len(xs)
+        grid = _JetGrid(
+            np.full((K + 1, P), np.nan), np.full((K + 1, P), np.nan),
+            np.zeros((K + 1, P), dtype=np.int64), [None] * P,
+        )
+        for p, x in enumerate(xs.tolist()):
+            for shift, _, _, _ in self.components:
+                if x + shift <= 0.0:
+                    grid.fail(p, DomainError(f"x + {shift} must be positive, got x={x}"))
+                    break
+        # from here on, column i is the point good[i]
+        good = np.flatnonzero(grid.ok)
+        active = np.ones((K + 1, len(good)), dtype=bool)
+        total = np.zeros(active.shape)
+        abs_total = np.zeros(active.shape)
+        # T^(k) = sign*(const[k=0] + pref[k] * sum j^k ...)
+        pref = np.array([-lnq * lnq**k for k in range(K + 1)])
+        const = np.zeros(K + 1)
+        const[0] = self.const
+        comps = []
+        for shift, coeff_fn, amp, jpow in self.components:
+            y = xs[good] + shift
+            comps.append((y, y * lnq, coeff_fn, amp, jpow, np.array([q**v for v in y.tolist()])))
+        try:
+            for j0, hi in _blocks(policy, "combined q-series (q={}, K={})", q, K):
+                j = np.arange(j0 + 1, hi + 1, dtype=float)
+                logj = np.log(j) if K else None
+                coeffs = [coeff_fn(j) for _, _, coeff_fn, _, _, _ in comps]
+                live = np.flatnonzero(active.any(axis=0))
+                step = max(1, _CHUNK_ELEMENTS // len(j))
+                for c0 in range(0, len(live), step):
+                    pts = live[c0:c0 + step]
+                    exps = [np.multiply.outer(rate[pts], j) for _, rate, _, _, _, _ in comps]
+                    for k in range(K + 1):
+                        if not active[k, pts].any():
+                            continue
+                        jk = k * logj if k else 0.0
+                        for e, c in zip(exps, coeffs):
+                            t = np.exp(e + jk) * c
+                            total[k, pts] += t.sum(axis=1)
+                            abs_total[k, pts] += np.abs(t).sum(axis=1)
+                tail = np.zeros((K + 1, len(live)))
+                converged = np.ones(tail.shape, dtype=bool)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    for y, _, _, amp, jpow, qy in comps:
+                        powers = [k + jpow for k in range(K + 1)]
+                        rho = np.multiply.outer(
+                            [((hi + 2.0) / (hi + 1.0)) ** n for n in powers], qy[live]
+                        )
+                        converged &= rho < 1.0
+                        far = [q**v for v in ((hi + 1.0) * y[live]).tolist()]
+                        lead = amp * np.array([(hi + 1.0) ** n for n in powers])
+                        tail += np.multiply.outer(lead, far) / (1.0 - rho)
+                sums = total[:, live]
+                done = active[:, live] & converged & (tail <= policy.eps * (1.0 + np.abs(sums)))
+                if done.any():
+                    apref = np.abs(pref)[:, None]
+                    slop = (2.0 + math.log2(max(hi, 2))) * _EPS_MACH * apref * abs_total[:, live]
+                    cols = good[live]
+                    grid.values[:, cols] = np.where(
+                        done, self.sign * (const[:, None] + pref[:, None] * sums), grid.values[:, cols]
                     )
-                if converged and tail <= policy.eps * (1.0 + abs(total[k])):
-                    # T^(k) = sign*(const[k=0] + pref * sum j^k ...)
-                    pref = -lnq * lnq**k
-                    val = self.sign * ((self.const if k == 0 else 0.0) + pref * total[k])
-                    slop = (2.0 + math.log2(max(hi, 2))) * _EPS_MACH * abs(pref) * abs_total[k]
-                    out[k] = Enclosure(val, abs(pref) * tail + slop, hi)
-                    active.remove(k)
-            if not active:
-                return out
+                    grid.errors[:, cols] = np.where(done, apref * tail + slop, grid.errors[:, cols])
+                    grid.terms[:, cols] = np.where(done, hi, grid.terms[:, cols])
+                    active[:, live] &= ~done
+                if not active.any():
+                    break
+        except ConvergenceError as exc:
+            for p in good[active.any(axis=0)].tolist():
+                grid.fail(p, ConvergenceError(f"{exc} at x={xs[p]}"))
+        return grid
 
 
 class ExpNegX(AnalyticTarget):
@@ -412,23 +541,24 @@ class MonomialPolyGamma(AnalyticTarget):
         return self.jet(x, k, policy)[k]
 
     def jet(self, x, K, policy=None):
+        return self._jets(np.array([x], dtype=float), K, policy).jet(0)
+
+    def _jets(self, xs, K, policy):
         # psi^(m + i)(x + a) for i = 0..K, each evaluated once
-        g = [
-            digamma(x + self.a, policy)
-            if self.m + i == 0
-            else polygamma(self.m + i, x + self.a, policy)
-            for i in range(K + 1)
-        ]
-        out = []
+        g = PolyGammaShift(self.m, self.a)._jets(xs, K, policy)
+        xl = xs.tolist()
+        powers = [np.array([x ** (self.p - j) for x in xl]) for j in range(min(K, self.p) + 1)]
+        values, errors = [], []
         for k in range(K + 1):
-            val = 0.0
-            err = 0.0
+            val = np.zeros(len(xl))
+            err = np.zeros(len(xl))
             for j in range(min(k, self.p) + 1):
-                xc = math.comb(k, j) * math.perm(self.p, j) * x ** (self.p - j)
-                val += xc * g[k - j].value
-                err += abs(xc) * g[k - j].abs_error
-            out.append(Enclosure(self.sign * val, err + 4.0 * _EPS_MACH * abs(val), 1))
-        return out
+                xc = math.comb(k, j) * math.perm(self.p, j) * powers[j]
+                val += xc * g.values[k - j]
+                err += np.abs(xc) * g.errors[k - j]
+            values.append(self.sign * val)
+            errors.append(err + 4.0 * _EPS_MACH * np.abs(val))
+        return _JetGrid(np.array(values), np.array(errors), np.ones_like(g.terms), g.failures)
 
 
 class PolyProductTarget(AnalyticTarget):
@@ -447,37 +577,40 @@ class PolyProductTarget(AnalyticTarget):
         return self.jet(x, k, policy)[k]
 
     def jet(self, x, K, policy=None):
+        return self._jets(np.array([x], dtype=float), K, policy).jet(0)
+
+    def _jets(self, xs, K, policy):
         # the four factors share their polygamma orders: evaluate each once
-        needed = {order + j for order in self.orders if order for j in range(K + 1)}
-        psi = {n: polygamma(n, x, policy) for n in sorted(needed)}
+        needed = sorted({order + j for order in self.orders if order for j in range(K + 1)})
+        psi = _pointwise(xs, len(needed), lambda x: [polygamma(n, x, policy) for n in needed])
+        row = {n: i for i, n in enumerate(needed)}
 
-        def factor(order: int, j: int) -> Enclosure:
+        def factor(order: int, j: int):
             if order == 0:
-                return _exact(1.0 if j == 0 else 0.0)
-            g = psi[order + j]
+                return (1.0 if j == 0 else 0.0), 0.0
+            i = row[order + j]
             s = 1.0 if order % 2 == 1 else -1.0
-            return Enclosure(s * g.value, g.abs_error, g.terms_used)
+            return s * psi.values[i], psi.errors[i]
 
-        a, b, cc, dd = (
-            [factor(order, j) for j in range(K + 1)] for order in self.orders
-        )
-        out = []
+        a, b, cc, dd = ([factor(order, j) for j in range(K + 1)] for order in self.orders)
+        values, errors = [], []
         for k in range(K + 1):
-            val = 0.0
-            err = 0.0
+            val = np.zeros(len(xs))
+            err = np.zeros(len(xs))
             for j in range(k + 1):
                 ck = math.comb(k, j)
-                val += ck * (a[j].value * b[k - j].value - self.c * cc[j].value * dd[k - j].value)
+                (av, ae), (bv, be) = a[j], b[k - j]
+                (cv, ce), (dv, de) = cc[j], dd[k - j]
+                val += ck * (av * bv - self.c * cv * dv)
                 err += ck * (
-                    abs(a[j].value) * b[k - j].abs_error
-                    + abs(b[k - j].value) * a[j].abs_error
-                    + self.c * (
-                        abs(cc[j].value) * dd[k - j].abs_error
-                        + abs(dd[k - j].value) * cc[j].abs_error
-                    )
+                    np.abs(av) * be
+                    + np.abs(bv) * ae
+                    + self.c * (np.abs(cv) * de + np.abs(dv) * ce)
                 )
-            out.append(Enclosure(self.sign * val, err + 8.0 * _EPS_MACH * abs(val), 1))
-        return out
+            values.append(self.sign * val)
+            errors.append(err + 8.0 * _EPS_MACH * np.abs(val))
+        ones = np.ones((K + 1, len(xs)), dtype=np.int64)
+        return _JetGrid(np.array(values), np.array(errors), ones, psi.failures)
 
 
 class DerivOffset(AnalyticTarget):
@@ -490,7 +623,12 @@ class DerivOffset(AnalyticTarget):
         return self.jet(x, k, policy)[k]
 
     def jet(self, x, K, policy=None):
-        return self.base.jet(x, K + self.offset, policy)[self.offset:]
+        return self._jets(np.array([x], dtype=float), K, policy).jet(0)
+
+    def _jets(self, xs, K, policy):
+        g = self.base._jets(xs, K + self.offset, policy)
+        off = self.offset
+        return _JetGrid(g.values[off:], g.errors[off:], g.terms[off:], g.failures)
 
 
 class LinComb(AnalyticTarget):
@@ -509,23 +647,28 @@ class LinComb(AnalyticTarget):
         return self.jet(x, k, policy)[k]
 
     def jet(self, x, K, policy=None):
-        jets = [
-            (coef, scale, target.jet(scale * x + shift, K, policy))
+        return self._jets(np.array([x], dtype=float), K, policy).jet(0)
+
+    def _jets(self, xs, K, policy):
+        grids = [
+            (coef, scale, target._jets(scale * xs + shift, K, policy))
             for coef, target, shift, scale in self.terms
         ]
-        out = []
+        values, errors = [], []
+        terms = np.zeros((K + 1, len(xs)), dtype=np.int64)
         for k in range(K + 1):
-            val = 0.0
-            err = 0.0
-            terms_used = 0
-            for coef, scale, jet in jets:
-                e = jet[k]
+            val = np.zeros(len(xs))
+            err = np.zeros(len(xs))
+            for coef, scale, g in grids:
                 w = coef * scale**k
-                val += w * e.value
-                err += abs(w) * e.abs_error
-                terms_used = max(terms_used, e.terms_used)
-            out.append(Enclosure(val, err + 4.0 * _EPS_MACH * abs(val), terms_used))
-        return out
+                val += w * g.values[k]
+                err += abs(w) * g.errors[k]
+                np.maximum(terms[k], g.terms[k], out=terms[k])
+            values.append(val)
+            errors.append(err + 4.0 * _EPS_MACH * np.abs(val))
+        return _JetGrid(
+            np.array(values), np.array(errors), terms, _first_failures(g for _, _, g in grids)
+        )
 
 
 class ExpNegForm:
@@ -652,8 +795,8 @@ def check_sign_pattern(
     same pattern is asserted for h' = -(ln f)' at orders 0..K-1.  A claimed
     strict inequality is tested as non-strict with margin tau plus a
     strictness spot check at three interior grid points requiring > 10 tau.
-    ``jobs`` is accepted for compatibility and ignored: points are evaluated
-    sequentially.
+    The grid is evaluated in one ``jet_grid`` call.  ``jobs`` is accepted
+    for compatibility and ignored.
     """
     if claim == "log_completely_monotonic":
         if not isinstance(target, ExpNegForm):
@@ -671,47 +814,35 @@ def check_sign_pattern(
 
     xs = _grid_values(grid)
     base_params = dict(params or {})
+    n = len(orders)
+    if n:
+        values, errors, ok = inner.jet_grid(xs, n - 1, policy)
+    else:
+        values = errors = np.zeros((0, len(xs)))
+        ok = np.ones(len(xs), dtype=bool)
+    # cell (point, order), point-major: signed = (-1)^k f^(k)(x)
+    signed = (values * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)[:, None]).T
+    err = errors.T
+    t = tol * np.where(np.isfinite(signed), np.maximum(np.abs(signed), 1.0), 1.0)
+    ok_cells = ok[:, None]
+    swamped = ok_cells & (err > np.abs(signed) + t)
+    inconclusive = not ok.all() or bool(swamped.any())
+    worst = _running_min(signed[ok].ravel())
 
-    def eval_point(x: float):
-        try:
-            jet = inner.jet(x, len(orders) - 1, policy) if orders else []
-        except (DomainError, ConvergenceError):
-            return None
+    def cells(mask, extra):
         return [
-            (k, (1.0 if k % 2 == 0 else -1.0) * enc.value, enc.abs_error)
-            for k, enc in enumerate(jet)
+            Violation(xs[p], base_params | {"k": k} | extra, k, s, 0.0, s)
+            for p, k, s in zip(*(i.tolist() for i in np.nonzero(mask)), signed[mask].tolist())
         ]
 
-    rows = [eval_point(x) for x in xs]
-    violations = []
-    worst = math.inf
-    inconclusive = False
-    for x, row in zip(xs, rows):
-        if row is None:
-            inconclusive = True
-            continue
-        for k, signed, err in row:
-            t = _tau(tol, signed)
-            worst = min(worst, signed)
-            if err > abs(signed) + t:
-                inconclusive = True
-            elif signed < -t:
-                violations.append(
-                    Violation(x, base_params | {"k": k}, k, signed, 0.0, signed)
-                )
+    violations = cells(ok_cells & ~swamped & (signed < -t), {})
     if strict and not violations:
-        for idx in _spot_indices(len(xs)):
-            x, row = xs[idx], rows[idx]
-            if row is None:
-                continue
-            for k, signed, err in row:
-                t = _tau(tol, signed)
-                if signed <= 10.0 * t and err <= abs(signed) + t:
-                    violations.append(
-                        Violation(
-                            x, base_params | {"k": k, "strict_spot": True}, k, signed, 0.0, signed
-                        )
-                    )
+        spots = np.zeros(len(xs), dtype=bool)
+        spots[list(_spot_indices(len(xs)))] = True
+        certain = err <= np.abs(signed) + t
+        violations = cells(
+            (ok & spots)[:, None] & (signed <= 10.0 * t) & certain, {"strict_spot": True}
+        )
     status = "fail" if violations else ("inconclusive" if inconclusive else "pass")
     return VerificationReport(
         label, status, worst, violations,

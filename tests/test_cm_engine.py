@@ -292,6 +292,96 @@ def test_sign_pattern_evaluates_each_polygamma_order_once_per_point(monkeypatch)
 
 
 # ---------------------------------------------------------------------------
+# grid jets: orders 0..K at every point, bit for bit the per-point jets
+# ---------------------------------------------------------------------------
+
+
+def _assert_grid_matches_per_order(target, xs, K, policy=None):
+    """Column p of jet_grid is _per_order at xs[p] bit for bit, and ok is
+    False exactly where the scalar jet raises."""
+    values, errors, ok = target.jet_grid(xs, K, policy)
+    assert values.shape == errors.shape == (K + 1, len(xs))
+    assert ok.shape == (len(xs),)
+    for p, x in enumerate(xs):
+        try:
+            target.jet(x, K, policy)
+        except (DomainError, ConvergenceError):
+            assert not ok[p], x
+            assert np.isnan(values[:, p]).all() and np.isnan(errors[:, p]).all()
+            continue
+        assert ok[p], x
+        ref = [_per_order(target, k, x, policy) for k in range(K + 1)]
+        got = [(float(v).hex(), float(e).hex()) for v, e in zip(values[:, p], errors[:, p])]
+        assert got == [(e.value.hex(), e.abs_error.hex()) for e in ref], x
+    return ok
+
+
+@pytest.mark.parametrize("target", _jet_targets(), ids=lambda t: type(t).__name__)
+def test_jet_grid_columns_equal_per_order_derivatives_bit_for_bit(target):
+    _assert_grid_matches_per_order(target, [0.05, 0.7, 3.0, 25.0], target.source.max_order)
+
+
+def test_jet_grid_marks_exactly_the_points_that_raise():
+    q_series = ce.QSeriesTarget(0.7, _q_components(0.7), const=0.2, sign=-1.0)
+    xs = [-0.7, 0.5, 0.0, 2.0, -0.1, 8.0]  # x <= 0 puts x + 0.0 out of the domain
+    ok = _assert_grid_matches_per_order(q_series, xs, 6)
+    assert ok.tolist() == [False, True, False, True, False, True]
+    composite = ce.LinComb([
+        (1.0, ce.DerivOffset(q_series, 1), 0.0),
+        (0.5, ce.PowShift(-1.0, -1.0), 0.0),  # needs x > 1
+    ])
+    ok = _assert_grid_matches_per_order(composite, xs, 4)
+    assert ok.tolist() == [False, False, False, True, False, True]
+    # high orders at small x run out of terms; the rest of the grid certifies
+    series = ce.QSeriesTarget(0.9, _q_components(0.9)[1:2])
+    tight = sf.TruncationPolicy(max_terms=768)
+    ok = _assert_grid_matches_per_order(series, [0.5, 1.0, 2.0, 4.0, 8.0], 12, tight)
+    assert not ok.all() and ok.any()
+
+
+def test_sign_pattern_makes_one_jet_grid_call_per_check(monkeypatch):
+    calls = []
+    jet_grid = ce.Target.jet_grid
+
+    def counted(self, xs, K, policy=None):
+        calls.append(type(self).__name__)
+        return jet_grid(self, xs, K, policy)
+
+    monkeypatch.setattr(ce.Target, "jet_grid", counted)
+    q_series = ce.QSeriesTarget(0.5, _q_components(0.5))
+    lcm = ce.ExpNegForm(ce.LinComb([(1.0, q_series, 0.0), (1.0, ce.PolyGammaShift(1), 0.0)]))
+    ce.check_sign_pattern(lcm, 6, GRID, "log_completely_monotonic")
+    assert calls == ["LinComb"]
+    consts = bd.poly_constants(4, 3, 2, 1)
+    ce.check_sign_pattern(ce.PolyProductTarget(4, 3, 2, 1, consts.c), 8, GRID, "completely_monotonic")
+    assert calls == ["LinComb", "PolyProductTarget"]
+
+
+def test_q_series_grid_caps_its_block_temporaries(monkeypatch):
+    class RecordingNumpy:
+        def __init__(self):
+            self.sizes = []
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, a, *args, **kwargs):
+            self.sizes.append(np.size(a))
+            return np.exp(a, *args, **kwargs)
+
+    recorder = RecordingNumpy()
+    monkeypatch.setattr(ce, "np", recorder)
+    q = 0.95
+    target = ce.QSeriesTarget(q, _q_components(q))
+    xs = [float(v) for v in np.geomspace(0.05, 5.0, 64)]
+    target.jet_grid(xs, 12)
+    # blocks of up to 8192 terms: 64 points x 256 terms fill the cap exactly
+    assert max(recorder.sizes) == ce._CHUNK_ELEMENTS == 1 << 14
+    monkeypatch.undo()
+    _assert_grid_matches_per_order(target, xs[::9], 12)
+
+
+# ---------------------------------------------------------------------------
 # sign-pattern checks
 # ---------------------------------------------------------------------------
 
