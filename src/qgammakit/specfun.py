@@ -384,25 +384,29 @@ def _blocks(policy: TruncationPolicy, what: str, *context, first: int = _BLOCK):
 def _q_ln_gamma_sub1(x: float, q: float, policy: TruncationPolicy):
     """log Gamma_q(x) for 0 < q < 1 from the infinite product, in log space.
 
-    Term n is log((1 - q^(n+1)) / (1 - q^(n+x))); |term_n| <= q^n |q^x - q|
-    / (1 - q^(n+min(x,1))), which decays geometrically with ratio q.
+    Term n is log((1 - q^(n+1)) / (1 - q^(n+x))) = log1p((q^(n+x) - q^(n+1))
+    / (1 - q^(n+x))); the numerator is q^(n+1) expm1((x-1) ln q) and the
+    denominator -expm1((n+x) ln q), so both keep their relative accuracy as
+    x -> 1.  |term_n| <= q^n |q^x - q| / (1 - q^(n+min(x,1))), which decays
+    geometrically with ratio q.  Every term has the sign of x - 1, so the
+    summands' magnitudes add up to |const| + |total|, returned for the slop.
     """
     lnq = math.log(q)
     const = (1.0 - x) * math.log1p(-q)
-    diff = abs(q**x - q)
+    shift = math.expm1((x - 1.0) * lnq)  # q^(x-1) - 1
+    diff = q * abs(shift)  # |q^x - q|
     m = min(x, 1.0)
     total = 0.0
     for n0, hi in _blocks(policy, "q-gamma product (x={}, q={})", x, q):
         n = np.arange(n0, hi, dtype=float)
         a = np.exp((n + 1.0) * lnq)  # q^(n+1)
-        b = np.exp((n + x) * lnq)  # q^(n+x)
-        total += float(np.sum(np.log1p((b - a) / (1.0 - b))))
+        total += float(np.sum(np.log1p(a * shift / -np.expm1((n + x) * lnq))))
         qN = math.exp(hi * lnq)
         denom = (1.0 - math.exp((hi + m) * lnq)) * (1.0 - q)
         tail = diff * qN / denom if denom > 0.0 else math.inf
         val = const + total
         if tail <= policy.eps * (1.0 + abs(val)):
-            return val, tail, hi
+            return val, tail, hi, abs(const) + abs(total)
 
 
 def q_ln_gamma(x: float, q, policy: TruncationPolicy | None = None) -> Enclosure:
@@ -411,12 +415,14 @@ def q_ln_gamma(x: float, q, policy: TruncationPolicy | None = None) -> Enclosure
     _require_positive(x)
     qv = _as_q(q)
     if qv < 1.0:
-        val, tail, terms = _q_ln_gamma_sub1(x, qv, policy)
+        val, tail, terms, magnitude = _q_ln_gamma_sub1(x, qv, policy)
     else:
         p = 1.0 / qv
-        sub, tail, terms = _q_ln_gamma_sub1(x, p, policy)
-        val = (x - 1.0) * (1.0 - 0.5 * x) * math.log(p) + sub
-    return Enclosure(val, tail + _slop(terms, val), terms, warn_slow=terms > 10**5)
+        sub, tail, terms, magnitude = _q_ln_gamma_sub1(x, p, policy)
+        lin = (x - 1.0) * (1.0 - 0.5 * x) * math.log(p)
+        val = lin + sub
+        magnitude += abs(lin)
+    return Enclosure(val, tail + _slop(terms, magnitude), terms, warn_slow=terms > 10**5)
 
 
 def q_gamma(x: float, q, policy: TruncationPolicy | None = None) -> Enclosure:

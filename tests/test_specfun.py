@@ -352,6 +352,34 @@ def test_q_series_certificates_bound_the_error_near_the_zero():
     assert not bad, bad
 
 
+def test_q_ln_gamma_certificate_bounds_the_error_near_its_zeros():
+    """|value - truth| <= abs_error against 50-digit direct products where
+    ln Gamma_q vanishes, at x = 1 and x = 2, on both q branches."""
+    from mpmath import log, mp, mpf
+
+    def ln_gamma_q(x, q):
+        x, q = mpf(x), mpf(q)
+        if q > 1:
+            p = 1 / q
+            return (x - 1) * (1 - x / 2) * log(p) + ln_gamma_q(x, p)
+        prod, qn1, qnx = mpf(1), q, q**x  # q^(n+1) and q^(n+x) at n = 0
+        while qn1 > mpf(10) ** -55:
+            prod *= (1 - qn1) / (1 - qnx)
+            qn1, qnx = qn1 * q, qnx * q
+        return (1 - x) * log(1 - q) + log(prod)
+
+    bad = []
+    with mp.workdps(50):
+        for q in (0.3, 0.5, 0.9, 1.5, 3.0):
+            for x0 in (1.0, 2.0):
+                for d in np.geomspace(1e-9, 0.1, 7):
+                    for x in (x0 - d, x0 + d):
+                        enc = sf.q_ln_gamma(float(x), q)
+                        if abs(mpf(enc.value) - ln_gamma_q(float(x), q)) > enc.abs_error:
+                            bad.append((q, float(x)))
+    assert not bad, (len(bad), bad[:5])
+
+
 def test_polygamma_asymptotic_bounds_by_the_first_omitted_term():
     """At small y the asymptotic series diverges early, or runs past the
     Bernoulli table; the error bound is then the first omitted term, which
