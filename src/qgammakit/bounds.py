@@ -385,13 +385,13 @@ def auxiliary_function(fn_id: str, x: float, params: dict, policy=None) -> float
         )
     if fn_id == "f_qpow":
         q = need("q")
-        if not (0.0 < q < 1.0):
-            raise UsageError("f_qpow requires 0 < q < 1")
+        _check_q(q)
         return math.exp(x * math.log1p(-q) + q_ln_gamma(x, q, policy).value)
     if fn_id == "g_AG":
         q, a = need("q"), need("a")
-        if not (0.0 < q < 1.0) or a <= 0.0:
-            raise UsageError("g_AG requires 0 < q < 1 and a > 0")
+        _check_q(q)
+        if a <= 0.0:
+            raise UsageError("g_AG requires a > 0")
         lf = lambda y: y * math.log1p(-q) + q_ln_gamma(y, q, policy).value
         return math.exp(lf(x) + lf(x + 2.0 * a) - 2.0 * lf(x + a))
     # beta_scaled

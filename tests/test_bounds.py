@@ -165,7 +165,7 @@ def test_auxiliary_usage_errors():
         bd.auxiliary_function("f_alpha", 1.0, {})
     with pytest.raises(UsageError):
         bd.auxiliary_function("nope", 1.0, {})
-    with pytest.raises(UsageError):
+    with pytest.raises(DomainError):
         bd.auxiliary_function("g_AG", 1.0, {"a": 0.5, "q": 1.5})
 
 
