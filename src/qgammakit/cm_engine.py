@@ -455,21 +455,22 @@ class QSeriesTarget(AnalyticTarget):
         pref = np.array([-lnq * lnq**k for k in range(K + 1)])
         const = np.zeros(K + 1)
         const[0] = self.const
-        comps = []
-        for shift, coeff_fn, amp, jpow in self.components:
-            y = xs[good] + shift
-            comps.append((y, y * lnq, coeff_fn, amp, jpow, np.array([q**v for v in y.tolist()])))
+        ys = [xs[good] + shift for shift, _, _, _ in self.components]  # x + shift
+        rates = [y * lnq for y in ys]
+        q_ys = [np.array([q**v for v in y.tolist()]) for y in ys]
         try:
             for j0, hi in _blocks(policy, "combined q-series (q={}, K={})", q, K):
                 j = np.arange(j0 + 1, hi + 1, dtype=float)
                 logj = np.log(j) if K else None
-                coeffs = [coeff_fn(j) for _, _, coeff_fn, _, _, _ in comps]
+                coeffs = [coeff_fn(j) for _, coeff_fn, _, _ in self.components]
                 live = np.flatnonzero(active.any(axis=0))
                 step = max(1, _CHUNK_ELEMENTS // len(j))
                 for c0 in range(0, len(live), step):
                     pts = live[c0:c0 + step]
-                    exps = [np.multiply.outer(rate[pts], j) for _, rate, _, _, _, _ in comps]
+                    exps = [np.multiply.outer(rate[pts], j) for rate in rates]
                     for k in range(K + 1):
+                        # the chunk's points where order k already stopped
+                        # are summed along; their recorded values stay
                         if not active[k, pts].any():
                             continue
                         jk = k * logj if k else 0.0
@@ -480,7 +481,7 @@ class QSeriesTarget(AnalyticTarget):
                 tail = np.zeros((K + 1, len(live)))
                 converged = np.ones(tail.shape, dtype=bool)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    for y, _, _, amp, jpow, qy in comps:
+                    for (_, _, amp, jpow), y, qy in zip(self.components, ys, q_ys):
                         powers = [k + jpow for k in range(K + 1)]
                         rho = np.multiply.outer(
                             [((hi + 2.0) / (hi + 1.0)) ** n for n in powers], qy[live]
