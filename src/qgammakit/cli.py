@@ -21,6 +21,7 @@ import sys
 
 from .errors import ConvergenceError, DomainError, PreconditionError, UsageError
 from . import bounds as bd
+from . import cm_engine
 from . import corpus
 from . import specfun as sf
 
@@ -279,19 +280,21 @@ def _report_document(suite_label, ids, grid_points, max_order, tol):
     digest = hashlib.sha256(_canonical_json(config).encode()).hexdigest()[:16]
     entries = []
     unexpected = 0
-    for cid in ids:
-        desc = corpus.get_descriptor(cid)
-        overrides = {}
-        if grid_points is not None and "grid_points" in desc.parameter_domains:
-            overrides["grid_points"] = grid_points
-        rep = corpus.run_descriptor(cid, overrides, tol=tol, max_order=max_order)
-        if desc.expects_violation:
-            ok = rep.status == "fail" and len(rep.violations) >= 1
-        else:
-            ok = rep.status == "pass"
-        if not ok:
-            unexpected += 1
-        entries.append(rep)
+    # claims share their psi-family rows, within this run only
+    with cm_engine._run_rows():
+        for cid in ids:
+            desc = corpus.get_descriptor(cid)
+            overrides = {}
+            if grid_points is not None and "grid_points" in desc.parameter_domains:
+                overrides["grid_points"] = grid_points
+            rep = corpus.run_descriptor(cid, overrides, tol=tol, max_order=max_order)
+            if desc.expects_violation:
+                ok = rep.status == "fail" and len(rep.violations) >= 1
+            else:
+                ok = rep.status == "pass"
+            if not ok:
+                unexpected += 1
+            entries.append(rep)
     entries.sort(key=lambda r: r.claim_id)
     summary = {
         "pass": sum(1 for r in entries if r.status == "pass"),
@@ -301,28 +304,30 @@ def _report_document(suite_label, ids, grid_points, max_order, tol):
     doc = {
         "suite": suite_label,
         "config": digest,
-        "entries": [
-            {
-                "claim_id": r.claim_id,
-                "status": r.status,
-                "worst_margin": float(r.worst_margin),
-                "violations": [
-                    {
-                        "point": float(v.point),
-                        "params": {str(k): _plain(val) for k, val in v.params.items()},
-                        "order": int(v.order),
-                        "lhs": float(v.lhs),
-                        "rhs": float(v.rhs),
-                        "margin": float(v.margin),
-                    }
-                    for v in r.violations
-                ],
-            }
-            for r in entries
-        ],
+        "entries": [_entry(r) for r in entries],
         "summary": summary,
     }
     return doc, unexpected
+
+
+def _entry(r) -> dict:
+    """The report entry of one claim's VerificationReport."""
+    return {
+        "claim_id": r.claim_id,
+        "status": r.status,
+        "worst_margin": float(r.worst_margin),
+        "violations": [
+            {
+                "point": float(v.point),
+                "params": {str(k): _plain(val) for k, val in v.params.items()},
+                "order": int(v.order),
+                "lhs": float(v.lhs),
+                "rhs": float(v.rhs),
+                "margin": float(v.margin),
+            }
+            for v in r.violations
+        ],
+    }
 
 
 def _plain(v):

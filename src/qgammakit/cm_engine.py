@@ -15,9 +15,19 @@ block for many points at once, in chunks of points that keep every block
 temporary within 2**14 float64 elements (or one row of the block), and the
 composite targets combine the inner arrays in the scalar operation order,
 so each column holds exactly the bits of the scalar jet.  A sign-pattern
-check asks for one grid.  Checks report pass / fail / inconclusive; a point
-is inconclusive when the certified evaluation error swamps the margin, or
-when any order at it cannot be evaluated, and it is never silently passed.
+check asks for one grid.
+
+Within one verification run the psi-family leaves share their cells: lnGamma
+and psi^(n) (``LnGammaFn``, ``PolyGammaShift``, ``PolyProductTarget``) and
+psi_q^(n) (``QPolyGammaShift``) read each (order, point) from a table that
+``_run_rows`` opens around the run's claims, and evaluate a cell by one
+scalar call only the first time a claim asks for it, so the bits stay those
+of the scalar jet.  The table is a ContextVar that the run resets when it
+ends; outside a run every grid is evaluated afresh and nothing is kept.
+
+Checks report pass / fail / inconclusive; a point is inconclusive when the
+certified evaluation error swamps the margin, or when any order at it cannot
+be evaluated, and it is never silently passed.
 
 Violations are sorted by (point, order), so a report depends only on the
 check's inputs.
@@ -25,6 +35,8 @@ check's inputs.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -241,13 +253,71 @@ def _first_failures(grids) -> list:
     ]
 
 
+# the cell table of the current verification run; None outside a run
+_RUN_ROWS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "qgammakit_run_rows", default=None
+)
+
+
+@contextlib.contextmanager
+def _run_rows():
+    """Share the cells of ``_rows`` among all checks run inside the block.
+
+    The table lives as long as the block, never longer: a second run, or a
+    check outside any run, evaluates its cells afresh.
+    """
+    token = _RUN_ROWS.set({})
+    try:
+        yield
+    finally:
+        _RUN_ROWS.reset(token)
+
+
+def _rows(family, ys: np.ndarray, orders, policy, fn) -> _JetGrid:
+    """Row i holds ``fn(orders[i], y, policy)`` at every y of ``ys``.
+
+    Each cell is one scalar call.  Inside ``_run_rows`` a cell is keyed by
+    (family, policy, order, y) and evaluated once per run, also where two
+    grids share a point; outside it, nothing is kept.  A point fails where
+    its first failing order fails, as in the scalar jet.
+    """
+    table = _RUN_ROWS.get()
+    cells = {} if table is None else table.setdefault((family, policy or DEFAULT_POLICY), {})
+    yl = ys.tolist()
+    failures = [None] * len(yl)
+    rows = []
+    for n in orders:
+        row = []
+        for p, y in enumerate(yl):
+            cell = cells.get((n, y))
+            if cell is None:
+                try:
+                    e = fn(n, y, policy)
+                    cell = (e.value, e.abs_error, e.terms_used)
+                except (DomainError, ConvergenceError) as exc:
+                    cell = exc
+                cells[n, y] = cell
+            if isinstance(cell, Exception):
+                if failures[p] is None:
+                    failures[p] = cell
+                cell = (math.nan, math.nan, 0)
+            row.append(cell)
+        rows.append(row)
+    a = np.array(rows, dtype=float).reshape(len(rows), len(yl), 3)
+    grid = _JetGrid(a[:, :, 0], a[:, :, 1], a[:, :, 2].astype(np.int64), failures)
+    failed = [p for p, f in enumerate(failures) if f is not None]
+    grid.values[:, failed] = grid.errors[:, failed] = np.nan
+    return grid
+
+
 class Target:
     """A function of x whose derivatives are evaluated as Enclosures.
 
     ``deriv(k, x)`` gives one order, ``jet(x, K)`` orders 0..K at one point,
     and ``jet_grid(xs, K)`` orders 0..K at every point of a grid.  Leaf
     targets define ``deriv`` and inherit the ``jet`` and ``jet_grid`` below,
-    which loop over orders and points.  ``QSeriesTarget`` and the composite
+    which loop over orders and points; the psi-family leaves fill their
+    grids from ``_rows`` instead.  ``QSeriesTarget`` and the composite
     targets compute the whole grid at once in ``_jets``; their ``jet`` is
     that grid at one point and their ``deriv`` reads one order off it.
     """
@@ -352,13 +422,19 @@ class XLogX(AnalyticTarget):
         return Enclosure(v, 4.0 * _EPS_MACH * abs(v), 1)
 
 
+def _psi(n: int, y: float, policy) -> Enclosure:
+    """psi^(n)(y) for n >= -1, where psi^(0) = psi and psi^(-1) = ln Gamma."""
+    if n > 0:
+        return polygamma(n, y, policy)
+    return digamma(y, policy) if n == 0 else ln_gamma(y, policy)
+
+
 class LnGammaFn(AnalyticTarget):
     def deriv(self, k, x, policy=None):
-        if k == 0:
-            return ln_gamma(x, policy)
-        if k == 1:
-            return digamma(x, policy)
-        return polygamma(k - 1, x, policy)
+        return _psi(k - 1, x, policy)
+
+    def _jets(self, xs, K, policy):
+        return _rows("psi", xs, range(-1, K), policy, _psi)
 
 
 class PolyGammaShift(AnalyticTarget):
@@ -368,10 +444,10 @@ class PolyGammaShift(AnalyticTarget):
         self.m, self.a = m, a
 
     def deriv(self, k, x, policy=None):
-        order = self.m + k
-        if order == 0:
-            return digamma(x + self.a, policy)
-        return polygamma(order, x + self.a, policy)
+        return _psi(self.m + k, x + self.a, policy)
+
+    def _jets(self, xs, K, policy):
+        return _rows("psi", xs + self.a, range(self.m, self.m + K + 1), policy, _psi)
 
 
 class QLnGammaFn(AnalyticTarget):
@@ -393,10 +469,16 @@ class QPolyGammaShift(AnalyticTarget):
         self.m, self.q, self.a = m, q, a
 
     def deriv(self, k, x, policy=None):
-        order = self.m + k
-        if order == 0:
-            return q_digamma(x + self.a, self.q, policy)
-        return q_polygamma(order, x + self.a, self.q, policy)
+        return self._qpsi(self.m + k, x + self.a, policy)
+
+    def _qpsi(self, n, y, policy):
+        if n == 0:
+            return q_digamma(y, self.q, policy)
+        return q_polygamma(n, y, self.q, policy)
+
+    def _jets(self, xs, K, policy):
+        orders = range(self.m, self.m + K + 1)
+        return _rows(("qpsi", self.q), xs + self.a, orders, policy, self._qpsi)
 
 
 class QSeriesTarget(AnalyticTarget):
@@ -583,7 +665,7 @@ class PolyProductTarget(AnalyticTarget):
     def _jets(self, xs, K, policy):
         # the four factors share their polygamma orders: evaluate each once
         needed = sorted({order + j for order in self.orders if order for j in range(K + 1)})
-        psi = _pointwise(xs, len(needed), lambda x: [polygamma(n, x, policy) for n in needed])
+        psi = _rows("psi", xs, needed, policy, _psi)
         row = {n: i for i, n in enumerate(needed)}
 
         def factor(order: int, j: int):

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import os
@@ -5,6 +6,8 @@ import os
 import pytest
 
 from qgammakit import cli
+from qgammakit import cm_engine as ce
+from qgammakit import corpus
 from qgammakit import specfun as sf
 
 import oracles
@@ -213,6 +216,45 @@ def test_verify_grid_points_override(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # roots
+def test_verify_run_evaluates_each_polygamma_cell_once(monkeypatch):
+    calls = collections.Counter()
+    polygamma = ce.polygamma
+
+    def counted(n, x, policy=None):
+        calls[n, x] += 1
+        return polygamma(n, x, policy)
+
+    monkeypatch.setattr(ce, "polygamma", counted)
+    ids = ["cor4-lcm", "thm30-lcm"]
+    doc, unexpected = cli._report_document("rows", ids, None, None, 1e-12)
+    assert unexpected == 0
+    assert calls and max(calls.values()) == 1
+    # the same entries as the claims run one by one, outside any run
+    alone = [cli._entry(corpus.run_descriptor(cid)) for cid in ids]
+    assert max(calls.values()) > 1
+    assert cli._canonical_json(doc["entries"]) == cli._canonical_json(alone)
+
+
+def test_verify_row_table_ends_with_the_run(monkeypatch):
+    run_descriptor = corpus.run_descriptor
+    seen = []
+
+    def second_claim_raises(cid, *args, **kwargs):
+        seen.append(ce._RUN_ROWS.get())
+        if len(seen) == 2:
+            raise RuntimeError("claim failed")
+        return run_descriptor(cid, *args, **kwargs)
+
+    assert ce._RUN_ROWS.get() is None
+    cli._report_document("rows", ["dup-psi"], None, None, 1e-12)
+    assert ce._RUN_ROWS.get() is None
+    monkeypatch.setattr(corpus, "run_descriptor", second_claim_raises)
+    with pytest.raises(RuntimeError):
+        cli._report_document("rows", ["cor4-lcm", "thm30-lcm"], None, None, 1e-12)
+    assert seen[0] and seen[1] is seen[0]
+    assert ce._RUN_ROWS.get() is None
+
+
 # ---------------------------------------------------------------------------
 
 

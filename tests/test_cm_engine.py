@@ -291,6 +291,27 @@ def test_sign_pattern_evaluates_each_polygamma_order_once_per_point(monkeypatch)
     assert max(calls.values()) == 1
 
 
+def test_rows_are_shared_only_inside_a_run(monkeypatch):
+    calls = collections.Counter()
+    polygamma = ce.polygamma
+
+    def counted(n, x, policy=None):
+        calls[n, x] += 1
+        return polygamma(n, x, policy)
+
+    monkeypatch.setattr(ce, "polygamma", counted)
+    target = ce.PolyGammaShift(1)
+    grid = ce.GridSpec(0.5, 4.0, 8, "log")
+    reports = [ce.check_sign_pattern(target, 3, grid, "completely_monotonic") for _ in range(2)]
+    assert len(calls) == 4 * 8 and set(calls.values()) == {2}
+    with ce._run_rows():
+        reports += [ce.check_sign_pattern(target, 3, grid, "completely_monotonic") for _ in range(2)]
+        # orders 1..4 once more, asked for by a composite target on the same grid
+        ce.check_sign_pattern(ce.MonomialPolyGamma(0, 1), 3, grid, "completely_monotonic")
+    assert set(calls.values()) == {3}
+    assert len({repr(r) for r in reports}) == 1
+
+
 # ---------------------------------------------------------------------------
 # grid jets: orders 0..K at every point, bit for bit the per-point jets
 # ---------------------------------------------------------------------------
@@ -332,6 +353,15 @@ def test_jet_grid_marks_exactly_the_points_that_raise():
     ])
     ok = _assert_grid_matches_per_order(composite, xs, 4)
     assert ok.tolist() == [False, False, False, True, False, True]
+    # psi-family leaves, twice in one run: the second grid reads the run's table
+    for leaf, expected in (
+        (ce.LnGammaFn(), [False, True, False, True, False, True]),
+        (ce.PolyGammaShift(1, 0.5), [False, True, True, True, True, True]),
+        (ce.QPolyGammaShift(0, 0.6, 0.5), [False, True, True, True, True, True]),
+    ):
+        with ce._run_rows():
+            for _ in range(2):
+                assert _assert_grid_matches_per_order(leaf, xs, 4).tolist() == expected
     # high orders at small x run out of terms; the rest of the grid certifies
     series = ce.QSeriesTarget(0.9, _q_components(0.9)[1:2])
     tight = sf.TruncationPolicy(max_terms=768)
