@@ -557,9 +557,12 @@ class QSeriesTarget(AnalyticTarget):
                             continue
                         jk = k * logj if k else 0.0
                         for e, c in zip(exps, coeffs):
-                            t = np.exp(e + jk) * c
+                            a = e + jk
+                            t = np.exp(a) * c
                             total[k, pts] += t.sum(axis=1)
-                            abs_total[k, pts] += np.abs(t).sum(axis=1)
+                            # a carries a rounding error of order |a| ulp,
+                            # which exp turns into a relative error of its term
+                            abs_total[k, pts] += (np.abs(t) * (1.0 + np.abs(a))).sum(axis=1)
                 tail = np.zeros((K + 1, len(live)))
                 converged = np.ones(tail.shape, dtype=bool)
                 with np.errstate(divide="ignore", invalid="ignore"):

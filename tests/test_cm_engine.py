@@ -78,6 +78,24 @@ def test_qseries_target_matches_q_polygamma():
             assert abs(a.value + b.value) <= a.abs_error + b.abs_error + 1e-14
 
 
+def test_qseries_certificate_covers_the_conditioning_of_exp():
+    # thm8-lcm[q=0.3,s=0.25] at a grid point where the two components cancel
+    # to 1e-16 of their size; each exp argument is about -58
+    from mpmath import log, mp, mpf
+
+    from qgammakit import corpus
+
+    q, s, x = 0.3, 0.25, 48.143724207843434
+    u = bd.alzer_u(q, s)
+    enc = corpus._gq_neg_log_deriv(s, 1.0, u, q).jet(x, 0)[0]
+    with mp.workdps(60):
+        mq, mx, mu, ms = mpf(q), mpf(x), mpf(u), mpf(s)
+        truth = -log(mq) * sum(
+            mq ** (j * (mx + mu)) * (1 - ms)
+            + mq ** (j * (mx + ms)) * (mq ** (j * (1 - ms)) - 1) / (1 - mq**j)
+            for j in range(1, 60)
+        )
+    assert abs(enc.value - float(truth)) <= enc.abs_error
 # ---------------------------------------------------------------------------
 # jets: orders 0..K in one pass, bit for bit the per-order derivatives
 # ---------------------------------------------------------------------------
@@ -140,9 +158,10 @@ def _per_order(t, k, x, policy=None):
             j = np.arange(j0 + 1, hi + 1, dtype=float)
             jk = k * np.log(j) if k else 0.0
             for shift, coeff_fn, _, _ in t.components:
-                terms = np.exp(j * ((x + shift) * lnq) + jk) * coeff_fn(j)
+                arg = j * ((x + shift) * lnq) + jk
+                terms = np.exp(arg) * coeff_fn(j)
                 total += float(np.sum(terms))
-                abs_total += float(np.sum(np.abs(terms)))
+                abs_total += float(np.sum(np.abs(terms) * (1.0 + np.abs(arg))))
             j0 = hi
             block = min(2 * block, 1 << 16)
             tail, converged = 0.0, True
