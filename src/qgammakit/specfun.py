@@ -162,7 +162,10 @@ def _slop(terms: int, magnitude: float) -> float:
 def _exp(log_val: float, enc: Enclosure, ops: int = 0) -> Enclosure:
     """Enclosure of exp(log_val), where log_val is known to within
     ``enc.abs_error`` and took ``enc.terms_used + ops`` operations."""
-    val = math.exp(log_val)
+    try:
+        val = math.exp(log_val)
+    except OverflowError:
+        raise DomainError(f"exp({log_val}) overflows double precision") from None
     err = val * math.expm1(enc.abs_error) if enc.abs_error < 1.0 else math.inf
     return Enclosure(val, err + _slop(enc.terms_used + ops, val), enc.terms_used, enc.warn_slow)
 
@@ -212,6 +215,8 @@ def ln_gamma(x: float, policy: TruncationPolicy | None = None) -> Enclosure:
     # only log(x) can be negative, so sum |log| = shift - 2 min(log x, 0)
     shift = math.fsum(shift_logs)
     val = stirling - shift
+    if val == math.inf:
+        raise DomainError(f"ln Gamma({x}) overflows double precision")
     magnitude = abs(stirling) + shift - 2.0 * min(math.log(x), 0.0)
     terms += len(shift_logs)
     return Enclosure(val, tail + _slop(terms + 4, magnitude), terms)
@@ -245,6 +250,8 @@ def digamma(x: float, policy: TruncationPolicy | None = None) -> Enclosure:
     asym += corr
     shift = math.fsum(recips)  # cancels against asym near the zero x0 = 1.4616
     val = asym - shift
+    if val == -math.inf:  # 1/x overflows
+        raise DomainError(f"psi({x}) overflows double precision")
     terms += len(recips)
     return Enclosure(val, tail + _slop(terms + 4, abs(asym) + shift), terms)
 
@@ -280,19 +287,24 @@ def digamma_series(x: float, policy: TruncationPolicy | None = None) -> Enclosur
     return Enclosure(val, tail_err + _slop(n_terms, val), n_terms)
 
 
-def _polygamma_asymptotic(n: int, y: float, eps: float):
+def _polygamma_asymptotic(n: int, y: float, eps: float, scaled: bool = False):
     """(-1)^(n+1) psi^(n)(y) asymptotic, y large; first-omitted-term bound.
 
     The series stops at the first term that is negligible, no smaller than
     the term before it (the series has started to diverge), or past the
-    Bernoulli table; that term is omitted and bounds the error.
+    Bernoulli table; that term is omitted and bounds the error.  With
+    ``scaled``, the series and its bound are divided by (n-1)!/y^n, so
+    nothing overflows where y^n does.
     """
-    lead = math.factorial(n - 1) / y**n + math.factorial(n) / (2.0 * y ** (n + 1))
+    if scaled:
+        fact_nm1, ypow = 1, 1.0
+        lead = 1.0 + n / (2.0 * y)
+    else:
+        fact_nm1, ypow = math.factorial(n - 1), y**n
+        lead = fact_nm1 / ypow + math.factorial(n) / (2.0 * y ** (n + 1))
     corr = 0.0
     # term_k = B_2k * (2k+n-1)! / ((2k)! * y^(2k+n))
     rising = 1.0  # (2k+n-1)!/( (2k)! (n-1)! ) accumulated below as product
-    fact_nm1 = math.factorial(n - 1)
-    ypow = y**n
     y2 = y * y
     terms = 0
     prev = math.inf
@@ -319,16 +331,35 @@ def polygamma(n: int, x: float, policy: TruncationPolicy | None = None) -> Enclo
     threshold = 10.0 + n
     shift_terms = []
     y = float(x)
-    while y < threshold:
-        shift_terms.append(y ** (-(n + 1)))
-        y += 1.0
-    mag, tail, terms = _polygamma_asymptotic(n, y, policy.eps)
-    if shift_terms:
-        mag += math.factorial(n) * math.fsum(shift_terms)
     sign = 1.0 if n % 2 == 1 else -1.0
+    try:
+        while y < threshold:
+            shift_terms.append(y ** (-(n + 1)))
+            y += 1.0
+        mag, tail, terms = _polygamma_asymptotic(n, y, policy.eps)
+        if shift_terms:
+            mag += math.factorial(n) * math.fsum(shift_terms)
+    except OverflowError:
+        if x < threshold:  # a shift term, n! or their sum overflowed
+            raise DomainError(f"psi^({n})({x}) is out of double-precision range") from None
+        # |psi^(n)(x)| < 1 here, so only y^n or (n-1)! overflowed
+        return _polygamma_far(n, y, sign, policy.eps)
     val = sign * mag
     terms += len(shift_terms)
     return Enclosure(val, tail + _slop(terms + 4, val), terms)
+
+
+def _polygamma_far(n: int, y: float, sign: float, eps: float) -> Enclosure:
+    """psi^(n)(y) for y >= 10 + n where y^n overflows: the scaled asymptotic
+    series times unit = (n-1)!/y^n, formed as exp(log (n-1)! - n log y)."""
+    s, tail, terms = _polygamma_asymptotic(n, y, eps, scaled=True)
+    log_fact, log_yn = math.log(math.factorial(n - 1)), n * math.log(y)
+    log_unit = log_fact - log_yn
+    unit = _exp(log_unit, Enclosure(log_unit, 4.0 * _EPS_MACH * (log_fact + log_yn), 0), 2)
+    mag = unit.value * s
+    # the smallest subnormal covers the rounding where unit underflows
+    err = unit.abs_error * s + unit.value * (tail + _slop(terms + 4, s)) + 4.0 * math.ulp(0.0)
+    return Enclosure(sign * mag, err, terms)
 
 
 def polygamma_series(n: int, x: float, policy: TruncationPolicy | None = None) -> Enclosure:
@@ -421,6 +452,8 @@ def q_ln_gamma(x: float, q, policy: TruncationPolicy | None = None) -> Enclosure
         sub, tail, terms, magnitude = _q_ln_gamma_sub1(x, p, policy)
         lin = (x - 1.0) * (1.0 - 0.5 * x) * math.log(p)
         val = lin + sub
+        if val == math.inf:
+            raise DomainError(f"log Gamma_q({x}) overflows double precision at q={qv}")
         magnitude += abs(lin)
     return Enclosure(val, tail + _slop(terms, magnitude), terms, warn_slow=terms > 10**5)
 
@@ -555,11 +588,16 @@ def kernel_derivative(
 
     jmax = min(k, n)
     coefs = []  # C(k,j) * n!/(n-j)! * t^(n-j) for j = 0..jmax
-    for j in range(jmax + 1):
-        c = math.comb(k, j) * math.perm(n, j) * t ** (n - j)
-        coefs.append(c)
-    # m = 0 contribution: d^k/dt^k t^n
-    total = math.perm(n, k) * t ** (n - k) if k <= n else 0.0
+    try:
+        for j in range(jmax + 1):
+            c = math.comb(k, j) * math.perm(n, j) * t ** (n - j)
+            coefs.append(c)
+        # m = 0 contribution: d^k/dt^k t^n
+        total = math.perm(n, k) * t ** (n - k) if k <= n else 0.0
+    except OverflowError:
+        raise DomainError(
+            f"d^{k}/dt^{k} t^{n}/(1 - e^-t) at t={t} is out of double-precision range"
+        ) from None
     # the alternating terms cancel heavily at small t: base the slop on them
     abs_total = abs(total)
     for m0, hi in _blocks(

@@ -114,6 +114,34 @@ def test_domain_errors_classical():
         sf.polygamma(1, -2.0)
 
 
+@pytest.mark.parametrize("name, args", [
+    ("polygamma", (1, 1e160)),
+    ("polygamma", (3, 1e80)),
+    ("polygamma", (20, 1e16)),
+    ("polygamma", (1, 1e-160)),
+    ("polygamma", (12, 1e-30)),
+    ("kernel_derivative", (16, 0, 1e300)),
+    ("digamma", (5e-324,)),
+    ("ln_gamma", (1e308,)),
+    ("q_gamma", (1e300, 2.0)),
+    ("q_gamma", (200.0, 2.0)),
+], ids=lambda v: str(v))
+def test_edges_give_a_certified_value_or_domain_error(name, args):
+    """psi^(n) at huge x is representable, and its value lies within its
+    certificate of 40-digit mpmath; every other case overflows double
+    precision and raises DomainError, not OverflowError or an infinity."""
+    from mpmath import mp, mpf, psi
+
+    fn = getattr(sf, name)
+    if name == "polygamma" and args[1] > 1.0:
+        enc = fn(*args)
+        with mp.workdps(40):
+            assert abs(mpf(enc.value) - psi(args[0], mpf(args[1]))) <= enc.abs_error
+    else:
+        with pytest.raises(DomainError):
+            fn(*args)
+
+
 # ---------------------------------------------------------------------------
 # q-gamma family
 # ---------------------------------------------------------------------------
