@@ -253,7 +253,7 @@ def _first_failures(grids) -> list:
     ]
 
 
-# the cell table of the current verification run; None outside a run
+# the row table of the current verification run; None outside a run
 _RUN_ROWS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "qgammakit_run_rows", default=None
 )
@@ -277,26 +277,28 @@ def _rows(family, ys: np.ndarray, orders, policy, fn) -> _JetGrid:
     """Row i holds ``fn(orders[i], y, policy)`` at every y of ``ys``.
 
     Each cell is one scalar call.  Inside ``_run_rows`` a cell is keyed by
-    (family, policy, order, y) and evaluated once per run, also where two
-    grids share a point; outside it, nothing is kept.  A point fails where
+    (family, policy, order) and then y, and evaluated once per run, also
+    where two grids share a point; outside it, nothing is kept.  A point fails where
     its first failing order fails, as in the scalar jet.
     """
     table = _RUN_ROWS.get()
-    cells = {} if table is None else table.setdefault((family, policy or DEFAULT_POLICY), {})
+    key = (family, policy or DEFAULT_POLICY)
     yl = ys.tolist()
     failures = [None] * len(yl)
     rows = []
     for n in orders:
+        # one dict per order, keyed by the point: smaller than (n, y) keys
+        cells = {} if table is None else table.setdefault((*key, n), {})
         row = []
         for p, y in enumerate(yl):
-            cell = cells.get((n, y))
+            cell = cells.get(y)
             if cell is None:
                 try:
                     e = fn(n, y, policy)
                     cell = (e.value, e.abs_error, e.terms_used)
                 except (DomainError, ConvergenceError) as exc:
                     cell = exc
-                cells[n, y] = cell
+                cells[y] = cell
             if isinstance(cell, Exception):
                 if failures[p] is None:
                     failures[p] = cell
