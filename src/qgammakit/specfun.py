@@ -323,7 +323,11 @@ def _polygamma_asymptotic(n: int, y: float, eps: float, scaled: bool = False):
 
 
 def polygamma(n: int, x: float, policy: TruncationPolicy | None = None) -> Enclosure:
-    """psi^(n)(x), n >= 1, x > 0; sign convention (-1)^(n+1) psi^(n)(x) > 0."""
+    """psi^(n)(x), n >= 1, x > 0; sign convention (-1)^(n+1) psi^(n)(x) > 0.
+
+    Raises DomainError where x is so small, or n so large, that the value
+    or n! leaves double precision.
+    """
     policy = policy or DEFAULT_POLICY
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"derivative order must be an integer >= 1, got {n!r}")

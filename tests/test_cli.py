@@ -214,8 +214,6 @@ def test_verify_grid_points_override(tmp_path, capsys):
     assert code == 0
 
 
-# ---------------------------------------------------------------------------
-# roots
 def test_verify_run_evaluates_each_polygamma_cell_once(monkeypatch):
     calls = collections.Counter()
     polygamma = ce.polygamma
@@ -255,6 +253,8 @@ def test_verify_row_table_ends_with_the_run(monkeypatch):
     assert ce._RUN_ROWS.get() is None
 
 
+# ---------------------------------------------------------------------------
+# roots
 # ---------------------------------------------------------------------------
 
 

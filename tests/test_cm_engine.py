@@ -96,6 +96,8 @@ def test_qseries_certificate_covers_the_conditioning_of_exp():
             for j in range(1, 60)
         )
     assert abs(enc.value - float(truth)) <= enc.abs_error
+
+
 # ---------------------------------------------------------------------------
 # jets: orders 0..K in one pass, bit for bit the per-order derivatives
 # ---------------------------------------------------------------------------
