@@ -316,21 +316,24 @@ class Target:
     """A function of x whose derivatives are evaluated as Enclosures.
 
     ``deriv(k, x)`` gives one order, ``jet(x, K)`` orders 0..K at one point,
-    and ``jet_grid(xs, K)`` orders 0..K at every point of a grid.  Leaf
-    targets define ``deriv`` and inherit the ``jet`` and ``jet_grid`` below,
-    which loop over orders and points; the psi-family leaves fill their
-    grids from ``_rows`` instead.  ``QSeriesTarget`` and the composite
-    targets compute the whole grid at once in ``_jets``; their ``jet`` is
-    that grid at one point and their ``deriv`` reads one order off it.
+    and ``jet_grid(xs, K)`` orders 0..K at every point of a grid.  All three
+    go through ``_jets``, the grid at once: ``jet`` is the grid at one point
+    and ``deriv`` reads one order off the jet.  A subclass defines one of
+    ``deriv`` and ``_jets``.  Leaf targets define ``deriv``, and the default
+    ``_jets`` loops it over orders and points; the psi-family leaves fill
+    their grids from ``_rows`` instead.  ``QSeriesTarget`` and the composite
+    targets define ``_jets`` only, and bind ``deriv = Target.deriv`` by name,
+    so that each class has a ``deriv`` of its own to wrap and time
+    (``perfbench/tracer.py`` counts the calls per class).
     """
 
     source = ANALYTIC_SOURCE
 
     def deriv(self, k: int, x: float, policy: TruncationPolicy | None = None) -> Enclosure:
-        raise NotImplementedError
+        return self.jet(x, k, policy)[k]
 
     def jet(self, x: float, K: int, policy: TruncationPolicy | None = None) -> list[Enclosure]:
-        return [self.deriv(k, x, policy) for k in range(K + 1)]
+        return self._jets(np.array([x], dtype=float), K, policy).jet(0)
 
     def jet_grid(self, xs, K: int, policy: TruncationPolicy | None = None):
         """Orders 0..K at every point of ``xs``: (values, errors, ok).
@@ -344,7 +347,7 @@ class Target:
         return grid.values, grid.errors, grid.ok
 
     def _jets(self, xs: np.ndarray, K: int, policy) -> _JetGrid:
-        return _pointwise(xs, K + 1, lambda x: self.jet(x, K, policy))
+        return _pointwise(xs, K + 1, lambda x: [self.deriv(k, x, policy) for k in range(K + 1)])
 
 
 class AnalyticTarget(Target):
@@ -503,11 +506,7 @@ class QSeriesTarget(AnalyticTarget):
         self.const = const
         self.sign = sign
 
-    def deriv(self, k, x, policy=None):
-        return self.jet(x, k, policy)[k]
-
-    def jet(self, x, K, policy=None):
-        return self._jets(np.array([x], dtype=float), K, policy).jet(0)
+    deriv = Target.deriv
 
     def _jets(self, xs, K, policy):
         """One block loop for orders 0..K at every point.
@@ -625,11 +624,7 @@ class MonomialPolyGamma(AnalyticTarget):
     def __init__(self, p: int, m: int, a: float = 0.0, sign: float = 1.0):
         self.p, self.m, self.a, self.sign = p, m, a, sign
 
-    def deriv(self, k, x, policy=None):
-        return self.jet(x, k, policy)[k]
-
-    def jet(self, x, K, policy=None):
-        return self._jets(np.array([x], dtype=float), K, policy).jet(0)
+    deriv = Target.deriv
 
     def _jets(self, xs, K, policy):
         # psi^(m + i)(x + a) for i = 0..K, each evaluated once
@@ -661,11 +656,7 @@ class PolyProductTarget(AnalyticTarget):
         self.c = c
         self.sign = sign
 
-    def deriv(self, k, x, policy=None):
-        return self.jet(x, k, policy)[k]
-
-    def jet(self, x, K, policy=None):
-        return self._jets(np.array([x], dtype=float), K, policy).jet(0)
+    deriv = Target.deriv
 
     def _jets(self, xs, K, policy):
         # the four factors share their polygamma orders: evaluate each once
@@ -707,11 +698,7 @@ class DerivOffset(AnalyticTarget):
     def __init__(self, base: Target, offset: int):
         self.base, self.offset = base, offset
 
-    def deriv(self, k, x, policy=None):
-        return self.jet(x, k, policy)[k]
-
-    def jet(self, x, K, policy=None):
-        return self._jets(np.array([x], dtype=float), K, policy).jet(0)
+    deriv = Target.deriv
 
     def _jets(self, xs, K, policy):
         g = self.base._jets(xs, K + self.offset, policy)
@@ -731,11 +718,7 @@ class LinComb(AnalyticTarget):
             norm.append((float(coef), target, float(shift), float(scale)))
         self.terms = tuple(norm)
 
-    def deriv(self, k, x, policy=None):
-        return self.jet(x, k, policy)[k]
-
-    def jet(self, x, K, policy=None):
-        return self._jets(np.array([x], dtype=float), K, policy).jet(0)
+    deriv = Target.deriv
 
     def _jets(self, xs, K, policy):
         grids = [
@@ -953,25 +936,38 @@ def check_chain(
     jobs: int = 1,
     label: str = "chain",
 ) -> VerificationReport:
-    """Assert adjacent ordering of >= 2 expressions at every parameter point.
+    """Assert adjacent ordering of >= 2 values at every parameter point.
 
-    ``exprs`` are callables mapping a parameter dict to a float or Enclosure;
-    ``points`` is a sequence of parameter dicts (key 'x' is used as the
-    reported point when present).  chain_lt additionally requires a margin
-    > 10 tau at three interior points.  ``jobs`` is accepted for
-    compatibility and ignored: points are evaluated sequentially.
+    ``exprs`` is either one row function, ``row(p) -> [v0, v1, ...]``, or a
+    list of callables, each mapping a parameter dict to one value; the list
+    runs as the row ``lambda p: [e(p) for e in exprs]``.  A value is a float
+    or an Enclosure.  A row function lets the values of a point share work,
+    such as a bracket that gives both the lower and the upper end; a row
+    with fewer than two values raises UsageError.  ``points`` is a sequence
+    of parameter dicts (key 'x' is used as the reported point when present).
+    A point whose row raises DomainError or ConvergenceError is
+    inconclusive.  chain_lt additionally requires a margin > 10 tau at three
+    interior points.  ``jobs`` is accepted for compatibility and ignored:
+    points are evaluated sequentially.
     """
     if claim not in ("chain_lt", "chain_le"):
         raise UsageError(f"claim {claim!r} is not a chain claim")
-    if len(exprs) < 2:
+    if callable(exprs):
+        row_fn = exprs
+    elif len(exprs) < 2:
         raise UsageError("a chain needs at least two expressions")
+    else:
+        row_fn = lambda p: [e(p) for e in exprs]
     pts = list(points)
 
     def eval_point(pt):
         try:
-            return [_as_value_err(e(pt)) for e in exprs]
+            row = [_as_value_err(v) for v in row_fn(pt)]
         except (DomainError, ConvergenceError):
             return None
+        if len(row) < 2:
+            raise UsageError(f"a chain row needs at least two values, got {len(row)}")
+        return row
 
     rows = [eval_point(pt) for pt in pts]
     violations = []

@@ -231,19 +231,15 @@ def _cm_check(label, target, grid, K, strict=False, params=None):
     ))
 
 
-def _chain_check(label, exprs, points, claim="chain_le"):
-    return Check(label, check_chain, dict(exprs=exprs, points=points, claim=claim))
+def _chain_check(label, row, points, claim="chain_le"):
+    """A chain whose ``row(p)`` gives all its values at point p at once."""
+    return Check(label, check_chain, dict(exprs=row, points=points, claim=claim))
 
 
 def _probe_check(label, fn, grid, direction, params, **kw):
     return Check(label, monotonicity_probe, dict(
         fn=fn, grid=grid, direction=direction, params=params, **kw
     ))
-
-
-def _constants(*values):
-    """Chain expressions that ignore the point and return fixed values."""
-    return [lambda p, v=v: v for v in values]
 
 
 def _value(target, k):
@@ -313,19 +309,12 @@ def _build_eq14(desc, grid, K, ov):
     ss = [ov["s"]] if "s" in ov else [round(0.1 * i, 1) for i in range(1, 10)]
     uv = {(q, s): (bd.alzer_u(q, s), bd.alzer_v(q, s)) for q in qs for s in ss}
 
-    def bracket(p):
+    def row(p):
         u, v = uv[(p["q"], p["s"])]
-        return bd.ratio_bounds(p["x"], p["s"], p["q"], "alzer_uv", u_override=u, v_override=v)
+        b = bd.ratio_bounds(p["x"], p["s"], p["q"], "alzer_uv", u_override=u, v_override=v)
+        return [b.lower, bd.gamma_ratio(p["x"], p["s"], p["q"]), b.upper]
 
-    return [_chain_check(
-        "eq14-bounds",
-        [
-            lambda p: bracket(p).lower,
-            lambda p: bd.gamma_ratio(p["x"], p["s"], p["q"]),
-            lambda p: bracket(p).upper,
-        ],
-        _eq14_points(qs, ss, grid), "chain_lt",
-    )]
+    return [_chain_check("eq14-bounds", row, _eq14_points(qs, ss, grid), "chain_lt")]
 
 
 def _sharp_points(grid):
@@ -349,17 +338,12 @@ def _build_sharp(desc, grid, K, ov):
     u = bd.alzer_u(0.5, 0.5) + (0.05 if lower_probe else 0.0)
     v = bd.alzer_v(0.5, 0.5) - (0.0 if lower_probe else 0.05)
 
-    def bracket(p):
-        return bd.ratio_bounds(p["x"], 0.5, 0.5, "alzer_uv", u_override=u, v_override=v)
+    def row(p):
+        b = bd.ratio_bounds(p["x"], 0.5, 0.5, "alzer_uv", u_override=u, v_override=v)
+        ratio = bd.gamma_ratio(p["x"], 0.5, 0.5)
+        return [b.lower, ratio] if lower_probe else [ratio, b.upper]
 
-    def ratio(p):
-        return bd.gamma_ratio(p["x"], 0.5, 0.5)
-
-    if lower_probe:
-        exprs = [lambda p: bracket(p).lower, ratio]
-    else:
-        exprs = [ratio, lambda p: bracket(p).upper]
-    return [_chain_check(desc.id, exprs, _sharp_points(grid))]
+    return [_chain_check(desc.id, row, _sharp_points(grid))]
 
 
 # ---------------------------------------------------------------------------
@@ -535,16 +519,12 @@ def _build_cor2(desc, grid, K, ov):
 def _bracket_chain(method, qs, ss, grid, claim, label):
     xs = grid.values()
     points = [{"x": x, "q": q, "s": s} for q in qs for s in ss for x in xs]
-    return _chain_check(
-        label,
-        [
-            lambda p: bd.ratio_bounds(p["x"], p["s"], p["q"], method).lower,
-            lambda p: bd.gamma_ratio(p["x"], p["s"], p["q"]),
-            lambda p: bd.ratio_bounds(p["x"], p["s"], p["q"], method).upper,
-        ],
-        points,
-        claim,
-    )
+
+    def row(p):
+        b = bd.ratio_bounds(p["x"], p["s"], p["q"], method)
+        return [b.lower, bd.gamma_ratio(p["x"], p["s"], p["q"]), b.upper]
+
+    return _chain_check(label, row, points, claim)
 
 
 @_register(PropertyDescriptor(
@@ -602,18 +582,18 @@ def _build_noncompare(desc, grid, K, ov):
     pts_a = [{"x": s} for s in ss]
     chain_a = _chain_check(
         "noncompare[x->0]",
-        [
-            lambda p: sf.digamma(1.0).value + sf.digamma(p["x"]).value,
-            lambda p: 2.0 * sf.digamma(math.sqrt(p["x"])).value,
+        lambda p: [
+            sf.digamma(1.0).value + sf.digamma(p["x"]).value,
+            2.0 * sf.digamma(math.sqrt(p["x"])).value,
         ],
         pts_a, "chain_lt",
     )
     pts_b = [{"x": x, "s": s} for x in (1.5, 2.0, 5.0) for s in ss]
     chain_b = _chain_check(
         "noncompare[x>1]",
-        [
-            lambda p: 2.0 * sf.digamma(p["x"] + math.sqrt(p["s"])).value,
-            lambda p: sf.digamma(p["x"] + 1.0).value + sf.digamma(p["x"] + p["s"]).value,
+        lambda p: [
+            2.0 * sf.digamma(p["x"] + math.sqrt(p["s"])).value,
+            sf.digamma(p["x"] + 1.0).value + sf.digamma(p["x"] + p["s"]).value,
         ],
         pts_b, "chain_lt",
     )
@@ -656,14 +636,12 @@ def _build_lemma10(desc, grid, K, ov):
         for q in [round(0.1 * i, 1) for i in range(1, 10)]
         for n in (1, 2, 3, 4, 6)
     ]
-    return [_chain_check(
-        "lemma10-ineq",
-        [
-            lambda p: bd.lemma10_lhs_rhs(p["x"], p["q"], p["n"]).lower,
-            lambda p: bd.lemma10_lhs_rhs(p["x"], p["q"], p["n"]).upper,
-        ],
-        pts,
-    )]
+
+    def row(p):
+        b = bd.lemma10_lhs_rhs(p["x"], p["q"], p["n"])
+        return [b.lower, b.upper]
+
+    return [_chain_check("lemma10-ineq", row, pts)]
 
 
 @_register(PropertyDescriptor(
@@ -678,11 +656,7 @@ def _build_wqn(desc, grid, K, ov):
         for q in [round(0.1 * i, 1) for i in range(1, 10)]
         for n in (1, 2, 3, 5, 8)
     ]
-    return [_chain_check(
-        "wqn-nonneg",
-        [lambda p: 0.0, lambda p: bd.w_qn(p["x"], p["q"], p["n"])],
-        pts,
-    )]
+    return [_chain_check("wqn-nonneg", lambda p: [0.0, bd.w_qn(p["x"], p["q"], p["n"])], pts)]
 
 
 # ---------------------------------------------------------------------------
@@ -771,15 +745,13 @@ def _build_kv(desc, grid, K, ov):
         for a in grid.values()
         for da in (0.5, 1.0, 2.5)
     ]
-    return [_chain_check(
-        "kv-bounds",
-        [
-            lambda p: bd.keckic_vasic_bounds(p["x"], p["b"]).lower,
-            lambda p: math.exp(sf.ln_gamma(p["b"]).value - sf.ln_gamma(p["x"]).value),
-            lambda p: bd.keckic_vasic_bounds(p["x"], p["b"]).upper,
-        ],
-        pts,
-    )]
+
+    def row(p):
+        b = bd.keckic_vasic_bounds(p["x"], p["b"])
+        ratio = math.exp(sf.ln_gamma(p["b"]).value - sf.ln_gamma(p["x"]).value)
+        return [b.lower, ratio, b.upper]
+
+    return [_chain_check("kv-bounds", row, pts)]
 
 
 # ---------------------------------------------------------------------------
@@ -822,10 +794,7 @@ def _build_ag(desc, grid, K, ov):
     ]
     return [_chain_check(
         "ag-gx",
-        [
-            lambda p: 1.0,
-            lambda p: bd.auxiliary_function("g_AG", p["x"], {"a": p["a"], "q": p["q"]}),
-        ],
+        lambda p: [1.0, bd.auxiliary_function("g_AG", p["x"], {"a": p["a"], "q": p["q"]})],
         pts,
     )]
 
@@ -869,15 +838,11 @@ def _build_cor5(desc, grid, K, ov):
         for alpha in (2.0, 3.0, 0.5, 0.3)
     ]
 
-    def lo(p):
+    def row(p):
         t = bd.cor5_inequality(p["x"], p["y"], p["z"], p["alpha"], p["q"])
-        return t.lhs if p["alpha"] > 1.0 else t.rhs
+        return [t.lhs, t.rhs] if p["alpha"] > 1.0 else [t.rhs, t.lhs]
 
-    def hi(p):
-        t = bd.cor5_inequality(p["x"], p["y"], p["z"], p["alpha"], p["q"])
-        return t.rhs if p["alpha"] > 1.0 else t.lhs
-
-    return [_chain_check("cor5-ineq", [lo, hi], pts)]
+    return [_chain_check("cor5-ineq", row, pts)]
 
 
 # ---------------------------------------------------------------------------
@@ -985,11 +950,7 @@ def _build_thm4(desc, grid, K, ov):
 def _build_eq42(desc, grid, K, ov):
     pts = _x_points(grid)
     target = PolyProductTarget(2, 1, 1, 0, 1.0)
-    return [_chain_check(
-        "eq42-nonneg",
-        [lambda p: 0.0, lambda p: target.deriv(0, p["x"])],
-        pts, "chain_lt",
-    )]
+    return [_chain_check("eq42-nonneg", lambda p: [0.0, target.deriv(0, p["x"])], pts, "chain_lt")]
 
 
 # ---------------------------------------------------------------------------
@@ -1005,15 +966,11 @@ def _pair_chain(label, variant, qs, cs, grid):
         for x in grid.values()
     ]
 
-    def make(idx):
-        def expr(p):
-            t = bd.psi_pair_inequality(p["x"], p["c"], variant, p.get("q"))
-            vals = (t.rhs, t.mid, t.lhs) if p["c"] < 1.0 else (t.lhs, t.mid, t.rhs)
-            return vals[idx]
+    def row(p):
+        t = bd.psi_pair_inequality(p["x"], p["c"], variant, p.get("q"))
+        return [t.rhs, t.mid, t.lhs] if p["c"] < 1.0 else [t.lhs, t.mid, t.rhs]
 
-        return expr
-
-    return _chain_check(label, [make(0), make(1), make(2)], pts, "chain_lt")
+    return _chain_check(label, row, pts, "chain_lt")
 
 
 @_register(PropertyDescriptor(
@@ -1043,11 +1000,7 @@ def _build_thm52(desc, grid, K, ov):
 def _build_cor51(desc, grid, K, ov):
     qs = [ov["q"]] if "q" in ov else list(_Q_DEFAULT)
     pts = [{"x": x, "q": q} for q in qs for x in grid.values()]
-    return [_chain_check(
-        "cor51-nonneg",
-        [lambda p: 0.0, lambda p: bd.cor51_expr(p["x"], p["q"])],
-        pts,
-    )]
+    return [_chain_check("cor51-nonneg", lambda p: [0.0, bd.cor51_expr(p["x"], p["q"])], pts)]
 
 
 # ---------------------------------------------------------------------------
@@ -1142,7 +1095,7 @@ def _build_cor45(desc, grid, K, ov):
             ))
             checks.append(_chain_check(
                 f"prop-cor45[limit,a={a},n={n}]",
-                [lambda p, f=fn, n=n: abs(f(p["x"]) + n), lambda p: 2e-2],
+                lambda p, f=fn, n=n: [abs(f(p["x"]) + n), 2e-2],
                 [{"x": 1000.0}],
             ))
     return checks
@@ -1160,15 +1113,14 @@ def _build_cor45(desc, grid, K, ov):
 ))
 def _build_ci_kernel(desc, grid, K, ov):
     n_max = int(ov.get("n_max", 16))
+
+    def row(p):
+        return [0.0, sf.kernel_derivative(p["n"], p["n"], p["x"])]
+
     checks = []
     for n in range(1, n_max + 1):
         g = grid if n <= 8 else grid.with_points(max(8, grid.points // 2))
-        pts = _x_points(g, {"n": n})
-        checks.append(_chain_check(
-            f"ci-kernel[n={n}]",
-            [lambda p: 0.0, lambda p, n=n: sf.kernel_derivative(n, n, p["x"])],
-            pts, "chain_lt",
-        ))
+        checks.append(_chain_check(f"ci-kernel[n={n}]", row, _x_points(g, {"n": n}), "chain_lt"))
     return checks
 
 
@@ -1243,7 +1195,7 @@ def _build_ball51(desc, grid, K, ov):
         bb = bd.ball_ratio_bounds(n)
         checks.append(_chain_check(
             f"ball-thm51[n={n}]",
-            _constants(bb.thm51.lower, bb.thm51_exact, bb.thm51.upper),
+            lambda p, b=bb.thm51, exact=bb.thm51_exact: [b.lower, exact, b.upper],
             [{"x": float(n)}],
         ))
     return checks
@@ -1261,11 +1213,12 @@ def _build_ball13(desc, grid, K, ov):
     for n in range(2, n_max + 1):
         bb = bd.ball_ratio_bounds(n)
         pts = [{"x": float(n)}]
+        lo, exact, hi = bb.eq13.lower, bb.eq13_exact, bb.eq13.upper
         checks.append(_chain_check(
-            f"ball-eq13[lo,n={n}]", _constants(bb.eq13.lower, bb.eq13_exact), pts, "chain_lt"
+            f"ball-eq13[lo,n={n}]", lambda p, lo=lo, exact=exact: [lo, exact], pts, "chain_lt"
         ))
         checks.append(_chain_check(
-            f"ball-eq13[hi,n={n}]", _constants(bb.eq13_exact, bb.eq13.upper), pts
+            f"ball-eq13[hi,n={n}]", lambda p, exact=exact, hi=hi: [exact, hi], pts
         ))
     return checks
 
@@ -1276,16 +1229,17 @@ def _build_ball13(desc, grid, K, ov):
     default_grid=GridSpec(1e-2, 25.0, 64, "log"),
 ))
 def _build_dup(desc, grid, K, ov):
-    def resid(p):
+    def row(p):
         x = p["x"]
-        return abs(
+        resid = abs(
             sf.digamma(2.0 * x).value
             - 0.5 * sf.digamma(x).value
             - 0.5 * sf.digamma(x + 0.5).value
             - math.log(2.0)
         )
+        return [resid, 1e-12]
 
-    return [_chain_check("dup-psi", [resid, lambda p: 1e-12], _x_points(grid))]
+    return [_chain_check("dup-psi", row, _x_points(grid))]
 
 
 # ---------------------------------------------------------------------------
@@ -1335,10 +1289,7 @@ def _build_lem6(desc, grid, K, ov):
     ]
     return [_chain_check(
         "lem6-kernel",
-        [
-            lambda p: sf.kernel_h(p["t"]),
-            lambda p: sf.kernel_h(p["x"]) * sf.kernel_h(p["t"] - p["x"]),
-        ],
+        lambda p: [sf.kernel_h(p["t"]), sf.kernel_h(p["x"]) * sf.kernel_h(p["t"] - p["x"])],
         pts,
     )]
 
@@ -1350,9 +1301,10 @@ def _build_lem6(desc, grid, K, ov):
 ))
 def _build_lem4(desc, grid, K, ov):
     orders = (-2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
-    exprs = [lambda p, r=r: sf.log_mean(r, 1.0, 3.0) for r in orders]
     pts = [{"x": 1.0}] * 5  # replicate so the strictness spot check has interior points
-    return [_chain_check("lem4-lr", exprs, pts, "chain_lt")]
+    return [_chain_check(
+        "lem4-lr", lambda p: [sf.log_mean(r, 1.0, 3.0) for r in orders], pts, "chain_lt"
+    )]
 
 
 ALL_IDS = tuple(sorted(_REGISTRY))

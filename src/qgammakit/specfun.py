@@ -167,7 +167,10 @@ def _exp(log_val: float, enc: Enclosure, ops: int = 0) -> Enclosure:
     except OverflowError:
         raise DomainError(f"exp({log_val}) overflows double precision") from None
     err = val * math.expm1(enc.abs_error) if enc.abs_error < 1.0 else math.inf
-    return Enclosure(val, err + _slop(enc.terms_used + ops, val), enc.terms_used, enc.warn_slow)
+    # the absolute floor covers a subnormal or underflowed val, whose
+    # rounding error is not relative to val
+    err += _slop(enc.terms_used + ops, val) + 4.0 * math.ulp(0.0)
+    return Enclosure(val, err, enc.terms_used, enc.warn_slow)
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +535,14 @@ def q_polygamma(n: int, x: float, q, policy: TruncationPolicy | None = None) -> 
         qv = p
     s, tail, terms = _q_psi_sum(x, qv, n, policy)
     lnq = math.log(qv)
-    scale = lnq ** (n + 1)
+    try:
+        scale = lnq ** (n + 1)
+    except OverflowError:
+        scale = math.inf
     val = scale * s + extra
     err = abs(scale) * tail
+    if not (math.isfinite(val) and math.isfinite(err)):
+        raise DomainError(f"psi_q^({n})({x}) overflows double precision at q={q}")
     return Enclosure(
         val, err + _slop(terms, abs(scale * s) + abs(extra)), terms, warn_slow=terms > 10**5
     )

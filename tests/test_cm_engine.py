@@ -509,8 +509,17 @@ def _pts(vals):
     return [{"x": float(v)} for v in vals]
 
 
+def _chain(exprs, pts, claim):
+    """check_chain on the expression list and on its row form, which must
+    give the same report."""
+    listed = ce.check_chain(exprs, pts, claim)
+    rowed = ce.check_chain(lambda p: [e(p) for e in exprs], pts, claim)
+    assert rowed == listed
+    return listed
+
+
 def test_chain_pass():
-    rep = ce.check_chain(
+    rep = _chain(
         [lambda p: sf.digamma(p["x"]).value, lambda p: sf.digamma(p["x"] + 0.5).value],
         _pts(np.linspace(0.1, 10.0, 30)),
         "chain_lt",
@@ -524,28 +533,31 @@ def test_chain_reflexive_le():
 
 
 def test_chain_fail():
-    rep = ce.check_chain([lambda p: 1.0, lambda p: 0.0], _pts(range(1, 6)), "chain_lt")
+    rep = _chain([lambda p: 1.0, lambda p: 0.0], _pts(range(1, 6)), "chain_lt")
     assert rep.status == "fail"
 
 
 def test_chain_strictness_spot_check():
     # equal expressions pass chain_le but fail the chain_lt spot check
     pts = _pts(range(1, 9))
-    assert ce.check_chain([lambda p: 1.0, lambda p: 1.0], pts, "chain_le").status == "pass"
-    rep = ce.check_chain([lambda p: 1.0, lambda p: 1.0], pts, "chain_lt")
+    assert _chain([lambda p: 1.0, lambda p: 1.0], pts, "chain_le").status == "pass"
+    rep = _chain([lambda p: 1.0, lambda p: 1.0], pts, "chain_lt")
     assert rep.status == "fail"
+    assert all(v.params.get("strict_spot") for v in rep.violations)
 
 
 def test_chain_requires_two_exprs():
     with pytest.raises(UsageError):
         ce.check_chain([lambda p: 1.0], _pts([1.0]), "chain_le")
+    with pytest.raises(UsageError):
+        ce.check_chain(lambda p: [1.0], _pts([1.0]), "chain_le")
 
 
 def test_chain_eval_failure_is_inconclusive():
     def boom(p):
         raise DomainError("outside")
 
-    rep = ce.check_chain([boom, lambda p: 1.0], _pts([1.0, 2.0]), "chain_le")
+    rep = _chain([boom, lambda p: 1.0], _pts([1.0, 2.0]), "chain_le")
     assert rep.status == "inconclusive"
 
 

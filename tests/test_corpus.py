@@ -1,5 +1,6 @@
 import pytest
 
+from qgammakit import bounds as bd
 from qgammakit import corpus
 from qgammakit.errors import DomainError, UsageError
 
@@ -129,3 +130,29 @@ def test_run_descriptor_merges_subchecks():
 def test_only_if_probe_records_violations():
     rep = corpus.run_descriptor("thm11-onlyif")
     assert rep.status == "fail" and len(rep.violations) >= 1
+
+
+@pytest.mark.parametrize("claim_id, bracket, points", [
+    ("thm3-chain", "ratio_bounds", 768),
+    ("thm52-chain", "psi_pair_inequality", 256),
+    ("eq14-bounds", "ratio_bounds", 2430),
+    ("kershaw-chain", "ratio_bounds", 192),
+    ("prop51-chain", "psi_pair_inequality", 128),
+    ("cor5-ineq", "cor5_inequality", 16),
+    ("kv-bounds", "keckic_vasic_bounds", 48),
+    ("lemma10-ineq", "lemma10_lhs_rhs", 405),
+])
+def test_chain_computes_its_bracket_once_per_point(monkeypatch, claim_id, bracket, points):
+    """The row of a chain builds the bracket its values share once per point."""
+    calls = []
+    original = getattr(bd, bracket)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bd, bracket, counted)
+    checks = corpus.instantiate(claim_id)
+    assert sum(len(c.kwargs["points"]) for c in checks) == points
+    assert corpus.run_descriptor(claim_id).status == "pass"
+    assert len(calls) == points

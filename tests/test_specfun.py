@@ -125,6 +125,8 @@ def test_domain_errors_classical():
     ("ln_gamma", (1e308,)),
     ("q_gamma", (1e300, 2.0)),
     ("q_gamma", (200.0, 2.0)),
+    ("q_polygamma", (200, 1.0, 1e-300)),
+    ("q_polygamma", (300, 1.0, 0.01)),
 ], ids=lambda v: str(v))
 def test_edges_give_a_certified_value_or_domain_error(name, args):
     """psi^(n) at huge x is representable, and its value lies within its
@@ -140,6 +142,19 @@ def test_edges_give_a_certified_value_or_domain_error(name, args):
     else:
         with pytest.raises(DomainError):
             fn(*args)
+
+
+@pytest.mark.parametrize("n", [450, 453, 10**6])
+def test_exp_keeps_a_certificate_where_it_underflows(n):
+    """The ball volume of dimension n is subnormal (450) or below the
+    smallest double (453, 10^6), so exp returns a tiny value or 0; the
+    enclosure must still contain the positive true value."""
+    from mpmath import gamma, mp, mpf, pi
+
+    enc = sf.unit_ball_volume(n)
+    with mp.workdps(40):
+        ref = pi ** (mpf(n) / 2) / gamma(1 + mpf(n) / 2)
+        assert abs(mpf(enc.value) - ref) <= enc.abs_error
 
 
 # ---------------------------------------------------------------------------
