@@ -24,6 +24,7 @@ from .specfun import (
     q_ln_gamma,
     q_polygamma,
     log_mean,
+    _once,
 )
 
 __all__ = [
@@ -148,17 +149,32 @@ def _check_q(q: float):
         raise DomainError(f"q must lie in (0, 1), got {q}")
 
 
+# Every specfun evaluator call below goes through ``_once``: within a
+# verification run each one is evaluated once per distinct argument tuple.
+
+
 def _ln_gamma_q(x: float, q: float, policy=None) -> float:
     """log Gamma_q(x) with the classical-gamma reading at q = 1."""
     if q == 1.0:
-        return ln_gamma(x, policy).value
-    return q_ln_gamma(x, q, policy).value
+        return _once(ln_gamma, x, policy=policy).value
+    return _once(q_ln_gamma, x, q, policy=policy).value
 
 
 def _psi_q(x: float, q: float, policy=None) -> float:
+    """psi_q(x) with the classical-digamma reading at q = 1."""
     if q == 1.0:
-        return digamma(x, policy).value
-    return q_digamma(x, q, policy).value
+        return _once(digamma, x, policy=policy).value
+    return _once(q_digamma, x, q, policy=policy).value
+
+
+def _psi_n(n: int, x: float, policy=None) -> float:
+    """psi^(n)(x), n >= 1."""
+    return _once(polygamma, n, x, at=1, policy=policy).value
+
+
+def _psi_qn(n: int, x: float, q: float, policy=None) -> float:
+    """psi_q^(n)(x), n >= 1, 0 < q < 1."""
+    return _once(q_polygamma, n, x, q, at=1, policy=policy).value
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +196,7 @@ def alzer_v(q: float, s: float, policy: TruncationPolicy | None = None) -> float
     """Best upper shift v(q, s) = ln(1 - (1-q) Gamma_q(s)^(1/(s-1))) / ln q."""
     _check_s(s)
     _check_q(q)
-    g = math.exp(q_ln_gamma(s, q, policy).value / (s - 1.0))
+    g = math.exp(_ln_gamma_q(s, q, policy) / (s - 1.0))
     arg = 1.0 - (1.0 - q) * g
     if arg <= 0.0:
         raise DomainError(f"log argument is nonpositive at (q, s)=({q}, {s})")
@@ -231,7 +247,7 @@ def ratio_bounds(
         if q == 1.0:
             u = 0.5 * s if u_override is None else u_override
             v = (
-                math.exp(ln_gamma(s, policy).value / (s - 1.0))
+                math.exp(_ln_gamma_q(s, 1.0, policy) / (s - 1.0))
                 if v_override is None
                 else v_override
             )
@@ -266,8 +282,8 @@ def ratio_bounds(
     else:  # geomean_refined
         lo_pt = math.sqrt((x + 1.0) * (x + s))
         hi_pt = x + 0.5 * (1.0 + s)
-    lo = math.exp(one_minus_s * digamma(lo_pt, policy).value)
-    hi = math.exp(one_minus_s * digamma(hi_pt, policy).value)
+    lo = math.exp(one_minus_s * _psi_q(lo_pt, 1.0, policy))
+    hi = math.exp(one_minus_s * _psi_q(hi_pt, 1.0, policy))
     return BoundPair(lo, hi, method)
 
 
@@ -308,7 +324,7 @@ def ball_ratio_bounds(n: int, policy=None) -> BallRatioBounds:
         raise UsageError(f"need an integer n >= 1, got {n!r}")
 
     def log_omega(m: int) -> float:
-        return 0.5 * m * math.log(math.pi) - ln_gamma(1.0 + 0.5 * m, policy).value
+        return 0.5 * m * math.log(math.pi) - _ln_gamma_q(1.0 + 0.5 * m, 1.0, policy)
 
     thm51_exact = math.exp(2.0 * log_omega(n) - log_omega(n - 1) - log_omega(n + 1))
     thm51 = BoundPair(
@@ -321,7 +337,7 @@ def ball_ratio_bounds(n: int, policy=None) -> BallRatioBounds:
     if n >= 2:
         alpha = 1.0
         beta = 2.0 * (math.log(8.0 / math.pi) + EULER_GAMMA - 1.0)
-        psi_n = digamma(float(n), policy).value
+        psi_n = _psi_q(float(n), 1.0, policy)
         eq13 = BoundPair(
             math.exp(alpha / n + psi_n) / (2.0 * math.pi),
             math.exp(beta / n + psi_n) / (2.0 * math.pi),
@@ -362,37 +378,37 @@ def auxiliary_function(fn_id: str, x: float, params: dict, policy=None) -> float
         if alpha < 0.0:
             raise UsageError("alpha must be >= 0")
         return (
-            -ln_gamma(x, policy).value
+            -_ln_gamma_q(x, 1.0, policy)
             + (x - 0.5) * math.log(x)
             - x
-            + polygamma(1, x + alpha, policy).value / 12.0
+            + _psi_n(1, x + alpha, policy) / 12.0
         )
     if fn_id == "G_c":
         c = need("c")
         if c < 0.0:
             raise UsageError("c must be >= 0")
         return (
-            ln_gamma(x, policy).value
+            _ln_gamma_q(x, 1.0, policy)
             - x * math.log(x)
             + x
             - 0.5 * math.log(2.0 * math.pi)
-            + 0.5 * digamma(x + c, policy).value
+            + 0.5 * _psi_q(x + c, 1.0, policy)
         )
     if fn_id == "f_ILM":
         alpha = need("alpha")
         return math.exp(
-            alpha * math.log(x) + ln_gamma(x, policy).value + x - x * math.log(x)
+            alpha * math.log(x) + _ln_gamma_q(x, 1.0, policy) + x - x * math.log(x)
         )
     if fn_id == "f_qpow":
         q = need("q")
         _check_q(q)
-        return math.exp(x * math.log1p(-q) + q_ln_gamma(x, q, policy).value)
+        return math.exp(x * math.log1p(-q) + _ln_gamma_q(x, q, policy))
     if fn_id == "g_AG":
         q, a = need("q"), need("a")
         _check_q(q)
         if a <= 0.0:
             raise UsageError("g_AG requires a > 0")
-        lf = lambda y: y * math.log1p(-q) + q_ln_gamma(y, q, policy).value
+        lf = lambda y: y * math.log1p(-q) + _ln_gamma_q(y, q, policy)
         return math.exp(lf(x) + lf(x + 2.0 * a) - 2.0 * lf(x + a))
     # beta_scaled
     q, beta = need("q"), need("beta")
@@ -413,7 +429,7 @@ def _psi_or_minus_one(order: int, x: float, policy=None) -> float:
     """psi^(order)(x) with the convention psi^(0) = -1 used by this family."""
     if order == 0:
         return -1.0
-    return polygamma(order, x, policy).value
+    return _psi_n(order, x, policy)
 
 
 def poly_product(spec: PolyProductSpec, x: float, policy=None) -> float:
@@ -513,8 +529,10 @@ def a_poly_root(m: int, n: int, c: float, tol: float = 1e-13) -> float:
 def a_poly_sign_changes(m: int, n: int, c: float, hi: float, points: int) -> int:
     """Number of sign changes of a(t) between neighbouring points of an even
     ``points``-point grid on [1, hi] (zero counts as positive)."""
-    neg = [a_poly(float(t), m, n, c) < 0.0 for t in np.linspace(1.0, hi, points)]
-    return sum(1 for a, b in zip(neg, neg[1:]) if a != b)
+    t = np.linspace(1.0, hi, points)
+    a_poly(float(t.min(initial=1.0)), m, n, c)  # validates m, n, c and t >= 1
+    neg = t ** (m - n) + t**n - c * (1.0 + t**m) < 0.0
+    return int(np.count_nonzero(neg[1:] != neg[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -537,18 +555,16 @@ def psi_pair_inequality(
     if c == 1.0:
         raise DomainError("c = 1 is the degenerate boundary; use c != 1")
     if variant == "classical":
-        d = digamma(x + c, policy).value - digamma(x, policy).value
-        mid = polygamma(1, x, policy).value - polygamma(1, x + c, policy).value
+        d = _psi_q(x + c, 1.0, policy) - _psi_q(x, 1.0, policy)
+        mid = _psi_n(1, x, policy) - _psi_n(1, x + c, policy)
         return ChainTriple(d * d / c, mid, d * d)
     if variant != "q_analogue":
         raise UsageError(f"unknown variant {variant!r}")
     if q is None:
         raise UsageError("q_analogue requires q")
     _check_q(q)
-    d = q_digamma(x + c, q, policy).value - q_digamma(x, q, policy).value
-    mid = (q**x) * (
-        q_polygamma(1, x, q, policy).value - q_polygamma(1, x + c, q, policy).value
-    )
+    d = _psi_q(x + c, q, policy) - _psi_q(x, q, policy)
+    mid = (q**x) * (_psi_qn(1, x, q, policy) - _psi_qn(1, x + c, q, policy))
     pref = (1.0 - q) / (1.0 - q**c)
     return ChainTriple(pref * d * d, mid, d * d)
 
@@ -557,8 +573,8 @@ def cor51_expr(x: float, q: float, policy=None) -> float:
     """(psi_q'(x))^2 + (ln(1/q) q^x / (1-q)) psi_q''(x); claimed >= 0."""
     specfun._require_positive(x)
     _check_q(q)
-    p1 = q_polygamma(1, x, q, policy).value
-    p2 = q_polygamma(2, x, q, policy).value
+    p1 = _psi_qn(1, x, q, policy)
+    p2 = _psi_qn(2, x, q, policy)
     return p1 * p1 + math.log(1.0 / q) * (q**x) / (1.0 - q) * p2
 
 

@@ -21,7 +21,6 @@ import sys
 
 from .errors import ConvergenceError, DomainError, PreconditionError, UsageError
 from . import bounds as bd
-from . import cm_engine
 from . import corpus
 from . import specfun as sf
 
@@ -280,8 +279,8 @@ def _report_document(suite_label, ids, grid_points, max_order, tol):
     digest = hashlib.sha256(_canonical_json(config).encode()).hexdigest()[:16]
     entries = []
     unexpected = 0
-    # claims share their psi-family rows, within this run only
-    with cm_engine._run_rows():
+    # claims share their evaluator cells, within this run only
+    with sf._run_cells():
         for cid in ids:
             desc = corpus.get_descriptor(cid)
             overrides = {}

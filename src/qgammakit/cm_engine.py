@@ -17,13 +17,11 @@ composite targets combine the inner arrays in the scalar operation order,
 so each column holds exactly the bits of the scalar jet.  A sign-pattern
 check asks for one grid.
 
-Within one verification run the psi-family leaves share their cells: lnGamma
-and psi^(n) (``LnGammaFn``, ``PolyGammaShift``, ``PolyProductTarget``) and
-psi_q^(n) (``QPolyGammaShift``) read each (order, point) from a table that
-``_run_rows`` opens around the run's claims, and evaluate a cell by one
-scalar call only the first time a claim asks for it, so the bits stay those
-of the scalar jet.  The table is a ContextVar that the run resets when it
-ends; outside a run every grid is evaluated afresh and nothing is kept.
+The psi-family leaves (``LnGammaFn``, ``PolyGammaShift``,
+``PolyProductTarget``, ``QPolyGammaShift``) fill their grids one scalar
+evaluator call per (order, point) cell through specfun's run-scoped cell
+table, so within a verification run each cell is evaluated once and the
+bits stay those of the scalar jet.
 
 Checks report pass / fail / inconclusive; a point is inconclusive when the
 certified evaluation error swamps the margin, or when any order at it cannot
@@ -35,8 +33,6 @@ check's inputs.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 from dataclasses import dataclass
 
@@ -47,6 +43,9 @@ from .specfun import (
     DEFAULT_POLICY,
     _EPS_MACH,
     _blocks,
+    _cell,
+    _cells,
+    _once,
     Enclosure,
     TruncationPolicy,
     digamma,
@@ -253,57 +252,30 @@ def _first_failures(grids) -> list:
     ]
 
 
-# the row table of the current verification run; None outside a run
-_RUN_ROWS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "qgammakit_run_rows", default=None
-)
+def _rows(ys: np.ndarray, orders, policy, leaf, tail=()) -> _JetGrid:
+    """Row i holds the Enclosures of order ``orders[i]`` at every y of ``ys``.
 
-
-@contextlib.contextmanager
-def _run_rows():
-    """Share the cells of ``_rows`` among all checks run inside the block.
-
-    The table lives as long as the block, never longer: a second run, or a
-    check outside any run, evaluates its cells afresh.
+    ``leaf(n)`` gives (evaluator, order arguments) for order n; each cell
+    is one call ``evaluator(*order_args, y, *tail, policy)`` through the
+    run's table (``specfun._cells``), so inside a run it is evaluated once,
+    also where two grids share a point; outside a run nothing is kept.  A
+    point fails where its first failing order fails, as in the scalar jet.
     """
-    token = _RUN_ROWS.set({})
-    try:
-        yield
-    finally:
-        _RUN_ROWS.reset(token)
-
-
-def _rows(family, ys: np.ndarray, orders, policy, fn) -> _JetGrid:
-    """Row i holds ``fn(orders[i], y, policy)`` at every y of ``ys``.
-
-    Each cell is one scalar call.  Inside ``_run_rows`` a cell is keyed by
-    (family, policy, order) and then y, and evaluated once per run, also
-    where two grids share a point; outside it, nothing is kept.  A point fails where
-    its first failing order fails, as in the scalar jet.
-    """
-    table = _RUN_ROWS.get()
-    key = (family, policy or DEFAULT_POLICY)
     yl = ys.tolist()
     failures = [None] * len(yl)
     rows = []
     for n in orders:
-        # one dict per order, keyed by the point: smaller than (n, y) keys
-        cells = {} if table is None else table.setdefault((*key, n), {})
+        fn, head = leaf(n)
+        cells = _cells(fn, head + tail, policy)
         row = []
         for p, y in enumerate(yl):
-            cell = cells.get(y)
-            if cell is None:
-                try:
-                    e = fn(n, y, policy)
-                    cell = (e.value, e.abs_error, e.terms_used)
-                except (DomainError, ConvergenceError) as exc:
-                    cell = exc
-                cells[y] = cell
-            if isinstance(cell, Exception):
+            try:
+                e = _cell(cells, y, fn, *head, y, *tail, policy)
+                row.append((e.value, e.abs_error, e.terms_used))
+            except (DomainError, ConvergenceError) as exc:
                 if failures[p] is None:
-                    failures[p] = cell
-                cell = (math.nan, math.nan, 0)
-            row.append(cell)
+                    failures[p] = exc
+                row.append((math.nan, math.nan, 0))
         rows.append(row)
     a = np.array(rows, dtype=float).reshape(len(rows), len(yl), 3)
     grid = _JetGrid(a[:, :, 0], a[:, :, 1], a[:, :, 2].astype(np.int64), failures)
@@ -427,19 +399,26 @@ class XLogX(AnalyticTarget):
         return Enclosure(v, 4.0 * _EPS_MACH * abs(v), 1)
 
 
-def _psi(n: int, y: float, policy) -> Enclosure:
-    """psi^(n)(y) for n >= -1, where psi^(0) = psi and psi^(-1) = ln Gamma."""
+def _psi(n: int):
+    """(evaluator, order arguments) of psi^(n), n >= -1, where psi^(0) = psi
+    and psi^(-1) = ln Gamma."""
     if n > 0:
-        return polygamma(n, y, policy)
-    return digamma(y, policy) if n == 0 else ln_gamma(y, policy)
+        return polygamma, (n,)
+    return (digamma if n == 0 else ln_gamma), ()
+
+
+def _qpsi(n: int):
+    """(evaluator, order arguments) of psi_q^(n), n >= 0; q follows the point."""
+    return (q_polygamma, (n,)) if n else (q_digamma, ())
 
 
 class LnGammaFn(AnalyticTarget):
     def deriv(self, k, x, policy=None):
-        return _psi(k - 1, x, policy)
+        fn, head = _psi(k - 1)
+        return _once(fn, *head, x, at=len(head), policy=policy)
 
     def _jets(self, xs, K, policy):
-        return _rows("psi", xs, range(-1, K), policy, _psi)
+        return _rows(xs, range(-1, K), policy, _psi)
 
 
 class PolyGammaShift(AnalyticTarget):
@@ -449,10 +428,11 @@ class PolyGammaShift(AnalyticTarget):
         self.m, self.a = m, a
 
     def deriv(self, k, x, policy=None):
-        return _psi(self.m + k, x + self.a, policy)
+        fn, head = _psi(self.m + k)
+        return _once(fn, *head, x + self.a, at=len(head), policy=policy)
 
     def _jets(self, xs, K, policy):
-        return _rows("psi", xs + self.a, range(self.m, self.m + K + 1), policy, _psi)
+        return _rows(xs + self.a, range(self.m, self.m + K + 1), policy, _psi)
 
 
 class QLnGammaFn(AnalyticTarget):
@@ -460,11 +440,8 @@ class QLnGammaFn(AnalyticTarget):
         self.q = q
 
     def deriv(self, k, x, policy=None):
-        if k == 0:
-            return q_ln_gamma(x, self.q, policy)
-        if k == 1:
-            return q_digamma(x, self.q, policy)
-        return q_polygamma(k - 1, x, self.q, policy)
+        fn, head = (q_ln_gamma, ()) if k == 0 else _qpsi(k - 1)
+        return _once(fn, *head, x, self.q, at=len(head), policy=policy)
 
 
 class QPolyGammaShift(AnalyticTarget):
@@ -474,16 +451,12 @@ class QPolyGammaShift(AnalyticTarget):
         self.m, self.q, self.a = m, q, a
 
     def deriv(self, k, x, policy=None):
-        return self._qpsi(self.m + k, x + self.a, policy)
-
-    def _qpsi(self, n, y, policy):
-        if n == 0:
-            return q_digamma(y, self.q, policy)
-        return q_polygamma(n, y, self.q, policy)
+        fn, head = _qpsi(self.m + k)
+        return _once(fn, *head, x + self.a, self.q, at=len(head), policy=policy)
 
     def _jets(self, xs, K, policy):
         orders = range(self.m, self.m + K + 1)
-        return _rows(("qpsi", self.q), xs + self.a, orders, policy, self._qpsi)
+        return _rows(xs + self.a, orders, policy, _qpsi, (self.q,))
 
 
 class QSeriesTarget(AnalyticTarget):
@@ -661,7 +634,7 @@ class PolyProductTarget(AnalyticTarget):
     def _jets(self, xs, K, policy):
         # the four factors share their polygamma orders: evaluate each once
         needed = sorted({order + j for order in self.orders if order for j in range(K + 1)})
-        psi = _rows("psi", xs, needed, policy, _psi)
+        psi = _rows(xs, needed, policy, _psi)
         row = {n: i for i, n in enumerate(needed)}
 
         def factor(order: int, j: int):

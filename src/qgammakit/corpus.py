@@ -247,6 +247,22 @@ def _value(target, k):
     return lambda x: target.deriv(k, x).value
 
 
+# the evaluator values the checks read directly, each through the run's cell
+# table (``specfun._once``)
+
+
+def _ln_gamma(x: float) -> float:
+    return sf._once(sf.ln_gamma, x).value
+
+
+def _psi(x: float) -> float:
+    return sf._once(sf.digamma, x).value
+
+
+def _psi_n(n: int, x: float) -> float:
+    return sf._once(sf.polygamma, n, x, at=1).value
+
+
 def _x_points(grid: GridSpec, extra: dict | None = None) -> list[dict]:
     extra = extra or {}
     return [{"x": x, **extra} for x in grid.values()]
@@ -583,8 +599,8 @@ def _build_noncompare(desc, grid, K, ov):
     chain_a = _chain_check(
         "noncompare[x->0]",
         lambda p: [
-            sf.digamma(1.0).value + sf.digamma(p["x"]).value,
-            2.0 * sf.digamma(math.sqrt(p["x"])).value,
+            _psi(1.0) + _psi(p["x"]),
+            2.0 * _psi(math.sqrt(p["x"])),
         ],
         pts_a, "chain_lt",
     )
@@ -592,8 +608,8 @@ def _build_noncompare(desc, grid, K, ov):
     chain_b = _chain_check(
         "noncompare[x>1]",
         lambda p: [
-            2.0 * sf.digamma(p["x"] + math.sqrt(p["s"])).value,
-            sf.digamma(p["x"] + 1.0).value + sf.digamma(p["x"] + p["s"]).value,
+            2.0 * _psi(p["x"] + math.sqrt(p["s"])),
+            _psi(p["x"] + 1.0) + _psi(p["x"] + p["s"]),
         ],
         pts_b, "chain_lt",
     )
@@ -748,7 +764,7 @@ def _build_kv(desc, grid, K, ov):
 
     def row(p):
         b = bd.keckic_vasic_bounds(p["x"], p["b"])
-        ratio = math.exp(sf.ln_gamma(p["b"]).value - sf.ln_gamma(p["x"]).value)
+        ratio = math.exp(_ln_gamma(p["b"]) - _ln_gamma(p["x"]))
         return [b.lower, ratio, b.upper]
 
     return [_chain_check("kv-bounds", row, pts)]
@@ -1069,7 +1085,7 @@ def _build_eq43(desc, grid, K, ov):
     checks = []
     for n in (1, 2, 3):
         def fn(x, n=n):
-            return -x * sf.polygamma(n + 1, x).value / sf.polygamma(n, x).value
+            return -x * _psi_n(n + 1, x) / _psi_n(n, x)
 
         checks.append(_probe_check(
             f"eq43-range[n={n}]", fn, grid, "decreasing", {"n": n},
@@ -1088,7 +1104,7 @@ def _build_cor45(desc, grid, K, ov):
     for a in (0.5, 1.0):
         for n in (1, 2):
             def fn(x, a=a, n=n):
-                return x * sf.polygamma(n + 1, x + a).value / sf.polygamma(n, x + a).value
+                return x * _psi_n(n + 1, x + a) / _psi_n(n, x + a)
 
             checks.append(_probe_check(
                 f"prop-cor45[a={a},n={n}]", fn, grid, "decreasing", {"a": a, "n": n}
@@ -1115,7 +1131,7 @@ def _build_ci_kernel(desc, grid, K, ov):
     n_max = int(ov.get("n_max", 16))
 
     def row(p):
-        return [0.0, sf.kernel_derivative(p["n"], p["n"], p["x"])]
+        return [0.0, sf._once(sf.kernel_derivative, p["n"], p["n"], p["x"], at=2)]
 
     checks = []
     for n in range(1, n_max + 1):
@@ -1170,7 +1186,7 @@ def _build_qthm(desc, grid, K, ov):
             def fn(x, q=q, n=n):
                 w = (1.0 - q**x) ** n
                 sign = 1.0 if n % 2 == 1 else -1.0
-                return w * sign * sf.q_polygamma(n, x, q).value
+                return w * sign * sf._once(sf.q_polygamma, n, x, q, at=1).value
 
             checks.append(_probe_check(
                 f"qthm-monotone[q={q},n={n}]", fn, grid, "decreasing", {"q": q, "n": n}
@@ -1232,9 +1248,9 @@ def _build_dup(desc, grid, K, ov):
     def row(p):
         x = p["x"]
         resid = abs(
-            sf.digamma(2.0 * x).value
-            - 0.5 * sf.digamma(x).value
-            - 0.5 * sf.digamma(x + 0.5).value
+            _psi(2.0 * x)
+            - 0.5 * _psi(x)
+            - 0.5 * _psi(x + 0.5)
             - math.log(2.0)
         )
         return [resid, 1e-12]

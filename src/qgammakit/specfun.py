@@ -14,10 +14,22 @@ that double up to 2**17 terms, the last one clamped to
 ``TruncationPolicy.max_terms``.  After each block the caller bounds the
 rest of the series geometrically and stops once that tail is at most
 eps * (1 + |partial sum|); if the budget runs out first, ConvergenceError.
+
+Within one verification run every evaluator call of the layers above
+(cm_engine's grid leaves, the bounds functions, the corpus probes) reads one
+cell table that ``_run_cells`` opens around the run's claims.  The cells of
+each (evaluator, non-point arguments, policy) are keyed by the point; a cell
+is evaluated by one call the first time it is asked for, and later asks get
+the same Enclosure object, or the same DomainError/ConvergenceError raised
+again, so results keep their bits.  policy=None and DEFAULT_POLICY share
+their cells.  The table is a ContextVar that the run resets when it ends;
+outside a run the lookup just calls the evaluator and keeps nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass, field
 
@@ -77,7 +89,7 @@ _LNGAMMA_SHIFT = 20.0
 _DIGAMMA_SHIFT = 20.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Enclosure:
     """A computed value with a certified absolute truncation-error bound.
 
@@ -270,7 +282,7 @@ def digamma_series(x: float, policy: TruncationPolicy | None = None) -> Enclosur
     _require_positive(x)
     n_terms = 4000
     n = np.arange(n_terms, dtype=float)
-    partial = float(np.sum(1.0 / (n + 1.0) - 1.0 / (x + n)))
+    partial = float((1.0 / (n + 1.0) - 1.0 / (x + n)).sum())
     # tail over n >= N of (x-1)/((n+1)(n+x)); sign handled via |x-1| scaling
     N = float(n_terms)
 
@@ -382,7 +394,7 @@ def polygamma_series(n: int, x: float, policy: TruncationPolicy | None = None) -
     _require_positive(x)
     K = 3000
     k = np.arange(K, dtype=float)
-    partial = float(np.sum((x + k) ** (-(n + 1))))
+    partial = float(((x + k) ** (-(n + 1))).sum())
     lo = (x + K) ** (-n) / n + 0.5 * (x + K) ** (-(n + 1))
     hi = (x + K - 0.5) ** (-n) / n
     tail_mid = 0.5 * (lo + hi)
@@ -438,7 +450,7 @@ def _q_ln_gamma_sub1(x: float, q: float, policy: TruncationPolicy):
     for n0, hi in _blocks(policy, "q-gamma product (x={}, q={})", x, q):
         n = np.arange(n0, hi, dtype=float)
         a = np.exp((n + 1.0) * lnq)  # q^(n+1)
-        total += float(np.sum(np.log1p(a * shift / -np.expm1((n + x) * lnq))))
+        total += float(np.log1p(a * shift / -np.expm1((n + x) * lnq)).sum())
         qN = math.exp(hi * lnq)
         denom = (1.0 - math.exp((hi + m) * lnq)) * (1.0 - q)
         tail = diff * qN / denom if denom > 0.0 else math.inf
@@ -485,7 +497,7 @@ def _q_psi_sum(x: float, q: float, n: int, policy: TruncationPolicy):
         if n:
             logs = logs + n * np.log(k)
         t = np.exp(logs) / (-np.expm1(k * lnq))
-        total += float(np.sum(t))
+        total += float(t.sum())
         ratio = ((hi + 1.0) / hi) ** n * math.exp(x * lnq)
         if ratio < 1.0:
             tail = float(t[-1]) * ratio / (1.0 - ratio)
@@ -623,7 +635,7 @@ def kernel_derivative(
             mp = m ** (k - j)
             acc += c * ((-1.0) ** (k - j)) * mp
             bound += c * mp
-        total += float(np.sum(acc * emt))
+        total += float((acc * emt).sum())
         abs_total += float(bound @ emt)
         ratio = math.exp(-t) * ((hi + 2.0) / (hi + 1.0)) ** k
         if ratio < 1.0:
@@ -639,3 +651,65 @@ def unit_ball_volume(n: int, policy: TruncationPolicy | None = None) -> Enclosur
         raise DomainError(f"dimension must be a nonnegative integer, got {n!r}")
     enc = ln_gamma(1.0 + 0.5 * n, policy)
     return _exp(0.5 * n * math.log(math.pi) - enc.value, enc, 2)
+
+
+# ---------------------------------------------------------------------------
+# the run-scoped cell table
+# ---------------------------------------------------------------------------
+
+# the cell table of the current verification run; None outside a run
+_RUN_CELLS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "qgammakit_run_cells", default=None
+)
+
+
+@contextlib.contextmanager
+def _run_cells():
+    """Share every evaluator cell among all calls made inside the block.
+
+    The table lives as long as the block, never longer: a second run, or a
+    call outside any run, evaluates afresh.
+    """
+    token = _RUN_CELLS.set({})
+    try:
+        yield
+    finally:
+        _RUN_CELLS.reset(token)
+
+
+def _cells(fn, context: tuple, policy) -> dict | None:
+    """The run's cells of evaluator ``fn`` at the non-point arguments
+    ``context``, keyed by the point; None outside a run.  policy=None and
+    DEFAULT_POLICY share their cells."""
+    table = _RUN_CELLS.get()
+    if table is None:
+        return None
+    # one dict per (fn, context, policy), keyed by the point: smaller and
+    # faster to probe than a key of all the arguments
+    return table.setdefault((fn, context, policy or DEFAULT_POLICY), {})
+
+
+def _cell(cells: dict | None, y: float, fn, *args) -> Enclosure:
+    """``fn(*args)``, whose point is ``y``: evaluated the first time, then
+    read from ``cells``.  A DomainError/ConvergenceError is stored and raised
+    again.  With ``cells`` None (outside a run) this just calls ``fn``."""
+    if cells is None:
+        return fn(*args)
+    cell = cells.get(y)
+    if cell is None:
+        try:
+            cell = fn(*args)
+        except (DomainError, ConvergenceError) as exc:
+            cell = exc
+        cells[y] = cell
+    if isinstance(cell, Exception):
+        raise cell.with_traceback(None)
+    return cell
+
+
+def _once(fn, *args, at: int = 0, policy: TruncationPolicy | None = None) -> Enclosure:
+    """``fn(*args, policy)`` through the run's table, where ``args[at]`` is
+    the point.  Pass ``fn`` as the caller's module binding, so that a
+    wrapper put there sees only the real evaluations."""
+    cells = _cells(fn, args[:at] + args[at + 1 :], policy)
+    return _cell(cells, args[at], fn, *args, policy)

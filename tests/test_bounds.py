@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from qgammakit import bounds as bd
 from qgammakit import specfun as sf
-from qgammakit.errors import DomainError, UsageError
+from qgammakit.corpus import _LEM5_CASES
+from qgammakit.errors import ConvergenceError, DomainError, UsageError
 
 import oracles
 
@@ -242,6 +244,27 @@ def test_a_poly_and_root():
         bd.a_poly(0.5, 3, 1, 0.5)
 
 
+@pytest.mark.parametrize("m, n, c", _LEM5_CASES)
+def test_a_poly_sign_changes_match_a_scalar_loop(m, n, c):
+    root = bd.a_poly_root(m, n, c)
+    for hi, points in ((0.5 * (1.0 + root), 10000), (2.0 * root, 9999), (2.0 * root, 10000)):
+        neg = [bd.a_poly(float(t), m, n, c) < 0.0 for t in np.linspace(1.0, hi, points)]
+        expected = sum(a != b for a, b in zip(neg, neg[1:]))
+        assert bd.a_poly_sign_changes(m, n, c, hi, points) == expected
+    assert bd.a_poly_sign_changes(m, n, c, 2.0 * root, 10000) == 1
+
+
+def test_a_poly_sign_changes_validate_their_arguments():
+    for m, n in ((1, 1), (2, 3), (3.0, 1), (3, 0)):
+        with pytest.raises(UsageError):
+            bd.a_poly_sign_changes(m, n, 0.5, 4.0, 100)
+    for c in (0.0, 1.0, -0.5):
+        with pytest.raises(DomainError):
+            bd.a_poly_sign_changes(3, 1, c, 4.0, 100)
+    with pytest.raises(DomainError):  # the grid reaches below t = 1
+        bd.a_poly_sign_changes(3, 1, 0.5, 0.5, 100)
+
+
 # ---------------------------------------------------------------------------
 # chained digamma-difference inequalities
 # ---------------------------------------------------------------------------
@@ -316,3 +339,48 @@ def test_thm3_chain_on_grid():
                 bp = bd.ratio_bounds(x, s, q, "im_midpoint")
                 exact = bd.gamma_ratio(x, s, q)
                 assert bp.lower <= exact + 1e-12 and exact <= bp.upper + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the run's cell table
+# ---------------------------------------------------------------------------
+
+
+def test_gamma_ratio_reads_the_cell_table_only_inside_a_run(monkeypatch):
+    calls = collections.Counter()
+
+    def counting(name):
+        fn = getattr(bd, name)
+
+        def counted(*args):
+            calls[name, args[:-1]] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in ("ln_gamma", "q_ln_gamma"):
+        monkeypatch.setattr(bd, name, counting(name))
+    first = bd.gamma_ratio(2.0, 0.5, 0.7)
+    assert bd.gamma_ratio(2.0, 0.5, 0.7) == first
+    assert calls == {("q_ln_gamma", (3.0, 0.7)): 2, ("q_ln_gamma", (2.5, 0.7)): 2}
+    calls.clear()
+    tight = sf.TruncationPolicy(max_terms=1)
+    with sf._run_cells():
+        for _ in range(2):
+            assert bd.gamma_ratio(2.0, 0.5, 0.7) == first
+        # a failing point fails again from its cell, with the same error class
+        for _ in range(2):
+            with pytest.raises(ConvergenceError):
+                bd.gamma_ratio(2.0, 0.5, 0.99, tight)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                bd.gamma_ratio(1e308, 0.5, 1.0)
+    assert calls == {
+        ("q_ln_gamma", (3.0, 0.7)): 1,
+        ("q_ln_gamma", (2.5, 0.7)): 1,
+        ("q_ln_gamma", (3.0, 0.99)): 1,
+        ("ln_gamma", (1e308,)): 1,
+    }
+    # the table ended with the run
+    assert bd.gamma_ratio(2.0, 0.5, 0.7) == first
+    assert calls["q_ln_gamma", (3.0, 0.7)] == 2

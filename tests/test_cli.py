@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from qgammakit import bounds as bd
 from qgammakit import cli
 from qgammakit import cm_engine as ce
 from qgammakit import corpus
@@ -233,24 +234,44 @@ def test_verify_run_evaluates_each_polygamma_cell_once(monkeypatch):
     assert cli._canonical_json(doc["entries"]) == cli._canonical_json(alone)
 
 
+def test_verify_run_evaluates_each_bounds_cell_once(monkeypatch):
+    calls = collections.Counter()
+
+    def counting(name):
+        fn = getattr(bd, name)
+
+        def counted(*args):
+            calls[name, args] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in ("q_ln_gamma", "q_digamma"):
+        monkeypatch.setattr(bd, name, counting(name))
+    doc, unexpected = cli._report_document("rows", ["eq14-bounds", "thm3-chain"], None, None, 1e-12)
+    assert unexpected == 0
+    assert {name for name, _ in calls} == {"q_ln_gamma", "q_digamma"}
+    assert max(calls.values()) == 1
+
+
 def test_verify_row_table_ends_with_the_run(monkeypatch):
     run_descriptor = corpus.run_descriptor
     seen = []
 
     def second_claim_raises(cid, *args, **kwargs):
-        seen.append(ce._RUN_ROWS.get())
+        seen.append(sf._RUN_CELLS.get())
         if len(seen) == 2:
             raise RuntimeError("claim failed")
         return run_descriptor(cid, *args, **kwargs)
 
-    assert ce._RUN_ROWS.get() is None
+    assert sf._RUN_CELLS.get() is None
     cli._report_document("rows", ["dup-psi"], None, None, 1e-12)
-    assert ce._RUN_ROWS.get() is None
+    assert sf._RUN_CELLS.get() is None
     monkeypatch.setattr(corpus, "run_descriptor", second_claim_raises)
     with pytest.raises(RuntimeError):
         cli._report_document("rows", ["cor4-lcm", "thm30-lcm"], None, None, 1e-12)
     assert seen[0] and seen[1] is seen[0]
-    assert ce._RUN_ROWS.get() is None
+    assert sf._RUN_CELLS.get() is None
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,7 @@ def test_rows_are_shared_only_inside_a_run(monkeypatch):
     grid = ce.GridSpec(0.5, 4.0, 8, "log")
     reports = [ce.check_sign_pattern(target, 3, grid, "completely_monotonic") for _ in range(2)]
     assert len(calls) == 4 * 8 and set(calls.values()) == {2}
-    with ce._run_rows():
+    with sf._run_cells():
         reports += [ce.check_sign_pattern(target, 3, grid, "completely_monotonic") for _ in range(2)]
         # orders 1..4 once more, asked for by a composite target on the same grid
         ce.check_sign_pattern(ce.MonomialPolyGamma(0, 1), 3, grid, "completely_monotonic")
@@ -380,7 +380,7 @@ def test_jet_grid_marks_exactly_the_points_that_raise():
         (ce.PolyGammaShift(1, 0.5), [False, True, True, True, True, True]),
         (ce.QPolyGammaShift(0, 0.6, 0.5), [False, True, True, True, True, True]),
     ):
-        with ce._run_rows():
+        with sf._run_cells():
             for _ in range(2):
                 assert _assert_grid_matches_per_order(leaf, xs, 4).tolist() == expected
     # high orders at small x run out of terms; the rest of the grid certifies
