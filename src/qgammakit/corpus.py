@@ -247,22 +247,6 @@ def _value(target, k):
     return lambda x: target.deriv(k, x).value
 
 
-# the evaluator values the checks read directly, each through the run's cell
-# table (``specfun._once``)
-
-
-def _ln_gamma(x: float) -> float:
-    return sf._once(sf.ln_gamma, x).value
-
-
-def _psi(x: float) -> float:
-    return sf._once(sf.digamma, x).value
-
-
-def _psi_n(n: int, x: float) -> float:
-    return sf._once(sf.polygamma, n, x, at=1).value
-
-
 def _x_points(grid: GridSpec, extra: dict | None = None) -> list[dict]:
     extra = extra or {}
     return [{"x": x, **extra} for x in grid.values()]
@@ -599,8 +583,8 @@ def _build_noncompare(desc, grid, K, ov):
     chain_a = _chain_check(
         "noncompare[x->0]",
         lambda p: [
-            _psi(1.0) + _psi(p["x"]),
-            2.0 * _psi(math.sqrt(p["x"])),
+            bd._psi_q(1.0, 1.0) + bd._psi_q(p["x"], 1.0),
+            2.0 * bd._psi_q(math.sqrt(p["x"]), 1.0),
         ],
         pts_a, "chain_lt",
     )
@@ -608,8 +592,8 @@ def _build_noncompare(desc, grid, K, ov):
     chain_b = _chain_check(
         "noncompare[x>1]",
         lambda p: [
-            2.0 * _psi(p["x"] + math.sqrt(p["s"])),
-            _psi(p["x"] + 1.0) + _psi(p["x"] + p["s"]),
+            2.0 * bd._psi_q(p["x"] + math.sqrt(p["s"]), 1.0),
+            bd._psi_q(p["x"] + 1.0, 1.0) + bd._psi_q(p["x"] + p["s"], 1.0),
         ],
         pts_b, "chain_lt",
     )
@@ -764,7 +748,7 @@ def _build_kv(desc, grid, K, ov):
 
     def row(p):
         b = bd.keckic_vasic_bounds(p["x"], p["b"])
-        ratio = math.exp(_ln_gamma(p["b"]) - _ln_gamma(p["x"]))
+        ratio = math.exp(bd._ln_gamma_q(p["b"], 1.0) - bd._ln_gamma_q(p["x"], 1.0))
         return [b.lower, ratio, b.upper]
 
     return [_chain_check("kv-bounds", row, pts)]
@@ -1085,7 +1069,7 @@ def _build_eq43(desc, grid, K, ov):
     checks = []
     for n in (1, 2, 3):
         def fn(x, n=n):
-            return -x * _psi_n(n + 1, x) / _psi_n(n, x)
+            return -x * bd._psi_n(n + 1, x) / bd._psi_n(n, x)
 
         checks.append(_probe_check(
             f"eq43-range[n={n}]", fn, grid, "decreasing", {"n": n},
@@ -1104,7 +1088,7 @@ def _build_cor45(desc, grid, K, ov):
     for a in (0.5, 1.0):
         for n in (1, 2):
             def fn(x, a=a, n=n):
-                return x * _psi_n(n + 1, x + a) / _psi_n(n, x + a)
+                return x * bd._psi_n(n + 1, x + a) / bd._psi_n(n, x + a)
 
             checks.append(_probe_check(
                 f"prop-cor45[a={a},n={n}]", fn, grid, "decreasing", {"a": a, "n": n}
@@ -1131,7 +1115,7 @@ def _build_ci_kernel(desc, grid, K, ov):
     n_max = int(ov.get("n_max", 16))
 
     def row(p):
-        return [0.0, sf._once(sf.kernel_derivative, p["n"], p["n"], p["x"], at=2)]
+        return [0.0, sf.kernel_derivative(p["n"], p["n"], p["x"])]
 
     checks = []
     for n in range(1, n_max + 1):
@@ -1186,7 +1170,7 @@ def _build_qthm(desc, grid, K, ov):
             def fn(x, q=q, n=n):
                 w = (1.0 - q**x) ** n
                 sign = 1.0 if n % 2 == 1 else -1.0
-                return w * sign * sf._once(sf.q_polygamma, n, x, q, at=1).value
+                return w * sign * bd._psi_qn(n, x, q)
 
             checks.append(_probe_check(
                 f"qthm-monotone[q={q},n={n}]", fn, grid, "decreasing", {"q": q, "n": n}
@@ -1248,9 +1232,9 @@ def _build_dup(desc, grid, K, ov):
     def row(p):
         x = p["x"]
         resid = abs(
-            _psi(2.0 * x)
-            - 0.5 * _psi(x)
-            - 0.5 * _psi(x + 0.5)
+            bd._psi_q(2.0 * x, 1.0)
+            - 0.5 * bd._psi_q(x, 1.0)
+            - 0.5 * bd._psi_q(x + 0.5, 1.0)
             - math.log(2.0)
         )
         return [resid, 1e-12]

@@ -15,15 +15,16 @@ that double up to 2**17 terms, the last one clamped to
 rest of the series geometrically and stops once that tail is at most
 eps * (1 + |partial sum|); if the budget runs out first, ConvergenceError.
 
-Within one verification run every evaluator call of the layers above
-(cm_engine's grid leaves, the bounds functions, the corpus probes) reads one
-cell table that ``_run_cells`` opens around the run's claims.  The cells of
-each (evaluator, non-point arguments, policy) are keyed by the point; a cell
-is evaluated by one call the first time it is asked for, and later asks get
-the same Enclosure object, or the same DomainError/ConvergenceError raised
-again, so results keep their bits.  policy=None and DEFAULT_POLICY share
-their cells.  The table is a ContextVar that the run resets when it ends;
-outside a run the lookup just calls the evaluator and keeps nothing.
+Within one verification run the evaluator calls of the layers above
+(cm_engine's grid leaves, the bounds functions, and the corpus probes and
+chains that meet a point twice) read one cell table that ``_run_cells``
+opens around the run's claims.  The cells of each (evaluator, non-point
+arguments, policy) are keyed by the point; a cell is evaluated by one call
+the first time it is asked for, and later asks get the same Enclosure
+object, or a DomainError/ConvergenceError of the same class and message
+raised again, so results keep their bits.  policy=None and DEFAULT_POLICY
+share their cells.  The table is a ContextVar that the run resets when it
+ends; outside a run the lookup just calls the evaluator and keeps nothing.
 """
 
 from __future__ import annotations
@@ -691,8 +692,10 @@ def _cells(fn, context: tuple, policy) -> dict | None:
 
 def _cell(cells: dict | None, y: float, fn, *args) -> Enclosure:
     """``fn(*args)``, whose point is ``y``: evaluated the first time, then
-    read from ``cells``.  A DomainError/ConvergenceError is stored and raised
-    again.  With ``cells`` None (outside a run) this just calls ``fn``."""
+    read from ``cells``.  A DomainError/ConvergenceError is stored as its
+    class and arguments, and each later read raises a fresh instance, so the
+    table holds no traceback and keeps no caller's frame alive.  With
+    ``cells`` None (outside a run) this just calls ``fn``."""
     if cells is None:
         return fn(*args)
     cell = cells.get(y)
@@ -700,10 +703,12 @@ def _cell(cells: dict | None, y: float, fn, *args) -> Enclosure:
         try:
             cell = fn(*args)
         except (DomainError, ConvergenceError) as exc:
-            cell = exc
+            cells[y] = (type(exc), exc.args)
+            raise
         cells[y] = cell
-    if isinstance(cell, Exception):
-        raise cell.with_traceback(None)
+    elif type(cell) is tuple:
+        err_type, err_args = cell
+        raise err_type(*err_args)
     return cell
 
 

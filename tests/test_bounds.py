@@ -1,5 +1,7 @@
 import collections
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -384,3 +386,25 @@ def test_gamma_ratio_reads_the_cell_table_only_inside_a_run(monkeypatch):
     # the table ended with the run
     assert bd.gamma_ratio(2.0, 0.5, 0.7) == first
     assert calls["q_ln_gamma", (3.0, 0.7)] == 2
+
+
+def test_a_stored_error_keeps_no_caller_frame_alive():
+    class Marker:
+        pass
+
+    def caller():
+        # a local of the frame that catches the error: it dies with the
+        # frame unless the table keeps a traceback that holds the frame
+        marker = Marker()
+        try:
+            bd.gamma_ratio(1e308, 0.5, 1.0)
+        except DomainError as exc:
+            message = str(exc)
+        return weakref.ref(marker), message
+
+    with sf._run_cells():
+        first, first_message = caller()  # evaluates and stores the cell
+        again, again_message = caller()  # raises again from the cell
+        gc.collect()
+        assert first() is None and again() is None
+        assert again_message == first_message
