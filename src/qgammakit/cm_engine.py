@@ -18,10 +18,14 @@ so each column holds exactly the bits of the scalar jet.  A sign-pattern
 check asks for one grid.
 
 The psi-family leaves (``LnGammaFn``, ``PolyGammaShift``,
-``PolyProductTarget``, ``QPolyGammaShift``) fill their grids one scalar
-evaluator call per (order, point) cell through specfun's run-scoped cell
-table, so within a verification run each cell is evaluated once and the
-bits stay those of the scalar jet.
+``PolyProductTarget``, ``QPolyGammaShift``) fill their grids through
+specfun's run-scoped cell table, so within a verification run each
+(order, point) cell is evaluated once.  The psi and polygamma cells are
+one scalar evaluator call each; the psi_q cells a grid lacks are summed in
+one ``specfun._q_psi_grid`` call.  Either way the bits stay those of the
+scalar jet.
+
+A monotonicity probe reads a target's orders 0 and 1 off one grid.
 
 Checks report pass / fail / inconclusive; a point is inconclusive when the
 certified evaluation error swamps the margin, or when any order at it cannot
@@ -41,11 +45,13 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, PreconditionError, UsageError
 from .specfun import (
     DEFAULT_POLICY,
+    _CHUNK_ELEMENTS,
     _EPS_MACH,
     _blocks,
     _cell,
     _cells,
     _once,
+    _q_psi_grid,
     Enclosure,
     TruncationPolicy,
     digamma,
@@ -83,8 +89,6 @@ CLAIM_KINDS = (
 
 ANALYTIC_ORDER_CAP = 12
 FINITE_DIFF_ORDER_CAP = 8
-# largest block temporary of QSeriesTarget._jets, in float64 elements
-_CHUNK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -256,17 +260,21 @@ def _rows(ys: np.ndarray, orders, policy, leaf, tail=()) -> _JetGrid:
     """Row i holds the Enclosures of order ``orders[i]`` at every y of ``ys``.
 
     ``leaf(n)`` gives (evaluator, order arguments) for order n; each cell
-    is one call ``evaluator(*order_args, y, *tail, policy)`` through the
+    is the call ``evaluator(*order_args, y, *tail, policy)`` through the
     run's table (``specfun._cells``), so inside a run it is evaluated once,
-    also where two grids share a point; outside a run nothing is kept.  A
-    point fails where its first failing order fails, as in the scalar jet.
+    also where two grids share a point; outside a run nothing is kept.  The
+    psi_q leaf evaluates the cells it does not find in one
+    ``specfun._q_psi_grid`` call and stores them as the scalar calls would.
+    A point fails where its first failing order fails, as in the scalar jet.
     """
     yl = ys.tolist()
+    leaves = [leaf(n) for n in orders]
+    tables = [_cells(fn, head + tail, policy) for fn, head in leaves]
+    if leaf is _qpsi:
+        tables = _fill_q_psi(tables, orders, yl, tail[0], policy)
     failures = [None] * len(yl)
     rows = []
-    for n in orders:
-        fn, head = leaf(n)
-        cells = _cells(fn, head + tail, policy)
+    for (fn, head), cells in zip(leaves, tables):
         row = []
         for p, y in enumerate(yl):
             try:
@@ -282,6 +290,22 @@ def _rows(ys: np.ndarray, orders, policy, leaf, tail=()) -> _JetGrid:
     failed = [p for p, f in enumerate(failures) if f is not None]
     grid.values[:, failed] = grid.errors[:, failed] = np.nan
     return grid
+
+
+def _fill_q_psi(tables, orders, yl, q, policy) -> list[dict]:
+    """The psi_q tables of ``orders`` with a cell at every point of ``yl``:
+    the orders and points that lack one are evaluated in one grid call, and
+    only the missing cells are stored.  Outside a run (a table is None) the
+    cells go to fresh tables that the caller drops."""
+    tables = [{} if cells is None else cells for cells in tables]
+    rows = [i for i, cells in enumerate(tables) if any(y not in cells for y in yl)]
+    if rows:
+        ys = list(dict.fromkeys(y for i in rows for y in yl if y not in tables[i]))
+        grid = _q_psi_grid([orders[i] for i in rows], ys, q, policy)
+        for i, row in zip(rows, grid):
+            for y, cell in zip(ys, row):
+                tables[i].setdefault(y, cell)
+    return tables
 
 
 class Target:
@@ -1001,6 +1025,33 @@ def check_majorization(a, b) -> bool:
     return True
 
 
+def _guarded(f, x):
+    try:
+        return f(x)
+    except (DomainError, ConvergenceError):
+        return None
+
+
+def _target_orders(target: Target, K: int, xs: list[float]) -> list[list]:
+    """The values of orders 0..K of ``target`` at ``xs``, None where
+    ``target.deriv(k, x)`` raises, from one ``jet_grid`` call.  The grid
+    fails a point at every order when one order fails there, so such a
+    point asks each order alone."""
+    values, _, ok = target.jet_grid(xs, K)
+    rows = values.tolist()
+    for p in np.flatnonzero(~ok).tolist():
+        for k in range(K + 1):
+            rows[k][p] = _guarded(lambda x: target.deriv(k, x).value, xs[p])
+    return rows
+
+
+def _probe_values(f, k: int, xs: list[float]) -> list:
+    """Order k of a Target, or the callable ``f``, at every x of ``xs``."""
+    if isinstance(f, Target):
+        return _target_orders(f, k, xs)[k]
+    return [_guarded(f, x) for x in xs]
+
+
 def monotonicity_probe(
     fn,
     grid,
@@ -1014,23 +1065,23 @@ def monotonicity_probe(
 ) -> VerificationReport:
     """First-difference (and optional first-derivative) monotonicity check.
 
-    ``value_range = (lo, hi)`` additionally asserts lo < f(x) <= hi at every
-    grid point (the range-containment form used by the ratio targets).
-    ``jobs`` is accepted for compatibility and ignored: points are evaluated
-    sequentially.
+    ``fn`` and ``deriv_fn`` are callables x -> float, or Targets: a Target
+    ``fn`` gives its order 0 and a Target ``deriv_fn`` its order 1, read off
+    one ``jet_grid`` call (one call for both when they are the same Target).
+    A point where a value raises DomainError or ConvergenceError is
+    inconclusive.  ``value_range = (lo, hi)`` additionally asserts
+    lo < f(x) <= hi at every grid point (the range-containment form used by
+    the ratio targets).  ``jobs`` is accepted for compatibility and ignored.
     """
     if direction not in ("increasing", "decreasing"):
         raise UsageError(f"direction must be increasing|decreasing, got {direction!r}")
     xs = _grid_values(grid)
     base_params = dict(params or {})
-
-    def guarded(f, x):
-        try:
-            return f(x)
-        except (DomainError, ConvergenceError):
-            return None
-
-    vals = [guarded(fn, x) for x in xs]
+    if isinstance(fn, Target) and deriv_fn is fn:
+        vals, dvals = _target_orders(fn, 1, xs)
+    else:
+        vals = _probe_values(fn, 0, xs)
+        dvals = None if deriv_fn is None else _probe_values(deriv_fn, 1, xs)
     inconclusive = None in vals
     sgn = 1.0 if direction == "increasing" else -1.0
     violations = []
@@ -1045,8 +1096,7 @@ def monotonicity_probe(
             violations.append(
                 Violation(xs[i], base_params, 0, vals[i], vals[i + 1], margin)
             )
-    if deriv_fn is not None:
-        dvals = [guarded(deriv_fn, x) for x in xs]
+    if dvals is not None:
         inconclusive = inconclusive or None in dvals
         for x, d in zip(xs, dvals):
             if d is None:

@@ -242,11 +242,6 @@ def _probe_check(label, fn, grid, direction, params, **kw):
     ))
 
 
-def _value(target, k):
-    """x -> the value of the k-th derivative of ``target`` at x."""
-    return lambda x: target.deriv(k, x).value
-
-
 def _x_points(grid: GridSpec, extra: dict | None = None) -> list[dict]:
     extra = extra or {}
     return [{"x": x, **extra} for x in grid.values()]
@@ -1026,13 +1021,13 @@ def _build_thm11(desc, grid, K, ov):
         for n in (1, 2, 3):
             tgt = _f_an(a, n)
             checks.append(_probe_check(
-                f"lem-thm11[incr,a={a},n={n}]", _value(tgt, 0), grid, "increasing",
-                {"a": a, "n": n}, deriv_fn=_value(tgt, 1),
+                f"lem-thm11[incr,a={a},n={n}]", tgt, grid, "increasing",
+                {"a": a, "n": n}, deriv_fn=tgt,
             ))
     dec_grid = GridSpec(1e-2, 20.0, grid.points, "log")
     for n in (1, 2, 3):
         checks.append(_probe_check(
-            f"lem-thm11[decr,n={n}]", _value(_f_an(0.0, n), 0), dec_grid, "decreasing",
+            f"lem-thm11[decr,n={n}]", _f_an(0.0, n), dec_grid, "decreasing",
             {"n": n},
         ))
     # companion CM forms: x psi'(x) and psi'(x+a) + x psi''(x+a)
@@ -1056,7 +1051,7 @@ def _build_thm11(desc, grid, K, ov):
 ))
 def _build_thm11_onlyif(desc, grid, K, ov):
     return [_probe_check(
-        "thm11-onlyif", _value(_f_an(0.4, 1), 0), grid, "increasing", {"a": 0.4, "n": 1}
+        "thm11-onlyif", _f_an(0.4, 1), grid, "increasing", {"a": 0.4, "n": 1}
     )]
 
 

@@ -25,6 +25,13 @@ object, or a DomainError/ConvergenceError of the same class and message
 raised again, so results keep their bits.  policy=None and DEFAULT_POLICY
 share their cells.  The table is a ContextVar that the run resets when it
 ends; outside a run the lookup just calls the evaluator and keeps nothing.
+
+The psi_q series has a private grid twin, ``_q_psi_sums``, that sums many
+orders and points at once and gives every (order, point) the bits of its
+scalar ``_q_psi_sum`` call; ``_q_psi_grid`` builds the cells of a grid of
+q_digamma/q_polygamma calls from it, and cm_engine stores them in the
+run's table.  The public evaluators keep their scalar code, which is
+faster for one call.
 """
 
 from __future__ import annotations
@@ -156,6 +163,11 @@ class LogMeanOrder:
 def _require_positive(x, name="x"):
     if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0.0:
         raise DomainError(f"{name} must be positive and finite, got {x!r}")
+
+
+def _require_order(n):
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"derivative order must be an integer >= 1, got {n!r}")
 
 
 def _as_q(q) -> float:
@@ -345,8 +357,7 @@ def polygamma(n: int, x: float, policy: TruncationPolicy | None = None) -> Enclo
     or n! leaves double precision.
     """
     policy = policy or DEFAULT_POLICY
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"derivative order must be an integer >= 1, got {n!r}")
+    _require_order(n)
     _require_positive(x)
     threshold = 10.0 + n
     shift_terms = []
@@ -390,8 +401,7 @@ def polygamma_series(n: int, x: float, policy: TruncationPolicy | None = None) -
     in particular it never exceeds (1/n)(x+K-1)^(-n).
     """
     policy = policy or DEFAULT_POLICY
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"derivative order must be an integer >= 1, got {n!r}")
+    _require_order(n)
     _require_positive(x)
     K = 3000
     k = np.arange(K, dtype=float)
@@ -413,6 +423,8 @@ def polygamma_series(n: int, x: float, policy: TruncationPolicy | None = None) -
 
 _BLOCK = 256
 _BLOCK_MAX = 1 << 17
+# largest block temporary of a grid of q-series, in float64 elements
+_CHUNK_ELEMENTS = 1 << 14
 
 
 def _blocks(policy: TruncationPolicy, what: str, *context, first: int = _BLOCK):
@@ -427,7 +439,11 @@ def _blocks(policy: TruncationPolicy, what: str, *context, first: int = _BLOCK):
         hi = min(lo + block, policy.max_terms)
         yield lo, hi
         lo, block = hi, min(2 * block, _BLOCK_MAX)
-    raise ConvergenceError(
+    raise _budget_error(policy, what, *context)
+
+
+def _budget_error(policy: TruncationPolicy, what: str, *context) -> ConvergenceError:
+    return ConvergenceError(
         f"{what.format(*context)} did not certify within {policy.max_terms} terms"
     )
 
@@ -484,6 +500,9 @@ def q_gamma(x: float, q, policy: TruncationPolicy | None = None) -> Enclosure:
     return _exp(enc.value, enc)
 
 
+_Q_SERIES = "q-series (x={}, q={}, order={})"
+
+
 def _q_psi_sum(x: float, q: float, n: int, policy: TruncationPolicy):
     """sum_{k>=1} k^n q^(kx) / (1 - q^k) with a geometric tail certificate.
 
@@ -492,7 +511,7 @@ def _q_psi_sum(x: float, q: float, n: int, policy: TruncationPolicy):
     """
     lnq = math.log(q)
     total = 0.0
-    for k0, hi in _blocks(policy, "q-series (x={}, q={}, order={})", x, q, n):
+    for k0, hi in _blocks(policy, _Q_SERIES, x, q, n):
         k = np.arange(k0 + 1, hi + 1, dtype=float)
         logs = k * (x * lnq)
         if n:
@@ -506,26 +525,150 @@ def _q_psi_sum(x: float, q: float, n: int, policy: TruncationPolicy):
                 return total, tail, hi
 
 
+def _q_psi_sums(xs: list[float], q: float, orders, policy: TruncationPolicy):
+    """``_q_psi_sum`` at every order of ``orders`` and point of ``xs`` at once.
+
+    Returns (totals, tails, terms), each of shape (len(orders), len(xs));
+    cell (i, p) holds exactly the bits of _q_psi_sum(xs[p], q, orders[i],
+    policy), or terms 0 where that call raises ConvergenceError.  A block's
+    k, log k and denominators are shared by all cells; each cell keeps the
+    scalar's elementwise operations, sums its row of the block as one
+    contiguous reduction, accumulates in doubles and stops at the scalar's
+    tail test.  Points run in chunks, so that no temporary holds more than
+    _CHUNK_ELEMENTS elements or one row of the block.
+    """
+    lnq = math.log(q)
+    q_xs = np.array([math.exp(x * lnq) for x in xs])  # q^x, as the scalar stop test has it
+    shape = (len(orders), len(xs))
+    totals, tails = np.zeros(shape), np.zeros(shape)
+    terms = np.zeros(shape, dtype=np.int64)
+    active = np.ones(shape, dtype=bool)
+    # inf and nan follow the scalar's float arithmetic, without its warnings
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rates = np.array(xs, dtype=float) * lnq  # x ln q
+        try:
+            # the budget error names no cell; the caller names each one
+            for k0, hi in _blocks(policy, "q-series grid"):
+                k = np.arange(k0 + 1, hi + 1, dtype=float)
+                logk = np.log(k)
+                denom = -np.expm1(k * lnq)
+                step = max(1, _CHUNK_ELEMENTS // len(k))
+                for i, n in enumerate(orders):
+                    live = np.flatnonzero(active[i])
+                    if not live.size:
+                        continue
+                    n_logk = n * logk
+                    last = np.empty(len(live))
+                    for c0 in range(0, len(live), step):
+                        pts = live[c0:c0 + step]
+                        logs = np.multiply.outer(rates[pts], k)
+                        if n:
+                            logs += n_logk
+                        t = np.exp(logs)
+                        t /= denom
+                        totals[i, pts] += t.sum(axis=1)
+                        last[c0:c0 + step] = t[:, -1]
+                    ratio = ((hi + 1.0) / hi) ** n * q_xs[live]
+                    tail = last * ratio / (1.0 - ratio)
+                    done = (ratio < 1.0) & (tail <= policy.eps * (1.0 + totals[i, live]))
+                    stop = live[done]
+                    tails[i, stop] = tail[done]
+                    terms[i, stop] = hi
+                    active[i, stop] = False
+                if not active.any():
+                    break
+        except ConvergenceError:
+            pass
+    return totals, tails, terms
+
+
+def _q_psi_value(n: int, x: float, q, qv: float, s: float, tail: float, terms: int) -> Enclosure:
+    """psi_q^(n)(x) (n = 0: psi_q) at q = qv from s, tail, terms of
+    _q_psi_sum(x, p, n) with p = min(qv, 1/qv); ``q`` is the caller's
+    argument, which the overflow message names."""
+    p = 1.0 / qv if qv > 1.0 else qv
+    lnp = math.log(p)
+    if n == 0:
+        val = -math.log1p(-p) + lnp * s
+        # the two summands cancel near the zero x0 ~ 1.46: base the slop on them
+        magnitude = -math.log1p(-p) + abs(lnp * s)
+        if qv > 1.0:
+            val = (1.5 - x) * lnp + val
+            magnitude += abs((1.5 - x) * lnp)
+        err = abs(lnp) * tail
+    else:
+        extra = -lnp if qv > 1.0 and n == 1 else 0.0
+        try:
+            scale = lnp ** (n + 1)
+        except OverflowError:
+            scale = math.inf
+        val = scale * s + extra
+        err = abs(scale) * tail
+        magnitude = abs(scale * s) + abs(extra)
+    if not (math.isfinite(val) and math.isfinite(err)):
+        raise DomainError(f"psi_q^({n})({x}) overflows double precision at q={q}")
+    return Enclosure(val, err + _slop(terms, magnitude), terms, warn_slow=terms > 10**5)
+
+
+def _q_psi(n: int, x: float, q, policy: TruncationPolicy | None) -> Enclosure:
+    """psi_q^(n)(x) (n = 0: psi_q) by one _q_psi_sum call; n is checked."""
+    _require_positive(x)
+    qv = _as_q(q)
+    p = 1.0 / qv if qv > 1.0 else qv
+    s, tail, terms = _q_psi_sum(x, p, n, policy or DEFAULT_POLICY)
+    return _q_psi_value(n, x, q, qv, s, tail, terms)
+
+
+def _q_psi_grid(orders, xs: list[float], q, policy: TruncationPolicy | None) -> list[list]:
+    """psi_q^(n)(x) at every n of ``orders`` (n = 0: psi_q) and x of ``xs``.
+
+    Row i, column p is the cell as ``_cell`` stores the scalar call
+    (q_digamma at n = 0, q_polygamma above) at (orders[i], xs[p]): its
+    Enclosure, or the class and arguments of the DomainError or
+    ConvergenceError it raises, with the same message.  The checks run in
+    the scalar's order (order, then x, then q), and every sum comes from one
+    _q_psi_sums call, so each cell has the scalar's bits.
+    """
+    policy = policy or DEFAULT_POLICY
+
+    def error(check, arg):
+        try:
+            check(arg)
+        except DomainError as exc:
+            return type(exc), exc.args
+        return None
+
+    order_errs = [error(_require_order, n) if n else None for n in orders]
+    x_errs = [error(_require_positive, x) for x in xs]
+    q_err = error(_as_q, q)
+    cells = [[o or e or q_err for e in x_errs] for o in order_errs]
+    rows = [i for i, o in enumerate(order_errs) if o is None]
+    cols = [p for p, e in enumerate(x_errs) if e is None]
+    if q_err or not rows or not cols:
+        return cells
+    qv = _as_q(q)
+    p_q = 1.0 / qv if qv > 1.0 else qv
+    ns = [orders[i] for i in rows]
+    ys = [xs[p] for p in cols]
+    sums = zip(*(a.tolist() for a in _q_psi_sums(ys, p_q, ns, policy)))
+    for i, n, row_sums in zip(rows, ns, sums):
+        for p, x, (s, tail, terms) in zip(cols, ys, zip(*row_sums)):
+            try:
+                if not terms:
+                    raise _budget_error(policy, _Q_SERIES, x, p_q, n)
+                cells[i][p] = _q_psi_value(n, x, q, qv, s, tail, terms)
+            except (DomainError, ConvergenceError) as exc:
+                cells[i][p] = type(exc), exc.args
+    return cells
+
+
 def q_digamma(x: float, q, policy: TruncationPolicy | None = None) -> Enclosure:
     """psi_q(x) = -ln(1-q) + ln q * sum q^(nx)/(1-q^n) for 0 < q < 1.
 
     For q > 1 the value follows from differentiating the Gamma_{1/q}
     relation: psi_q(x) = (3/2 - x) ln p + psi_p(x) with p = 1/q.
     """
-    policy = policy or DEFAULT_POLICY
-    _require_positive(x)
-    qv = _as_q(q)
-    p = 1.0 / qv if qv > 1.0 else qv
-    s, tail, terms = _q_psi_sum(x, p, 0, policy)
-    lnp = math.log(p)
-    val = -math.log1p(-p) + lnp * s
-    # the two summands cancel near the zero x0 ~ 1.46: base the slop on them
-    magnitude = -math.log1p(-p) + abs(lnp * s)
-    if qv > 1.0:
-        val = (1.5 - x) * lnp + val
-        magnitude += abs((1.5 - x) * lnp)
-    err = abs(lnp) * tail
-    return Enclosure(val, err + _slop(terms, magnitude), terms, warn_slow=terms > 10**5)
+    return _q_psi(0, x, q, policy)
 
 
 def q_polygamma(n: int, x: float, q, policy: TruncationPolicy | None = None) -> Enclosure:
@@ -535,30 +678,8 @@ def q_polygamma(n: int, x: float, q, policy: TruncationPolicy | None = None) -> 
     For q > 1 only the first derivative picks up the extra -ln p term from
     the branch relation; higher orders agree with the p = 1/q values.
     """
-    policy = policy or DEFAULT_POLICY
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"derivative order must be an integer >= 1, got {n!r}")
-    _require_positive(x)
-    qv = _as_q(q)
-    extra = 0.0
-    if qv > 1.0:
-        p = 1.0 / qv
-        if n == 1:
-            extra = -math.log(p)
-        qv = p
-    s, tail, terms = _q_psi_sum(x, qv, n, policy)
-    lnq = math.log(qv)
-    try:
-        scale = lnq ** (n + 1)
-    except OverflowError:
-        scale = math.inf
-    val = scale * s + extra
-    err = abs(scale) * tail
-    if not (math.isfinite(val) and math.isfinite(err)):
-        raise DomainError(f"psi_q^({n})({x}) overflows double precision at q={q}")
-    return Enclosure(
-        val, err + _slop(terms, abs(scale * s) + abs(extra)), terms, warn_slow=terms > 10**5
-    )
+    _require_order(n)
+    return _q_psi(n, x, q, policy)
 
 
 # ---------------------------------------------------------------------------

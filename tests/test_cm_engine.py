@@ -229,6 +229,7 @@ def _jet_targets():
         ce.PolyGammaShift(2),
         ce.QLnGammaFn(0.6),
         ce.QPolyGammaShift(0, 0.6, 0.5),
+        ce.QPolyGammaShift(1, 1.5, 0.25),  # q > 1: order 1 has the branch term
         ce.QSeriesTarget(0.7, _q_components(0.7), const=0.2, sign=-1.0),
         ce.ExpNegX(),
         ce.SinPlus2(),
@@ -388,6 +389,68 @@ def test_jet_grid_marks_exactly_the_points_that_raise():
     tight = sf.TruncationPolicy(max_terms=768)
     ok = _assert_grid_matches_per_order(series, [0.5, 1.0, 2.0, 4.0, 8.0], 12, tight)
     assert not ok.all() and ok.any()
+
+
+def test_q_psi_grid_fails_where_the_scalar_runs_out_of_terms():
+    """Under a tight budget the small-x cells of a psi_q grid raise the
+    scalar's ConvergenceError, message and all; the rest certify."""
+    target = ce.QPolyGammaShift(1, 0.9)
+    tight = sf.TruncationPolicy(max_terms=768)
+    xs = [0.05, 0.2, 1.0, 4.0, 16.0]
+    ok = _assert_grid_matches_per_order(target, xs, 4, tight)
+    assert not ok.all() and ok.any()
+    grid = target._jets(np.array(xs), 4, tight)
+    for x, failure in zip(xs, grid.failures):
+        if failure is None:
+            continue
+        with pytest.raises(ConvergenceError) as scalar:
+            target.jet(x, 4, tight)
+        assert type(failure) is ConvergenceError and str(failure) == str(scalar.value)
+
+
+def _count_q_psi_calls(monkeypatch):
+    """Count the scalar psi_q calls and the grid calls cm_engine makes."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("q_digamma", "q_polygamma", "_q_psi_grid"):
+        monkeypatch.setattr(ce, name, counted(name, getattr(ce, name)))
+    return calls
+
+
+def test_q_psi_grid_makes_no_scalar_calls(monkeypatch):
+    calls = _count_q_psi_calls(monkeypatch)
+    target = ce.QPolyGammaShift(0, 0.7)
+    xs = [float(v) for v in np.geomspace(0.05, 20.0, 16)]
+    target.jet_grid(xs, 6)
+    assert calls == {"_q_psi_grid": 1}
+    with sf._run_cells():
+        target.jet_grid(xs, 6)
+    assert calls == {"_q_psi_grid": 2}
+
+
+def test_q_psi_grid_shares_the_run_table_with_scalar_calls(monkeypatch):
+    calls = _count_q_psi_calls(monkeypatch)
+    target = ce.QPolyGammaShift(1, 0.7)
+    xs = [0.5, 1.0, 2.0]
+    with sf._run_cells():
+        # a cell stored first by a scalar call is read by the grid
+        first = target.deriv(1, 1.0)
+        assert calls == {"q_polygamma": 1}
+        target.jet_grid(xs, 2)
+        assert calls == {"q_polygamma": 1, "_q_psi_grid": 1}
+        table = sf._cells(ce.q_polygamma, (2, 0.7), None)
+        assert table[1.0] is first
+        # a cell the grid made is read by deriv as the same Enclosure
+        assert target.deriv(2, 2.0) is sf._cells(ce.q_polygamma, (3, 0.7), None)[2.0]
+        # and a second grid evaluates nothing
+        target.jet_grid(xs, 2)
+        assert calls == {"q_polygamma": 1, "_q_psi_grid": 1}
 
 
 def test_sign_pattern_makes_one_jet_grid_call_per_check(monkeypatch):
@@ -621,6 +684,48 @@ def test_probe_range_containment():
         value_range=(float(n), float(n + 1)),
     )
     assert rep.status == "pass"
+
+
+class _OrderOneFails(ce.AnalyticTarget):
+    """1/x, whose first derivative raises past x = 2."""
+
+    def deriv(self, k, x, policy=None):
+        if k == 1 and x > 2.0:
+            raise DomainError("order 1 is undefined past x = 2")
+        return sf.Enclosure((-1.0) ** k / x ** (k + 1), 0.0, 1)
+
+
+@pytest.mark.parametrize("target, xs", [
+    (ce.MonomialPolyGamma(1, 1, 0.5, 1.0), [-0.5, 0.0, 1.0, 3.0, 7.5]),  # psi'(0) raises
+    (_OrderOneFails(), [0.5, 1.0, 3.0, 4.0]),
+], ids=["MonomialPolyGamma", "order-1-fails"])
+def test_target_probe_reads_one_grid_and_reports_as_the_callables(monkeypatch, target, xs):
+    def callable_form(**kw):
+        return ce.monotonicity_probe(
+            lambda x: target.deriv(0, x).value, xs, "increasing",
+            deriv_fn=lambda x: target.deriv(1, x).value, **kw,
+        )
+
+    expected = [callable_form(), callable_form(value_range=(-1.0, 1.0))]
+    assert all(rep.status != "pass" for rep in expected)
+    calls = []
+    jet_grid = ce.Target.jet_grid
+
+    def counted(self, xs, K, policy=None):
+        calls.append(K)
+        return jet_grid(self, xs, K, policy)
+
+    monkeypatch.setattr(ce.Target, "jet_grid", counted)
+    got = ce.monotonicity_probe(target, xs, "increasing", deriv_fn=target)
+    assert calls == [1]
+    assert repr(got) == repr(expected[0])
+    got = ce.monotonicity_probe(target, xs, "increasing", deriv_fn=target, value_range=(-1.0, 1.0))
+    assert repr(got) == repr(expected[1])
+    # a Target fn alone reads order 0 only
+    calls.clear()
+    got = ce.monotonicity_probe(target, xs, "increasing")
+    assert calls == [0]
+    assert repr(got) == repr(ce.monotonicity_probe(lambda x: target.deriv(0, x).value, xs, "increasing"))
 
 
 def test_probe_direction_validation():

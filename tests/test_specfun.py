@@ -127,6 +127,7 @@ def test_domain_errors_classical():
     ("q_gamma", (200.0, 2.0)),
     ("q_polygamma", (200, 1.0, 1e-300)),
     ("q_polygamma", (300, 1.0, 0.01)),
+    ("q_digamma", (1e308, 1e300)),
 ], ids=lambda v: str(v))
 def test_edges_give_a_certified_value_or_domain_error(name, args):
     """psi^(n) at huge x is representable, and its value lies within its
@@ -250,6 +251,46 @@ def test_q_domain_errors():
         sf.q_digamma(-1.0, 0.5)
     with pytest.raises(DomainError):
         sf.q_polygamma(0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
+def test_q_psi_grid_twin_matches_the_scalar_sum_bit_for_bit(q):
+    """Every (order, point) cell of the grid twin has the value, tail and
+    term count of its own _q_psi_sum call, and terms 0 exactly where that
+    call runs out of terms."""
+    xs = [float(v) for v in np.geomspace(1e-3, 1e3, 7)]
+    orders = list(range(13))
+    totals, tails, terms = sf._q_psi_sums(xs, q, orders, sf.DEFAULT_POLICY)
+    for i, n in enumerate(orders):
+        for p, x in enumerate(xs):
+            try:
+                ref = sf._q_psi_sum(x, q, n, sf.DEFAULT_POLICY)
+            except ConvergenceError:
+                assert terms[i, p] == 0, (n, x)
+                continue
+            got = (float(totals[i, p]), float(tails[i, p]), int(terms[i, p]))
+            assert (got[0].hex(), got[1].hex(), got[2]) == (ref[0].hex(), ref[1].hex(), ref[2]), (n, x)
+
+
+def test_q_psi_grid_cells_are_the_scalar_calls():
+    """Each cell of _q_psi_grid is what q_digamma / q_polygamma return, or
+    the class and message of what they raise, in the scalar's check order."""
+    xs = [-1.0, 1e-3, 0.5, 3.0, 1e308, math.nan]
+    orders = [0, 1, 2, -1]
+    tight = sf.TruncationPolicy(max_terms=768)
+    for q in (0.6, 1e300, 1.0):
+        for policy in (None, tight):
+            cells = sf._q_psi_grid(orders, xs, q, policy)
+            for n, row in zip(orders, cells):
+                for x, cell in zip(xs, row):
+                    try:
+                        # the scalar warns where x ln q overflows (x = 1e308)
+                        with np.errstate(over="ignore"):
+                            ref = sf.q_polygamma(n, x, q, policy) if n else sf.q_digamma(x, q, policy)
+                    except (DomainError, ConvergenceError) as exc:
+                        assert cell == (type(exc), exc.args), (q, n, x)
+                        continue
+                    assert cell == ref, (q, n, x)
 
 
 def test_qparam_branch_invariant():
