@@ -159,12 +159,12 @@ def _cmd_eval(args) -> int:
         if args.y is None:
             raise UsageError("logmean needs --x and --y")
         val = sf.log_mean(_parse_float(suffix, fn), _need_x(args), args.y)
-        enc = sf.Enclosure(val, 4.0 * sf._EPS_MACH * abs(val), 1)
+        enc = sf.Enclosure(val, sf._slop(4, val), 1)
     elif name == "ball":
         enc = sf.unit_ball_volume(_parse_int(suffix, fn), policy)
     elif name == "kernel":
         val = sf.kernel_h(_need_x(args))
-        enc = sf.Enclosure(val, 4.0 * sf._EPS_MACH * abs(val), 1)
+        enc = sf.Enclosure(val, sf._slop(4, val), 1)
     else:
         raise UsageError(f"unknown function {fn!r}")
 

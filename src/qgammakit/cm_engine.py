@@ -52,6 +52,7 @@ from .specfun import (
     _cells,
     _once,
     _q_psi_grid,
+    _slop,
     Enclosure,
     TruncationPolicy,
     digamma,
@@ -248,14 +249,6 @@ def _pointwise(xs: np.ndarray, n: int, fn) -> _JetGrid:
     )
 
 
-def _first_failures(grids) -> list:
-    """Per point, the failure of the first grid that failed there."""
-    return [
-        next((f for f in fs if f is not None), None)
-        for fs in zip(*(g.failures for g in grids))
-    ]
-
-
 def _rows(ys: np.ndarray, orders, policy, leaf, tail=()) -> _JetGrid:
     """Row i holds the Enclosures of order ``orders[i]`` at every y of ``ys``.
 
@@ -388,7 +381,7 @@ class PowShift(AnalyticTarget):
         if coef == 0.0:
             return _exact(0.0)
         v = coef * y ** (self.p - k)
-        return Enclosure(v, 4.0 * _EPS_MACH * abs(v), 1)
+        return Enclosure(v, _slop(4, v), 1)
 
 
 class LogShift(AnalyticTarget):
@@ -405,7 +398,7 @@ class LogShift(AnalyticTarget):
             v = math.log(y)
         else:
             v = (-1.0) ** (k - 1) * math.factorial(k - 1) * y ** (-k)
-        return Enclosure(v, 4.0 * _EPS_MACH * abs(v), 1)
+        return Enclosure(v, _slop(4, v), 1)
 
 
 class XLogX(AnalyticTarget):
@@ -420,7 +413,7 @@ class XLogX(AnalyticTarget):
             v = math.log(x) + 1.0
         else:
             v = (-1.0) ** k * math.factorial(k - 2) * x ** (1 - k)
-        return Enclosure(v, 4.0 * _EPS_MACH * abs(v), 1)
+        return Enclosure(v, _slop(4, v), 1)
 
 
 def _psi(n: int):
@@ -577,7 +570,7 @@ class QSeriesTarget(AnalyticTarget):
                 done = active[:, live] & converged & (tail <= policy.eps * (1.0 + np.abs(sums)))
                 if done.any():
                     apref = np.abs(pref)[:, None]
-                    slop = (2.0 + math.log2(max(hi, 2))) * _EPS_MACH * apref * abs_total[:, live]
+                    slop = _slop(2.0 + math.log2(max(hi, 2)), apref) * abs_total[:, live]
                     cols = good[live]
                     grid.values[:, cols] = np.where(
                         done, self.sign * (const[:, None] + pref[:, None] * sums), grid.values[:, cols]
@@ -596,7 +589,7 @@ class QSeriesTarget(AnalyticTarget):
 class ExpNegX(AnalyticTarget):
     def deriv(self, k, x, policy=None):
         v = (-1.0) ** k * math.exp(-x)
-        return Enclosure(v, 2.0 * _EPS_MACH * abs(v), 1)
+        return Enclosure(v, _slop(2, v), 1)
 
 
 class SinPlus2(AnalyticTarget):
@@ -612,7 +605,7 @@ class SinPlus2(AnalyticTarget):
             v = -math.sin(x)
         else:
             v = -math.cos(x)
-        return Enclosure(v, 4.0 * _EPS_MACH * (abs(v) + 1.0), 1)
+        return Enclosure(v, _slop(4, abs(v) + 1.0), 1)
 
 
 class MonomialPolyGamma(AnalyticTarget):
@@ -627,18 +620,15 @@ class MonomialPolyGamma(AnalyticTarget):
         # psi^(m + i)(x + a) for i = 0..K, each evaluated once
         g = PolyGammaShift(self.m, self.a)._jets(xs, K, policy)
         xl = xs.tolist()
-        powers = [np.array([x ** (self.p - j) for x in xl]) for j in range(min(K, self.p) + 1)]
-        values, errors = [], []
-        for k in range(K + 1):
-            val = np.zeros(len(xl))
-            err = np.zeros(len(xl))
-            for j in range(min(k, self.p) + 1):
-                xc = math.comb(k, j) * math.perm(self.p, j) * powers[j]
-                val += xc * g.values[k - j]
-                err += np.abs(xc) * g.errors[k - j]
-            values.append(self.sign * val)
-            errors.append(err + 4.0 * _EPS_MACH * np.abs(val))
-        return _JetGrid(np.array(values), np.array(errors), np.ones_like(g.terms), g.failures)
+        val = np.zeros(g.values.shape)
+        err = np.zeros(g.values.shape)
+        for j in range(min(K, self.p) + 1):
+            # rows k >= j gain C(k, j) p!/(p - j)! x^(p - j) psi^(m + k - j)
+            w = np.array([math.comb(k, j) * math.perm(self.p, j) for k in range(j, K + 1)], dtype=float)
+            xc = w[:, None] * np.array([x ** (self.p - j) for x in xl])
+            val[j:] += xc * g.values[: K + 1 - j]
+            err[j:] += np.abs(xc) * g.errors[: K + 1 - j]
+        return _JetGrid(self.sign * val, err + _slop(4, val), np.ones_like(g.terms), g.failures)
 
 
 class PolyProductTarget(AnalyticTarget):
@@ -661,32 +651,31 @@ class PolyProductTarget(AnalyticTarget):
         psi = _rows(xs, needed, policy, _psi)
         row = {n: i for i, n in enumerate(needed)}
 
-        def factor(order: int, j: int):
+        def factor(order: int):
+            """(values, errors) of the factor's orders 0..K, shape (K+1, P)."""
             if order == 0:
-                return (1.0 if j == 0 else 0.0), 0.0
-            i = row[order + j]
+                v = np.zeros((K + 1, len(xs)))
+                v[0] = 1.0
+                return v, np.zeros_like(v)
+            i = row[order]
             s = 1.0 if order % 2 == 1 else -1.0
-            return s * psi.values[i], psi.errors[i]
+            return s * psi.values[i:i + K + 1], psi.errors[i:i + K + 1]
 
-        a, b, cc, dd = ([factor(order, j) for j in range(K + 1)] for order in self.orders)
-        values, errors = [], []
-        for k in range(K + 1):
-            val = np.zeros(len(xs))
-            err = np.zeros(len(xs))
-            for j in range(k + 1):
-                ck = math.comb(k, j)
-                (av, ae), (bv, be) = a[j], b[k - j]
-                (cv, ce), (dv, de) = cc[j], dd[k - j]
-                val += ck * (av * bv - self.c * cv * dv)
-                err += ck * (
-                    np.abs(av) * be
-                    + np.abs(bv) * ae
-                    + self.c * (np.abs(cv) * de + np.abs(dv) * ce)
-                )
-            values.append(self.sign * val)
-            errors.append(err + 8.0 * _EPS_MACH * np.abs(val))
+        (av, ae), (bv, be), (cv, ce), (dv, de) = (factor(order) for order in self.orders)
+        val = np.zeros((K + 1, len(xs)))
+        err = np.zeros((K + 1, len(xs)))
+        for j in range(K + 1):
+            # rows k >= j gain C(k, j) [A^(j) B^(k-j) - c C^(j) D^(k-j)]
+            ck = np.array([math.comb(k, j) for k in range(j, K + 1)], dtype=float)[:, None]
+            n = K + 1 - j
+            val[j:] += ck * (av[j] * bv[:n] - self.c * cv[j] * dv[:n])
+            err[j:] += ck * (
+                np.abs(av[j]) * be[:n]
+                + np.abs(bv[:n]) * ae[j]
+                + self.c * (np.abs(cv[j]) * de[:n] + np.abs(dv[:n]) * ce[j])
+            )
         ones = np.ones((K + 1, len(xs)), dtype=np.int64)
-        return _JetGrid(np.array(values), np.array(errors), ones, psi.failures)
+        return _JetGrid(self.sign * val, err + _slop(8, val), ones, psi.failures)
 
 
 class DerivOffset(AnalyticTarget):
@@ -718,25 +707,18 @@ class LinComb(AnalyticTarget):
     deriv = Target.deriv
 
     def _jets(self, xs, K, policy):
-        grids = [
-            (coef, scale, target._jets(scale * xs + shift, K, policy))
-            for coef, target, shift, scale in self.terms
-        ]
-        values, errors = [], []
+        val = np.zeros((K + 1, len(xs)))
+        err = np.zeros((K + 1, len(xs)))
         terms = np.zeros((K + 1, len(xs)), dtype=np.int64)
-        for k in range(K + 1):
-            val = np.zeros(len(xs))
-            err = np.zeros(len(xs))
-            for coef, scale, g in grids:
-                w = coef * scale**k
-                val += w * g.values[k]
-                err += abs(w) * g.errors[k]
-                np.maximum(terms[k], g.terms[k], out=terms[k])
-            values.append(val)
-            errors.append(err + 4.0 * _EPS_MACH * np.abs(val))
-        return _JetGrid(
-            np.array(values), np.array(errors), terms, _first_failures(g for _, _, g in grids)
-        )
+        failures = [None] * len(xs)
+        for coef, target, shift, scale in self.terms:
+            g = target._jets(scale * xs + shift, K, policy)
+            w = np.array([coef * scale**k for k in range(K + 1)])[:, None]
+            val += w * g.values
+            err += np.abs(w) * g.errors
+            np.maximum(terms, g.terms, out=terms)
+            failures = [f if f is not None else gf for f, gf in zip(failures, g.failures)]
+        return _JetGrid(val, err + _slop(4, val), terms, failures)
 
 
 class ExpNegForm:
@@ -785,7 +767,7 @@ class FiniteDifference(Target):
         # the central stencil is O(h^2); eliminate that term
         value = d1 + (d1 - d2) / 3.0
         fmax = max(abs(self.fn(x)), 1.0)
-        err = abs(d1 - d2) / 3.0 + (2.0**k) * fmax * _EPS_MACH / h**k
+        err = abs(d1 - d2) / 3.0 + _slop(2**k, fmax) / h**k
         return Enclosure(value, err, 2 * (k + 1))
 
 

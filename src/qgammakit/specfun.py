@@ -178,10 +178,12 @@ def _as_q(q) -> float:
     return qf
 
 
-def _slop(terms: int, magnitude: float) -> float:
-    """Rounding slop of a sum of ``terms`` summands whose magnitudes add up
-    to ``magnitude`` (|value| when nothing cancels)."""
-    return terms * _EPS_MACH * abs(magnitude)
+def _slop(ops: float, magnitude):
+    """Rounding slop ops·eps·|magnitude| of a result that took ``ops``
+    rounded operations, where ``magnitude`` is the sum of the magnitudes of
+    its summands (|value| when nothing cancels).  The one place that states
+    the slop rule; ``magnitude`` may be an array."""
+    return ops * _EPS_MACH * abs(magnitude)
 
 
 def _exp(log_val: float, enc: Enclosure, ops: int = 0) -> Enclosure:
@@ -310,7 +312,7 @@ def digamma_series(x: float, policy: TruncationPolicy | None = None) -> Enclosur
     hi = integral_from(N - 0.5)
     sign = 1.0 if x >= 1.0 else -1.0
     tail_mid = sign * 0.5 * (lo + hi)
-    tail_err = 0.5 * (hi - lo) + _EPS_MACH * hi
+    tail_err = 0.5 * (hi - lo) + _slop(1, hi)
     val = -EULER_GAMMA + partial + tail_mid
     return Enclosure(val, tail_err + _slop(n_terms, val), n_terms)
 
@@ -386,7 +388,7 @@ def _polygamma_far(n: int, y: float, sign: float, eps: float) -> Enclosure:
     s, tail, terms = _polygamma_asymptotic(n, y, eps, scaled=True)
     log_fact, log_yn = math.log(math.factorial(n - 1)), n * math.log(y)
     log_unit = log_fact - log_yn
-    unit = _exp(log_unit, Enclosure(log_unit, 4.0 * _EPS_MACH * (log_fact + log_yn), 0), 2)
+    unit = _exp(log_unit, Enclosure(log_unit, _slop(4, log_fact + log_yn), 0), 2)
     mag = unit.value * s
     # the smallest subnormal covers the rounding where unit underflows
     err = unit.abs_error * s + unit.value * (tail + _slop(terms + 4, s)) + 4.0 * math.ulp(0.0)
@@ -409,7 +411,7 @@ def polygamma_series(n: int, x: float, policy: TruncationPolicy | None = None) -
     lo = (x + K) ** (-n) / n + 0.5 * (x + K) ** (-(n + 1))
     hi = (x + K - 0.5) ** (-n) / n
     tail_mid = 0.5 * (lo + hi)
-    tail_err = 0.5 * (hi - lo) + _EPS_MACH * hi
+    tail_err = 0.5 * (hi - lo) + _slop(1, hi)
     mag = math.factorial(n) * (partial + tail_mid)
     err = math.factorial(n) * tail_err
     sign = 1.0 if n % 2 == 1 else -1.0
