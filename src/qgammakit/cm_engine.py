@@ -13,9 +13,10 @@ values and errors of shape (K+1, P), and ``ok`` of shape (P,), False where
 the scalar jet raises DomainError/ConvergenceError.  A q-series sums each
 block for many points at once, in chunks of points that keep every block
 temporary within 2**14 float64 elements (or one row of the block), and the
-composite targets combine the inner arrays in the scalar operation order,
-so each column holds exactly the bits of the scalar jet.  A sign-pattern
-check asks for one grid.
+composite targets update whole (K+1, P) slices per term or Leibniz index,
+each cell in the scalar operation order, so each column holds exactly the
+bits of the scalar jet.  Every rounding slop is ``specfun._slop``'s
+ops*eps*sum|summands|.  A sign-pattern check asks for one grid.
 
 The psi-family leaves (``LnGammaFn``, ``PolyGammaShift``,
 ``PolyProductTarget``, ``QPolyGammaShift``) fill their grids through
@@ -25,7 +26,8 @@ one scalar evaluator call each; the psi_q cells a grid lacks are summed in
 one ``specfun._q_psi_grid`` call.  Either way the bits stay those of the
 scalar jet.
 
-A monotonicity probe reads a target's orders 0 and 1 off one grid.
+A monotonicity probe reads a target's orders 0 and 1, with their errors,
+off one grid.
 
 Checks report pass / fail / inconclusive; a point is inconclusive when the
 certified evaluation error swamps the margin, or when any order at it cannot
@@ -184,6 +186,12 @@ def _running_min(vals: np.ndarray) -> float:
     if not vals.size:
         return math.inf
     return float(vals[np.argmax(vals == vals.min())])
+
+
+def _swamped(err, margin, t):
+    """True where the certified error ``err`` exceeds |margin| + tau: such a
+    cell decides nothing and makes its check inconclusive."""
+    return err > abs(margin) + t
 
 
 def _tau(tol: float, *vals: float) -> float:
@@ -361,7 +369,8 @@ class Affine(AnalyticTarget):
 
     def deriv(self, k, x, policy=None):
         if k == 0:
-            return _exact(self.a0 + self.a1 * x)
+            # two roundings, relative to the summands rather than to the sum
+            return Enclosure(self.a0 + self.a1 * x, _slop(2, abs(self.a0) + abs(self.a1 * x)), 1)
         return _exact(self.a1 if k == 1 else 0.0)
 
 
@@ -381,7 +390,9 @@ class PowShift(AnalyticTarget):
         if coef == 0.0:
             return _exact(0.0)
         v = coef * y ** (self.p - k)
-        return Enclosure(v, _slop(4, v), 1)
+        # coef rounds up to k times, and the rounding of y = x + c moves
+        # y^(p - k) by |p - k| eps/2 relatively
+        return Enclosure(v, _slop(4 + k + abs(self.p - k), v), 1)
 
 
 class LogShift(AnalyticTarget):
@@ -394,11 +405,13 @@ class LogShift(AnalyticTarget):
         y = x + self.c
         if y <= 0.0:
             raise DomainError(f"(x + {self.c}) must be positive, got x={x}")
+        # the rounding of y = x + c moves ln y by eps/2 and y^(-k) by k eps/2
+        # relatively
         if k == 0:
             v = math.log(y)
-        else:
-            v = (-1.0) ** (k - 1) * math.factorial(k - 1) * y ** (-k)
-        return Enclosure(v, _slop(4, v), 1)
+            return Enclosure(v, _slop(4, abs(v) + 1.0), 1)
+        v = (-1.0) ** (k - 1) * math.factorial(k - 1) * y ** (-k)
+        return Enclosure(v, _slop(4 + k, v), 1)
 
 
 class XLogX(AnalyticTarget):
@@ -407,10 +420,12 @@ class XLogX(AnalyticTarget):
     def deriv(self, k, x, policy=None):
         if x <= 0.0:
             raise DomainError(f"x must be positive, got {x}")
+        if k == 1:
+            # ln x and 1 cancel near x = 1/e: the slop is over both summands
+            lx = math.log(x)
+            return Enclosure(lx + 1.0, _slop(4, abs(lx) + 1.0), 1)
         if k == 0:
             v = x * math.log(x)
-        elif k == 1:
-            v = math.log(x) + 1.0
         else:
             v = (-1.0) ** k * math.factorial(k - 2) * x ** (1 - k)
         return Enclosure(v, _slop(4, v), 1)
@@ -875,7 +890,7 @@ def check_sign_pattern(
     err = errors.T
     t = tol * np.where(np.isfinite(signed), np.maximum(np.abs(signed), 1.0), 1.0)
     ok_cells = ok[:, None]
-    swamped = ok_cells & (err > np.abs(signed) + t)
+    swamped = ok_cells & _swamped(err, signed, t)
     inconclusive = not ok.all() or bool(swamped.any())
     worst = _running_min(signed[ok].ravel())
 
@@ -965,7 +980,7 @@ def check_chain(
             t = _tau(tol, lo, hi)
             worst = min(worst, margin)
             point_min = min(point_min, margin - 10.0 * t)
-            if elo + ehi > abs(margin) + t:
+            if _swamped(elo + ehi, margin, t):
                 inconclusive = True
             elif margin < -t:
                 violations.append(Violation(x, dict(pt), i, lo, hi, margin))
@@ -1015,23 +1030,24 @@ def _guarded(f, x):
 
 
 def _target_orders(target: Target, K: int, xs: list[float]) -> list[list]:
-    """The values of orders 0..K of ``target`` at ``xs``, None where
-    ``target.deriv(k, x)`` raises, from one ``jet_grid`` call.  The grid
-    fails a point at every order when one order fails there, so such a
-    point asks each order alone."""
-    values, _, ok = target.jet_grid(xs, K)
-    rows = values.tolist()
+    """The (value, abs_error) pairs of orders 0..K of ``target`` at ``xs``,
+    None where ``target.deriv(k, x)`` raises, from one ``jet_grid`` call.
+    The grid fails a point at every order when one order fails there, so
+    such a point asks each order alone."""
+    values, errors, ok = target.jet_grid(xs, K)
+    rows = [list(zip(v, e)) for v, e in zip(values.tolist(), errors.tolist())]
     for p in np.flatnonzero(~ok).tolist():
         for k in range(K + 1):
-            rows[k][p] = _guarded(lambda x: target.deriv(k, x).value, xs[p])
+            rows[k][p] = _guarded(lambda x: _as_value_err(target.deriv(k, x)), xs[p])
     return rows
 
 
 def _probe_values(f, k: int, xs: list[float]) -> list:
-    """Order k of a Target, or the callable ``f``, at every x of ``xs``."""
+    """(value, abs_error) of order k of a Target, or of the callable ``f``
+    with zero error, at every x of ``xs``."""
     if isinstance(f, Target):
         return _target_orders(f, k, xs)[k]
-    return [_guarded(f, x) for x in xs]
+    return [_guarded(lambda x: (f(x), 0.0), x) for x in xs]
 
 
 def monotonicity_probe(
@@ -1051,7 +1067,9 @@ def monotonicity_probe(
     ``fn`` gives its order 0 and a Target ``deriv_fn`` its order 1, read off
     one ``jet_grid`` call (one call for both when they are the same Target).
     A point where a value raises DomainError or ConvergenceError is
-    inconclusive.  ``value_range = (lo, hi)`` additionally asserts
+    inconclusive, and so is a comparison whose Target errors exceed
+    |margin| + tau, as in ``check_chain``; a callable's value has zero
+    error.  ``value_range = (lo, hi)`` additionally asserts
     lo < f(x) <= hi at every grid point (the range-containment form used by
     the ratio targets).  ``jobs`` is accepted for compatibility and ignored.
     """
@@ -1064,42 +1082,32 @@ def monotonicity_probe(
     else:
         vals = _probe_values(fn, 0, xs)
         dvals = None if deriv_fn is None else _probe_values(deriv_fn, 1, xs)
-    inconclusive = None in vals
     sgn = 1.0 if direction == "increasing" else -1.0
-    violations = []
-    worst = math.inf
+    # (margin, certified error, tau, the violation it would be) per comparison
+    cells = []
     for i in range(len(xs) - 1):
-        if vals[i] is None or vals[i + 1] is None:
-            continue
-        margin = sgn * (vals[i + 1] - vals[i])
-        t = _tau(tol, vals[i], vals[i + 1])
-        worst = min(worst, margin)
-        if margin < -t:
-            violations.append(
-                Violation(xs[i], base_params, 0, vals[i], vals[i + 1], margin)
-            )
-    if dvals is not None:
-        inconclusive = inconclusive or None in dvals
-        for x, d in zip(xs, dvals):
-            if d is None:
-                continue
-            margin = sgn * d
-            t = _tau(tol, d)
-            worst = min(worst, margin)
-            if margin < -t:
-                violations.append(Violation(x, base_params | {"via": "derivative"}, 1, d, 0.0, margin))
+        if vals[i] is not None and vals[i + 1] is not None:
+            (lo, elo), (hi, ehi) = vals[i], vals[i + 1]
+            m = sgn * (hi - lo)
+            cells.append((m, elo + ehi, _tau(tol, lo, hi), Violation(xs[i], base_params, 0, lo, hi, m)))
+    for x, (d, e) in ((x, dv) for x, dv in zip(xs, dvals or []) if dv is not None):
+        m = sgn * d
+        cells.append((m, e, _tau(tol, d), Violation(x, base_params | {"via": "derivative"}, 1, d, 0.0, m)))
     if value_range is not None:
         lo, hi = value_range
-        for x, v in zip(xs, vals):
-            if v is None:
-                continue
+        for x, (v, e) in ((x, ve) for x, ve in zip(xs, vals) if ve is not None):
             t = _tau(tol, v)
-            low_m, high_m = v - lo, hi - v
-            worst = min(worst, low_m, high_m)
-            if low_m < -t or high_m < -t:
-                violations.append(
-                    Violation(x, base_params | {"via": "range"}, 0, v, lo if low_m < -t else hi, min(low_m, high_m))
-                )
+            m = min(v - lo, hi - v)
+            violation = Violation(x, base_params | {"via": "range"}, 0, v, lo if v - lo < -t else hi, m)
+            cells.append((m, e, t, violation))
+    worst = min([math.inf] + [m for m, _, _, _ in cells])
+    inconclusive = None in vals or None in (dvals or [])
+    violations = []
+    for m, e, t, violation in cells:
+        if _swamped(e, m, t):
+            inconclusive = True
+        elif m < -t:
+            violations.append(violation)
     status = "fail" if violations else ("inconclusive" if inconclusive else "pass")
     return VerificationReport(
         label, status, worst, violations,

@@ -857,7 +857,6 @@ def _falpha_terms(alpha):
 @_register(PropertyDescriptor(
     "falpha-cm", "completely_monotonic",
     "Stirling-defect derivative with trigamma correction is strictly CM",
-    _domains(alpha=(0.0, 5.0)),
 ))
 def _build_falpha(desc, grid, K, ov):
     checks = [
@@ -893,7 +892,6 @@ def _gc_terms(c):
 @_register(PropertyDescriptor(
     "gc-cm", "completely_monotonic",
     "Alzer-Batir normalized log-gamma with half-digamma correction",
-    _domains(c=(0.0, 5.0)),
 ))
 def _build_gc(desc, grid, K, ov):
     checks = [
@@ -939,13 +937,13 @@ def _build_thm4(desc, grid, K, ov):
 
 
 @_register(PropertyDescriptor(
-    "eq42-nonneg", "chain_lt",
+    "eq42-nonneg", "nonneg",
     "squared trigamma dominates the negated tetragamma",
 ))
 def _build_eq42(desc, grid, K, ov):
-    pts = _x_points(grid)
-    target = PolyProductTarget(2, 1, 1, 0, 1.0)
-    return [_chain_check("eq42-nonneg", lambda p: [0.0, target.deriv(0, p["x"])], pts, "chain_lt")]
+    return [Check("eq42-nonneg", check_sign_pattern, dict(
+        target=PolyProductTarget(2, 1, 1, 0, 1.0), K=0, grid=grid, claim="nonneg", strict=True,
+    ))]
 
 
 # ---------------------------------------------------------------------------

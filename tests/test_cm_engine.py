@@ -737,6 +737,25 @@ def test_target_probe_reads_one_grid_and_reports_as_the_callables(monkeypatch, t
     assert repr(got) == repr(ce.monotonicity_probe(lambda x: target.deriv(0, x).value, xs, "increasing"))
 
 
+class _SwampedFalling(ce.AnalyticTarget):
+    """-x, certified only to within 10 at every order."""
+
+    def deriv(self, k, x, policy=None):
+        return sf.Enclosure(-x if k == 0 else (-1.0 if k == 1 else 0.0), 10.0, 1)
+
+
+@pytest.mark.parametrize("kw", [{}, {"deriv_fn": "target"}, {"value_range": (0.0, 1.0)}])
+def test_target_probe_is_inconclusive_where_its_error_swamps_the_margin(kw):
+    xs = [1.0, 2.0, 3.0]
+    for target in (_SwampedTarget(), _SwampedFalling()):
+        kw_t = {k: (target if v == "target" else v) for k, v in kw.items()}
+        rep = ce.monotonicity_probe(target, xs, "increasing", **kw_t)
+        assert rep.status == "inconclusive" and not rep.violations
+    # the same values from a callable carry no error and decide
+    kw_c = {k: (lambda x: -1.0) if v == "target" else v for k, v in kw.items()}
+    assert ce.monotonicity_probe(lambda x: -x, xs, "increasing", **kw_c).status == "fail"
+
+
 def test_probe_direction_validation():
     with pytest.raises(UsageError):
         ce.monotonicity_probe(lambda x: x, [1.0, 2.0], "sideways")

@@ -92,6 +92,15 @@ def test_instantiate_out_of_domain_override():
         corpus.instantiate("thm8-lcm", {"zeta": 1.0})
 
 
+@pytest.mark.parametrize("claim_id, key", [("falpha-cm", "alpha"), ("gc-cm", "c")])
+def test_fixed_parameter_claims_refuse_an_override(claim_id, key):
+    # their builders check fixed parameter values, so an override could
+    # only be ignored
+    assert key not in corpus.get_descriptor(claim_id).parameter_domains
+    with pytest.raises(UsageError):
+        corpus.instantiate(claim_id, {key: 3.0})
+
+
 def test_instantiate_ball_n_max():
     checks = corpus.instantiate("ball-thm51", {"n_max": 10})
     assert len(checks) == 10
