@@ -639,8 +639,8 @@ class MonomialPolyGamma(AnalyticTarget):
         err = np.zeros(g.values.shape)
         for j in range(min(K, self.p) + 1):
             # rows k >= j gain C(k, j) p!/(p - j)! x^(p - j) psi^(m + k - j)
-            w = np.array([math.comb(k, j) * math.perm(self.p, j) for k in range(j, K + 1)], dtype=float)
-            xc = w[:, None] * np.array([x ** (self.p - j) for x in xl])
+            w = [math.comb(k, j) * math.perm(self.p, j) for k in range(j, K + 1)]
+            xc = np.array(w, dtype=float)[:, None] * np.array([x ** (self.p - j) for x in xl])
             val[j:] += xc * g.values[: K + 1 - j]
             err[j:] += np.abs(xc) * g.errors[: K + 1 - j]
         return _JetGrid(self.sign * val, err + _slop(4, val), np.ones_like(g.terms), g.failures)

@@ -744,7 +744,10 @@ class _SwampedFalling(ce.AnalyticTarget):
         return sf.Enclosure(-x if k == 0 else (-1.0 if k == 1 else 0.0), 10.0, 1)
 
 
-@pytest.mark.parametrize("kw", [{}, {"deriv_fn": "target"}, {"value_range": (0.0, 1.0)}])
+@pytest.mark.parametrize(
+    "kw", [{}, {"deriv_fn": "target"}, {"value_range": (0.0, 1.0)}],
+    ids=["differences", "derivative", "range"],
+)
 def test_target_probe_is_inconclusive_where_its_error_swamps_the_margin(kw):
     xs = [1.0, 2.0, 3.0]
     for target in (_SwampedTarget(), _SwampedFalling()):
