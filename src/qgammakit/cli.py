@@ -133,7 +133,7 @@ def _need_x(args):
 
 
 def _cmd_eval(args) -> int:
-    policy = sf.TruncationPolicy(eps=args.eps) if args.eps else None
+    policy = sf.TruncationPolicy(eps=args.eps) if args.eps is not None else None
     fn = args.fn
     name, _, suffix = fn.partition(":")
 

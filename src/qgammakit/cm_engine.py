@@ -20,11 +20,9 @@ ops*eps*sum|summands|.  A sign-pattern check asks for one grid.
 
 The psi-family leaves (``LnGammaFn``, ``PolyGammaShift``,
 ``PolyProductTarget``, ``QPolyGammaShift``) fill their grids through
-specfun's run-scoped cell table, so within a verification run each
-(order, point) cell is evaluated once.  The psi and polygamma cells are
-one scalar evaluator call each; the psi_q cells a grid lacks are summed in
-one ``specfun._q_psi_grid`` call.  Either way the bits stay those of the
-scalar jet.
+specfun's run-scoped cell table, one scalar evaluator call per cell, so
+within a verification run each (order, point) cell is evaluated once and
+keeps the bits of the scalar jet.
 
 A monotonicity probe reads a target's orders 0 and 1, with their errors,
 off one grid.
@@ -47,13 +45,11 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, PreconditionError, UsageError
 from .specfun import (
     DEFAULT_POLICY,
-    _CHUNK_ELEMENTS,
     _EPS_MACH,
     _blocks,
     _cell,
     _cells,
     _once,
-    _q_psi_grid,
     _slop,
     Enclosure,
     TruncationPolicy,
@@ -92,6 +88,8 @@ CLAIM_KINDS = (
 
 ANALYTIC_ORDER_CAP = 12
 FINITE_DIFF_ORDER_CAP = 8
+# largest block temporary of a grid of q-series, in float64 elements
+_CHUNK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -263,16 +261,12 @@ def _rows(ys: np.ndarray, orders, policy, leaf, tail=()) -> _JetGrid:
     ``leaf(n)`` gives (evaluator, order arguments) for order n; each cell
     is the call ``evaluator(*order_args, y, *tail, policy)`` through the
     run's table (``specfun._cells``), so inside a run it is evaluated once,
-    also where two grids share a point; outside a run nothing is kept.  The
-    psi_q leaf evaluates the cells it does not find in one
-    ``specfun._q_psi_grid`` call and stores them as the scalar calls would.
+    also where two grids share a point; outside a run nothing is kept.
     A point fails where its first failing order fails, as in the scalar jet.
     """
     yl = ys.tolist()
     leaves = [leaf(n) for n in orders]
     tables = [_cells(fn, head + tail, policy) for fn, head in leaves]
-    if leaf is _qpsi:
-        tables = _fill_q_psi(tables, orders, yl, tail[0], policy)
     failures = [None] * len(yl)
     rows = []
     for (fn, head), cells in zip(leaves, tables):
@@ -291,22 +285,6 @@ def _rows(ys: np.ndarray, orders, policy, leaf, tail=()) -> _JetGrid:
     failed = [p for p, f in enumerate(failures) if f is not None]
     grid.values[:, failed] = grid.errors[:, failed] = np.nan
     return grid
-
-
-def _fill_q_psi(tables, orders, yl, q, policy) -> list[dict]:
-    """The psi_q tables of ``orders`` with a cell at every point of ``yl``:
-    the orders and points that lack one are evaluated in one grid call, and
-    only the missing cells are stored.  Outside a run (a table is None) the
-    cells go to fresh tables that the caller drops."""
-    tables = [{} if cells is None else cells for cells in tables]
-    rows = [i for i, cells in enumerate(tables) if any(y not in cells for y in yl)]
-    if rows:
-        ys = list(dict.fromkeys(y for i in rows for y in yl if y not in tables[i]))
-        grid = _q_psi_grid([orders[i] for i in rows], ys, q, policy)
-        for i, row in zip(rows, grid):
-            for y, cell in zip(ys, row):
-                tables[i].setdefault(y, cell)
-    return tables
 
 
 class Target:
@@ -501,6 +479,10 @@ class QSeriesTarget(AnalyticTarget):
     j^jpow, valid on x + shift > 0; the whole exponent is assembled inside
     one exp call so nothing overflows, and the tail bound is geometric per
     component at every derivative order.
+
+    ``const`` enters order 0 only.  It may carry the rounding of up to two
+    operations, as log1p(sqrt(q)) does; with the rounding of adding it,
+    order 0's error covers ``_slop(3, const)``.
     """
 
     def __init__(self, q: float, components, const: float = 0.0, sign: float = 1.0):
@@ -590,7 +572,8 @@ class QSeriesTarget(AnalyticTarget):
                     grid.values[:, cols] = np.where(
                         done, self.sign * (const[:, None] + pref[:, None] * sums), grid.values[:, cols]
                     )
-                    grid.errors[:, cols] = np.where(done, apref * tail + slop, grid.errors[:, cols])
+                    err = apref * tail + slop + _slop(3, const)[:, None]
+                    grid.errors[:, cols] = np.where(done, err, grid.errors[:, cols])
                     grid.terms[:, cols] = np.where(done, hi, grid.terms[:, cols])
                     active[:, live] &= ~done
                 if not active.any():

@@ -32,7 +32,6 @@ from .cm_engine import (
     PolyGammaShift,
     PolyProductTarget,
     PowShift,
-    QPolyGammaShift,
     QSeriesTarget,
     VerificationReport,
     Violation,
@@ -153,8 +152,11 @@ def instantiate(claim_id: str, overrides: dict | None = None, max_order: int | N
 
     ``overrides`` must stay inside the descriptor's parameter domains;
     ``grid_points`` and (where meaningful) ``n_max`` are recognized by every
-    entry that samples a grid.
+    entry that samples a grid.  A negative ``max_order`` would check no
+    order at all, so it raises UsageError.
     """
+    if max_order is not None and max_order < 0:
+        raise UsageError(f"max_order must be >= 0, got {max_order}")
     desc = get_descriptor(claim_id)
     overrides = dict(overrides or {})
     _validate_overrides(desc, overrides)
@@ -170,6 +172,10 @@ def run_descriptor(
     tol: float = 1e-12,
     max_order: int | None = None,
 ) -> VerificationReport:
+    """Run every check of a claim and merge them into one report.  A
+    negative or non-finite ``tol`` would decide nothing: UsageError."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise UsageError(f"tol must be finite and >= 0, got {tol}")
     checks = instantiate(claim_id, overrides, max_order)
     return merge_reports(claim_id, [c.run(tol) for c in checks])
 
@@ -805,18 +811,23 @@ def _build_ag(desc, grid, K, ov):
     _domains(q=(0.01, 0.99)),
 ))
 def _build_beta(desc, grid, K, ov):
+    """h' = psi_{q^(1/beta)}(beta x) - psi_q(x), negated for beta < 1.
+
+    With 1 - q^(2j) = (1 - q^j)(1 + q^j) the two psi_q series combine into
+    one of positive terms, c q^(jx) / (1 + q^(jc)) with c = 1/2 at beta = 2
+    and c = 1 at beta = 1/2, and the branch constants into log1p(q^c).
+    """
     qs = [ov["q"]] if "q" in ov else (0.3, 0.7)
     checks = []
     for q in qs:
-        for beta in (2.0, 0.5):
-            qb = q ** (1.0 / beta)
-            terms = [
-                (1.0, QPolyGammaShift(0, qb, 0.0), 0.0, beta),
-                (-1.0, QPolyGammaShift(0, q, 0.0), 0.0),
-            ]
-            if beta < 1.0:
-                terms = _neg(terms)
-            checks.append(_lcm_check(f"beta-lcm[q={q},beta={beta}]", terms, grid, K))
+        lnq = math.log(q)
+        for beta, c, const in ((2.0, 0.5, math.log1p(math.sqrt(q))), (0.5, 1.0, math.log1p(q))):
+
+            def coeff(j, c=c, lnq=lnq):
+                return c / (1.0 + np.exp(j * (c * lnq)))
+
+            target = QSeriesTarget(q, [(0.0, coeff, c, 0)], const=const)
+            checks.append(_lcm_check(f"beta-lcm[q={q},beta={beta}]", target, grid, K))
     return checks
 
 

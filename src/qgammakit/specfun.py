@@ -25,13 +25,6 @@ object, or a DomainError/ConvergenceError of the same class and message
 raised again, so results keep their bits.  policy=None and DEFAULT_POLICY
 share their cells.  The table is a ContextVar that the run resets when it
 ends; outside a run the lookup just calls the evaluator and keeps nothing.
-
-The psi_q series has a private grid twin, ``_q_psi_sums``, that sums many
-orders and points at once and gives every (order, point) the bits of its
-scalar ``_q_psi_sum`` call; ``_q_psi_grid`` builds the cells of a grid of
-q_digamma/q_polygamma calls from it, and cm_engine stores them in the
-run's table.  The public evaluators keep their scalar code, which is
-faster for one call.
 """
 
 from __future__ import annotations
@@ -425,8 +418,6 @@ def polygamma_series(n: int, x: float, policy: TruncationPolicy | None = None) -
 
 _BLOCK = 256
 _BLOCK_MAX = 1 << 17
-# largest block temporary of a grid of q-series, in float64 elements
-_CHUNK_ELEMENTS = 1 << 14
 
 
 def _blocks(policy: TruncationPolicy, what: str, *context, first: int = _BLOCK):
@@ -441,11 +432,7 @@ def _blocks(policy: TruncationPolicy, what: str, *context, first: int = _BLOCK):
         hi = min(lo + block, policy.max_terms)
         yield lo, hi
         lo, block = hi, min(2 * block, _BLOCK_MAX)
-    raise _budget_error(policy, what, *context)
-
-
-def _budget_error(policy: TruncationPolicy, what: str, *context) -> ConvergenceError:
-    return ConvergenceError(
+    raise ConvergenceError(
         f"{what.format(*context)} did not certify within {policy.max_terms} terms"
     )
 
@@ -502,9 +489,6 @@ def q_gamma(x: float, q, policy: TruncationPolicy | None = None) -> Enclosure:
     return _exp(enc.value, enc)
 
 
-_Q_SERIES = "q-series (x={}, q={}, order={})"
-
-
 def _q_psi_sum(x: float, q: float, n: int, policy: TruncationPolicy):
     """sum_{k>=1} k^n q^(kx) / (1 - q^k) with a geometric tail certificate.
 
@@ -513,7 +497,7 @@ def _q_psi_sum(x: float, q: float, n: int, policy: TruncationPolicy):
     """
     lnq = math.log(q)
     total = 0.0
-    for k0, hi in _blocks(policy, _Q_SERIES, x, q, n):
+    for k0, hi in _blocks(policy, "q-series (x={}, q={}, order={})", x, q, n):
         k = np.arange(k0 + 1, hi + 1, dtype=float)
         logs = k * (x * lnq)
         if n:
@@ -527,68 +511,12 @@ def _q_psi_sum(x: float, q: float, n: int, policy: TruncationPolicy):
                 return total, tail, hi
 
 
-def _q_psi_sums(xs: list[float], q: float, orders, policy: TruncationPolicy):
-    """``_q_psi_sum`` at every order of ``orders`` and point of ``xs`` at once.
-
-    Returns (totals, tails, terms), each of shape (len(orders), len(xs));
-    cell (i, p) holds exactly the bits of _q_psi_sum(xs[p], q, orders[i],
-    policy), or terms 0 where that call raises ConvergenceError.  A block's
-    k, log k and denominators are shared by all cells; each cell keeps the
-    scalar's elementwise operations, sums its row of the block as one
-    contiguous reduction, accumulates in doubles and stops at the scalar's
-    tail test.  Points run in chunks, so that no temporary holds more than
-    _CHUNK_ELEMENTS elements or one row of the block.
-    """
-    lnq = math.log(q)
-    q_xs = np.array([math.exp(x * lnq) for x in xs])  # q^x, as the scalar stop test has it
-    shape = (len(orders), len(xs))
-    totals, tails = np.zeros(shape), np.zeros(shape)
-    terms = np.zeros(shape, dtype=np.int64)
-    active = np.ones(shape, dtype=bool)
-    # inf and nan follow the scalar's float arithmetic, without its warnings
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        rates = np.array(xs, dtype=float) * lnq  # x ln q
-        try:
-            # the budget error names no cell; the caller names each one
-            for k0, hi in _blocks(policy, "q-series grid"):
-                k = np.arange(k0 + 1, hi + 1, dtype=float)
-                logk = np.log(k)
-                denom = -np.expm1(k * lnq)
-                step = max(1, _CHUNK_ELEMENTS // len(k))
-                for i, n in enumerate(orders):
-                    live = np.flatnonzero(active[i])
-                    if not live.size:
-                        continue
-                    n_logk = n * logk
-                    last = np.empty(len(live))
-                    for c0 in range(0, len(live), step):
-                        pts = live[c0:c0 + step]
-                        logs = np.multiply.outer(rates[pts], k)
-                        if n:
-                            logs += n_logk
-                        t = np.exp(logs)
-                        t /= denom
-                        totals[i, pts] += t.sum(axis=1)
-                        last[c0:c0 + step] = t[:, -1]
-                    ratio = ((hi + 1.0) / hi) ** n * q_xs[live]
-                    tail = last * ratio / (1.0 - ratio)
-                    done = (ratio < 1.0) & (tail <= policy.eps * (1.0 + totals[i, live]))
-                    stop = live[done]
-                    tails[i, stop] = tail[done]
-                    terms[i, stop] = hi
-                    active[i, stop] = False
-                if not active.any():
-                    break
-        except ConvergenceError:
-            pass
-    return totals, tails, terms
-
-
-def _q_psi_value(n: int, x: float, q, qv: float, s: float, tail: float, terms: int) -> Enclosure:
-    """psi_q^(n)(x) (n = 0: psi_q) at q = qv from s, tail, terms of
-    _q_psi_sum(x, p, n) with p = min(qv, 1/qv); ``q`` is the caller's
-    argument, which the overflow message names."""
+def _q_psi(n: int, x: float, q, policy: TruncationPolicy | None) -> Enclosure:
+    """psi_q^(n)(x) (n = 0: psi_q) by one _q_psi_sum call; n is checked."""
+    _require_positive(x)
+    qv = _as_q(q)
     p = 1.0 / qv if qv > 1.0 else qv
+    s, tail, terms = _q_psi_sum(x, p, n, policy or DEFAULT_POLICY)
     lnp = math.log(p)
     if n == 0:
         val = -math.log1p(-p) + lnp * s
@@ -610,58 +538,6 @@ def _q_psi_value(n: int, x: float, q, qv: float, s: float, tail: float, terms: i
     if not (math.isfinite(val) and math.isfinite(err)):
         raise DomainError(f"psi_q^({n})({x}) overflows double precision at q={q}")
     return Enclosure(val, err + _slop(terms, magnitude), terms, warn_slow=terms > 10**5)
-
-
-def _q_psi(n: int, x: float, q, policy: TruncationPolicy | None) -> Enclosure:
-    """psi_q^(n)(x) (n = 0: psi_q) by one _q_psi_sum call; n is checked."""
-    _require_positive(x)
-    qv = _as_q(q)
-    p = 1.0 / qv if qv > 1.0 else qv
-    s, tail, terms = _q_psi_sum(x, p, n, policy or DEFAULT_POLICY)
-    return _q_psi_value(n, x, q, qv, s, tail, terms)
-
-
-def _q_psi_grid(orders, xs: list[float], q, policy: TruncationPolicy | None) -> list[list]:
-    """psi_q^(n)(x) at every n of ``orders`` (n = 0: psi_q) and x of ``xs``.
-
-    Row i, column p is the cell as ``_cell`` stores the scalar call
-    (q_digamma at n = 0, q_polygamma above) at (orders[i], xs[p]): its
-    Enclosure, or the class and arguments of the DomainError or
-    ConvergenceError it raises, with the same message.  The checks run in
-    the scalar's order (order, then x, then q), and every sum comes from one
-    _q_psi_sums call, so each cell has the scalar's bits.
-    """
-    policy = policy or DEFAULT_POLICY
-
-    def error(check, arg):
-        try:
-            check(arg)
-        except DomainError as exc:
-            return type(exc), exc.args
-        return None
-
-    order_errs = [error(_require_order, n) if n else None for n in orders]
-    x_errs = [error(_require_positive, x) for x in xs]
-    q_err = error(_as_q, q)
-    cells = [[o or e or q_err for e in x_errs] for o in order_errs]
-    rows = [i for i, o in enumerate(order_errs) if o is None]
-    cols = [p for p, e in enumerate(x_errs) if e is None]
-    if q_err or not rows or not cols:
-        return cells
-    qv = _as_q(q)
-    p_q = 1.0 / qv if qv > 1.0 else qv
-    ns = [orders[i] for i in rows]
-    ys = [xs[p] for p in cols]
-    sums = zip(*(a.tolist() for a in _q_psi_sums(ys, p_q, ns, policy)))
-    for i, n, row_sums in zip(rows, ns, sums):
-        for p, x, (s, tail, terms) in zip(cols, ys, zip(*row_sums)):
-            try:
-                if not terms:
-                    raise _budget_error(policy, _Q_SERIES, x, p_q, n)
-                cells[i][p] = _q_psi_value(n, x, q, qv, s, tail, terms)
-            except (DomainError, ConvergenceError) as exc:
-                cells[i][p] = type(exc), exc.args
-    return cells
 
 
 def q_digamma(x: float, q, policy: TruncationPolicy | None = None) -> Enclosure:

@@ -80,6 +80,8 @@ def test_eval_usage_errors_exit_64(capsys):
     assert run(capsys, "eval", "--fn", "polygamma:x", "--x", "1")[0] == 64
     assert run(capsys, "eval", "--fn", "qgamma", "--x", "1")[0] == 64  # missing --q
     assert run(capsys, "eval", "--badflag", "1")[0] == 64
+    # eps 0 is refused like any eps outside (0, 1), not read as the default
+    assert run(capsys, "eval", "--fn", "digamma", "--x", "1", "--eps", "0")[0] == 64
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +167,19 @@ def test_verify_unknown_suite(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--suite", "not-a-claim",
                        "--out", str(tmp_path / "r.json"))
     assert code == 64
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-order", "-1"), ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"),
+])
+def test_verify_refuses_settings_that_check_nothing(tmp_path, capsys, flag, value):
+    # with these settings thm8-lcm would pass with no order checked, or the
+    # expected-fail gc-onlyif would report pass
+    out_file = tmp_path / "r.json"
+    code, _, err = run(capsys, "verify", "--suite", "thm8-lcm,gc-onlyif", flag, value,
+                       "--out", str(out_file))
+    assert code == 64 and "usage error" in err
+    assert not out_file.exists()
 
 
 def test_verify_io_failure(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from qgammakit import bounds as bd
@@ -128,6 +130,18 @@ def test_manifest_lines():
         assert any(line.startswith(cid) for line in lines)
     # one pipe-delimited record per claim: id | citation | domains | grid
     assert all(line.count("|") == 3 for line in lines)
+
+
+def test_instantiate_refuses_a_negative_max_order():
+    assert corpus.instantiate("thm8-lcm", max_order=0)
+    with pytest.raises(UsageError):
+        corpus.instantiate("thm8-lcm", max_order=-1)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
+def test_run_descriptor_refuses_a_tol_that_decides_nothing(tol):
+    with pytest.raises(UsageError):
+        corpus.run_descriptor("gc-onlyif", tol=tol)
 
 
 def test_run_descriptor_merges_subchecks():

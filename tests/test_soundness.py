@@ -3,16 +3,20 @@ jet grid, against closed forms evaluated at 40 digits.
 
 The references are written out per target class (mpmath's polygamma and
 loggamma, with Leibniz and linear-combination sums done in mpmath), never
-through ``mp.diff``.  The points lean toward 1/e, where x ln x has a
-stationary point, and toward both ends of [1e-2, 1e2].
+through ``mp.diff``; psi_q is a direct sum (``_psi_q``), never ``mp.nsum``.
+The points lean toward 1/e, where x ln x has a stationary point, and toward
+both ends of [1e-2, 1e2].
 """
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from qgammakit import bounds as bd
 from qgammakit import cm_engine as ce
 from qgammakit import corpus
 
@@ -42,6 +46,8 @@ def _ref(t, k, x):
         return mp.loggamma(x) if k == 0 else mp.polygamma(k - 1, x)
     if isinstance(t, ce.PolyGammaShift):
         return mp.polygamma(t.m + k, x + t.a)
+    if isinstance(t, ce.QPolyGammaShift):
+        return _psi_q(t.m + k, x + t.a, t.q)
     if isinstance(t, ce.DerivOffset):
         return _ref(t.base, k + t.offset, x)
     if isinstance(t, ce.LinComb):
@@ -69,14 +75,55 @@ def _ref(t, k, x):
     raise TypeError(f"no reference for {type(t).__name__}")
 
 
-def _assert_sound(target, xs, K):
+def _li_neg(k, u):
+    """Li_{-k}(u) = sum_{m>=1} m^k u^m = u A_k(u) / (1 - u)^(k+1), with the
+    Eulerian polynomial A_k in closed form."""
+    if k == 0:
+        return u / (1 - u)
+    eulerian = [
+        sum((-1) ** i * math.comb(k + 1, i) * (m + 1 - i) ** k for i in range(m + 1))
+        for m in range(k)
+    ]
+    return u * mp.polyval(eulerian[::-1], u) / (1 - u) ** (k + 1)
+
+
+def _psi_q(k, y, q, const=True):
+    """psi_q^(k)(y) for 0 < q < 1 as an mpf; call inside ``mp.workdps``.
+
+    The series (ln q)^(k+1) sum_j j^k q^(jy) / (1 - q^j) (plus -ln(1 - q) at
+    k = 0, unless ``const`` is False) is summed term by term at y + N, where
+    its terms fall by e^-4 or faster, until a term is below eps of the sum.
+    The functional equation psi_q(y) = psi_q(y + N) + ln q sum_{i<N}
+    q^(y+i) / (1 - q^(y+i)) brings it back; its terms differentiate to
+    (ln q)^(k+1) Li_{-k}(q^(y+i)).
+    """
+    y, q = mp.mpf(y), mp.mpf(q)
+    lnq = mp.log(q)
+    n = max(0, math.ceil(4 / -lnq - y))
+    z = y + n
+    total = mp.zero
+    j = 0
+    while True:
+        j += 1
+        term = mp.mpf(j) ** k * q ** (j * z) / (1 - q**j)
+        total += term
+        if j >= k and term <= mp.eps * total:
+            break
+    shifted = mp.fsum(_li_neg(k, q ** (y + i)) for i in range(n))
+    return (-mp.log(1 - q) if k == 0 and const else 0) + lnq ** (k + 1) * (total + shifted)
+
+
+def _assert_sound(target, xs, K, ref=None):
+    """Every cell of ``target.jet_grid(xs, K)`` is within its error of
+    ``ref(k, x)`` (by default ``_ref(target, k, x)``)."""
+    ref = ref or (lambda k, x: _ref(target, k, x))
     values, errors, ok = target.jet_grid(xs, K)
     with mp.workdps(40):
         for p, x in enumerate(xs):
             if not ok[p]:
                 continue
             for k in range(K + 1):
-                miss = abs(mp.mpf(values[k, p]) - _ref(target, k, x))
+                miss = abs(mp.mpf(values[k, p]) - ref(k, mp.mpf(x)))
                 assert miss <= errors[k, p], (type(target).__name__, k, x, errors[k, p])
 
 
@@ -168,3 +215,71 @@ def test_leaves_bound_cancellation_and_argument_rounding(target, k, xs):
         for x in xs:
             e = target.deriv(k, x)
             assert abs(mp.mpf(e.value) - _ref(target, k, x)) <= e.abs_error, x
+
+
+def _beta_ref(q, beta):
+    """h' of beta-lcm: psi_{q^(1/beta)}(beta x) - psi_q(x), negated for
+    beta < 1, at order k."""
+    sign = 1 if beta > 1 else -1
+
+    def ref(k, x):
+        qb = mp.mpf(q) ** (1 / mp.mpf(beta))
+        return sign * (beta**k * _psi_q(k, beta * x, qb) - _psi_q(k, x, q))
+
+    return ref
+
+
+def _gq_ref(a, b, c, q, sign):
+    """-(ln g_q(x; a, b, c))' at order k: (b - a) d/dx ln(1 - q^(x+c)) +
+    psi_q(x + a) - psi_q(x + b), times ``sign``.  The psi_q constants cancel
+    exactly, so they are left out: at x = 100 the value is 1e-31 of them."""
+
+    def ref(k, x):
+        lnq = mp.log(q)
+        bracket = (mp.mpf(b) - a) * -(lnq ** (k + 1)) * _li_neg(k, mp.mpf(q) ** (x + c))
+        psi_diff = _psi_q(k, x + a, q, const=False) - _psi_q(k, x + b, q, const=False)
+        return sign * (bracket + psi_diff)
+
+    return ref
+
+
+def _psi_q_series(q):
+    """psi_q as a QSeriesTarget: -ln(1 - q) + (-ln q) sum q^(jx) (-1/(1 - q^j))."""
+    lnq = math.log(q)
+    return ce.QSeriesTarget(q, [(0.0, lambda j: 1.0 / np.expm1(j * lnq), 1.0 / (1.0 - q), 0)],
+                            const=-math.log1p(-q))
+
+
+def _q_series_cases():
+    """(K, target, reference) of the beta-lcm targets, two _gq_neg_log_deriv
+    targets as thm5-lcm and thm8-lcm build them, psi_q as a q-series and
+    psi_q leaves."""
+    cases = []
+    for check in corpus.instantiate("beta-lcm"):
+        q, beta = map(float, re.findall(r"=([0-9.]+)", check.label))
+        cases.append((check.kwargs["K"] - 1, check.kwargs["target"].h_prime, _beta_ref(q, beta)))
+    u = bd.alzer_u(0.9, 0.5)
+    for a, b, c, q, sign in ((0.3, 1.1, 0.6, 0.5, -1.0), (0.5, 1.0, u, 0.9, 1.0)):
+        cases.append((7, corpus._gq_neg_log_deriv(a, b, c, q, sign), _gq_ref(a, b, c, q, sign)))
+    for q in (0.3, 0.9):
+        cases.append((8, _psi_q_series(q), lambda k, x, q=q: _psi_q(k, x, q)))
+    for leaf in (ce.QPolyGammaShift(0, 0.7), ce.QPolyGammaShift(2, 0.3, 0.25)):
+        cases.append((8, leaf, None))
+    return cases
+
+
+_Q_SERIES = _q_series_cases()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(_Q_SERIES), _XS, st.data())
+def test_q_series_certificates_hold(case, xs, data):
+    K, target, ref = case
+    _assert_sound(target, xs, data.draw(st.integers(0, K)), ref)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.9])
+def test_q_series_constant_is_in_the_order_0_error(q):
+    # at large x the series is below an ulp of the constant, so order 0 is
+    # the constant's own rounding and that of adding it, and nothing else
+    _assert_sound(_psi_q_series(q), [30.0, 60.0, 100.0], 2, lambda k, x: _psi_q(k, x, q))

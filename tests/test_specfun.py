@@ -253,46 +253,6 @@ def test_q_domain_errors():
         sf.q_polygamma(0, 1.0, 0.5)
 
 
-@pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
-def test_q_psi_grid_twin_matches_the_scalar_sum_bit_for_bit(q):
-    """Every (order, point) cell of the grid twin has the value, tail and
-    term count of its own _q_psi_sum call, and terms 0 exactly where that
-    call runs out of terms."""
-    xs = [float(v) for v in np.geomspace(1e-3, 1e3, 7)]
-    orders = list(range(13))
-    totals, tails, terms = sf._q_psi_sums(xs, q, orders, sf.DEFAULT_POLICY)
-    for i, n in enumerate(orders):
-        for p, x in enumerate(xs):
-            try:
-                ref = sf._q_psi_sum(x, q, n, sf.DEFAULT_POLICY)
-            except ConvergenceError:
-                assert terms[i, p] == 0, (n, x)
-                continue
-            got = (float(totals[i, p]), float(tails[i, p]), int(terms[i, p]))
-            assert (got[0].hex(), got[1].hex(), got[2]) == (ref[0].hex(), ref[1].hex(), ref[2]), (n, x)
-
-
-def test_q_psi_grid_cells_are_the_scalar_calls():
-    """Each cell of _q_psi_grid is what q_digamma / q_polygamma return, or
-    the class and message of what they raise, in the scalar's check order."""
-    xs = [-1.0, 1e-3, 0.5, 3.0, 1e308, math.nan]
-    orders = [0, 1, 2, -1]
-    tight = sf.TruncationPolicy(max_terms=768)
-    for q in (0.6, 1e300, 1.0):
-        for policy in (None, tight):
-            cells = sf._q_psi_grid(orders, xs, q, policy)
-            for n, row in zip(orders, cells):
-                for x, cell in zip(xs, row):
-                    try:
-                        # the scalar warns where x ln q overflows (x = 1e308)
-                        with np.errstate(over="ignore"):
-                            ref = sf.q_polygamma(n, x, q, policy) if n else sf.q_digamma(x, q, policy)
-                    except (DomainError, ConvergenceError) as exc:
-                        assert cell == (type(exc), exc.args), (q, n, x)
-                        continue
-                    assert cell == ref, (q, n, x)
-
-
 def test_qparam_branch_invariant():
     assert sf.QParam(0.3).branch == "sub_one"
     assert sf.QParam(2.5).branch == "super_one"
