@@ -373,6 +373,18 @@ def _cmd_verify(args) -> int:
         jobs = int(os.environ.get("QGK_JOBS", "1"))
     if jobs < 1:
         raise UsageError("--jobs must be >= 1")
+    # a bad option is a usage error before any claim runs, not a domain error
+    # of the first claim that reads it
+    if args.grid_points is not None:
+        for cid in ids:
+            domain = corpus.get_descriptor(cid).parameter_domains.get("grid_points")
+            if domain is None:  # the claim has no grid to thin or refine
+                continue
+            lo, hi = domain
+            if not lo <= args.grid_points <= hi:
+                raise UsageError(
+                    f"--grid-points {args.grid_points} is outside [{lo}, {hi}] for {cid}"
+                )
 
     doc, unexpected = _report_document(
         label, ids, args.grid_points, args.max_order, args.tol

@@ -8,12 +8,19 @@ recurrence-shift + asymptotic route and a direct-series route with an
 integral-comparison tail bracket, used to cross-check the former.
 
 The geometric series (the q-gamma product, the psi_q series, the kernel
-derivative series and cm_engine.QSeriesTarget) share one block schedule,
-``_blocks``: a first block of 256 terms (512 for the kernel), then blocks
-that double up to 2**17 terms, the last one clamped to
+derivative series above t0 = 2 and cm_engine.QSeriesTarget) share one
+block schedule, ``_blocks``: a first block of 256 terms (512 for the
+kernel), then blocks that double up to 2**17 terms, the last one clamped to
 ``TruncationPolicy.max_terms``.  After each block the caller bounds the
 rest of the series geometrically and stops once that tail is at most
 eps * (1 + |partial sum|); if the budget runs out first, ConvergenceError.
+
+The kernel derivatives have a second regime at t <= t0, where the
+exponential series cancels: the Bernoulli generating function of
+t/(1 - e^(-t)), summed term by term from a table of its coefficients, with
+a geometric tail from |B_2m|/(2m)! < 4/(2 pi)^(2m).  It stops once the tail
+is at most eps * sum|term|, a relative rule; past the budget or the table,
+ConvergenceError.
 
 Within one verification run the evaluator calls of the layers above
 (cm_engine's grid leaves, the bounds functions, and the corpus probes and
@@ -85,6 +92,34 @@ _BERNOULLI_2K = (
 # B_32: the first term past the table, which bounds the error of the
 # asymptotic series when the table runs out
 _BERNOULLI_32 = -7709321041217.0 / 510.0
+
+# c_j of t/(1 - e^(-t)) = sum_j c_j t^j (DLMF 24.2.1) at j = 0, 1, 2, 4,
+# ..., 120: c_0 = 1, c_1 = 1/2 and c_2m = B_2m/(2m)! (floats of the exact
+# rationals); the odd c_j past 1 vanish, and |c_2m| < 4/(2 pi)^(2m)
+# (DLMF 24.9.8)
+_KERNEL_C = (
+    1.0, 0.5, 0.08333333333333333, -0.001388888888888889,
+    3.306878306878307e-05, -8.267195767195768e-07, 2.08767569878681e-08,
+    -5.284190138687493e-10, 1.3382536530684679e-11, -3.3896802963225827e-13,
+    8.586062056277845e-15, -2.174868698558062e-16, 5.5090028283602295e-18,
+    -1.3954464685812522e-19, 3.534707039629467e-21, -8.953517427037546e-23,
+    2.267952452337683e-24, -5.744790668872202e-26, 1.455172475614865e-27,
+    -3.6859949406653103e-29, 9.336734257095045e-31, -2.36502241570063e-32,
+    5.990671762482134e-34, -1.5174548844682903e-35, 3.843758125454189e-37,
+    -9.736353072646691e-39, 2.466247044200681e-40, -6.247076741820743e-42,
+    1.5824030244644914e-43, -4.008273685948936e-45, 1.0153075855569557e-46,
+    -2.5718041582418717e-48, 6.514456035233815e-50, -1.6501309906896525e-51,
+    4.179830628539476e-53, -1.058763466770291e-54, 2.6818791912607708e-56,
+    -6.793279351107421e-58, 1.7207577616681404e-59, -4.358730329348894e-61,
+    1.1040792903684666e-62, -2.7966655133781345e-64, 7.084036501679471e-66,
+    -1.794407408289224e-67, 4.545287063611096e-69, -1.1513346631982051e-70,
+    2.9163647710923614e-72, -7.387238263497337e-74, 1.8712093117637953e-75,
+    -4.739828557761799e-77, 1.2006125993354507e-78, -3.0411872415142924e-80,
+    7.703417274705106e-82, -1.951298390909883e-83, 4.942696565159462e-85,
+    -1.2519996659171848e-86, 3.1713522017635153e-88, -8.033128970735334e-90,
+    2.0348153391661465e-91, -5.154247466447474e-93, 1.3055861352149468e-94,
+    -3.307088314175091e-96,
+)
 
 _LNGAMMA_SHIFT = 20.0
 _DIGAMMA_SHIFT = 20.0
@@ -592,16 +627,23 @@ def kernel_h(t: float) -> float:
 
 
 _KERNEL_ORDER_CAP = 20
+# kernel_derivative sums the Bernoulli series at t <= t0 and the exponential
+# series above it
+_KERNEL_T0 = 2.0
 
 
 def kernel_derivative(
     n: int, k: int, t: float, policy: TruncationPolicy | None = None
 ) -> Enclosure:
-    """d^k/dt^k of t^n / (1 - e^(-t)) by term-wise differentiation.
+    """d^k/dt^k of t^n / (1 - e^(-t)) by term-wise differentiation, in two
+    regimes split at t0 = 2.
 
-    Expands 1/(1-e^(-t)) = sum_m e^(-mt); each t^n e^(-mt) differentiates in
-    closed form by the product rule.  The tail over m is geometric with ratio
-    at most e^(-t/2) once m >= 2k/t.
+    At t <= t0 it differentiates t^(n-1) sum_j c_j t^j, the Bernoulli
+    generating function, and stops once the tail is at most eps * sum|term|,
+    a relative rule (``_kernel_bernoulli``).  Above t0 it expands
+    1/(1-e^(-t)) = sum_m e^(-mt), whose alternating terms would cancel as
+    t -> 0, with the block schedule and stop rule of the module docstring
+    (``_kernel_exp``).
     """
     policy = policy or DEFAULT_POLICY
     if not isinstance(n, int) or n < 1 or not isinstance(k, int) or k < 0:
@@ -609,20 +651,83 @@ def kernel_derivative(
     if k > _KERNEL_ORDER_CAP:
         raise DomainError(f"derivative order {k} exceeds cap {_KERNEL_ORDER_CAP}")
     _require_positive(t, "t")
-
-    jmax = min(k, n)
-    coefs = []  # C(k,j) * n!/(n-j)! * t^(n-j) for j = 0..jmax
     try:
-        for j in range(jmax + 1):
-            c = math.comb(k, j) * math.perm(n, j) * t ** (n - j)
-            coefs.append(c)
-        # m = 0 contribution: d^k/dt^k t^n
-        total = math.perm(n, k) * t ** (n - k) if k <= n else 0.0
+        if t <= _KERNEL_T0:
+            return _kernel_bernoulli(n, k, t, policy)
+        return _kernel_exp(n, k, t, policy)
     except OverflowError:
         raise DomainError(
             f"d^{k}/dt^{k} t^{n}/(1 - e^-t) at t={t} is out of double-precision range"
         ) from None
-    # the alternating terms cancel heavily at small t: base the slop on them
+
+
+def _kernel_bernoulli(n: int, k: int, t: float, policy: TruncationPolicy) -> Enclosure:
+    """kernel_derivative at t <= t0: sum_j c_j perm(n-1+j, k) t^(n-1+j-k).
+
+    The terms are summed with t^e, e = max(n-1-k, 0), factored out, and t^e
+    is put back as a mantissa and a binary exponent (``_power_parts``), so a
+    subnormal t^e costs no bits of a representable result.  After term i
+    the first omitted term has j = 2i, and the one of j = 2i' is at most
+    b_p = 4 perm(p, k) t^(p-k) / (2 pi)^(2i') with p = n-1+2i'.  The ratio
+    b_(p+2)/b_p = (t/2 pi)^2 (p+2)(p+1)/((p+2-k)(p+1-k)) falls with p, so
+    once it is below 1 the tail is at most b_p/(1 - ratio).  The slop is
+    3 eps of every |term| (the roundings of c_j, perm(p, k), the power and
+    two products), one op per term for the sum, and those of the scaling;
+    the absolute floor, as in ``_exp``, covers a value that underflows.
+    """
+    e = max(n - 1 - k, 0)
+    r2 = (t / math.tau) ** 2
+    total = magnitude = 0.0
+    for i in range(min(policy.max_terms, len(_KERNEL_C))):
+        p = n - 1 + (i if i < 2 else 2 * i - 2)
+        if p >= k:
+            term = _KERNEL_C[i] * math.perm(p, k) * t ** (p - k - e)
+            total += term
+            magnitude += abs(term)
+        p = n - 1 + 2 * i
+        if i == 0 or p < k:  # b_p does not bound c_1; perm(p, k) = 0 below k
+            continue
+        ratio = r2 * ((p + 2) * (p + 1)) / ((p + 2 - k) * (p + 1 - k))
+        if ratio < 1.0:
+            bound = 4.0 * math.perm(p, k) * t ** (p - k - e) / math.tau ** (2 * i)
+            tail = bound / (1.0 - ratio)
+            if tail <= policy.eps * magnitude:
+                mant, expo, ops = _power_parts(t, e)
+                val = math.ldexp(total * mant, expo)
+                err = math.ldexp(tail * mant, expo) + _slop(
+                    i + 4 + ops, math.ldexp(magnitude * mant, expo)
+                )
+                return Enclosure(val, err + 4.0 * math.ulp(0.0), i + 1)
+    what = f"kernel derivative series (n={n}, k={k}, t={t}) did not certify within"
+    if policy.max_terms < len(_KERNEL_C):
+        raise ConvergenceError(f"{what} {policy.max_terms} terms")
+    raise ConvergenceError(f"{what} its {len(_KERNEL_C)} tabulated Bernoulli terms")
+
+
+def _power_parts(t: float, e: int):
+    """(m, x, ops) with t^e = m 2^x, m in [0.5, 1), formed in ``ops``
+    rounded operations without an underflow or overflow: the mantissa of t
+    is raised to at most the 1000th power at a time, which keeps m normal."""
+    mant, expo = math.frexp(t)
+    m, x, ops = 1.0, 0, 0
+    while e > 0:
+        step = min(e, 1000)
+        m, shift = math.frexp(m * mant**step)
+        x += shift + expo * step
+        e, ops = e - step, ops + 2
+    return m, x, ops
+
+
+def _kernel_exp(n: int, k: int, t: float, policy: TruncationPolicy) -> Enclosure:
+    """kernel_derivative above t0 from 1/(1-e^(-t)) = sum_m e^(-mt): each
+    t^n e^(-mt) differentiates in closed form by the product rule.  The tail
+    over m is geometric with ratio at most e^(-t/2) once m >= 2k/t."""
+    jmax = min(k, n)
+    # C(k,j) * n!/(n-j)! * t^(n-j) for j = 0..jmax
+    coefs = [math.comb(k, j) * math.perm(n, j) * t ** (n - j) for j in range(jmax + 1)]
+    # m = 0 contribution: d^k/dt^k t^n
+    total = math.perm(n, k) * t ** (n - k) if k <= n else 0.0
+    # the alternating terms cancel as t -> 0: base the slop on them
     abs_total = abs(total)
     for m0, hi in _blocks(
         policy, "kernel derivative series (n={}, k={}, t={})", n, k, t, first=512

@@ -230,6 +230,27 @@ def test_verify_grid_points_override(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("points", ["2", "-5", "100000"])
+def test_verify_grid_points_outside_a_domain_is_a_usage_error(tmp_path, capsys, points):
+    out_file = tmp_path / "r.json"
+    code, _, err = run(capsys, "verify", "--suite", "dup-psi", "--grid-points", points,
+                       "--out", str(out_file))
+    assert code == 64 and "usage error" in err and "[8, 4096]" in err
+    assert not out_file.exists()
+
+
+def test_verify_fixed_point_claims_ignore_grid_points(tmp_path, capsys):
+    # cor5-ineq checks a fixed set of points, so only the config digest,
+    # which records the option, differs
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(capsys, "verify", "--suite", "cor5-ineq", "--out", str(a))[0] == 0
+    assert run(capsys, "verify", "--suite", "cor5-ineq", "--grid-points", "9",
+               "--out", str(b))[0] == 0
+    doc_a, doc_b = json.loads(a.read_text()), json.loads(b.read_text())
+    assert doc_a["entries"] == doc_b["entries"]
+    assert doc_a["config"] != doc_b["config"]
+
+
 def test_verify_run_evaluates_each_polygamma_cell_once(monkeypatch):
     calls = collections.Counter()
     polygamma = ce.polygamma

@@ -5,7 +5,8 @@ The references are written out per target class (mpmath's polygamma and
 loggamma, with Leibniz and linear-combination sums done in mpmath), never
 through ``mp.diff``; psi_q is a direct sum (``_psi_q``), never ``mp.nsum``.
 The points lean toward 1/e, where x ln x has a stationary point, and toward
-both ends of [1e-2, 1e2].
+both ends of [1e-2, 1e2].  ``kernel_derivative``, which has no closed form,
+is checked against ``mp.diff`` at 40 digits.
 """
 
 import math
@@ -13,12 +14,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from qgammakit import bounds as bd
 from qgammakit import cm_engine as ce
 from qgammakit import corpus
+from qgammakit import specfun as sf
 
 
 def _ref(t, k, x):
@@ -283,3 +285,43 @@ def test_q_series_constant_is_in_the_order_0_error(q):
     # at large x the series is below an ulp of the constant, so order 0 is
     # the constant's own rounding and that of adding it, and nothing else
     _assert_sound(_psi_q_series(q), [30.0, 60.0, 100.0], 2, lambda k, x: _psi_q(k, x, q))
+
+
+def _kernel_ref(n, k, t):
+    """d^k/dt^k t^n/(1 - e^(-t)) at t as an mpf; call inside ``mp.workdps``."""
+    return mp.diff(lambda s: s**n / -mp.expm1(-s), mp.mpf(t), k)
+
+
+_T0 = sf._KERNEL_T0
+# t -> 0+ (down to where t^(n-1-k) is subnormal), t just below t0 (the
+# Bernoulli series) and just above it (the exponential series), and t on
+# [1, 40]
+_KERNEL_T = st.one_of(
+    st.floats(-20.0, 0.0).map(lambda e: 10.0**e),
+    st.floats(-1e-6, 0.0).map(lambda d: _T0 * (1.0 + d)),
+    st.floats(1e-12, 1e-6).map(lambda d: _T0 * (1.0 + d)),
+    st.floats(0.0, 1.6).map(lambda e: 10.0**e),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.one_of(st.integers(1, 40), st.just(40)),
+       st.one_of(st.integers(0, 20), st.sampled_from([0, 20])),
+       _KERNEL_T)
+@example(40, 0, 1e-10)  # t^39 underflows: only the absolute floor holds the truth, 1e-390
+@example(40, 20, 3e-17)  # t^19 is subnormal, but the value, 1.9e-285, is not
+def test_kernel_certificates_hold(n, k, t):
+    enc = sf.kernel_derivative(n, k, t)
+    with mp.workdps(40):
+        assert abs(mp.mpf(enc.value) - _kernel_ref(n, k, t)) <= enc.abs_error, enc
+
+
+@pytest.mark.parametrize("t", [1.9, 1.99, _T0, 2.01, 2.1])
+def test_kernel_regimes_agree_near_t0(t):
+    """Both series converge around t0: their values agree within the sum of
+    their certificates."""
+    for n in (1, 2, 5, 16, 40):
+        for k in (0, 1, 7, 16, 20):
+            a = sf._kernel_bernoulli(n, k, t, sf.DEFAULT_POLICY)
+            b = sf._kernel_exp(n, k, t, sf.DEFAULT_POLICY)
+            assert abs(a.value - b.value) <= a.abs_error + b.abs_error, (n, k, a, b)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,19 @@ GAMMA = sf.EULER_GAMMA
 
 def within(enc, target, tol):
     assert abs(enc.value - target) <= tol, (enc.value, target)
+
+
+def test_import_needs_only_numpy():
+    """The runtime depends on numpy alone: a fresh interpreter that imports
+    qgammakit has loaded neither mpmath nor fractions, so no coefficient
+    table is built from exact rationals at import."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    code = "import sys, qgammakit; print(sorted({'mpmath', 'fractions'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -465,23 +482,38 @@ def _q_series_jet(x, q, policy):
 
 
 @pytest.mark.parametrize(
-    "series, easy, hard",
+    "series, easy, hard, budget",
     [
-        (sf.q_ln_gamma, (1.5, 0.96), (1.5, 0.99)),
-        (sf.q_digamma, (1.5, 0.97), (1.5, 0.99)),
-        (sf.kernel_derivative, (2, 1, 0.05), (2, 1, 0.01)),
-        (_q_series_jet, (1.5, 0.966), (1.5, 0.99)),
+        (sf.q_ln_gamma, (1.5, 0.96), (1.5, 0.99), 1000),
+        (sf.q_digamma, (1.5, 0.97), (1.5, 0.99), 1000),
+        # above t0, where the kernel sums the exponential series in blocks
+        (sf.kernel_derivative, (1, 20, 40.0), (1, 20, 2.5), 20),
+        (_q_series_jet, (1.5, 0.966), (1.5, 0.99), 1000),
     ],
     ids=["q_ln_gamma", "q_digamma", "kernel_derivative", "QSeriesTarget"],
 )
-def test_every_series_keeps_to_the_term_budget(series, easy, hard):
+def test_every_series_keeps_to_the_term_budget(series, easy, hard, budget):
     """A budget that is not a multiple of any block: the last block is
     clamped to it, a series that certifies there reports at most the budget,
     and one that needs more raises."""
-    tight = sf.TruncationPolicy(max_terms=1000)
+    tight = sf.TruncationPolicy(max_terms=budget)
     assert series(*easy, tight).terms_used == tight.max_terms
-    with pytest.raises(ConvergenceError, match="did not certify within 1000 terms"):
+    with pytest.raises(ConvergenceError, match=f"did not certify within {budget} terms"):
         series(*hard, tight)
+
+
+def test_kernel_bernoulli_series_keeps_to_the_term_budget():
+    """At t <= t0 the kernel sums the Bernoulli series term by term: a budget
+    of exactly the terms it needs certifies, one term less raises, and so
+    does a smaller eps than its table of coefficients can reach."""
+    needed = sf.kernel_derivative(1, 20, 2.0).terms_used
+    assert needed < len(sf._KERNEL_C)
+    tight = sf.TruncationPolicy(max_terms=needed)
+    assert sf.kernel_derivative(1, 20, 2.0, tight).terms_used == needed
+    with pytest.raises(ConvergenceError, match=f"did not certify within {needed - 1} terms"):
+        sf.kernel_derivative(1, 20, 2.0, sf.TruncationPolicy(max_terms=needed - 1))
+    with pytest.raises(ConvergenceError, match="tabulated Bernoulli terms"):
+        sf.kernel_derivative(1, 20, 2.0, sf.TruncationPolicy(eps=1e-60))
 
 
 def test_unit_ball_volume():
