@@ -6,7 +6,8 @@ certified tails), and a central finite-difference fallback exists for
 targets without an analytic route.  A target's jet ``jet(x, K)`` gives the
 Enclosures of orders 0..K at x in one pass (Taylor-mode propagation):
 Leibniz and linear combinations evaluate each inner order once per point,
-and a q-series shares its blocks of terms across the orders.
+and a q-series shares its blocks of terms across the orders: one exp per
+term, and order k is order k-1 times j.
 
 ``jet_grid(xs, K)`` gives orders 0..K at every point of a grid as arrays:
 values and errors of shape (K+1, P), and ``ok`` of shape (P,), False where
@@ -476,9 +477,12 @@ class QSeriesTarget(AnalyticTarget):
     branch constants and colliding leading terms cancel analytically inside
     the coefficients instead of catastrophically in floating point.  Each
     component is (shift, coeff_fn, amp, jpow) with |coeff_fn(j)| <= amp *
-    j^jpow, valid on x + shift > 0; the whole exponent is assembled inside
-    one exp call so nothing overflows, and the tail bound is geometric per
-    component at every derivative order.
+    j^jpow (jpow >= 0), valid on x + shift > 0.  Each term takes one exp,
+    of j (x + shift) ln q <= 0, times c_j; order k multiplies order k-1 by
+    j, and the tail bound is geometric per component at every derivative
+    order.  The rounding slop weights term k by 1 + |exponent| + k, and an
+    absolute floor covers the terms whose exp or products fall below the
+    normal range (``_jets``).
 
     ``const`` enters order 0 only.  It may carry the rounding of up to two
     operations, as log1p(sqrt(q)) does; with the rounding of adding it,
@@ -498,11 +502,21 @@ class QSeriesTarget(AnalyticTarget):
     def _jets(self, xs, K, policy):
         """One block loop for orders 0..K at every point.
 
-        The rows (points x block) of a block share its j, log j and
-        coefficients, while every (order, point) keeps its own sums, tail
-        test and stop, so each stops exactly where a lone order at a lone
-        point would.  Points run in chunks, so that no temporary holds more
-        than _CHUNK_ELEMENTS elements or one row of the block.
+        The rows (points x block) of a block share its j and coefficients,
+        while every (order, point) keeps its own sums, tail test and stop,
+        so each stops exactly where a lone order at a lone point would.
+        Points run in chunks, so that no temporary holds more than
+        _CHUNK_ELEMENTS elements or one row of the block.
+
+        A term takes one exp per component: e = j (x + shift) ln q and
+        t = exp(e) c_j, and order k is order k-1 times j (Taylor mode), up
+        to the chunk's highest order that is still active.  Term k weighs
+        1 + |e| + k in the rounding slop: exp turns the |e| ulp error of e
+        into a relative error, and k products round.  Where exp(e) or a
+        product is subnormal or 0, its error is absolute, so order k adds
+        the floor (k + 3) ulp(0) J max(amp, 1) (hi + 1)^(k + jpow) per
+        component and block of J terms, times |pref|, plus ulp(0) for the
+        product with pref.
         """
         policy = policy or DEFAULT_POLICY
         q, lnq = self.q, math.log(self.q)
@@ -521,6 +535,7 @@ class QSeriesTarget(AnalyticTarget):
         active = np.ones((K + 1, len(good)), dtype=bool)
         total = np.zeros(active.shape)
         abs_total = np.zeros(active.shape)
+        floor = np.zeros(K + 1)
         # T^(k) = sign*(const[k=0] + pref[k] * sum j^k ...)
         pref = np.array([-lnq * lnq**k for k in range(K + 1)])
         const = np.zeros(K + 1)
@@ -531,26 +546,28 @@ class QSeriesTarget(AnalyticTarget):
         try:
             for j0, hi in _blocks(policy, "combined q-series (q={}, K={})", q, K):
                 j = np.arange(j0 + 1, hi + 1, dtype=float)
-                logj = np.log(j) if K else None
                 coeffs = [coeff_fn(j) for _, coeff_fn, _, _ in self.components]
                 live = np.flatnonzero(active.any(axis=0))
                 step = max(1, _CHUNK_ELEMENTS // len(j))
                 for c0 in range(0, len(live), step):
                     pts = live[c0:c0 + step]
-                    exps = [np.multiply.outer(rate[pts], j) for rate in rates]
-                    for k in range(K + 1):
-                        # the chunk's points where order k already stopped
-                        # are summed along; their recorded values stay
-                        if not active[k, pts].any():
-                            continue
-                        jk = k * logj if k else 0.0
-                        for e, c in zip(exps, coeffs):
-                            a = e + jk
-                            t = np.exp(a) * c
-                            total[k, pts] += t.sum(axis=1)
-                            # a carries a rounding error of order |a| ulp,
-                            # which exp turns into a relative error of its term
-                            abs_total[k, pts] += (np.abs(t) * (1.0 + np.abs(a))).sum(axis=1)
+                    # the chunk's points where order k already stopped are
+                    # summed along; their recorded values stay
+                    wanted = active[:, pts].any(axis=1).tolist()
+                    top = max(k for k in range(K + 1) if wanted[k])
+                    for rate, c in zip(rates, coeffs):
+                        e = np.multiply.outer(rate[pts], j)
+                        t = np.exp(e) * c
+                        w = 1.0 + np.abs(e)
+                        wt = np.empty_like(t)  # |t| (1 + |e| + k)
+                        for k in range(top + 1):
+                            if k:
+                                t *= j
+                            if wanted[k]:
+                                total[k, pts] += t.sum(axis=1)
+                                np.abs(t, out=wt)
+                                wt *= w + k
+                                abs_total[k, pts] += wt.sum(axis=1)
                 tail = np.zeros((K + 1, len(live)))
                 converged = np.ones(tail.shape, dtype=bool)
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -561,8 +578,9 @@ class QSeriesTarget(AnalyticTarget):
                         )
                         converged &= rho < 1.0
                         far = [q**v for v in ((hi + 1.0) * y[live]).tolist()]
-                        lead = amp * np.array([(hi + 1.0) ** n for n in powers])
-                        tail += np.multiply.outer(lead, far) / (1.0 - rho)
+                        hpow = np.array([(hi + 1.0) ** n for n in powers])
+                        tail += np.multiply.outer(amp * hpow, far) / (1.0 - rho)
+                        floor += (max(amp, 1.0) * len(j)) * hpow
                 sums = total[:, live]
                 done = active[:, live] & converged & (tail <= policy.eps * (1.0 + np.abs(sums)))
                 if done.any():
@@ -572,7 +590,9 @@ class QSeriesTarget(AnalyticTarget):
                     grid.values[:, cols] = np.where(
                         done, self.sign * (const[:, None] + pref[:, None] * sums), grid.values[:, cols]
                     )
-                    err = apref * tail + slop + _slop(3, const)[:, None]
+                    ulp0 = math.ulp(0.0)
+                    under = apref * (ulp0 * (np.arange(K + 1) + 3.0) * floor)[:, None] + ulp0
+                    err = apref * tail + slop + _slop(3, const)[:, None] + under
                     grid.errors[:, cols] = np.where(done, err, grid.errors[:, cols])
                     grid.terms[:, cols] = np.where(done, hi, grid.terms[:, cols])
                     active[:, live] &= ~done

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -345,6 +346,24 @@ def digamma_series(x: float, policy: TruncationPolicy | None = None) -> Enclosur
     return Enclosure(val, tail_err + _slop(n_terms, val), n_terms)
 
 
+@functools.cache
+def _asymptotic_coeffs(n: int, scaled: bool) -> tuple:
+    """c_k = B_2k (2k+n-1)!/(2k)! of _polygamma_asymptotic's term c_k/y^(2k+n),
+    for the 15 tabled B_2k and B_32, divided by (n-1)! when ``scaled``.
+
+    Built once per (n, scaled), in the loop's own operation order, so every
+    term keeps its bits; unscaled, (n-1)! must fit a float (n < 172), or
+    this raises OverflowError on every call.
+    """
+    fact_nm1 = 1 if scaled else math.factorial(n - 1)
+    rising = 1.0  # (n)(n+1)...(n+2k-1) / (2k)!
+    coeffs = []
+    for k, b2k in enumerate(_BERNOULLI_2K + (_BERNOULLI_32,), start=1):
+        rising *= (n + 2 * k - 2) * (n + 2 * k - 1) / ((2 * k - 1) * (2 * k))
+        coeffs.append(b2k * rising * fact_nm1)
+    return tuple(coeffs)
+
+
 def _polygamma_asymptotic(n: int, y: float, eps: float, scaled: bool = False):
     """(-1)^(n+1) psi^(n)(y) asymptotic, y large; first-omitted-term bound.
 
@@ -355,22 +374,19 @@ def _polygamma_asymptotic(n: int, y: float, eps: float, scaled: bool = False):
     nothing overflows where y^n does.
     """
     if scaled:
-        fact_nm1, ypow = 1, 1.0
+        ypow = 1.0
         lead = 1.0 + n / (2.0 * y)
     else:
-        fact_nm1, ypow = math.factorial(n - 1), y**n
-        lead = fact_nm1 / ypow + math.factorial(n) / (2.0 * y ** (n + 1))
+        ypow = y**n
+        lead = math.factorial(n - 1) / ypow + math.factorial(n) / (2.0 * y ** (n + 1))
     corr = 0.0
-    # term_k = B_2k * (2k+n-1)! / ((2k)! * y^(2k+n))
-    rising = 1.0  # (2k+n-1)!/( (2k)! (n-1)! ) accumulated below as product
     y2 = y * y
     terms = 0
     prev = math.inf
-    for k, b2k in enumerate(_BERNOULLI_2K + (_BERNOULLI_32,), start=1):
-        # rising = (n)(n+1)...(n+2k-1) / (2k)!
-        rising *= (n + 2 * k - 2) * (n + 2 * k - 1) / ((2 * k - 1) * (2 * k))
+    # term_k = B_2k * (2k+n-1)! / ((2k)! * y^(2k+n))
+    for k, c in enumerate(_asymptotic_coeffs(n, scaled), start=1):
         ypow *= y2
-        term = b2k * rising * fact_nm1 / ypow
+        term = c / ypow
         past_table = k > len(_BERNOULLI_2K)
         if past_table or abs(term) >= prev or abs(term) <= eps * (lead + abs(corr)):
             break
@@ -529,8 +545,22 @@ def _q_psi_sum(x: float, q: float, n: int, policy: TruncationPolicy):
 
     Successive-term ratio is at most ((K+1)/K)^n * q^x once K terms are
     summed, which drops below 1 past the hump k ~ n/(x ln(1/q)).
+
+    The terms peak there, and a block holds at most _BLOCK_MAX of them, so
+    ln of a block sum is at most
+    n (ln(n/(x ln(1/q))) - 1) - ln(1 - q) + ln(_BLOCK_MAX); at n = 0 that
+    is below 50.  Only where it passes 700 can the sum overflow (to inf,
+    which the caller turns into DomainError), and only there is numpy's
+    overflow warning silenced.
     """
     lnq = math.log(q)
+    if n and n * (math.log(n / (x * -lnq)) - 1.0) - math.log1p(-q) + math.log(_BLOCK_MAX) > 700.0:
+        with np.errstate(over="ignore"):
+            return _q_psi_blocks(x, q, lnq, n, policy)
+    return _q_psi_blocks(x, q, lnq, n, policy)
+
+
+def _q_psi_blocks(x: float, q: float, lnq: float, n: int, policy: TruncationPolicy):
     total = 0.0
     for k0, hi in _blocks(policy, "q-series (x={}, q={}, order={})", x, q, n):
         k = np.arange(k0 + 1, hi + 1, dtype=float)

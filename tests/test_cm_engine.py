@@ -153,25 +153,28 @@ def _per_order(t, k, x, policy=None):
         policy = policy or sf.DEFAULT_POLICY
         lnq = math.log(t.q)
         pref = -lnq * lnq**k
-        total = abs_total = 0.0
+        total = abs_total = floor = 0.0
         j0, block = 0, 256
         while True:
             hi = min(j0 + block, policy.max_terms)
             j = np.arange(j0 + 1, hi + 1, dtype=float)
-            jk = k * np.log(j) if k else 0.0
             for shift, coeff_fn, _, _ in t.components:
-                arg = j * ((x + shift) * lnq) + jk
+                # one exp per term, then k products by j
+                arg = j * ((x + shift) * lnq)
                 terms = np.exp(arg) * coeff_fn(j)
+                for _ in range(k):
+                    terms *= j
                 total += float(np.sum(terms))
-                abs_total += float(np.sum(np.abs(terms) * (1.0 + np.abs(arg))))
+                abs_total += float(np.sum(np.abs(terms) * (1.0 + np.abs(arg) + k)))
             j0 = hi
-            block = min(2 * block, 1 << 16)
+            block = min(2 * block, 1 << 17)
             tail, converged = 0.0, True
             for shift, _, amp, jpow in t.components:
+                floor += max(amp, 1.0) * len(j) * (j0 + 1.0) ** (k + jpow)
                 rho = ((j0 + 2.0) / (j0 + 1.0)) ** (k + jpow) * t.q ** (x + shift)
                 if rho >= 1.0:
                     converged = False
-                    break
+                    continue
                 tail += (
                     amp * (j0 + 1.0) ** (k + jpow) * t.q ** ((j0 + 1.0) * (x + shift)) / (1.0 - rho)
                 )
@@ -182,7 +185,9 @@ def _per_order(t, k, x, policy=None):
         val = t.sign * ((t.const if k == 0 else 0.0) + pref * total)
         slop = (2.0 + math.log2(max(j0, 2))) * _EPS * abs(pref) * abs_total
         const_slop = 3.0 * _EPS * abs(t.const) if k == 0 else 0.0
-        return sf.Enclosure(val, abs(pref) * tail + slop + const_slop, j0)
+        ulp0 = math.ulp(0.0)
+        under = abs(pref) * (ulp0 * (k + 3.0) * floor) + ulp0
+        return sf.Enclosure(val, abs(pref) * tail + slop + const_slop + under, j0)
     return t.deriv(k, x, policy)
 
 

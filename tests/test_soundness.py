@@ -252,21 +252,29 @@ def _psi_q_series(q):
                             const=-math.log1p(-q))
 
 
+# at q = 5e-4 and x in [93, 100], exp(j x ln q) is subnormal or 0 for the
+# first terms: only the absolute floor of QSeriesTarget covers them
+_XS_UNDERFLOW = st.lists(st.one_of(st.floats(93.0, 100.0), _X), min_size=1, max_size=4)
+
+
 def _q_series_cases():
-    """(K, target, reference) of the beta-lcm targets, two _gq_neg_log_deriv
-    targets as thm5-lcm and thm8-lcm build them, psi_q as a q-series and
-    psi_q leaves."""
+    """(K, target, reference, points) of the beta-lcm targets, two
+    _gq_neg_log_deriv targets as thm5-lcm and thm8-lcm build them, psi_q as
+    a q-series (at q = 5e-4 in the underflow regime too) and psi_q leaves."""
     cases = []
     for check in corpus.instantiate("beta-lcm"):
         q, beta = map(float, re.findall(r"=([0-9.]+)", check.label))
-        cases.append((check.kwargs["K"] - 1, check.kwargs["target"].h_prime, _beta_ref(q, beta)))
+        cases.append((check.kwargs["K"] - 1, check.kwargs["target"].h_prime, _beta_ref(q, beta),
+                      _XS))
     u = bd.alzer_u(0.9, 0.5)
     for a, b, c, q, sign in ((0.3, 1.1, 0.6, 0.5, -1.0), (0.5, 1.0, u, 0.9, 1.0)):
-        cases.append((7, corpus._gq_neg_log_deriv(a, b, c, q, sign), _gq_ref(a, b, c, q, sign)))
+        cases.append((7, corpus._gq_neg_log_deriv(a, b, c, q, sign), _gq_ref(a, b, c, q, sign),
+                      _XS))
     for q in (0.3, 0.9):
-        cases.append((8, _psi_q_series(q), lambda k, x, q=q: _psi_q(k, x, q)))
+        cases.append((8, _psi_q_series(q), lambda k, x, q=q: _psi_q(k, x, q), _XS))
+    cases.append((7, _psi_q_series(5e-4), lambda k, x: _psi_q(k, x, 5e-4), _XS_UNDERFLOW))
     for leaf in (ce.QPolyGammaShift(0, 0.7), ce.QPolyGammaShift(2, 0.3, 0.25)):
-        cases.append((8, leaf, None))
+        cases.append((8, leaf, None, _XS))
     return cases
 
 
@@ -274,10 +282,18 @@ _Q_SERIES = _q_series_cases()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.sampled_from(_Q_SERIES), _XS, st.data())
-def test_q_series_certificates_hold(case, xs, data):
-    K, target, ref = case
-    _assert_sound(target, xs, data.draw(st.integers(0, K)), ref)
+@given(st.sampled_from(_Q_SERIES), st.data())
+def test_q_series_certificates_hold(case, data):
+    K, target, ref, xs = case
+    _assert_sound(target, data.draw(xs), data.draw(st.integers(0, K)), ref)
+
+
+@pytest.mark.parametrize("x", [97.0, 99.0, 100.0])
+def test_q_series_floor_covers_underflowing_terms(x):
+    # exp(x ln q) is subnormal or 0 and every later exp is 0; without an
+    # absolute floor these cells report abs_error 0 and miss
+    q = 5e-4
+    _assert_sound(_psi_q_series(q), [x], 7, lambda k, x: _psi_q(k, x, q))
 
 
 @pytest.mark.parametrize("q", [0.3, 0.9])

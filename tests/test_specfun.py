@@ -461,6 +461,55 @@ def test_polygamma_asymptotic_bounds_by_the_first_omitted_term():
                 assert abs(mpf(value) - truth) <= tail + rounding, (n, y, terms)
 
 
+def _asymptotic_term_by_term(n, y, eps, scaled):
+    """_polygamma_asymptotic as it was before its coefficient table: each
+    term's B_2k (2k+n-1)!/(2k)! is rebuilt on every call."""
+    if scaled:
+        fact_nm1, ypow = 1, 1.0
+        lead = 1.0 + n / (2.0 * y)
+    else:
+        fact_nm1, ypow = math.factorial(n - 1), y**n
+        lead = fact_nm1 / ypow + math.factorial(n) / (2.0 * y ** (n + 1))
+    corr, rising, y2, terms, prev = 0.0, 1.0, y * y, 0, math.inf
+    for k, b2k in enumerate(sf._BERNOULLI_2K + (sf._BERNOULLI_32,), start=1):
+        rising *= (n + 2 * k - 2) * (n + 2 * k - 1) / ((2 * k - 1) * (2 * k))
+        ypow *= y2
+        term = b2k * rising * fact_nm1 / ypow
+        if k > len(sf._BERNOULLI_2K) or abs(term) >= prev or abs(term) <= eps * (lead + abs(corr)):
+            break
+        corr += term
+        prev = abs(term)
+        terms += 1
+    return lead + corr, abs(term), terms
+
+
+def _outcome(fn, *args):
+    try:
+        value, tail, terms = fn(*args)
+    except Exception as exc:  # the class must match, OverflowError included
+        return type(exc)
+    return value.hex(), tail.hex(), terms
+
+
+def test_polygamma_asymptotic_table_keeps_every_bit():
+    """The cached coefficients give the values, bounds, term counts and
+    exceptions of the term-by-term loop, OverflowError at n >= 172 unscaled
+    included, over n <= 200 and y from the diverging range to y^n past
+    double precision, and at the polygamma edge cases above."""
+    rng = np.random.default_rng(14)
+    cases = [(n, y) for n in range(1, 201) for y in (0.5, 4.0, 10.0 + n, 25.0 + 3.0 * n, 1e3)]
+    cases += [(int(n), float(y)) for n, y in zip(rng.integers(1, 201, 300),
+                                                 10.0 ** rng.uniform(-0.5, 6.0, 300))]
+    cases += [(n, max(x, 10.0 + n)) for n, x in ((1, 1e160), (3, 1e80), (20, 1e16),
+                                                  (1, 1e-160), (12, 1e-30))]
+    for n, y in cases:
+        for scaled in (False, True):
+            for eps in (1e-16, 1e-40):
+                args = (n, y, eps, scaled)
+                assert _outcome(sf._polygamma_asymptotic, *args) == _outcome(
+                    _asymptotic_term_by_term, *args), args
+
+
 def test_stirling_past_the_table_bounds_by_the_first_omitted_term():
     """With eps below every tabulated Bernoulli term, the ln Gamma tail is the
     first omitted term, k = 16: |B_32| / (32 * 31 * y^31)."""
