@@ -548,32 +548,44 @@ def _q_psi_sum(x: float, q: float, n: int, policy: TruncationPolicy):
 
     The terms peak there, and a block holds at most _BLOCK_MAX of them, so
     ln of a block sum is at most
-    n (ln(n/(x ln(1/q))) - 1) - ln(1 - q) + ln(_BLOCK_MAX); at n = 0 that
-    is below 50.  Only where it passes 700 can the sum overflow (to inf,
-    which the caller turns into DomainError), and only there is numpy's
-    overflow warning silenced.
+    n (ln n - ln x - ln ln(1/q) - 1) - ln(1 - q) + ln(_BLOCK_MAX), formed
+    in logs so that it neither overflows nor divides by zero; at n = 0 it
+    is below 50.  The exponents k x ln q overflow only where
+    x ln(1/q) max_terms passes the largest double.  Only where one of the
+    two can happen is numpy's overflow warning silenced; an infinite sum
+    becomes DomainError in the caller, and an exponent of -inf a term of 0.
+
+    A term whose exp or quotient is subnormal or 0 loses up to ulp(0)/2 in
+    each, which is not relative to the term: the returned tail adds the
+    floor 2 ulp(0)/(1 - q) for every summed term and for the last one in
+    the geometric tail.
     """
     lnq = math.log(q)
-    if n and n * (math.log(n / (x * -lnq)) - 1.0) - math.log1p(-q) + math.log(_BLOCK_MAX) > 700.0:
-        with np.errstate(over="ignore"):
-            return _q_psi_blocks(x, q, lnq, n, policy)
-    return _q_psi_blocks(x, q, lnq, n, policy)
-
-
-def _q_psi_blocks(x: float, q: float, lnq: float, n: int, policy: TruncationPolicy):
+    under = 2.0 * math.ulp(0.0) / (1.0 - q)
+    may_overflow = x * -lnq * policy.max_terms > 1e308 or (
+        n
+        and n * (math.log(n) - math.log(x) - math.log(-lnq) - 1.0)
+        - math.log1p(-q)
+        + math.log(_BLOCK_MAX)
+        > 700.0
+    )
     total = 0.0
-    for k0, hi in _blocks(policy, "q-series (x={}, q={}, order={})", x, q, n):
-        k = np.arange(k0 + 1, hi + 1, dtype=float)
-        logs = k * (x * lnq)
-        if n:
-            logs = logs + n * np.log(k)
-        t = np.exp(logs) / (-np.expm1(k * lnq))
-        total += float(t.sum())
-        ratio = ((hi + 1.0) / hi) ** n * math.exp(x * lnq)
-        if ratio < 1.0:
-            tail = float(t[-1]) * ratio / (1.0 - ratio)
-            if tail <= policy.eps * (1.0 + total):
-                return total, tail, hi
+    with np.errstate(over="ignore") if may_overflow else contextlib.nullcontext():
+        for k0, hi in _blocks(policy, "q-series (x={}, q={}, order={})", x, q, n):
+            k = np.arange(k0 + 1, hi + 1, dtype=float)
+            logs = k * (x * lnq)
+            if n:
+                logs = logs + n * np.log(k)
+            t = np.exp(logs) / (-np.expm1(k * lnq))
+            total += float(t.sum())
+            try:
+                ratio = ((hi + 1.0) / hi) ** n * math.exp(x * lnq)
+            except OverflowError:  # (1 + 1/hi)^n: far short of the hump
+                continue
+            if ratio < 1.0:
+                tail = (float(t[-1]) + under) * ratio / (1.0 - ratio)
+                if tail <= policy.eps * (1.0 + total):
+                    return total, tail + hi * under, hi
 
 
 def _q_psi(n: int, x: float, q, policy: TruncationPolicy | None) -> Enclosure:
@@ -602,7 +614,9 @@ def _q_psi(n: int, x: float, q, policy: TruncationPolicy | None) -> Enclosure:
         magnitude = abs(scale * s) + abs(extra)
     if not (math.isfinite(val) and math.isfinite(err)):
         raise DomainError(f"psi_q^({n})({x}) overflows double precision at q={q}")
-    return Enclosure(val, err + _slop(terms, magnitude), terms, warn_slow=terms > 10**5)
+    # the absolute floor covers a subnormal product or sum
+    err += _slop(terms, magnitude) + 4.0 * math.ulp(0.0)
+    return Enclosure(val, err, terms, warn_slow=terms > 10**5)
 
 
 def q_digamma(x: float, q, policy: TruncationPolicy | None = None) -> Enclosure:

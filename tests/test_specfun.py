@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -160,6 +161,58 @@ def test_edges_give_a_certified_value_or_domain_error(name, args):
     else:
         with pytest.raises(DomainError):
             fn(*args)
+
+
+def _q_psi_far(n, x, q):
+    """psi_q^(n)(x) (n = 0: psi_q) from three terms of its series, exact to
+    40 digits where p^x < 1e-100 (p = min(q, 1/q)) and n <= 5, as each
+    further term is below 1e-90 of the one before; the q > 1 branch adds
+    (3/2 - x) ln p at n = 0 and -ln p at n = 1."""
+    from mpmath import log, log1p, mpf
+
+    x, q = mpf(x), mpf(q)
+    p = 1 / q if q > 1 else q
+    assert p**x < mpf(10) ** -100
+    s = sum(mpf(k) ** n * p ** (k * x) / (1 - p**k) for k in range(1, 4))
+    lnp = log(p)
+    if n == 0:
+        val = -log1p(-p) + lnp * s
+        return val + (mpf(1.5) - x) * lnp if q > 1 else val
+    return lnp ** (n + 1) * s - (lnp if q > 1 and n == 1 else 0)
+
+
+@pytest.mark.parametrize("n, x, q, raises", [
+    (1, 1e308, 1e300, None),
+    (0, 1e306, 0.01, None),
+    (1, 1e306, 0.01, None),
+    (1, 1e308, 0.01, None),
+    (5, 1e300, 1e-300, None),
+    (0, 1e308, 1e-300, None),
+    (1, 5e-324, 0.9, ConvergenceError),
+    (0, 5e-324, 0.9, ConvergenceError),
+    (1, 5e-324, 1e300, ConvergenceError),
+    (200000, 1.0, 0.5, DomainError),
+], ids=lambda v: str(v))
+def test_q_psi_edges_give_a_certified_value_or_raise(n, x, q, raises):
+    """At extreme x and q the bound that decides whether numpy may
+    overflow must not itself overflow, divide by zero or take log(0);
+    x ln(1/q) times the term count passes the largest double where x is
+    huge.  Each call gives a value within its certificate of the series at
+    40 digits (where every term underflows, 0 with a positive error),
+    ConvergenceError where x is subnormal and q^x rounds to 1, or
+    DomainError where the sum overflows, also at an order so high that the
+    tail ratio's (1 + 1/K)^n overflows.  pytest turns any numpy warning
+    into an error."""
+    from mpmath import mp, mpf
+
+    fn = sf.q_digamma if n == 0 else functools.partial(sf.q_polygamma, n)
+    if raises:
+        with pytest.raises(raises):
+            fn(x, q)
+        return
+    enc = fn(x, q)
+    with mp.workdps(40):
+        assert abs(mpf(enc.value) - _q_psi_far(n, x, q)) <= enc.abs_error
 
 
 @pytest.mark.parametrize("n", [450, 453, 10**6])
