@@ -3,11 +3,13 @@
 Targets are registered, known families only: each analytic target knows its
 k-th derivative in closed form (term-wise differentiated series with
 certified tails), and a central finite-difference fallback exists for
-targets without an analytic route.  A target's jet ``jet(x, K)`` gives the
-Enclosures of orders 0..K at x in one pass (Taylor-mode propagation):
-Leibniz and linear combinations evaluate each inner order once per point,
-and a q-series shares its blocks of terms across the orders: one exp per
-term, and order k is order k-1 times j.
+targets without an analytic route.  A target's class attribute
+``max_order`` caps the orders a check asks for: 12, and 8 for finite
+differences.  A target's jet ``jet(x, K)`` gives the Enclosures of orders
+0..K at x in one pass (Taylor-mode propagation): Leibniz and linear
+combinations evaluate each inner order once per point, and a q-series
+shares its blocks of terms across the orders: one exp per term, and order
+k is order k-1 times j.
 
 ``jet_grid(xs, K)`` gives orders 0..K at every point of a grid as arrays:
 values and errors of shape (K+1, P), and ``ok`` of shape (P,), False where
@@ -19,11 +21,15 @@ each cell in the scalar operation order, so each column holds exactly the
 bits of the scalar jet.  Every rounding slop is ``specfun._slop``'s
 ops*eps*sum|summands|.  A sign-pattern check asks for one grid.
 
-The psi-family leaves (``LnGammaFn``, ``PolyGammaShift``,
-``PolyProductTarget``, ``QPolyGammaShift``) fill their grids through
-specfun's run-scoped cell table, one scalar evaluator call per cell, so
-within a verification run each (order, point) cell is evaluated once and
-keeps the bits of the scalar jet.
+The psi-family leaves (``LnGammaFn``, ``PolyGammaShift``, ``QLnGammaFn``,
+``QPolyGammaShift``) are one class, ``_PsiLeaf``: order k is the evaluator
+of order m + k at x + a, with or without q, picked by ``_psi``, and read
+through specfun's run-scoped cell table, one scalar evaluator call per
+cell.  Within a verification run each (order, point) cell is evaluated
+once, whether a scalar call, a leaf's grid or ``PolyProductTarget``'s grid
+of polygamma orders asks for it, and keeps the bits of the scalar jet.
+One function, ``_rows``, fills the grid of every leaf: a row per order,
+a column per point, and a point fails where its first failing order does.
 
 A monotonicity probe reads a target's orders 0 and 1, with their errors,
 off one grid.
@@ -50,7 +56,6 @@ from .specfun import (
     _blocks,
     _cell,
     _cells,
-    _once,
     _slop,
     Enclosure,
     TruncationPolicy,
@@ -63,7 +68,6 @@ from .specfun import (
 )
 
 __all__ = [
-    "DerivativeSource",
     "GridSpec",
     "CLAIM_KINDS",
     "Violation",
@@ -87,24 +91,8 @@ CLAIM_KINDS = (
     "chain_le",
 )
 
-ANALYTIC_ORDER_CAP = 12
-FINITE_DIFF_ORDER_CAP = 8
 # largest block temporary of a grid of q-series, in float64 elements
 _CHUNK_ELEMENTS = 1 << 14
-
-
-@dataclass(frozen=True)
-class DerivativeSource:
-    kind: str  # "analytic_series" | "finite_difference"
-    max_order: int
-
-    def __post_init__(self):
-        if self.kind == "finite_difference" and self.max_order > FINITE_DIFF_ORDER_CAP:
-            raise UsageError("finite differences are never used beyond order 8")
-
-
-ANALYTIC_SOURCE = DerivativeSource("analytic_series", ANALYTIC_ORDER_CAP)
-FD_SOURCE = DerivativeSource("finite_difference", FINITE_DIFF_ORDER_CAP)
 
 
 @dataclass(frozen=True)
@@ -238,49 +226,28 @@ class _JetGrid:
         ]
 
 
-def _pointwise(xs: np.ndarray, n: int, fn) -> _JetGrid:
-    """The n Enclosures ``fn(x)`` at each point, one point at a time; a point
-    where fn raises DomainError/ConvergenceError fails."""
-    failures = [None] * len(xs)
-    rows = []
-    for p, x in enumerate(xs.tolist()):
-        try:
-            rows.append([(e.value, e.abs_error, e.terms_used) for e in fn(x)])
-        except (DomainError, ConvergenceError) as exc:
-            failures[p] = exc
-            rows.append([(math.nan, math.nan, 0)] * n)
-    cells = np.array(rows, dtype=float).reshape(len(xs), n, 3)
-    return _JetGrid(
-        cells[:, :, 0].T.copy(), cells[:, :, 1].T.copy(),
-        cells[:, :, 2].T.astype(np.int64), failures,
-    )
+def _rows(ys: np.ndarray, orders, row) -> _JetGrid:
+    """Row i holds the Enclosures ``row(orders[i])(y)`` at every y of ``ys``.
 
-
-def _rows(ys: np.ndarray, orders, policy, leaf, tail=()) -> _JetGrid:
-    """Row i holds the Enclosures of order ``orders[i]`` at every y of ``ys``.
-
-    ``leaf(n)`` gives (evaluator, order arguments) for order n; each cell
-    is the call ``evaluator(*order_args, y, *tail, policy)`` through the
-    run's table (``specfun._cells``), so inside a run it is evaluated once,
-    also where two grids share a point; outside a run nothing is kept.
-    A point fails where its first failing order fails, as in the scalar jet.
+    ``row(n)`` gives the function y -> Enclosure of order n.  A point fails
+    where its first failing order raises DomainError/ConvergenceError, as
+    in the scalar jet, and its column holds nan.
     """
     yl = ys.tolist()
-    leaves = [leaf(n) for n in orders]
-    tables = [_cells(fn, head + tail, policy) for fn, head in leaves]
     failures = [None] * len(yl)
     rows = []
-    for (fn, head), cells in zip(leaves, tables):
-        row = []
+    for n in orders:
+        fn = row(n)
+        cells = []
         for p, y in enumerate(yl):
             try:
-                e = _cell(cells, y, fn, *head, y, *tail, policy)
-                row.append((e.value, e.abs_error, e.terms_used))
+                e = fn(y)
+                cells.append((e.value, e.abs_error, e.terms_used))
             except (DomainError, ConvergenceError) as exc:
                 if failures[p] is None:
                     failures[p] = exc
-                row.append((math.nan, math.nan, 0))
-        rows.append(row)
+                cells.append((math.nan, math.nan, 0))
+        rows.append(cells)
     a = np.array(rows, dtype=float).reshape(len(rows), len(yl), 3)
     grid = _JetGrid(a[:, :, 0], a[:, :, 1], a[:, :, 2].astype(np.int64), failures)
     failed = [p for p, f in enumerate(failures) if f is not None]
@@ -294,16 +261,18 @@ class Target:
     ``deriv(k, x)`` gives one order, ``jet(x, K)`` orders 0..K at one point,
     and ``jet_grid(xs, K)`` orders 0..K at every point of a grid.  All three
     go through ``_jets``, the grid at once: ``jet`` is the grid at one point
-    and ``deriv`` reads one order off the jet.  A subclass defines one of
-    ``deriv`` and ``_jets``.  Leaf targets define ``deriv``, and the default
-    ``_jets`` loops it over orders and points; the psi-family leaves fill
-    their grids from ``_rows`` instead.  ``QSeriesTarget`` and the composite
-    targets define ``_jets`` only, and bind ``deriv = Target.deriv`` by name,
-    so that each class has a ``deriv`` of its own to wrap and time
-    (``perfbench/tracer.py`` counts the calls per class).
+    and ``deriv`` reads one order off the jet.  A subclass defines
+    ``deriv``, ``_jets`` or both.  Leaf targets define ``deriv``, and the
+    default ``_jets`` fills the grid with it through ``_rows``; the
+    psi-family leaves (``_PsiLeaf``) define both over one row function, so
+    that a scalar call and a grid read the same cells.  ``QSeriesTarget``
+    and the composite targets define ``_jets`` only, and bind
+    ``deriv = Target.deriv`` by name, so that each class has a ``deriv`` of
+    its own to wrap and time (``perfbench/tracer.py`` counts the calls per
+    class).  ``max_order`` is the highest order a check may ask for.
     """
 
-    source = ANALYTIC_SOURCE
+    max_order = 12
 
     def deriv(self, k: int, x: float, policy: TruncationPolicy | None = None) -> Enclosure:
         return self.jet(x, k, policy)[k]
@@ -323,7 +292,7 @@ class Target:
         return grid.values, grid.errors, grid.ok
 
     def _jets(self, xs: np.ndarray, K: int, policy) -> _JetGrid:
-        return _pointwise(xs, K + 1, lambda x: [self.deriv(k, x, policy) for k in range(K + 1)])
+        return _rows(xs, range(K + 1), lambda k: lambda x: self.deriv(k, x, policy))
 
 
 class AnalyticTarget(Target):
@@ -410,64 +379,58 @@ class XLogX(AnalyticTarget):
         return Enclosure(v, _slop(4, v), 1)
 
 
-def _psi(n: int):
-    """(evaluator, order arguments) of psi^(n), n >= -1, where psi^(0) = psi
-    and psi^(-1) = ln Gamma."""
-    if n > 0:
-        return polygamma, (n,)
-    return (digamma if n == 0 else ln_gamma), ()
+def _psi(n: int, q: float | None, policy):
+    """The function y -> Enclosure of psi^(n)(y), n >= -1, where psi^(0) = psi
+    and psi^(-1) = ln Gamma, or of psi_q^(n)(y) when q is given.  Each call
+    goes through the run's cell table (``specfun._cells``), so inside a run
+    a cell is evaluated once, also where two grids or a grid and a scalar
+    call share it; outside a run nothing is kept."""
+    if q is None:
+        fn, tail = (ln_gamma, digamma, polygamma)[min(n, 1) + 1], ()
+    else:
+        fn, tail = (q_ln_gamma, q_digamma, q_polygamma)[min(n, 1) + 1], (q,)
+    head = (n,) if n > 0 else ()
+    cells = _cells(fn, head + tail, policy)
+    return lambda y: _cell(cells, y, fn, *head, y, *tail, policy)
 
 
-def _qpsi(n: int):
-    """(evaluator, order arguments) of psi_q^(n), n >= 0; q follows the point."""
-    return (q_polygamma, (n,)) if n else (q_digamma, ())
+class _PsiLeaf(AnalyticTarget):
+    """psi^(m)(x + a), or psi_q^(m)(x + a) when q is given: order k is the
+    evaluator of order m + k at x + a (``_psi``)."""
 
-
-class LnGammaFn(AnalyticTarget):
-    def deriv(self, k, x, policy=None):
-        fn, head = _psi(k - 1)
-        return _once(fn, *head, x, at=len(head), policy=policy)
-
-    def _jets(self, xs, K, policy):
-        return _rows(xs, range(-1, K), policy, _psi)
-
-
-class PolyGammaShift(AnalyticTarget):
-    """psi^(m)(x + a); order 0 is psi itself."""
-
-    def __init__(self, m: int, a: float = 0.0):
-        self.m, self.a = m, a
+    def __init__(self, m: int, a: float = 0.0, q: float | None = None):
+        self.m, self.a, self.q = m, a, q
 
     def deriv(self, k, x, policy=None):
-        fn, head = _psi(self.m + k)
-        return _once(fn, *head, x + self.a, at=len(head), policy=policy)
-
-    def _jets(self, xs, K, policy):
-        return _rows(xs + self.a, range(self.m, self.m + K + 1), policy, _psi)
-
-
-class QLnGammaFn(AnalyticTarget):
-    def __init__(self, q: float):
-        self.q = q
-
-    def deriv(self, k, x, policy=None):
-        fn, head = (q_ln_gamma, ()) if k == 0 else _qpsi(k - 1)
-        return _once(fn, *head, x, self.q, at=len(head), policy=policy)
-
-
-class QPolyGammaShift(AnalyticTarget):
-    """psi_q^(m)(x + a)."""
-
-    def __init__(self, m: int, q: float, a: float = 0.0):
-        self.m, self.q, self.a = m, q, a
-
-    def deriv(self, k, x, policy=None):
-        fn, head = _qpsi(self.m + k)
-        return _once(fn, *head, x + self.a, self.q, at=len(head), policy=policy)
+        return _psi(self.m + k, self.q, policy)(x + self.a)
 
     def _jets(self, xs, K, policy):
         orders = range(self.m, self.m + K + 1)
-        return _rows(xs + self.a, orders, policy, _qpsi, (self.q,))
+        return _rows(xs + self.a, orders, lambda n: _psi(n, self.q, policy))
+
+
+class LnGammaFn(_PsiLeaf):
+    def __init__(self):
+        super().__init__(-1)
+
+
+class PolyGammaShift(_PsiLeaf):
+    """psi^(m)(x + a); order 0 is psi itself."""
+
+    def __init__(self, m: int, a: float = 0.0):
+        super().__init__(m, a)
+
+
+class QLnGammaFn(_PsiLeaf):
+    def __init__(self, q: float):
+        super().__init__(-1, q=q)
+
+
+class QPolyGammaShift(_PsiLeaf):
+    """psi_q^(m)(x + a)."""
+
+    def __init__(self, m: int, q: float, a: float = 0.0):
+        super().__init__(m, a, q)
 
 
 class QSeriesTarget(AnalyticTarget):
@@ -666,7 +629,7 @@ class PolyProductTarget(AnalyticTarget):
     def _jets(self, xs, K, policy):
         # the four factors share their polygamma orders: evaluate each once
         needed = sorted({order + j for order in self.orders if order for j in range(K + 1)})
-        psi = _rows(xs, needed, policy, _psi)
+        psi = _rows(xs, needed, lambda n: _psi(n, None, policy))
         row = {n: i for i, n in enumerate(needed)}
 
         def factor(order: int):
@@ -746,8 +709,6 @@ class ExpNegForm:
     complete monotonicity of f.
     """
 
-    source = ANALYTIC_SOURCE
-
     def __init__(self, h_prime: AnalyticTarget):
         self.h_prime = h_prime
 
@@ -762,7 +723,7 @@ class FiniteDifference(Target):
     certified bound).
     """
 
-    source = FD_SOURCE
+    max_order = 8
 
     def __init__(self, fn):
         self.fn = fn
@@ -777,8 +738,8 @@ class FiniteDifference(Target):
     def deriv(self, k, x, policy=None):
         if k == 0:
             return Enclosure(self.fn(x), 0.0, 0)
-        if k > FINITE_DIFF_ORDER_CAP:
-            raise UsageError(f"finite differences capped at order {FINITE_DIFF_ORDER_CAP}")
+        if k > self.max_order:
+            raise UsageError(f"finite differences capped at order {self.max_order}")
         h = 0.6 * max(abs(x), 1e-3) * _EPS_MACH ** (1.0 / (k + 4))
         d1 = self._stencil(k, x, h)
         d2 = self._stencil(k, x, 2.0 * h)
@@ -822,7 +783,7 @@ def nth_derivative(target, k: int, x: float, policy: TruncationPolicy | None = N
         target = make_target(target)
     if k < 0:
         raise UsageError(f"derivative order must be >= 0, got {k}")
-    cap = getattr(target, "source", ANALYTIC_SOURCE).max_order
+    cap = target.max_order
     if k > cap:
         raise UsageError(f"order {k} exceeds the target's cap {cap}")
     return target.deriv(k, x, policy)
@@ -876,7 +837,7 @@ def check_sign_pattern(
         orders = range(0, K + 1) if claim == "completely_monotonic" else range(0, 1)
     else:
         raise UsageError(f"claim {claim!r} is not a sign-pattern claim")
-    cap = getattr(inner, "source", ANALYTIC_SOURCE).max_order
+    cap = inner.max_order
     if max(orders, default=0) > cap:
         raise UsageError(f"requested order exceeds the derivative cap {cap}")
 

@@ -1040,15 +1040,13 @@ def _build_thm11(desc, grid, K, ov):
             {"n": n},
         ))
     # companion CM forms: x psi'(x) and psi'(x+a) + x psi''(x+a)
-    checks.append(_cm_check(
-        "lem-thm11[cm,x*psi1]", MonomialPolyGamma(1, 1, 0.0, 1.0), dec_grid, min(K, 6)
-    ))
+    checks.append(_cm_check("lem-thm11[cm,x*psi1]", MonomialPolyGamma(1, 1, 0.0, 1.0), dec_grid, K))
     for a in (0.5, 1.0):
         combo = LinComb([
             (1.0, PolyGammaShift(1, a), 0.0),
             (1.0, MonomialPolyGamma(1, 2, a, 1.0), 0.0),
         ])
-        checks.append(_cm_check(f"lem-thm11[cm,deriv,a={a}]", combo, dec_grid, min(K, 6)))
+        checks.append(_cm_check(f"lem-thm11[cm,deriv,a={a}]", combo, dec_grid, K))
     return checks
 
 
@@ -1138,9 +1136,7 @@ def _build_f0n(desc, grid, K, ov):
     checks = []
     for n in range(1, n_max + 1):
         g = grid if n <= 8 else grid.with_points(max(8, grid.points // 2))
-        checks.append(_cm_check(
-            f"f0n-cm[n={n}]", _f_an(0.0, n), g, min(K, 6), params={"n": n}
-        ))
+        checks.append(_cm_check(f"f0n-cm[n={n}]", _f_an(0.0, n), g, K, params={"n": n}))
     return checks
 
 
@@ -1153,7 +1149,7 @@ def _build_xf01(desc, grid, K, ov):
     # x^2 psi'(x) = 1 + x^2 psi'(x+1), so past order 1 the shifted form has
     # identical derivatives without the pole collision at x -> 0
     target = DerivOffset(MonomialPolyGamma(2, 1, 1.0, 1.0), 2)
-    return [_cm_check("xf01-cm", target, grid, min(K, 6), strict=True)]
+    return [_cm_check("xf01-cm", target, grid, K, strict=True)]
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ import contextlib
 import contextvars
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -589,12 +590,28 @@ def _q_psi_sum(x: float, q: float, n: int, policy: TruncationPolicy):
 
 
 def _q_psi(n: int, x: float, q, policy: TruncationPolicy | None) -> Enclosure:
-    """psi_q^(n)(x) (n = 0: psi_q) by one _q_psi_sum call; n is checked."""
+    """psi_q^(n)(x) (n = 0: psi_q) by one _q_psi_sum call; n is checked.
+
+    Where (ln p)^(n+1) underflows, it is kept as a mantissa and a binary
+    exponent (``_power_parts``), so that its bits are not lost before it
+    scales the sum.  Beyond one rounding per term, the slop counts
+    (n+1)/2 for the power of the rounded ln p, and twice the size of the
+    exponents: the exponent k x ln p + n ln k of term k is off by about
+    eps times its two summands, which exp makes a relative error of the
+    term.  Weighted by the terms, those summands average at most
+    m x |ln p| + n ln m, as ln is concave, where m bounds the mean of k
+    (``_mean_k``).
+    """
     _require_positive(x)
     qv = _as_q(q)
     p = 1.0 / qv if qv > 1.0 else qv
     s, tail, terms = _q_psi_sum(x, p, n, policy or DEFAULT_POLICY)
     lnp = math.log(p)
+    ops = terms + (n + 1) / 2
+    if s:
+        c = x * -lnp
+        mean_k = _mean_k(n, c, terms)
+        ops += 2.0 * (mean_k * c + n * math.log(mean_k))
     if n == 0:
         val = -math.log1p(-p) + lnp * s
         # the two summands cancel near the zero x0 ~ 1.46: base the slop on them
@@ -609,14 +626,35 @@ def _q_psi(n: int, x: float, q, policy: TruncationPolicy | None) -> Enclosure:
             scale = lnp ** (n + 1)
         except OverflowError:
             scale = math.inf
-        val = scale * s + extra
-        err = abs(scale) * tail
-        magnitude = abs(scale * s) + abs(extra)
+        expo = 0  # lnp^(n+1) = scale 2^expo
+        if abs(scale) < sys.float_info.min:
+            scale, expo, more = _power_parts(-lnp, n + 1)
+            scale = -scale if n % 2 == 0 else scale  # the sign of lnp^(n+1)
+            ops += more
+        val = math.ldexp(scale * s, expo) + extra
+        err = math.ldexp(abs(scale) * tail, expo)
+        magnitude = math.ldexp(abs(scale * s), expo) + abs(extra)
+    # the absolute floor covers a subnormal product or sum
+    err += _slop(ops, magnitude) + 4.0 * math.ulp(0.0)
     if not (math.isfinite(val) and math.isfinite(err)):
         raise DomainError(f"psi_q^({n})({x}) overflows double precision at q={q}")
-    # the absolute floor covers a subnormal product or sum
-    err += _slop(terms, magnitude) + 4.0 * math.ulp(0.0)
     return Enclosure(val, err, terms, warn_slow=terms > 10**5)
+
+
+def _mean_k(n: int, c: float, terms: int) -> float:
+    """An upper bound, at least 1, on the mean of k weighted by the terms
+    k^n q^(kx)/(1 - q^k), k = 1..terms, where c = x ln(1/q) > 0.
+
+    The ratio of successive terms is at most rho(k) = (1 + 1/k)^n e^(-c),
+    which falls with k and is 1 at k0 = 1/expm1(c/n).  Past K = 2 k0 + 1
+    it is at most rho(K) < 1, so there the terms fall at least as fast as
+    a geometric series of ratio rho(K), and the mean of k is at most
+    K + 1/(1 - rho(K)).  At n = 0, rho(k) = e^(-c) for every k.
+    """
+    # capping c/n keeps expm1 finite; a smaller c/n only moves K further out
+    K = 2.0 / math.expm1(min(c / n, 700.0)) + 1.0 if n else 1.0
+    rho = math.exp(n * math.log1p(1.0 / K) - c)
+    return min(float(terms), K + 1.0 / (1.0 - rho)) if rho < 1.0 else float(terms)
 
 
 def q_digamma(x: float, q, policy: TruncationPolicy | None = None) -> Enclosure:

@@ -40,8 +40,6 @@ def test_order_caps():
     fd = ce.FiniteDifference(lambda x: math.exp(-x))
     with pytest.raises(UsageError):
         fd.deriv(9, 1.0)
-    with pytest.raises(UsageError):
-        ce.DerivativeSource("finite_difference", 10)
 
 
 def test_unknown_target_family():
@@ -236,6 +234,7 @@ def _jet_targets():
         ce.QLnGammaFn(0.6),
         ce.QPolyGammaShift(0, 0.6, 0.5),
         ce.QPolyGammaShift(1, 1.5, 0.25),  # q > 1: order 1 has the branch term
+        ce._PsiLeaf(-1, 0.5, 0.8),  # ln Gamma_q(x + a)
         ce.QSeriesTarget(0.7, _q_components(0.7), const=0.2, sign=-1.0),
         ce.ExpNegX(),
         ce.SinPlus2(),
@@ -276,7 +275,7 @@ def test_jets_cover_every_target_class():
 
 @pytest.mark.parametrize("target", _jet_targets(), ids=_jet_id)
 def test_jet_equals_per_order_derivatives_bit_for_bit(target):
-    cap = target.source.max_order
+    cap = target.max_order
     for x in (0.05, 0.7, 3.0, 25.0):
         if isinstance(target, _AlternatingTarget) and x > 1.0:
             continue
@@ -376,7 +375,7 @@ def _assert_grid_matches_per_order(target, xs, K, policy=None):
 
 @pytest.mark.parametrize("target", _jet_targets(), ids=_jet_id)
 def test_jet_grid_columns_equal_per_order_derivatives_bit_for_bit(target):
-    _assert_grid_matches_per_order(target, [0.05, 0.7, 3.0, 25.0], target.source.max_order)
+    _assert_grid_matches_per_order(target, [0.05, 0.7, 3.0, 25.0], target.max_order)
 
 
 def test_jet_grid_marks_exactly_the_points_that_raise():
@@ -423,8 +422,8 @@ def test_q_psi_grid_fails_where_the_scalar_runs_out_of_terms():
         assert type(failure) is ConvergenceError and str(failure) == str(scalar.value)
 
 
-def _count_q_psi_calls(monkeypatch):
-    """Count the scalar psi_q calls cm_engine makes."""
+def _count_psi_calls(monkeypatch):
+    """Count the scalar psi-family calls cm_engine makes."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -433,28 +432,54 @@ def _count_q_psi_calls(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("q_digamma", "q_polygamma"):
+    for name in ("ln_gamma", "digamma", "polygamma", "q_ln_gamma", "q_digamma", "q_polygamma"):
         monkeypatch.setattr(ce, name, counted(name, getattr(ce, name)))
     return calls
 
 
-def test_q_psi_grid_shares_the_run_table_with_scalar_calls(monkeypatch):
-    calls = _count_q_psi_calls(monkeypatch)
-    target = ce.QPolyGammaShift(1, 0.7)
+# leaf; the calls of deriv(1, 1.0) and of a grid of orders 0..2 at three
+# points; the cells (evaluator, context) of orders 1 and 2
+_LEAF_CELLS = [
+    (
+        ce.QPolyGammaShift(1, 0.7),
+        {"q_polygamma": 1}, {"q_polygamma": 9},
+        ("q_polygamma", (2, 0.7)), ("q_polygamma", (3, 0.7)),
+    ),
+    (
+        ce.QLnGammaFn(0.7),
+        {"q_digamma": 1}, {"q_ln_gamma": 3, "q_digamma": 3, "q_polygamma": 3},
+        ("q_digamma", (0.7,)), ("q_polygamma", (1, 0.7)),
+    ),
+    (
+        ce.LnGammaFn(),
+        {"digamma": 1}, {"ln_gamma": 3, "digamma": 3, "polygamma": 3},
+        ("digamma", ()), ("polygamma", (1,)),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "target, after_deriv, after_grid, order1, order2", _LEAF_CELLS,
+    ids=[type(case[0]).__name__ for case in _LEAF_CELLS],
+)
+def test_q_psi_grid_shares_the_run_table_with_scalar_calls(
+    monkeypatch, target, after_deriv, after_grid, order1, order2
+):
+    calls = _count_psi_calls(monkeypatch)
     xs = [0.5, 1.0, 2.0]
     with sf._run_cells():
         # a cell stored first by a scalar call is read by the grid
         first = target.deriv(1, 1.0)
-        assert calls == {"q_polygamma": 1}
+        assert calls == after_deriv
         target.jet_grid(xs, 2)
-        assert calls == {"q_polygamma": 9}
-        table = sf._cells(ce.q_polygamma, (2, 0.7), None)
+        assert calls == after_grid
+        table = sf._cells(getattr(ce, order1[0]), order1[1], None)
         assert table[1.0] is first
         # a cell the grid made is read by deriv as the same Enclosure
-        assert target.deriv(2, 2.0) is sf._cells(ce.q_polygamma, (3, 0.7), None)[2.0]
+        assert target.deriv(2, 2.0) is sf._cells(getattr(ce, order2[0]), order2[1], None)[2.0]
         # and a second grid evaluates nothing
         target.jet_grid(xs, 2)
-        assert calls == {"q_polygamma": 9}
+        assert calls == after_grid
 
 
 def test_sign_pattern_makes_one_jet_grid_call_per_check(monkeypatch):

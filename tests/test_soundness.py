@@ -194,7 +194,7 @@ def test_composites_come_from_every_composite_family():
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.sampled_from(_LEAVES), _XS, st.integers(0, ce.ANALYTIC_ORDER_CAP))
+@given(st.sampled_from(_LEAVES), _XS, st.integers(0, ce.Target.max_order))
 def test_leaf_certificates_hold(leaf, xs, K):
     _assert_sound(leaf, xs, K)
 

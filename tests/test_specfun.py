@@ -215,6 +215,42 @@ def test_q_psi_edges_give_a_certified_value_or_raise(n, x, q, raises):
         assert abs(mpf(enc.value) - _q_psi_far(n, x, q)) <= enc.abs_error
 
 
+def _q_polygamma_direct(n, x, q):
+    """psi_q^(n)(x), n >= 1 and q < 1, from the direct sum of its series at
+    40 digits, stopped past the hump n/(x ln(1/q)) at the first term below
+    1e-45 of the sum, where the terms fall faster than geometrically."""
+    from mpmath import log, mp, mpf
+
+    with mp.workdps(40):
+        x, q = mpf(x), mpf(q)
+        s, k = mpf(0), 1
+        while True:
+            t = mpf(k) ** n * q ** (k * x) / (1 - q**k)
+            s += t
+            if k > n / (x * -log(q)) and t < s * mpf(10) ** -45:
+                return log(q) ** (n + 1) * s
+            k += 1
+
+
+@pytest.mark.parametrize("n, x, q", [
+    (1100, 419.23, 0.6),  # (ln q)^(n+1) is subnormal
+    # x = n/(e ln(1/q)): the two parts of each exponent, k x ln q and
+    # n ln k, are about n and cancel
+    (1000, 1000 / (math.e * -math.log(0.37)), 0.37),
+    (4000, 4000 / (math.e * -math.log(0.37)), 0.37),
+    (2000, 2000 / (math.e * -math.log(0.3)), 0.3),
+], ids=lambda v: str(v))
+def test_q_polygamma_certificate_holds_at_high_orders(n, x, q):
+    """The certificate covers the (n+1) eps/2 of the rounded ln q in
+    (ln q)^(n+1), the rounding of each term's exponent, which exp turns
+    into relative error, and a power that underflows."""
+    from mpmath import mp, mpf
+
+    enc = sf.q_polygamma(n, x, q)
+    with mp.workdps(40):
+        assert abs(mpf(enc.value) - _q_polygamma_direct(n, x, q)) <= enc.abs_error
+
+
 @pytest.mark.parametrize("n", [450, 453, 10**6])
 def test_exp_keeps_a_certificate_where_it_underflows(n):
     """The ball volume of dimension n is subnormal (450) or below the
