@@ -154,7 +154,13 @@ _LEAVES = [
     ce.XLogX(),
     ce.ExpNegX(),
     ce.SinPlus2(),
+    ce.PolyGammaShift(0),
+    ce.PolyGammaShift(1),
+    ce.QPolyGammaShift(0, 0.5),
 ]
+
+# orders 0..4 of psi, psi' and psi_q on [0.55, 10], each leaf on its own
+_PSI_XS = np.geomspace(0.55, 10.0, 12).tolist()
 
 
 def _corpus_composites():
@@ -195,6 +201,9 @@ def test_composites_come_from_every_composite_family():
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from(_LEAVES), _XS, st.integers(0, ce.Target.max_order))
+@example(ce.PolyGammaShift(0), _PSI_XS, 4)
+@example(ce.PolyGammaShift(1), _PSI_XS, 4)
+@example(ce.QPolyGammaShift(0, 0.5), _PSI_XS, 4)
 def test_leaf_certificates_hold(leaf, xs, K):
     _assert_sound(leaf, xs, K)
 
