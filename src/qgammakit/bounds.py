@@ -17,14 +17,7 @@ from . import specfun
 from .specfun import (
     EULER_GAMMA,
     TruncationPolicy,
-    digamma,
-    ln_gamma,
-    polygamma,
-    q_digamma,
-    q_ln_gamma,
-    q_polygamma,
     log_mean,
-    _once,
 )
 
 __all__ = [
@@ -149,34 +142,12 @@ def _check_q(q: float):
         raise DomainError(f"q must lie in (0, 1), got {q}")
 
 
-# Every specfun evaluator call below goes through ``_once``: within a
-# verification run each one is evaluated once per distinct argument tuple.
-# The corpus reads the evaluator values its probes and chains repeat through
-# these four helpers as well.
-
-
-def _ln_gamma_q(x: float, q: float, policy=None) -> float:
-    """log Gamma_q(x) with the classical-gamma reading at q = 1."""
-    if q == 1.0:
-        return _once(ln_gamma, x, policy=policy).value
-    return _once(q_ln_gamma, x, q, policy=policy).value
-
-
-def _psi_q(x: float, q: float, policy=None) -> float:
-    """psi_q(x) with the classical-digamma reading at q = 1."""
-    if q == 1.0:
-        return _once(digamma, x, policy=policy).value
-    return _once(q_digamma, x, q, policy=policy).value
-
-
-def _psi_n(n: int, x: float, policy=None) -> float:
-    """psi^(n)(x), n >= 1."""
-    return _once(polygamma, n, x, at=1, policy=policy).value
-
-
-def _psi_qn(n: int, x: float, q: float, policy=None) -> float:
-    """psi_q^(n)(x), n >= 1, 0 < q < 1."""
-    return _once(q_polygamma, n, x, q, at=1, policy=policy).value
+def _psi_q(n: int, x: float, q: float, policy=None) -> float:
+    """psi_q^(n)(x), where n = -1 is ln Gamma_q and n = 0 is psi_q, and
+    q = 1 is the classical function.  Every evaluator value below, and those
+    the corpus probes and chains repeat, is read through ``specfun._psi``:
+    within a verification run each cell is evaluated once."""
+    return specfun._psi(n, None if q == 1.0 else q, policy)(x).value
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +169,7 @@ def alzer_v(q: float, s: float, policy: TruncationPolicy | None = None) -> float
     """Best upper shift v(q, s) = ln(1 - (1-q) Gamma_q(s)^(1/(s-1))) / ln q."""
     _check_s(s)
     _check_q(q)
-    g = math.exp(_ln_gamma_q(s, q, policy) / (s - 1.0))
+    g = math.exp(_psi_q(-1, s, q, policy) / (s - 1.0))
     arg = 1.0 - (1.0 - q) * g
     if arg <= 0.0:
         raise DomainError(f"log argument is nonpositive at (q, s)=({q}, {s})")
@@ -209,7 +180,7 @@ def gamma_ratio(x: float, s: float, q: float, policy=None) -> float:
     """Gamma_q(x+1) / Gamma_q(x+s), computed in log space (q = 1 classical)."""
     specfun._require_positive(x)
     _check_s(s)
-    return math.exp(_ln_gamma_q(x + 1.0, q, policy) - _ln_gamma_q(x + s, q, policy))
+    return math.exp(_psi_q(-1, x + 1.0, q, policy) - _psi_q(-1, x + s, q, policy))
 
 
 def _qbracket_log(y: float, q: float) -> float:
@@ -249,7 +220,7 @@ def ratio_bounds(
         if q == 1.0:
             u = 0.5 * s if u_override is None else u_override
             v = (
-                math.exp(_ln_gamma_q(s, 1.0, policy) / (s - 1.0))
+                math.exp(_psi_q(-1, s, 1.0, policy) / (s - 1.0))
                 if v_override is None
                 else v_override
             )
@@ -270,9 +241,9 @@ def ratio_bounds(
     # at q = 1 (the only q 'merkle' accepts) _psi_q is digamma
     if method in ("im_midpoint", "psi_average", "merkle"):
         lo = math.exp(
-            0.5 * one_minus_s * (_psi_q(x + 1.0, q, policy) + _psi_q(x + s, q, policy))
+            0.5 * one_minus_s * (_psi_q(0, x + 1.0, q, policy) + _psi_q(0, x + s, q, policy))
         )
-        hi = math.exp(one_minus_s * _psi_q(x + 0.5 * (1.0 + s), q, policy))
+        hi = math.exp(one_minus_s * _psi_q(0, x + 0.5 * (1.0 + s), q, policy))
         return BoundPair(lo, hi, method)
 
     # classical q = 1 chains: exp((1-s) psi(point)) with method-specific points
@@ -284,8 +255,8 @@ def ratio_bounds(
     else:  # geomean_refined
         lo_pt = math.sqrt((x + 1.0) * (x + s))
         hi_pt = x + 0.5 * (1.0 + s)
-    lo = math.exp(one_minus_s * _psi_q(lo_pt, 1.0, policy))
-    hi = math.exp(one_minus_s * _psi_q(hi_pt, 1.0, policy))
+    lo = math.exp(one_minus_s * _psi_q(0, lo_pt, 1.0, policy))
+    hi = math.exp(one_minus_s * _psi_q(0, hi_pt, 1.0, policy))
     return BoundPair(lo, hi, method)
 
 
@@ -302,7 +273,7 @@ def g_q_function(x: float, a: float, b: float, c: float, q: float, policy=None) 
         pre = (a - b) * math.log(x + c)
     else:
         pre = (a - b) * _qbracket_log(x + c, q)
-    return math.exp(pre + _ln_gamma_q(x + b, q, policy) - _ln_gamma_q(x + a, q, policy))
+    return math.exp(pre + _psi_q(-1, x + b, q, policy) - _psi_q(-1, x + a, q, policy))
 
 
 def keckic_vasic_bounds(a: float, b: float, policy=None) -> BoundPair:
@@ -326,7 +297,7 @@ def ball_ratio_bounds(n: int, policy=None) -> BallRatioBounds:
         raise UsageError(f"need an integer n >= 1, got {n!r}")
 
     def log_omega(m: int) -> float:
-        return 0.5 * m * math.log(math.pi) - _ln_gamma_q(1.0 + 0.5 * m, 1.0, policy)
+        return 0.5 * m * math.log(math.pi) - _psi_q(-1, 1.0 + 0.5 * m, 1.0, policy)
 
     thm51_exact = math.exp(2.0 * log_omega(n) - log_omega(n - 1) - log_omega(n + 1))
     thm51 = BoundPair(
@@ -339,7 +310,7 @@ def ball_ratio_bounds(n: int, policy=None) -> BallRatioBounds:
     if n >= 2:
         alpha = 1.0
         beta = 2.0 * (math.log(8.0 / math.pi) + EULER_GAMMA - 1.0)
-        psi_n = _psi_q(float(n), 1.0, policy)
+        psi_n = _psi_q(0, float(n), 1.0, policy)
         eq13 = BoundPair(
             math.exp(alpha / n + psi_n) / (2.0 * math.pi),
             math.exp(beta / n + psi_n) / (2.0 * math.pi),
@@ -380,37 +351,37 @@ def auxiliary_function(fn_id: str, x: float, params: dict, policy=None) -> float
         if alpha < 0.0:
             raise UsageError("alpha must be >= 0")
         return (
-            -_ln_gamma_q(x, 1.0, policy)
+            -_psi_q(-1, x, 1.0, policy)
             + (x - 0.5) * math.log(x)
             - x
-            + _psi_n(1, x + alpha, policy) / 12.0
+            + _psi_q(1, x + alpha, 1.0, policy) / 12.0
         )
     if fn_id == "G_c":
         c = need("c")
         if c < 0.0:
             raise UsageError("c must be >= 0")
         return (
-            _ln_gamma_q(x, 1.0, policy)
+            _psi_q(-1, x, 1.0, policy)
             - x * math.log(x)
             + x
             - 0.5 * math.log(2.0 * math.pi)
-            + 0.5 * _psi_q(x + c, 1.0, policy)
+            + 0.5 * _psi_q(0, x + c, 1.0, policy)
         )
     if fn_id == "f_ILM":
         alpha = need("alpha")
         return math.exp(
-            alpha * math.log(x) + _ln_gamma_q(x, 1.0, policy) + x - x * math.log(x)
+            alpha * math.log(x) + _psi_q(-1, x, 1.0, policy) + x - x * math.log(x)
         )
     if fn_id == "f_qpow":
         q = need("q")
         _check_q(q)
-        return math.exp(x * math.log1p(-q) + _ln_gamma_q(x, q, policy))
+        return math.exp(x * math.log1p(-q) + _psi_q(-1, x, q, policy))
     if fn_id == "g_AG":
         q, a = need("q"), need("a")
         _check_q(q)
         if a <= 0.0:
             raise UsageError("g_AG requires a > 0")
-        lf = lambda y: y * math.log1p(-q) + _ln_gamma_q(y, q, policy)
+        lf = lambda y: y * math.log1p(-q) + _psi_q(-1, y, q, policy)
         return math.exp(lf(x) + lf(x + 2.0 * a) - 2.0 * lf(x + a))
     # beta_scaled
     q, beta = need("q"), need("beta")
@@ -418,7 +389,7 @@ def auxiliary_function(fn_id: str, x: float, params: dict, policy=None) -> float
         raise UsageError("beta_scaled requires q > 0, q != 1, beta > 0, beta != 1")
     qb = q ** (1.0 / beta)
     return math.exp(
-        _ln_gamma_q(x, q, policy) - _ln_gamma_q(beta * x, qb, policy) / beta
+        _psi_q(-1, x, q, policy) - _psi_q(-1, beta * x, qb, policy) / beta
     )
 
 
@@ -431,7 +402,7 @@ def _psi_or_minus_one(order: int, x: float, policy=None) -> float:
     """psi^(order)(x) with the convention psi^(0) = -1 used by this family."""
     if order == 0:
         return -1.0
-    return _psi_n(order, x, policy)
+    return _psi_q(order, x, 1.0, policy)
 
 
 def poly_product(spec: PolyProductSpec, x: float, policy=None) -> float:
@@ -557,16 +528,16 @@ def psi_pair_inequality(
     if c == 1.0:
         raise DomainError("c = 1 is the degenerate boundary; use c != 1")
     if variant == "classical":
-        d = _psi_q(x + c, 1.0, policy) - _psi_q(x, 1.0, policy)
-        mid = _psi_n(1, x, policy) - _psi_n(1, x + c, policy)
+        d = _psi_q(0, x + c, 1.0, policy) - _psi_q(0, x, 1.0, policy)
+        mid = _psi_q(1, x, 1.0, policy) - _psi_q(1, x + c, 1.0, policy)
         return ChainTriple(d * d / c, mid, d * d)
     if variant != "q_analogue":
         raise UsageError(f"unknown variant {variant!r}")
     if q is None:
         raise UsageError("q_analogue requires q")
     _check_q(q)
-    d = _psi_q(x + c, q, policy) - _psi_q(x, q, policy)
-    mid = (q**x) * (_psi_qn(1, x, q, policy) - _psi_qn(1, x + c, q, policy))
+    d = _psi_q(0, x + c, q, policy) - _psi_q(0, x, q, policy)
+    mid = (q**x) * (_psi_q(1, x, q, policy) - _psi_q(1, x + c, q, policy))
     pref = (1.0 - q) / (1.0 - q**c)
     return ChainTriple(pref * d * d, mid, d * d)
 
@@ -575,8 +546,8 @@ def cor51_expr(x: float, q: float, policy=None) -> float:
     """(psi_q'(x))^2 + (ln(1/q) q^x / (1-q)) psi_q''(x); claimed >= 0."""
     specfun._require_positive(x)
     _check_q(q)
-    p1 = _psi_qn(1, x, q, policy)
-    p2 = _psi_qn(2, x, q, policy)
+    p1 = _psi_q(1, x, q, policy)
+    p2 = _psi_q(2, x, q, policy)
     return p1 * p1 + math.log(1.0 / q) * (q**x) / (1.0 - q) * p2
 
 
@@ -599,16 +570,16 @@ def cor5_inequality(
     lhs = math.exp(
         alpha
         * (
-            _ln_gamma_q(z + x, qa, policy)
-            + _ln_gamma_q(z + y, qa, policy)
-            - _ln_gamma_q(x + y + z, qa, policy)
-            - _ln_gamma_q(z, qa, policy)
+            _psi_q(-1, z + x, qa, policy)
+            + _psi_q(-1, z + y, qa, policy)
+            - _psi_q(-1, x + y + z, qa, policy)
+            - _psi_q(-1, z, qa, policy)
         )
     )
     rhs = math.exp(
-        _ln_gamma_q(alpha * (z + x), q, policy)
-        + _ln_gamma_q(alpha * (z + y), q, policy)
-        - _ln_gamma_q(alpha * z, q, policy)
-        - _ln_gamma_q(alpha * (x + y + z), q, policy)
+        _psi_q(-1, alpha * (z + x), q, policy)
+        + _psi_q(-1, alpha * (z + y), q, policy)
+        - _psi_q(-1, alpha * z, q, policy)
+        - _psi_q(-1, alpha * (x + y + z), q, policy)
     )
     return TwoSides(lhs, rhs)

@@ -1,11 +1,9 @@
 """Numerical verification of complete monotonicity and chained inequalities.
 
-Targets are registered, known families only: each analytic target knows its
-k-th derivative in closed form (term-wise differentiated series with
-certified tails), and a central finite-difference fallback exists for
-targets without an analytic route.  A target's class attribute
-``max_order`` caps the orders a check asks for: 12, and 8 for finite
-differences.  A target's jet ``jet(x, K)`` gives the Enclosures of orders
+Targets are registered, known families only: each target knows its k-th
+derivative in closed form (term-wise differentiated series with certified
+tails).  One class attribute, ``Target.max_order`` = 12, caps the orders a
+check asks for.  A target's jet ``jet(x, K)`` gives the Enclosures of orders
 0..K at x in one pass (Taylor-mode propagation): Leibniz and linear
 combinations evaluate each inner order once per point, and a q-series
 shares its blocks of terms across the orders: one exp per term, and order
@@ -23,8 +21,8 @@ ops*eps*sum|summands|.  A sign-pattern check asks for one grid.
 
 The psi-family leaves (``LnGammaFn``, ``PolyGammaShift``, ``QLnGammaFn``,
 ``QPolyGammaShift``) are one class, ``_PsiLeaf``: order k is the evaluator
-of order m + k at x + a, with or without q, picked by ``_psi``, and read
-through specfun's run-scoped cell table, one scalar evaluator call per
+of order m + k at x + a, with or without q, picked by ``specfun._psi``, and
+read through specfun's run-scoped cell table, one scalar evaluator call per
 cell.  Within a verification run each (order, point) cell is evaluated
 once, whether a scalar call, a leaf's grid or ``PolyProductTarget``'s grid
 of polygamma orders asks for it, and keeps the bits of the scalar jet.
@@ -50,22 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PreconditionError, UsageError
-from .specfun import (
-    DEFAULT_POLICY,
-    _EPS_MACH,
-    _blocks,
-    _cell,
-    _cells,
-    _slop,
-    Enclosure,
-    TruncationPolicy,
-    digamma,
-    ln_gamma,
-    polygamma,
-    q_digamma,
-    q_ln_gamma,
-    q_polygamma,
-)
+from .specfun import DEFAULT_POLICY, _blocks, _psi, _slop, Enclosure, TruncationPolicy
 
 __all__ = [
     "GridSpec",
@@ -105,8 +88,8 @@ class GridSpec:
     spacing: str = "log"
 
     def __post_init__(self):
-        if not (self.lo < self.hi):
-            raise UsageError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise UsageError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
         if self.points < 2:
             raise UsageError("need at least 2 grid points")
         if self.spacing not in ("linear", "log"):
@@ -256,7 +239,8 @@ def _rows(ys: np.ndarray, orders, row) -> _JetGrid:
 
 
 class Target:
-    """A function of x whose derivatives are evaluated as Enclosures.
+    """A function of x whose derivatives are evaluated in closed form, as
+    Enclosures.
 
     ``deriv(k, x)`` gives one order, ``jet(x, K)`` orders 0..K at one point,
     and ``jet_grid(xs, K)`` orders 0..K at every point of a grid.  All three
@@ -269,7 +253,8 @@ class Target:
     and the composite targets define ``_jets`` only, and bind
     ``deriv = Target.deriv`` by name, so that each class has a ``deriv`` of
     its own to wrap and time (``perfbench/tracer.py`` counts the calls per
-    class).  ``max_order`` is the highest order a check may ask for.
+    class).  ``max_order`` is the highest order ``nth_derivative`` and
+    ``check_sign_pattern`` ask any target for.
     """
 
     max_order = 12
@@ -295,15 +280,11 @@ class Target:
         return _rows(xs, range(K + 1), lambda k: lambda x: self.deriv(k, x, policy))
 
 
-class AnalyticTarget(Target):
-    """Base for targets with closed-form k-th derivatives."""
-
-
 def _exact(value: float) -> Enclosure:
     return Enclosure(value, 0.0, 0)
 
 
-class Const(AnalyticTarget):
+class Const(Target):
     def __init__(self, c: float):
         self.c = c
 
@@ -311,7 +292,7 @@ class Const(AnalyticTarget):
         return _exact(self.c if k == 0 else 0.0)
 
 
-class Affine(AnalyticTarget):
+class Affine(Target):
     def __init__(self, a0: float, a1: float):
         self.a0, self.a1 = a0, a1
 
@@ -322,7 +303,7 @@ class Affine(AnalyticTarget):
         return _exact(self.a1 if k == 1 else 0.0)
 
 
-class PowShift(AnalyticTarget):
+class PowShift(Target):
     """(x + c)^p for real p; falling-factorial derivatives."""
 
     def __init__(self, c: float, p: float):
@@ -343,7 +324,7 @@ class PowShift(AnalyticTarget):
         return Enclosure(v, _slop(4 + k + abs(self.p - k), v), 1)
 
 
-class LogShift(AnalyticTarget):
+class LogShift(Target):
     """ln(x + c)."""
 
     def __init__(self, c: float):
@@ -362,7 +343,7 @@ class LogShift(AnalyticTarget):
         return Enclosure(v, _slop(4 + k, v), 1)
 
 
-class XLogX(AnalyticTarget):
+class XLogX(Target):
     """x ln x."""
 
     def deriv(self, k, x, policy=None):
@@ -379,24 +360,9 @@ class XLogX(AnalyticTarget):
         return Enclosure(v, _slop(4, v), 1)
 
 
-def _psi(n: int, q: float | None, policy):
-    """The function y -> Enclosure of psi^(n)(y), n >= -1, where psi^(0) = psi
-    and psi^(-1) = ln Gamma, or of psi_q^(n)(y) when q is given.  Each call
-    goes through the run's cell table (``specfun._cells``), so inside a run
-    a cell is evaluated once, also where two grids or a grid and a scalar
-    call share it; outside a run nothing is kept."""
-    if q is None:
-        fn, tail = (ln_gamma, digamma, polygamma)[min(n, 1) + 1], ()
-    else:
-        fn, tail = (q_ln_gamma, q_digamma, q_polygamma)[min(n, 1) + 1], (q,)
-    head = (n,) if n > 0 else ()
-    cells = _cells(fn, head + tail, policy)
-    return lambda y: _cell(cells, y, fn, *head, y, *tail, policy)
-
-
-class _PsiLeaf(AnalyticTarget):
+class _PsiLeaf(Target):
     """psi^(m)(x + a), or psi_q^(m)(x + a) when q is given: order k is the
-    evaluator of order m + k at x + a (``_psi``)."""
+    evaluator of order m + k at x + a (``specfun._psi``)."""
 
     def __init__(self, m: int, a: float = 0.0, q: float | None = None):
         self.m, self.a, self.q = m, a, q
@@ -433,7 +399,7 @@ class QPolyGammaShift(_PsiLeaf):
         super().__init__(m, a, q)
 
 
-class QSeriesTarget(AnalyticTarget):
+class QSeriesTarget(Target):
     """sign * (const + (-ln q) * sum_comp sum_{j>=1} q^(j(x+shift)) c_j).
 
     The combined-coefficient form of the q-digamma linear combinations: the
@@ -567,13 +533,13 @@ class QSeriesTarget(AnalyticTarget):
         return grid
 
 
-class ExpNegX(AnalyticTarget):
+class ExpNegX(Target):
     def deriv(self, k, x, policy=None):
         v = (-1.0) ** k * math.exp(-x)
         return Enclosure(v, _slop(2, v), 1)
 
 
-class SinPlus2(AnalyticTarget):
+class SinPlus2(Target):
     """sin(x) + 2: a smooth positive function that is not completely monotone."""
 
     def deriv(self, k, x, policy=None):
@@ -589,7 +555,7 @@ class SinPlus2(AnalyticTarget):
         return Enclosure(v, _slop(4, abs(v) + 1.0), 1)
 
 
-class MonomialPolyGamma(AnalyticTarget):
+class MonomialPolyGamma(Target):
     """sign * x^p * psi^(m)(x + a) with integer p >= 0 (Leibniz derivatives)."""
 
     def __init__(self, p: int, m: int, a: float = 0.0, sign: float = 1.0):
@@ -612,7 +578,7 @@ class MonomialPolyGamma(AnalyticTarget):
         return _JetGrid(self.sign * val, err + _slop(4, val), np.ones_like(g.terms), g.failures)
 
 
-class PolyProductTarget(AnalyticTarget):
+class PolyProductTarget(Target):
     """sign * [A B - c C D] with A = (-1)^(m+1) psi^(m) etc., psi^(0) == -1.
 
     With the sign convention each factor of order >= 1 is positive; the
@@ -659,7 +625,7 @@ class PolyProductTarget(AnalyticTarget):
         return _JetGrid(self.sign * val, err + _slop(8, val), ones, psi.failures)
 
 
-class DerivOffset(AnalyticTarget):
+class DerivOffset(Target):
     """d^offset of another target, viewed as a target itself."""
 
     def __init__(self, base: Target, offset: int):
@@ -673,7 +639,7 @@ class DerivOffset(AnalyticTarget):
         return _JetGrid(g.values[off:], g.errors[off:], g.terms[off:], g.failures)
 
 
-class LinComb(AnalyticTarget):
+class LinComb(Target):
     """sum of coef * base(argscale * x + shift) terms."""
 
     def __init__(self, terms):
@@ -709,45 +675,8 @@ class ExpNegForm:
     complete monotonicity of f.
     """
 
-    def __init__(self, h_prime: AnalyticTarget):
+    def __init__(self, h_prime: Target):
         self.h_prime = h_prime
-
-
-class FiniteDifference(Target):
-    """Central-stencil derivatives of a black-box function.
-
-    The h and 2h stencils are Richardson-combined (O(h^4)), so the step
-    h = |x| * eps_mach^(1/(k+4)) balances the h^4 truncation against the
-    eps/h^k rounding floor while keeping the stencil clear of a singularity
-    at 0; their disagreement feeds the error estimate (heuristic, not a
-    certified bound).
-    """
-
-    max_order = 8
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def _stencil(self, k: int, x: float, h: float) -> float:
-        total = 0.0
-        for j in range(k + 1):
-            w = (-1.0) ** j * math.comb(k, j)
-            total += w * self.fn(x + (0.5 * k - j) * h)
-        return total / h**k
-
-    def deriv(self, k, x, policy=None):
-        if k == 0:
-            return Enclosure(self.fn(x), 0.0, 0)
-        if k > self.max_order:
-            raise UsageError(f"finite differences capped at order {self.max_order}")
-        h = 0.6 * max(abs(x), 1e-3) * _EPS_MACH ** (1.0 / (k + 4))
-        d1 = self._stencil(k, x, h)
-        d2 = self._stencil(k, x, 2.0 * h)
-        # the central stencil is O(h^2); eliminate that term
-        value = d1 + (d1 - d2) / 3.0
-        fmax = max(abs(self.fn(x)), 1.0)
-        err = abs(d1 - d2) / 3.0 + _slop(2**k, fmax) / h**k
-        return Enclosure(value, err, 2 * (k + 1))
 
 
 # name -> constructor registry for the known families
@@ -777,8 +706,7 @@ def make_target(name: str, **params):
 
 
 def nth_derivative(target, k: int, x: float, policy: TruncationPolicy | None = None) -> Enclosure:
-    """d^k/dx^k of a registered target at x, with certified (analytic) or
-    heuristic (finite-difference) error."""
+    """d^k/dx^k of a registered target at x, with a certified error."""
     if isinstance(target, str):
         target = make_target(target)
     if k < 0:
@@ -824,8 +752,10 @@ def check_sign_pattern(
     same pattern is asserted for h' = -(ln f)' at orders 0..K-1.  A claimed
     strict inequality is tested as non-strict with margin tau plus a
     strictness spot check at three interior grid points requiring > 10 tau.
-    The grid is evaluated in one ``jet_grid`` call.  ``jobs`` is accepted
-    for compatibility and ignored.
+    The grid is evaluated in one ``jet_grid`` call.  A K that leaves no
+    order to check (K < 1 for ``log_completely_monotonic``, K < 0 for
+    ``completely_monotonic``) raises UsageError.  ``jobs`` is accepted for
+    compatibility and ignored.
     """
     if claim == "log_completely_monotonic":
         if not isinstance(target, ExpNegForm):
@@ -837,18 +767,16 @@ def check_sign_pattern(
         orders = range(0, K + 1) if claim == "completely_monotonic" else range(0, 1)
     else:
         raise UsageError(f"claim {claim!r} is not a sign-pattern claim")
+    if not orders:
+        raise UsageError(f"{claim} with K={K} checks no order")
     cap = inner.max_order
-    if max(orders, default=0) > cap:
+    if orders[-1] > cap:
         raise UsageError(f"requested order exceeds the derivative cap {cap}")
 
     xs = _grid_values(grid)
     base_params = dict(params or {})
     n = len(orders)
-    if n:
-        values, errors, ok = inner.jet_grid(xs, n - 1, policy)
-    else:
-        values = errors = np.zeros((0, len(xs)))
-        ok = np.ones(len(xs), dtype=bool)
+    values, errors, ok = inner.jet_grid(xs, n - 1, policy)
     # cell (point, order), point-major: signed = (-1)^k f^(k)(x)
     signed = (values * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)[:, None]).T
     err = errors.T
@@ -876,7 +804,7 @@ def check_sign_pattern(
     return VerificationReport(
         label, status, worst, violations,
         grid=grid if isinstance(grid, GridSpec) else None,
-        orders_checked=max(orders, default=0),
+        orders_checked=orders[-1],
     )
 
 
@@ -901,9 +829,9 @@ def check_chain(
     runs as the row ``lambda p: [e(p) for e in exprs]``.  A value is a float
     or an Enclosure.  A row function lets the values of a point share work,
     such as a bracket that gives both the lower and the upper end; a row
-    with fewer than two values raises UsageError.  ``points`` is a sequence
-    of parameter dicts (key 'x' is used as the reported point when present).
-    A point whose row raises DomainError or ConvergenceError is
+    with fewer than two values raises UsageError.  ``points`` is a non-empty
+    sequence of non-empty parameter dicts; key 'x' is the reported point when
+    present, else the first parameter.  A point whose row raises DomainError or ConvergenceError is
     inconclusive.  chain_lt additionally requires a margin > 10 tau at three
     interior points.  ``jobs`` is accepted for compatibility and ignored:
     points are evaluated sequentially.
@@ -917,6 +845,9 @@ def check_chain(
     else:
         row_fn = lambda p: [e(p) for e in exprs]
     pts = list(points)
+    if not pts or not all(pts):
+        raise UsageError("a chain needs at least one point, each with a parameter")
+    xs = [float(pt["x"] if "x" in pt else next(iter(pt.values()))) for pt in pts]
 
     def eval_point(pt):
         try:
@@ -931,12 +862,11 @@ def check_chain(
     violations = []
     worst = math.inf
     inconclusive = False
-    spot_data = []  # (point, strictness margin) for evaluated points
-    for pt, row in zip(pts, rows):
+    spot_data = []  # (point, x, strictness margin) for evaluated points
+    for pt, x, row in zip(pts, xs, rows):
         if row is None:
             inconclusive = True
             continue
-        x = float(pt.get("x", next(iter(pt.values()))))
         point_min = math.inf
         for i in range(len(row) - 1):
             (lo, elo), (hi, ehi) = row[i], row[i + 1]
@@ -948,12 +878,11 @@ def check_chain(
                 inconclusive = True
             elif margin < -t:
                 violations.append(Violation(x, dict(pt), i, lo, hi, margin))
-        spot_data.append((pt, point_min))
+        spot_data.append((pt, x, point_min))
     if claim == "chain_lt" and not violations and spot_data:
         for idx in _spot_indices(len(spot_data)):
-            pt, point_min = spot_data[idx]
+            pt, x, point_min = spot_data[idx]
             if point_min <= 0.0:
-                x = float(pt.get("x", next(iter(pt.values()))))
                 violations.append(
                     Violation(x, dict(pt) | {"strict_spot": True}, -1, 0.0, 0.0, point_min)
                 )
@@ -964,9 +893,9 @@ def check_chain(
 def check_majorization(a, b) -> bool:
     """Prefix-sum dominance of two nondecreasing nonnegative sequences.
 
-    Raises PreconditionError for unequal lengths, unsorted or negative
-    input (never sorts silently); returns True iff every prefix sum of a is
-    <= the corresponding prefix sum of b.
+    Raises UsageError for unequal lengths, and PreconditionError for
+    unsorted or negative input (never sorts silently); returns True iff
+    every prefix sum of a is <= the corresponding prefix sum of b.
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]

@@ -584,8 +584,8 @@ def _build_noncompare(desc, grid, K, ov):
     chain_a = _chain_check(
         "noncompare[x->0]",
         lambda p: [
-            bd._psi_q(1.0, 1.0) + bd._psi_q(p["x"], 1.0),
-            2.0 * bd._psi_q(math.sqrt(p["x"]), 1.0),
+            bd._psi_q(0, 1.0, 1.0) + bd._psi_q(0, p["x"], 1.0),
+            2.0 * bd._psi_q(0, math.sqrt(p["x"]), 1.0),
         ],
         pts_a, "chain_lt",
     )
@@ -593,8 +593,8 @@ def _build_noncompare(desc, grid, K, ov):
     chain_b = _chain_check(
         "noncompare[x>1]",
         lambda p: [
-            2.0 * bd._psi_q(p["x"] + math.sqrt(p["s"]), 1.0),
-            bd._psi_q(p["x"] + 1.0, 1.0) + bd._psi_q(p["x"] + p["s"], 1.0),
+            2.0 * bd._psi_q(0, p["x"] + math.sqrt(p["s"]), 1.0),
+            bd._psi_q(0, p["x"] + 1.0, 1.0) + bd._psi_q(0, p["x"] + p["s"], 1.0),
         ],
         pts_b, "chain_lt",
     )
@@ -749,7 +749,7 @@ def _build_kv(desc, grid, K, ov):
 
     def row(p):
         b = bd.keckic_vasic_bounds(p["x"], p["b"])
-        ratio = math.exp(bd._ln_gamma_q(p["b"], 1.0) - bd._ln_gamma_q(p["x"], 1.0))
+        ratio = math.exp(bd._psi_q(-1, p["b"], 1.0) - bd._psi_q(-1, p["x"], 1.0))
         return [b.lower, ratio, b.upper]
 
     return [_chain_check("kv-bounds", row, pts)]
@@ -1071,7 +1071,7 @@ def _build_eq43(desc, grid, K, ov):
     checks = []
     for n in (1, 2, 3):
         def fn(x, n=n):
-            return -x * bd._psi_n(n + 1, x) / bd._psi_n(n, x)
+            return -x * bd._psi_q(n + 1, x, 1.0) / bd._psi_q(n, x, 1.0)
 
         checks.append(_probe_check(
             f"eq43-range[n={n}]", fn, grid, "decreasing", {"n": n},
@@ -1090,7 +1090,7 @@ def _build_cor45(desc, grid, K, ov):
     for a in (0.5, 1.0):
         for n in (1, 2):
             def fn(x, a=a, n=n):
-                return x * bd._psi_n(n + 1, x + a) / bd._psi_n(n, x + a)
+                return x * bd._psi_q(n + 1, x + a, 1.0) / bd._psi_q(n, x + a, 1.0)
 
             checks.append(_probe_check(
                 f"prop-cor45[a={a},n={n}]", fn, grid, "decreasing", {"a": a, "n": n}
@@ -1170,7 +1170,7 @@ def _build_qthm(desc, grid, K, ov):
             def fn(x, q=q, n=n):
                 w = (1.0 - q**x) ** n
                 sign = 1.0 if n % 2 == 1 else -1.0
-                return w * sign * bd._psi_qn(n, x, q)
+                return w * sign * bd._psi_q(n, x, q)
 
             checks.append(_probe_check(
                 f"qthm-monotone[q={q},n={n}]", fn, grid, "decreasing", {"q": q, "n": n}
@@ -1232,9 +1232,9 @@ def _build_dup(desc, grid, K, ov):
     def row(p):
         x = p["x"]
         resid = abs(
-            bd._psi_q(2.0 * x, 1.0)
-            - 0.5 * bd._psi_q(x, 1.0)
-            - 0.5 * bd._psi_q(x + 0.5, 1.0)
+            bd._psi_q(0, 2.0 * x, 1.0)
+            - 0.5 * bd._psi_q(0, x, 1.0)
+            - 0.5 * bd._psi_q(0, x + 0.5, 1.0)
             - math.log(2.0)
         )
         return [resid, 1e-12]

@@ -22,16 +22,18 @@ a geometric tail from |B_2m|/(2m)! < 4/(2 pi)^(2m).  It stops once the tail
 is at most eps * sum|term|, a relative rule; past the budget or the table,
 ConvergenceError.
 
-Within one verification run the evaluator calls of the layers above
-(cm_engine's grid leaves, the bounds functions, and the corpus probes and
-chains that meet a point twice) read one cell table that ``_run_cells``
-opens around the run's claims.  The cells of each (evaluator, non-point
-arguments, policy) are keyed by the point; a cell is evaluated by one call
-the first time it is asked for, and later asks get the same Enclosure
-object, or a DomainError/ConvergenceError of the same class and message
-raised again, so results keep their bits.  policy=None and DEFAULT_POLICY
-share their cells.  The table is a ContextVar that the run resets when it
-ends; outside a run the lookup just calls the evaluator and keeps nothing.
+The layers above (cm_engine's psi-family leaves, the bounds functions, and
+the corpus probes and chains that meet a point twice) reach lnGamma, psi,
+psi^(n) and their q-analogues by one route, ``_psi(n, q, policy)``, the one
+map from (n, q) to an evaluator and its cells.  Within one verification run
+the cells live in one table that ``_run_cells`` opens around the run's
+claims.  The cells of each (evaluator, non-point arguments, policy) are
+keyed by the point; a cell is evaluated by one call the first time it is
+asked for, and later asks get the same Enclosure object, or a
+DomainError/ConvergenceError of the same class and message raised again, so
+results keep their bits.  policy=None and DEFAULT_POLICY share their cells.
+The table is a ContextVar that the run resets when it ends; outside a run
+the lookup just calls the evaluator and keeps nothing.
 """
 
 from __future__ import annotations
@@ -898,9 +900,16 @@ def _cell(cells: dict | None, y: float, fn, *args) -> Enclosure:
     return cell
 
 
-def _once(fn, *args, at: int = 0, policy: TruncationPolicy | None = None) -> Enclosure:
-    """``fn(*args, policy)`` through the run's table, where ``args[at]`` is
-    the point.  Pass ``fn`` as the caller's module binding, so that a
-    wrapper put there sees only the real evaluations."""
-    cells = _cells(fn, args[:at] + args[at + 1 :], policy)
-    return _cell(cells, args[at], fn, *args, policy)
+def _psi(n: int, q: float | None, policy):
+    """The function y -> Enclosure of psi^(n)(y), n >= -1, where psi^(0) = psi
+    and psi^(-1) = ln Gamma, or of psi_q^(n)(y) when q is given.  Each call
+    goes through the run's cell table, so inside a run a cell is evaluated
+    once, also where two grids or a grid and a scalar call share it; outside
+    a run nothing is kept."""
+    if q is None:
+        fn, tail = (ln_gamma, digamma, polygamma)[min(n, 1) + 1], ()
+    else:
+        fn, tail = (q_ln_gamma, q_digamma, q_polygamma)[min(n, 1) + 1], (q,)
+    head = (n,) if n > 0 else ()
+    cells = _cells(fn, head + tail, policy)
+    return lambda y: _cell(cells, y, fn, *head, y, *tail, policy)

@@ -352,7 +352,7 @@ def test_gamma_ratio_reads_the_cell_table_only_inside_a_run(monkeypatch):
     calls = collections.Counter()
 
     def counting(name):
-        fn = getattr(bd, name)
+        fn = getattr(sf, name)
 
         def counted(*args):
             calls[name, args[:-1]] += 1
@@ -361,7 +361,7 @@ def test_gamma_ratio_reads_the_cell_table_only_inside_a_run(monkeypatch):
         return counted
 
     for name in ("ln_gamma", "q_ln_gamma"):
-        monkeypatch.setattr(bd, name, counting(name))
+        monkeypatch.setattr(sf, name, counting(name))
     first = bd.gamma_ratio(2.0, 0.5, 0.7)
     assert bd.gamma_ratio(2.0, 0.5, 0.7) == first
     assert calls == {("q_ln_gamma", (3.0, 0.7)): 2, ("q_ln_gamma", (2.5, 0.7)): 2}

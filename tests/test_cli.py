@@ -5,9 +5,7 @@ import os
 
 import pytest
 
-from qgammakit import bounds as bd
 from qgammakit import cli
-from qgammakit import cm_engine as ce
 from qgammakit import corpus
 from qgammakit import specfun as sf
 
@@ -170,7 +168,8 @@ def test_verify_unknown_suite(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--max-order", "-1"), ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"),
+    ("--max-order", "-1"), ("--max-order", "0"), ("--tol", "nan"), ("--tol", "-1"),
+    ("--tol", "inf"),
 ])
 def test_verify_refuses_settings_that_check_nothing(tmp_path, capsys, flag, value):
     # with these settings thm8-lcm would pass with no order checked, or the
@@ -253,13 +252,13 @@ def test_verify_fixed_point_claims_ignore_grid_points(tmp_path, capsys):
 
 def test_verify_run_evaluates_each_polygamma_cell_once(monkeypatch):
     calls = collections.Counter()
-    polygamma = ce.polygamma
+    polygamma = sf.polygamma
 
     def counted(n, x, policy=None):
         calls[n, x] += 1
         return polygamma(n, x, policy)
 
-    monkeypatch.setattr(ce, "polygamma", counted)
+    monkeypatch.setattr(sf, "polygamma", counted)
     ids = ["cor4-lcm", "thm30-lcm"]
     doc, unexpected = cli._report_document("rows", ids, None, None, 1e-12)
     assert unexpected == 0
@@ -274,7 +273,7 @@ def test_verify_run_evaluates_each_bounds_cell_once(monkeypatch):
     calls = collections.Counter()
 
     def counting(name):
-        fn = getattr(bd, name)
+        fn = getattr(sf, name)
 
         def counted(*args):
             calls[name, args] += 1
@@ -283,7 +282,7 @@ def test_verify_run_evaluates_each_bounds_cell_once(monkeypatch):
         return counted
 
     for name in ("q_ln_gamma", "q_digamma"):
-        monkeypatch.setattr(bd, name, counting(name))
+        monkeypatch.setattr(sf, name, counting(name))
     doc, unexpected = cli._report_document("rows", ["eq14-bounds", "thm3-chain"], None, None, 1e-12)
     assert unexpected == 0
     assert {name for name, _ in calls} == {"q_ln_gamma", "q_digamma"}

@@ -37,30 +37,11 @@ def test_nth_derivative_identity_at_order_zero():
 def test_order_caps():
     with pytest.raises(UsageError):
         ce.nth_derivative("digamma", 13, 1.0)
-    fd = ce.FiniteDifference(lambda x: math.exp(-x))
-    with pytest.raises(UsageError):
-        fd.deriv(9, 1.0)
 
 
 def test_unknown_target_family():
     with pytest.raises(UsageError):
         ce.make_target("not_a_family")
-
-
-def test_fd_agreement_with_analytic():
-    # within 1e-6 relative for k <= 4 on smooth targets over (0.5, 10]
-    cases = [
-        (lambda x: sf.digamma(x).value, ce.PolyGammaShift(0)),
-        (lambda x: sf.polygamma(1, x).value, ce.PolyGammaShift(1)),
-        (lambda x: sf.q_digamma(x, 0.5).value, ce.QPolyGammaShift(0, 0.5)),
-    ]
-    for fn, target in cases:
-        fd = ce.FiniteDifference(fn)
-        for k in (1, 2, 3, 4):
-            for x in np.geomspace(0.55, 10.0, 12):
-                a = target.deriv(k, float(x))
-                f = fd.deriv(k, float(x))
-                assert abs(a.value - f.value) <= 1e-6 * abs(a.value), (k, x)
 
 
 def test_qseries_target_matches_q_polygamma():
@@ -193,14 +174,14 @@ def _bits(enc):
     return (enc.value.hex(), enc.abs_error.hex(), enc.terms_used)
 
 
-class _SwampedTarget(ce.AnalyticTarget):
+class _SwampedTarget(ce.Target):
     """Positive value drowned by its own certificate at every order."""
 
     def deriv(self, k, x, policy=None):
         return sf.Enclosure(1e-30, 1.0, 1)
 
 
-class _AlternatingTarget(ce.AnalyticTarget):
+class _AlternatingTarget(ce.Target):
     """(-1)^k / (1 + x), defined only through ``deriv``; raises at order 3
     for x > 1."""
 
@@ -250,7 +231,6 @@ def _jet_targets():
             (2.0, ce.DerivOffset(ce.LogShift(1.0), 1), 0.5),
             (0.3, ce.MonomialPolyGamma(1, 2, 0.5, 1.0), 0.0),
         ]),
-        ce.FiniteDifference(lambda x: sf.digamma(x).value),
         _SwampedTarget(),
         _AlternatingTarget(),
     ]
@@ -269,7 +249,7 @@ def test_jets_cover_every_target_class():
     classes = {
         cls for _, cls in inspect.getmembers(ce, inspect.isclass)
         if issubclass(cls, ce.Target) and cls.__module__ == ce.__name__
-    } - {ce.Target, ce.AnalyticTarget}
+    } - {ce.Target}
     assert classes <= {type(t) for t in _jet_targets()}
 
 
@@ -311,13 +291,13 @@ def test_one_raising_order_makes_the_point_inconclusive():
 
 def test_sign_pattern_evaluates_each_polygamma_order_once_per_point(monkeypatch):
     calls = collections.Counter()
-    polygamma = ce.polygamma
+    polygamma = sf.polygamma
 
     def counted(n, x, policy=None):
         calls[n, x] += 1
         return polygamma(n, x, policy)
 
-    monkeypatch.setattr(ce, "polygamma", counted)
+    monkeypatch.setattr(sf, "polygamma", counted)
     consts = bd.poly_constants(4, 3, 2, 1)
     target = ce.PolyProductTarget(4, 3, 2, 1, consts.c)
     grid = ce.GridSpec(1e-2, 10.0, 16, "log")
@@ -329,13 +309,13 @@ def test_sign_pattern_evaluates_each_polygamma_order_once_per_point(monkeypatch)
 
 def test_rows_are_shared_only_inside_a_run(monkeypatch):
     calls = collections.Counter()
-    polygamma = ce.polygamma
+    polygamma = sf.polygamma
 
     def counted(n, x, policy=None):
         calls[n, x] += 1
         return polygamma(n, x, policy)
 
-    monkeypatch.setattr(ce, "polygamma", counted)
+    monkeypatch.setattr(sf, "polygamma", counted)
     target = ce.PolyGammaShift(1)
     grid = ce.GridSpec(0.5, 4.0, 8, "log")
     reports = [ce.check_sign_pattern(target, 3, grid, "completely_monotonic") for _ in range(2)]
@@ -423,7 +403,7 @@ def test_q_psi_grid_fails_where_the_scalar_runs_out_of_terms():
 
 
 def _count_psi_calls(monkeypatch):
-    """Count the scalar psi-family calls cm_engine makes."""
+    """Count the scalar psi-family evaluator calls, made through specfun._psi."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -433,7 +413,7 @@ def _count_psi_calls(monkeypatch):
         return wrapper
 
     for name in ("ln_gamma", "digamma", "polygamma", "q_ln_gamma", "q_digamma", "q_polygamma"):
-        monkeypatch.setattr(ce, name, counted(name, getattr(ce, name)))
+        monkeypatch.setattr(sf, name, counted(name, getattr(sf, name)))
     return calls
 
 
@@ -473,10 +453,10 @@ def test_q_psi_grid_shares_the_run_table_with_scalar_calls(
         assert calls == after_deriv
         target.jet_grid(xs, 2)
         assert calls == after_grid
-        table = sf._cells(getattr(ce, order1[0]), order1[1], None)
+        table = sf._cells(getattr(sf, order1[0]), order1[1], None)
         assert table[1.0] is first
         # a cell the grid made is read by deriv as the same Enclosure
-        assert target.deriv(2, 2.0) is sf._cells(getattr(ce, order2[0]), order2[1], None)[2.0]
+        assert target.deriv(2, 2.0) is sf._cells(getattr(sf, order2[0]), order2[1], None)[2.0]
         # and a second grid evaluates nothing
         target.jet_grid(xs, 2)
         assert calls == after_grid
@@ -556,6 +536,15 @@ def test_cm_fails_on_sin_plus_2():
 def test_lcm_requires_exp_form():
     with pytest.raises(UsageError):
         ce.check_sign_pattern(ce.PolyGammaShift(1), 4, GRID, "log_completely_monotonic")
+
+
+@pytest.mark.parametrize("target, K, claim", [
+    (ce.ExpNegForm(ce.Const(1.0)), 0, "log_completely_monotonic"),
+    (ce.ExpNegX(), -1, "completely_monotonic"),
+])
+def test_sign_pattern_refuses_an_order_set_that_checks_nothing(target, K, claim):
+    with pytest.raises(UsageError):
+        ce.check_sign_pattern(target, K, GRID, claim)
 
 
 def test_lcm_checks_neg_log_derivative():
@@ -645,6 +634,18 @@ def test_chain_requires_two_exprs():
         ce.check_chain(lambda p: [1.0], _pts([1.0]), "chain_le")
 
 
+@pytest.mark.parametrize("points", [[], [{}], [{"x": 1.0}, {}]], ids=["none", "empty", "one-empty"])
+def test_chain_refuses_points_that_check_nothing(points):
+    # no point checks nothing, and a point without parameters has no label
+    with pytest.raises(UsageError):
+        ce.check_chain(lambda p: [0.0, 1.0], points, "chain_le")
+
+
+def test_chain_reports_the_first_parameter_without_x():
+    rep = ce.check_chain(lambda p: [1.0, 0.0], [{"s": 0.25, "q": 0.5}], "chain_le")
+    assert [v.point for v in rep.violations] == [0.25]
+
+
 def test_chain_eval_failure_is_inconclusive():
     def boom(p):
         raise DomainError("outside")
@@ -715,7 +716,7 @@ def test_probe_range_containment():
     assert rep.status == "pass"
 
 
-class _OrderOneFails(ce.AnalyticTarget):
+class _OrderOneFails(ce.Target):
     """1/x, whose first derivative raises past x = 2."""
 
     def deriv(self, k, x, policy=None):
@@ -757,7 +758,7 @@ def test_target_probe_reads_one_grid_and_reports_as_the_callables(monkeypatch, t
     assert repr(got) == repr(ce.monotonicity_probe(lambda x: target.deriv(0, x).value, xs, "increasing"))
 
 
-class _SwampedFalling(ce.AnalyticTarget):
+class _SwampedFalling(ce.Target):
     """-x, certified only to within 10 at every order."""
 
     def deriv(self, k, x, policy=None):
@@ -823,5 +824,9 @@ def test_grid_spec_validation():
         ce.GridSpec(0.0, 2.0, 8, "log")
     with pytest.raises(UsageError):
         ce.GridSpec(1.0, 2.0, 8, "cubic")
+    with pytest.raises(UsageError):
+        ce.GridSpec(1.0, math.inf, 4)
+    with pytest.raises(UsageError):
+        ce.GridSpec(-math.inf, 1.0, 4, "linear")
     g = ce.GridSpec(0.0, 2.0, 5, "linear")
     assert g.values() == [0.0, 0.5, 1.0, 1.5, 2.0]
