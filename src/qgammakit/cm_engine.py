@@ -19,6 +19,9 @@ each cell in the scalar operation order, so each column holds exactly the
 bits of the scalar jet.  Every rounding slop is ``specfun._slop``'s
 ops*eps*sum|summands|.  A sign-pattern check asks for one grid.
 
+A q-series, ``QSeriesTarget``, is data: psi_q terms and a constant, from
+which it derives its coefficients, tail bound and rounding slop.
+
 The psi-family leaves (``LnGammaFn``, ``PolyGammaShift``, ``QLnGammaFn``,
 ``QPolyGammaShift``) are one class, ``_PsiLeaf``: order k is the evaluator
 of order m + k at x + a, with or without q, picked by ``specfun._psi``, and
@@ -400,33 +403,52 @@ class QPolyGammaShift(_PsiLeaf):
 
 
 class QSeriesTarget(Target):
-    """sign * (const + (-ln q) * sum_comp sum_{j>=1} q^(j(x+shift)) c_j).
+    """const + sum_i w_i (d/dx)^(m_i) psi_{q^(r_i)}((x + d_i)/r_i), 0 < q < 1.
 
-    The combined-coefficient form of the q-digamma linear combinations: the
-    branch constants and colliding leading terms cancel analytically inside
-    the coefficients instead of catastrophically in floating point.  Each
-    component is (shift, coeff_fn, amp, jpow) with |coeff_fn(j)| <= amp *
-    j^jpow (jpow >= 0), valid on x + shift > 0.  Each term takes one exp,
-    of j (x + shift) ln q <= 0, times c_j; order k multiplies order k-1 by
-    j, and the tail bound is geometric per component at every derivative
-    order.  The rounding slop weights term k by 1 + |exponent| + k, and an
-    absolute floor covers the terms whose exp or products fall below the
-    normal range (``_jets``).
-
-    ``const`` enters order 0 only.  It may carry the rounding of up to two
-    operations, as log1p(sqrt(q)) does; with the rounding of adding it,
-    order 0's error covers ``_slop(3, const)``.
+    A term is (w, m, d) or (w, m, d, r), with m >= 0 and r > 0 (1 by
+    default).  With L = ln q, psi_{q^r}(y/r) = -ln(1 - q^r) + r L sum_{j>=1}
+    q^(jy)/(1 - q^(jr)), so the terms make one series on x + shift > 0,
+    shift = min d_i: C + (-L) sum_{j>=1} q^(j(x + shift)) c_j, where
+    c_j = -sum_i g_i(j), g_i(j) = w_i r_i (jL)^(m_i) q^(j(d_i - shift)) /
+    (1 - q^(j r_i)).  C is ``const`` (which may carry two roundings, as
+    -log1p(-q) does) plus w (-ln(1 - q^r)) of each m = 0 term, the weights
+    of one r summed exactly first, so a difference of psi_q adds 0 and no
+    error.  The tail bound takes |c_j| <= amp j^jpow, with amp = sum |w_i|
+    r_i |L|^(m_i) / (1 - q^(r_i)) and jpow = max m_i; the rounding slop
+    weighs c_j by sum_i |g_i| (1 + |j (d_i - shift) L|), so that a c_j
+    that cancels is covered (``_jets``).
     """
 
-    def __init__(self, q: float, components, const: float = 0.0, sign: float = 1.0):
+    def __init__(self, q: float, terms, const: float = 0.0):
         if not (0.0 < q < 1.0):
             raise DomainError(f"q must lie in (0, 1), got {q}")
-        self.q = q
-        self.components = tuple(components)
-        self.const = const
-        self.sign = sign
+        self.q, self.const = q, const
+        self.terms = tuple((*t, 1.0)[:4] for t in terms)
+        lnq = math.log(q)
+        self.shift = min(d for _, _, d, _ in self.terms)
+        self.jpow = max(m for _, m, _, _ in self.terms)
+        self.amp = sum(abs(w) * r * abs(lnq)**m / -math.expm1(r * lnq) for w, m, _, r in self.terms)
+        # g_i(j) = w r (jL)^m exp(j a) / -expm1(j b)
+        self._g = [(w * r, m, (d - self.shift) * lnq, r * lnq) for w, m, d, r in self.terms]
+        # (q^r, the m = 0 weights of r summed); q^r rounds by p/(1 - p) in ln(1 - p)
+        parts = [(q**r, math.fsum(w for w, m, _, ri in self.terms if m == 0 and ri == r))
+                 for r in dict.fromkeys(r for _, m, _, r in self.terms if m == 0)]
+        self._const = const + sum(w * -math.log1p(-p) for p, w in parts)
+        magnitude = abs(const) + sum(abs(w) * (p / (1.0 - p) - math.log1p(-p)) for p, w in parts)
+        self._const_err = _slop(3 + len(parts), magnitude)
 
     deriv = Target.deriv
+
+    def _coeffs(self, j):
+        """c_j and its slop weight on the block ``j``."""
+        lnq = math.log(self.q)
+        c, weight = np.zeros_like(j), np.zeros_like(j)
+        for wr, m, a, b in self._g:
+            ja = j * a
+            g = wr * (j * lnq) ** m * np.exp(ja) / -np.expm1(j * b)
+            c -= g
+            weight += np.abs(g) * (1.0 - ja)
+        return c, weight
 
     def _jets(self, xs, K, policy):
         """One block loop for orders 0..K at every point.
@@ -437,45 +459,44 @@ class QSeriesTarget(Target):
         Points run in chunks, so that no temporary holds more than
         _CHUNK_ELEMENTS elements or one row of the block.
 
-        A term takes one exp per component: e = j (x + shift) ln q and
-        t = exp(e) c_j, and order k is order k-1 times j (Taylor mode), up
-        to the chunk's highest order that is still active.  Term k weighs
-        1 + |e| + k in the rounding slop: exp turns the |e| ulp error of e
-        into a relative error, and k products round.  Where exp(e) or a
-        product is subnormal or 0, its error is absolute, so order k adds
-        the floor (k + 3) ulp(0) J max(amp, 1) (hi + 1)^(k + jpow) per
-        component and block of J terms, times |pref|, plus ulp(0) for the
-        product with pref.
+        A term takes one exp, of e = j (x + shift) ln q, and t = exp(e) c_j;
+        order k is order k-1 times j (Taylor mode), up to the chunk's
+        highest order that is still active.  In the rounding slop, term k
+        weighs exp(e) j^k (c_j's weight) (1 + |e| + k): exp turns the |e|
+        ulp error of e into a relative error, and k products round.  Where
+        an exp or a product is subnormal or 0, its error is absolute, so
+        order k adds the floor (k + 3) ulp(0) J max(amp, 1)
+        (hi + 1)^(k + jpow) per block of J terms, times |pref|, plus ulp(0)
+        for the product with pref.
         """
         policy = policy or DEFAULT_POLICY
-        q, lnq = self.q, math.log(self.q)
+        q, lnq, shift = self.q, math.log(self.q), self.shift
         P = len(xs)
         grid = _JetGrid(
             np.full((K + 1, P), np.nan), np.full((K + 1, P), np.nan),
             np.zeros((K + 1, P), dtype=np.int64), [None] * P,
         )
         for p, x in enumerate(xs.tolist()):
-            for shift, _, _, _ in self.components:
-                if x + shift <= 0.0:
-                    grid.fail(p, DomainError(f"x + {shift} must be positive, got x={x}"))
-                    break
+            if x + shift <= 0.0:
+                grid.fail(p, DomainError(f"x + {shift} must be positive, got x={x}"))
         # from here on, column i is the point good[i]
         good = np.flatnonzero(grid.ok)
         active = np.ones((K + 1, len(good)), dtype=bool)
         total = np.zeros(active.shape)
         abs_total = np.zeros(active.shape)
         floor = np.zeros(K + 1)
-        # T^(k) = sign*(const[k=0] + pref[k] * sum j^k ...)
+        # T^(k) = C[k=0] + pref[k] * sum j^k ...
         pref = np.array([-lnq * lnq**k for k in range(K + 1)])
-        const = np.zeros(K + 1)
-        const[0] = self.const
-        ys = [xs[good] + shift for shift, _, _, _ in self.components]  # x + shift
-        rates = [y * lnq for y in ys]
-        q_ys = [np.array([q**v for v in y.tolist()]) for y in ys]
+        const, const_err = np.zeros(K + 1), np.zeros(K + 1)
+        const[0], const_err[0] = self._const, self._const_err
+        y = xs[good] + shift
+        rate = y * lnq
+        qy = np.array([q**v for v in y.tolist()])
+        powers = [k + self.jpow for k in range(K + 1)]
         try:
             for j0, hi in _blocks(policy, "combined q-series (q={}, K={})", q, K):
                 j = np.arange(j0 + 1, hi + 1, dtype=float)
-                coeffs = [coeff_fn(j) for _, coeff_fn, _, _ in self.components]
+                c, weight = self._coeffs(j)
                 live = np.flatnonzero(active.any(axis=0))
                 step = max(1, _CHUNK_ELEMENTS // len(j))
                 for c0 in range(0, len(live), step):
@@ -484,44 +505,41 @@ class QSeriesTarget(Target):
                     # summed along; their recorded values stay
                     wanted = active[:, pts].any(axis=1).tolist()
                     top = max(k for k in range(K + 1) if wanted[k])
-                    for rate, c in zip(rates, coeffs):
-                        e = np.multiply.outer(rate[pts], j)
-                        t = np.exp(e) * c
-                        w = 1.0 + np.abs(e)
-                        wt = np.empty_like(t)  # |t| (1 + |e| + k)
-                        for k in range(top + 1):
-                            if k:
-                                t *= j
-                            if wanted[k]:
-                                total[k, pts] += t.sum(axis=1)
-                                np.abs(t, out=wt)
-                                wt *= w + k
-                                abs_total[k, pts] += wt.sum(axis=1)
-                tail = np.zeros((K + 1, len(live)))
-                converged = np.ones(tail.shape, dtype=bool)
+                    e = np.multiply.outer(rate[pts], j)
+                    w = np.abs(e) + 1.0
+                    np.exp(e, out=e)
+                    t = e * c
+                    u = np.multiply(e, weight, out=e)  # exp(e) j^k weight
+                    wt = np.empty_like(t)  # u (1 + |e| + k)
+                    for k in range(top + 1):
+                        if k:
+                            t *= j
+                            u *= j
+                        if wanted[k]:
+                            total[k, pts] += t.sum(axis=1)
+                            np.add(w, k, out=wt)
+                            wt *= u
+                            abs_total[k, pts] += wt.sum(axis=1)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    for (_, _, amp, jpow), y, qy in zip(self.components, ys, q_ys):
-                        powers = [k + jpow for k in range(K + 1)]
-                        rho = np.multiply.outer(
-                            [((hi + 2.0) / (hi + 1.0)) ** n for n in powers], qy[live]
-                        )
-                        converged &= rho < 1.0
-                        far = [q**v for v in ((hi + 1.0) * y[live]).tolist()]
-                        hpow = np.array([(hi + 1.0) ** n for n in powers])
-                        tail += np.multiply.outer(amp * hpow, far) / (1.0 - rho)
-                        floor += (max(amp, 1.0) * len(j)) * hpow
+                    rho = np.multiply.outer(
+                        [((hi + 2.0) / (hi + 1.0)) ** n for n in powers], qy[live]
+                    )
+                    far = [q**v for v in ((hi + 1.0) * y[live]).tolist()]
+                    hpow = np.array([(hi + 1.0) ** n for n in powers])
+                    tail = np.multiply.outer(self.amp * hpow, far) / (1.0 - rho)
+                floor += (max(self.amp, 1.0) * len(j)) * hpow
                 sums = total[:, live]
-                done = active[:, live] & converged & (tail <= policy.eps * (1.0 + np.abs(sums)))
+                done = active[:, live] & (rho < 1.0) & (tail <= policy.eps * (1.0 + np.abs(sums)))
                 if done.any():
                     apref = np.abs(pref)[:, None]
                     slop = _slop(2.0 + math.log2(max(hi, 2)), apref) * abs_total[:, live]
                     cols = good[live]
                     grid.values[:, cols] = np.where(
-                        done, self.sign * (const[:, None] + pref[:, None] * sums), grid.values[:, cols]
+                        done, const[:, None] + pref[:, None] * sums, grid.values[:, cols]
                     )
                     ulp0 = math.ulp(0.0)
                     under = apref * (ulp0 * (np.arange(K + 1) + 3.0) * floor)[:, None] + ulp0
-                    err = apref * tail + slop + _slop(3, const)[:, None] + under
+                    err = apref * tail + slop + const_err[:, None] + under
                     grid.errors[:, cols] = np.where(done, err, grid.errors[:, cols])
                     grid.terms[:, cols] = np.where(done, hi, grid.terms[:, cols])
                     active[:, live] &= ~done
@@ -729,8 +747,10 @@ def _grid_values(grid) -> list[float]:
 
 
 def _spot_indices(n: int) -> tuple[int, ...]:
+    """The points a strictness spot check reads: three interior points, or
+    every point when there are fewer than four."""
     if n < 4:
-        return ()
+        return tuple(range(n))
     return (n // 4, n // 2, (3 * n) // 4)
 
 
@@ -751,7 +771,8 @@ def check_sign_pattern(
     For ``log_completely_monotonic`` the target must be an ExpNegForm and the
     same pattern is asserted for h' = -(ln f)' at orders 0..K-1.  A claimed
     strict inequality is tested as non-strict with margin tau plus a
-    strictness spot check at three interior grid points requiring > 10 tau.
+    strictness spot check at three interior grid points (every point of a
+    grid of fewer than four) requiring > 10 tau.
     The grid is evaluated in one ``jet_grid`` call.  A K that leaves no
     order to check (K < 1 for ``log_completely_monotonic``, K < 0 for
     ``completely_monotonic``) raises UsageError.  ``jobs`` is accepted for
@@ -831,10 +852,11 @@ def check_chain(
     such as a bracket that gives both the lower and the upper end; a row
     with fewer than two values raises UsageError.  ``points`` is a non-empty
     sequence of non-empty parameter dicts; key 'x' is the reported point when
-    present, else the first parameter.  A point whose row raises DomainError or ConvergenceError is
-    inconclusive.  chain_lt additionally requires a margin > 10 tau at three
-    interior points.  ``jobs`` is accepted for compatibility and ignored:
-    points are evaluated sequentially.
+    present, else the first parameter.  A point whose row raises DomainError
+    or ConvergenceError is inconclusive.  chain_lt additionally requires a
+    margin > 10 tau at three interior points, or at every point when there
+    are fewer than four.  ``jobs`` is accepted for compatibility and
+    ignored: points are evaluated sequentially.
     """
     if claim not in ("chain_lt", "chain_le"):
         raise UsageError(f"claim {claim!r} is not a chain claim")

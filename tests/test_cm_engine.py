@@ -45,16 +45,29 @@ def test_unknown_target_family():
 
 
 def test_qseries_target_matches_q_polygamma():
-    # the combined-series form of -(psi_q + ln(1-q)) has derivatives equal
-    # to -psi_q^(k)
+    # the one-term series psi_q(x), its constant -ln(1 - q) derived, has
+    # derivatives equal to psi_q^(k)
     q = 0.5
-    lnq = math.log(q)
-    target = ce.QSeriesTarget(q, [(0.0, lambda j: 1.0 / (-np.expm1(j * lnq)), 1.0 / (1.0 - q), 0)])
-    for k in (1, 2, 4):
+    target = ce.QSeriesTarget(q, [(1.0, 0, 0.0)])
+    for k in (0, 1, 2, 4):
         for x in (0.3, 1.0, 8.0):
             a = target.deriv(k, x)
-            b = sf.q_polygamma(k, x, q)
-            assert abs(a.value + b.value) <= a.abs_error + b.abs_error + 1e-14
+            b = sf.q_polygamma(k, x, q) if k else sf.q_digamma(x, q)
+            assert abs(a.value - b.value) <= a.abs_error + b.abs_error + 1e-14
+
+
+def test_qseries_target_derives_its_constant_amp_and_jpow():
+    q = 0.5
+    lnq = math.log(q)
+    # psi_{q^2}((x + 1)/2) - psi_q(x + 1) + 3 psi_q'(x + 2): the m = 0
+    # constants are -ln(1 - q^2) and ln(1 - q)
+    t = ce.QSeriesTarget(q, [(1.0, 0, 1.0, 2.0), (-1.0, 0, 1.0), (3.0, 1, 2.0)], const=0.25)
+    assert t.shift == 1.0 and t.jpow == 1
+    assert t._const == pytest.approx(0.25 - math.log1p(-q * q) + math.log1p(-q), rel=1e-15)
+    assert t.amp == pytest.approx(2.0 / (1.0 - q * q) + 1.0 / (1.0 - q) - 3.0 * lnq / (1.0 - q))
+    # weights that share an r cancel exactly, and so does their constant's error
+    diff = ce.QSeriesTarget(q, [(0.3, 0, 1.5), (-0.3, 0, 0.5), (1.0, 0, 0.0), (-1.0, 0, 2.0)])
+    assert diff._const == 0.0 and diff._const_err == 0.0
 
 
 def test_qseries_certificate_covers_the_conditioning_of_exp():
@@ -132,38 +145,35 @@ def _per_order(t, k, x, policy=None):
         policy = policy or sf.DEFAULT_POLICY
         lnq = math.log(t.q)
         pref = -lnq * lnq**k
+        y = x + t.shift
         total = abs_total = floor = 0.0
         j0, block = 0, 256
         while True:
             hi = min(j0 + block, policy.max_terms)
             j = np.arange(j0 + 1, hi + 1, dtype=float)
-            for shift, coeff_fn, _, _ in t.components:
-                # one exp per term, then k products by j
-                arg = j * ((x + shift) * lnq)
-                terms = np.exp(arg) * coeff_fn(j)
-                for _ in range(k):
-                    terms *= j
-                total += float(np.sum(terms))
-                abs_total += float(np.sum(np.abs(terms) * (1.0 + np.abs(arg) + k)))
+            c, weight = t._coeffs(j)
+            # one exp per term, then k products by j
+            arg = j * (y * lnq)
+            terms = np.exp(arg) * c
+            slop_terms = np.exp(arg) * weight
+            for _ in range(k):
+                terms *= j
+                slop_terms *= j
+            total += float(np.sum(terms))
+            abs_total += float(np.sum(slop_terms * (1.0 + np.abs(arg) + k)))
             j0 = hi
             block = min(2 * block, 1 << 17)
-            tail, converged = 0.0, True
-            for shift, _, amp, jpow in t.components:
-                floor += max(amp, 1.0) * len(j) * (j0 + 1.0) ** (k + jpow)
-                rho = ((j0 + 2.0) / (j0 + 1.0)) ** (k + jpow) * t.q ** (x + shift)
-                if rho >= 1.0:
-                    converged = False
-                    continue
-                tail += (
-                    amp * (j0 + 1.0) ** (k + jpow) * t.q ** ((j0 + 1.0) * (x + shift)) / (1.0 - rho)
-                )
-            if converged and tail <= policy.eps * (1.0 + abs(total)):
-                break
+            floor += max(t.amp, 1.0) * len(j) * (j0 + 1.0) ** (k + t.jpow)
+            rho = ((j0 + 2.0) / (j0 + 1.0)) ** (k + t.jpow) * t.q**y
+            if rho < 1.0:
+                tail = t.amp * (j0 + 1.0) ** (k + t.jpow) * t.q ** ((j0 + 1.0) * y) / (1.0 - rho)
+                if tail <= policy.eps * (1.0 + abs(total)):
+                    break
             if j0 >= policy.max_terms:
                 raise ConvergenceError("combined q-series did not certify")
-        val = t.sign * ((t.const if k == 0 else 0.0) + pref * total)
+        val = (t._const if k == 0 else 0.0) + pref * total
         slop = (2.0 + math.log2(max(j0, 2))) * _EPS * abs(pref) * abs_total
-        const_slop = 3.0 * _EPS * abs(t.const) if k == 0 else 0.0
+        const_slop = t._const_err if k == 0 else 0.0
         ulp0 = math.ulp(0.0)
         under = abs(pref) * (ulp0 * (k + 3.0) * floor) + ulp0
         return sf.Enclosure(val, abs(pref) * tail + slop + const_slop + under, j0)
@@ -191,13 +201,14 @@ class _AlternatingTarget(ce.Target):
         return sf.Enclosure((-1.0) ** k / (1.0 + x), 0.0, 1)
 
 
-def _q_components(q):
-    lnq = math.log(q)
-    return [
-        (0.5, lambda j: np.full_like(j, -0.3), 0.3, 0),
-        (0.0, lambda j: 1.0 / (-np.expm1(j * lnq)), 1.0 / (1.0 - q), 0),
-        (0.25, lambda j: j * np.exp(j * (0.5 * lnq)), 1.0, 1),
-    ]
+# 0.3 d/dx ln(1 - q^(x + 0.5)), -psi_q(x) and psi_{q^2}'((x + 0.25)/2) / 2:
+# shifts that differ, an m = 1 term and an r != 1 term
+_Q_TERMS = [(0.3, 0, 1.5), (-1.0, 0, 0.0), (-0.3, 0, 0.5), (0.5, 1, 0.25, 2.0)]
+
+
+def _neg_psi_q(q):
+    """-ln(1 - q) - psi_q(x) = (-ln q) sum_j q^(jx)/(1 - q^j), which is CM."""
+    return ce.QSeriesTarget(q, [(-1.0, 0, 0.0)], -math.log1p(-q))
 
 
 def _jet_targets():
@@ -216,7 +227,7 @@ def _jet_targets():
         ce.QPolyGammaShift(0, 0.6, 0.5),
         ce.QPolyGammaShift(1, 1.5, 0.25),  # q > 1: order 1 has the branch term
         ce._PsiLeaf(-1, 0.5, 0.8),  # ln Gamma_q(x + a)
-        ce.QSeriesTarget(0.7, _q_components(0.7), const=0.2, sign=-1.0),
+        ce.QSeriesTarget(0.7, _Q_TERMS, const=0.2),
         ce.ExpNegX(),
         ce.SinPlus2(),
         ce.MonomialPolyGamma(2, 1, 1.0, 1.0),
@@ -224,7 +235,7 @@ def _jet_targets():
         ce.PolyProductTarget(3, 2, 2, 1, consts.c),
         ce.PolyProductTarget(2, 1, 1, 0, 1.0, sign=-1.0),
         ce.DerivOffset(ce.MonomialPolyGamma(2, 1, 1.0, 1.0), 2),
-        ce.DerivOffset(ce.QSeriesTarget(0.5, _q_components(0.5)), 1),
+        ce.DerivOffset(ce.QSeriesTarget(0.5, _Q_TERMS), 1),
         ce.LinComb([
             (1.0, ce.PolyGammaShift(1), 0.0),
             (-0.5, ce.PolyGammaShift(1, 0.5), 0.0, 2.0),
@@ -279,7 +290,7 @@ def test_one_raising_order_makes_the_point_inconclusive():
         target.jet(2.0, 4)
     # a q-series whose high orders run out of terms before the low ones
     q = 0.9
-    series = ce.QSeriesTarget(q, _q_components(q)[1:2])
+    series = _neg_psi_q(q)
     tight = sf.TruncationPolicy(max_terms=768)
     rep = ce.check_sign_pattern(series, 0, grid, "completely_monotonic", policy=tight)
     assert rep.status == "pass"
@@ -359,7 +370,7 @@ def test_jet_grid_columns_equal_per_order_derivatives_bit_for_bit(target):
 
 
 def test_jet_grid_marks_exactly_the_points_that_raise():
-    q_series = ce.QSeriesTarget(0.7, _q_components(0.7), const=0.2, sign=-1.0)
+    q_series = ce.QSeriesTarget(0.7, _Q_TERMS, const=0.2)
     xs = [-0.7, 0.5, 0.0, 2.0, -0.1, 8.0]  # x <= 0 puts x + 0.0 out of the domain
     ok = _assert_grid_matches_per_order(q_series, xs, 6)
     assert ok.tolist() == [False, True, False, True, False, True]
@@ -379,7 +390,7 @@ def test_jet_grid_marks_exactly_the_points_that_raise():
             for _ in range(2):
                 assert _assert_grid_matches_per_order(leaf, xs, 4).tolist() == expected
     # high orders at small x run out of terms; the rest of the grid certifies
-    series = ce.QSeriesTarget(0.9, _q_components(0.9)[1:2])
+    series = _neg_psi_q(0.9)
     tight = sf.TruncationPolicy(max_terms=768)
     ok = _assert_grid_matches_per_order(series, [0.5, 1.0, 2.0, 4.0, 8.0], 12, tight)
     assert not ok.all() and ok.any()
@@ -471,7 +482,7 @@ def test_sign_pattern_makes_one_jet_grid_call_per_check(monkeypatch):
         return jet_grid(self, xs, K, policy)
 
     monkeypatch.setattr(ce.Target, "jet_grid", counted)
-    q_series = ce.QSeriesTarget(0.5, _q_components(0.5))
+    q_series = ce.QSeriesTarget(0.5, _Q_TERMS)
     lcm = ce.ExpNegForm(ce.LinComb([(1.0, q_series, 0.0), (1.0, ce.PolyGammaShift(1), 0.0)]))
     ce.check_sign_pattern(lcm, 6, GRID, "log_completely_monotonic")
     assert calls == ["LinComb"]
@@ -495,7 +506,7 @@ def test_q_series_grid_caps_its_block_temporaries(monkeypatch):
     recorder = RecordingNumpy()
     monkeypatch.setattr(ce, "np", recorder)
     q = 0.95
-    target = ce.QSeriesTarget(q, _q_components(q))
+    target = ce.QSeriesTarget(q, _Q_TERMS[:3])  # jpow = 0
     xs = [float(v) for v in np.geomspace(0.05, 5.0, 64)]
     target.jet_grid(xs, 12)
     # blocks of up to 8192 terms: 64 points x 256 terms fill the cap exactly
@@ -625,6 +636,16 @@ def test_chain_strictness_spot_check():
     rep = _chain([lambda p: 1.0, lambda p: 1.0], pts, "chain_lt")
     assert rep.status == "fail"
     assert all(v.params.get("strict_spot") for v in rep.violations)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chain_strictness_is_spot_checked_at_every_point_of_a_short_chain(n):
+    # fewer than four points have no three interior ones: each is checked
+    rep = ce.check_chain(lambda p: [1.0, 1.0], _pts(range(1, n + 1)), "chain_lt")
+    assert rep.status == "fail"
+    assert [v.point for v in rep.violations] == [float(x) for x in range(1, n + 1)]
+    assert ce.check_chain(lambda p: [1.0, 1.0], [{"x": 1.0}], "chain_lt").status == "fail"
+    assert ce.check_chain(lambda p: [1.0, 2.0], [{"x": 1.0}], "chain_lt").status == "pass"
 
 
 def test_chain_requires_two_exprs():

@@ -3,12 +3,17 @@ jet grid, against closed forms evaluated at 40 digits.
 
 The references are written out per target class (mpmath's polygamma and
 loggamma, with Leibniz and linear-combination sums done in mpmath), never
-through ``mp.diff``; psi_q is a direct sum (``_psi_q``), never ``mp.nsum``.
-The points lean toward 1/e, where x ln x has a stationary point, and toward
-both ends of [1e-2, 1e2].  ``kernel_derivative``, which has no closed form,
-is checked against ``mp.diff`` at 40 digits.
+through ``mp.diff``; psi_q is a direct sum (``_psi_q``), never ``mp.nsum``,
+and ln Gamma_q a direct product (``_ln_gamma_q``).  A QSeriesTarget's
+reference is the sum of its terms' psi_q, each corpus q-series is checked
+on its own, and two are checked against references written apart from
+their terms as well.  The points lean toward 1/e, where x ln x has a
+stationary point, and toward both ends of [1e-2, 1e2].
+``kernel_derivative``, which has no closed form, is checked against
+``mp.diff`` at 40 digits.
 """
 
+import functools
 import math
 import re
 
@@ -44,12 +49,22 @@ def _ref(t, k, x):
         return (-1) ** k * mp.exp(-x)
     if isinstance(t, ce.SinPlus2):
         return mp.sin(x + k * mp.pi / 2) + (2 if k == 0 else 0)
-    if isinstance(t, ce.LnGammaFn):
-        return mp.loggamma(x) if k == 0 else mp.polygamma(k - 1, x)
-    if isinstance(t, ce.PolyGammaShift):
-        return mp.polygamma(t.m + k, x + t.a)
-    if isinstance(t, ce.QPolyGammaShift):
-        return _psi_q(t.m + k, x + t.a, t.q)
+    if isinstance(t, ce._PsiLeaf):
+        n, y = t.m + k, x + t.a
+        if t.q is None:
+            return mp.loggamma(y) if n == -1 else mp.polygamma(n, y)
+        return _q_psi(n, y, t.q)
+    if isinstance(t, ce.QSeriesTarget):
+        # sum of w r^-(m+k) psi_{q^r}^(m+k)((x + d)/r); the constants of the
+        # m + k = 0 terms are summed apart, so those that cancel do so exactly
+        const = mp.mpf(t.const) if k == 0 else mp.zero
+        total = mp.zero
+        for w, m, d, r in t.terms:
+            p = mp.mpf(t.q) ** mp.mpf(r)
+            total += w * mp.mpf(r) ** -(m + k) * _psi_q_at(m + k, (x + d) / r, p, mp.dps)
+            if m + k == 0:
+                const -= w * mp.log(1 - p)
+        return const + total
     if isinstance(t, ce.DerivOffset):
         return _ref(t.base, k + t.offset, x)
     if isinstance(t, ce.LinComb):
@@ -82,11 +97,16 @@ def _li_neg(k, u):
     Eulerian polynomial A_k in closed form."""
     if k == 0:
         return u / (1 - u)
-    eulerian = [
+    return u * mp.polyval(_eulerian(k)[::-1], u) / (1 - u) ** (k + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _eulerian(k):
+    """The coefficients of the Eulerian polynomial A_k, lowest first."""
+    return [
         sum((-1) ** i * math.comb(k + 1, i) * (m + 1 - i) ** k for i in range(m + 1))
         for m in range(k)
     ]
-    return u * mp.polyval(eulerian[::-1], u) / (1 - u) ** (k + 1)
 
 
 def _psi_q(k, y, q, const=True):
@@ -102,17 +122,62 @@ def _psi_q(k, y, q, const=True):
     y, q = mp.mpf(y), mp.mpf(q)
     lnq = mp.log(q)
     n = max(0, math.ceil(4 / -lnq - y))
-    z = y + n
-    total = mp.zero
+    qz = q ** (y + n)
+    total, qjz, qj = mp.zero, mp.one, mp.one  # qjz = q^(jz), qj = q^j
     j = 0
     while True:
         j += 1
-        term = mp.mpf(j) ** k * q ** (j * z) / (1 - q**j)
+        qjz *= qz
+        qj *= q
+        term = mp.mpf(j) ** k * qjz / (1 - qj)
         total += term
         if j >= k and term <= mp.eps * total:
             break
-    shifted = mp.fsum(_li_neg(k, q ** (y + i)) for i in range(n))
+    qy = q**y
+    shifted = mp.fsum(_li_neg(k, qy * q**i) for i in range(n))
     return (-mp.log(1 - q) if k == 0 and const else 0) + lnq ** (k + 1) * (total + shifted)
+
+
+@functools.lru_cache(maxsize=4096)
+def _psi_q_at(k, y, q, dps):
+    """_psi_q(k, y, q, const=False) at ``dps`` digits, remembered: the
+    corpus q-series share many of their (order, argument, q)."""
+    with mp.workdps(dps):
+        return _psi_q(k, y, q, const=False)
+
+
+def _ln_gamma_q(y, q):
+    """ln Gamma_q(y) for 0 < q < 1 as an mpf; call inside ``mp.workdps``.
+
+    Gamma_q(y) = (1 - q)^(1 - y) prod_{n>=0} (1 - q^(n+1))/(1 - q^(n+y)) is
+    multiplied out directly for n < N, where q^N is below e^-4.  Expanding
+    each log of the factors n >= N as -ln(1 - u) = sum u^j/j sums them to
+    sum_{j>=1} q^(jN) (q^(jy) - q^j) / (j (1 - q^j)), whose terms fall by
+    e^-4 or faster; it stops once q^(jN)/(1 - q) is below eps.
+    """
+    y, q = mp.mpf(y), mp.mpf(q)
+    n = max(0, math.ceil(4 / -mp.log(q)))
+    qy, prod = q**y, mp.one
+    for i in range(n):
+        prod *= (1 - q ** (i + 1)) / (1 - qy * q**i)
+    qn, tail, j = q**n, mp.zero, 0
+    while True:
+        j += 1
+        qjn = qn**j
+        tail += qjn * (qy**j - q**j) / (j * (1 - q**j))
+        if qjn < mp.eps * (1 - q):
+            break
+    return (1 - y) * mp.log(1 - q) + mp.log(prod) + tail
+
+
+def _q_psi(n, y, q):
+    """psi_q^(n)(y) as an mpf, n = -1 giving ln Gamma_q.  For q > 1,
+    Gamma_q(y) = q^((y-1)(y-2)/2) Gamma_{1/q}(y) adds (y-1)(y-2)/2 ln q,
+    (y - 3/2) ln q and ln q at orders -1, 0 and 1."""
+    if q > 1.0:
+        poly = [(y - 1) * (y - 2) / 2, y - mp.mpf(1.5), mp.one]
+        return (poly[n + 1] * mp.log(q) if n < 2 else 0) + _q_psi(n, y, 1 / mp.mpf(q))
+    return _ln_gamma_q(y, q) if n == -1 else _psi_q(n, y, q)
 
 
 def _assert_sound(target, xs, K, ref=None):
@@ -157,6 +222,9 @@ _LEAVES = [
     ce.PolyGammaShift(0),
     ce.PolyGammaShift(1),
     ce.QPolyGammaShift(0, 0.5),
+    ce.QLnGammaFn(0.3),
+    ce.QLnGammaFn(0.9),
+    ce.QPolyGammaShift(0, 2.0),
 ]
 
 # orders 0..4 of psi, psi' and psi_q on [0.55, 10], each leaf on its own
@@ -204,6 +272,11 @@ def test_composites_come_from_every_composite_family():
 @example(ce.PolyGammaShift(0), _PSI_XS, 4)
 @example(ce.PolyGammaShift(1), _PSI_XS, 4)
 @example(ce.QPolyGammaShift(0, 0.5), _PSI_XS, 4)
+# ln Gamma_q and psi_q vanish near 1 and 2: lnGamma_q(1) = lnGamma_q(2) = 0
+@example(ce.QLnGammaFn(0.9), [1.0 - 1e-6, 1.0 + 1e-10, 1.0 + 1e-14, 2.0 - 1e-12], 2)
+@example(ce.QLnGammaFn(0.9), [2.0 + 1e-6, 2.0 - 1e-8, 2.0 + 1e-14, 1.0 - 1e-12], 2)
+@example(ce.QLnGammaFn(0.3), [1.0 + 1e-9, 2.0 - 1e-9], 4)
+@example(ce.QPolyGammaShift(0, 2.0), [0.01, 1.0, 1.5, 100.0], 6)
 def test_leaf_certificates_hold(leaf, xs, K):
     _assert_sound(leaf, xs, K)
 
@@ -255,10 +328,49 @@ def _gq_ref(a, b, c, q, sign):
 
 
 def _psi_q_series(q):
-    """psi_q as a QSeriesTarget: -ln(1 - q) + (-ln q) sum q^(jx) (-1/(1 - q^j))."""
-    lnq = math.log(q)
-    return ce.QSeriesTarget(q, [(0.0, lambda j: 1.0 / np.expm1(j * lnq), 1.0 / (1.0 - q), 0)],
-                            const=-math.log1p(-q))
+    """psi_q as a one-term QSeriesTarget; it derives the constant -ln(1 - q)."""
+    return ce.QSeriesTarget(q, [(1.0, 0, 0.0)])
+
+
+def _corpus_q_series():
+    """(label, K, target, grid points) of every QSeriesTarget the corpus
+    builds, at the orders and on the grid its check asks for."""
+    found = []
+    for cid in corpus.ALL_IDS:
+        for check in corpus.instantiate(cid):
+            kw = check.kwargs
+            t = kw.get("target")
+            lcm = isinstance(t, ce.ExpNegForm)
+            t = t.h_prime if lcm else t
+            if isinstance(t, ce.QSeriesTarget):
+                found.append((check.label, kw["K"] - lcm, t, ce._grid_values(kw["grid"])))
+    return found
+
+
+_CORPUS_Q = _corpus_q_series()
+
+
+def test_corpus_q_series_come_from_every_q_series_claim():
+    ids = {label.split("[")[0] for label, *_ in _CORPUS_Q}
+    assert ids == {"beta-lcm", "cor1-lcm", "cor2-lcm", "qpow-lcm", "thm1-lcm", "thm30-lcm",
+                   "thm5-lcm", "thm5-recip-lcm", "thm8-lcm"}
+
+
+@pytest.mark.parametrize("label, K, target, xs", _CORPUS_Q, ids=[c[0] for c in _CORPUS_Q])
+def test_corpus_q_series_certificates_hold(label, K, target, xs):
+    """Every order of every corpus q-series at the ends of its grid and at
+    x = 0.44 and 19.9, against the reference derived from its terms."""
+    _assert_sound(target, [xs[0], 0.44, 19.9, xs[-1]], K)
+
+
+def test_corpus_q_series_keep_their_sign_at_every_cell():
+    """(-1)^k f^(k) >= 0 at every cell of every corpus q-series check: no
+    cell reads negative and passes only through tau."""
+    for label, K, target, xs in _CORPUS_Q:
+        values, _, ok = target.jet_grid(xs, K)
+        assert ok.all(), label
+        signed = values * (-1.0) ** np.arange(K + 1)[:, None]
+        assert (signed >= 0.0).all(), (label, int((signed < 0.0).sum()))
 
 
 # at q = 5e-4 and x in [93, 100], exp(j x ln q) is subnormal or 0 for the
@@ -267,9 +379,10 @@ _XS_UNDERFLOW = st.lists(st.one_of(st.floats(93.0, 100.0), _X), min_size=1, max_
 
 
 def _q_series_cases():
-    """(K, target, reference, points) of the beta-lcm targets, two
-    _gq_neg_log_deriv targets as thm5-lcm and thm8-lcm build them, psi_q as
-    a q-series (at q = 5e-4 in the underflow regime too) and psi_q leaves."""
+    """(K, target, reference, points) of the beta-lcm targets and two
+    _gq_neg_log_deriv targets as thm5-lcm and thm8-lcm build them, against
+    references written apart from their terms; psi_q as a q-series (at
+    q = 5e-4 in the underflow regime too); psi_q leaves."""
     cases = []
     for check in corpus.instantiate("beta-lcm"):
         q, beta = map(float, re.findall(r"=([0-9.]+)", check.label))
