@@ -35,9 +35,11 @@ a column per point, and a point fails where its first failing order does.
 A monotonicity probe reads a target's orders 0 and 1, with their errors,
 off one grid.
 
-Checks report pass / fail / inconclusive; a point is inconclusive when the
-certified evaluation error swamps the margin, or when any order at it cannot
-be evaluated, and it is never silently passed.
+Each check builds its cells (margin, certified error, lhs, rhs) and hands
+them to ``_decide``, the one place that computes tau, swamping, the strict
+spot check, the worst margin and the status pass / fail / inconclusive.  A
+swamped cell or a point that cannot be evaluated is inconclusive, never
+silently passed.
 
 Violations are sorted by (point, order), so a report depends only on the
 check's inputs.
@@ -46,7 +48,7 @@ check's inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -136,43 +138,52 @@ def merge_reports(claim_id: str, reports: list[VerificationReport]) -> Verificat
     """Combine sub-check reports into one report for a claim."""
     if not reports:
         return VerificationReport(claim_id, "pass", math.inf, [])
-    status = "pass"
-    if any(r.status == "fail" for r in reports):
-        status = "fail"
-    elif any(r.status == "inconclusive" for r in reports):
-        status = "inconclusive"
-    violations = [v for r in reports for v in r.violations]
+    statuses = {r.status for r in reports}
     return VerificationReport(
         claim_id,
-        status,
+        _status("fail" in statuses, "inconclusive" in statuses),
         min(r.worst_margin for r in reports),
-        violations,
+        [v for r in reports for v in r.violations],
         grid=reports[0].grid,
         orders_checked=max(r.orders_checked for r in reports),
     )
 
 
-def _running_min(vals: np.ndarray) -> float:
-    """min(inf, *vals) as Python's min takes it: NaN never wins, and of
-    equal smallest values (0.0 and -0.0) the first one does."""
-    vals = vals[~np.isnan(vals)]
-    if not vals.size:
-        return math.inf
-    return float(vals[np.argmax(vals == vals.min())])
+def _status(fail: bool, unsure: bool) -> str:
+    """The status of a check, and of a claim from its checks: a violation
+    fails, else a doubt is inconclusive, else pass."""
+    return "fail" if fail else ("inconclusive" if unsure else "pass")
 
 
-def _swamped(err, margin, t):
-    """True where the certified error ``err`` exceeds |margin| + tau: such a
-    cell decides nothing and makes its check inconclusive."""
-    return err > abs(margin) + t
-
-
-def _tau(tol: float, *vals: float) -> float:
-    scale = 1.0
-    for v in vals:
-        if math.isfinite(v):
-            scale = max(scale, abs(v))
-    return tol * scale
+def _decide(label, tol, cells, failed, violation, spots=None, **report) -> VerificationReport:
+    """The report of a check from its cells (margin, certified error, lhs,
+    rhs): the one tolerance rule.  tau = tol max(1, |lhs|, |rhs|) over the
+    finite values; a cell is swamped where its error exceeds |margin| + tau,
+    and a violation, ``violation(i)``, where it is not swamped and
+    margin < -tau.  A strict check passes ``spots`` = (its number of
+    points, each cell's point): with no violation, each unswamped cell at a
+    spot point (three interior points, or all of fewer than four) with
+    margin <= 10 tau is one, marked ``strict_spot``.  A violation fails the
+    check, a swamped cell or ``failed`` (a cell that could not be evaluated)
+    makes it inconclusive; a NaN margin decides nothing.
+    """
+    cells = np.asarray(cells, dtype=float).reshape(-1, 4)
+    margin, err = cells[:, 0], cells[:, 1]
+    mags = np.abs(cells[:, 2:])
+    mags[~np.isfinite(mags)] = 0.0
+    tau = tol * mags.max(axis=1, initial=1.0)
+    swamped = err > np.abs(margin) + tau
+    violations = [violation(i) for i in np.flatnonzero(~swamped & (margin < -tau)).tolist()]
+    if spots is not None and not violations:
+        n, point = spots
+        at = range(n) if n < 4 else (n // 4, n // 2, (3 * n) // 4)
+        near = np.flatnonzero(~swamped & (margin <= 10.0 * tau)).tolist()
+        violations = [violation(i) for i in near if point[i] in at]
+        violations = [replace(v, params=v.params | {"strict_spot": True}) for v in violations]
+    status = _status(bool(violations), failed or bool(swamped.any()))
+    # min(inf, *margin) as Python takes it: NaN never wins, and of equal
+    # smallest values (0.0 and -0.0) the first one does
+    return VerificationReport(label, status, min([math.inf, *margin.tolist()]), violations, **report)
 
 
 # ---------------------------------------------------------------------------
@@ -403,20 +414,22 @@ class QPolyGammaShift(_PsiLeaf):
 
 
 class QSeriesTarget(Target):
-    """const + sum_i w_i (d/dx)^(m_i) psi_{q^(r_i)}((x + d_i)/r_i), 0 < q < 1.
+    """const (-ln(1 - q)) + sum_i w_i (d/dx)^(m_i) psi_{q^(r_i)}((x + d_i)/r_i),
+    0 < q < 1.
 
     A term is (w, m, d) or (w, m, d, r), with m >= 0 and r > 0 (1 by
     default).  With L = ln q, psi_{q^r}(y/r) = -ln(1 - q^r) + r L sum_{j>=1}
     q^(jy)/(1 - q^(jr)), so the terms make one series on x + shift > 0,
     shift = min d_i: C + (-L) sum_{j>=1} q^(j(x + shift)) c_j, where
     c_j = -sum_i g_i(j), g_i(j) = w_i r_i (jL)^(m_i) q^(j(d_i - shift)) /
-    (1 - q^(j r_i)).  C is ``const`` (which may carry two roundings, as
-    -log1p(-q) does) plus w (-ln(1 - q^r)) of each m = 0 term, the weights
-    of one r summed exactly first, so a difference of psi_q adds 0 and no
-    error.  The tail bound takes |c_j| <= amp j^jpow, with amp = sum |w_i|
-    r_i |L|^(m_i) / (1 - q^(r_i)) and jpow = max m_i; the rounding slop
-    weighs c_j by sum_i |g_i| (1 + |j (d_i - shift) L|), so that a c_j
-    that cancels is covered (``_jets``).
+    (1 - q^(j r_i)).  C sums w (-ln(1 - q^r)) over the m = 0 terms and
+    ``const``, which weighs -ln(1 - q) as an r = 1 term does; the weights of
+    one r are summed exactly first, so constants that cancel, as those of a
+    difference of psi_q do, add 0 and no error.  The tail bound takes
+    |c_j| <= amp j^jpow, with amp = sum |w_i| r_i |L|^(m_i) / (1 - q^(r_i))
+    and jpow = max m_i; the rounding slop weighs c_j by sum_i |g_i|
+    (1 + |j (d_i - shift) L|), so that a c_j that cancels is covered
+    (``_jets``).
     """
 
     def __init__(self, q: float, terms, const: float = 0.0):
@@ -430,11 +443,13 @@ class QSeriesTarget(Target):
         self.amp = sum(abs(w) * r * abs(lnq)**m / -math.expm1(r * lnq) for w, m, _, r in self.terms)
         # g_i(j) = w r (jL)^m exp(j a) / -expm1(j b)
         self._g = [(w * r, m, (d - self.shift) * lnq, r * lnq) for w, m, d, r in self.terms]
-        # (q^r, the m = 0 weights of r summed); q^r rounds by p/(1 - p) in ln(1 - p)
-        parts = [(q**r, math.fsum(w for w, m, _, ri in self.terms if m == 0 and ri == r))
-                 for r in dict.fromkeys(r for _, m, _, r in self.terms if m == 0)]
-        self._const = const + sum(w * -math.log1p(-p) for p, w in parts)
-        magnitude = abs(const) + sum(abs(w) * (p / (1.0 - p) - math.log1p(-p)) for p, w in parts)
+        # (q^r, the m = 0 weights of r summed, const among those of r = 1);
+        # q^r rounds by p/(1 - p) in ln(1 - p)
+        zeroth = [(w, r) for w, m, _, r in self.terms if m == 0] + ([(const, 1.0)] if const else [])
+        parts = [(q**r, math.fsum(w for w, ri in zeroth if ri == r))
+                 for r in dict.fromkeys(r for _, r in zeroth)]
+        self._const = sum(w * -math.log1p(-p) for p, w in parts)
+        magnitude = sum(abs(w) * (p / (1.0 - p) - math.log1p(-p)) for p, w in parts)
         self._const_err = _slop(3 + len(parts), magnitude)
 
     deriv = Target.deriv
@@ -746,14 +761,6 @@ def _grid_values(grid) -> list[float]:
     return [float(v) for v in grid]
 
 
-def _spot_indices(n: int) -> tuple[int, ...]:
-    """The points a strictness spot check reads: three interior points, or
-    every point when there are fewer than four."""
-    if n < 4:
-        return tuple(range(n))
-    return (n // 4, n // 2, (3 * n) // 4)
-
-
 def check_sign_pattern(
     target,
     K: int,
@@ -769,10 +776,11 @@ def check_sign_pattern(
     """Verify (-1)^k f^(k)(x) >= 0 for k = 0..K on the grid.
 
     For ``log_completely_monotonic`` the target must be an ExpNegForm and the
-    same pattern is asserted for h' = -(ln f)' at orders 0..K-1.  A claimed
-    strict inequality is tested as non-strict with margin tau plus a
-    strictness spot check at three interior grid points (every point of a
-    grid of fewer than four) requiring > 10 tau.
+    same pattern is asserted for h' = -(ln f)' at orders 0..K-1.  Each
+    (point, order) is a cell of ``_decide`` with lhs (-1)^k f^(k)(x) and
+    rhs 0.  ``strict`` adds its spot check: at three interior grid points
+    (every point of a grid of fewer than four) each cell that its error does
+    not swamp needs a margin > 10 tau.
     The grid is evaluated in one ``jet_grid`` call.  A K that leaves no
     order to check (K < 1 for ``log_completely_monotonic``, K < 0 for
     ``completely_monotonic``) raises UsageError.  ``jobs`` is accepted for
@@ -799,31 +807,18 @@ def check_sign_pattern(
     n = len(orders)
     values, errors, ok = inner.jet_grid(xs, n - 1, policy)
     # cell (point, order), point-major: signed = (-1)^k f^(k)(x)
-    signed = (values * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)[:, None]).T
-    err = errors.T
-    t = tol * np.where(np.isfinite(signed), np.maximum(np.abs(signed), 1.0), 1.0)
-    ok_cells = ok[:, None]
-    swamped = ok_cells & _swamped(err, signed, t)
-    inconclusive = not ok.all() or bool(swamped.any())
-    worst = _running_min(signed[ok].ravel())
+    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)[:, None]
+    signed = np.where(ok, values * sign, np.nan).T.ravel()
+    cells = np.column_stack([signed, errors.T.ravel(), signed, np.zeros_like(signed)])
 
-    def cells(mask, extra):
-        return [
-            Violation(xs[p], base_params | {"k": k} | extra, k, s, 0.0, s)
-            for p, k, s in zip(*(i.tolist() for i in np.nonzero(mask)), signed[mask].tolist())
-        ]
+    def violation(i):
+        p, k = divmod(i, n)
+        s = float(signed[i])
+        return Violation(xs[p], base_params | {"k": k}, k, s, 0.0, s)
 
-    violations = cells(ok_cells & ~swamped & (signed < -t), {})
-    if strict and not violations:
-        spots = np.zeros(len(xs), dtype=bool)
-        spots[list(_spot_indices(len(xs)))] = True
-        certain = err <= np.abs(signed) + t
-        violations = cells(
-            (ok & spots)[:, None] & (signed <= 10.0 * t) & certain, {"strict_spot": True}
-        )
-    status = "fail" if violations else ("inconclusive" if inconclusive else "pass")
-    return VerificationReport(
-        label, status, worst, violations,
+    return _decide(
+        label, tol, cells, not ok.all(), violation,
+        spots=(len(xs), np.repeat(np.arange(len(xs)), n)) if strict else None,
         grid=grid if isinstance(grid, GridSpec) else None,
         orders_checked=orders[-1],
     )
@@ -853,10 +848,11 @@ def check_chain(
     with fewer than two values raises UsageError.  ``points`` is a non-empty
     sequence of non-empty parameter dicts; key 'x' is the reported point when
     present, else the first parameter.  A point whose row raises DomainError
-    or ConvergenceError is inconclusive.  chain_lt additionally requires a
-    margin > 10 tau at three interior points, or at every point when there
-    are fewer than four.  ``jobs`` is accepted for compatibility and
-    ignored: points are evaluated sequentially.
+    or ConvergenceError is inconclusive.  Each adjacent pair (lo, hi) is a
+    cell of ``_decide`` with margin hi - lo.  chain_lt adds the strict spot
+    check of a strict sign pattern, and a pair that fails it is a violation
+    (order i, lo, hi, margin) marked ``strict_spot``.  ``jobs`` is accepted
+    for compatibility and ignored: points are evaluated sequentially.
     """
     if claim not in ("chain_lt", "chain_le"):
         raise UsageError(f"claim {claim!r} is not a chain claim")
@@ -871,45 +867,26 @@ def check_chain(
         raise UsageError("a chain needs at least one point, each with a parameter")
     xs = [float(pt["x"] if "x" in pt else next(iter(pt.values()))) for pt in pts]
 
-    def eval_point(pt):
+    # a cell per adjacent pair (margin, error, lo, hi), and its (point, pair)
+    cells, where, failed = [], [], False
+    for p, pt in enumerate(pts):
         try:
             row = [_as_value_err(v) for v in row_fn(pt)]
         except (DomainError, ConvergenceError):
-            return None
+            failed = True
+            continue
         if len(row) < 2:
             raise UsageError(f"a chain row needs at least two values, got {len(row)}")
-        return row
+        for i, ((lo, elo), (hi, ehi)) in enumerate(zip(row, row[1:])):
+            cells.append((hi - lo, elo + ehi, lo, hi))
+            where.append((p, i))
 
-    rows = [eval_point(pt) for pt in pts]
-    violations = []
-    worst = math.inf
-    inconclusive = False
-    spot_data = []  # (point, x, strictness margin) for evaluated points
-    for pt, x, row in zip(pts, xs, rows):
-        if row is None:
-            inconclusive = True
-            continue
-        point_min = math.inf
-        for i in range(len(row) - 1):
-            (lo, elo), (hi, ehi) = row[i], row[i + 1]
-            margin = hi - lo
-            t = _tau(tol, lo, hi)
-            worst = min(worst, margin)
-            point_min = min(point_min, margin - 10.0 * t)
-            if _swamped(elo + ehi, margin, t):
-                inconclusive = True
-            elif margin < -t:
-                violations.append(Violation(x, dict(pt), i, lo, hi, margin))
-        spot_data.append((pt, x, point_min))
-    if claim == "chain_lt" and not violations and spot_data:
-        for idx in _spot_indices(len(spot_data)):
-            pt, x, point_min = spot_data[idx]
-            if point_min <= 0.0:
-                violations.append(
-                    Violation(x, dict(pt) | {"strict_spot": True}, -1, 0.0, 0.0, point_min)
-                )
-    status = "fail" if violations else ("inconclusive" if inconclusive else "pass")
-    return VerificationReport(label, status, worst, violations)
+    def violation(c):
+        (p, i), (margin, _, lo, hi) = where[c], cells[c]
+        return Violation(xs[p], dict(pts[p]), i, lo, hi, margin)
+
+    spots = (len(pts), [p for p, _ in where]) if claim == "chain_lt" else None
+    return _decide(label, tol, cells, failed, violation, spots)
 
 
 def check_majorization(a, b) -> bool:
@@ -998,34 +975,25 @@ def monotonicity_probe(
         vals = _probe_values(fn, 0, xs)
         dvals = None if deriv_fn is None else _probe_values(deriv_fn, 1, xs)
     sgn = 1.0 if direction == "increasing" else -1.0
-    # (margin, certified error, tau, the violation it would be) per comparison
+    # (margin, certified error, lhs, rhs, the violation it would be) per comparison
     cells = []
     for i in range(len(xs) - 1):
         if vals[i] is not None and vals[i + 1] is not None:
             (lo, elo), (hi, ehi) = vals[i], vals[i + 1]
             m = sgn * (hi - lo)
-            cells.append((m, elo + ehi, _tau(tol, lo, hi), Violation(xs[i], base_params, 0, lo, hi, m)))
+            cells.append((m, elo + ehi, lo, hi, Violation(xs[i], base_params, 0, lo, hi, m)))
     for x, (d, e) in ((x, dv) for x, dv in zip(xs, dvals or []) if dv is not None):
         m = sgn * d
-        cells.append((m, e, _tau(tol, d), Violation(x, base_params | {"via": "derivative"}, 1, d, 0.0, m)))
+        cells.append((m, e, d, 0.0, Violation(x, base_params | {"via": "derivative"}, 1, d, 0.0, m)))
     if value_range is not None:
         lo, hi = value_range
         for x, (v, e) in ((x, ve) for x, ve in zip(xs, vals) if ve is not None):
-            t = _tau(tol, v)
             m = min(v - lo, hi - v)
-            violation = Violation(x, base_params | {"via": "range"}, 0, v, lo if v - lo < -t else hi, m)
-            cells.append((m, e, t, violation))
-    worst = min([math.inf] + [m for m, _, _, _ in cells])
-    inconclusive = None in vals or None in (dvals or [])
-    violations = []
-    for m, e, t, violation in cells:
-        if _swamped(e, m, t):
-            inconclusive = True
-        elif m < -t:
-            violations.append(violation)
-    status = "fail" if violations else ("inconclusive" if inconclusive else "pass")
-    return VerificationReport(
-        label, status, worst, violations,
+            violation = Violation(x, base_params | {"via": "range"}, 0, v, lo if v - lo < hi - v else hi, m)
+            cells.append((m, e, v, 0.0, violation))
+    failed = None in vals or None in (dvals or [])
+    return _decide(
+        label, tol, [c[:4] for c in cells], failed, lambda i: cells[i][4],
         grid=grid if isinstance(grid, GridSpec) else None,
         orders_checked=1 if deriv_fn is not None else 0,
     )

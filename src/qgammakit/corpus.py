@@ -714,7 +714,7 @@ def _build_qpow(desc, grid, K, ov):
     qs = [ov["q"]] if "q" in ov else list(_Q_DEFAULT)
     # h' = -ln(1 - q) - psi_q(x)
     return [
-        _lcm_check(f"qpow-lcm[q={q}]", QSeriesTarget(q, [(-1.0, 0, 0.0)], -math.log1p(-q)), grid, K)
+        _lcm_check(f"qpow-lcm[q={q}]", QSeriesTarget(q, [(-1.0, 0, 0.0)], const=1.0), grid, K)
         for q in qs
     ]
 

@@ -874,8 +874,9 @@ def _cells(fn, context: tuple, policy) -> dict | None:
     if table is None:
         return None
     # one dict per (fn, context, policy), keyed by the point: smaller and
-    # faster to probe than a key of all the arguments
-    return table.setdefault((fn, context, policy or DEFAULT_POLICY), {})
+    # faster to probe than a key of all the arguments.  The default policy
+    # keys as None, by identity, so that no lookup hashes it.
+    return table.setdefault((fn, context, None if policy is DEFAULT_POLICY else policy), {})
 
 
 def _cell(cells: dict | None, y: float, fn, *args) -> Enclosure:

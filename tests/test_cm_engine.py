@@ -60,14 +60,19 @@ def test_qseries_target_derives_its_constant_amp_and_jpow():
     q = 0.5
     lnq = math.log(q)
     # psi_{q^2}((x + 1)/2) - psi_q(x + 1) + 3 psi_q'(x + 2): the m = 0
-    # constants are -ln(1 - q^2) and ln(1 - q)
+    # constants are -ln(1 - q^2) and ln(1 - q), and const = 0.25 adds
+    # -0.25 ln(1 - q) to the latter
     t = ce.QSeriesTarget(q, [(1.0, 0, 1.0, 2.0), (-1.0, 0, 1.0), (3.0, 1, 2.0)], const=0.25)
     assert t.shift == 1.0 and t.jpow == 1
-    assert t._const == pytest.approx(0.25 - math.log1p(-q * q) + math.log1p(-q), rel=1e-15)
+    assert t._const == pytest.approx(-math.log1p(-q * q) + 0.75 * math.log1p(-q), rel=1e-15)
     assert t.amp == pytest.approx(2.0 / (1.0 - q * q) + 1.0 / (1.0 - q) - 3.0 * lnq / (1.0 - q))
     # weights that share an r cancel exactly, and so does their constant's error
     diff = ce.QSeriesTarget(q, [(0.3, 0, 1.5), (-0.3, 0, 0.5), (1.0, 0, 0.0), (-1.0, 0, 2.0)])
     assert diff._const == 0.0 and diff._const_err == 0.0
+    # const weighs psi_q's constant -ln(1 - q), also with no m = 0 term of r = 1
+    neg = ce.QSeriesTarget(q, [(-1.0, 0, 0.0)], const=1.0)
+    assert neg._const == 0.0 and neg._const_err == 0.0
+    assert ce.QSeriesTarget(q, [(1.0, 1, 0.0)], const=2.0)._const == -2.0 * math.log1p(-q)
 
 
 def test_qseries_certificate_covers_the_conditioning_of_exp():
@@ -208,7 +213,7 @@ _Q_TERMS = [(0.3, 0, 1.5), (-1.0, 0, 0.0), (-0.3, 0, 0.5), (0.5, 1, 0.25, 2.0)]
 
 def _neg_psi_q(q):
     """-ln(1 - q) - psi_q(x) = (-ln q) sum_j q^(jx)/(1 - q^j), which is CM."""
-    return ce.QSeriesTarget(q, [(-1.0, 0, 0.0)], -math.log1p(-q))
+    return ce.QSeriesTarget(q, [(-1.0, 0, 0.0)], const=1.0)
 
 
 def _jet_targets():
@@ -635,7 +640,18 @@ def test_chain_strictness_spot_check():
     assert _chain([lambda p: 1.0, lambda p: 1.0], pts, "chain_le").status == "pass"
     rep = _chain([lambda p: 1.0, lambda p: 1.0], pts, "chain_lt")
     assert rep.status == "fail"
-    assert all(v.params.get("strict_spot") for v in rep.violations)
+    # each names its pair as any chain violation does, at the spot points
+    assert [(v.point, v.order, v.lhs, v.rhs, v.margin) for v in rep.violations] == [
+        (x, 0, 1.0, 1.0, 0.0) for x in (3.0, 5.0, 7.0)
+    ]
+    assert all(v.params == {"x": v.point, "strict_spot": True} for v in rep.violations)
+
+
+def test_chain_swamped_spot_cell_is_inconclusive():
+    # margin 0 under an error of 2 decides nothing, also at a strict spot
+    one = sf.Enclosure(1, 1, 1)
+    rep = ce.check_chain(lambda p: [one, one], [{"x": 1.0}], "chain_lt")
+    assert rep.status == "inconclusive" and not rep.violations
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -804,6 +820,57 @@ def test_target_probe_is_inconclusive_where_its_error_swamps_the_margin(kw):
 def test_probe_direction_validation():
     with pytest.raises(UsageError):
         ce.monotonicity_probe(lambda x: x, [1.0, 2.0], "sideways")
+
+
+# ---------------------------------------------------------------------------
+# one tolerance rule
+# ---------------------------------------------------------------------------
+
+_TAU = 1e-12  # tau at the default tol for |value| <= 1
+
+
+class _Cell(ce.Target):
+    """Every order is Enclosure(v, e) at every x, or raises DomainError when
+    the cell is None."""
+
+    def __init__(self, cell):
+        self.cell = cell
+
+    def deriv(self, k, x, policy=None):
+        if self.cell is None:
+            raise DomainError("outside")
+        return sf.Enclosure(*self.cell, 1)
+
+
+@pytest.mark.parametrize("cell, status, strict_status, worst", [
+    ((1.0, 0.0), "pass", "pass", 1.0),
+    ((-_TAU / 2, 0.0), "pass", "fail", -_TAU / 2),
+    ((-2 * _TAU, 0.0), "fail", "fail", -2 * _TAU),
+    ((1e-13, 1.0), "inconclusive", "inconclusive", 1e-13),
+    ((-1.0, 10.0), "inconclusive", "inconclusive", -1.0),
+    (None, "inconclusive", "inconclusive", math.inf),
+], ids=["clear", "within-tau", "past-tau", "swamped-positive", "swamped-negative", "raises"])
+def test_chain_sign_pattern_and_probe_decide_a_cell_alike(cell, status, strict_status, worst):
+    # the cell is a chain's pair (0, v), a sign pattern's order 0 and a
+    # probe's derivative, all at one point
+    target = _Cell(cell)
+    pts = [{"x": 1.0}]
+
+    def row(p):
+        return [0.0, target.deriv(0, p["x"])]
+
+    reports = [
+        ce.check_chain(row, pts, "chain_le"),
+        ce.check_sign_pattern(target, 0, [1.0], "nonneg"),
+        ce.monotonicity_probe(target, [1.0], "increasing", deriv_fn=target),
+    ]
+    assert [(r.status, r.worst_margin) for r in reports] == [(status, worst)] * 3
+    # at one point the strict spot check reads that point
+    strict = [
+        ce.check_chain(row, pts, "chain_lt"),
+        ce.check_sign_pattern(target, 0, [1.0], "nonneg", strict=True),
+    ]
+    assert [(r.status, r.worst_margin) for r in strict] == [(strict_status, worst)] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -179,3 +179,11 @@ def test_chain_computes_its_bracket_once_per_point(monkeypatch, claim_id, bracke
     assert sum(len(c.kwargs["points"]) for c in checks) == points
     assert corpus.run_descriptor(claim_id).status == "pass"
     assert len(calls) == points
+
+
+def test_qpow_constant_cancels_with_no_error():
+    # h' = -ln(1 - q) - psi_q(x): its constant and psi_q's cancel to exactly
+    # 0, so the order-0 certificate carries no rounding of them
+    for check in corpus.instantiate("qpow-lcm"):
+        h_prime = check.kwargs["target"].h_prime
+        assert h_prime._const == 0.0 and h_prime._const_err == 0.0

@@ -55,9 +55,10 @@ def _ref(t, k, x):
             return mp.loggamma(y) if n == -1 else mp.polygamma(n, y)
         return _q_psi(n, y, t.q)
     if isinstance(t, ce.QSeriesTarget):
-        # sum of w r^-(m+k) psi_{q^r}^(m+k)((x + d)/r); the constants of the
-        # m + k = 0 terms are summed apart, so those that cancel do so exactly
-        const = mp.mpf(t.const) if k == 0 else mp.zero
+        # const (-ln(1 - q)) plus the sum of w r^-(m+k) psi_{q^r}^(m+k)((x + d)/r);
+        # the constants of the m + k = 0 terms are summed apart, so those
+        # that cancel do so exactly
+        const = -t.const * mp.log(1 - mp.mpf(t.q)) if k == 0 else mp.zero
         total = mp.zero
         for w, m, d, r in t.terms:
             p = mp.mpf(t.q) ** mp.mpf(r)

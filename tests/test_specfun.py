@@ -383,6 +383,16 @@ def test_enclosure_invariants():
         sf.Enclosure(1.0, -1e-3, 0)
 
 
+def test_run_cells_share_the_default_policy_and_keep_others_apart():
+    with sf._run_cells():
+        cell = sf._psi(0, None, None)(2.0)
+        assert sf._psi(0, None, sf.DEFAULT_POLICY)(2.0) is cell
+        assert sf._cells(sf.digamma, (), None) is sf._cells(sf.digamma, (), sf.DEFAULT_POLICY)
+        loose = sf.TruncationPolicy(eps=1e-10)
+        assert sf._psi(0, None, loose)(2.0) is not cell
+        assert sf._cells(sf.digamma, (), loose) is not sf._cells(sf.digamma, (), None)
+
+
 # ---------------------------------------------------------------------------
 # means, kernels, ball volumes
 # ---------------------------------------------------------------------------
