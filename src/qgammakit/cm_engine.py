@@ -415,9 +415,9 @@ class QPolyGammaShift(_PsiLeaf):
 
 class QSeriesTarget(Target):
     """const (-ln(1 - q)) + sum_i w_i (d/dx)^(m_i) psi_{q^(r_i)}((x + d_i)/r_i),
-    0 < q < 1.
+    0 < q < 1, where (d/dx)^(-1) psi_q is ln Gamma_q.
 
-    A term is (w, m, d) or (w, m, d, r), with m >= 0 and r > 0 (1 by
+    A term is (w, m, d) or (w, m, d, r), with m >= -1 and r > 0 (1 by
     default).  With L = ln q, psi_{q^r}(y/r) = -ln(1 - q^r) + r L sum_{j>=1}
     q^(jy)/(1 - q^(jr)), so the terms make one series on x + shift > 0,
     shift = min d_i: C + (-L) sum_{j>=1} q^(j(x + shift)) c_j, where
@@ -425,11 +425,18 @@ class QSeriesTarget(Target):
     (1 - q^(j r_i)).  C sums w (-ln(1 - q^r)) over the m = 0 terms and
     ``const``, which weighs -ln(1 - q) as an r = 1 term does; the weights of
     one r are summed exactly first, so constants that cancel, as those of a
-    difference of psi_q do, add 0 and no error.  The tail bound takes
-    |c_j| <= amp j^jpow, with amp = sum |w_i| r_i |L|^(m_i) / (1 - q^(r_i))
-    and jpow = max m_i; the rounding slop weighs c_j by sum_i |g_i|
-    (1 + |j (d_i - shift) L|), so that a c_j that cancels is covered
-    (``_jets``).
+    difference of psi_q do, add 0 and no error.
+
+    An ln Gamma_q term, m = -1, needs r = 1, and the weights of all such
+    terms must sum to 0: ln Gamma_q(y) = (1 - y) ln(1 - q) + sum_{j>=1}
+    (q^(jy) - q^j)/(j (1 - q^j)), so with sum w = 0 only the series and
+    sum w d times -ln(1 - q) are left, and sum w d joins the r = 1 weights
+    of C.  Anything else raises UsageError.
+
+    The tail bound takes |c_j| <= amp j^jpow, with amp = sum |w_i| r_i
+    |L|^(m_i) / (1 - q^(r_i)) and jpow = max m_i; the rounding slop weighs
+    c_j by sum_i |g_i| (1 + |j (d_i - shift) L|), so that a c_j that
+    cancels is covered (``_jets``).
     """
 
     def __init__(self, q: float, terms, const: float = 0.0):
@@ -437,20 +444,28 @@ class QSeriesTarget(Target):
             raise DomainError(f"q must lie in (0, 1), got {q}")
         self.q, self.const = q, const
         self.terms = tuple((*t, 1.0)[:4] for t in terms)
+        log_gamma = [(w, d, r) for w, m, d, r in self.terms if m == -1]
+        if any(m < -1 for _, m, _, _ in self.terms):
+            raise UsageError("a q-series term needs order m >= -1")
+        if any(r != 1.0 for _, _, r in log_gamma) or math.fsum(w for w, _, _ in log_gamma):
+            raise UsageError("ln Gamma_q terms (m = -1) need r = 1 and weights that sum to 0")
         lnq = math.log(q)
         self.shift = min(d for _, _, d, _ in self.terms)
         self.jpow = max(m for _, m, _, _ in self.terms)
         self.amp = sum(abs(w) * r * abs(lnq)**m / -math.expm1(r * lnq) for w, m, _, r in self.terms)
         # g_i(j) = w r (jL)^m exp(j a) / -expm1(j b)
         self._g = [(w * r, m, (d - self.shift) * lnq, r * lnq) for w, m, d, r in self.terms]
-        # (q^r, the m = 0 weights of r summed, const among those of r = 1);
-        # q^r rounds by p/(1 - p) in ln(1 - p)
+        # (q^r, the m = 0 weights of r summed, const and the w d of ln Gamma_q
+        # among those of r = 1); q^r rounds by p/(1 - p) in ln(1 - p), and
+        # each w d by eps/2 of itself
         zeroth = [(w, r) for w, m, _, r in self.terms if m == 0] + ([(const, 1.0)] if const else [])
+        zeroth += [(w * d, 1.0) for w, d, _ in log_gamma]
         parts = [(q**r, math.fsum(w for w, ri in zeroth if ri == r))
                  for r in dict.fromkeys(r for _, r in zeroth)]
         self._const = sum(w * -math.log1p(-p) for p, w in parts)
         magnitude = sum(abs(w) * (p / (1.0 - p) - math.log1p(-p)) for p, w in parts)
-        self._const_err = _slop(3 + len(parts), magnitude)
+        self._const_err = _slop(3 + len(parts), magnitude) + _slop(
+            1, -math.log1p(-q) * sum(abs(w * d) for w, d, _ in log_gamma))
 
     deriv = Target.deriv
 
@@ -481,8 +496,11 @@ class QSeriesTarget(Target):
         ulp error of e into a relative error, and k products round.  Where
         an exp or a product is subnormal or 0, its error is absolute, so
         order k adds the floor (k + 3) ulp(0) J max(amp, 1)
-        (hi + 1)^(k + jpow) per block of J terms, times |pref|, plus ulp(0)
-        for the product with pref.
+        (hi + 1)^max(k + jpow, 0) per block of J terms, times |pref|, plus
+        ulp(0) for the product with pref.  Past a block, the terms'
+        bound amp j^n q^(jy), n = k + jpow, falls by at most
+        ((hi + 2)/(hi + 1))^n q^y a step, or by q^y where n < 0 (an
+        ln Gamma_q term at order 0).
         """
         policy = policy or DEFAULT_POLICY
         q, lnq, shift = self.q, math.log(self.q), self.shift
@@ -537,12 +555,12 @@ class QSeriesTarget(Target):
                             abs_total[k, pts] += wt.sum(axis=1)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     rho = np.multiply.outer(
-                        [((hi + 2.0) / (hi + 1.0)) ** n for n in powers], qy[live]
+                        [((hi + 2.0) / (hi + 1.0)) ** max(n, 0) for n in powers], qy[live]
                     )
                     far = [q**v for v in ((hi + 1.0) * y[live]).tolist()]
                     hpow = np.array([(hi + 1.0) ** n for n in powers])
                     tail = np.multiply.outer(self.amp * hpow, far) / (1.0 - rho)
-                floor += (max(self.amp, 1.0) * len(j)) * hpow
+                floor += (max(self.amp, 1.0) * len(j)) * np.maximum(hpow, 1.0)
                 sums = total[:, live]
                 done = active[:, live] & (rho < 1.0) & (tail <= policy.eps * (1.0 + np.abs(sums)))
                 if done.any():
@@ -830,6 +848,29 @@ def _as_value_err(v) -> tuple[float, float]:
     return float(v), 0.0
 
 
+def _column_reader(columns: dict, xs: list[float]):
+    """read(key, x): the order-0 value of the target ``columns[key]`` at x.
+
+    The first read of a key fills its column with one grid over the
+    distinct values of ``xs``; a point where the grid fails re-raises its
+    DomainError/ConvergenceError on every read.
+    """
+    distinct = list(dict.fromkeys(xs))
+    filled = {}
+
+    def read(key, x):
+        col = filled.get(key)
+        if col is None:
+            grid = columns[key]._jets(np.array(distinct), 0, None)
+            col = filled[key] = dict(zip(distinct, zip(grid.values[0].tolist(), grid.failures)))
+        value, failure = col[x]
+        if failure is not None:
+            raise failure
+        return value
+
+    return read
+
+
 def check_chain(
     exprs,
     points,
@@ -837,6 +878,7 @@ def check_chain(
     tol: float = 1e-12,
     jobs: int = 1,
     label: str = "chain",
+    columns: dict | None = None,
 ) -> VerificationReport:
     """Assert adjacent ordering of >= 2 values at every parameter point.
 
@@ -847,17 +889,24 @@ def check_chain(
     such as a bracket that gives both the lower and the upper end; a row
     with fewer than two values raises UsageError.  ``points`` is a non-empty
     sequence of non-empty parameter dicts; key 'x' is the reported point when
-    present, else the first parameter.  A point whose row raises DomainError
-    or ConvergenceError is inconclusive.  Each adjacent pair (lo, hi) is a
-    cell of ``_decide`` with margin hi - lo.  chain_lt adds the strict spot
-    check of a strict sign pattern, and a pair that fails it is a violation
-    (order i, lo, hi, margin) marked ``strict_spot``.  ``jobs`` is accepted
-    for compatibility and ignored: points are evaluated sequentially.
+    present, else the first parameter.  ``columns`` maps keys to Targets:
+    the row is then called as ``row(p, read)``, where ``read(key)`` is the
+    order-0 value of ``columns[key]`` at the point, and each column is
+    filled by one grid over the chain's distinct points the first time a
+    row reads it, so that it lives only as long as the check.  A point
+    whose row raises DomainError or ConvergenceError is inconclusive.  Each
+    adjacent pair (lo, hi) is a cell of ``_decide`` with margin hi - lo.
+    chain_lt adds the strict spot check of a strict sign pattern, and a
+    pair that fails it is a violation (order i, lo, hi, margin) marked
+    ``strict_spot``.  ``jobs`` is accepted for compatibility and ignored:
+    points are evaluated sequentially.
     """
     if claim not in ("chain_lt", "chain_le"):
         raise UsageError(f"claim {claim!r} is not a chain claim")
     if callable(exprs):
         row_fn = exprs
+    elif columns is not None:
+        raise UsageError("a chain with columns needs a row function")
     elif len(exprs) < 2:
         raise UsageError("a chain needs at least two expressions")
     else:
@@ -866,12 +915,14 @@ def check_chain(
     if not pts or not all(pts):
         raise UsageError("a chain needs at least one point, each with a parameter")
     xs = [float(pt["x"] if "x" in pt else next(iter(pt.values()))) for pt in pts]
+    read = None if columns is None else _column_reader(columns, xs)
 
     # a cell per adjacent pair (margin, error, lo, hi), and its (point, pair)
     cells, where, failed = [], [], False
     for p, pt in enumerate(pts):
         try:
-            row = [_as_value_err(v) for v in row_fn(pt)]
+            values = row_fn(pt) if read is None else row_fn(pt, lambda key: read(key, xs[p]))
+            row = [_as_value_err(v) for v in values]
         except (DomainError, ConvergenceError):
             failed = True
             continue

@@ -9,7 +9,10 @@ must record at least one violation (they verify that the detector detects).
 
 The q-analogue LCM claims give h' = -(ln f)' as the paper writes it, as
 data: psi_q terms (weight, order, shift[, r]) for a QSeriesTarget, which
-derives the coefficients; no entry defines a coefficient function.
+derives the coefficients; no entry defines a coefficient function.  The
+q-analogue chains read their q-series the same way, as columns of
+QSeriesTargets (ln Gamma_q ratios, psi_q sums and differences), and call
+no scalar q-series evaluator.
 """
 
 from __future__ import annotations
@@ -230,9 +233,17 @@ def _cm_check(label, target, grid, K, strict=False, params=None):
     ))
 
 
-def _chain_check(label, row, points, claim="chain_le"):
-    """A chain whose ``row(p)`` gives all its values at point p at once."""
-    return Check(label, check_chain, dict(exprs=row, points=points, claim=claim))
+def _chain_check(label, row, points, claim="chain_le", columns=None):
+    """A chain whose ``row(p)`` gives all its values at point p at once; with
+    ``columns``, ``row(p, read)`` reads its q-series as columns, ``read(key)``
+    being the value of the target ``columns[key]`` at p's x."""
+    return Check(label, check_chain, dict(exprs=row, points=points, claim=claim, columns=columns))
+
+
+def _ln_ratio(q, s):
+    """ln Gamma_q(x + 1) - ln Gamma_q(x + s) as one q-series: the log of
+    ``bounds.gamma_ratio``."""
+    return QSeriesTarget(q, [(1.0, -1, 1.0), (-1.0, -1, s)])
 
 
 def _probe_check(label, fn, grid, direction, params, **kw):
@@ -302,13 +313,15 @@ def _build_eq14(desc, grid, K, ov):
     qs = [ov["q"]] if "q" in ov else [round(0.1 * i, 1) for i in range(1, 10)]
     ss = [ov["s"]] if "s" in ov else [round(0.1 * i, 1) for i in range(1, 10)]
     uv = {(q, s): (bd.alzer_u(q, s), bd.alzer_v(q, s)) for q in qs for s in ss}
+    columns = {(q, s): _ln_ratio(q, s) for q in qs for s in ss}
 
-    def row(p):
-        u, v = uv[(p["q"], p["s"])]
-        b = bd.ratio_bounds(p["x"], p["s"], p["q"], "alzer_uv", u_override=u, v_override=v)
-        return [b.lower, bd.gamma_ratio(p["x"], p["s"], p["q"]), b.upper]
+    def row(p, read):
+        q, s = p["q"], p["s"]
+        u, v = uv[(q, s)]
+        b = bd.ratio_bounds(p["x"], s, q, "alzer_uv", u_override=u, v_override=v)
+        return [b.lower, math.exp(read((q, s))), b.upper]
 
-    return [_chain_check("eq14-bounds", row, _eq14_points(qs, ss, grid), "chain_lt")]
+    return [_chain_check("eq14-bounds", row, _eq14_points(qs, ss, grid), "chain_lt", columns)]
 
 
 def _sharp_points(grid):
@@ -332,12 +345,13 @@ def _build_sharp(desc, grid, K, ov):
     u = bd.alzer_u(0.5, 0.5) + (0.05 if lower_probe else 0.0)
     v = bd.alzer_v(0.5, 0.5) - (0.0 if lower_probe else 0.05)
 
-    def row(p):
+    def row(p, read):
         b = bd.ratio_bounds(p["x"], 0.5, 0.5, "alzer_uv", u_override=u, v_override=v)
-        ratio = bd.gamma_ratio(p["x"], 0.5, 0.5)
+        ratio = math.exp(read((0.5, 0.5)))
         return [b.lower, ratio] if lower_probe else [ratio, b.upper]
 
-    return [_chain_check(desc.id, row, _sharp_points(grid))]
+    columns = {(0.5, 0.5): _ln_ratio(0.5, 0.5)}
+    return [_chain_check(desc.id, row, _sharp_points(grid), columns=columns)]
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +476,13 @@ def _build_cor2(desc, grid, K, ov):
 # ---------------------------------------------------------------------------
 
 
-def _bracket_chain(method, qs, ss, grid, claim, label):
-    xs = grid.values()
-    points = [{"x": x, "q": q, "s": s} for q in qs for s in ss for x in xs]
+def _bracket_chain(method, grid, claim, label):
+    """A classical (q = 1) bracket of ``ratio_bounds`` around ``gamma_ratio``."""
+    points = [{"x": x, "q": 1.0, "s": s} for s in _S_DEFAULT for x in grid.values()]
 
     def row(p):
-        b = bd.ratio_bounds(p["x"], p["s"], p["q"], method)
-        return [b.lower, bd.gamma_ratio(p["x"], p["s"], p["q"]), b.upper]
+        b = bd.ratio_bounds(p["x"], p["s"], 1.0, method)
+        return [b.lower, bd.gamma_ratio(p["x"], p["s"], 1.0), b.upper]
 
     return _chain_check(label, row, points, claim)
 
@@ -479,8 +493,22 @@ def _bracket_chain(method, qs, ss, grid, claim, label):
     _domains(q=(0.01, 0.99)), _GRID20,
 ))
 def _build_thm3(desc, grid, K, ov):
+    """``ratio_bounds(x, s, q, "im_midpoint")`` around ``gamma_ratio``, with
+    the logs of all three as columns."""
     qs = [ov["q"]] if "q" in ov else list(_Q_DEFAULT)
-    return [_bracket_chain("im_midpoint", qs, _S_DEFAULT, grid, "chain_le", "thm3-chain")]
+    columns = {}
+    for q in qs:
+        for s in _S_DEFAULT:
+            h = 0.5 * (1.0 - s)
+            columns[q, s, "lower"] = QSeriesTarget(q, [(h, 0, 1.0), (h, 0, s)])
+            columns[q, s, "ratio"] = _ln_ratio(q, s)
+            columns[q, s, "upper"] = QSeriesTarget(q, [(1.0 - s, 0, 0.5 * (1.0 + s))])
+    points = [{"x": x, "q": q, "s": s} for q in qs for s in _S_DEFAULT for x in grid.values()]
+
+    def row(p, read):
+        return [math.exp(read((p["q"], p["s"], end))) for end in ("lower", "ratio", "upper")]
+
+    return [_chain_check("thm3-chain", row, points, "chain_le", columns)]
 
 
 @_register(PropertyDescriptor(
@@ -489,7 +517,7 @@ def _build_thm3(desc, grid, K, ov):
     default_grid=_GRID20,
 ))
 def _build_merkle(desc, grid, K, ov):
-    return [_bracket_chain("merkle", (1.0,), _S_DEFAULT, grid, "chain_lt", "merkle-chain")]
+    return [_bracket_chain("merkle", grid, "chain_lt", "merkle-chain")]
 
 
 @_register(PropertyDescriptor(
@@ -499,8 +527,8 @@ def _build_merkle(desc, grid, K, ov):
 ))
 def _build_refined(desc, grid, K, ov):
     return [
-        _bracket_chain("geomean_refined", (1.0,), _S_DEFAULT, grid, "chain_le", "refined-chain[geo]"),
-        _bracket_chain("logmean_refined", (1.0,), _S_DEFAULT, grid, "chain_le", "refined-chain[logmean]"),
+        _bracket_chain("geomean_refined", grid, "chain_le", "refined-chain[geo]"),
+        _bracket_chain("logmean_refined", grid, "chain_le", "refined-chain[logmean]"),
     ]
 
 
@@ -510,7 +538,7 @@ def _build_refined(desc, grid, K, ov):
     default_grid=_GRID20,
 ))
 def _build_kershaw(desc, grid, K, ov):
-    return [_bracket_chain("kershaw", (1.0,), _S_DEFAULT, grid, "chain_le", "kershaw-chain")]
+    return [_bracket_chain("kershaw", grid, "chain_le", "kershaw-chain")]
 
 
 # ---------------------------------------------------------------------------
@@ -731,10 +759,11 @@ def _build_ag(desc, grid, K, ov):
         for q in (0.3, 0.7)
         for x in grid.values()
     ]
+    # ln g_AG: the (1 - q)^y factors cancel
+    columns = {(a, q): QSeriesTarget(q, [(1.0, -1, 0.0), (1.0, -1, 2.0 * a), (-2.0, -1, a)])
+               for a in (0.5, 1.0) for q in (0.3, 0.7)}
     return [_chain_check(
-        "ag-gx",
-        lambda p: [1.0, bd.auxiliary_function("g_AG", p["x"], {"a": p["a"], "q": p["q"]})],
-        pts,
+        "ag-gx", lambda p, read: [1.0, math.exp(read((p["a"], p["q"])))], pts, columns=columns,
     )]
 
 
@@ -889,19 +918,12 @@ def _build_eq42(desc, grid, K, ov):
 # ---------------------------------------------------------------------------
 
 
-def _pair_chain(label, variant, qs, cs, grid):
-    pts = [
-        {"x": x, "c": c, "q": q}
-        for q in qs
-        for c in cs
-        for x in grid.values()
-    ]
+_PAIR_CS = (0.5, 2.0)
 
-    def row(p):
-        t = bd.psi_pair_inequality(p["x"], p["c"], variant, p.get("q"))
-        return [t.rhs, t.mid, t.lhs] if p["c"] < 1.0 else [t.lhs, t.mid, t.rhs]
 
-    return _chain_check(label, row, pts, "chain_lt")
+def _pair_order(c, lhs, mid, rhs):
+    """The chain lhs > mid > rhs for c < 1, reversed for c > 1, ascending."""
+    return [rhs, mid, lhs] if c < 1.0 else [lhs, mid, rhs]
 
 
 @_register(PropertyDescriptor(
@@ -910,7 +932,13 @@ def _pair_chain(label, variant, qs, cs, grid):
     default_grid=_GRID50,
 ))
 def _build_prop51(desc, grid, K, ov):
-    return [_pair_chain("prop51-chain", "classical", (None,), (0.5, 2.0), grid)]
+    pts = [{"x": x, "c": c} for c in _PAIR_CS for x in grid.values()]
+
+    def row(p):
+        t = bd.psi_pair_inequality(p["x"], p["c"], "classical")
+        return _pair_order(p["c"], t.lhs, t.mid, t.rhs)
+
+    return [_chain_check("prop51-chain", row, pts, "chain_lt")]
 
 
 @_register(PropertyDescriptor(
@@ -919,8 +947,23 @@ def _build_prop51(desc, grid, K, ov):
     _domains(q=(0.01, 0.99)), _GRID20,
 ))
 def _build_thm52(desc, grid, K, ov):
+    """``psi_pair_inequality(x, c, "q_analogue", q)`` from two columns:
+    psi_q(x + c) - psi_q(x) and psi_q'(x) - psi_q'(x + c)."""
     qs = [ov["q"]] if "q" in ov else (0.3, 0.7)
-    return [_pair_chain("thm52-chain", "q_analogue", qs, (0.5, 2.0), grid)]
+    pts = [{"x": x, "c": c, "q": q} for q in qs for c in _PAIR_CS for x in grid.values()]
+    columns = {}
+    for q in qs:
+        for c in _PAIR_CS:
+            columns[q, c, "d"] = QSeriesTarget(q, [(1.0, 0, c), (-1.0, 0, 0.0)])
+            columns[q, c, "mid"] = QSeriesTarget(q, [(1.0, 1, 0.0), (-1.0, 1, c)])
+
+    def row(p, read):
+        x, c, q = p["x"], p["c"], p["q"]
+        d = read((q, c, "d"))
+        pref = (1.0 - q) / (1.0 - q**c)
+        return _pair_order(c, pref * d * d, (q**x) * read((q, c, "mid")), d * d)
+
+    return [_chain_check("thm52-chain", row, pts, "chain_lt", columns)]
 
 
 @_register(PropertyDescriptor(
@@ -931,7 +974,15 @@ def _build_thm52(desc, grid, K, ov):
 def _build_cor51(desc, grid, K, ov):
     qs = [ov["q"]] if "q" in ov else list(_Q_DEFAULT)
     pts = [{"x": x, "q": q} for q in qs for x in grid.values()]
-    return [_chain_check("cor51-nonneg", lambda p: [0.0, bd.cor51_expr(p["x"], p["q"])], pts)]
+    # psi_q' and psi_q''
+    columns = {(q, n): QSeriesTarget(q, [(1.0, n, 0.0)]) for q in qs for n in (1, 2)}
+
+    def row(p, read):
+        x, q = p["x"], p["q"]
+        p1, p2 = read((q, 1)), read((q, 2))
+        return [0.0, p1 * p1 + math.log(1.0 / q) * (q**x) / (1.0 - q) * p2]
+
+    return [_chain_check("cor51-nonneg", row, pts, columns=columns)]
 
 
 # ---------------------------------------------------------------------------
@@ -1117,15 +1168,11 @@ def _build_qthm(desc, grid, K, ov):
 ))
 def _build_ball51(desc, grid, K, ov):
     n_max = int(ov.get("n_max", 200))
-    checks = []
+    rows = {}
     for n in range(1, n_max + 1):
         bb = bd.ball_ratio_bounds(n)
-        checks.append(_chain_check(
-            f"ball-thm51[n={n}]",
-            lambda p, b=bb.thm51, exact=bb.thm51_exact: [b.lower, exact, b.upper],
-            [{"x": float(n)}],
-        ))
-    return checks
+        rows[float(n)] = [bb.thm51.lower, bb.thm51_exact, bb.thm51.upper]
+    return [_chain_check("ball-thm51", lambda p: rows[p["x"]], [{"x": x} for x in rows])]
 
 
 @_register(PropertyDescriptor(
@@ -1135,18 +1182,19 @@ def _build_ball51(desc, grid, K, ov):
     notes="lower bound strict; upper bound attained at n = 2",
 ))
 def _build_ball13(desc, grid, K, ov):
+    """The strict lower side is one chain per n, so that the strict spot
+    check looks at every n; the upper side is one chain over all n."""
     n_max = int(ov.get("n_max", 200))
-    checks = []
+    checks, upper = [], {}
     for n in range(2, n_max + 1):
         bb = bd.ball_ratio_bounds(n)
-        pts = [{"x": float(n)}]
         lo, exact, hi = bb.eq13.lower, bb.eq13_exact, bb.eq13.upper
         checks.append(_chain_check(
-            f"ball-eq13[lo,n={n}]", lambda p, lo=lo, exact=exact: [lo, exact], pts, "chain_lt"
+            f"ball-eq13[lo,n={n}]", lambda p, lo=lo, exact=exact: [lo, exact], [{"x": float(n)}],
+            "chain_lt",
         ))
-        checks.append(_chain_check(
-            f"ball-eq13[hi,n={n}]", lambda p, exact=exact, hi=hi: [exact, hi], pts
-        ))
+        upper[float(n)] = [exact, hi]
+    checks.append(_chain_check("ball-eq13[hi]", lambda p: upper[p["x"]], [{"x": x} for x in upper]))
     return checks
 
 

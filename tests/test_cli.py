@@ -281,11 +281,15 @@ def test_verify_run_evaluates_each_bounds_cell_once(monkeypatch):
 
         return counted
 
-    for name in ("q_ln_gamma", "q_digamma"):
+    # the chains and probes that read their cells one scalar call at a time
+    names = ("ln_gamma", "digamma", "polygamma", "q_ln_gamma", "q_polygamma")
+    for name in names:
         monkeypatch.setattr(sf, name, counting(name))
-    doc, unexpected = cli._report_document("rows", ["eq14-bounds", "thm3-chain"], None, None, 1e-12)
+    ids = ["cor5-ineq", "kershaw-chain", "merkle-chain", "prop51-chain", "qthm-monotone",
+           "refined-chain"]
+    doc, unexpected = cli._report_document("rows", ids, None, None, 1e-12)
     assert unexpected == 0
-    assert {name for name, _ in calls} == {"q_ln_gamma", "q_digamma"}
+    assert {name for name, _ in calls} == set(names)
     assert max(calls.values()) == 1
 
 

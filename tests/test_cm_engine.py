@@ -75,6 +75,34 @@ def test_qseries_target_derives_its_constant_amp_and_jpow():
     assert ce.QSeriesTarget(q, [(1.0, 1, 0.0)], const=2.0)._const == -2.0 * math.log1p(-q)
 
 
+def test_qseries_target_sums_ln_gamma_q_terms():
+    # ln Gamma_q(x + 1) - ln Gamma_q(x + s): the (1 - y) ln(1 - q) of each
+    # term leaves sum w d = 1 - s times -ln(1 - q).  With dyadic x and s the
+    # scalar calls see the same arguments
+    q, s = 0.5, 0.25
+    t = ce.QSeriesTarget(q, [(1.0, -1, 1.0), (-1.0, -1, s)])
+    assert t.shift == s and t.jpow == -1
+    assert t._const == (1.0 - s) * -math.log1p(-q)
+    for x in (0.125, 1.0, 7.5):
+        a, b = sf.q_ln_gamma(x + 1.0, q), sf.q_ln_gamma(x + s, q)
+        e = t.deriv(0, x)
+        assert abs(e.value - (a.value - b.value)) <= e.abs_error + a.abs_error + b.abs_error
+        a, b = sf.q_digamma(x + 1.0, q), sf.q_digamma(x + s, q)
+        e = t.deriv(1, x)
+        assert abs(e.value - (a.value - b.value)) <= e.abs_error + a.abs_error + b.abs_error
+
+
+@pytest.mark.parametrize("terms", [
+    [(1.0, -1, 0.0)],  # ln Gamma_q alone: it would read 0.549 at x = 2, where it is 0
+    [(0.1, -1, 0.0), (0.2, -1, 1.0), (-0.3, -1, 2.0)],  # weights whose fsum is 2.8e-17
+    [(1.0, -1, 0.0, 2.0), (-1.0, -1, 1.0, 2.0)],  # r != 1
+    [(1.0, -2, 0.0), (-1.0, -2, 1.0)],  # m < -1
+], ids=["unbalanced", "fsum-not-0", "r-not-1", "m-below-minus-1"])
+def test_qseries_target_refuses_terms_it_cannot_sum(terms):
+    with pytest.raises(UsageError):
+        ce.QSeriesTarget(0.5, terms)
+
+
 def test_qseries_certificate_covers_the_conditioning_of_exp():
     # thm8-lcm[q=0.3,s=0.25] at a grid point where the two components cancel
     # to 1e-16 of their size; each exp argument is about -58
@@ -211,6 +239,10 @@ class _AlternatingTarget(ce.Target):
 _Q_TERMS = [(0.3, 0, 1.5), (-1.0, 0, 0.0), (-0.3, 0, 0.5), (0.5, 1, 0.25, 2.0)]
 
 
+# ln Gamma_q(x) + ln Gamma_q(x + 1) - 2 ln Gamma_q(x + 0.5) + psi_q(x + 0.25)
+_LN_GAMMA_Q_TERMS = [(1.0, -1, 0.0), (1.0, -1, 1.0), (-2.0, -1, 0.5), (1.0, 0, 0.25)]
+
+
 def _neg_psi_q(q):
     """-ln(1 - q) - psi_q(x) = (-ln q) sum_j q^(jx)/(1 - q^j), which is CM."""
     return ce.QSeriesTarget(q, [(-1.0, 0, 0.0)], const=1.0)
@@ -233,6 +265,7 @@ def _jet_targets():
         ce.QPolyGammaShift(1, 1.5, 0.25),  # q > 1: order 1 has the branch term
         ce._PsiLeaf(-1, 0.5, 0.8),  # ln Gamma_q(x + a)
         ce.QSeriesTarget(0.7, _Q_TERMS, const=0.2),
+        ce.QSeriesTarget(0.6, _LN_GAMMA_Q_TERMS),
         ce.ExpNegX(),
         ce.SinPlus2(),
         ce.MonomialPolyGamma(2, 1, 1.0, 1.0),
@@ -254,10 +287,13 @@ def _jet_targets():
 
 def _jet_id(target):
     # Class name; duplicates get pytest's index suffix.  The q > 1 psi_q
-    # case is named apart so the q < 1 case keeps its plain id.
+    # case and the q-series with ln Gamma_q terms are named apart, so that
+    # the first of each class keeps its plain id.
     name = type(target).__name__
     if isinstance(target, ce.QPolyGammaShift) and target.q > 1.0:
         name += "QAbove1"
+    if isinstance(target, ce.QSeriesTarget) and any(t[1] == -1 for t in target.terms):
+        name += "LnGamma"
     return name
 
 
@@ -689,6 +725,42 @@ def test_chain_eval_failure_is_inconclusive():
 
     rep = _chain([boom, lambda p: 1.0], _pts([1.0, 2.0]), "chain_le")
     assert rep.status == "inconclusive"
+
+
+def test_chain_fills_each_column_it_reads_with_one_grid_per_check(monkeypatch):
+    grids = []
+    jets = ce.QSeriesTarget._jets
+
+    def counted(self, xs, K, policy):
+        grids.append((self, xs.tolist(), K))
+        return jets(self, xs, K, policy)
+
+    monkeypatch.setattr(ce.QSeriesTarget, "_jets", counted)
+    psi = ce.QSeriesTarget(0.5, [(1.0, 0, 0.0)])
+    columns = {"psi": psi, "unread": ce.QSeriesTarget(0.5, [(1.0, 1, 0.0)])}
+    pts = [{"x": x, "k": k} for k in (1.0, 2.0) for x in (0.5, 1.0, 2.0)]
+    seen = []
+
+    def row(p, read):
+        seen.append(read("psi"))
+        return [read("psi"), read("psi") + p["k"]]
+
+    for _ in range(2):
+        assert ce.check_chain(row, pts, "chain_lt", columns=columns).status == "pass"
+    # one order-0 grid over the distinct points, per check: no column
+    # outlives its check, and one no row reads is never filled
+    assert grids == [(psi, [0.5, 1.0, 2.0], 0)] * 2
+    assert seen[:3] == [psi.deriv(0, x).value for x in (0.5, 1.0, 2.0)]
+
+
+def test_chain_column_failure_is_inconclusive():
+    # psi_q(x + 1) fails at x = -2; the other point passes
+    columns = {"psi": ce.QSeriesTarget(0.5, [(1.0, 0, 1.0)])}
+    rep = ce.check_chain(lambda p, read: [read("psi"), read("psi") + 1.0], _pts([-2.0, 1.0]),
+                         "chain_le", columns=columns)
+    assert rep.status == "inconclusive" and not rep.violations
+    with pytest.raises(UsageError):
+        ce.check_chain([lambda p: 0.0, lambda p: 1.0], _pts([1.0]), columns=columns)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ The references are written out per target class (mpmath's polygamma and
 loggamma, with Leibniz and linear-combination sums done in mpmath), never
 through ``mp.diff``; psi_q is a direct sum (``_psi_q``), never ``mp.nsum``,
 and ln Gamma_q a direct product (``_ln_gamma_q``).  A QSeriesTarget's
-reference is the sum of its terms' psi_q, each corpus q-series is checked
-on its own, and two are checked against references written apart from
-their terms as well.  The points lean toward 1/e, where x ln x has a
+reference is the sum of its terms' psi_q and ln Gamma_q, each corpus
+q-series and each column a corpus chain reads is checked on its own, and
+two are checked against references written apart from their terms as
+well.  The points lean toward 1/e, where x ln x has a
 stationary point, and toward both ends of [1e-2, 1e2].
 ``kernel_derivative``, which has no closed form, is checked against
 ``mp.diff`` at 40 digits.
@@ -55,12 +56,15 @@ def _ref(t, k, x):
             return mp.loggamma(y) if n == -1 else mp.polygamma(n, y)
         return _q_psi(n, y, t.q)
     if isinstance(t, ce.QSeriesTarget):
-        # const (-ln(1 - q)) plus the sum of w r^-(m+k) psi_{q^r}^(m+k)((x + d)/r);
-        # the constants of the m + k = 0 terms are summed apart, so those
-        # that cancel do so exactly
+        # const (-ln(1 - q)) plus the sum of w r^-(m+k) psi_{q^r}^(m+k)((x + d)/r),
+        # where psi_q^(-1) is ln Gamma_q (r = 1); the constants of the
+        # m + k = 0 terms are summed apart, so those that cancel do so exactly
         const = -t.const * mp.log(1 - mp.mpf(t.q)) if k == 0 else mp.zero
         total = mp.zero
         for w, m, d, r in t.terms:
+            if m + k == -1:
+                total += w * _ln_gamma_q_at(x + d, t.q, mp.dps)
+                continue
             p = mp.mpf(t.q) ** mp.mpf(r)
             total += w * mp.mpf(r) ** -(m + k) * _psi_q_at(m + k, (x + d) / r, p, mp.dps)
             if m + k == 0:
@@ -169,6 +173,14 @@ def _ln_gamma_q(y, q):
         if qjn < mp.eps * (1 - q):
             break
     return (1 - y) * mp.log(1 - q) + mp.log(prod) + tail
+
+
+@functools.lru_cache(maxsize=4096)
+def _ln_gamma_q_at(y, q, dps):
+    """_ln_gamma_q(y, q) at ``dps`` digits, remembered: the chain columns
+    share many of their (argument, q)."""
+    with mp.workdps(dps):
+        return _ln_gamma_q(y, q)
 
 
 def _q_psi(n, y, q):
@@ -362,6 +374,35 @@ def test_corpus_q_series_certificates_hold(label, K, target, xs):
     """Every order of every corpus q-series at the ends of its grid and at
     x = 0.44 and 19.9, against the reference derived from its terms."""
     _assert_sound(target, [xs[0], 0.44, 19.9, xs[-1]], K)
+
+
+def _chain_columns():
+    """(label, target, points) of every column a corpus chain reads, with
+    the distinct x of the chain's points."""
+    found = []
+    for cid in corpus.ALL_IDS:
+        for check in corpus.instantiate(cid):
+            xs = sorted({p["x"] for p in check.kwargs.get("points", [])})
+            for key, t in (check.kwargs.get("columns") or {}).items():
+                found.append((f"{check.label}[{','.join(map(str, key))}]", t, xs))
+    return found
+
+
+_COLUMNS = _chain_columns()
+
+
+def test_chain_columns_come_from_every_q_series_chain():
+    ids = {label.split("[")[0] for label, *_ in _COLUMNS}
+    assert ids == {"ag-gx", "cor51-nonneg", "eq14-bounds", "eq14-sharp-u", "eq14-sharp-v",
+                   "thm3-chain", "thm52-chain"}
+    assert all(isinstance(t, ce.QSeriesTarget) for _, t, _ in _COLUMNS)
+
+
+@pytest.mark.parametrize("label, target, xs", _COLUMNS, ids=[c[0] for c in _COLUMNS])
+def test_chain_column_certificates_hold(label, target, xs):
+    """Orders 0..2 of every chain column at the ends of its chain's points
+    and at x = 0.44 and 19.9, against the reference derived from its terms."""
+    _assert_sound(target, [xs[0], 0.44, 19.9, xs[-1]], 2)
 
 
 def test_corpus_q_series_keep_their_sign_at_every_cell():
