@@ -20,7 +20,13 @@ bits of the scalar jet.  Every rounding slop is ``specfun._slop``'s
 ops*eps*sum|summands|.  A sign-pattern check asks for one grid.
 
 A q-series, ``QSeriesTarget``, is data: psi_q terms and a constant, from
-which it derives its coefficients, tail bound and rounding slop.
+which it derives its coefficients, tail bound and rounding slop.  It sums
+each term past a recurrence shift of N steps, derived from q and the first
+block of 256 terms and capped at 64 steps in all, so that near x = 0 its
+first block certifies where the plain series would need 37/(x |ln q|)
+terms.  The skipped steps come back in closed form, as polylogarithms of
+negative order in q^z, each with its own rounding slop and an ulp(0)
+floor where q^z underflows.
 
 The psi-family leaves (``LnGammaFn``, ``PolyGammaShift``, ``QLnGammaFn``,
 ``QPolyGammaShift``) are one class, ``_PsiLeaf``: order k is the evaluator
@@ -47,13 +53,16 @@ check's inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PreconditionError, UsageError
-from .specfun import DEFAULT_POLICY, _blocks, _psi, _slop, Enclosure, TruncationPolicy
+from .specfun import (
+    _BLOCK, _EPS_MACH, DEFAULT_POLICY, _blocks, _psi, _slop, Enclosure, TruncationPolicy,
+)
 
 __all__ = [
     "GridSpec",
@@ -413,6 +422,53 @@ class QPolyGammaShift(_PsiLeaf):
         super().__init__(m, a, q)
 
 
+# A recurrence step of a q-series costs about as much as four of its series
+# terms (a Horner sum of up to max_order + 2 degrees per order, against one
+# exp and one product per order), so a target takes at most a quarter of a
+# first block of them: the closed-form part never costs more than that block.
+_MAX_STEPS = _BLOCK // 4
+
+
+@functools.cache
+def _li_table(n_max: int) -> np.ndarray:
+    """Row n + 1 holds k! S(n + 1, k + 1) for k = 0..n_max, S the Stirling
+    numbers of the second kind, so that Li_{-n}(u) = sum_k row[k] v^(k+1)
+    with v = u/(1 - u) (DLMF 25.12); every coefficient is positive.  Row 0,
+    n = -1, is 0: Li_1 = log1p(v) is summed apart."""
+    rows = [[0] * (n_max + 1)]
+    s = [1]  # S(n + 1, k + 1), k = 0..n
+    for _ in range(n_max + 1):
+        rows.append([math.factorial(k) * c for k, c in enumerate(s)] + [0] * (n_max + 1 - len(s)))
+        s = [(k + 1) * c + (s[k - 1] if k else 0) for k, c in enumerate(s)] + [1]
+    return np.array(rows, dtype=float)
+
+
+# numpy's exp takes a path 10 to 100 times slower per element where its
+# result falls below about 2^-1021, as q^(jy) does for most of a block at
+# large x; the q-series flush those results to 0 and bound them by 2^-1020
+_FLUSHED = 2.0**-1020
+_EXP_LOW = math.log(_FLUSHED)
+
+
+def _exp_flushed(a, least, out=None):
+    """exp(a), with each result below 2^-1020 set to 0; the other elements
+    keep the bits of np.exp.  ``least`` is a lower bound on ``a``."""
+    if least >= _EXP_LOW:
+        return np.exp(a, out=out)
+    low = a < _EXP_LOW
+    out = np.exp(np.maximum(a, _EXP_LOW, out=out), out=out)
+    out[low] = 0.0
+    return out
+
+
+def _span(idx):
+    """The sorted distinct indices ``idx`` as a slice where they are a range,
+    so that indexing with them makes views rather than copies."""
+    if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 class QSeriesTarget(Target):
     """const (-ln(1 - q)) + sum_i w_i (d/dx)^(m_i) psi_{q^(r_i)}((x + d_i)/r_i),
     0 < q < 1, where (d/dx)^(-1) psi_q is ln Gamma_q.
@@ -420,9 +476,7 @@ class QSeriesTarget(Target):
     A term is (w, m, d) or (w, m, d, r), with m >= -1 and r > 0 (1 by
     default).  With L = ln q, psi_{q^r}(y/r) = -ln(1 - q^r) + r L sum_{j>=1}
     q^(jy)/(1 - q^(jr)), so the terms make one series on x + shift > 0,
-    shift = min d_i: C + (-L) sum_{j>=1} q^(j(x + shift)) c_j, where
-    c_j = -sum_i g_i(j), g_i(j) = w_i r_i (jL)^(m_i) q^(j(d_i - shift)) /
-    (1 - q^(j r_i)).  C sums w (-ln(1 - q^r)) over the m = 0 terms and
+    shift = min d_i.  C sums w (-ln(1 - q^r)) over the m = 0 terms and
     ``const``, which weighs -ln(1 - q) as an r = 1 term does; the weights of
     one r are summed exactly first, so constants that cancel, as those of a
     difference of psi_q do, add 0 and no error.
@@ -433,10 +487,29 @@ class QSeriesTarget(Target):
     sum w d times -ln(1 - q) are left, and sum w d joins the r = 1 weights
     of C.  Anything else raises UsageError.
 
-    The tail bound takes |c_j| <= amp j^jpow, with amp = sum |w_i| r_i
-    |L|^(m_i) / (1 - q^(r_i)) and jpow = max m_i; the rounding slop weighs
-    c_j by sum_i |g_i| (1 + |j (d_i - shift) L|), so that a c_j that
-    cancels is covered (``_jets``).
+    Each term is summed past a recurrence shift.  The functional equation
+    psi_{q^r}(y/r) = psi_{q^r}(y/r + 1) + r L q^y/(1 - q^y) moves term i
+    right by N_i steps of r_i (``steps``), and the values it skips come back
+    in closed form (the recurrence part, ``_recurrence``).  N_i =
+    ceil(D/r_i), D = (2 ln(1/eps) + ln B)/(B |L|) with B = 256 the first
+    block: past the shift the B-th power has fallen by eps^2/B, and every
+    corpus cell certifies in the first block.  D is capped so that the N_i
+    add up to at most _MAX_STEPS; near q = 1 the series then runs its later
+    blocks as before.
+
+    The series is C + (-L) sum_{j>=1} q^(j(x + shift)) c_j, c_j =
+    -sum_i g_i(j), where g_i(j) = w_i r_i (jL)^(m_i) q^(j(d_i + N_i r_i -
+    shift)) / (1 - q^(j r_i)) for j >= 2.  c_1 keeps the given d_i: the
+    first power q^z of every skipped step joins it, so terms that cancel at
+    first order, as a sharp constant makes them, cancel inside c_1 with the
+    bits they had without the shift.  ``shift``, C and its error, ``amp``
+    and ``jpow`` come from the terms as given.
+
+    The tail bound takes |c_j| <= amp j^jpow q^(j(start - shift)), start =
+    min(d_i + N_i r_i), with amp = sum |w_i| r_i |L|^(m_i) / (1 - q^(r_i))
+    and jpow = max m_i; the rounding slop weighs c_j by sum_i |g_i| (1 +
+    |ln of the power of q in g_i|), so that a c_j that cancels is covered
+    (``_jets``).
     """
 
     def __init__(self, q: float, terms, const: float = 0.0):
@@ -453,8 +526,26 @@ class QSeriesTarget(Target):
         self.shift = min(d for _, _, d, _ in self.terms)
         self.jpow = max(m for _, m, _, _ in self.terms)
         self.amp = sum(abs(w) * r * abs(lnq)**m / -math.expm1(r * lnq) for w, m, _, r in self.terms)
-        # g_i(j) = w r (jL)^m exp(j a) / -expm1(j b)
-        self._g = [(w * r, m, (d - self.shift) * lnq, r * lnq) for w, m, d, r in self.terms]
+        # the recurrence shift: N_i steps of r_i per term, D capped so that
+        # sum N_i <= sum (D/r_i + 1) <= _MAX_STEPS
+        reach = (-2.0 * math.log(_EPS_MACH) + math.log(_BLOCK)) / (_BLOCK * -lnq)
+        cap = (_MAX_STEPS - len(self.terms)) / sum(1.0 / r for *_, r in self.terms)
+        reach = max(0.0, min(reach, cap))
+        self.steps = tuple(math.ceil(reach / r) for *_, r in self.terms)
+        # m_i, the exponent past (x + shift) L and w_i r_i of step l of term
+        # i, in order of m (the steps of ln Gamma_q terms first)
+        ordered = sorted(zip(self.terms, self.steps), key=lambda tn: tn[0][1])
+        rec = [(m, ((d - self.shift) + ell * r) * lnq, w * r)
+               for (w, m, d, r), n in ordered for ell in range(n)]
+        ms, self._delta, self._wr = np.array(rec, dtype=float).reshape(-1, 3).T.copy()
+        self._m = ms.astype(int)
+        self._logs = sum(n for (_, m, _, _), n in ordered if m == -1)
+        moved = [d + n * r for (_, _, d, r), n in zip(self.terms, self.steps)]
+        self._start = min(moved)
+        # g_i(j) = w r (jL)^m exp(j a) / -expm1(j b), with a from the moved
+        # d at j >= 2 and from the given d at j = 1
+        self._g = [(w * r, m, (dm - self.shift) * lnq, (d - self.shift) * lnq, r * lnq)
+                   for (w, m, d, r), dm in zip(self.terms, moved)]
         # (q^r, the m = 0 weights of r summed, const and the w d of ln Gamma_q
         # among those of r = 1); q^r rounds by p/(1 - p) in ln(1 - p), and
         # each w d by eps/2 of itself
@@ -473,12 +564,89 @@ class QSeriesTarget(Target):
         """c_j and its slop weight on the block ``j``."""
         lnq = math.log(self.q)
         c, weight = np.zeros_like(j), np.zeros_like(j)
-        for wr, m, a, b in self._g:
+        # (jL)^m and -expm1(j b) are shared by the terms of one m and one r
+        power, denom = {}, {}
+        for wr, m, a, a1, b in self._g:
             ja = j * a
-            g = wr * (j * lnq) ** m * np.exp(ja) / -np.expm1(j * b)
+            if j[0] == 1.0:
+                ja[0] = a1
+            if m not in power:
+                power[m] = (j * lnq) ** m
+            if b not in denom:
+                denom[b] = -np.expm1(j * b)
+            g = wr * power[m] * _exp_flushed(ja, ja[-1]) / denom[b]  # ja falls with j
             c -= g
             weight += np.abs(g) * (1.0 - ja)
         return c, weight
+
+    def _recurrence(self, rate, K):
+        """The recurrence part at orders 0..K: (values, errors), (K+1, P),
+        at the points where (x + shift) ln q is ``rate``.
+
+        Step l of term i at order k is w r L^(n+1) Li_{-n}(u), with n = m + k
+        and u = q^z, z = x + d + l r.  Its first power, w r L^(n+1) u, is
+        summed in c_1 (``_coeffs``), so that terms that cancel at first
+        order, as a sharp constant makes them, cancel inside c_1 as they did
+        before the shift; this part sums the rest, Li_{-n}(u) - u.  One exp
+        and one expm1 per step, of e = z L = rate + (d - shift + l r) L,
+        give u and v = u / -expm1(e); then Li_{-n}(u) - u = v (u +
+        sum_{k>=1} k! S(n+1, k+1) v^k) by Horner (the leading zeros of a
+        lower order leave its bits alone), and Li_1(u) - u = log1p(v) - u.
+        The steps of a point are summed along one axis of fixed length, so
+        a column depends only on its point.
+
+        Each summand's relative error adds up: e carries 2.5 eps of itself
+        (both of its parts are negative), u and v 2.5 |e| + 5 eps (exp's
+        conditioning and three roundings), v^(n+1) n + 1 times that, Horner
+        n + 2 eps and L^(n+1) n + 3; (n + 2)(3 |e| + 7) eps covers all of
+        them, weighing log1p(v) + u where n = -1.  The sum adds S + 7 eps of
+        the summands' magnitudes, which may cancel between terms.  Where u
+        is subnormal or 0 its error is absolute: each step adds
+        2 ulp(0)(|w r L^(n+1)| + 1).  Points run in chunks that keep every
+        temporary within _CHUNK_ELEMENTS.
+        """
+        delta, logs = self._delta, self._logs
+        P, S = len(rate), len(delta)
+        values, errors = np.zeros((K + 1, P)), np.zeros((K + 1, P))
+        if not S:
+            return values, errors
+        lnq = math.log(self.q)
+        n1 = (self._m + 1) + np.arange(K + 1)[:, None]  # n + 1, (K+1, S)
+        top = int(self._m[-1]) + K  # the steps of the highest m come last
+        f = self._wr * np.array([lnq**p for p in range(top + 2)])[n1]
+        size = np.abs(f)
+        floor = 2.0 * math.ulp(0.0) * (size + 1.0).sum(axis=1)
+        size *= n1 + (1.0 + (S + 7.0) / 7.0)
+        # Horner coefficients of degrees D-1..1, highest first: (D-1, K+1, 1, S)
+        coef = _li_table(max(top, 0))[n1].transpose(2, 0, 1)[:0:-1, :, None, :]
+        f, size = f[:, None, :], size[:, None, :]
+        step = max(1, _CHUNK_ELEMENTS // ((K + 1) * S))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for c0 in range(0, P, step):
+                cols = slice(c0, c0 + step)
+                e = rate[cols, None] + delta
+                u = np.exp(e)
+                v = np.expm1(e)
+                np.divide(u, v, out=v)
+                np.negative(v, out=v)
+                rest = np.zeros((K + 1, len(e), S))
+                for c in coef:
+                    rest += c
+                    rest *= v
+                rest += u
+                rest *= v
+                if logs:
+                    li1, ul = np.log1p(v[:, :logs]), u[:, :logs]
+                    rest[0, :, :logs] = li1 - ul
+                values[:, cols] = (rest * f).sum(axis=-1)
+                if logs:
+                    rest[0, :, :logs] = li1 + ul
+                e *= -3.0  # e <= 0
+                e += 7.0
+                rest *= e
+                rest *= size
+                errors[:, cols] = rest.sum(axis=-1)
+        return values, _slop(1.0, errors) + floor[:, None]
 
     def _jets(self, xs, K, policy):
         """One block loop for orders 0..K at every point.
@@ -487,20 +655,23 @@ class QSeriesTarget(Target):
         while every (order, point) keeps its own sums, tail test and stop,
         so each stops exactly where a lone order at a lone point would.
         Points run in chunks, so that no temporary holds more than
-        _CHUNK_ELEMENTS elements or one row of the block.
+        _CHUNK_ELEMENTS elements or one row of the block.  The recurrence
+        part joins each cell as it stops; a point where it does not come
+        out finite fails with DomainError.
 
         A term takes one exp, of e = j (x + shift) ln q, and t = exp(e) c_j;
         order k is order k-1 times j (Taylor mode), up to the chunk's
         highest order that is still active.  In the rounding slop, term k
         weighs exp(e) j^k (c_j's weight) (1 + |e| + k): exp turns the |e|
         ulp error of e into a relative error, and k products round.  Where
-        an exp or a product is subnormal or 0, its error is absolute, so
-        order k adds the floor (k + 3) ulp(0) J max(amp, 1)
-        (hi + 1)^max(k + jpow, 0) per block of J terms, times |pref|, plus
-        ulp(0) for the product with pref.  Past a block, the terms'
-        bound amp j^n q^(jy), n = k + jpow, falls by at most
-        ((hi + 2)/(hi + 1))^n q^y a step, or by q^y where n < 0 (an
-        ln Gamma_q term at order 0).
+        an exp or a product is subnormal or 0, its error is absolute, and
+        an exp below 2^-1020, in a term or in c_j, is flushed to 0
+        (``_exp_flushed``), so order k adds the floor ((k + 3) ulp(0) +
+        2^-1019) J max(amp, 1) (hi + 1)^max(k + jpow, 0) per block of J
+        terms, times |pref|, plus ulp(0) for the product with pref.  Past a
+        block, the terms' bound amp j^n q^(jy), n = k + jpow and y = x +
+        start, falls by at most ((hi + 2)/(hi + 1))^n q^y a step, or by q^y
+        where n < 0 (an ln Gamma_q term at order 0).
         """
         policy = policy or DEFAULT_POLICY
         q, lnq, shift = self.q, math.log(self.q), self.shift
@@ -509,21 +680,31 @@ class QSeriesTarget(Target):
             np.full((K + 1, P), np.nan), np.full((K + 1, P), np.nan),
             np.zeros((K + 1, P), dtype=np.int64), [None] * P,
         )
-        for p, x in enumerate(xs.tolist()):
-            if x + shift <= 0.0:
-                grid.fail(p, DomainError(f"x + {shift} must be positive, got x={x}"))
+        outside = xs + shift <= 0.0
+        for p in np.flatnonzero(outside).tolist():
+            grid.fail(p, DomainError(f"x + {shift} must be positive, got x={float(xs[p])}"))
+        good = np.flatnonzero(~outside)
+        rate = (xs[good] + shift) * lnq
+        # the recurrence part's error weighs the same summands by 21 or more,
+        # so it is not finite where the value is not
+        rec, rec_err = self._recurrence(rate, K)
+        finite = np.isfinite(rec_err).all(axis=0)
+        if not finite.all():
+            for p in good[~finite].tolist():
+                grid.fail(p, DomainError(
+                    f"combined q-series (q={q}, K={K}) overflows at x={float(xs[p])}"))
+            good, rate = good[finite], rate[finite]
+            rec, rec_err = rec[:, finite], rec_err[:, finite]
         # from here on, column i is the point good[i]
-        good = np.flatnonzero(grid.ok)
         active = np.ones((K + 1, len(good)), dtype=bool)
         total = np.zeros(active.shape)
         abs_total = np.zeros(active.shape)
         floor = np.zeros(K + 1)
-        # T^(k) = C[k=0] + pref[k] * sum j^k ...
+        # T^(k) = C[k=0] + pref[k] * sum j^k ... + the recurrence part
         pref = np.array([-lnq * lnq**k for k in range(K + 1)])
         const, const_err = np.zeros(K + 1), np.zeros(K + 1)
         const[0], const_err[0] = self._const, self._const_err
-        y = xs[good] + shift
-        rate = y * lnq
+        y = xs[good] + self._start  # of the tail bound
         qy = np.array([q**v for v in y.tolist()])
         powers = [k + self.jpow for k in range(K + 1)]
         try:
@@ -533,14 +714,14 @@ class QSeriesTarget(Target):
                 live = np.flatnonzero(active.any(axis=0))
                 step = max(1, _CHUNK_ELEMENTS // len(j))
                 for c0 in range(0, len(live), step):
-                    pts = live[c0:c0 + step]
+                    pts = _span(live[c0:c0 + step])
                     # the chunk's points where order k already stopped are
                     # summed along; their recorded values stay
                     wanted = active[:, pts].any(axis=1).tolist()
                     top = max(k for k in range(K + 1) if wanted[k])
                     e = np.multiply.outer(rate[pts], j)
                     w = np.abs(e) + 1.0
-                    np.exp(e, out=e)
+                    _exp_flushed(e, rate[pts].min() * j[-1], out=e)
                     t = e * c
                     u = np.multiply(e, weight, out=e)  # exp(e) j^k weight
                     wt = np.empty_like(t)  # u (1 + |e| + k)
@@ -553,6 +734,7 @@ class QSeriesTarget(Target):
                             np.add(w, k, out=wt)
                             wt *= u
                             abs_total[k, pts] += wt.sum(axis=1)
+                live = _span(live)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     rho = np.multiply.outer(
                         [((hi + 2.0) / (hi + 1.0)) ** max(n, 0) for n in powers], qy[live]
@@ -566,14 +748,16 @@ class QSeriesTarget(Target):
                 if done.any():
                     apref = np.abs(pref)[:, None]
                     slop = _slop(2.0 + math.log2(max(hi, 2)), apref) * abs_total[:, live]
-                    cols = good[live]
-                    grid.values[:, cols] = np.where(
-                        done, const[:, None] + pref[:, None] * sums, grid.values[:, cols]
-                    )
+                    cols = _span(good[live])
+                    val = const[:, None] + pref[:, None] * sums + rec[:, live]
                     ulp0 = math.ulp(0.0)
-                    under = apref * (ulp0 * (np.arange(K + 1) + 3.0) * floor)[:, None] + ulp0
-                    err = apref * tail + slop + const_err[:, None] + under
-                    grid.errors[:, cols] = np.where(done, err, grid.errors[:, cols])
+                    floor_k = (ulp0 * (np.arange(K + 1) + 3.0) + 2.0 * _FLUSHED) * floor
+                    under = apref * floor_k[:, None] + ulp0
+                    err = apref * tail + slop + const_err[:, None] + under + rec_err[:, live]
+                    if not done.all():
+                        val = np.where(done, val, grid.values[:, cols])
+                        err = np.where(done, err, grid.errors[:, cols])
+                    grid.values[:, cols], grid.errors[:, cols] = val, err
                     grid.terms[:, cols] = np.where(done, hi, grid.terms[:, cols])
                     active[:, live] &= ~done
                 if not active.any():

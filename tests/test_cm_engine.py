@@ -179,6 +179,7 @@ def _per_order(t, k, x, policy=None):
         lnq = math.log(t.q)
         pref = -lnq * lnq**k
         y = x + t.shift
+        yt = x + t._start  # the tail of the moved terms
         total = abs_total = floor = 0.0
         j0, block = 0, 256
         while True:
@@ -187,8 +188,8 @@ def _per_order(t, k, x, policy=None):
             c, weight = t._coeffs(j)
             # one exp per term, then k products by j
             arg = j * (y * lnq)
-            terms = np.exp(arg) * c
-            slop_terms = np.exp(arg) * weight
+            terms = ce._exp_flushed(arg, -math.inf) * c
+            slop_terms = ce._exp_flushed(arg, -math.inf) * weight
             for _ in range(k):
                 terms *= j
                 slop_terms *= j
@@ -197,20 +198,67 @@ def _per_order(t, k, x, policy=None):
             j0 = hi
             block = min(2 * block, 1 << 17)
             floor += max(t.amp, 1.0) * len(j) * (j0 + 1.0) ** (k + t.jpow)
-            rho = ((j0 + 2.0) / (j0 + 1.0)) ** (k + t.jpow) * t.q**y
+            rho = ((j0 + 2.0) / (j0 + 1.0)) ** (k + t.jpow) * t.q**yt
             if rho < 1.0:
-                tail = t.amp * (j0 + 1.0) ** (k + t.jpow) * t.q ** ((j0 + 1.0) * y) / (1.0 - rho)
+                tail = t.amp * (j0 + 1.0) ** (k + t.jpow) * t.q ** ((j0 + 1.0) * yt) / (1.0 - rho)
                 if tail <= policy.eps * (1.0 + abs(total)):
                     break
             if j0 >= policy.max_terms:
                 raise ConvergenceError("combined q-series did not certify")
-        val = (t._const if k == 0 else 0.0) + pref * total
+        rec, rec_err = _recurrence_steps(t, k, x)
+        val = (t._const if k == 0 else 0.0) + pref * total + rec
         slop = (2.0 + math.log2(max(j0, 2))) * _EPS * abs(pref) * abs_total
         const_slop = t._const_err if k == 0 else 0.0
         ulp0 = math.ulp(0.0)
-        under = abs(pref) * (ulp0 * (k + 3.0) * floor) + ulp0
-        return sf.Enclosure(val, abs(pref) * tail + slop + const_slop + under, j0)
+        under = abs(pref) * ((ulp0 * (k + 3.0) + 2.0 * ce._FLUSHED) * floor) + ulp0
+        return sf.Enclosure(val, abs(pref) * tail + slop + const_slop + under + rec_err, j0)
     return t.deriv(k, x, policy)
+
+
+def _stirling2(n, k):
+    """S(n, k), the Stirling numbers of the second kind."""
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+def _recurrence_steps(t, k, x):
+    """The recurrence part of a QSeriesTarget at order k, one step at a time:
+    w r L^(n+1) (Li_{-n}(u) - u), n = m + k, u = q^z, summed over the N
+    steps z = x + d + l r of each term, in order of m;
+    (value, certified error)."""
+    lnq = math.log(t.q)
+    rate = (x + t.shift) * lnq
+    steps = [(w * r, m, rate + ((d - t.shift) + ell * r) * lnq)
+             for (w, m, d, r), n in zip(t.terms, t.steps) for ell in range(n)]
+    steps.sort(key=lambda step: step[1])
+    if not steps:
+        return 0.0, 0.0
+    e = np.array([ei for _, _, ei in steps])
+    u = np.exp(e)
+    v = u / -np.expm1(e)
+    li1 = np.log1p(v)
+    parts, sizes, floors = [], [], []
+    for (wr, m, _), ei, ui, vi, l1 in zip(steps, e.tolist(), u.tolist(), v.tolist(), li1.tolist()):
+        n = m + k
+        if n == -1:
+            rest, size = l1 - ui, l1 + ui
+        else:
+            # v (u + sum_{i>=1} i! S(n+1, i+1) v^i), by Horner
+            rest = 0.0
+            for i in range(n, 0, -1):
+                rest = (rest + float(math.factorial(i) * _stirling2(n + 1, i + 1))) * vi
+            rest = (rest + ui) * vi
+            size = rest
+        f = wr * lnq ** (n + 1)
+        parts.append(f * rest)
+        weight = abs(f) * ((n + 1) + (1.0 + (len(steps) + 7.0) / 7.0))
+        sizes.append(size * (abs(ei) * 3.0 + 7.0) * weight)
+        floors.append(abs(f) + 1.0)
+    err = _EPS * abs(float(np.sum(sizes))) + 2.0 * math.ulp(0.0) * float(np.sum(floors))
+    return float(np.sum(parts)), err
 
 
 def _bits(enc):
@@ -329,10 +377,12 @@ def test_one_raising_order_makes_the_point_inconclusive():
     assert rep.status == "inconclusive" and not rep.violations
     with pytest.raises(DomainError):
         target.jet(2.0, 4)
-    # a q-series whose high orders run out of terms before the low ones
+    # a q-series whose high orders run out of terms before the low ones: past
+    # the recurrence shift every order certifies in 256 terms, so the budget
+    # is half of that
     q = 0.9
     series = _neg_psi_q(q)
-    tight = sf.TruncationPolicy(max_terms=768)
+    tight = sf.TruncationPolicy(max_terms=128)
     rep = ce.check_sign_pattern(series, 0, grid, "completely_monotonic", policy=tight)
     assert rep.status == "pass"
     with pytest.raises(ConvergenceError):
@@ -432,7 +482,7 @@ def test_jet_grid_marks_exactly_the_points_that_raise():
                 assert _assert_grid_matches_per_order(leaf, xs, 4).tolist() == expected
     # high orders at small x run out of terms; the rest of the grid certifies
     series = _neg_psi_q(0.9)
-    tight = sf.TruncationPolicy(max_terms=768)
+    tight = sf.TruncationPolicy(max_terms=128)
     ok = _assert_grid_matches_per_order(series, [0.5, 1.0, 2.0, 4.0, 8.0], 12, tight)
     assert not ok.all() and ok.any()
 
@@ -535,13 +585,14 @@ def test_sign_pattern_makes_one_jet_grid_call_per_check(monkeypatch):
 def test_q_series_grid_caps_its_block_temporaries(monkeypatch):
     class RecordingNumpy:
         def __init__(self):
-            self.sizes = []
+            self.sizes, self.rows = [], []
 
         def __getattr__(self, name):
             return getattr(np, name)
 
         def exp(self, a, *args, **kwargs):
             self.sizes.append(np.size(a))
+            self.rows.append(np.shape(a)[-1])
             return np.exp(a, *args, **kwargs)
 
     recorder = RecordingNumpy()
@@ -549,11 +600,57 @@ def test_q_series_grid_caps_its_block_temporaries(monkeypatch):
     q = 0.95
     target = ce.QSeriesTarget(q, _Q_TERMS[:3])  # jpow = 0
     xs = [float(v) for v in np.geomspace(0.05, 5.0, 64)]
-    target.jet_grid(xs, 12)
-    # blocks of up to 8192 terms: 64 points x 256 terms fill the cap exactly
+    # past the recurrence shift the default eps certifies in the first block;
+    # a far smaller one runs blocks of up to 2048 terms
+    fine = sf.TruncationPolicy(eps=1e-300)
+    target.jet_grid(xs, 12, fine)
+    assert max(recorder.rows) == 2048
+    # 64 points x 256 terms fill the cap exactly, and so do the larger blocks
     assert max(recorder.sizes) == ce._CHUNK_ELEMENTS == 1 << 14
     monkeypatch.undo()
-    _assert_grid_matches_per_order(target, xs[::9], 12)
+    _assert_grid_matches_per_order(target, xs[::9], 12, fine)
+
+
+def test_q_series_near_q_1_keeps_its_steps_and_temporaries_bounded(monkeypatch):
+    """At q = 1 - 1e-9 the recurrence shift would take 1/|ln q| steps: the
+    target caps them, keeps every temporary within _CHUNK_ELEMENTS or one
+    row of a block, and each point ends in the scalar jet's ConvergenceError."""
+    class RecordingNumpy:
+        def __init__(self):
+            self.shapes = []
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def _recorded(self, out):
+            self.shapes.append(out.shape)
+            return out
+
+        def exp(self, *args, **kwargs):
+            return self._recorded(np.exp(*args, **kwargs))
+
+        def zeros(self, *args, **kwargs):
+            return self._recorded(np.zeros(*args, **kwargs))
+
+    target = ce.QSeriesTarget(1.0 - 1e-9, [(1.0, 0, 0.0), (-1.0, 0, 0.5)])
+    assert sum(target.steps) <= ce._MAX_STEPS
+    recorder = RecordingNumpy()
+    monkeypatch.setattr(ce, "np", recorder)
+    xs = [0.01, 50.0]
+    grid = target._jets(np.array(xs), 2, None)
+    monkeypatch.undo()
+    assert recorder.shapes
+    assert all(math.prod(s) <= ce._CHUNK_ELEMENTS or math.prod(s) == s[-1] for s in recorder.shapes)
+    for x, failure in zip(xs, grid.failures):
+        with pytest.raises(ConvergenceError) as scalar:
+            target.jet(x, 2)
+        assert type(failure) is ConvergenceError and str(failure) == str(scalar.value)
+    # at q = 0.999 the capped shift still certifies orders 0..4 at x = 0.01,
+    # where the scalar q_digamma spends its whole budget
+    near = ce.QSeriesTarget(0.999, [(1.0, 0, 0.0)])
+    assert all(e.terms_used < sf.DEFAULT_POLICY.max_terms for e in near.jet(0.01, 4))
+    with pytest.raises(ConvergenceError):
+        sf.q_digamma(0.01, 0.999)
 
 
 # ---------------------------------------------------------------------------

@@ -418,13 +418,44 @@ def test_corpus_q_series_keep_their_sign_at_every_cell():
 # at q = 5e-4 and x in [93, 100], exp(j x ln q) is subnormal or 0 for the
 # first terms: only the absolute floor of QSeriesTarget covers them
 _XS_UNDERFLOW = st.lists(st.one_of(st.floats(93.0, 100.0), _X), min_size=1, max_size=4)
+# x -> 0+ and 1/e, where the recurrence part of a q-series near q = 1 holds
+# most of the value
+_XS_SMALL = st.lists(st.one_of(
+    st.floats(0.01, 0.0102),
+    st.floats(-1e-3, 1e-3).map(lambda d: math.exp(-1.0) * (1.0 + d)),
+), min_size=1, max_size=3)
+
+
+def _recurrence_cases():
+    """(id, K, target, reference, points, edge points) of q-series that lean
+    on their recurrence part: psi_q at q = 0.95 and 0.99 (up to 31 steps),
+    the beta-lcm targets at q = 0.9, whose two terms take different steps,
+    an ln Gamma_q ratio at q = 0.99, and a psi_q' difference at q = 5e-4,
+    where q^z underflows in the steps too."""
+    small = [0.01, math.exp(-1.0)]
+    cases = [
+        (f"psi_q-{q}", 12, _psi_q_series(q), lambda k, x, q=q: _psi_q(k, x, q), _XS_SMALL, small[:n])
+        for q, n in ((0.95, 2), (0.99, 1))
+    ]
+    for beta in (2.0, 0.5):
+        sign = 1.0 if beta > 1.0 else -1.0
+        target = ce.QSeriesTarget(0.9, [(sign, 0, 0.0, 1.0 / beta), (-sign, 0, 0.0)])
+        cases.append((f"beta-0.9-{beta}", 8, target, _beta_ref(0.9, beta), _XS, small))
+    cases.append(("ln-ratio-0.99", 2, corpus._ln_ratio(0.99, 0.3), None, _XS_SMALL, small))
+    cases.append(("psi1-diff-5e-4", 7, ce.QSeriesTarget(5e-4, [(1.0, 1, 0.0), (-1.0, 1, 0.25)]),
+                  None, st.lists(st.floats(93.0, 100.0), min_size=1, max_size=4), [93.0, 100.0]))
+    return cases
+
+
+_RECURRENCE = _recurrence_cases()
 
 
 def _q_series_cases():
     """(K, target, reference, points) of the beta-lcm targets and two
     _gq_neg_log_deriv targets as thm5-lcm and thm8-lcm build them, against
     references written apart from their terms; psi_q as a q-series (at
-    q = 5e-4 in the underflow regime too); psi_q leaves."""
+    q = 5e-4 in the underflow regime too); the recurrence cases; psi_q
+    leaves."""
     cases = []
     for check in corpus.instantiate("beta-lcm"):
         q, beta = map(float, re.findall(r"=([0-9.]+)", check.label))
@@ -437,6 +468,7 @@ def _q_series_cases():
     for q in (0.3, 0.9):
         cases.append((8, _psi_q_series(q), lambda k, x, q=q: _psi_q(k, x, q), _XS))
     cases.append((7, _psi_q_series(5e-4), lambda k, x: _psi_q(k, x, 5e-4), _XS_UNDERFLOW))
+    cases += [case[1:5] for case in _RECURRENCE]
     for leaf in (ce.QPolyGammaShift(0, 0.7), ce.QPolyGammaShift(2, 0.3, 0.25)):
         cases.append((8, leaf, None, _XS))
     return cases
@@ -450,6 +482,14 @@ _Q_SERIES = _q_series_cases()
 def test_q_series_certificates_hold(case, data):
     K, target, ref, xs = case
     _assert_sound(target, data.draw(xs), data.draw(st.integers(0, K)), ref)
+
+
+@pytest.mark.parametrize("K, target, ref, xs", [case[1:4] + case[5:] for case in _RECURRENCE],
+                         ids=[case[0] for case in _RECURRENCE])
+def test_q_series_recurrence_part_holds_at_its_edges(K, target, ref, xs):
+    """Each recurrence case at every order up to K at its edge points, which
+    the sampled test above need not draw."""
+    _assert_sound(target, xs, K, ref)
 
 
 @pytest.mark.parametrize("x", [97.0, 99.0, 100.0])

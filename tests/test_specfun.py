@@ -632,7 +632,8 @@ def _q_series_jet(x, q, policy):
         (sf.q_digamma, (1.5, 0.97), (1.5, 0.99), 1000),
         # above t0, where the kernel sums the exponential series in blocks
         (sf.kernel_derivative, (1, 20, 40.0), (1, 20, 2.5), 20),
-        (_q_series_jet, (1.5, 0.966), (1.5, 0.99), 1000),
+        # near q = 1, where the recurrence shift is capped and blocks remain
+        (_q_series_jet, (1.5, 0.9991), (1.5, 0.9995), 1000),
     ],
     ids=["q_ln_gamma", "q_digamma", "kernel_derivative", "QSeriesTarget"],
 )
