@@ -3,10 +3,9 @@
 Exit codes: 0 success / all claims verified, 1 verification failure,
 2 domain error, 64 usage error, 74 I/O failure.  Reports are serialized
 canonically (sorted keys, floats with 17 significant digits, lowercase
-e-notation) so runs diff cleanly.  The only environment override is
-QGK_JOBS, the default of ``verify --jobs``; both are validated (>= 1) and
-kept for compatibility, and claims are checked sequentially whatever
-their value.
+e-notation) so runs diff cleanly.  No environment variable changes a run.
+``verify --jobs`` (default 1) is validated (>= 1) and kept for
+compatibility; claims are checked sequentially whatever its value.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import csv
 import hashlib
 import io
 import math
-import os
 import sys
 
 from .errors import ConvergenceError, DomainError, PreconditionError, UsageError
@@ -112,7 +110,7 @@ def _build_parser() -> _Parser:
     ve.add_argument("--tol", type=float, default=1e-12)
     ve.add_argument("--out", default="report.json")
     ve.add_argument("--format", choices=("json", "csv"), default="json")
-    ve.add_argument("--jobs", type=int, default=None)
+    ve.add_argument("--jobs", type=int, default=1)
 
     ro = sub.add_parser("roots", help="root of the comparison polynomial")
     ro.add_argument("--m", type=int, required=True)
@@ -318,7 +316,7 @@ def _entry(r) -> dict:
         "violations": [
             {
                 "point": float(v.point),
-                "params": {str(k): _plain(val) for k, val in v.params.items()},
+                "params": v.params,
                 "order": int(v.order),
                 "lhs": float(v.lhs),
                 "rhs": float(v.rhs),
@@ -327,16 +325,6 @@ def _entry(r) -> dict:
             for v in r.violations
         ],
     }
-
-
-def _plain(v):
-    if isinstance(v, (bool, int, str)):
-        return v
-    if isinstance(v, float):
-        return float(v)
-    if isinstance(v, (tuple, list)):
-        return [_plain(u) for u in v]
-    return str(v)
 
 
 def _report_csv(doc) -> str:
@@ -368,10 +356,7 @@ def _cmd_verify(args) -> int:
             corpus.get_descriptor(cid)  # raises UsageError on unknown ids
         label = ",".join(ids)
     # validated for compatibility only: claims are checked sequentially
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("QGK_JOBS", "1"))
-    if jobs < 1:
+    if args.jobs < 1:
         raise UsageError("--jobs must be >= 1")
     # a bad option is a usage error before any claim runs, not a domain error
     # of the first claim that reads it

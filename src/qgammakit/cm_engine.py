@@ -66,7 +66,6 @@ from .specfun import (
 
 __all__ = [
     "GridSpec",
-    "CLAIM_KINDS",
     "Violation",
     "VerificationReport",
     "nth_derivative",
@@ -77,16 +76,6 @@ __all__ = [
     "make_target",
     "merge_reports",
 ]
-
-CLAIM_KINDS = (
-    "completely_monotonic",
-    "log_completely_monotonic",
-    "increasing",
-    "decreasing",
-    "nonneg",
-    "chain_lt",
-    "chain_le",
-)
 
 # largest block temporary of a grid of q-series, in float64 elements
 _CHUNK_ELEMENTS = 1 << 14
@@ -276,8 +265,10 @@ class Target:
     and the composite targets define ``_jets`` only, and bind
     ``deriv = Target.deriv`` by name, so that each class has a ``deriv`` of
     its own to wrap and time (``perfbench/tracer.py`` counts the calls per
-    class).  ``max_order`` is the highest order ``nth_derivative`` and
-    ``check_sign_pattern`` ask any target for.
+    class); on a ``verify --suite all`` pass those counts read 0, because
+    every grid runs through ``_jets``, until the tracer wraps ``_jets``
+    (ROADMAP, open item 4).  ``max_order`` is the highest order
+    ``nth_derivative`` and ``check_sign_pattern`` ask any target for.
     """
 
     max_order = 12
@@ -802,15 +793,16 @@ class MonomialPolyGamma(Target):
         # psi^(m + i)(x + a) for i = 0..K, each evaluated once
         g = PolyGammaShift(self.m, self.a)._jets(xs, K, policy)
         xl = xs.tolist()
-        val = np.zeros(g.values.shape)
-        err = np.zeros(g.values.shape)
+        val, err, size = (np.zeros(g.values.shape) for _ in range(3))
         for j in range(min(K, self.p) + 1):
             # rows k >= j gain C(k, j) p!/(p - j)! x^(p - j) psi^(m + k - j)
             w = [math.comb(k, j) * math.perm(self.p, j) for k in range(j, K + 1)]
             xc = np.array(w, dtype=float)[:, None] * np.array([x ** (self.p - j) for x in xl])
-            val[j:] += xc * g.values[: K + 1 - j]
+            term = xc * g.values[: K + 1 - j]
+            val[j:] += term
             err[j:] += np.abs(xc) * g.errors[: K + 1 - j]
-        return _JetGrid(self.sign * val, err + _slop(4, val), np.ones_like(g.terms), g.failures)
+            size[j:] += np.abs(term)
+        return _JetGrid(self.sign * val, err + _slop(4, size), np.ones_like(g.terms), g.failures)
 
 
 class PolyProductTarget(Target):
@@ -844,20 +836,21 @@ class PolyProductTarget(Target):
             return s * psi.values[i:i + K + 1], psi.errors[i:i + K + 1]
 
         (av, ae), (bv, be), (cv, ce), (dv, de) = (factor(order) for order in self.orders)
-        val = np.zeros((K + 1, len(xs)))
-        err = np.zeros((K + 1, len(xs)))
+        val, err, size = (np.zeros((K + 1, len(xs))) for _ in range(3))
         for j in range(K + 1):
             # rows k >= j gain C(k, j) [A^(j) B^(k-j) - c C^(j) D^(k-j)]
             ck = np.array([math.comb(k, j) for k in range(j, K + 1)], dtype=float)[:, None]
             n = K + 1 - j
-            val[j:] += ck * (av[j] * bv[:n] - self.c * cv[j] * dv[:n])
+            ab, cd = av[j] * bv[:n], self.c * cv[j] * dv[:n]
+            val[j:] += ck * (ab - cd)
             err[j:] += ck * (
                 np.abs(av[j]) * be[:n]
                 + np.abs(bv[:n]) * ae[j]
                 + self.c * (np.abs(cv[j]) * de[:n] + np.abs(dv[:n]) * ce[j])
             )
+            size[j:] += ck * (np.abs(ab) + np.abs(cd))
         ones = np.ones((K + 1, len(xs)), dtype=np.int64)
-        return _JetGrid(self.sign * val, err + _slop(8, val), ones, psi.failures)
+        return _JetGrid(self.sign * val, err + _slop(8, size), ones, psi.failures)
 
 
 class DerivOffset(Target):
@@ -875,43 +868,27 @@ class DerivOffset(Target):
 
 
 class LinComb(Target):
-    """sum of coef * base(argscale * x + shift) terms."""
+    """sum of coef * target(x) over (coef, target) terms; a shifted term's
+    target carries its own shift."""
 
     def __init__(self, terms):
-        # terms: iterable of (coef, target, shift) or (coef, target, shift, argscale)
-        norm = []
-        for t in terms:
-            coef, target, shift = t[0], t[1], t[2]
-            scale = t[3] if len(t) > 3 else 1.0
-            norm.append((float(coef), target, float(shift), float(scale)))
-        self.terms = tuple(norm)
+        self.terms = tuple((float(coef), target) for coef, target in terms)
 
     deriv = Target.deriv
 
     def _jets(self, xs, K, policy):
-        val = np.zeros((K + 1, len(xs)))
-        err = np.zeros((K + 1, len(xs)))
+        val, err, size = (np.zeros((K + 1, len(xs))) for _ in range(3))
         terms = np.zeros((K + 1, len(xs)), dtype=np.int64)
         failures = [None] * len(xs)
-        for coef, target, shift, scale in self.terms:
-            g = target._jets(scale * xs + shift, K, policy)
-            w = np.array([coef * scale**k for k in range(K + 1)])[:, None]
-            val += w * g.values
-            err += np.abs(w) * g.errors
+        for coef, target in self.terms:
+            g = target._jets(xs, K, policy)
+            term = coef * g.values
+            val += term
+            err += abs(coef) * g.errors
+            size += np.abs(term)
             np.maximum(terms, g.terms, out=terms)
             failures = [f if f is not None else gf for f, gf in zip(failures, g.failures)]
-        return _JetGrid(val, err + _slop(4, val), terms, failures)
-
-
-class ExpNegForm:
-    """A function f = exp(-H) presented through h' = -(ln f)' = H'.
-
-    Bundles the target whose complete monotonicity witnesses logarithmic
-    complete monotonicity of f.
-    """
-
-    def __init__(self, h_prime: Target):
-        self.h_prime = h_prime
+        return _JetGrid(val, err + _slop(4, size), terms, failures)
 
 
 # name -> constructor registry for the known families
@@ -969,7 +946,6 @@ def check_sign_pattern(
     grid,
     claim: str,
     tol: float = 1e-12,
-    jobs: int = 1,
     label: str = "sign",
     params: dict | None = None,
     strict: bool = False,
@@ -977,37 +953,29 @@ def check_sign_pattern(
 ) -> VerificationReport:
     """Verify (-1)^k f^(k)(x) >= 0 for k = 0..K on the grid.
 
-    For ``log_completely_monotonic`` the target must be an ExpNegForm and the
-    same pattern is asserted for h' = -(ln f)' at orders 0..K-1.  Each
-    (point, order) is a cell of ``_decide`` with lhs (-1)^k f^(k)(x) and
-    rhs 0.  ``strict`` adds its spot check: at three interior grid points
-    (every point of a grid of fewer than four) each cell that its error does
-    not swamp needs a margin > 10 tau.
+    For ``log_completely_monotonic`` the target is h' = -(ln f)', not f,
+    and the same pattern is asserted for h' at orders 0..K-1; ``nonneg``
+    asserts order 0.  Each (point, order) is a cell of ``_decide`` with lhs
+    (-1)^k f^(k)(x) and rhs 0.  ``strict`` adds its spot check: at three
+    interior grid points (every point of a grid of fewer than four) each
+    cell that its error does not swamp needs a margin > 10 tau.
     The grid is evaluated in one ``jet_grid`` call.  A K that leaves no
     order to check (K < 1 for ``log_completely_monotonic``, K < 0 for
-    ``completely_monotonic``) raises UsageError.  ``jobs`` is accepted for
-    compatibility and ignored.
+    ``completely_monotonic``) raises UsageError.
     """
-    if claim == "log_completely_monotonic":
-        if not isinstance(target, ExpNegForm):
-            raise UsageError("log_completely_monotonic requires an ExpNegForm target")
-        inner = target.h_prime
-        orders = range(0, K)
-    elif claim in ("completely_monotonic", "nonneg"):
-        inner = target.h_prime if isinstance(target, ExpNegForm) else target
-        orders = range(0, K + 1) if claim == "completely_monotonic" else range(0, 1)
-    else:
+    # the orders checked are 0..n-1
+    n = {"log_completely_monotonic": K, "completely_monotonic": K + 1, "nonneg": 1}.get(claim)
+    if n is None:
         raise UsageError(f"claim {claim!r} is not a sign-pattern claim")
-    if not orders:
+    if n < 1:
         raise UsageError(f"{claim} with K={K} checks no order")
-    cap = inner.max_order
-    if orders[-1] > cap:
+    cap = target.max_order
+    if n - 1 > cap:
         raise UsageError(f"requested order exceeds the derivative cap {cap}")
 
     xs = _grid_values(grid)
     base_params = dict(params or {})
-    n = len(orders)
-    values, errors, ok = inner.jet_grid(xs, n - 1, policy)
+    values, errors, ok = target.jet_grid(xs, n - 1, policy)
     # cell (point, order), point-major: signed = (-1)^k f^(k)(x)
     sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)[:, None]
     signed = np.where(ok, values * sign, np.nan).T.ravel()
@@ -1022,7 +990,7 @@ def check_sign_pattern(
         label, tol, cells, not ok.all(), violation,
         spots=(len(xs), np.repeat(np.arange(len(xs)), n)) if strict else None,
         grid=grid if isinstance(grid, GridSpec) else None,
-        orders_checked=orders[-1],
+        orders_checked=n - 1,
     )
 
 
@@ -1060,7 +1028,6 @@ def check_chain(
     points,
     claim: str = "chain_le",
     tol: float = 1e-12,
-    jobs: int = 1,
     label: str = "chain",
     columns: dict | None = None,
 ) -> VerificationReport:
@@ -1082,8 +1049,7 @@ def check_chain(
     adjacent pair (lo, hi) is a cell of ``_decide`` with margin hi - lo.
     chain_lt adds the strict spot check of a strict sign pattern, and a
     pair that fails it is a violation (order i, lo, hi, margin) marked
-    ``strict_spot``.  ``jobs`` is accepted for compatibility and ignored:
-    points are evaluated sequentially.
+    ``strict_spot``.
     """
     if claim not in ("chain_lt", "chain_le"):
         raise UsageError(f"claim {claim!r} is not a chain claim")
@@ -1184,7 +1150,6 @@ def monotonicity_probe(
     deriv_fn=None,
     value_range: tuple[float, float] | None = None,
     tol: float = 1e-12,
-    jobs: int = 1,
     label: str = "monotone",
     params: dict | None = None,
 ) -> VerificationReport:
@@ -1198,7 +1163,7 @@ def monotonicity_probe(
     |margin| + tau, as in ``check_chain``; a callable's value has zero
     error.  ``value_range = (lo, hi)`` additionally asserts
     lo < f(x) <= hi at every grid point (the range-containment form used by
-    the ratio targets).  ``jobs`` is accepted for compatibility and ignored.
+    the ratio targets).
     """
     if direction not in ("increasing", "decreasing"):
         raise UsageError(f"direction must be increasing|decreasing, got {direction!r}")

@@ -7,12 +7,14 @@ single command.  A few entries are deliberate expected-failure probes: they
 perturb a sharp constant or step outside an if-and-only-if threshold and
 must record at least one violation (they verify that the detector detects).
 
-The q-analogue LCM claims give h' = -(ln f)' as the paper writes it, as
-data: psi_q terms (weight, order, shift[, r]) for a QSeriesTarget, which
-derives the coefficients; no entry defines a coefficient function.  The
-q-analogue chains read their q-series the same way, as columns of
-QSeriesTargets (ln Gamma_q ratios, psi_q sums and differences), and call
-no scalar q-series evaluator.
+An LCM claim about f hands h' = -(ln f)' itself to ``check_sign_pattern``
+with ``claim="log_completely_monotonic"``; a classical h' is a LinComb of
+(coef, target) terms.  The q-analogue LCM claims give h' as the paper
+writes it, as data: psi_q terms (weight, order, shift[, r]) for a
+QSeriesTarget, which derives the coefficients; no entry defines a
+coefficient function.  The q-analogue chains read their q-series the same
+way, as columns of QSeriesTargets (ln Gamma_q ratios, psi_q sums and
+differences), and call no scalar q-series evaluator.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .cm_engine import (
     Affine,
     Const,
     DerivOffset,
-    ExpNegForm,
     GridSpec,
     LinComb,
     LnGammaFn,
@@ -193,7 +194,7 @@ def run_descriptor(
 
 
 def _neg(terms):
-    return [(-c, t, *rest) for (c, t, *rest) in terms]
+    return [(-c, t) for c, t in terms]
 
 
 def _psi_sum(q: float, terms):
@@ -201,7 +202,7 @@ def _psi_sum(q: float, terms):
     polygamma leaves at q = 1, one QSeriesTarget below 1."""
     if q < 1.0:
         return QSeriesTarget(q, terms)
-    return LinComb([(w, PolyGammaShift(m, d), 0.0) for w, m, d in terms])
+    return LinComb([(w, PolyGammaShift(m, d)) for w, m, d in terms])
 
 
 def _gq_neg_log_deriv(a: float, b: float, c: float, q: float, sign: float = 1.0):
@@ -213,16 +214,16 @@ def _gq_neg_log_deriv(a: float, b: float, c: float, q: float, sign: float = 1.0)
     """
     w = sign * (b - a)
     if q == 1.0:
-        psi = [(-sign, PolyGammaShift(0, b), 0.0), (sign, PolyGammaShift(0, a), 0.0)]
-        return LinComb([(w, DerivOffset(LogShift(c), 1), 0.0), *psi])
+        psi = [(-sign, PolyGammaShift(0, b)), (sign, PolyGammaShift(0, a))]
+        return LinComb([(w, DerivOffset(LogShift(c), 1)), *psi])
     return QSeriesTarget(q, [(w, 0, c + 1.0), (-w, 0, c), (sign, 0, a), (-sign, 0, b)])
 
 
-def _lcm_check(label, target, grid, K):
-    if not isinstance(target, (LinComb, QSeriesTarget)):
-        target = LinComb(target)
+def _lcm_check(label, h_prime, grid, K):
+    if not isinstance(h_prime, (LinComb, QSeriesTarget)):
+        h_prime = LinComb(h_prime)
     return Check(label, check_sign_pattern, dict(
-        target=ExpNegForm(target), K=K, grid=grid, claim="log_completely_monotonic",
+        target=h_prime, K=K, grid=grid, claim="log_completely_monotonic",
     ))
 
 
@@ -436,15 +437,15 @@ def _build_thm2(desc, grid, K, ov):
     for s in (0.25, 0.75):
         m = 0.5 * (1.0 + s)
         midpoint = [
-            (-1.0, PowShift(1.0, -1.0), 0.0),
-            (1.0, PowShift(s, -1.0), 0.0),
-            (-(1.0 - s), PowShift(m, -2.0), 0.0),
+            (-1.0, PowShift(1.0, -1.0)),
+            (1.0, PowShift(s, -1.0)),
+            (-(1.0 - s), PowShift(m, -2.0)),
         ]
         trapezoid = [
-            (1.0, PowShift(1.0, -1.0), 0.0),
-            (-1.0, PowShift(s, -1.0), 0.0),
-            (0.5 * (1.0 - s), PowShift(1.0, -2.0), 0.0),
-            (0.5 * (1.0 - s), PowShift(s, -2.0), 0.0),
+            (1.0, PowShift(1.0, -1.0)),
+            (-1.0, PowShift(s, -1.0)),
+            (0.5 * (1.0 - s), PowShift(1.0, -2.0)),
+            (0.5 * (1.0 - s), PowShift(s, -2.0)),
         ]
         checks.append(_lcm_check(f"thm2-lcm[midpoint,s={s}]", midpoint, grid, K))
         checks.append(_lcm_check(f"thm2-lcm[trapezoid,s={s}]", trapezoid, grid, K))
@@ -644,18 +645,18 @@ def _build_wqn(desc, grid, K, ov):
 ))
 def _build_cor4(desc, grid, K, ov):
     f1 = [
-        (0.5, PowShift(-0.25, -1.0), 0.0),
-        (-0.5, PowShift(0.25, -1.0), 0.0),
-        (-2.0, PolyGammaShift(0, 0.5), 0.0),
-        (1.0, PolyGammaShift(0, 0.0), 0.0),
-        (1.0, PolyGammaShift(0, 1.0), 0.0),
+        (0.5, PowShift(-0.25, -1.0)),
+        (-0.5, PowShift(0.25, -1.0)),
+        (-2.0, PolyGammaShift(0, 0.5)),
+        (1.0, PolyGammaShift(0, 0.0)),
+        (1.0, PolyGammaShift(0, 1.0)),
     ]
     f2 = [
-        (0.5, PowShift(0.5, -1.0), 0.0),
-        (-0.5, PowShift(0.0, -1.0), 0.0),
-        (2.0, PolyGammaShift(0, 0.5), 0.0),
-        (-1.0, PolyGammaShift(0, 0.0), 0.0),
-        (-1.0, PolyGammaShift(0, 1.0), 0.0),
+        (0.5, PowShift(0.5, -1.0)),
+        (-0.5, PowShift(0.0, -1.0)),
+        (2.0, PolyGammaShift(0, 0.5)),
+        (-1.0, PolyGammaShift(0, 0.0)),
+        (-1.0, PolyGammaShift(0, 1.0)),
     ]
     g1 = GridSpec(0.26, 100.0, grid.points, "log")
     return [
@@ -672,11 +673,11 @@ def _build_cor4(desc, grid, K, ov):
 ))
 def _build_cor4_orig(desc, grid, K, ov):
     terms = [
-        (0.5, PowShift(-0.5, -1.0), 0.0),
-        (-0.5, PowShift(0.0, -1.0), 0.0),
-        (-2.0, PolyGammaShift(0, 0.5), 0.0),
-        (1.0, PolyGammaShift(0, 0.0), 0.0),
-        (1.0, PolyGammaShift(0, 1.0), 0.0),
+        (0.5, PowShift(-0.5, -1.0)),
+        (-0.5, PowShift(0.0, -1.0)),
+        (-2.0, PolyGammaShift(0, 0.5)),
+        (1.0, PolyGammaShift(0, 0.0)),
+        (1.0, PolyGammaShift(0, 1.0)),
     ]
     return [_lcm_check("cor4-lcm-orig", terms, grid, K)]
 
@@ -693,9 +694,9 @@ def _build_cor4_orig(desc, grid, K, ov):
 def _build_ilm(desc, grid, K, ov):
     def terms(alpha):
         return [
-            (-alpha, PowShift(0.0, -1.0), 0.0),
-            (1.0, LogShift(0.0), 0.0),
-            (-1.0, PolyGammaShift(0, 0.0), 0.0),
+            (-alpha, PowShift(0.0, -1.0)),
+            (1.0, LogShift(0.0)),
+            (-1.0, PolyGammaShift(0, 0.0)),
         ]
 
     checks = [
@@ -814,10 +815,10 @@ def _build_cor5(desc, grid, K, ov):
 
 def _falpha_terms(alpha):
     return [
-        (-1.0, PolyGammaShift(0, 0.0), 0.0),
-        (1.0, LogShift(0.0), 0.0),
-        (-0.5, PowShift(0.0, -1.0), 0.0),
-        (1.0 / 12.0, PolyGammaShift(2, alpha), 0.0),
+        (-1.0, PolyGammaShift(0, 0.0)),
+        (1.0, LogShift(0.0)),
+        (-0.5, PowShift(0.0, -1.0)),
+        (1.0 / 12.0, PolyGammaShift(2, alpha)),
     ]
 
 
@@ -848,11 +849,11 @@ def _build_falpha_onlyif(desc, grid, K, ov):
 
 def _gc_terms(c):
     return [
-        (1.0, LnGammaFn(), 0.0),
-        (-1.0, XLogX(), 0.0),
-        (1.0, Affine(0.0, 1.0), 0.0),
-        (1.0, Const(-0.5 * math.log(2.0 * math.pi)), 0.0),
-        (0.5, PolyGammaShift(0, c), 0.0),
+        (1.0, LnGammaFn()),
+        (-1.0, XLogX()),
+        (1.0, Affine(0.0, 1.0)),
+        (1.0, Const(-0.5 * math.log(2.0 * math.pi))),
+        (0.5, PolyGammaShift(0, c)),
     ]
 
 
@@ -1021,8 +1022,8 @@ def _build_thm11(desc, grid, K, ov):
     checks.append(_cm_check("lem-thm11[cm,x*psi1]", MonomialPolyGamma(1, 1, 0.0, 1.0), dec_grid, K))
     for a in (0.5, 1.0):
         combo = LinComb([
-            (1.0, PolyGammaShift(1, a), 0.0),
-            (1.0, MonomialPolyGamma(1, 2, a, 1.0), 0.0),
+            (1.0, PolyGammaShift(1, a)),
+            (1.0, MonomialPolyGamma(1, 2, a, 1.0)),
         ])
         checks.append(_cm_check(f"lem-thm11[cm,deriv,a={a}]", combo, dec_grid, K))
     return checks

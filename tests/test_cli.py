@@ -207,19 +207,26 @@ def test_verify_csv_format(tmp_path, capsys):
 
 
 def test_verify_deterministic_across_jobs(tmp_path, capsys):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    run(capsys, "verify", "--suite", "merkle-chain,thm3-chain,dup-psi",
-        "--jobs", "1", "--out", str(a))
-    run(capsys, "verify", "--suite", "merkle-chain,thm3-chain,dup-psi",
-        "--jobs", "8", "--out", str(b))
+    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    suite = "merkle-chain,thm3-chain,dup-psi"
+    assert run(capsys, "verify", "--suite", suite, "--jobs", "1", "--out", str(a))[0] == 0
+    assert run(capsys, "verify", "--suite", suite, "--jobs", "8", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+    # --jobs stays validated: below 1 is a usage error, and no report is written
+    code, _, err = run(capsys, "verify", "--suite", suite, "--jobs", "0", "--out", str(c))
+    assert code == 64 and "--jobs must be >= 1" in err
+    assert not c.exists()
 
 
 def test_verify_env_jobs_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("QGK_JOBS", "2")
-    out_file = tmp_path / "r.json"
-    code, _, _ = run(capsys, "verify", "--suite", "dup-psi", "--out", str(out_file))
-    assert code == 0
+    # no environment variable changes a run: QGK_JOBS is not read, so a
+    # value that --jobs would refuse changes neither exit code nor report
+    plain, env = tmp_path / "plain.json", tmp_path / "env.json"
+    assert run(capsys, "verify", "--suite", "dup-psi", "--out", str(plain))[0] == 0
+    for value in ("0", "abc", "2"):
+        monkeypatch.setenv("QGK_JOBS", value)
+        assert run(capsys, "verify", "--suite", "dup-psi", "--out", str(env))[0] == 0, value
+        assert env.read_bytes() == plain.read_bytes()
 
 
 def test_verify_grid_points_override(tmp_path, capsys):

@@ -9,7 +9,11 @@ reference is the sum of its terms' psi_q and ln Gamma_q, each corpus
 q-series and each column a corpus chain reads is checked on its own, and
 two are checked against references written apart from their terms as
 well.  The points lean toward 1/e, where x ln x has a
-stationary point, and toward both ends of [1e-2, 1e2].
+stationary point, and toward both ends of [1e-2, 1e2].  The leaf,
+composite and q-series properties check every one of their cases in each
+example: hypothesis draws only the points and, where a case has no fixed
+order, the order, so no case depends on being drawn.  Every corpus
+composite runs at its full order.
 ``kernel_derivative``, which has no closed form, is checked against
 ``mp.diff`` at 40 digits.
 """
@@ -53,7 +57,7 @@ def _ref(t, k, x):
     if isinstance(t, ce._PsiLeaf):
         n, y = t.m + k, x + t.a
         if t.q is None:
-            return mp.loggamma(y) if n == -1 else mp.polygamma(n, y)
+            return mp.loggamma(y) if n == -1 else _polygamma_at(n, y, mp.dps)
         return _q_psi(n, y, t.q)
     if isinstance(t, ce.QSeriesTarget):
         # const (-ln(1 - q)) plus the sum of w r^-(m+k) psi_{q^r}^(m+k)((x + d)/r),
@@ -73,20 +77,18 @@ def _ref(t, k, x):
     if isinstance(t, ce.DerivOffset):
         return _ref(t.base, k + t.offset, x)
     if isinstance(t, ce.LinComb):
-        return mp.fsum(
-            mp.mpf(coef) * mp.mpf(scale) ** k * _ref(target, k, scale * x + shift)
-            for coef, target, shift, scale in t.terms
-        )
+        return mp.fsum(mp.mpf(coef) * _ref(target, k, x) for coef, target in t.terms)
     if isinstance(t, ce.MonomialPolyGamma):
         return t.sign * mp.fsum(
-            mp.binomial(k, j) * mp.ff(t.p, j) * x ** (t.p - j) * mp.polygamma(t.m + k - j, x + t.a)
+            mp.binomial(k, j) * mp.ff(t.p, j) * x ** (t.p - j)
+            * _polygamma_at(t.m + k - j, x + t.a, mp.dps)
             for j in range(min(k, t.p) + 1)
         )
     if isinstance(t, ce.PolyProductTarget):
         def factor(order, j):
             if order == 0:
                 return mp.one if j == 0 else mp.zero
-            return (-1) ** (order + 1) * mp.polygamma(order + j, x)
+            return (-1) ** (order + 1) * _polygamma_at(order + j, x, mp.dps)
 
         a, b, c, d = t.orders
         return t.sign * mp.fsum(
@@ -95,6 +97,14 @@ def _ref(t, k, x):
             for j in range(k + 1)
         )
     raise TypeError(f"no reference for {type(t).__name__}")
+
+
+@functools.lru_cache(maxsize=4096)
+def _polygamma_at(n, y, dps):
+    """mp.polygamma(n, y) at ``dps`` digits, remembered: the corpus
+    composites share many of their (order, argument)."""
+    with mp.workdps(dps):
+        return mp.polygamma(n, y)
 
 
 def _li_neg(k, u):
@@ -193,10 +203,12 @@ def _q_psi(n, y, q):
     return _ln_gamma_q(y, q) if n == -1 else _psi_q(n, y, q)
 
 
-def _assert_sound(target, xs, K, ref=None):
+def _assert_sound(target, xs, K, ref=None, name=None):
     """Every cell of ``target.jet_grid(xs, K)`` is within its error of
-    ``ref(k, x)`` (by default ``_ref(target, k, x)``)."""
+    ``ref(k, x)`` (by default ``_ref(target, k, x)``); a miss names the
+    target by ``name``, or by its class."""
     ref = ref or (lambda k, x: _ref(target, k, x))
+    name = name or type(target).__name__
     values, errors, ok = target.jet_grid(xs, K)
     with mp.workdps(40):
         for p, x in enumerate(xs):
@@ -204,7 +216,7 @@ def _assert_sound(target, xs, K, ref=None):
                 continue
             for k in range(K + 1):
                 miss = abs(mp.mpf(values[k, p]) - ref(k, mp.mpf(x)))
-                assert miss <= errors[k, p], (type(target).__name__, k, x, errors[k, p])
+                assert miss <= errors[k, p], (name, k, x, errors[k, p])
 
 
 _X = st.one_of(
@@ -245,8 +257,9 @@ _PSI_XS = np.geomspace(0.55, 10.0, 12).tolist()
 
 
 def _corpus_composites():
-    """(K, target) of every composite a corpus check evaluates whose leaves
-    have a closed-form reference here (no q-family leaf)."""
+    """(label, K, target) of every composite a corpus check evaluates whose
+    leaves have a closed-form reference here (no q-family leaf); an LCM
+    check's target is h', checked at orders 0..K-1."""
     covered = (ce.Const, ce.Affine, ce.PowShift, ce.LogShift, ce.XLogX, ce.ExpNegX,
                ce.SinPlus2, ce.LnGammaFn, ce.PolyGammaShift, ce.MonomialPolyGamma,
                ce.PolyProductTarget)
@@ -262,13 +275,12 @@ def _corpus_composites():
     for cid in corpus.ALL_IDS:
         for check in corpus.instantiate(cid):
             kw = check.kwargs
+            lcm = kw.get("claim") == "log_completely_monotonic"
             for t in (kw.get("target"), kw.get("fn"), kw.get("deriv_fn")):
-                lcm = isinstance(t, ce.ExpNegForm)
-                t = t.h_prime if lcm else t
                 composite = isinstance(t, (ce.LinComb, ce.MonomialPolyGamma,
                                            ce.PolyProductTarget, ce.DerivOffset))
                 if composite and referenced(t):
-                    found.append((kw.get("K", 1) - lcm, t))
+                    found.append((check.label, kw.get("K", 1) - lcm, t))
     return found
 
 
@@ -276,29 +288,40 @@ _COMPOSITES = _corpus_composites()
 
 
 def test_composites_come_from_every_composite_family():
-    kinds = {type(t) for _, t in _COMPOSITES}
+    kinds = {type(t) for *_, t in _COMPOSITES}
     assert kinds == {ce.LinComb, ce.MonomialPolyGamma, ce.PolyProductTarget, ce.DerivOffset}
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.sampled_from(_LEAVES), _XS, st.integers(0, ce.Target.max_order))
-@example(ce.PolyGammaShift(0), _PSI_XS, 4)
-@example(ce.PolyGammaShift(1), _PSI_XS, 4)
-@example(ce.QPolyGammaShift(0, 0.5), _PSI_XS, 4)
-# ln Gamma_q and psi_q vanish near 1 and 2: lnGamma_q(1) = lnGamma_q(2) = 0
-@example(ce.QLnGammaFn(0.9), [1.0 - 1e-6, 1.0 + 1e-10, 1.0 + 1e-14, 2.0 - 1e-12], 2)
-@example(ce.QLnGammaFn(0.9), [2.0 + 1e-6, 2.0 - 1e-8, 2.0 + 1e-14, 1.0 - 1e-12], 2)
-@example(ce.QLnGammaFn(0.3), [1.0 + 1e-9, 2.0 - 1e-9], 4)
-@example(ce.QPolyGammaShift(0, 2.0), [0.01, 1.0, 1.5, 100.0], 6)
-def test_leaf_certificates_hold(leaf, xs, K):
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_XS, st.lists(st.integers(0, ce.Target.max_order),
+                     min_size=len(_LEAVES), max_size=len(_LEAVES)))
+def test_leaf_certificates_hold(xs, orders):
+    """Every leaf at the drawn points, leaf i at orders 0..orders[i]."""
+    for i, (leaf, K) in enumerate(zip(_LEAVES, orders)):
+        _assert_sound(leaf, xs, K, name=f"leaf {i}: {type(leaf).__name__}")
+
+
+@pytest.mark.parametrize("leaf, xs, K", [
+    (ce.PolyGammaShift(0), _PSI_XS, 4),
+    (ce.PolyGammaShift(1), _PSI_XS, 4),
+    (ce.QPolyGammaShift(0, 0.5), _PSI_XS, 4),
+    # ln Gamma_q and psi_q vanish near 1 and 2: lnGamma_q(1) = lnGamma_q(2) = 0
+    (ce.QLnGammaFn(0.9), [1.0 - 1e-6, 1.0 + 1e-10, 1.0 + 1e-14, 2.0 - 1e-12], 2),
+    (ce.QLnGammaFn(0.9), [2.0 + 1e-6, 2.0 - 1e-8, 2.0 + 1e-14, 1.0 - 1e-12], 2),
+    (ce.QLnGammaFn(0.3), [1.0 + 1e-9, 2.0 - 1e-9], 4),
+    (ce.QPolyGammaShift(0, 2.0), [0.01, 1.0, 1.5, 100.0], 6),
+], ids=["psi", "psi1", "psi_q", "lnGamma_q-0.9-near-1", "lnGamma_q-0.9-near-2",
+        "lnGamma_q-0.3", "psi_q-above-1"])
+def test_leaf_certificates_hold_at_their_edges(leaf, xs, K):
     _assert_sound(leaf, xs, K)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.sampled_from(_COMPOSITES), _XS, st.data())
-def test_composite_certificates_hold(case, xs, data):
-    K, target = case
-    _assert_sound(target, xs, data.draw(st.integers(0, K)))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.lists(_X, min_size=1, max_size=2))
+def test_composite_certificates_hold(xs):
+    """Every corpus composite at its full K at the drawn points."""
+    for label, K, target in _COMPOSITES:
+        _assert_sound(target, xs, K, name=label)
 
 
 @pytest.mark.parametrize("target, k, xs", [
@@ -353,8 +376,7 @@ def _corpus_q_series():
         for check in corpus.instantiate(cid):
             kw = check.kwargs
             t = kw.get("target")
-            lcm = isinstance(t, ce.ExpNegForm)
-            t = t.h_prime if lcm else t
+            lcm = kw.get("claim") == "log_completely_monotonic"
             if isinstance(t, ce.QSeriesTarget):
                 found.append((check.label, kw["K"] - lcm, t, ce._grid_values(kw["grid"])))
     return found
@@ -459,8 +481,7 @@ def _q_series_cases():
     cases = []
     for check in corpus.instantiate("beta-lcm"):
         q, beta = map(float, re.findall(r"=([0-9.]+)", check.label))
-        cases.append((check.kwargs["K"] - 1, check.kwargs["target"].h_prime, _beta_ref(q, beta),
-                      _XS))
+        cases.append((check.kwargs["K"] - 1, check.kwargs["target"], _beta_ref(q, beta), _XS))
     u = bd.alzer_u(0.9, 0.5)
     for a, b, c, q, sign in ((0.3, 1.1, 0.6, 0.5, -1.0), (0.5, 1.0, u, 0.9, 1.0)):
         cases.append((7, corpus._gq_neg_log_deriv(a, b, c, q, sign), _gq_ref(a, b, c, q, sign),
@@ -477,11 +498,13 @@ def _q_series_cases():
 _Q_SERIES = _q_series_cases()
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.sampled_from(_Q_SERIES), st.data())
-def test_q_series_certificates_hold(case, data):
-    K, target, ref, xs = case
-    _assert_sound(target, data.draw(xs), data.draw(st.integers(0, K)), ref)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(st.data())
+def test_q_series_certificates_hold(data):
+    """Every case at points and an order drawn for it."""
+    for i, (K, target, ref, xs) in enumerate(_Q_SERIES):
+        _assert_sound(target, data.draw(xs), data.draw(st.integers(0, K)), ref,
+                      name=f"q-series case {i}: {type(target).__name__}")
 
 
 @pytest.mark.parametrize("K, target, ref, xs", [case[1:4] + case[5:] for case in _RECURRENCE],
