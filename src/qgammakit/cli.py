@@ -20,6 +20,7 @@ import sys
 from .errors import ConvergenceError, DomainError, PreconditionError, UsageError
 from . import bounds as bd
 from . import corpus
+from .cm_engine import check_chain
 from . import specfun as sf
 
 __all__ = ["main"]
@@ -210,14 +211,18 @@ def _emit_rows(header, rows, fmt):
             print("  ".join(f"{c:>22}" for c in row))
 
 
+def _out_of_order(triples) -> bool:
+    """Whether a (lower, exact, upper) triple fails the one tolerance rule,
+    each triple a row of ``check_chain``."""
+    points = [{"row": i} for i in range(len(triples))]
+    return check_chain(lambda p: triples[p["row"]], points).status == "fail"
+
+
 def _cmd_bounds(args) -> int:
-    tol_scale = 1e-12
-    violated = False
     if args.bounds_kind == "ratio":
         bp = bd.ratio_bounds(args.x, args.s, args.q, args.method)
         exact = bd.gamma_ratio(args.x, args.s, args.q)
-        tau = tol_scale * max(1.0, abs(exact))
-        violated = not bp.contains(exact, tau)
+        triples = [(bp.lower, exact, bp.upper)]
         _emit_rows(
             ("method", "lower", "exact", "upper"),
             [(args.method, _fmt(bp.lower), _fmt(exact), _fmt(bp.upper))],
@@ -226,16 +231,12 @@ def _cmd_bounds(args) -> int:
     elif args.bounds_kind == "ball":
         if args.n_max < 1:
             raise UsageError("--n-max must be >= 1")
-        rows = []
+        rows, triples = [], []
         for n in range(1, args.n_max + 1):
             bb = bd.ball_ratio_bounds(n)
-            tau = tol_scale * max(1.0, bb.thm51_exact)
-            if not bb.thm51.contains(bb.thm51_exact, tau):
-                violated = True
+            triples.append((bb.thm51.lower, bb.thm51_exact, bb.thm51.upper))
             if bb.eq13 is not None:
-                tau13 = tol_scale * max(1.0, bb.eq13_exact)
-                if not bb.eq13.contains(bb.eq13_exact, tau13):
-                    violated = True
+                triples.append((bb.eq13.lower, bb.eq13_exact, bb.eq13.upper))
             rows.append((
                 n,
                 _fmt(bb.thm51.lower), _fmt(bb.thm51_exact), _fmt(bb.thm51.upper),
@@ -251,14 +252,13 @@ def _cmd_bounds(args) -> int:
     else:  # kv
         bp = bd.keckic_vasic_bounds(args.a, args.b)
         exact = math.exp(sf.ln_gamma(args.b).value - sf.ln_gamma(args.a).value)
-        tau = tol_scale * max(1.0, abs(exact))
-        violated = not bp.contains(exact, tau)
+        triples = [(bp.lower, exact, bp.upper)]
         _emit_rows(
             ("a", "b", "lower", "exact", "upper"),
             [(args.a, args.b, _fmt(bp.lower), _fmt(exact), _fmt(bp.upper))],
             args.format,
         )
-    return EXIT_VERIFY_FAIL if violated else EXIT_OK
+    return EXIT_VERIFY_FAIL if _out_of_order(triples) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Targets are registered, known families only: each target knows its k-th
 derivative in closed form (term-wise differentiated series with certified
 tails).  One class attribute, ``Target.max_order`` = 12, caps the orders a
 check asks for.  A target's jet ``jet(x, K)`` gives the Enclosures of orders
-0..K at x in one pass (Taylor-mode propagation): Leibniz and linear
+0..K at x in one pass (Taylor-mode propagation): products and linear
 combinations evaluate each inner order once per point, and a q-series
 shares its blocks of terms across the orders: one exp per term, and order
 k is order k-1 times j.
@@ -28,15 +28,21 @@ terms.  The skipped steps come back in closed form, as polylogarithms of
 negative order in q^z, each with its own rounding slop and an ulp(0)
 floor where q^z underflows.
 
+The elementary leaves (``Const``, ``Affine``, ``PowShift``, ``LogShift``,
+``ExpNegX``, ``SinPlus2``) compute their grid in numpy, a row per order.
 The psi-family leaves (``LnGammaFn``, ``PolyGammaShift``, ``QLnGammaFn``,
 ``QPolyGammaShift``) are one class, ``_PsiLeaf``: order k is the evaluator
 of order m + k at x + a, with or without q, picked by ``specfun._psi``, and
 read through specfun's run-scoped cell table, one scalar evaluator call per
-cell.  Within a verification run each (order, point) cell is evaluated
-once, whether a scalar call, a leaf's grid or ``PolyProductTarget``'s grid
-of polygamma orders asks for it, and keeps the bits of the scalar jet.
-One function, ``_rows``, fills the grid of every leaf: a row per order,
-a column per point, and a point fails where its first failing order does.
+cell, by ``_rows``: a row per order, a column per point, and a point fails
+where its first failing order does.  Within a verification run each
+(order, point) cell is evaluated once, whether a scalar call or a leaf's
+grid asks for it, and keeps the bits of the scalar jet.
+
+Two composites combine targets: ``LinComb``, a weighted sum, and
+``Product``, f g by Leibniz, the one product rule; ``MonomialPolyGamma``,
+``PolyProductTarget`` and ``XLogX`` are built from them.  ``DerivOffset``
+reads a target's orders from an offset.
 
 A monotonicity probe reads a target's orders 0 and 1, with their errors,
 off one grid.
@@ -200,6 +206,8 @@ class _JetGrid:
     def __init__(self, values, errors, terms, failures):
         self.values, self.errors, self.terms = values, errors, terms
         self.failures = failures
+        failed = [p for p, f in enumerate(failures) if f is not None]
+        values[:, failed] = errors[:, failed] = np.nan
 
     @property
     def ok(self) -> np.ndarray:
@@ -244,10 +252,7 @@ def _rows(ys: np.ndarray, orders, row) -> _JetGrid:
                 cells.append((math.nan, math.nan, 0))
         rows.append(cells)
     a = np.array(rows, dtype=float).reshape(len(rows), len(yl), 3)
-    grid = _JetGrid(a[:, :, 0], a[:, :, 1], a[:, :, 2].astype(np.int64), failures)
-    failed = [p for p, f in enumerate(failures) if f is not None]
-    grid.values[:, failed] = grid.errors[:, failed] = np.nan
-    return grid
+    return _JetGrid(a[:, :, 0], a[:, :, 1], a[:, :, 2].astype(np.int64), failures)
 
 
 class Target:
@@ -257,18 +262,18 @@ class Target:
     ``deriv(k, x)`` gives one order, ``jet(x, K)`` orders 0..K at one point,
     and ``jet_grid(xs, K)`` orders 0..K at every point of a grid.  All three
     go through ``_jets``, the grid at once: ``jet`` is the grid at one point
-    and ``deriv`` reads one order off the jet.  A subclass defines
-    ``deriv``, ``_jets`` or both.  Leaf targets define ``deriv``, and the
-    default ``_jets`` fills the grid with it through ``_rows``; the
-    psi-family leaves (``_PsiLeaf``) define both over one row function, so
-    that a scalar call and a grid read the same cells.  ``QSeriesTarget``
-    and the composite targets define ``_jets`` only, and bind
-    ``deriv = Target.deriv`` by name, so that each class has a ``deriv`` of
-    its own to wrap and time (``perfbench/tracer.py`` counts the calls per
-    class); on a ``verify --suite all`` pass those counts read 0, because
-    every grid runs through ``_jets``, until the tracer wraps ``_jets``
-    (ROADMAP, open item 4).  ``max_order`` is the highest order
-    ``nth_derivative`` and ``check_sign_pattern`` ask any target for.
+    and ``deriv`` reads one order off the jet.  Every target here defines
+    ``_jets`` alone; ``_PsiLeaf`` adds a one-cell ``deriv`` over the same
+    cells as its grid.  A subclass that defines ``deriv`` alone gets the
+    default ``_jets``, which fills the grid with it through ``_rows``.
+    ``QSeriesTarget``, ``LinComb``, ``MonomialPolyGamma`` and
+    ``PolyProductTarget`` bind ``deriv = Target.deriv`` by name, so that
+    each has a ``deriv`` of its own to wrap and time
+    (``perfbench/tracer.py`` counts the calls per class); on a
+    ``verify --suite all`` pass those counts read 0, because every grid
+    runs through ``_jets``, until the tracer wraps ``_jets`` (ROADMAP, open
+    item 4).  ``max_order`` is the highest order ``nth_derivative`` and
+    ``check_sign_pattern`` ask any target for.
     """
 
     max_order = 12
@@ -294,48 +299,67 @@ class Target:
         return _rows(xs, range(K + 1), lambda k: lambda x: self.deriv(k, x, policy))
 
 
-def _exact(value: float) -> Enclosure:
-    return Enclosure(value, 0.0, 0)
+def _closed_form(values, errors, failures=None) -> _JetGrid:
+    """The grid of an elementary leaf: one closed-form evaluation per cell."""
+    failures = failures or [None] * values.shape[1]
+    return _JetGrid(values, errors, np.ones(values.shape, dtype=np.int64), failures)
+
+
+def _shifted(xs, c: float, zero_ok: bool = False):
+    """(y, failures): y = x + c, 1.0 at each point where it is not positive
+    (or negative, with ``zero_ok``), and such a point's DomainError."""
+    y = xs + c
+    bad = y < 0.0 if zero_ok else y <= 0.0
+    failures = [DomainError(f"(x + {c}) must be positive, got x={x}") if b else None
+                for x, b in zip(xs.tolist(), bad.tolist())]
+    return np.where(bad, 1.0, y), failures
 
 
 class Const(Target):
     def __init__(self, c: float):
         self.c = c
 
-    def deriv(self, k, x, policy=None):
-        return _exact(self.c if k == 0 else 0.0)
+    def _jets(self, xs, K, policy):
+        values = np.zeros((K + 1, len(xs)))
+        values[0] = self.c
+        return _closed_form(values, np.zeros_like(values))
 
 
 class Affine(Target):
     def __init__(self, a0: float, a1: float):
         self.a0, self.a1 = a0, a1
 
-    def deriv(self, k, x, policy=None):
-        if k == 0:
-            # two roundings, relative to the summands rather than to the sum
-            return Enclosure(self.a0 + self.a1 * x, _slop(2, abs(self.a0) + abs(self.a1 * x)), 1)
-        return _exact(self.a1 if k == 1 else 0.0)
+    def _jets(self, xs, K, policy):
+        values, errors = np.zeros((2, K + 1, len(xs)))
+        values[0] = self.a0 + self.a1 * xs
+        # two roundings, relative to the summands rather than to the sum
+        errors[0] = _slop(2, abs(self.a0) + np.abs(self.a1 * xs))
+        values[1:2] = self.a1  # order 1, where K >= 1
+        return _closed_form(values, errors)
 
 
 class PowShift(Target):
-    """(x + c)^p for real p; falling-factorial derivatives."""
+    """(x + c)^p for real p; falling-factorial derivatives.  A whole power
+    p >= 0 is defined at x + c = 0 too."""
 
     def __init__(self, c: float, p: float):
         self.c, self.p = c, p
 
-    def deriv(self, k, x, policy=None):
-        y = x + self.c
-        if y <= 0.0:
-            raise DomainError(f"(x + {self.c}) must be positive, got x={x}")
+    def _jets(self, xs, K, policy):
+        p = self.p
+        y, failures = _shifted(xs, self.c, zero_ok=p >= 0.0 and p == math.floor(p))
+        values, errors = np.zeros((2, K + 1, len(xs)))
         coef = 1.0
-        for j in range(k):
-            coef *= self.p - j
-        if coef == 0.0:
-            return _exact(0.0)
-        v = coef * y ** (self.p - k)
-        # coef rounds up to k times, and the rounding of y = x + c moves
-        # y^(p - k) by |p - k| eps/2 relatively
-        return Enclosure(v, _slop(4 + k + abs(self.p - k), v), 1)
+        for k in range(K + 1):
+            if k:
+                coef *= p - (k - 1)
+            if coef == 0.0:
+                break  # and so are the orders above
+            v = coef * y ** (p - k)
+            # coef rounds up to k times, and the rounding of y = x + c moves
+            # y^(p - k) by |p - k| eps/2 relatively
+            values[k], errors[k] = v, _slop(4 + k + abs(p - k), v)
+        return _closed_form(values, errors, failures)
 
 
 class LogShift(Target):
@@ -344,34 +368,17 @@ class LogShift(Target):
     def __init__(self, c: float):
         self.c = c
 
-    def deriv(self, k, x, policy=None):
-        y = x + self.c
-        if y <= 0.0:
-            raise DomainError(f"(x + {self.c}) must be positive, got x={x}")
+    def _jets(self, xs, K, policy):
+        y, failures = _shifted(xs, self.c)
+        values, errors = np.empty((2, K + 1, len(xs)))
         # the rounding of y = x + c moves ln y by eps/2 and y^(-k) by k eps/2
         # relatively
-        if k == 0:
-            v = math.log(y)
-            return Enclosure(v, _slop(4, abs(v) + 1.0), 1)
-        v = (-1.0) ** (k - 1) * math.factorial(k - 1) * y ** (-k)
-        return Enclosure(v, _slop(4 + k, v), 1)
-
-
-class XLogX(Target):
-    """x ln x."""
-
-    def deriv(self, k, x, policy=None):
-        if x <= 0.0:
-            raise DomainError(f"x must be positive, got {x}")
-        if k == 1:
-            # ln x and 1 cancel near x = 1/e: the slop is over both summands
-            lx = math.log(x)
-            return Enclosure(lx + 1.0, _slop(4, abs(lx) + 1.0), 1)
-        if k == 0:
-            v = x * math.log(x)
-        else:
-            v = (-1.0) ** k * math.factorial(k - 2) * x ** (1 - k)
-        return Enclosure(v, _slop(4, v), 1)
+        values[0] = np.log(y)
+        errors[0] = _slop(4, np.abs(values[0]) + 1.0)
+        for k in range(1, K + 1):
+            values[k] = (-1.0) ** (k - 1) * math.factorial(k - 1) * y ** (-k)
+            errors[k] = _slop(4 + k, values[k])
+        return _closed_form(values, errors, failures)
 
 
 class _PsiLeaf(Target):
@@ -760,97 +767,19 @@ class QSeriesTarget(Target):
 
 
 class ExpNegX(Target):
-    def deriv(self, k, x, policy=None):
-        v = (-1.0) ** k * math.exp(-x)
-        return Enclosure(v, _slop(2, v), 1)
+    def _jets(self, xs, K, policy):
+        values = np.multiply.outer((-1.0) ** np.arange(K + 1), np.exp(-xs))
+        return _closed_form(values, _slop(2, values))
 
 
 class SinPlus2(Target):
     """sin(x) + 2: a smooth positive function that is not completely monotone."""
 
-    def deriv(self, k, x, policy=None):
-        cyc = k % 4
-        if cyc == 0:
-            v = math.sin(x) + (2.0 if k == 0 else 0.0)
-        elif cyc == 1:
-            v = math.cos(x)
-        elif cyc == 2:
-            v = -math.sin(x)
-        else:
-            v = -math.cos(x)
-        return Enclosure(v, _slop(4, abs(v) + 1.0), 1)
-
-
-class MonomialPolyGamma(Target):
-    """sign * x^p * psi^(m)(x + a) with integer p >= 0 (Leibniz derivatives)."""
-
-    def __init__(self, p: int, m: int, a: float = 0.0, sign: float = 1.0):
-        self.p, self.m, self.a, self.sign = p, m, a, sign
-
-    deriv = Target.deriv
-
     def _jets(self, xs, K, policy):
-        # psi^(m + i)(x + a) for i = 0..K, each evaluated once
-        g = PolyGammaShift(self.m, self.a)._jets(xs, K, policy)
-        xl = xs.tolist()
-        val, err, size = (np.zeros(g.values.shape) for _ in range(3))
-        for j in range(min(K, self.p) + 1):
-            # rows k >= j gain C(k, j) p!/(p - j)! x^(p - j) psi^(m + k - j)
-            w = [math.comb(k, j) * math.perm(self.p, j) for k in range(j, K + 1)]
-            xc = np.array(w, dtype=float)[:, None] * np.array([x ** (self.p - j) for x in xl])
-            term = xc * g.values[: K + 1 - j]
-            val[j:] += term
-            err[j:] += np.abs(xc) * g.errors[: K + 1 - j]
-            size[j:] += np.abs(term)
-        return _JetGrid(self.sign * val, err + _slop(4, size), np.ones_like(g.terms), g.failures)
-
-
-class PolyProductTarget(Target):
-    """sign * [A B - c C D] with A = (-1)^(m+1) psi^(m) etc., psi^(0) == -1.
-
-    With the sign convention each factor of order >= 1 is positive; the
-    order-0 factor is the constant 1 and its derivatives vanish.
-    """
-
-    def __init__(self, p: int, m: int, n: int, q_idx: int, c: float, sign: float = 1.0):
-        self.orders = (m, n, p, q_idx)
-        self.c = c
-        self.sign = sign
-
-    deriv = Target.deriv
-
-    def _jets(self, xs, K, policy):
-        # the four factors share their polygamma orders: evaluate each once
-        needed = sorted({order + j for order in self.orders if order for j in range(K + 1)})
-        psi = _rows(xs, needed, lambda n: _psi(n, None, policy))
-        row = {n: i for i, n in enumerate(needed)}
-
-        def factor(order: int):
-            """(values, errors) of the factor's orders 0..K, shape (K+1, P)."""
-            if order == 0:
-                v = np.zeros((K + 1, len(xs)))
-                v[0] = 1.0
-                return v, np.zeros_like(v)
-            i = row[order]
-            s = 1.0 if order % 2 == 1 else -1.0
-            return s * psi.values[i:i + K + 1], psi.errors[i:i + K + 1]
-
-        (av, ae), (bv, be), (cv, ce), (dv, de) = (factor(order) for order in self.orders)
-        val, err, size = (np.zeros((K + 1, len(xs))) for _ in range(3))
-        for j in range(K + 1):
-            # rows k >= j gain C(k, j) [A^(j) B^(k-j) - c C^(j) D^(k-j)]
-            ck = np.array([math.comb(k, j) for k in range(j, K + 1)], dtype=float)[:, None]
-            n = K + 1 - j
-            ab, cd = av[j] * bv[:n], self.c * cv[j] * dv[:n]
-            val[j:] += ck * (ab - cd)
-            err[j:] += ck * (
-                np.abs(av[j]) * be[:n]
-                + np.abs(bv[:n]) * ae[j]
-                + self.c * (np.abs(cv[j]) * de[:n] + np.abs(dv[:n]) * ce[j])
-            )
-            size[j:] += ck * (np.abs(ab) + np.abs(cd))
-        ones = np.ones((K + 1, len(xs)), dtype=np.int64)
-        return _JetGrid(self.sign * val, err + _slop(8, size), ones, psi.failures)
+        s, c = np.sin(xs), np.cos(xs)
+        values = np.array([(s, c, -s, -c)[k % 4] for k in range(K + 1)])
+        values[0] += 2.0
+        return _closed_form(values, _slop(4, np.abs(values) + 1.0))
 
 
 class DerivOffset(Target):
@@ -858,8 +787,6 @@ class DerivOffset(Target):
 
     def __init__(self, base: Target, offset: int):
         self.base, self.offset = base, offset
-
-    deriv = Target.deriv
 
     def _jets(self, xs, K, policy):
         g = self.base._jets(xs, K + self.offset, policy)
@@ -889,6 +816,67 @@ class LinComb(Target):
             np.maximum(terms, g.terms, out=terms)
             failures = [f if f is not None else gf for f, gf in zip(failures, g.failures)]
         return _JetGrid(val, err + _slop(4, size), terms, failures)
+
+
+class Product(Target):
+    """f g, with Leibniz derivatives: row k sums C(k, j) f^(j) g^(k-j) over
+    j = 0..k, in order of j.  The one product rule: each summand adds
+    C(k, j) (|f^(j)| e_g + |g^(k-j)| e_f + e_f e_g) to the error, and row k
+    the rounding slop of its k + 1 summands, (k + 2) eps sum |summands|
+    (two products per summand and k additions)."""
+
+    def __init__(self, f: Target, g: Target):
+        self.f, self.g = f, g
+
+    def _jets(self, xs, K, policy):
+        f, g = self.f._jets(xs, K, policy), self.g._jets(xs, K, policy)
+        val, err, size = (np.zeros((K + 1, len(xs))) for _ in range(3))
+        terms = np.zeros((K + 1, len(xs)), dtype=np.int64)
+        for j in range(K + 1):
+            # rows k >= j gain C(k, j) f^(j) g^(k-j)
+            n = K + 1 - j
+            ck = np.array([math.comb(k, j) for k in range(j, K + 1)], dtype=float)[:, None]
+            fv, fe, gv, ge = f.values[j], f.errors[j], g.values[:n], g.errors[:n]
+            term = ck * fv * gv
+            val[j:] += term
+            err[j:] += ck * (np.abs(fv) * ge + np.abs(gv) * fe + fe * ge)
+            size[j:] += np.abs(term)
+            np.maximum(terms[j:], np.maximum(f.terms[j], g.terms[:n]), out=terms[j:])
+        failures = [ff if ff is not None else gf for ff, gf in zip(f.failures, g.failures)]
+        return _JetGrid(val, err + _slop(np.arange(2.0, K + 3.0)[:, None], size), terms, failures)
+
+
+class MonomialPolyGamma(Product):
+    """sign * x^p * psi^(m)(x + a) with integer p >= 0."""
+
+    def __init__(self, p: int, m: int, a: float = 0.0, sign: float = 1.0):
+        super().__init__(LinComb([(sign, PowShift(0.0, p))]), PolyGammaShift(m, a))
+
+    deriv = Target.deriv
+
+
+class PolyProductTarget(LinComb):
+    """sign * [A B - c C D] with A = (-1)^(m+1) psi^(m) etc., psi^(0) read
+    as -1: each factor of order >= 1 is positive, and an order-0 factor is
+    the constant 1."""
+
+    def __init__(self, p: int, m: int, n: int, q_idx: int, c: float, sign: float = 1.0):
+        def psi(order):
+            return PolyGammaShift(order) if order else Const(-1.0)
+
+        super().__init__([
+            (sign * (-1.0) ** (m + n), Product(psi(m), psi(n))),
+            (-sign * c * (-1.0) ** (p + q_idx), Product(psi(p), psi(q_idx))),
+        ])
+
+    deriv = Target.deriv
+
+
+class XLogX(Product):
+    """x ln x."""
+
+    def __init__(self):
+        super().__init__(Affine(0.0, 1.0), LogShift(0.0))
 
 
 # name -> constructor registry for the known families

@@ -215,7 +215,7 @@ def _gq_neg_log_deriv(a: float, b: float, c: float, q: float, sign: float = 1.0)
     w = sign * (b - a)
     if q == 1.0:
         psi = [(-sign, PolyGammaShift(0, b)), (sign, PolyGammaShift(0, a))]
-        return LinComb([(w, DerivOffset(LogShift(c), 1)), *psi])
+        return LinComb([(w, PowShift(c, -1.0)), *psi])
     return QSeriesTarget(q, [(w, 0, c + 1.0), (-w, 0, c), (sign, 0, a), (-sign, 0, b)])
 
 

@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from qgammakit import cli, cm_engine as ce, corpus, specfun as sf
 
@@ -66,11 +67,18 @@ def test_criterion_3_limit_consistency():
     _report("criterion 3 (limit consistency)")
 
 
-def test_criterion_4_full_corpus_suite(tmp_path):
+@pytest.fixture(scope="module")
+def suite_report(tmp_path_factory):
+    """One ``verify --suite all --jobs 1`` run, shared by criteria 4 and 7:
+    (exit code, seconds, report path)."""
+    out = tmp_path_factory.mktemp("suite") / "report.json"
     t0 = time.perf_counter()
-    out = tmp_path / "report.json"
-    code = cli.main(["verify", "--suite", "all", "--out", str(out)])
-    elapsed = time.perf_counter() - t0
+    code = cli.main(["verify", "--suite", "all", "--jobs", "1", "--out", str(out)])
+    return code, time.perf_counter() - t0, out
+
+
+def test_criterion_4_full_corpus_suite(suite_report):
+    code, elapsed, out = suite_report
     assert code == 0, "verify --suite all reported unexpected failures"
     doc = json.loads(out.read_text())
     by_id = {e["claim_id"]: e for e in doc["entries"]}
@@ -121,9 +129,10 @@ def test_criterion_6_cross_path_oracle():
     _report("criterion 6 (cross-path agreement within summed certificates)")
 
 
-def test_criterion_7_determinism(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert cli.main(["verify", "--suite", "all", "--jobs", "1", "--out", str(a)]) == 0
+def test_criterion_7_determinism(suite_report, tmp_path):
+    code, _, a = suite_report
+    b = tmp_path / "b.json"
+    assert code == 0
     assert cli.main(["verify", "--suite", "all", "--jobs", "8", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     _report("criterion 7 (reports byte-identical across --jobs)")

@@ -103,6 +103,22 @@ def test_bounds_ratio_method_mismatch(capsys):
     assert code == 64 and "requires q = 1" in err
 
 
+@pytest.mark.parametrize("gap, expected", [(1e-9, 1), (1e-13, 0)], ids=["beyond-tau", "within-tau"])
+def test_bounds_exit_1_where_a_bracket_misses_beyond_tau(capsys, monkeypatch, gap, expected):
+    """The upper end sits ``gap`` below the exact ratio, 0.886: past
+    tau = 1e-12 max(1, |lower|, |exact|, |upper|) the command exits 1."""
+    from qgammakit import bounds as bd
+
+    real = bd.ratio_bounds(1.0, 0.5, 1.0, "kershaw")
+    exact = bd.gamma_ratio(1.0, 0.5, 1.0)
+    monkeypatch.setattr(bd, "ratio_bounds",
+                        lambda *args, **kw: bd.BoundPair(real.lower, exact - gap, real.method))
+    code, out, _ = run(capsys, "bounds", "ratio", "--x", "1", "--s", "0.5",
+                       "--q", "1", "--method", "kershaw")
+    assert code == expected
+    assert float(out.splitlines()[1].split()[3]) == exact - gap
+
+
 def test_bounds_ball(capsys):
     code, out, _ = run(capsys, "bounds", "ball", "--n-max", "3")
     assert code == 0

@@ -123,6 +123,29 @@ def test_qseries_certificate_covers_the_conditioning_of_exp():
     assert abs(enc.value - float(truth)) <= enc.abs_error
 
 
+class _ExactOrders(ce.Target):
+    """Exact values at orders 0 and 1, and 0 above; defined only through
+    ``deriv``."""
+
+    def __init__(self, v0, v1):
+        self.orders = (v0, v1)
+
+    def deriv(self, k, x, policy=None):
+        return sf.Enclosure(self.orders[k] if k < 2 else 0.0, 0.0, 1)
+
+
+def test_product_slop_weighs_the_summands_not_the_cancelled_sum():
+    # order 1 of f g is f g' + f' g = 0.1 * 3.0 - 0.3 * 1.0, which rounds to
+    # 5.55e-17, where the doubles give exactly 2.78e-17: a slop on |value|
+    # (3.7e-32) misses by 7.5e14 times
+    from fractions import Fraction
+
+    enc = ce.Product(_ExactOrders(0.1, -0.3), _ExactOrders(1.0, 3.0)).deriv(1, 1.0)
+    exact = Fraction(0.1) * Fraction(3.0) + Fraction(-0.3) * Fraction(1.0)
+    assert enc.value == 0.1 * 3.0 - 0.3 * 1.0
+    assert abs(Fraction(enc.value) - exact) <= Fraction(enc.abs_error)
+
+
 def test_lincomb_slop_weighs_the_summands_not_the_cancelled_sum():
     # 0.1 + 0.2 - 0.3 rounds to 5.55e-17, where the doubles sum exactly to
     # 2.78e-17: a slop on |value| (4.9e-32) misses by 5.6e14 times
@@ -144,7 +167,8 @@ _EPS = 2.220446049250313e-16
 
 def _per_order(t, k, x, policy=None):
     """d^k t at x, one order at a time, as the composite targets computed it
-    before jets; leaf targets are asked through their own ``deriv``."""
+    before jets; leaf targets are asked through ``deriv``, a one-point grid
+    (the psi-family leaves: one cell)."""
     if isinstance(t, ce.LinComb):
         val = err = size = 0.0
         used = 0
@@ -157,38 +181,19 @@ def _per_order(t, k, x, policy=None):
         return sf.Enclosure(val, err + 4.0 * _EPS * size, used)
     if isinstance(t, ce.DerivOffset):
         return _per_order(t.base, k + t.offset, x, policy)
-    if isinstance(t, ce.MonomialPolyGamma):
+    if isinstance(t, ce.Product):
         val = err = size = 0.0
-        for j in range(min(k, t.p) + 1):
-            xc = math.comb(k, j) * math.perm(t.p, j) * x ** (t.p - j)
-            order = t.m + k - j
-            g = sf.digamma(x + t.a, policy) if order == 0 else sf.polygamma(order, x + t.a, policy)
-            val += xc * g.value
-            err += abs(xc) * g.abs_error
-            size += abs(xc * g.value)
-        return sf.Enclosure(t.sign * val, err + 4.0 * _EPS * size, 1)
-    if isinstance(t, ce.PolyProductTarget):
-        def factor(order, j):
-            if order == 0:
-                return sf.Enclosure(1.0 if j == 0 else 0.0, 0.0, 0)
-            g = sf.polygamma(order + j, x, policy)
-            return sf.Enclosure((1.0 if order % 2 == 1 else -1.0) * g.value, g.abs_error, 0)
-
-        m, n, p, q_idx = t.orders
-        val = err = size = 0.0
+        used = 0
         for j in range(k + 1):
+            f, g = _per_order(t.f, j, x, policy), _per_order(t.g, k - j, x, policy)
             ck = math.comb(k, j)
-            a, b = factor(m, j), factor(n, k - j)
-            cc, dd = factor(p, j), factor(q_idx, k - j)
-            ab, cd = a.value * b.value, t.c * cc.value * dd.value
-            val += ck * (ab - cd)
-            err += ck * (
-                abs(a.value) * b.abs_error
-                + abs(b.value) * a.abs_error
-                + t.c * (abs(cc.value) * dd.abs_error + abs(dd.value) * cc.abs_error)
-            )
-            size += ck * (abs(ab) + abs(cd))
-        return sf.Enclosure(t.sign * val, err + 8.0 * _EPS * size, 1)
+            term = ck * f.value * g.value
+            val += term
+            err += ck * (abs(f.value) * g.abs_error + abs(g.value) * f.abs_error
+                         + f.abs_error * g.abs_error)
+            size += abs(term)
+            used = max(used, f.terms_used, g.terms_used)
+        return sf.Enclosure(val, err + (k + 2) * _EPS * size, used)
     if isinstance(t, ce.QSeriesTarget):
         policy = policy or sf.DEFAULT_POLICY
         lnq = math.log(t.q)
@@ -335,6 +340,7 @@ def _jet_targets():
         ce.MonomialPolyGamma(1, 0, 0.5, -1.0),
         ce.PolyProductTarget(3, 2, 2, 1, consts.c),
         ce.PolyProductTarget(2, 1, 1, 0, 1.0, sign=-1.0),
+        ce.Product(ce.PowShift(0.5, -1.5), ce.SinPlus2()),
         ce.DerivOffset(ce.MonomialPolyGamma(2, 1, 1.0, 1.0), 2),
         ce.DerivOffset(ce.QSeriesTarget(0.5, _Q_TERMS), 1),
         ce.LinComb([
@@ -418,7 +424,9 @@ def test_sign_pattern_evaluates_each_polygamma_order_once_per_point(monkeypatch)
     consts = bd.poly_constants(4, 3, 2, 1)
     target = ce.PolyProductTarget(4, 3, 2, 1, consts.c)
     grid = ce.GridSpec(1e-2, 10.0, 16, "log")
-    rep = ce.check_sign_pattern(target, 8, grid, "completely_monotonic")
+    # the factors share their orders through the run's table of cells
+    with sf._run_cells():
+        rep = ce.check_sign_pattern(target, 8, grid, "completely_monotonic")
     assert rep.status == "pass"
     assert len({x for _, x in calls}) == 16
     assert max(calls.values()) == 1

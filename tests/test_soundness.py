@@ -2,18 +2,18 @@
 jet grid, against closed forms evaluated at 40 digits.
 
 The references are written out per target class (mpmath's polygamma and
-loggamma, with Leibniz and linear-combination sums done in mpmath), never
-through ``mp.diff``; psi_q is a direct sum (``_psi_q``), never ``mp.nsum``,
-and ln Gamma_q a direct product (``_ln_gamma_q``).  A QSeriesTarget's
-reference is the sum of its terms' psi_q and ln Gamma_q, each corpus
-q-series and each column a corpus chain reads is checked on its own, and
-two are checked against references written apart from their terms as
-well.  The points lean toward 1/e, where x ln x has a
-stationary point, and toward both ends of [1e-2, 1e2].  The leaf,
-composite and q-series properties check every one of their cases in each
-example: hypothesis draws only the points and, where a case has no fixed
-order, the order, so no case depends on being drawn.  Every corpus
-composite runs at its full order.
+loggamma, with the Leibniz sums of a ``Product`` and the sums of a
+``LinComb`` done in mpmath), never through ``mp.diff``; psi_q is a
+direct sum (``_psi_q``), never ``mp.nsum``, and ln Gamma_q a direct
+product (``_ln_gamma_q``).  A QSeriesTarget's reference is the sum of
+its terms' psi_q and ln Gamma_q, each corpus q-series and each column a
+corpus chain reads is checked on its own, and two are checked against
+references written apart from their terms as well.  The points lean
+toward 1/e, where x ln x has a stationary point, and toward both ends of
+[1e-2, 1e2].  The leaf, composite and q-series properties check every
+one of their cases in each example: hypothesis draws only the points
+and, where a case has no fixed order, the order, so no case depends on
+being drawn.  Every corpus composite runs at its full order.
 ``kernel_derivative``, which has no closed form, is checked against
 ``mp.diff`` at 40 digits.
 """
@@ -46,10 +46,6 @@ def _ref(t, k, x):
         if k == 0:
             return mp.log(x + t.c)
         return (-1) ** (k - 1) * mp.factorial(k - 1) * (x + t.c) ** (-k)
-    if isinstance(t, ce.XLogX):
-        if k < 2:
-            return [x * mp.log(x), mp.log(x) + 1][k]
-        return (-1) ** k * mp.factorial(k - 2) * x ** (1 - k)
     if isinstance(t, ce.ExpNegX):
         return (-1) ** k * mp.exp(-x)
     if isinstance(t, ce.SinPlus2):
@@ -78,24 +74,9 @@ def _ref(t, k, x):
         return _ref(t.base, k + t.offset, x)
     if isinstance(t, ce.LinComb):
         return mp.fsum(mp.mpf(coef) * _ref(target, k, x) for coef, target in t.terms)
-    if isinstance(t, ce.MonomialPolyGamma):
-        return t.sign * mp.fsum(
-            mp.binomial(k, j) * mp.ff(t.p, j) * x ** (t.p - j)
-            * _polygamma_at(t.m + k - j, x + t.a, mp.dps)
-            for j in range(min(k, t.p) + 1)
-        )
-    if isinstance(t, ce.PolyProductTarget):
-        def factor(order, j):
-            if order == 0:
-                return mp.one if j == 0 else mp.zero
-            return (-1) ** (order + 1) * _polygamma_at(order + j, x, mp.dps)
-
-        a, b, c, d = t.orders
-        return t.sign * mp.fsum(
-            mp.binomial(k, j)
-            * (factor(a, j) * factor(b, k - j) - t.c * factor(c, j) * factor(d, k - j))
-            for j in range(k + 1)
-        )
+    if isinstance(t, ce.Product):
+        return mp.fsum(mp.binomial(k, j) * _ref(t.f, j, x) * _ref(t.g, k - j, x)
+                       for j in range(k + 1))
     raise TypeError(f"no reference for {type(t).__name__}")
 
 
@@ -260,13 +241,14 @@ def _corpus_composites():
     """(label, K, target) of every composite a corpus check evaluates whose
     leaves have a closed-form reference here (no q-family leaf); an LCM
     check's target is h', checked at orders 0..K-1."""
-    covered = (ce.Const, ce.Affine, ce.PowShift, ce.LogShift, ce.XLogX, ce.ExpNegX,
-               ce.SinPlus2, ce.LnGammaFn, ce.PolyGammaShift, ce.MonomialPolyGamma,
-               ce.PolyProductTarget)
+    covered = (ce.Const, ce.Affine, ce.PowShift, ce.LogShift, ce.ExpNegX, ce.SinPlus2,
+               ce.LnGammaFn, ce.PolyGammaShift)
 
     def referenced(t):
         if isinstance(t, ce.LinComb):
             return all(referenced(term[1]) for term in t.terms)
+        if isinstance(t, ce.Product):
+            return referenced(t.f) and referenced(t.g)
         if isinstance(t, ce.DerivOffset):
             return referenced(t.base)
         return isinstance(t, covered)
@@ -277,8 +259,7 @@ def _corpus_composites():
             kw = check.kwargs
             lcm = kw.get("claim") == "log_completely_monotonic"
             for t in (kw.get("target"), kw.get("fn"), kw.get("deriv_fn")):
-                composite = isinstance(t, (ce.LinComb, ce.MonomialPolyGamma,
-                                           ce.PolyProductTarget, ce.DerivOffset))
+                composite = isinstance(t, (ce.LinComb, ce.Product, ce.DerivOffset))
                 if composite and referenced(t):
                     found.append((check.label, kw.get("K", 1) - lcm, t))
     return found
