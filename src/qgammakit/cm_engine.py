@@ -832,7 +832,10 @@ class Product(Target):
         f, g = self.f._jets(xs, K, policy), self.g._jets(xs, K, policy)
         val, err, size = (np.zeros((K + 1, len(xs))) for _ in range(3))
         terms = np.zeros((K + 1, len(xs)), dtype=np.int64)
-        for j in range(K + 1):
+        # the rows of f past its last one with a nonzero value or error (x^p
+        # past order p) add exact zeros; the nan of a failed point is no row
+        live = np.flatnonzero(np.nan_to_num(np.abs(f.values) + f.errors).any(axis=1))
+        for j in range(live[-1] + 1 if live.size else 0):
             # rows k >= j gain C(k, j) f^(j) g^(k-j)
             n = K + 1 - j
             ck = np.array([math.comb(k, j) for k in range(j, K + 1)], dtype=float)[:, None]

@@ -7,6 +7,22 @@ evaluation routes exist for the digamma/polygamma functions: the default
 recurrence-shift + asymptotic route and a direct-series route with an
 integral-comparison tail bracket, used to cross-check the former.
 
+ln Gamma, psi and psi^(n) are one family, psi^(n) for n >= -1 (psi^(0) =
+psi, psi^(-1) = ln Gamma), with one rule (``_psi_shifted``).  The
+recurrence (DLMF 5.5.2, 5.15.5) moves x up to y >= 20 for n <= 0 and to
+y >= 10 + n above.  At y the series (DLMF 5.11.1, 5.11.2, 5.15.8)
+
+    (-1)^(n+1) psi^(n)(y) ~ lead_n(y) + sum_k B_2k (2k+n-1)!/((2k)! y^(2k+n)),
+
+with lead_n = (y - 1/2) ln y - y + ln(2 pi)/2, 1/(2y) - ln y and
+(n-1)!/y^n + n!/(2 y^(n+1)) for n = -1, 0 and above, stops at its first
+term that is past the table of B_2..B_30, no longer falling, or at most
+eps (|lead| + |sum|).  That first omitted term bounds the tail (DLMF
+5.11(ii)), B_32's past the table.  The slop weighs |series| + sum |shift
+terms|, so the error stays relative to the summands at psi's zero
+1.4616... and ln Gamma's zeros 1 and 2.  Where a power of y overflows at
+n >= 1, ``_polygamma_far`` sums the series scaled by (n-1)!/y^n.
+
 The geometric series (the q-gamma product, the psi_q series, the kernel
 derivative series above t0 = 2 and cm_engine.QSeriesTarget) share one
 block schedule, ``_blocks``: a first block of 256 terms (512 for the
@@ -96,6 +112,7 @@ _BERNOULLI_2K = (
 # B_32: the first term past the table, which bounds the error of the
 # asymptotic series when the table runs out
 _BERNOULLI_32 = -7709321041217.0 / 510.0
+_TABLED = len(_BERNOULLI_2K)  # the asymptotic series stops after this many terms
 
 # c_j of t/(1 - e^(-t)) = sum_j c_j t^j (DLMF 24.2.1) at j = 0, 1, 2, 4,
 # ..., 120: c_0 = 1, c_1 = 1/2 and c_2m = B_2m/(2m)! (floats of the exact
@@ -124,10 +141,6 @@ _KERNEL_C = (
     2.0348153391661465e-91, -5.154247466447474e-93, 1.3055861352149468e-94,
     -3.307088314175091e-96,
 )
-
-_LNGAMMA_SHIFT = 20.0
-_DIGAMMA_SHIFT = 20.0
-
 
 @dataclass(frozen=True, slots=True)
 class Enclosure:
@@ -237,87 +250,6 @@ def _exp(log_val: float, enc: Enclosure, ops: int = 0) -> Enclosure:
 # ---------------------------------------------------------------------------
 
 
-def _stirling_ln_gamma(y: float, eps: float):
-    """Stirling form at y >= 20 with Bernoulli corrections.
-
-    Returns (value, tail_bound, terms).  The correction series alternates,
-    so the first omitted term bounds the truncation error.
-    """
-    base = (y - 0.5) * math.log(y) - y + 0.5 * _LN_2PI
-    corr = 0.0
-    y2 = y * y
-    ypow = y  # y^(2k-1)
-    tail = math.inf
-    terms = 0
-    for k, b2k in enumerate(_BERNOULLI_2K, start=1):
-        term = b2k / ((2 * k) * (2 * k - 1) * ypow)
-        if k > 1 and abs(term) <= eps * (abs(base) + abs(corr)):
-            tail = abs(term)
-            break
-        corr += term
-        ypow *= y2
-        terms += 1
-    else:
-        # table exhausted; certify by the first omitted term, k = 16
-        tail = abs(_BERNOULLI_32 / (32 * 31 * ypow))
-    return base + corr, tail, terms
-
-
-def ln_gamma(x: float, policy: TruncationPolicy | None = None) -> Enclosure:
-    """ln Gamma(x) for x > 0 via upward recurrence to x >= 20 plus Stirling."""
-    policy = policy or DEFAULT_POLICY
-    _require_positive(x)
-    shift_logs = []
-    y = float(x)
-    while y < _LNGAMMA_SHIFT:
-        shift_logs.append(math.log(y))
-        y += 1.0
-    stirling, tail, terms = _stirling_ln_gamma(y, policy.eps)
-    # the shift cancels logs of size ~ln 20 against a Stirling value of ~40;
-    # only log(x) can be negative, so sum |log| = shift - 2 min(log x, 0)
-    shift = math.fsum(shift_logs)
-    val = stirling - shift
-    if val == math.inf:
-        raise DomainError(f"ln Gamma({x}) overflows double precision")
-    magnitude = abs(stirling) + shift - 2.0 * min(math.log(x), 0.0)
-    terms += len(shift_logs)
-    return Enclosure(val, tail + _slop(terms + 4, magnitude), terms)
-
-
-def digamma(x: float, policy: TruncationPolicy | None = None) -> Enclosure:
-    """psi(x) for x > 0 via recurrence shift to x >= 20 plus asymptotic tail."""
-    policy = policy or DEFAULT_POLICY
-    _require_positive(x)
-    recips = []
-    y = float(x)
-    while y < _DIGAMMA_SHIFT:
-        recips.append(1.0 / y)
-        y += 1.0
-    asym = math.log(y) - 0.5 / y
-    y2 = y * y
-    ypow = y2
-    corr = 0.0
-    tail = math.inf
-    terms = 0
-    for k, b2k in enumerate(_BERNOULLI_2K, start=1):
-        term = b2k / ((2 * k) * ypow)
-        if k > 1 and abs(term) <= policy.eps * (abs(asym) + abs(corr)):
-            tail = abs(term)
-            break
-        corr -= term
-        ypow *= y2
-        terms += 1
-    else:
-        tail = abs(_BERNOULLI_32) / (32 * ypow)
-    asym += corr
-    shift = math.fsum(recips)  # cancels against asym near the zero x0 = 1.4616
-    val = asym - shift
-    if val == -math.inf:  # 1/x overflows
-        raise DomainError(f"psi({x}) overflows double precision")
-    terms += len(recips)
-    return Enclosure(val, tail + _slop(terms + 4, abs(asym) + shift), terms)
-
-
 def digamma_series(x: float, policy: TruncationPolicy | None = None) -> Enclosure:
     """psi(x) from the defining series -gamma + sum(1/(n+1) - 1/(x+n)).
 
@@ -352,51 +284,95 @@ def digamma_series(x: float, policy: TruncationPolicy | None = None) -> Enclosur
 @functools.cache
 def _asymptotic_coeffs(n: int, scaled: bool) -> tuple:
     """c_k = B_2k (2k+n-1)!/(2k)! of _polygamma_asymptotic's term c_k/y^(2k+n),
-    for the 15 tabled B_2k and B_32, divided by (n-1)! when ``scaled``.
+    for the 15 tabled B_2k and B_32, divided by (n-1)! when ``scaled`` (n >= 1).
 
-    Built once per (n, scaled), in the loop's own operation order, so every
-    term keeps its bits; unscaled, (n-1)! must fit a float (n < 172), or
-    this raises OverflowError on every call.
+    Built once per (n, scaled), so every term keeps its bits: at n <= 0 by
+    one division, above in the operation order of a term-by-term sum, where
+    unscaled (n-1)! must fit a float (n < 172), or this raises OverflowError.
     """
+    table = _BERNOULLI_2K + (_BERNOULLI_32,)
+    if n < 1:
+        return tuple(b2k / math.perm(2 * k, 1 - n) for k, b2k in enumerate(table, start=1))
     fact_nm1 = 1 if scaled else math.factorial(n - 1)
     rising = 1.0  # (n)(n+1)...(n+2k-1) / (2k)!
     coeffs = []
-    for k, b2k in enumerate(_BERNOULLI_2K + (_BERNOULLI_32,), start=1):
+    for k, b2k in enumerate(table, start=1):
         rising *= (n + 2 * k - 2) * (n + 2 * k - 1) / ((2 * k - 1) * (2 * k))
         coeffs.append(b2k * rising * fact_nm1)
     return tuple(coeffs)
 
 
 def _polygamma_asymptotic(n: int, y: float, eps: float, scaled: bool = False):
-    """(-1)^(n+1) psi^(n)(y) asymptotic, y large; first-omitted-term bound.
-
-    The series stops at the first term that is negligible, no smaller than
-    the term before it (the series has started to diverge), or past the
-    Bernoulli table; that term is omitted and bounds the error.  With
-    ``scaled``, the series and its bound are divided by (n-1)!/y^n, so
-    nothing overflows where y^n does.
-    """
-    if scaled:
-        ypow = 1.0
-        lead = 1.0 + n / (2.0 * y)
+    """(value, bound, terms) of the series of the module docstring for
+    (-1)^(n+1) psi^(n)(y), n >= -1.  With ``scaled`` (n >= 1) the series
+    and its bound are divided by (n-1)!/y^n, so nothing overflows where y^n
+    does."""
+    y2 = y * y
+    if n < 0:
+        lead, ypow = (y - 0.5) * math.log(y) - y + 0.5 * _LN_2PI, y
+    elif n == 0:
+        lead, ypow = 0.5 / y - math.log(y), y2
+    elif scaled:
+        lead, ypow = 1.0 + n / (2.0 * y), y2
     else:
         ypow = y**n
         lead = math.factorial(n - 1) / ypow + math.factorial(n) / (2.0 * y ** (n + 1))
-    corr = 0.0
-    y2 = y * y
-    terms = 0
-    prev = math.inf
-    # term_k = B_2k * (2k+n-1)! / ((2k)! * y^(2k+n))
-    for k, c in enumerate(_asymptotic_coeffs(n, scaled), start=1):
         ypow *= y2
+    size, corr, terms, prev = abs(lead), 0.0, 0, math.inf
+    for c in _asymptotic_coeffs(n, scaled):
         term = c / ypow
-        past_table = k > len(_BERNOULLI_2K)
-        if past_table or abs(term) >= prev or abs(term) <= eps * (lead + abs(corr)):
+        bound = abs(term)
+        if terms == _TABLED or bound >= prev or bound <= eps * (size + abs(corr)):
             break
         corr += term
-        prev = abs(term)
+        prev = bound
         terms += 1
-    return lead + corr, abs(term), terms
+        ypow *= y2
+    return lead + corr, bound, terms
+
+
+def _psi_shifted(n: int, x: float, policy: TruncationPolicy | None) -> Enclosure:
+    """psi^(n)(x), n >= -1, by the rule of the module docstring; checks x."""
+    eps = (policy or DEFAULT_POLICY).eps
+    _require_positive(x)
+    threshold = 20.0 if n < 1 else 10.0 + n
+    sign = 1.0 if n % 2 else -1.0  # (-1)^(n+1)
+    recip, log, power = n == 0, n < 0, -(n + 1)
+    parts = []
+    y = float(x)
+    try:
+        while y < threshold:
+            parts.append(1.0 / y if recip else math.log(y) if log else y**power)
+            y += 1.0
+        shift = math.fsum(parts) * math.factorial(max(n, 0)) if parts else 0.0
+    except OverflowError:  # a shift term, or n! as a float
+        raise DomainError(f"psi^({n})({x}) is out of double-precision range") from None
+    try:
+        asym, tail, terms = _polygamma_asymptotic(n, y, eps)
+        if n > 0 and not tail:  # y^(n+2k) overflowed and its term read 0
+            raise OverflowError
+    except OverflowError:  # at n >= 1, a power of y or (n-1)!
+        asym, tail, terms = _polygamma_far(n, y, eps)
+    # ln Gamma(x) = ln Gamma(y) - shift, psi^(n)(x) = psi^(n)(y) + sign shift;
+    # sign multiplies each summand, so that psi's zero reads +0.0, not -0.0
+    val = sign * asym + (-1.0 if log else sign) * shift
+    if not math.isfinite(val):
+        raise DomainError(f"psi^({n})({x}) is out of double-precision range")
+    magnitude = abs(asym) + shift
+    if log and x < 1.0:  # ln x is the one negative shift term
+        magnitude -= 2.0 * math.log(x)
+    terms += len(parts)
+    return Enclosure(val, tail + _slop(terms + 4, magnitude), terms)
+
+
+def ln_gamma(x: float, policy: TruncationPolicy | None = None) -> Enclosure:
+    """ln Gamma(x), x > 0."""
+    return _psi_shifted(-1, x, policy)
+
+
+def digamma(x: float, policy: TruncationPolicy | None = None) -> Enclosure:
+    """psi(x), x > 0."""
+    return _psi_shifted(0, x, policy)
 
 
 def polygamma(n: int, x: float, policy: TruncationPolicy | None = None) -> Enclosure:
@@ -405,41 +381,21 @@ def polygamma(n: int, x: float, policy: TruncationPolicy | None = None) -> Enclo
     Raises DomainError where x is so small, or n so large, that the value
     or n! leaves double precision.
     """
-    policy = policy or DEFAULT_POLICY
     _require_order(n)
-    _require_positive(x)
-    threshold = 10.0 + n
-    shift_terms = []
-    y = float(x)
-    sign = 1.0 if n % 2 == 1 else -1.0
-    try:
-        while y < threshold:
-            shift_terms.append(y ** (-(n + 1)))
-            y += 1.0
-        mag, tail, terms = _polygamma_asymptotic(n, y, policy.eps)
-        if shift_terms:
-            mag += math.factorial(n) * math.fsum(shift_terms)
-    except OverflowError:
-        if x < threshold:  # a shift term, n! or their sum overflowed
-            raise DomainError(f"psi^({n})({x}) is out of double-precision range") from None
-        # |psi^(n)(x)| < 1 here, so only y^n or (n-1)! overflowed
-        return _polygamma_far(n, y, sign, policy.eps)
-    val = sign * mag
-    terms += len(shift_terms)
-    return Enclosure(val, tail + _slop(terms + 4, val), terms)
+    return _psi_shifted(n, x, policy)
 
 
-def _polygamma_far(n: int, y: float, sign: float, eps: float) -> Enclosure:
-    """psi^(n)(y) for y >= 10 + n where y^n overflows: the scaled asymptotic
-    series times unit = (n-1)!/y^n, formed as exp(log (n-1)! - n log y)."""
+def _polygamma_far(n: int, y: float, eps: float):
+    """_polygamma_asymptotic's (value, bound, terms) where a power of y or
+    (n-1)! overflows: the scaled series times unit = (n-1)!/y^n, formed as
+    exp(log (n-1)! - n log y).  The bound leaves out the series' rounding,
+    which the caller's slop counts."""
     s, tail, terms = _polygamma_asymptotic(n, y, eps, scaled=True)
     log_fact, log_yn = math.log(math.factorial(n - 1)), n * math.log(y)
     log_unit = log_fact - log_yn
     unit = _exp(log_unit, Enclosure(log_unit, _slop(4, log_fact + log_yn), 0), 2)
-    mag = unit.value * s
     # the smallest subnormal covers the rounding where unit underflows
-    err = unit.abs_error * s + unit.value * (tail + _slop(terms + 4, s)) + 4.0 * math.ulp(0.0)
-    return Enclosure(sign * mag, err, terms)
+    return unit.value * s, unit.abs_error * s + unit.value * tail + 4.0 * math.ulp(0.0), terms
 
 
 def polygamma_series(n: int, x: float, policy: TruncationPolicy | None = None) -> Enclosure:

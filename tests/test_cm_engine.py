@@ -184,8 +184,11 @@ def _per_order(t, k, x, policy=None):
     if isinstance(t, ce.Product):
         val = err = size = 0.0
         used = 0
-        for j in range(k + 1):
-            f, g = _per_order(t.f, j, x, policy), _per_order(t.g, k - j, x, policy)
+        fs = [_per_order(t.f, j, x, policy) for j in range(k + 1)]
+        # the rows of f past its last nonzero one are left out, as in Product
+        last = max((j for j, f in enumerate(fs) if f.value or f.abs_error), default=-1)
+        for j in range(last + 1):
+            f, g = fs[j], _per_order(t.g, k - j, x, policy)
             ck = math.comb(k, j)
             term = ck * f.value * g.value
             val += term

@@ -15,12 +15,15 @@ one of their cases in each example: hypothesis draws only the points
 and, where a case has no fixed order, the order, so no case depends on
 being drawn.  Every corpus composite runs at its full order.
 ``kernel_derivative``, which has no closed form, is checked against
-``mp.diff`` at 40 digits.
+``mp.diff`` at 40 digits.  ``ln_gamma``, ``digamma`` and ``polygamma``
+each have a property of their own, from x = 1e-300 to 1e8 and near the
+zeros of ln Gamma and psi, under the default policy and a coarse one.
 """
 
 import functools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from qgammakit import bounds as bd
 from qgammakit import cm_engine as ce
 from qgammakit import corpus
 from qgammakit import specfun as sf
+from qgammakit.errors import DomainError
 
 
 def _ref(t, k, x):
@@ -75,9 +79,18 @@ def _ref(t, k, x):
     if isinstance(t, ce.LinComb):
         return mp.fsum(mp.mpf(coef) * _ref(target, k, x) for coef, target in t.terms)
     if isinstance(t, ce.Product):
-        return mp.fsum(mp.binomial(k, j) * _ref(t.f, j, x) * _ref(t.g, k - j, x)
-                       for j in range(k + 1))
+        return mp.fsum(
+            mp.binomial(k, j) * _ref_at(t.f, j, x, mp.dps) * _ref_at(t.g, k - j, x, mp.dps)
+            for j in range(k + 1))
     raise TypeError(f"no reference for {type(t).__name__}")
+
+
+@functools.lru_cache(maxsize=4096)
+def _ref_at(t, k, x, dps):
+    """_ref(t, k, x) at ``dps`` digits, remembered: the rows of a
+    ``Product`` read each order of its factors up to K times."""
+    with mp.workdps(dps):
+        return _ref(t, k, x)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -225,8 +238,11 @@ _LEAVES = [
     ce.XLogX(),
     ce.ExpNegX(),
     ce.SinPlus2(),
+    ce.LnGammaFn(),
     ce.PolyGammaShift(0),
     ce.PolyGammaShift(1),
+    ce.PolyGammaShift(2, 0.5),
+    ce.PolyGammaShift(0, 1.0 / 3.0),
     ce.QPolyGammaShift(0, 0.5),
     ce.QLnGammaFn(0.3),
     ce.QLnGammaFn(0.9),
@@ -509,6 +525,73 @@ def test_q_series_constant_is_in_the_order_0_error(q):
     # at large x the series is below an ulp of the constant, so order 0 is
     # the constant's own rounding and that of adding it, and nothing else
     _assert_sound(_psi_q_series(q), [30.0, 60.0, 100.0], 2, lambda k, x: _psi_q(k, x, q))
+
+
+# the classical scalars: x from 1e-300 to 1e8, x on [1e-2, 1e2], and x
+# within 1e-6 to 1e-14 of the zeros of ln Gamma (1 and 2) and of psi
+_X_WIDE = st.floats(-300.0, 8.0).map(lambda e: 10.0**e)
+_X_MID = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+_PSI_ZERO = 1.4616321449683622
+
+
+def _near(z):
+    return st.tuples(st.floats(-14.0, -6.0), st.sampled_from([-1.0, 1.0])).map(
+        lambda p: z + p[1] * 10.0 ** p[0])
+
+
+# the default policy, and a coarse one under which the asymptotic series
+# stops early, so that its first omitted term, not the rounding slop, is
+# most of the certificate
+_SCALAR_POLICIES = (None, sf.TruncationPolicy(eps=1e-6))
+
+
+def _assert_scalar_sound(fn, ref, x):
+    """``fn(x, policy)`` under each policy is finite and within its error of
+    the 40-digit ``ref(x)``, or raises DomainError where ``ref(x)`` leaves
+    double range."""
+    with mp.workdps(40):
+        truth = ref(mp.mpf(x))
+        for policy in _SCALAR_POLICIES:
+            try:
+                enc = fn(x, policy)
+            except DomainError:
+                assert abs(truth) > sys.float_info.max, (x, truth)
+                continue
+            assert math.isfinite(enc.value) and math.isfinite(enc.abs_error), (x, policy, enc)
+            assert abs(mp.mpf(enc.value) - truth) <= enc.abs_error, (x, policy, enc, truth)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.tuples(_X_WIDE, _X_MID, _near(1.0), _near(2.0)))
+@example((1e-300, 1.0, 1.0, 2.0))
+@example((1e8, 20.0, 1.0 - 1e-14, 2.0 + 1e-14))
+def test_ln_gamma_certificates_hold(xs):
+    for x in xs:
+        _assert_scalar_sound(sf.ln_gamma, mp.loggamma, x)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.tuples(_X_WIDE, _X_MID, _near(_PSI_ZERO)))
+@example((1e-300, _PSI_ZERO, _PSI_ZERO - 1e-14))
+@example((1e8, 20.0, _PSI_ZERO + 1e-14))
+def test_digamma_certificates_hold(xs):
+    for x in xs:
+        _assert_scalar_sound(sf.digamma, mp.digamma, x)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(_X_WIDE, _X_MID, st.floats(math.log10(210.0), 8.0).map(lambda e: max(10.0**e, 210.0)))
+@example(1e-300, 1e-2, 210.0)
+@example(3e-7, 1.0, 1e3)  # 40! sum (x+i)^-41 overflows although each summand does not
+@example(1e8, 1e2, 1e8)  # y^(n+2) overflows where y^n does not
+def test_polygamma_certificates_hold(x_wide, x_mid, x_far):
+    """Orders 1..40 at both x, order 150 at x_mid (the shift plus the
+    scaled series of ``_polygamma_far``, as y^150 overflows), and orders
+    150 and 200 at x >= 10 + n, where the scaled series is all."""
+    cases = [(n, x) for n in range(1, 41) for x in (x_wide, x_mid)]
+    for n, x in cases + [(150, x_mid), (150, x_far), (200, x_far)]:
+        _assert_scalar_sound(functools.partial(sf.polygamma, n),
+                             lambda y: _polygamma_at(n, y, 40), x)
 
 
 def _kernel_ref(n, k, t):

@@ -47,12 +47,19 @@ def test_ln_gamma_golden():
 
 
 def test_ln_gamma_certificate_covers_truth():
-    from mpmath import mp, loggamma
+    from mpmath import mp, mpf, loggamma
 
-    for x in (0.1, 0.7, 1.0, 3.7, 12.0, 50.0, 200.0):
-        enc = sf.ln_gamma(x)
-        truth = float(loggamma(x))
-        assert abs(enc.value - truth) <= enc.abs_error + 1e-13 * max(1.0, abs(truth))
+    with mp.workdps(40):
+        for x in (0.1, 0.7, 1.0, 3.7, 12.0, 50.0, 200.0):
+            enc = sf.ln_gamma(x)
+            assert abs(mpf(enc.value) - loggamma(mpf(x))) <= enc.abs_error, x
+
+
+def test_zeros_read_plus_zero():
+    """psi at its zero and ln Gamma at 1 and 2 come out as +0.0, not -0.0:
+    the canonical report prints the sign of a zero."""
+    for enc in (sf.digamma(1.4616321449683622), sf.ln_gamma(1.0), sf.ln_gamma(2.0)):
+        assert enc.value == 0.0 and math.copysign(1.0, enc.value) == 1.0, enc
 
 
 def test_digamma_golden():
@@ -610,11 +617,12 @@ def test_polygamma_asymptotic_table_keeps_every_bit():
 
 
 def test_stirling_past_the_table_bounds_by_the_first_omitted_term():
-    """With eps below every tabulated Bernoulli term, the ln Gamma tail is the
-    first omitted term, k = 16: |B_32| / (32 * 31 * y^31)."""
+    """With eps below every tabulated Bernoulli term, the ln Gamma tail (the
+    shared asymptotic series at n = -1) is the first omitted term, k = 16:
+    |B_32| / (32 * 31 * y^31)."""
     from mpmath import bernoulli, mp, mpf
 
-    value, tail, terms = sf._stirling_ln_gamma(20.0, 1e-40)
+    value, tail, terms = sf._polygamma_asymptotic(-1, 20.0, 1e-40)
     assert terms == 15
     with mp.workdps(40):
         omitted = abs(bernoulli(32)) / (32 * 31 * mpf(20) ** 31)
