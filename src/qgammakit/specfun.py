@@ -21,7 +21,17 @@ eps (|lead| + |sum|).  That first omitted term bounds the tail (DLMF
 5.11(ii)), B_32's past the table.  The slop weighs |series| + sum |shift
 terms|, so the error stays relative to the summands at psi's zero
 1.4616... and ln Gamma's zeros 1 and 2.  Where a power of y overflows at
-n >= 1, ``_polygamma_far`` sums the series scaled by (n-1)!/y^n.
+n >= 1, ``_polygamma_far`` sums the series scaled by (n-1)!/y^n; where a
+shift term leaves the normal range or n! overflows, ``_shift_in_logs``
+forms each n! (x+i)^-(n+1) in logs.
+
+ln Gamma_q, psi_q and psi_q^(n), n >= -1 with the same convention, have
+one rule too (``_q_psi``).  With p = min(q, 1/q), n = -1 sums the product
+of ln Gamma_p in log space and n >= 0 the series of psi_p^(n)
+(Gasper-Rahman 1.10), into whose terms' exponents (n+1) ln|ln p| is folded
+at n >= 1.  For q > 1 one row adds the (n+1)-th derivative of
+(x - 1)(1 - x/2) ln p, from Gamma_q(x) = q^((x-1)(x-2)/2) Gamma_p(x).  One
+finish checks that the value is finite, weighs one slop and adds one floor.
 
 The geometric series (the q-gamma product, the psi_q series, the kernel
 derivative series above t0 = 2 and cm_engine.QSeriesTarget) share one
@@ -29,7 +39,8 @@ block schedule, ``_blocks``: a first block of 256 terms (512 for the
 kernel), then blocks that double up to 2**17 terms, the last one clamped to
 ``TruncationPolicy.max_terms``.  After each block the caller bounds the
 rest of the series geometrically and stops once that tail is at most
-eps * (1 + |partial sum|); if the budget runs out first, ConvergenceError.
+eps * (1 + |partial sum|), the 1 in the units of the unscaled psi_q sum;
+if the budget runs out first, ConvergenceError.
 
 The kernel derivatives have a second regime at t <= t0, where the
 exponential series cancels: the Bernoulli generating function of
@@ -58,7 +69,6 @@ import contextlib
 import contextvars
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +100,7 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015328606065120900824024
 _LN_2PI = math.log(2.0 * math.pi)
 _EPS_MACH = 2.220446049250313e-16
+_NORMAL_MIN = 2.0**-1022  # the least normal double
 
 # Bernoulli numbers B_2, B_4, ..., B_30 (floats of the exact rationals).
 _BERNOULLI_2K = (
@@ -344,9 +355,16 @@ def _psi_shifted(n: int, x: float, policy: TruncationPolicy | None) -> Enclosure
         while y < threshold:
             parts.append(1.0 / y if recip else math.log(y) if log else y**power)
             y += 1.0
-        shift = math.fsum(parts) * math.factorial(max(n, 0)) if parts else 0.0
-    except OverflowError:  # a shift term, or n! as a float
+    except OverflowError:  # y^-(n+1), and so n! times it, passes the largest double
         raise DomainError(f"psi^({n})({x}) is out of double-precision range") from None
+    shift, shift_err = math.fsum(parts) if parts else 0.0, 0.0
+    if n > 0 and parts:
+        # the terms fall, so parts[-1] is the least; 170! is the largest
+        # factorial that is a double
+        if n <= 170 and parts[-1] >= _NORMAL_MIN:
+            shift *= math.factorial(n)
+        else:
+            shift, shift_err = _shift_in_logs(n, x, len(parts))
     try:
         asym, tail, terms = _polygamma_asymptotic(n, y, eps)
         if n > 0 and not tail:  # y^(n+2k) overflowed and its term read 0
@@ -362,7 +380,20 @@ def _psi_shifted(n: int, x: float, policy: TruncationPolicy | None) -> Enclosure
     if log and x < 1.0:  # ln x is the one negative shift term
         magnitude -= 2.0 * math.log(x)
     terms += len(parts)
-    return Enclosure(val, tail + _slop(terms + 4, magnitude), terms)
+    return Enclosure(val, tail + shift_err + _slop(terms + 4, magnitude), terms)
+
+
+def _shift_in_logs(n: int, x: float, count: int):
+    """(sum, bound) of ``_psi_shifted``'s shift n! sum_{i<count} (x+i)^-(n+1)
+    where a term leaves the normal range or n! overflows: each term is
+    exp(ln n! - (n+1) ln(x+i)), formed as ``_polygamma_far`` forms its unit."""
+    log_fact = math.log(math.factorial(n))
+    encs = []
+    for i in range(count):
+        log_y = (n + 1) * math.log(x + i)
+        log_term = log_fact - log_y
+        encs.append(_exp(log_term, Enclosure(log_term, _slop(4, log_fact + abs(log_y)), 0), 2))
+    return math.fsum(e.value for e in encs), math.fsum(e.abs_error for e in encs)
 
 
 def ln_gamma(x: float, policy: TruncationPolicy | None = None) -> Enclosure:
@@ -477,20 +508,7 @@ def _q_ln_gamma_sub1(x: float, q: float, policy: TruncationPolicy):
 
 def q_ln_gamma(x: float, q, policy: TruncationPolicy | None = None) -> Enclosure:
     """log Gamma_q(x) with certified error; handles both q branches."""
-    policy = policy or DEFAULT_POLICY
-    _require_positive(x)
-    qv = _as_q(q)
-    if qv < 1.0:
-        val, tail, terms, magnitude = _q_ln_gamma_sub1(x, qv, policy)
-    else:
-        p = 1.0 / qv
-        sub, tail, terms, magnitude = _q_ln_gamma_sub1(x, p, policy)
-        lin = (x - 1.0) * (1.0 - 0.5 * x) * math.log(p)
-        val = lin + sub
-        if val == math.inf:
-            raise DomainError(f"log Gamma_q({x}) overflows double precision at q={qv}")
-        magnitude += abs(lin)
-    return Enclosure(val, tail + _slop(terms, magnitude), terms, warn_slow=terms > 10**5)
+    return _q_psi(-1, x, q, policy)
 
 
 def q_gamma(x: float, q, policy: TruncationPolicy | None = None) -> Enclosure:
@@ -500,14 +518,16 @@ def q_gamma(x: float, q, policy: TruncationPolicy | None = None) -> Enclosure:
 
 
 def _q_psi_sum(x: float, q: float, n: int, policy: TruncationPolicy):
-    """sum_{k>=1} k^n q^(kx) / (1 - q^k) with a geometric tail certificate.
+    """sum_{k>=1} k^n q^(kx) / (1 - q^k) with a geometric tail certificate,
+    times |ln q|^(n+1) at n >= 1, where (n+1) ln|ln q| rides in each term's
+    exponent, so that no power of ln q overflows or underflows on its own.
 
     Successive-term ratio is at most ((K+1)/K)^n * q^x once K terms are
     summed, which drops below 1 past the hump k ~ n/(x ln(1/q)).
 
     The terms peak there, and a block holds at most _BLOCK_MAX of them, so
     ln of a block sum is at most
-    n (ln n - ln x - ln ln(1/q) - 1) - ln(1 - q) + ln(_BLOCK_MAX), formed
+    n (ln n - ln x - 1) + ln|ln q| - ln(1 - q) + ln(_BLOCK_MAX), formed
     in logs so that it neither overflows nor divides by zero; at n = 0 it
     is below 50.  The exponents k x ln q overflow only where
     x ln(1/q) max_terms passes the largest double.  Only where one of the
@@ -521,9 +541,14 @@ def _q_psi_sum(x: float, q: float, n: int, policy: TruncationPolicy):
     """
     lnq = math.log(q)
     under = 2.0 * math.ulp(0.0) / (1.0 - q)
+    log_lnq = math.log(-lnq)
+    lift = (n + 1) * log_lnq if n else 0.0
+    # the stop test's floor, 1 in the unscaled sum's units, kept normal
+    floor = math.exp(min(max(lift, -700.0), 700.0))
     may_overflow = x * -lnq * policy.max_terms > 1e308 or (
         n
-        and n * (math.log(n) - math.log(x) - math.log(-lnq) - 1.0)
+        and n * (math.log(n) - math.log(x) - 1.0)
+        + log_lnq
         - math.log1p(-q)
         + math.log(_BLOCK_MAX)
         > 700.0
@@ -534,8 +559,9 @@ def _q_psi_sum(x: float, q: float, n: int, policy: TruncationPolicy):
             k = np.arange(k0 + 1, hi + 1, dtype=float)
             logs = k * (x * lnq)
             if n:
-                logs = logs + n * np.log(k)
-            t = np.exp(logs) / (-np.expm1(k * lnq))
+                logs += n * np.log(k) + lift
+            t = np.exp(logs, out=logs)  # in place: a large block allocates no more
+            t /= -np.expm1(k * lnq)
             total += float(t.sum())
             try:
                 ratio = ((hi + 1.0) / hi) ** n * math.exp(x * lnq)
@@ -543,55 +569,49 @@ def _q_psi_sum(x: float, q: float, n: int, policy: TruncationPolicy):
                 continue
             if ratio < 1.0:
                 tail = (float(t[-1]) + under) * ratio / (1.0 - ratio)
-                if tail <= policy.eps * (1.0 + total):
+                if tail <= policy.eps * (floor + total):
                     return total, tail + hi * under, hi
 
 
 def _q_psi(n: int, x: float, q, policy: TruncationPolicy | None) -> Enclosure:
-    """psi_q^(n)(x) (n = 0: psi_q) by one _q_psi_sum call; n is checked.
-
-    Where (ln p)^(n+1) underflows, it is kept as a mantissa and a binary
-    exponent (``_power_parts``), so that its bits are not lost before it
-    scales the sum.  Beyond one rounding per term, the slop counts
-    (n+1)/2 for the power of the rounded ln p, and twice the size of the
-    exponents: the exponent k x ln p + n ln k of term k is off by about
-    eps times its two summands, which exp makes a relative error of the
-    term.  Weighted by the terms, those summands average at most
-    m x |ln p| + n ln m, as ln is concave, where m bounds the mean of k
-    (``_mean_k``).
+    """psi_q^(n)(x), n >= -1, by the q rule of the module docstring; checks
+    x and q, not n.  Beyond one rounding per term, the series' slop counts
+    (n+1)/2 for the rounded ln p, and twice the size of the exponents: the
+    exponent k x ln p + n ln k (+ (n+1) ln|ln p| at n >= 1) of term k is
+    off by about eps times its summands, which exp makes a relative error
+    of the term.  Weighted by the terms, those summands average at most
+    m x |ln p| + n ln m + (n+1) |ln|ln p||, as ln is concave, where m
+    bounds the mean of k (``_mean_k``).
     """
     _require_positive(x)
     qv = _as_q(q)
     p = 1.0 / qv if qv > 1.0 else qv
-    s, tail, terms = _q_psi_sum(x, p, n, policy or DEFAULT_POLICY)
+    policy = policy or DEFAULT_POLICY
     lnp = math.log(p)
-    ops = terms + (n + 1) / 2
-    if s:
-        c = x * -lnp
-        mean_k = _mean_k(n, c, terms)
-        ops += 2.0 * (mean_k * c + n * math.log(mean_k))
-    if n == 0:
-        val = -math.log1p(-p) + lnp * s
-        # the two summands cancel near the zero x0 ~ 1.46: base the slop on them
-        magnitude = -math.log1p(-p) + abs(lnp * s)
-        if qv > 1.0:
-            val = (1.5 - x) * lnp + val
-            magnitude += abs((1.5 - x) * lnp)
-        err = abs(lnp) * tail
+    if n < 0:
+        val, err, terms, magnitude = _q_ln_gamma_sub1(x, p, policy)
+        ops = terms
     else:
-        extra = -lnp if qv > 1.0 and n == 1 else 0.0
-        try:
-            scale = lnp ** (n + 1)
-        except OverflowError:
-            scale = math.inf
-        expo = 0  # lnp^(n+1) = scale 2^expo
-        if abs(scale) < sys.float_info.min:
-            scale, expo, more = _power_parts(-lnp, n + 1)
-            scale = -scale if n % 2 == 0 else scale  # the sign of lnp^(n+1)
-            ops += more
-        val = math.ldexp(scale * s, expo) + extra
-        err = math.ldexp(abs(scale) * tail, expo)
-        magnitude = math.ldexp(abs(scale * s), expo) + abs(extra)
+        s, err, terms = _q_psi_sum(x, p, n, policy)
+        ops = terms + (n + 1) / 2
+        if s:
+            c = x * -lnp
+            mean_k = _mean_k(n, c, terms)
+            ops += 2.0 * (mean_k * c + n * math.log(mean_k))
+            if n:
+                ops += 2.0 * (n + 1) * abs(math.log(-lnp))
+        if n == 0:
+            val = -math.log1p(-p) + lnp * s
+            # the two summands cancel near the zero x0 ~ 1.46: base the slop on them
+            magnitude = -math.log1p(-p) + abs(lnp * s)
+            err *= abs(lnp)
+        else:
+            val, magnitude = (s if n % 2 else -s), s  # the sign of (ln p)^(n+1)
+    if qv > 1.0 and n < 2:
+        # the (n+1)-th derivative of (x - 1)(1 - x/2) ln p
+        row = ((x - 1.0) * (1.0 - 0.5 * x), 1.5 - x, -1.0)[n + 1] * lnp
+        val = row + val
+        magnitude += abs(row)
     # the absolute floor covers a subnormal product or sum
     err += _slop(ops, magnitude) + 4.0 * math.ulp(0.0)
     if not (math.isfinite(val) and math.isfinite(err)):
@@ -822,51 +842,39 @@ def _run_cells():
         _RUN_CELLS.reset(token)
 
 
-def _cells(fn, context: tuple, policy) -> dict | None:
-    """The run's cells of evaluator ``fn`` at the non-point arguments
-    ``context``, keyed by the point; None outside a run.  policy=None and
-    DEFAULT_POLICY share their cells."""
-    table = _RUN_CELLS.get()
-    if table is None:
-        return None
-    # one dict per (fn, context, policy), keyed by the point: smaller and
-    # faster to probe than a key of all the arguments.  The default policy
-    # keys as None, by identity, so that no lookup hashes it.
-    return table.setdefault((fn, context, None if policy is DEFAULT_POLICY else policy), {})
-
-
-def _cell(cells: dict | None, y: float, fn, *args) -> Enclosure:
-    """``fn(*args)``, whose point is ``y``: evaluated the first time, then
-    read from ``cells``.  A DomainError/ConvergenceError is stored as its
-    class and arguments, and each later read raises a fresh instance, so the
-    table holds no traceback and keeps no caller's frame alive.  With
-    ``cells`` None (outside a run) this just calls ``fn``."""
-    if cells is None:
-        return fn(*args)
-    cell = cells.get(y)
-    if cell is None:
-        try:
-            cell = fn(*args)
-        except (DomainError, ConvergenceError) as exc:
-            cells[y] = (type(exc), exc.args)
-            raise
-        cells[y] = cell
-    elif type(cell) is tuple:
-        err_type, err_args = cell
-        raise err_type(*err_args)
-    return cell
-
-
 def _psi(n: int, q: float | None, policy):
     """The function y -> Enclosure of psi^(n)(y), n >= -1, where psi^(0) = psi
     and psi^(-1) = ln Gamma, or of psi_q^(n)(y) when q is given.  Each call
     goes through the run's cell table, so inside a run a cell is evaluated
     once, also where two grids or a grid and a scalar call share it; outside
-    a run nothing is kept."""
+    a run nothing is kept.  A DomainError/ConvergenceError is stored as its
+    class and arguments, and each later read raises a fresh instance, so the
+    table holds no traceback and keeps no caller's frame alive."""
     if q is None:
         fn, tail = (ln_gamma, digamma, polygamma)[min(n, 1) + 1], ()
     else:
         fn, tail = (q_ln_gamma, q_digamma, q_polygamma)[min(n, 1) + 1], (q,)
     head = (n,) if n > 0 else ()
-    cells = _cells(fn, head + tail, policy)
-    return lambda y: _cell(cells, y, fn, *head, y, *tail, policy)
+    table = _RUN_CELLS.get()
+    if table is None:
+        return lambda y: fn(*head, y, *tail, policy)
+    # one dict per (fn, context, policy), keyed by the point: smaller and
+    # faster to probe than a key of all the arguments.  The default policy
+    # keys as None, by identity, so that no lookup hashes it.
+    cells = table.setdefault((fn, head + tail, None if policy is DEFAULT_POLICY else policy), {})
+
+    def read(y):
+        cell = cells.get(y)
+        if cell is None:
+            try:
+                cell = fn(*head, y, *tail, policy)
+            except (DomainError, ConvergenceError) as exc:
+                cells[y] = (type(exc), exc.args)
+                raise
+            cells[y] = cell
+        elif type(cell) is tuple:
+            err_type, err_args = cell
+            raise err_type(*err_args)
+        return cell
+
+    return read

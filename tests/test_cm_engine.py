@@ -581,10 +581,10 @@ def test_q_psi_grid_shares_the_run_table_with_scalar_calls(
         assert calls == after_deriv
         target.jet_grid(xs, 2)
         assert calls == after_grid
-        table = sf._cells(getattr(sf, order1[0]), order1[1], None)
-        assert table[1.0] is first
+        table = sf._RUN_CELLS.get()
+        assert table[getattr(sf, order1[0]), order1[1], None][1.0] is first
         # a cell the grid made is read by deriv as the same Enclosure
-        assert target.deriv(2, 2.0) is sf._cells(getattr(sf, order2[0]), order2[1], None)[2.0]
+        assert target.deriv(2, 2.0) is table[getattr(sf, order2[0]), order2[1], None][2.0]
         # and a second grid evaluates nothing
         target.jet_grid(xs, 2)
         assert calls == after_grid

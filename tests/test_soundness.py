@@ -17,7 +17,10 @@ being drawn.  Every corpus composite runs at its full order.
 ``kernel_derivative``, which has no closed form, is checked against
 ``mp.diff`` at 40 digits.  ``ln_gamma``, ``digamma`` and ``polygamma``
 each have a property of their own, from x = 1e-300 to 1e8 and near the
-zeros of ln Gamma and psi, under the default policy and a coarse one.
+zeros of ln Gamma and psi, under the default policy and a coarse one;
+``q_ln_gamma``, ``q_gamma``, ``q_digamma`` and ``q_polygamma`` share one,
+at seven q on both sides of 1 and x from 1e-2 to 1e3, against the direct
+sums.
 """
 
 import functools
@@ -34,7 +37,7 @@ from qgammakit import bounds as bd
 from qgammakit import cm_engine as ce
 from qgammakit import corpus
 from qgammakit import specfun as sf
-from qgammakit.errors import DomainError
+from qgammakit.errors import ConvergenceError, DomainError
 
 
 def _ref(t, k, x):
@@ -159,7 +162,8 @@ def _ln_gamma_q(y, q):
     """ln Gamma_q(y) for 0 < q < 1 as an mpf; call inside ``mp.workdps``.
 
     Gamma_q(y) = (1 - q)^(1 - y) prod_{n>=0} (1 - q^(n+1))/(1 - q^(n+y)) is
-    multiplied out directly for n < N, where q^N is below e^-4.  Expanding
+    multiplied out directly for n < N, where q^N is below e^-4; both powers
+    are formed alike, so that ln Gamma_q(1) reads 0 exactly.  Expanding
     each log of the factors n >= N as -ln(1 - u) = sum u^j/j sums them to
     sum_{j>=1} q^(jN) (q^(jy) - q^j) / (j (1 - q^j)), whose terms fall by
     e^-4 or faster; it stops once q^(jN)/(1 - q) is below eps.
@@ -168,7 +172,7 @@ def _ln_gamma_q(y, q):
     n = max(0, math.ceil(4 / -mp.log(q)))
     qy, prod = q**y, mp.one
     for i in range(n):
-        prod *= (1 - q ** (i + 1)) / (1 - qy * q**i)
+        prod *= (1 - q ** (i + 1)) / (1 - q ** (y + i))
     qn, tail, j = q**n, mp.zero, 0
     while True:
         j += 1
@@ -545,10 +549,11 @@ def _near(z):
 _SCALAR_POLICIES = (None, sf.TruncationPolicy(eps=1e-6))
 
 
-def _assert_scalar_sound(fn, ref, x):
+def _assert_scalar_sound(fn, ref, x, may_refuse=False):
     """``fn(x, policy)`` under each policy is finite and within its error of
     the 40-digit ``ref(x)``, or raises DomainError where ``ref(x)`` leaves
-    double range."""
+    double range, or ConvergenceError where ``may_refuse`` says that the
+    term budget may not reach the series' tail."""
     with mp.workdps(40):
         truth = ref(mp.mpf(x))
         for policy in _SCALAR_POLICIES:
@@ -556,6 +561,9 @@ def _assert_scalar_sound(fn, ref, x):
                 enc = fn(x, policy)
             except DomainError:
                 assert abs(truth) > sys.float_info.max, (x, truth)
+                continue
+            except ConvergenceError:
+                assert may_refuse, (x, policy)
                 continue
             assert math.isfinite(enc.value) and math.isfinite(enc.abs_error), (x, policy, enc)
             assert abs(mp.mpf(enc.value) - truth) <= enc.abs_error, (x, policy, enc, truth)
@@ -579,19 +587,73 @@ def test_digamma_certificates_hold(xs):
         _assert_scalar_sound(sf.digamma, mp.digamma, x)
 
 
+# the orders above 40 where (x+i)^-(n+1), n! or y^n leave the normal range
+_HIGH_ORDERS = (150, 160, 170, 171, 180, 200)
+
+
 @settings(max_examples=12, deadline=None, derandomize=True)
-@given(_X_WIDE, _X_MID, st.floats(math.log10(210.0), 8.0).map(lambda e: max(10.0**e, 210.0)))
-@example(1e-300, 1e-2, 210.0)
-@example(3e-7, 1.0, 1e3)  # 40! sum (x+i)^-41 overflows although each summand does not
-@example(1e8, 1e2, 1e8)  # y^(n+2) overflows where y^n does not
-def test_polygamma_certificates_hold(x_wide, x_mid, x_far):
-    """Orders 1..40 at both x, order 150 at x_mid (the shift plus the
-    scaled series of ``_polygamma_far``, as y^150 overflows), and orders
-    150 and 200 at x >= 10 + n, where the scaled series is all."""
+@given(_X_WIDE, _X_MID, st.floats(math.log10(210.0), 8.0).map(lambda e: max(10.0**e, 210.0)),
+       st.floats(-2.0, math.log10(260.0)).map(lambda e: 10.0**e))
+@example(1e-300, 1e-2, 210.0, 100.0)  # the shift terms of n = 170 underflow: -8.884e-36
+@example(3e-7, 1.0, 1e3, 5.0)  # 40! sum (x+i)^-41 overflows although each summand does not
+@example(1e8, 1e2, 1e8, 1e-2)  # y^(n+2) overflows where y^n does not
+def test_polygamma_certificates_hold(x_wide, x_mid, x_far, x_high):
+    """Orders 1..40 at both x; order 150 at x_mid (the shift plus the
+    scaled series of ``_polygamma_far``, as y^150 overflows); orders 150
+    and 200 at x >= 10 + n, where the scaled series is all; and each order
+    of ``_HIGH_ORDERS`` at x_high, which reaches 10 + n + 50 for every one
+    of them: there n! (n >= 171) or a shift term leaves the normal range,
+    and the value is representable or raises DomainError."""
     cases = [(n, x) for n in range(1, 41) for x in (x_wide, x_mid)]
+    cases += [(n, x_high) for n in _HIGH_ORDERS]
     for n, x in cases + [(150, x_mid), (150, x_far), (200, x_far)]:
         _assert_scalar_sound(functools.partial(sf.polygamma, n),
                              lambda y: _polygamma_at(n, y, 40), x)
+
+
+# the q scalars at q near 0, at 0.3 and 0.9, near 1 and above 1
+_Q_SCALAR_QS = (0.01, 0.3, 0.9, 0.99, 1.5, 3.0, 40.0)
+_PSI_Q_ZERO = 1.4595075276850873  # the zero of psi_q at q = 0.9 (mp.findroot, 40 digits)
+
+
+def _q_scalar_sound(n, x, q):
+    """``_assert_scalar_sound`` of psi_q^(n)(x), n >= -1, by its public
+    evaluator (q_ln_gamma at n = -1, q_digamma at 0), against the direct
+    sums of ``_q_psi``, and of Gamma_q(x) at n = -1.  The series may
+    refuse where its hump max(n, 1)/(x ln(1/p)), p = min(q, 1/q), passes
+    a tenth of the term budget."""
+    fn = {-1: sf.q_ln_gamma, 0: sf.q_digamma}.get(n) or functools.partial(sf.q_polygamma, n)
+    hump = max(n, 1) / (x * abs(math.log(q)))
+    _assert_scalar_sound(lambda y, policy: fn(y, q, policy), lambda y: _q_psi(n, y, q), x,
+                         hump > 0.1 * sf.DEFAULT_POLICY.max_terms)
+    if n == -1:
+        _assert_scalar_sound(lambda y, policy: sf.q_gamma(y, q, policy),
+                             lambda y: mp.exp(_q_psi(-1, y, q)), x)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.floats(-2.0, 3.0).map(lambda e: 10.0**e), st.integers(1, 40),
+       st.tuples(_near(1.0), _near(2.0), _near(_PSI_Q_ZERO)))
+@example(1e-2, 40, (1.0 - 1e-14, 2.0 + 1e-14, _PSI_Q_ZERO))
+@example(1e3, 1, (1.0 + 1e-6, 2.0 - 1e-6, _PSI_Q_ZERO + 1e-14))
+def test_q_scalar_certificates_hold(x, n, near):
+    """ln Gamma_q, Gamma_q, psi_q and psi_q^(n) at x for every q of
+    ``_Q_SCALAR_QS``, and at q = 0.9 ln Gamma_q near its zeros 1 and 2 and
+    psi_q near its zero, where the summands cancel."""
+    for q in _Q_SCALAR_QS:
+        for k in (-1, 0, n):
+            _q_scalar_sound(k, x, q)
+    for k, y in zip((-1, -1, 0), near):
+        _q_scalar_sound(k, y, 0.9)
+
+
+@pytest.mark.parametrize("n, x, q", [
+    (1100, 419.23, 0.6),  # (ln q)^(n+1) is subnormal
+    (100, 1.0, 0.99),  # -9.33e157, where the unscaled sum overflows
+    (200, 1.0, 1e-300),  # -5.09e270, where (ln q)^(n+1) overflows
+], ids=lambda v: str(v))
+def test_q_polygamma_certificates_hold_at_the_edges(n, x, q):
+    _q_scalar_sound(n, x, q)
 
 
 def _kernel_ref(n, k, t):

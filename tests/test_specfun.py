@@ -148,6 +148,7 @@ def test_domain_errors_classical():
     ("kernel_derivative", (16, 0, 1e300)),
     ("digamma", (5e-324,)),
     ("ln_gamma", (1e308,)),
+    ("q_ln_gamma", (1e308, 0.9)),
     ("q_gamma", (1e300, 2.0)),
     ("q_gamma", (200.0, 2.0)),
     ("q_polygamma", (200, 1.0, 1e-300)),
@@ -155,16 +156,18 @@ def test_domain_errors_classical():
     ("q_digamma", (1e308, 1e300)),
 ], ids=lambda v: str(v))
 def test_edges_give_a_certified_value_or_domain_error(name, args):
-    """psi^(n) at huge x is representable, and its value lies within its
-    certificate of 40-digit mpmath; every other case overflows double
-    precision and raises DomainError, not OverflowError or an infinity."""
+    """psi^(n) at huge x and psi_q^(200)(1) at q = 1e-300 (-5.09e270) are
+    representable, and each value lies within its certificate of the
+    value at 40 digits; every other case overflows double precision and
+    raises DomainError, not OverflowError or an infinity."""
     from mpmath import mp, mpf, psi
 
     fn = getattr(sf, name)
-    if name == "polygamma" and args[1] > 1.0:
+    if name == "polygamma" and args[1] > 1.0 or args == (200, 1.0, 1e-300):
         enc = fn(*args)
         with mp.workdps(40):
-            assert abs(mpf(enc.value) - psi(args[0], mpf(args[1]))) <= enc.abs_error
+            ref = psi(args[0], mpf(args[1])) if name == "polygamma" else _q_polygamma_direct(*args)
+            assert abs(mpf(enc.value) - ref) <= enc.abs_error
     else:
         with pytest.raises(DomainError):
             fn(*args)
@@ -392,12 +395,14 @@ def test_enclosure_invariants():
 
 def test_run_cells_share_the_default_policy_and_keep_others_apart():
     with sf._run_cells():
+        table = sf._RUN_CELLS.get()
         cell = sf._psi(0, None, None)(2.0)
         assert sf._psi(0, None, sf.DEFAULT_POLICY)(2.0) is cell
-        assert sf._cells(sf.digamma, (), None) is sf._cells(sf.digamma, (), sf.DEFAULT_POLICY)
+        # policy=None and DEFAULT_POLICY share one dict, keyed as None
+        assert [key for key in table if key[0] is sf.digamma] == [(sf.digamma, (), None)]
         loose = sf.TruncationPolicy(eps=1e-10)
         assert sf._psi(0, None, loose)(2.0) is not cell
-        assert sf._cells(sf.digamma, (), loose) is not sf._cells(sf.digamma, (), None)
+        assert table[sf.digamma, (), loose] is not table[sf.digamma, (), None]
 
 
 # ---------------------------------------------------------------------------
