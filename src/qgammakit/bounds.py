@@ -277,7 +277,8 @@ def g_q_function(x: float, a: float, b: float, c: float, q: float, policy=None) 
 
 
 def keckic_vasic_bounds(a: float, b: float, policy=None) -> BoundPair:
-    """Keckic-Vasic bracket for Gamma(b)/Gamma(a), b > a > 0 (log space)."""
+    """Keckic-Vasic bracket for Gamma(b)/Gamma(a), b > a > 0 (log space).
+    ``policy`` is accepted, as the other brackets accept it, but not read."""
     specfun._require_positive(a, "a")
     if not (b > a):
         raise UsageError(f"need b > a, got a={a}, b={b}")

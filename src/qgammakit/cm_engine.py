@@ -60,6 +60,7 @@ check's inputs.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass, replace
 
@@ -162,21 +163,23 @@ def _status(fail: bool, unsure: bool) -> str:
 def _decide(label, tol, cells, failed, violation, spots=None, **report) -> VerificationReport:
     """The report of a check from its cells (margin, certified error, lhs,
     rhs): the one tolerance rule.  tau = tol max(1, |lhs|, |rhs|) over the
-    finite values; a cell is swamped where its error exceeds |margin| + tau,
-    and a violation, ``violation(i)``, where it is not swamped and
-    margin < -tau.  A strict check passes ``spots`` = (its number of
-    points, each cell's point): with no violation, each unswamped cell at a
-    spot point (three interior points, or all of fewer than four) with
-    margin <= 10 tau is one, marked ``strict_spot``.  A violation fails the
+    finite values; a cell is swamped where its error exceeds |margin| + tau
+    or where its margin or error is not a finite number, and a violation,
+    ``violation(i)``, where it is not swamped and margin < -tau.  A strict
+    check passes ``spots`` = (its number of points, each cell's point):
+    with no violation, each unswamped cell at a spot point (three interior
+    points, or all of fewer than four) with margin <= 10 tau is one, marked
+    ``strict_spot``.  A violation fails the
     check, a swamped cell or ``failed`` (a cell that could not be evaluated)
-    makes it inconclusive; a NaN margin decides nothing.
+    makes it inconclusive.
     """
     cells = np.asarray(cells, dtype=float).reshape(-1, 4)
     margin, err = cells[:, 0], cells[:, 1]
     mags = np.abs(cells[:, 2:])
     mags[~np.isfinite(mags)] = 0.0
     tau = tol * mags.max(axis=1, initial=1.0)
-    swamped = err > np.abs(margin) + tau
+    # written so that a margin or an error that is NaN or inf swamps its cell
+    swamped = ~(err <= np.abs(margin) + tau) | ~np.isfinite(margin)
     violations = [violation(i) for i in np.flatnonzero(~swamped & (margin < -tau)).tolist()]
     if spots is not None and not violations:
         n, point = spots
@@ -882,29 +885,35 @@ class XLogX(Product):
         super().__init__(Affine(0.0, 1.0), LogShift(0.0))
 
 
-# name -> constructor registry for the known families
+# name -> constructor of the known families, with the parameters each takes
 _TARGET_FAMILIES = {
-    "ln_gamma": lambda **kw: LnGammaFn(),
-    "digamma": lambda **kw: PolyGammaShift(0, kw.get("shift", 0.0)),
-    "polygamma": lambda **kw: PolyGammaShift(kw["n"], kw.get("shift", 0.0)),
-    "q_ln_gamma": lambda **kw: QLnGammaFn(kw["q"]),
-    "q_digamma": lambda **kw: QPolyGammaShift(0, kw["q"], kw.get("shift", 0.0)),
-    "q_polygamma": lambda **kw: QPolyGammaShift(kw["n"], kw["q"], kw.get("shift", 0.0)),
-    "exp_neg": lambda **kw: ExpNegX(),
-    "identity": lambda **kw: Affine(0.0, 1.0),
-    "sin_plus_2": lambda **kw: SinPlus2(),
-    "reciprocal": lambda **kw: PowShift(kw.get("shift", 0.0), -1.0),
-    "log_shift": lambda **kw: LogShift(kw.get("shift", 0.0)),
-    "x_log_x": lambda **kw: XLogX(),
+    "ln_gamma": lambda: LnGammaFn(),
+    "digamma": lambda shift=0.0: PolyGammaShift(0, shift),
+    "polygamma": lambda n, shift=0.0: PolyGammaShift(n, shift),
+    "q_ln_gamma": lambda q: QLnGammaFn(q),
+    "q_digamma": lambda q, shift=0.0: QPolyGammaShift(0, q, shift),
+    "q_polygamma": lambda n, q, shift=0.0: QPolyGammaShift(n, q, shift),
+    "exp_neg": lambda: ExpNegX(),
+    "identity": lambda: Affine(0.0, 1.0),
+    "sin_plus_2": lambda: SinPlus2(),
+    "reciprocal": lambda shift=0.0: PowShift(shift, -1.0),
+    "log_shift": lambda shift=0.0: LogShift(shift),
+    "x_log_x": lambda: XLogX(),
 }
 
 
 def make_target(name: str, **params):
-    """Construct a registered analytic target by family name."""
+    """Construct a registered analytic target by family name.  A parameter
+    the family does not take, or one it needs and is not given, raises
+    UsageError."""
     try:
         family = _TARGET_FAMILIES[name]
     except KeyError:
         raise UsageError(f"unknown target family {name!r}") from None
+    try:
+        inspect.signature(family).bind(**params)
+    except TypeError as exc:
+        raise UsageError(f"target family {name!r}: {exc}") from None
     return family(**params)
 
 

@@ -9,12 +9,12 @@ must record at least one violation (they verify that the detector detects).
 
 An LCM claim about f hands h' = -(ln f)' itself to ``check_sign_pattern``
 with ``claim="log_completely_monotonic"``; a classical h' is a LinComb of
-(coef, target) terms.  The q-analogue LCM claims give h' as the paper
-writes it, as data: psi_q terms (weight, order, shift[, r]) for a
-QSeriesTarget, which derives the coefficients; no entry defines a
-coefficient function.  The q-analogue chains read their q-series the same
-way, as columns of QSeriesTargets (ln Gamma_q ratios, psi_q sums and
-differences), and call no scalar q-series evaluator.
+(coef, target) terms.  The q-analogue claims write their q-series as the
+paper does, as data: terms (weight, order, shift[, r]) of psi_q and
+ln Gamma_q for a QSeriesTarget.  An LCM claim's h' is one, and so is each
+link of a bracket linear in them, checked in logs as a nonnegative target;
+the other q-analogue chains read theirs as columns.  No entry defines a
+coefficient function or calls a scalar q-series evaluator.
 """
 
 from __future__ import annotations
@@ -234,6 +234,12 @@ def _cm_check(label, target, grid, K, strict=False, params=None):
     ))
 
 
+def _nonneg_check(label, target, grid, params=None, strict=False):
+    """target(x) >= 0 on the grid, each cell with the target's certified error."""
+    return Check(label, check_sign_pattern, dict(
+        target=target, K=0, grid=grid, claim="nonneg", strict=strict, params=params))
+
+
 def _chain_check(label, row, points, claim="chain_le", columns=None):
     """A chain whose ``row(p)`` gives all its values at point p at once; with
     ``columns``, ``row(p, read)`` reads its q-series as columns, ``read(key)``
@@ -325,34 +331,28 @@ def _build_eq14(desc, grid, K, ov):
     return [_chain_check("eq14-bounds", row, _eq14_points(qs, ss, grid), "chain_lt", columns)]
 
 
-def _sharp_points(grid):
-    return [{"x": float(v), "q": 0.5, "s": 0.5} for v in np.linspace(0.01, 0.5, grid.points)]
-
-
 @_register(PropertyDescriptor(
-    "eq14-sharp-u", "chain_le",
+    "eq14-sharp-u", "nonneg",
     "sharpness probe: lower shift + 0.05 must overshoot the ratio",
     default_grid=GridSpec(0.01, 0.5, 64, "linear"),
     notes="expected-failure detector check", expects_violation=True,
 ))
 @_register(PropertyDescriptor(
-    "eq14-sharp-v", "chain_le",
+    "eq14-sharp-v", "nonneg",
     "sharpness probe: upper shift - 0.05 must undershoot the ratio",
     default_grid=GridSpec(0.01, 0.5, 64, "linear"),
     notes="expected-failure detector check", expects_violation=True,
 ))
 def _build_sharp(desc, grid, K, ov):
-    lower_probe = desc.id == "eq14-sharp-u"
-    u = bd.alzer_u(0.5, 0.5) + (0.05 if lower_probe else 0.0)
-    v = bd.alzer_v(0.5, 0.5) - (0.0 if lower_probe else 0.05)
-
-    def row(p, read):
-        b = bd.ratio_bounds(p["x"], 0.5, 0.5, "alzer_uv", u_override=u, v_override=v)
-        ratio = math.exp(read((0.5, 0.5)))
-        return [b.lower, ratio] if lower_probe else [ratio, b.upper]
-
-    columns = {(0.5, 0.5): _ln_ratio(0.5, 0.5)}
-    return [_chain_check(desc.id, row, _sharp_points(grid), columns=columns)]
+    """One link of the ``alzer_uv`` bracket at q = s = 1/2, its shift
+    perturbed, in logs; ln[y]_q = ln Gamma_q(y + 1) - ln Gamma_q(y)."""
+    q = s = 0.5
+    u, v = bd.alzer_u(q, s) + 0.05, bd.alzer_v(q, s) - 0.05
+    if desc.id == "eq14-sharp-u":  # ln ratio - (1 - s) ln[x + u]_q
+        link = [(1.0, -1, 1.0), (-1.0, -1, s), (s - 1.0, -1, u + 1.0), (1.0 - s, -1, u)]
+    else:  # (1 - s) ln[x + v]_q - ln ratio
+        link = [(1.0 - s, -1, v + 1.0), (s - 1.0, -1, v), (-1.0, -1, 1.0), (1.0, -1, s)]
+    return [_nonneg_check(desc.id, QSeriesTarget(q, link), grid, {"q": q, "s": s})]
 
 
 # ---------------------------------------------------------------------------
@@ -489,27 +489,23 @@ def _bracket_chain(method, grid, claim, label):
 
 
 @_register(PropertyDescriptor(
-    "thm3-chain", "chain_le",
+    "thm3-chain", "nonneg",
     "Hadamard chain for psi_q: endpoint average below, midpoint above",
     _domains(q=(0.01, 0.99)), _GRID20,
 ))
 def _build_thm3(desc, grid, K, ov):
-    """``ratio_bounds(x, s, q, "im_midpoint")`` around ``gamma_ratio``, with
-    the logs of all three as columns."""
-    qs = [ov["q"]] if "q" in ov else list(_Q_DEFAULT)
-    columns = {}
-    for q in qs:
+    """``ratio_bounds(x, s, q, "im_midpoint")`` around ``gamma_ratio``, one
+    link at a time in logs: ln ratio - ln lower and ln upper - ln ratio."""
+    checks = []
+    for q in [ov["q"]] if "q" in ov else _Q_DEFAULT:
         for s in _S_DEFAULT:
             h = 0.5 * (1.0 - s)
-            columns[q, s, "lower"] = QSeriesTarget(q, [(h, 0, 1.0), (h, 0, s)])
-            columns[q, s, "ratio"] = _ln_ratio(q, s)
-            columns[q, s, "upper"] = QSeriesTarget(q, [(1.0 - s, 0, 0.5 * (1.0 + s))])
-    points = [{"x": x, "q": q, "s": s} for q in qs for s in _S_DEFAULT for x in grid.values()]
-
-    def row(p, read):
-        return [math.exp(read((p["q"], p["s"], end))) for end in ("lower", "ratio", "upper")]
-
-    return [_chain_check("thm3-chain", row, points, "chain_le", columns)]
+            lower = [(1.0, -1, 1.0), (-1.0, -1, s), (-h, 0, 1.0), (-h, 0, s)]
+            upper = [(-1.0, -1, 1.0), (1.0, -1, s), (1.0 - s, 0, 0.5 * (1.0 + s))]
+            for end, link in (("lower", lower), ("upper", upper)):
+                checks.append(_nonneg_check(f"thm3-chain[q={q},s={s},{end}]", QSeriesTarget(q, link),
+                                            grid, {"q": q, "s": s, "link": end}))
+    return checks
 
 
 @_register(PropertyDescriptor(
@@ -749,23 +745,18 @@ def _build_qpow(desc, grid, K, ov):
 
 
 @_register(PropertyDescriptor(
-    "ag-gx", "chain_le",
+    "ag-gx", "nonneg",
     "Alzer-Grinshpan three-point ratio stays above its limit 1",
     default_grid=_GRID20,
 ))
 def _build_ag(desc, grid, K, ov):
-    pts = [
-        {"x": x, "a": a, "q": q}
-        for a in (0.5, 1.0)
-        for q in (0.3, 0.7)
-        for x in grid.values()
+    # ln g_AG >= 0: the (1 - q)^y factors cancel
+    return [
+        _nonneg_check(f"ag-gx[a={a},q={q}]",
+                      QSeriesTarget(q, [(1.0, -1, 0.0), (1.0, -1, 2.0 * a), (-2.0, -1, a)]),
+                      grid, {"a": a, "q": q})
+        for a in (0.5, 1.0) for q in (0.3, 0.7)
     ]
-    # ln g_AG: the (1 - q)^y factors cancel
-    columns = {(a, q): QSeriesTarget(q, [(1.0, -1, 0.0), (1.0, -1, 2.0 * a), (-2.0, -1, a)])
-               for a in (0.5, 1.0) for q in (0.3, 0.7)}
-    return [_chain_check(
-        "ag-gx", lambda p, read: [1.0, math.exp(read((p["a"], p["q"])))], pts, columns=columns,
-    )]
 
 
 # ---------------------------------------------------------------------------
@@ -909,9 +900,7 @@ def _build_thm4(desc, grid, K, ov):
     "squared trigamma dominates the negated tetragamma",
 ))
 def _build_eq42(desc, grid, K, ov):
-    return [Check("eq42-nonneg", check_sign_pattern, dict(
-        target=PolyProductTarget(2, 1, 1, 0, 1.0), K=0, grid=grid, claim="nonneg", strict=True,
-    ))]
+    return [_nonneg_check("eq42-nonneg", PolyProductTarget(2, 1, 1, 0, 1.0), grid, strict=True)]
 
 
 # ---------------------------------------------------------------------------

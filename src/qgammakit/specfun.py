@@ -266,9 +266,9 @@ def digamma_series(x: float, policy: TruncationPolicy | None = None) -> Enclosur
 
     Independent of the asymptotic route.  The tail is bracketed by integral
     comparison: for the convex, monotone summand f the tail sum over n >= N
-    lies between int_N f + f(N)/2 and int_{N-1/2} f.
+    lies between int_N f + f(N)/2 and int_{N-1/2} f.  ``policy`` is
+    accepted, as ``digamma`` accepts it, but not read.
     """
-    policy = policy or DEFAULT_POLICY
     _require_positive(x)
     n_terms = 4000
     n = np.arange(n_terms, dtype=float)
@@ -434,20 +434,28 @@ def polygamma_series(n: int, x: float, policy: TruncationPolicy | None = None) -
 
     The summand is positive, decreasing and convex, so the tail over k >= K
     lies between int_K f + f(K)/2 and int_{K-1/2} f, both in closed form;
-    in particular it never exceeds (1/n)(x+K-1)^(-n).
+    in particular it never exceeds (1/n)(x+K-1)^(-n).  ``policy`` is
+    accepted, as ``polygamma`` accepts it, but not read.
+
+    This cross-check route raises DomainError where n! (n >= 171) or the
+    value leaves double precision.
     """
-    policy = policy or DEFAULT_POLICY
     _require_order(n)
     _require_positive(x)
+    if n > 170:
+        raise DomainError(f"polygamma_series: n! overflows double precision at n={n}")
     K = 3000
     k = np.arange(K, dtype=float)
-    partial = float(((x + k) ** (-(n + 1))).sum())
+    with np.errstate(over="ignore"):
+        partial = float(((x + k) ** (-(n + 1))).sum())
     lo = (x + K) ** (-n) / n + 0.5 * (x + K) ** (-(n + 1))
     hi = (x + K - 0.5) ** (-n) / n
     tail_mid = 0.5 * (lo + hi)
     tail_err = 0.5 * (hi - lo) + _slop(1, hi)
     mag = math.factorial(n) * (partial + tail_mid)
     err = math.factorial(n) * tail_err
+    if not math.isfinite(mag):
+        raise DomainError(f"polygamma_series({n}, {x}) overflows double precision")
     sign = 1.0 if n % 2 == 1 else -1.0
     val = sign * mag
     return Enclosure(val, err + _slop(K, val), K)
@@ -665,6 +673,8 @@ def log_mean(r, a: float, b: float) -> float:
 
     r = -1 is the geometric mean, r = 0 the logarithmic mean, r = 1 the
     identric mean and r = 2 the arithmetic mean; L_r is increasing in r.
+    Raises DomainError where a power of a or b, or the mean, leaves double
+    precision.
     """
     if isinstance(r, LogMeanOrder):
         r = r.r
@@ -672,12 +682,18 @@ def log_mean(r, a: float, b: float) -> float:
     _require_positive(b, "b")
     if a == b:
         return a
-    if r == 0.0:
-        return (a - b) / (math.log(a) - math.log(b))
-    if r == 1.0:
-        return math.exp((a * math.log(a) - b * math.log(b)) / (a - b) - 1.0)
-    base = (a**r - b**r) / (r * (a - b))
-    return base ** (1.0 / (r - 1.0))
+    try:
+        if r == 0.0:
+            value = (a - b) / (math.log(a) - math.log(b))
+        elif r == 1.0:
+            value = math.exp((a * math.log(a) - b * math.log(b)) / (a - b) - 1.0)
+        else:
+            value = ((a**r - b**r) / (r * (a - b))) ** (1.0 / (r - 1.0))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"L_{r}({a}, {b}) overflows double precision")
+    return value
 
 
 def kernel_h(t: float) -> float:

@@ -44,6 +44,23 @@ def test_unknown_target_family():
         ce.make_target("not_a_family")
 
 
+@pytest.mark.parametrize("name, params", [
+    ("polygamma", {}),
+    ("q_digamma", {}),
+    ("ln_gamma", {"q": 0.5}),
+    ("digamma", {"n": 3}),
+])
+def test_make_target_refuses_a_missing_or_unknown_parameter(name, params):
+    with pytest.raises(UsageError, match=name):
+        ce.make_target(name, **params)
+
+
+def test_make_target_binds_the_parameters_of_its_family():
+    t = ce.make_target("q_polygamma", n=2, q=0.3, shift=0.25)
+    assert (t.m, t.q, t.a) == (2, 0.3, 0.25)
+    assert ce.make_target("polygamma", n=1).m == 1
+
+
 def test_qseries_target_matches_q_polygamma():
     # the one-term series psi_q(x), its constant -ln(1 - q) derived, has
     # derivatives equal to psi_q^(k)
@@ -1063,6 +1080,18 @@ def test_chain_sign_pattern_and_probe_decide_a_cell_alike(cell, status, strict_s
         ce.check_sign_pattern(target, 0, [1.0], "nonneg", strict=True),
     ]
     assert [(r.status, r.worst_margin) for r in strict] == [(strict_status, worst)] * 2
+
+
+@pytest.mark.parametrize("report", [
+    lambda: ce.check_chain(lambda p: [0.0, math.nan], [{"x": 1.0}]),
+    lambda: ce.check_chain(lambda p: [math.inf, math.inf], [{"x": 1.0}]),
+    lambda: ce.check_chain(lambda p: [0.0, math.inf], [{"x": 1.0}]),
+    lambda: ce.monotonicity_probe(lambda x: math.nan, [1.0, 2.0, 3.0], "increasing"),
+], ids=["nan", "inf-inf", "inf-margin", "nan-probe"])
+def test_a_cell_that_is_not_a_finite_number_decides_nothing(report):
+    # such a cell is swamped: neither a violation nor a pass
+    rep = report()
+    assert rep.status == "inconclusive" and not rep.violations
 
 
 # ---------------------------------------------------------------------------

@@ -187,11 +187,21 @@ def test_chain_computes_its_bracket_once_per_point(monkeypatch, claim_id, bracke
     assert len(calls) == points
 
 
-# the chains that read their q-series as columns, with the number of columns
-_COLUMN_CHAINS = {
-    "eq14-bounds": 81, "eq14-sharp-u": 1, "eq14-sharp-v": 1, "thm3-chain": 36,
-    "thm52-chain": 8, "cor51-nonneg": 8, "ag-gx": 4,
-}
+# the q-analogue brackets, with the number of q-series each reads: the
+# columns of a chain, or the targets of the links checked one at a time
+_COLUMN_CHAINS = {"eq14-bounds": 81, "thm52-chain": 8, "cor51-nonneg": 8}
+_LINK_CLAIMS = {"thm3-chain": 24, "ag-gx": 4, "eq14-sharp-u": 1, "eq14-sharp-v": 1}
+
+
+def _read_q_series(checks):
+    """The q-series the checks of a claim read: a chain's columns, or the
+    target of each link."""
+    found = []
+    for c in checks:
+        found += (c.kwargs.get("columns") or {}).values()
+        if isinstance(c.kwargs.get("target"), ce.QSeriesTarget):
+            found.append(c.kwargs["target"])
+    return found
 
 
 def _count_scalar_q_calls(monkeypatch):
@@ -203,8 +213,10 @@ def _count_scalar_q_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("claim_id", sorted(_COLUMN_CHAINS))
+@pytest.mark.parametrize("claim_id", sorted(_COLUMN_CHAINS | _LINK_CLAIMS))
 def test_chain_fills_each_column_once_and_calls_no_scalar_q_series(monkeypatch, claim_id):
+    """Each column of a chain, and each link target of a claim checked
+    link by link, fills one grid, and no check calls a scalar q-series."""
     grids = collections.Counter()
     jets = ce.QSeriesTarget._jets
 
@@ -215,11 +227,11 @@ def test_chain_fills_each_column_once_and_calls_no_scalar_q_series(monkeypatch, 
     monkeypatch.setattr(ce.QSeriesTarget, "_jets", counted)
     calls = _count_scalar_q_calls(monkeypatch)
     checks = corpus.instantiate(claim_id)
-    columns = [t for c in checks for t in (c.kwargs.get("columns") or {}).values()]
-    assert len(columns) == _COLUMN_CHAINS[claim_id]
+    q_series = _read_q_series(checks)
+    assert len(q_series) == (_COLUMN_CHAINS | _LINK_CLAIMS)[claim_id]
     rep = ce.merge_reports(claim_id, [c.run() for c in checks])
     assert rep.status == ("fail" if corpus.get_descriptor(claim_id).expects_violation else "pass")
-    assert grids == collections.Counter(id(t) for t in columns)
+    assert grids == collections.Counter(id(t) for t in q_series)
     assert not calls
 
 
@@ -235,7 +247,8 @@ def test_column_chains_pass_near_q_1(monkeypatch, claim_id, overrides):
 
 
 # ---------------------------------------------------------------------------
-# each chain column equals the public bounds function it replaces
+# each chain column and each link equals the public bounds function it
+# replaces
 # ---------------------------------------------------------------------------
 
 _EPS = 2.0**-52
@@ -262,35 +275,75 @@ def _moved(x, d):
     return float(abs(Fraction(x) + Fraction(d) - Fraction(x + d)))
 
 
+def _links(claim_id):
+    """(params, target) of each link of a claim checked link by link."""
+    return [(c.kwargs["params"], c.kwargs["target"]) for c in corpus.instantiate(claim_id)]
+
+
+def _ratio_cells(x, s, q):
+    """ln gamma_ratio(x, s, q), and the errors and magnitudes of the scalar
+    cells behind it (``_agrees``)."""
+    a, b = sf.q_ln_gamma(x + 1.0, q), sf.q_ln_gamma(x + s, q)
+    # gamma_ratio reads ln Gamma_q at x + s rounded: psi_q times the move
+    slope = abs(sf.q_digamma(x + s, q).value) + 1.0
+    errors = [a.abs_error, b.abs_error, slope * _moved(x, s)]
+    return math.log(bd.gamma_ratio(x, s, q)), errors, abs(a.value) + abs(b.value)
+
+
 def test_ratio_columns_agree_with_gamma_ratio():
-    for cid in ("eq14-bounds", "eq14-sharp-u", "eq14-sharp-v", "thm3-chain"):
-        for key, column in _columns(cid).items():
-            if key[2:] not in ((), ("ratio",)):
-                continue
-            q, s = key[:2]
-            for x in _XS_DYADIC:
-                a, b = sf.q_ln_gamma(x + 1.0, q), sf.q_ln_gamma(x + s, q)
-                # gamma_ratio reads ln Gamma_q at x + s rounded: psi_q times the move
-                slope = abs(sf.q_digamma(x + s, q).value) + 1.0
-                errors = [a.abs_error, b.abs_error, slope * _moved(x, s)]
-                public = math.log(bd.gamma_ratio(x, s, q))
-                _agrees(column, x, public, errors, abs(a.value) + abs(b.value))
+    for (q, s), column in _columns("eq14-bounds").items():
+        for x in _XS_DYADIC:
+            _agrees(column, x, *_ratio_cells(x, s, q))
 
 
 def test_bracket_columns_agree_with_ratio_bounds_im_midpoint():
-    for (q, s, end), column in _columns("thm3-chain").items():
-        if end == "ratio":
-            continue
+    """Each thm3-chain link is ln ratio - ln lower or ln upper - ln ratio,
+    of ``gamma_ratio`` and ``ratio_bounds(x, s, q, "im_midpoint")``."""
+    for params, link in _links("thm3-chain"):
+        q, s = params["q"], params["s"]
         for x in _XS_DYADIC:
             b = bd.ratio_bounds(x, s, q, "im_midpoint")
-            if end == "lower":
+            ln_ratio, errors, magnitude = _ratio_cells(x, s, q)
+            if params["link"] == "lower":
                 w, cells = 0.5 * (1.0 - s), [sf.q_digamma(x + 1.0, q), sf.q_digamma(x + s, q)]
-                public = math.log(b.lower)
+                public = ln_ratio - math.log(b.lower)
             else:
                 w, cells = 1.0 - s, [sf.q_digamma(x + 0.5 * (1.0 + s), q)]
-                public = math.log(b.upper)
-            _agrees(column, x, public, [w * e.abs_error for e in cells],
-                    w * sum(abs(e.value) for e in cells))
+                public = math.log(b.upper) - ln_ratio
+            _agrees(link, x, public, errors + [w * e.abs_error for e in cells],
+                    magnitude + w * sum(abs(e.value) for e in cells))
+
+
+def test_sharp_links_agree_with_ratio_bounds_alzer_uv():
+    """eq14-sharp-u's link is ln ratio - ln lower and eq14-sharp-v's
+    ln upper - ln ratio, of ``gamma_ratio`` and ``ratio_bounds(x, 1/2, 1/2,
+    "alzer_uv")`` with the probe's shift perturbed by 0.05."""
+    q = s = 0.5
+    u, v = bd.alzer_u(q, s), bd.alzer_v(q, s)
+    for lower, u, v in ((True, u + 0.05, v), (False, u, v - 0.05)):
+        ((_, link),) = _links("eq14-sharp-u" if lower else "eq14-sharp-v")
+        shift = u if lower else v
+        for x in _XS_DYADIC:
+            b = bd.ratio_bounds(x, s, q, "alzer_uv", u_override=u, v_override=v)
+            ln_ratio, errors, magnitude = _ratio_cells(x, s, q)
+            public = ln_ratio - math.log(b.lower) if lower else math.log(b.upper) - ln_ratio
+            # (1 - s) ln[y]_q at y = x + shift, whose terms read x + shift
+            # and x + (shift + 1) with shift + 1 rounded
+            y = x + shift
+            slope = (1.0 - s) * (abs(sf.q_digamma(y, q).value) + abs(sf.q_digamma(y + 1.0, q).value))
+            errors += [slope * (_moved(x, shift) + _moved(shift, 1.0))]
+            _agrees(link, x, public, errors, magnitude + (1.0 - s) * abs(bd._qbracket_log(y, q)))
+
+
+def test_ag_columns_agree_with_g_ag():
+    for params, link in _links("ag-gx"):
+        a, q = params["a"], params["q"]
+        for x in _XS_DYADIC:
+            cells = [(1.0, x), (1.0, x + 2.0 * a), (2.0, x + a)]
+            lf = [(w, y * math.log1p(-q), sf.q_ln_gamma(y, q)) for w, y in cells]
+            public = math.log(bd.auxiliary_function("g_AG", x, {"a": a, "q": q}))
+            _agrees(link, x, public, [w * e.abs_error for w, _, e in lf],
+                    sum(w * (abs(lin) + abs(e.value)) for w, lin, e in lf))
 
 
 def test_pair_columns_agree_with_psi_pair_inequality():
@@ -318,16 +371,6 @@ def test_cor51_columns_agree_with_cor51_expr():
             bound += 8.0 * _EPS * (p1.value**2 + abs(k * p2.value) + 1.0)
             row = p1.value * p1.value + k * p2.value
             assert abs(row - bd.cor51_expr(x, q)) <= bound, (q, x)
-
-
-def test_ag_columns_agree_with_g_ag():
-    for (a, q), column in _columns("ag-gx").items():
-        for x in _XS_DYADIC:
-            cells = [(1.0, x), (1.0, x + 2.0 * a), (2.0, x + a)]
-            lf = [(w, y * math.log1p(-q), sf.q_ln_gamma(y, q)) for w, y in cells]
-            public = math.log(bd.auxiliary_function("g_AG", x, {"a": a, "q": q}))
-            _agrees(column, x, public, [w * e.abs_error for w, _, e in lf],
-                    sum(w * (abs(lin) + abs(e.value)) for w, lin, e in lf))
 
 
 def test_qpow_constant_cancels_with_no_error():

@@ -6,8 +6,8 @@ loggamma, with the Leibniz sums of a ``Product`` and the sums of a
 ``LinComb`` done in mpmath), never through ``mp.diff``; psi_q is a
 direct sum (``_psi_q``), never ``mp.nsum``, and ln Gamma_q a direct
 product (``_ln_gamma_q``).  A QSeriesTarget's reference is the sum of
-its terms' psi_q and ln Gamma_q, each corpus q-series and each column a
-corpus chain reads is checked on its own, and two are checked against
+its terms' psi_q and ln Gamma_q, each corpus q-series and each column or
+link a corpus bracket reads is checked on its own, and two are checked against
 references written apart from their terms as well.  The points lean
 toward 1/e, where x ln x has a stationary point, and toward both ends of
 [1e-2, 1e2].  The leaf, composite and q-series properties check every
@@ -20,7 +20,8 @@ each have a property of their own, from x = 1e-300 to 1e8 and near the
 zeros of ln Gamma and psi, under the default policy and a coarse one;
 ``q_ln_gamma``, ``q_gamma``, ``q_digamma`` and ``q_polygamma`` share one,
 at seven q on both sides of 1 and x from 1e-2 to 1e3, against the direct
-sums.
+sums; ``digamma_series``, ``polygamma_series`` and ``unit_ball_volume``
+share one, from x = 1e-3 to 1e4 and up to dimension 1000.
 """
 
 import functools
@@ -370,15 +371,16 @@ def _psi_q_series(q):
 
 
 def _corpus_q_series():
-    """(label, K, target, grid points) of every QSeriesTarget the corpus
-    builds, at the orders and on the grid its check asks for."""
+    """(label, K, target, grid points) of every QSeriesTarget an LCM or CM
+    check of the corpus takes, at the orders and on the grid its check asks
+    for.  The links of a bracket are in ``_LINKS``."""
     found = []
     for cid in corpus.ALL_IDS:
         for check in corpus.instantiate(cid):
             kw = check.kwargs
             t = kw.get("target")
             lcm = kw.get("claim") == "log_completely_monotonic"
-            if isinstance(t, ce.QSeriesTarget):
+            if isinstance(t, ce.QSeriesTarget) and kw["claim"] != "nonneg":
                 found.append((check.label, kw["K"] - lcm, t, ce._grid_values(kw["grid"])))
     return found
 
@@ -411,27 +413,49 @@ def _chain_columns():
     return found
 
 
+def _links():
+    """(label, target, grid points, expects_violation) of every link a
+    corpus bracket checks on its own, a nonneg check of one QSeriesTarget;
+    the label is the claim's id and the values of the check's params."""
+    found = []
+    for cid in corpus.ALL_IDS:
+        for check in corpus.instantiate(cid):
+            kw = check.kwargs
+            if kw.get("claim") == "nonneg" and isinstance(kw["target"], ce.QSeriesTarget):
+                key = ",".join(map(str, kw["params"].values()))
+                found.append((f"{cid}[{key}]", kw["target"], ce._grid_values(kw["grid"]),
+                              corpus.get_descriptor(cid).expects_violation))
+    return found
+
+
 _COLUMNS = _chain_columns()
+_LINKS = _links()
+_BRACKET_Q = _COLUMNS + [link[:3] for link in _LINKS]
 
 
 def test_chain_columns_come_from_every_q_series_chain():
     ids = {label.split("[")[0] for label, *_ in _COLUMNS}
-    assert ids == {"ag-gx", "cor51-nonneg", "eq14-bounds", "eq14-sharp-u", "eq14-sharp-v",
-                   "thm3-chain", "thm52-chain"}
+    assert ids == {"cor51-nonneg", "eq14-bounds", "thm52-chain"}
+    ids = {label.split("[")[0] for label, *_ in _LINKS}
+    assert ids == {"ag-gx", "eq14-sharp-u", "eq14-sharp-v", "thm3-chain"}
     assert all(isinstance(t, ce.QSeriesTarget) for _, t, _ in _COLUMNS)
 
 
-@pytest.mark.parametrize("label, target, xs", _COLUMNS, ids=[c[0] for c in _COLUMNS])
+@pytest.mark.parametrize("label, target, xs", _BRACKET_Q, ids=[c[0] for c in _BRACKET_Q])
 def test_chain_column_certificates_hold(label, target, xs):
-    """Orders 0..2 of every chain column at the ends of its chain's points
-    and at x = 0.44 and 19.9, against the reference derived from its terms."""
+    """Orders 0..2 of every chain column and every link at the ends of its
+    chain's points or grid and at x = 0.44 and 19.9, against the reference
+    derived from its terms."""
     _assert_sound(target, [xs[0], 0.44, 19.9, xs[-1]], 2)
 
 
 def test_corpus_q_series_keep_their_sign_at_every_cell():
-    """(-1)^k f^(k) >= 0 at every cell of every corpus q-series check: no
-    cell reads negative and passes only through tau."""
-    for label, K, target, xs in _CORPUS_Q:
+    """(-1)^k f^(k) >= 0 at every cell of every corpus q-series check, and
+    each link >= 0 at every point of its grid: no cell reads negative and
+    passes only through tau.  The links of the sharpness probes are
+    negative by design, and are left out."""
+    links = [(label, 0, t, xs) for label, t, xs, expects in _LINKS if not expects]
+    for label, K, target, xs in _CORPUS_Q + links:
         values, _, ok = target.jet_grid(xs, K)
         assert ok.all(), label
         signed = values * (-1.0) ** np.arange(K + 1)[:, None]
@@ -609,6 +633,27 @@ def test_polygamma_certificates_hold(x_wide, x_mid, x_far, x_high):
     for n, x in cases + [(150, x_mid), (150, x_far), (200, x_far)]:
         _assert_scalar_sound(functools.partial(sf.polygamma, n),
                              lambda y: _polygamma_at(n, y, 40), x)
+
+
+def _ball_volume_ref(n):
+    return mp.pi ** (n / 2) / mp.gamma(1 + n / 2)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.floats(-3.0, 4.0).map(lambda e: 10.0**e), st.integers(0, 1000))
+@example(1e-3, 1000)  # 40! sum (x + k)^-41 is 8e170; Omega_1000 underflows to 0
+@example(1e4, 0)
+def test_reference_route_certificates_hold(x, dim):
+    """The cross-check routes: digamma_series at x, at psi's zero and at 1
+    and 2, polygamma_series at orders 1..40 at x, and unit_ball_volume in
+    dimension ``dim``; a DomainError only where the value leaves double
+    range."""
+    for y in (x, _PSI_ZERO, 1.0, 2.0):
+        _assert_scalar_sound(sf.digamma_series, mp.digamma, y)
+    for n in range(1, 41):
+        _assert_scalar_sound(functools.partial(sf.polygamma_series, n),
+                             lambda y: _polygamma_at(n, y, 40), x)
+    _assert_scalar_sound(sf.unit_ball_volume, _ball_volume_ref, dim)
 
 
 # the q scalars at q near 0, at 0.3 and 0.9, near 1 and above 1

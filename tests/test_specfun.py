@@ -127,6 +127,14 @@ def test_series_paths_match_oracle():
         assert abs(enc.value - float(psi(3, x))) <= enc.abs_error
 
 
+@pytest.mark.parametrize("n, x", [(100, 0.01), (40, 1e-8), (171, 5.0)])
+def test_polygamma_series_refuses_what_leaves_double_precision(n, x):
+    # n! sum (x + k)^-(n+1) overflows, or n! does not fit a float; as
+    # polygamma(100, 0.01) does, with no numpy warning (warnings are errors)
+    with pytest.raises(DomainError):
+        sf.polygamma_series(n, x)
+
+
 def test_domain_errors_classical():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
@@ -429,6 +437,12 @@ def test_log_mean_increasing_in_order():
 def test_log_mean_domain():
     with pytest.raises(DomainError):
         sf.log_mean(0.0, -1.0, 2.0)
+
+
+def test_log_mean_refuses_a_power_that_overflows():
+    # (1e300)^2 overflows on the way to the arithmetic mean
+    with pytest.raises(DomainError):
+        sf.log_mean(2.0, 1e-300, 1e300)
 
 
 def test_kernel_h():
