@@ -157,8 +157,13 @@ def _cmd_eval(args) -> int:
     elif name == "logmean":
         if args.y is None:
             raise UsageError("logmean needs --x and --y")
-        val = sf.log_mean(_parse_float(suffix, fn), _need_x(args), args.y)
-        enc = sf.Enclosure(val, sf._slop(4, val), 1)
+        r, x = _parse_float(suffix, fn), _need_x(args)
+        val = sf.log_mean(r, x, args.y)
+        # log_mean's exponents round in proportion to t = |ln(y/x)|, and
+        # its power 1/(r - 1) multiplies the rounding of what it raises
+        t = abs(math.log(args.y) - math.log(x))
+        amp = 0.0 if r in (0.0, 1.0) else (4.0 + abs(r) * t) / abs(r - 1.0)
+        enc = sf.Enclosure(val, sf._slop(4.0 + 2.0 * t + amp, val), 1)
     elif name == "ball":
         enc = sf.unit_ball_volume(_parse_int(suffix, fn), policy)
     elif name == "kernel":

@@ -10,11 +10,14 @@ must record at least one violation (they verify that the detector detects).
 An LCM claim about f hands h' = -(ln f)' itself to ``check_sign_pattern``
 with ``claim="log_completely_monotonic"``; a classical h' is a LinComb of
 (coef, target) terms.  The q-analogue claims write their q-series as the
-paper does, as data: terms (weight, order, shift[, r]) of psi_q and
-ln Gamma_q for a QSeriesTarget.  An LCM claim's h' is one, and so is each
-link of a bracket linear in them, checked in logs as a nonnegative target;
-the other q-analogue chains read theirs as columns.  No entry defines a
-coefficient function or calls a scalar q-series evaluator.
+paper does, as data: terms (weight, order, shift[, r]) of psi_q^(order),
+where order -1 is ln Gamma_q, for a QSeriesTarget.  An LCM claim's h' is
+one, and so is each link of a bracket linear in them, checked in logs as
+a nonnegative target; at q = 1 the same terms make a LinComb of ln Gamma
+and psi leaves (``_psi_sum``), so the Hadamard chain for psi_q and its
+q = 1 cases, Merkle's and Kershaw's brackets, share one builder.  The
+other q-analogue chains read their q-series as columns.  No entry defines
+a coefficient function or calls a scalar q-series evaluator.
 """
 
 from __future__ import annotations
@@ -198,8 +201,9 @@ def _neg(terms):
 
 
 def _psi_sum(q: float, terms):
-    """sum_i w_i psi_q^(m_i)(x + d_i) for terms (w, m, d): a LinComb of
-    polygamma leaves at q = 1, one QSeriesTarget below 1."""
+    """sum_i w_i psi_q^(m_i)(x + d_i) for terms (w, m, d), m = -1 being
+    ln Gamma_q: a LinComb of polygamma leaves at q = 1, one QSeriesTarget
+    below 1."""
     if q < 1.0:
         return QSeriesTarget(q, terms)
     return LinComb([(w, PolyGammaShift(m, d)) for w, m, d in terms])
@@ -477,7 +481,7 @@ def _build_cor2(desc, grid, K, ov):
 # ---------------------------------------------------------------------------
 
 
-def _bracket_chain(method, grid, claim, label):
+def _bracket_chain(method, grid, label):
     """A classical (q = 1) bracket of ``ratio_bounds`` around ``gamma_ratio``."""
     points = [{"x": x, "q": 1.0, "s": s} for s in _S_DEFAULT for x in grid.values()]
 
@@ -485,7 +489,7 @@ def _bracket_chain(method, grid, claim, label):
         b = bd.ratio_bounds(p["x"], p["s"], 1.0, method)
         return [b.lower, bd.gamma_ratio(p["x"], p["s"], 1.0), b.upper]
 
-    return _chain_check(label, row, points, claim)
+    return _chain_check(label, row, points)
 
 
 @_register(PropertyDescriptor(
@@ -493,28 +497,34 @@ def _bracket_chain(method, grid, claim, label):
     "Hadamard chain for psi_q: endpoint average below, midpoint above",
     _domains(q=(0.01, 0.99)), _GRID20,
 ))
-def _build_thm3(desc, grid, K, ov):
-    """``ratio_bounds(x, s, q, "im_midpoint")`` around ``gamma_ratio``, one
-    link at a time in logs: ln ratio - ln lower and ln upper - ln ratio."""
-    checks = []
-    for q in [ov["q"]] if "q" in ov else _Q_DEFAULT:
-        for s in _S_DEFAULT:
-            h = 0.5 * (1.0 - s)
-            lower = [(1.0, -1, 1.0), (-1.0, -1, s), (-h, 0, 1.0), (-h, 0, s)]
-            upper = [(-1.0, -1, 1.0), (1.0, -1, s), (1.0 - s, 0, 0.5 * (1.0 + s))]
-            for end, link in (("lower", lower), ("upper", upper)):
-                checks.append(_nonneg_check(f"thm3-chain[q={q},s={s},{end}]", QSeriesTarget(q, link),
-                                            grid, {"q": q, "s": s, "link": end}))
-    return checks
-
-
 @_register(PropertyDescriptor(
-    "merkle-chain", "chain_lt",
+    "merkle-chain", "nonneg",
     "Merkle's strict digamma chain for the classical ratio",
     default_grid=_GRID20,
 ))
-def _build_merkle(desc, grid, K, ov):
-    return [_bracket_chain("merkle", grid, "chain_lt", "merkle-chain")]
+@_register(PropertyDescriptor(
+    "kershaw-chain", "nonneg",
+    "Kershaw's two-sided digamma bracket",
+    default_grid=_GRID20,
+))
+def _build_thm3(desc, grid, K, ov):
+    """``ratio_bounds(x, s, q, "im_midpoint")`` around ``gamma_ratio``, one
+    link at a time in logs: ln ratio - ln lower and ln upper - ln ratio.
+    ``merkle-chain`` is its q = 1 case, strict; ``kershaw-chain`` takes
+    (1 - s) psi(x + sqrt(s)) for ln lower."""
+    qs = [ov["q"]] if "q" in ov else (_Q_DEFAULT if desc.id == "thm3-chain" else (1.0,))
+    checks = []
+    for q in qs:
+        for s in _S_DEFAULT:
+            h = 0.5 * (1.0 - s)
+            lower = [(1.0, -1, 1.0), (-1.0, -1, s), (-h, 0, 1.0), (-h, 0, s)]
+            if desc.id == "kershaw-chain":
+                lower = [*lower[:2], (s - 1.0, 0, math.sqrt(s))]
+            upper = [(-1.0, -1, 1.0), (1.0, -1, s), (1.0 - s, 0, 0.5 * (1.0 + s))]
+            for end, link in (("lower", lower), ("upper", upper)):
+                checks.append(_nonneg_check(f"{desc.id}[q={q},s={s},{end}]", _psi_sum(q, link), grid,
+                                            {"q": q, "s": s, "link": end}, desc.id == "merkle-chain"))
+    return checks
 
 
 @_register(PropertyDescriptor(
@@ -524,18 +534,9 @@ def _build_merkle(desc, grid, K, ov):
 ))
 def _build_refined(desc, grid, K, ov):
     return [
-        _bracket_chain("geomean_refined", grid, "chain_le", "refined-chain[geo]"),
-        _bracket_chain("logmean_refined", grid, "chain_le", "refined-chain[logmean]"),
+        _bracket_chain("geomean_refined", grid, "refined-chain[geo]"),
+        _bracket_chain("logmean_refined", grid, "refined-chain[logmean]"),
     ]
-
-
-@_register(PropertyDescriptor(
-    "kershaw-chain", "chain_le",
-    "Kershaw's two-sided digamma bracket",
-    default_grid=_GRID20,
-))
-def _build_kershaw(desc, grid, K, ov):
-    return [_bracket_chain("kershaw", grid, "chain_le", "kershaw-chain")]
 
 
 # ---------------------------------------------------------------------------
@@ -559,16 +560,14 @@ def _build_noncompare(desc, grid, K, ov):
         ],
         pts_a, "chain_lt",
     )
-    pts_b = [{"x": x, "s": s} for x in (1.5, 2.0, 5.0) for s in ss]
-    chain_b = _chain_check(
-        "noncompare[x>1]",
-        lambda p: [
-            2.0 * bd._psi_q(0, p["x"] + math.sqrt(p["s"]), 1.0),
-            bd._psi_q(0, p["x"] + 1.0, 1.0) + bd._psi_q(0, p["x"] + p["s"], 1.0),
-        ],
-        pts_b, "chain_lt",
-    )
-    return [chain_a, chain_b]
+    # psi(x + 1) + psi(x + s) - 2 psi(x + sqrt(s)) > 0, one link per s
+    links = [
+        _nonneg_check(f"noncompare[x>1,s={s}]",
+                      _psi_sum(1.0, [(1.0, 0, 1.0), (1.0, 0, s), (-2.0, 0, math.sqrt(s))]),
+                      (1.5, 2.0, 5.0), {"s": s}, strict=True)
+        for s in ss
+    ]
+    return [chain_a, *links]
 
 
 # ---------------------------------------------------------------------------

@@ -673,27 +673,33 @@ def log_mean(r, a: float, b: float) -> float:
 
     r = -1 is the geometric mean, r = 0 the logarithmic mean, r = 1 the
     identric mean and r = 2 the arithmetic mean; L_r is increasing in r.
-    Raises DomainError where a power of a or b, or the mean, leaves double
-    precision.
+    It is written in u = b/a - 1 and t = ln(b/a), a <= b, with ``log1p``
+    and ``expm1``, so that nothing cancels as b approaches a.  Raises
+    DomainError where (b/a)^max(r, 1), or the mean, leaves double precision.
     """
     if isinstance(r, LogMeanOrder):
         r = r.r
     _require_positive(a, "a")
     _require_positive(b, "b")
+    a, b = min(a, b), max(a, b)
     if a == b:
         return a
+    u = (b - a) / a
+    t = math.log1p(u)
     try:
         if r == 0.0:
-            value = (a - b) / (math.log(a) - math.log(b))
+            value = a * u / t
         elif r == 1.0:
-            value = math.exp((a * math.log(a) - b * math.log(b)) / (a - b) - 1.0)
+            value = a * math.exp((1.0 + u) * t / u - 1.0)
         else:
-            value = ((a**r - b**r) / (r * (a - b))) ** (1.0 / (r - 1.0))
-    except OverflowError:
+            value = a * (math.expm1(r * t) / (r * math.expm1(t))) ** (1.0 / (r - 1.0))
+    except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not math.isfinite(value):
         raise DomainError(f"L_{r}({a}, {b}) overflows double precision")
-    return value
+    # a mean lies in [a, b]; rounding may step past an end where b - a is
+    # a few ulps
+    return min(max(value, a), b)
 
 
 def kernel_h(t: float) -> float:

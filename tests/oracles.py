@@ -44,6 +44,17 @@ def polygamma_hp(n, x, terms=200000):
     return psi(n, mpf(x))
 
 
+def log_mean_hp(r, a, b):
+    """L_r(a, b), a != b, from its definition."""
+    a, b = mpf(a), mpf(b)
+    if r == 0:
+        return (b - a) / (log(b) - log(a))
+    if r == 1:
+        return exp((b * log(b) - a * log(a)) / (b - a) - 1)
+    r = mpf(r)
+    return ((b**r - a**r) / (r * (b - a))) ** (1 / (r - 1))
+
+
 # frozen oracle outputs (see the functions above)
 QGAMMA_HALF_HALF = 1.5720327257863238
 QDIGAMMA_1_HALF = -0.42052903435604577

@@ -48,6 +48,17 @@ def test_eval_gamma_and_kernel(capsys):
     assert code == 0 and abs(float(out.split()[0]) - oracles.KERNEL_H_1) <= 1e-13
 
 
+@pytest.mark.parametrize("r", ["-1", "0", "0.5", "0.99", "0.9999999", "1", "1.01", "3"])
+@pytest.mark.parametrize("y", ["0.5000000000000001", "0.5000000000001", "0.7", "50"])
+def test_eval_logmean_bound_holds_near_order_1(capsys, r, y):
+    """The logmean bound covers the 50-digit mean, also near r = 1, where
+    the power 1/(r - 1) multiplies the rounding of what it raises."""
+    code, out, _ = run(capsys, "eval", "--fn", f"logmean:{r}", "--x", "0.5", "--y", y, "--json")
+    doc = json.loads(out)
+    ref = oracles.log_mean_hp(float(r), 0.5, float(y))
+    assert code == 0 and abs(doc["value"] - ref) <= doc["abs_error"], (doc, ref)
+
+
 def test_eval_gamma_propagates_the_log_error_like_q_gamma(capsys):
     """exp turns the ln Gamma error into val * expm1(err) and adds its own
     rounding slop, as q_gamma and unit_ball_volume do."""
@@ -304,12 +315,14 @@ def test_verify_run_evaluates_each_bounds_cell_once(monkeypatch):
 
         return counted
 
-    # the chains and probes that read their cells one scalar call at a time
+    # the chains and probes that read their cells one scalar call at a
+    # time, and the q = 1 links, whose ln Gamma and psi leaves fill their
+    # grids through the same cell table
     names = ("ln_gamma", "digamma", "polygamma", "q_ln_gamma", "q_polygamma")
     for name in names:
         monkeypatch.setattr(sf, name, counting(name))
-    ids = ["cor5-ineq", "kershaw-chain", "merkle-chain", "prop51-chain", "qthm-monotone",
-           "refined-chain"]
+    ids = ["cor5-ineq", "kershaw-chain", "merkle-chain", "noncompare", "prop51-chain",
+           "qthm-monotone", "refined-chain"]
     doc, unexpected = cli._report_document("rows", ids, None, None, 1e-12)
     assert unexpected == 0
     assert {name for name, _ in calls} == set(names)

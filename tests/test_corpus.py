@@ -165,7 +165,7 @@ def test_only_if_probe_records_violations():
 
 @pytest.mark.parametrize("claim_id, bracket, points", [
     ("eq14-bounds", "ratio_bounds", 2430),
-    ("kershaw-chain", "ratio_bounds", 192),
+    ("refined-chain", "ratio_bounds", 384),
     ("prop51-chain", "psi_pair_inequality", 128),
     ("cor5-ineq", "cor5_inequality", 16),
     ("kv-bounds", "keckic_vasic_bounds", 48),
@@ -282,10 +282,14 @@ def _links(claim_id):
 
 def _ratio_cells(x, s, q):
     """ln gamma_ratio(x, s, q), and the errors and magnitudes of the scalar
-    cells behind it (``_agrees``)."""
-    a, b = sf.q_ln_gamma(x + 1.0, q), sf.q_ln_gamma(x + s, q)
+    cells behind it (``_agrees``); q = 1 reads ln Gamma and psi."""
+    if q == 1.0:
+        ln_gamma, psi = sf.ln_gamma, sf.digamma
+    else:
+        ln_gamma, psi = (lambda y: sf.q_ln_gamma(y, q)), (lambda y: sf.q_digamma(y, q))
+    a, b = ln_gamma(x + 1.0), ln_gamma(x + s)
     # gamma_ratio reads ln Gamma_q at x + s rounded: psi_q times the move
-    slope = abs(sf.q_digamma(x + s, q).value) + 1.0
+    slope = abs(psi(x + s).value) + 1.0
     errors = [a.abs_error, b.abs_error, slope * _moved(x, s)]
     return math.log(bd.gamma_ratio(x, s, q)), errors, abs(a.value) + abs(b.value)
 
@@ -312,6 +316,44 @@ def test_bracket_columns_agree_with_ratio_bounds_im_midpoint():
                 public = math.log(b.upper) - ln_ratio
             _agrees(link, x, public, errors + [w * e.abs_error for e in cells],
                     magnitude + w * sum(abs(e.value) for e in cells))
+
+
+@pytest.mark.parametrize("claim_id", ["merkle-chain", "kershaw-chain"])
+def test_q1_links_agree_with_ratio_bounds_merkle_and_kershaw(claim_id):
+    """Each merkle-chain and kershaw-chain link is ln ratio - ln lower or
+    ln upper - ln ratio, of ``gamma_ratio`` and ``ratio_bounds(x, s, 1,
+    "merkle" | "kershaw")``: the q = 1 case of the thm3-chain links, with
+    kershaw's lower end at x + sqrt(s)."""
+    method = claim_id.split("-")[0]
+    for params, link in _links(claim_id):
+        s = params["s"]
+        assert params["q"] == 1.0 and isinstance(link, ce.LinComb)
+        for x in _XS_DYADIC:
+            b = bd.ratio_bounds(x, s, 1.0, method)
+            ln_ratio, errors, magnitude = _ratio_cells(x, s, 1.0)
+            lower = params["link"] == "lower"
+            public = ln_ratio - math.log(b.lower) if lower else math.log(b.upper) - ln_ratio
+            if not lower:
+                w, ys = 1.0 - s, [x + 0.5 * (1.0 + s)]
+            elif method == "kershaw":
+                w, ys = 1.0 - s, [x + math.sqrt(s)]
+            else:
+                w, ys = 0.5 * (1.0 - s), [x + 1.0, x + s]
+            cells = [sf.digamma(y) for y in ys]
+            _agrees(link, x, public, errors + [w * e.abs_error for e in cells],
+                    magnitude + w * sum(abs(e.value) for e in cells))
+
+
+def test_hadamard_links_share_one_builder_and_strictness():
+    """thm3-chain, merkle-chain and kershaw-chain build their links alike,
+    two per s; only merkle's are strict, as are noncompare's x > 1 links."""
+    for claim_id, qs, strict in (("thm3-chain", 4, False), ("merkle-chain", 1, True),
+                                 ("kershaw-chain", 1, False)):
+        checks = corpus.instantiate(claim_id)
+        assert len(checks) == 2 * 3 * qs
+        assert all(c.kwargs["claim"] == "nonneg" and c.kwargs["strict"] == strict for c in checks)
+    links = [c for c in corpus.instantiate("noncompare") if c.kwargs.get("claim") == "nonneg"]
+    assert len(links) == 9 and all(c.kwargs["strict"] for c in links)
 
 
 def test_sharp_links_agree_with_ratio_bounds_alzer_uv():

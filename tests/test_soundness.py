@@ -292,6 +292,9 @@ _COMPOSITES = _corpus_composites()
 def test_composites_come_from_every_composite_family():
     kinds = {type(t) for *_, t in _COMPOSITES}
     assert kinds == {ce.LinComb, ce.MonomialPolyGamma, ce.PolyProductTarget, ce.DerivOffset}
+    # the q = 1 bracket links are composites of ln Gamma and psi leaves
+    ids = {label.split("[")[0] for label, *_ in _COMPOSITES}
+    assert {"merkle-chain", "kershaw-chain", "noncompare"} <= ids
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -460,6 +463,19 @@ def test_corpus_q_series_keep_their_sign_at_every_cell():
         assert ok.all(), label
         signed = values * (-1.0) ** np.arange(K + 1)[:, None]
         assert (signed >= 0.0).all(), (label, int((signed < 0.0).sum()))
+
+
+def test_q1_links_keep_their_sign_with_their_error_at_every_cell():
+    """Each q = 1 link, a nonneg check of a LinComb of ln Gamma and psi
+    leaves, is >= 0 at every point of its grid with margin - error >= 0:
+    no cell passes through tau."""
+    links = [(check.label, check.kwargs) for cid in corpus.ALL_IDS for check in corpus.instantiate(cid)
+             if check.kwargs.get("claim") == "nonneg" and type(check.kwargs["target"]) is ce.LinComb]
+    assert {label.split("[")[0] for label, _ in links} == {"merkle-chain", "kershaw-chain", "noncompare"}
+    for label, kw in links:
+        values, errors, ok = kw["target"].jet_grid(ce._grid_values(kw["grid"]), 0)
+        assert ok.all(), label
+        assert (values - errors >= 0.0).all(), (label, int((values - errors < 0.0).sum()))
 
 
 # at q = 5e-4 and x in [93, 100], exp(j x ln q) is subnormal or 0 for the

@@ -443,6 +443,26 @@ def test_log_mean_refuses_a_power_that_overflows():
     # (1e300)^2 overflows on the way to the arithmetic mean
     with pytest.raises(DomainError):
         sf.log_mean(2.0, 1e-300, 1e300)
+    # b/a = 1e600 leaves double precision: the mean 1 or a DomainError,
+    # never a bare ZeroDivisionError from 0 raised to 1/(r - 1) < 0
+    try:
+        assert sf.log_mean(-1.0, 1e-300, 1e300) == pytest.approx(1.0)
+    except DomainError:
+        pass
+
+
+@pytest.mark.parametrize("r", [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0])
+def test_log_mean_is_accurate_as_b_nears_a(r):
+    """Within 4 eps of the 50-digit mean, in [a, b] and in either argument
+    order, from b = a (1 + 2.2e-16) up to b = 101 a: a form that subtracts
+    b^r - a^r loses every digit there, or divides 0 by 0."""
+    for a in (0.5, 1.0, 3.0):
+        for du in (2.2e-16, 1e-13, 1e-8, 1e-3, 0.3, 100.0):
+            b = a * (1.0 + du)
+            ref = oracles.log_mean_hp(r, a, b)
+            for value in (sf.log_mean(r, a, b), sf.log_mean(r, b, a)):
+                assert a <= value <= b, (r, a, b, value)
+                assert abs(value - ref) <= 4.0 * 2.0**-52 * ref, (r, a, b, value)
 
 
 def test_kernel_h():
