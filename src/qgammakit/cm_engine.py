@@ -770,9 +770,18 @@ class QSeriesTarget(Target):
 
 
 class ExpNegX(Target):
+    """e^(-rate x); rate = -ln q gives q^x."""
+
+    def __init__(self, rate: float = 1.0):
+        self.rate = rate
+
     def _jets(self, xs, K, policy):
-        values = np.multiply.outer((-1.0) ** np.arange(K + 1), np.exp(-xs))
-        return _closed_form(values, _slop(2, values))
+        y = self.rate * xs
+        values = np.multiply.outer((-self.rate) ** np.arange(K + 1), np.exp(-y))
+        # a rate other than 1 rounds y = rate x, which moves e^(-y) by |y| eps/2
+        # relatively, and rounds rate^k up to k times
+        ops = 2.0 if self.rate == 1.0 else 2.0 + np.add.outer(np.arange(K + 1), np.abs(y))
+        return _closed_form(values, _slop(ops, values))
 
 
 class SinPlus2(Target):

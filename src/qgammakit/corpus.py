@@ -16,8 +16,12 @@ one, and so is each link of a bracket linear in them, checked in logs as
 a nonnegative target; at q = 1 the same terms make a LinComb of ln Gamma
 and psi leaves (``_psi_sum``), so the Hadamard chain for psi_q and its
 q = 1 cases, Merkle's and Kershaw's brackets, share one builder.  The
-other q-analogue chains read their q-series as columns.  No entry defines
-a coefficient function or calls a scalar q-series evaluator.
+other q-analogue chains read their q-series as columns.  A monotone
+quotient or product is checked as the sign of its derivative, a nonneg
+LinComb of Products of leaves (x, psi^(n), q-series, and q^x as
+e^(-rate x) with rate = -ln q).  No entry defines a coefficient function
+or calls a scalar psi_q or psi_q^(n) evaluator; scalar ln Gamma_q is read
+by cor5-ineq's rows and by the eq14 claims' constant ``alzer_v``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .cm_engine import (
     Affine,
     Const,
     DerivOffset,
+    ExpNegX,
     GridSpec,
     LinComb,
     LnGammaFn,
@@ -43,6 +48,7 @@ from .cm_engine import (
     PolyGammaShift,
     PolyProductTarget,
     PowShift,
+    Product,
     QSeriesTarget,
     VerificationReport,
     Violation,
@@ -1029,44 +1035,47 @@ def _build_thm11_onlyif(desc, grid, K, ov):
     )]
 
 
+def _g_sign(n, a, sign, c=None):
+    """sign times the sign of g' or of g + c, for g = h / f with
+    h = x psi^(n+1)(x + a) and f = psi^(n)(x + a): of g' through
+    f h' - f' h, and, with ``c``, of g + c through s (h + c f), s = (-1)^(n+1)
+    being the sign of f."""
+    f, h = PolyGammaShift(n, a), MonomialPolyGamma(1, n + 1, a)
+    if c is None:
+        return LinComb([(sign, Product(f, DerivOffset(h, 1))), (-sign, Product(PolyGammaShift(n + 1, a), h))])
+    s = sign * (-1.0) ** (n + 1)
+    return LinComb([(s, h), (s * c, f)])
+
+
 @_register(PropertyDescriptor(
     "eq43-range", "decreasing",
     "the polygamma log-slope ratio decreases onto (n, n+1]",
     default_grid=_GRID50,
 ))
-def _build_eq43(desc, grid, K, ov):
-    checks = []
-    for n in (1, 2, 3):
-        def fn(x, n=n):
-            return -x * bd._psi_q(n + 1, x, 1.0) / bd._psi_q(n, x, 1.0)
-
-        checks.append(_probe_check(
-            f"eq43-range[n={n}]", fn, grid, "decreasing", {"n": n},
-            value_range=(float(n), float(n + 1)),
-        ))
-    return checks
-
-
 @_register(PropertyDescriptor(
     "prop-cor45", "decreasing",
     "shifted polygamma slope ratio decreases; tends to -n",
     default_grid=GridSpec(0.0, 50.0, 64, "linear"),
 ))
-def _build_cor45(desc, grid, K, ov):
+def _build_ratio(desc, grid, K, ov):
+    """g = x psi^(n+1)(x + a) / psi^(n)(x + a) by the signs of g' and of
+    g + c.  ``eq43-range`` (a = 0): -g decreases onto (n, n + 1], so g' >= 0
+    and -(n + 1) <= g < -n on the grid.  ``prop-cor45`` (a = 1/2, 1): g' <= 0,
+    and -n - 0.02 <= g <= -n + 0.02 at x = 1000."""
+    eq43 = desc.id == "eq43-range"
     checks = []
-    for a in (0.5, 1.0):
-        for n in (1, 2):
-            def fn(x, a=a, n=n):
-                return x * bd._psi_q(n + 1, x + a, 1.0) / bd._psi_q(n, x + a, 1.0)
-
-            checks.append(_probe_check(
-                f"prop-cor45[a={a},n={n}]", fn, grid, "decreasing", {"a": a, "n": n}
-            ))
-            checks.append(_chain_check(
-                f"prop-cor45[limit,a={a},n={n}]",
-                lambda p, f=fn, n=n: [abs(f(p["x"]) + n), 2e-2],
-                [{"x": 1000.0}],
-            ))
+    for a in (0.0,) if eq43 else (0.5, 1.0):
+        for n in (1, 2, 3) if eq43 else (1, 2):
+            p = {"n": n} if eq43 else {"a": a, "n": n}
+            tag = ",".join(f"{k}={v}" for k, v in p.items())
+            # g >= -c_hi and g <= -c_lo
+            c_hi, c_lo, at = (n + 1, n, grid) if eq43 else (n + 0.02, n - 0.02, [1000.0])
+            checks += [
+                _nonneg_check(f"{desc.id}[{tag}]", _g_sign(n, a, 1.0 if eq43 else -1.0), grid, p),
+                _nonneg_check(f"{desc.id}[{tag},lower]", _g_sign(n, a, 1.0, c_hi), at, p | {"link": "lower"}),
+                _nonneg_check(f"{desc.id}[{tag},upper]", _g_sign(n, a, -1.0, c_lo), at,
+                              p | {"link": "upper"}, strict=eq43),
+            ]
     return checks
 
 
@@ -1130,18 +1139,19 @@ def _build_xf01(desc, grid, K, ov):
     _domains(q=(0.01, 0.99)), _GRID20,
 ))
 def _build_qthm(desc, grid, K, ov):
+    """s (1 - q^x)^n psi_q^(n)(x), s = (-1)^(n+1), decreases: its derivative
+    over -(1 - q^x)^(n-1) is s [n ln q q^x psi_q^(n) - (1 - q^x) psi_q^(n+1)]
+    >= 0, q^x being e^(x ln q)."""
     qs = [ov["q"]] if "q" in ov else (0.3, 0.7)
     checks = []
     for q in qs:
+        qx = ExpNegX(-math.log(q))
+        one_minus_qx = LinComb([(1.0, Const(1.0)), (-1.0, qx)])
         for n in (1, 2, 3):
-            def fn(x, q=q, n=n):
-                w = (1.0 - q**x) ** n
-                sign = 1.0 if n % 2 == 1 else -1.0
-                return w * sign * bd._psi_q(n, x, q)
-
-            checks.append(_probe_check(
-                f"qthm-monotone[q={q},n={n}]", fn, grid, "decreasing", {"q": q, "n": n}
-            ))
+            s = (-1.0) ** (n + 1)
+            psi, psi1 = (QSeriesTarget(q, [(1.0, m, 0.0)]) for m in (n, n + 1))
+            target = LinComb([(s * n * math.log(q), Product(qx, psi)), (-s, Product(one_minus_qx, psi1))])
+            checks.append(_nonneg_check(f"qthm-monotone[q={q},n={n}]", target, grid, {"q": q, "n": n}))
     return checks
 
 

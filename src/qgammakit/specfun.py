@@ -674,8 +674,9 @@ def log_mean(r, a: float, b: float) -> float:
     r = -1 is the geometric mean, r = 0 the logarithmic mean, r = 1 the
     identric mean and r = 2 the arithmetic mean; L_r is increasing in r.
     It is written in u = b/a - 1 and t = ln(b/a), a <= b, with ``log1p``
-    and ``expm1``, so that nothing cancels as b approaches a.  Raises
-    DomainError where (b/a)^max(r, 1), or the mean, leaves double precision.
+    and ``expm1``, so that nothing cancels as b approaches a.  Where b/a or
+    (b/a)^r overflows, t is ln b - ln a and ln|expm1| is taken in logs.
+    Raises DomainError where neither form gives a finite mean.
     """
     if isinstance(r, LogMeanOrder):
         r = r.r
@@ -696,10 +697,32 @@ def log_mean(r, a: float, b: float) -> float:
     except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not math.isfinite(value):
+        value = _log_mean_in_logs(r, a, b, u, t)
+    if not math.isfinite(value):
         raise DomainError(f"L_{r}({a}, {b}) overflows double precision")
     # a mean lies in [a, b]; rounding may step past an end where b - a is
     # a few ulps
     return min(max(value, a), b)
+
+
+def _log_mean_in_logs(r, a, b, u, t):
+    """L_r(a, b) where its direct form overflows, as b/a (u = inf) or
+    (b/a)^r does.  With v(z) = ln(1 - e^-z) and
+    c = v(|r| t) - v(t) - ln|r|, L_r is b e^(c/(r - 1)) for r > 0 and
+    e^((ln b - r ln a - c)/(1 - r)) for r < 0, neither of which overflows."""
+    if math.isinf(u):
+        t = math.log(b) - math.log(a)
+    try:
+        if r == 0.0:
+            return (b - a) / t
+        if r == 1.0:
+            return b * math.exp(t / u - 1.0)
+        c = math.log(math.expm1(-abs(r) * t) / math.expm1(-t)) - math.log(abs(r))
+        if r > 0.0:
+            return b * math.exp(c / (r - 1.0))
+        return math.exp((math.log(b) - r * math.log(a) - c) / (1.0 - r))
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return math.inf
 
 
 def kernel_h(t: float) -> float:

@@ -59,6 +59,19 @@ def test_eval_logmean_bound_holds_near_order_1(capsys, r, y):
     assert code == 0 and abs(doc["value"] - ref) <= doc["abs_error"], (doc, ref)
 
 
+@pytest.mark.parametrize("r, x, y", [
+    (-1.0, 1e-300, 1e300), (2.0, 1e-300, 1e-100), (3.0, 1.0, 1e200), (-10.0, 1e-300, 1e300),
+    (0.0, 1e-300, 1e300), (1.0, 1e-300, 1e300), (1.01, 1e-200, 1e200), (1000.0, 1e-300, 1e-299),
+])
+def test_eval_logmean_bound_holds_where_a_power_overflows(capsys, r, x, y):
+    """The logmean bound covers the 50-digit mean where b/a or (b/a)^r
+    leaves double precision, and log_mean takes logs."""
+    code, out, _ = run(capsys, "eval", "--fn", f"logmean:{r}", "--x", str(x), "--y", str(y), "--json")
+    doc = json.loads(out)
+    ref = oracles.log_mean_hp(r, x, y)
+    assert code == 0 and abs(doc["value"] - ref) <= doc["abs_error"], (doc, ref)
+
+
 def test_eval_gamma_propagates_the_log_error_like_q_gamma(capsys):
     """exp turns the ln Gamma error into val * expm1(err) and adds its own
     rounding slop, as q_gamma and unit_ball_volume do."""
@@ -315,17 +328,19 @@ def test_verify_run_evaluates_each_bounds_cell_once(monkeypatch):
 
         return counted
 
-    # the chains and probes that read their cells one scalar call at a
-    # time, and the q = 1 links, whose ln Gamma and psi leaves fill their
-    # grids through the same cell table
+    # the chains that read their cells one scalar call at a time, and the
+    # q = 1 links and derivative signs, whose ln Gamma and psi leaves fill
+    # their grids through the same cell table; the links and the slope of
+    # eq43-range and prop-cor45 share their psi^(n) cells.  No claim reads
+    # a scalar psi_q^(n): qthm-monotone's q-series sum their grids in numpy
     names = ("ln_gamma", "digamma", "polygamma", "q_ln_gamma", "q_polygamma")
     for name in names:
         monkeypatch.setattr(sf, name, counting(name))
-    ids = ["cor5-ineq", "kershaw-chain", "merkle-chain", "noncompare", "prop51-chain",
-           "qthm-monotone", "refined-chain"]
+    ids = ["cor5-ineq", "eq43-range", "kershaw-chain", "merkle-chain", "noncompare",
+           "prop-cor45", "prop51-chain", "qthm-monotone", "refined-chain"]
     doc, unexpected = cli._report_document("rows", ids, None, None, 1e-12)
     assert unexpected == 0
-    assert {name for name, _ in calls} == set(names)
+    assert {name for name, _ in calls} == set(names) - {"q_polygamma"}
     assert max(calls.values()) == 1
 
 

@@ -188,19 +188,31 @@ def test_chain_computes_its_bracket_once_per_point(monkeypatch, claim_id, bracke
 
 
 # the q-analogue brackets, with the number of q-series each reads: the
-# columns of a chain, or the targets of the links checked one at a time
+# columns of a chain, or those in the targets of the links and derivative
+# signs checked one at a time
 _COLUMN_CHAINS = {"eq14-bounds": 81, "thm52-chain": 8, "cor51-nonneg": 8}
-_LINK_CLAIMS = {"thm3-chain": 24, "ag-gx": 4, "eq14-sharp-u": 1, "eq14-sharp-v": 1}
+_LINK_CLAIMS = {"thm3-chain": 24, "ag-gx": 4, "eq14-sharp-u": 1, "eq14-sharp-v": 1,
+                "qthm-monotone": 12}
+
+
+def _q_series_in(t):
+    """The QSeriesTargets in target t, a composite's leaves included."""
+    if isinstance(t, ce.QSeriesTarget):
+        return [t]
+    if isinstance(t, ce.LinComb):
+        return [u for _, term in t.terms for u in _q_series_in(term)]
+    if isinstance(t, ce.Product):
+        return _q_series_in(t.f) + _q_series_in(t.g)
+    return []
 
 
 def _read_q_series(checks):
-    """The q-series the checks of a claim read: a chain's columns, or the
-    target of each link."""
+    """The q-series the checks of a claim read: a chain's columns, or those
+    in the target of each check."""
     found = []
     for c in checks:
         found += (c.kwargs.get("columns") or {}).values()
-        if isinstance(c.kwargs.get("target"), ce.QSeriesTarget):
-            found.append(c.kwargs["target"])
+        found += _q_series_in(c.kwargs.get("target"))
     return found
 
 

@@ -55,7 +55,8 @@ def _ref(t, k, x):
             return mp.log(x + t.c)
         return (-1) ** (k - 1) * mp.factorial(k - 1) * (x + t.c) ** (-k)
     if isinstance(t, ce.ExpNegX):
-        return (-1) ** k * mp.exp(-x)
+        rate = mp.mpf(t.rate)
+        return (-rate) ** k * mp.exp(-rate * x)
     if isinstance(t, ce.SinPlus2):
         return mp.sin(x + k * mp.pi / 2) + (2 if k == 0 else 0)
     if isinstance(t, ce._PsiLeaf):
@@ -242,6 +243,7 @@ _LEAVES = [
     ce.LogShift(-0.25),
     ce.XLogX(),
     ce.ExpNegX(),
+    ce.ExpNegX(-math.log(0.3)),
     ce.SinPlus2(),
     ce.LnGammaFn(),
     ce.PolyGammaShift(0),
@@ -260,10 +262,10 @@ _PSI_XS = np.geomspace(0.55, 10.0, 12).tolist()
 
 def _corpus_composites():
     """(label, K, target) of every composite a corpus check evaluates whose
-    leaves have a closed-form reference here (no q-family leaf); an LCM
-    check's target is h', checked at orders 0..K-1."""
+    leaves have a reference here (elementary, ln Gamma, psi and q-series
+    leaves); an LCM check's target is h', checked at orders 0..K-1."""
     covered = (ce.Const, ce.Affine, ce.PowShift, ce.LogShift, ce.ExpNegX, ce.SinPlus2,
-               ce.LnGammaFn, ce.PolyGammaShift)
+               ce.LnGammaFn, ce.PolyGammaShift, ce.QSeriesTarget)
 
     def referenced(t):
         if isinstance(t, ce.LinComb):
@@ -292,9 +294,11 @@ _COMPOSITES = _corpus_composites()
 def test_composites_come_from_every_composite_family():
     kinds = {type(t) for *_, t in _COMPOSITES}
     assert kinds == {ce.LinComb, ce.MonomialPolyGamma, ce.PolyProductTarget, ce.DerivOffset}
-    # the q = 1 bracket links are composites of ln Gamma and psi leaves
+    # the q = 1 bracket links are composites of ln Gamma and psi leaves, and
+    # the derivative-sign targets composites of psi, x, q^x and q-series
     ids = {label.split("[")[0] for label, *_ in _COMPOSITES}
-    assert {"merkle-chain", "kershaw-chain", "noncompare"} <= ids
+    assert {"merkle-chain", "kershaw-chain", "noncompare",
+            "eq43-range", "prop-cor45", "qthm-monotone"} <= ids
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -466,12 +470,14 @@ def test_corpus_q_series_keep_their_sign_at_every_cell():
 
 
 def test_q1_links_keep_their_sign_with_their_error_at_every_cell():
-    """Each q = 1 link, a nonneg check of a LinComb of ln Gamma and psi
-    leaves, is >= 0 at every point of its grid with margin - error >= 0:
-    no cell passes through tau."""
+    """Each nonneg check of a LinComb is >= 0 at every point of its grid
+    with margin - error >= 0, so no cell passes through tau: the q = 1
+    links, of ln Gamma and psi leaves, and the derivative signs and range
+    links of eq43-range, prop-cor45 and qthm-monotone."""
     links = [(check.label, check.kwargs) for cid in corpus.ALL_IDS for check in corpus.instantiate(cid)
              if check.kwargs.get("claim") == "nonneg" and type(check.kwargs["target"]) is ce.LinComb]
-    assert {label.split("[")[0] for label, _ in links} == {"merkle-chain", "kershaw-chain", "noncompare"}
+    assert {label.split("[")[0] for label, _ in links} == {
+        "merkle-chain", "kershaw-chain", "noncompare", "eq43-range", "prop-cor45", "qthm-monotone"}
     for label, kw in links:
         values, errors, ok = kw["target"].jet_grid(ce._grid_values(kw["grid"]), 0)
         assert ok.all(), label

@@ -439,16 +439,22 @@ def test_log_mean_domain():
         sf.log_mean(0.0, -1.0, 2.0)
 
 
-def test_log_mean_refuses_a_power_that_overflows():
-    # (1e300)^2 overflows on the way to the arithmetic mean
-    with pytest.raises(DomainError):
-        sf.log_mean(2.0, 1e-300, 1e300)
-    # b/a = 1e600 leaves double precision: the mean 1 or a DomainError,
-    # never a bare ZeroDivisionError from 0 raised to 1/(r - 1) < 0
-    try:
-        assert sf.log_mean(-1.0, 1e-300, 1e300) == pytest.approx(1.0)
-    except DomainError:
-        pass
+def test_log_mean_takes_logs_where_a_power_overflows():
+    """Where b/a or (b/a)^r leaves double precision, the mean, in [a, b] and
+    within 4 eps (1 + t) of the 50-digit mean, t = ln(b/a), for the
+    rounding of the logs grows with them.  A form that raises b/a or
+    (b/a)^r overflows here, or raises 0 to a negative power."""
+    cases = [
+        (-1.0, 1e-300, 1e300), (2.0, 1e-300, 1e-100), (3.0, 1.0, 1e200), (2.0, 1e-300, 1e300),
+        (-10.0, 1e-300, 1e300), (-0.01, 1e-10, 1e300), (0.0, 1e-300, 1e300), (0.5, 1e-308, 1.7e308),
+        (0.99, 1e-300, 1e300), (1.0, 1e-300, 1e300), (1.01, 1e-200, 1e200), (1000.0, 1e-300, 1e-299),
+    ]
+    for r, a, b in cases:
+        ref = oracles.log_mean_hp(r, a, b)
+        t = math.log(b) - math.log(a)
+        for value in (sf.log_mean(r, a, b), sf.log_mean(r, b, a)):
+            assert a <= value <= b, (r, a, b, value)
+            assert abs(value - ref) <= 4.0 * 2.0**-52 * (1.0 + t) * ref, (r, a, b, value)
 
 
 @pytest.mark.parametrize("r", [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0])
