@@ -2,7 +2,8 @@
 
 Every two-sided bound is computable as a (lower, upper) pair for comparison
 against the exact ratio; all ratio/bound arithmetic is done in log space and
-exponentiated last, so large arguments and dimensions stay in range.
+exponentiated last, so large arguments and dimensions stay in range; a
+result past double precision raises DomainError, not OverflowError.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from . import specfun
 from .specfun import (
     EULER_GAMMA,
     TruncationPolicy,
+    _exp_value,
     log_mean,
 )
 
@@ -169,7 +171,7 @@ def alzer_v(q: float, s: float, policy: TruncationPolicy | None = None) -> float
     """Best upper shift v(q, s) = ln(1 - (1-q) Gamma_q(s)^(1/(s-1))) / ln q."""
     _check_s(s)
     _check_q(q)
-    g = math.exp(_psi_q(-1, s, q, policy) / (s - 1.0))
+    g = _exp_value(_psi_q(-1, s, q, policy) / (s - 1.0))
     arg = 1.0 - (1.0 - q) * g
     if arg <= 0.0:
         raise DomainError(f"log argument is nonpositive at (q, s)=({q}, {s})")
@@ -180,11 +182,16 @@ def gamma_ratio(x: float, s: float, q: float, policy=None) -> float:
     """Gamma_q(x+1) / Gamma_q(x+s), computed in log space (q = 1 classical)."""
     specfun._require_positive(x)
     _check_s(s)
-    return math.exp(_psi_q(-1, x + 1.0, q, policy) - _psi_q(-1, x + s, q, policy))
+    return _exp_value(_psi_q(-1, x + 1.0, q, policy) - _psi_q(-1, x + s, q, policy))
 
 
 def _qbracket_log(y: float, q: float) -> float:
-    """log((1 - q^y)/(1 - q)); reduces to log(y) as q -> 1."""
+    """log((1 - q^y)/(1 - q)); reduces to log(y) as q -> 1.  For q > 1,
+    [y]_q = q^(y-1) [y]_{1/q} = q^y (1 - q^(-y))/(q - 1), whose log is
+    t + log(-expm1(-t)) - log(q - 1) with t = y ln q."""
+    if q > 1.0:
+        t = y * math.log(q)
+        return t + math.log(-math.expm1(-t)) - math.log(q - 1.0)
     return math.log1p(-(q**y)) - math.log1p(-q)
 
 
@@ -220,7 +227,7 @@ def ratio_bounds(
         if q == 1.0:
             u = 0.5 * s if u_override is None else u_override
             v = (
-                math.exp(_psi_q(-1, s, 1.0, policy) / (s - 1.0))
+                _exp_value(_psi_q(-1, s, 1.0, policy) / (s - 1.0))
                 if v_override is None
                 else v_override
             )
@@ -234,16 +241,16 @@ def ratio_bounds(
             )
         u = alzer_u(q, s) if u_override is None else u_override
         v = alzer_v(q, s, policy) if v_override is None else v_override
-        lo = math.exp(one_minus_s * _qbracket_log(x + u, q))
-        hi = math.exp(one_minus_s * _qbracket_log(x + v, q))
+        lo = _exp_value(one_minus_s * _qbracket_log(x + u, q))
+        hi = _exp_value(one_minus_s * _qbracket_log(x + v, q))
         return BoundPair(lo, hi, method)
 
     # at q = 1 (the only q 'merkle' accepts) _psi_q is digamma
     if method in ("im_midpoint", "psi_average", "merkle"):
-        lo = math.exp(
+        lo = _exp_value(
             0.5 * one_minus_s * (_psi_q(0, x + 1.0, q, policy) + _psi_q(0, x + s, q, policy))
         )
-        hi = math.exp(one_minus_s * _psi_q(0, x + 0.5 * (1.0 + s), q, policy))
+        hi = _exp_value(one_minus_s * _psi_q(0, x + 0.5 * (1.0 + s), q, policy))
         return BoundPair(lo, hi, method)
 
     # classical q = 1 chains: exp((1-s) psi(point)) with method-specific points
@@ -255,8 +262,8 @@ def ratio_bounds(
     else:  # geomean_refined
         lo_pt = math.sqrt((x + 1.0) * (x + s))
         hi_pt = x + 0.5 * (1.0 + s)
-    lo = math.exp(one_minus_s * _psi_q(0, lo_pt, 1.0, policy))
-    hi = math.exp(one_minus_s * _psi_q(0, hi_pt, 1.0, policy))
+    lo = _exp_value(one_minus_s * _psi_q(0, lo_pt, 1.0, policy))
+    hi = _exp_value(one_minus_s * _psi_q(0, hi_pt, 1.0, policy))
     return BoundPair(lo, hi, method)
 
 
@@ -273,7 +280,7 @@ def g_q_function(x: float, a: float, b: float, c: float, q: float, policy=None) 
         pre = (a - b) * math.log(x + c)
     else:
         pre = (a - b) * _qbracket_log(x + c, q)
-    return math.exp(pre + _psi_q(-1, x + b, q, policy) - _psi_q(-1, x + a, q, policy))
+    return _exp_value(pre + _psi_q(-1, x + b, q, policy) - _psi_q(-1, x + a, q, policy))
 
 
 def keckic_vasic_bounds(a: float, b: float, policy=None) -> BoundPair:
@@ -283,8 +290,8 @@ def keckic_vasic_bounds(a: float, b: float, policy=None) -> BoundPair:
     if not (b > a):
         raise UsageError(f"need b > a, got a={a}, b={b}")
     base = a - b
-    lo = math.exp((b - 1.0) * math.log(b) - (a - 1.0) * math.log(a) + base)
-    hi = math.exp((b - 0.5) * math.log(b) - (a - 0.5) * math.log(a) + base)
+    lo = _exp_value((b - 1.0) * math.log(b) - (a - 1.0) * math.log(a) + base)
+    hi = _exp_value((b - 0.5) * math.log(b) - (a - 0.5) * math.log(a) + base)
     return BoundPair(lo, hi, "keckic_vasic")
 
 
@@ -300,7 +307,7 @@ def ball_ratio_bounds(n: int, policy=None) -> BallRatioBounds:
     def log_omega(m: int) -> float:
         return 0.5 * m * math.log(math.pi) - _psi_q(-1, 1.0 + 0.5 * m, 1.0, policy)
 
-    thm51_exact = math.exp(2.0 * log_omega(n) - log_omega(n - 1) - log_omega(n + 1))
+    thm51_exact = _exp_value(2.0 * log_omega(n) - log_omega(n - 1) - log_omega(n + 1))
     thm51 = BoundPair(
         math.sqrt(1.0 + 1.0 / (n + 1.0)),
         math.sqrt(1.0 + 1.0 / (n + 0.5)),
@@ -313,11 +320,11 @@ def ball_ratio_bounds(n: int, policy=None) -> BallRatioBounds:
         beta = 2.0 * (math.log(8.0 / math.pi) + EULER_GAMMA - 1.0)
         psi_n = _psi_q(0, float(n), 1.0, policy)
         eq13 = BoundPair(
-            math.exp(alpha / n + psi_n) / (2.0 * math.pi),
-            math.exp(beta / n + psi_n) / (2.0 * math.pi),
+            _exp_value(alpha / n + psi_n) / (2.0 * math.pi),
+            _exp_value(beta / n + psi_n) / (2.0 * math.pi),
             "eq13",
         )
-        eq13_exact = math.exp(2.0 * (log_omega(n - 1) - log_omega(n)))
+        eq13_exact = _exp_value(2.0 * (log_omega(n - 1) - log_omega(n)))
     return BallRatioBounds(thm51, thm51_exact, eq13, eq13_exact)
 
 
@@ -370,26 +377,26 @@ def auxiliary_function(fn_id: str, x: float, params: dict, policy=None) -> float
         )
     if fn_id == "f_ILM":
         alpha = need("alpha")
-        return math.exp(
+        return _exp_value(
             alpha * math.log(x) + _psi_q(-1, x, 1.0, policy) + x - x * math.log(x)
         )
     if fn_id == "f_qpow":
         q = need("q")
         _check_q(q)
-        return math.exp(x * math.log1p(-q) + _psi_q(-1, x, q, policy))
+        return _exp_value(x * math.log1p(-q) + _psi_q(-1, x, q, policy))
     if fn_id == "g_AG":
         q, a = need("q"), need("a")
         _check_q(q)
         if a <= 0.0:
             raise UsageError("g_AG requires a > 0")
         lf = lambda y: y * math.log1p(-q) + _psi_q(-1, y, q, policy)
-        return math.exp(lf(x) + lf(x + 2.0 * a) - 2.0 * lf(x + a))
+        return _exp_value(lf(x) + lf(x + 2.0 * a) - 2.0 * lf(x + a))
     # beta_scaled
     q, beta = need("q"), need("beta")
     if q <= 0.0 or q == 1.0 or beta <= 0.0 or beta == 1.0:
         raise UsageError("beta_scaled requires q > 0, q != 1, beta > 0, beta != 1")
     qb = q ** (1.0 / beta)
-    return math.exp(
+    return _exp_value(
         _psi_q(-1, x, q, policy) - _psi_q(-1, beta * x, qb, policy) / beta
     )
 
@@ -568,7 +575,7 @@ def cor5_inequality(
     if alpha <= 0.0 or alpha == 1.0:
         raise UsageError("alpha must be positive and != 1")
     qa = q**alpha
-    lhs = math.exp(
+    lhs = _exp_value(
         alpha
         * (
             _psi_q(-1, z + x, qa, policy)
@@ -577,7 +584,7 @@ def cor5_inequality(
             - _psi_q(-1, z, qa, policy)
         )
     )
-    rhs = math.exp(
+    rhs = _exp_value(
         _psi_q(-1, alpha * (z + x), q, policy)
         + _psi_q(-1, alpha * (z + y), q, policy)
         - _psi_q(-1, alpha * z, q, policy)

@@ -835,13 +835,15 @@ class Product(Target):
     j = 0..k, in order of j.  The one product rule: each summand adds
     C(k, j) (|f^(j)| e_g + |g^(k-j)| e_f + e_f e_g) to the error, and row k
     the rounding slop of its k + 1 summands, (k + 2) eps sum |summands|
-    (two products per summand and k additions)."""
+    (two products per summand and k additions).  A square, g the same
+    object as f, evaluates f once."""
 
     def __init__(self, f: Target, g: Target):
         self.f, self.g = f, g
 
     def _jets(self, xs, K, policy):
-        f, g = self.f._jets(xs, K, policy), self.g._jets(xs, K, policy)
+        f = self.f._jets(xs, K, policy)
+        g = f if self.g is self.f else self.g._jets(xs, K, policy)
         val, err, size = (np.zeros((K + 1, len(xs))) for _ in range(3))
         terms = np.zeros((K + 1, len(xs)), dtype=np.int64)
         # the rows of f past its last one with a nonzero value or error (x^p
@@ -1171,8 +1173,8 @@ def monotonicity_probe(
     inconclusive, and so is a comparison whose Target errors exceed
     |margin| + tau, as in ``check_chain``; a callable's value has zero
     error.  ``value_range = (lo, hi)`` additionally asserts
-    lo < f(x) <= hi at every grid point (the range-containment form used by
-    the ratio targets).
+    lo < f(x) <= hi at every grid point; no corpus entry passes one, as
+    ``eq43-range`` checks its range as two links.
     """
     if direction not in ("increasing", "decreasing"):
         raise UsageError(f"direction must be increasing|decreasing, got {direction!r}")

@@ -15,11 +15,15 @@ where order -1 is ln Gamma_q, for a QSeriesTarget.  An LCM claim's h' is
 one, and so is each link of a bracket linear in them, checked in logs as
 a nonnegative target; at q = 1 the same terms make a LinComb of ln Gamma
 and psi leaves (``_psi_sum``), so the Hadamard chain for psi_q and its
-q = 1 cases, Merkle's and Kershaw's brackets, share one builder.  The
-other q-analogue chains read their q-series as columns.  A monotone
-quotient or product is checked as the sign of its derivative, a nonneg
-LinComb of Products of leaves (x, psi^(n), q-series, and q^x as
-e^(-rate x) with rate = -ln q).  No entry defines a coefficient function
+q = 1 cases, Merkle's and Kershaw's brackets, share one builder; the
+Keckic-Vasic bracket's links are ln Gamma leaves and (x + a) ln(x + b)
+Products.  A monotone quotient or product is checked as the sign of its
+derivative, and a product inequality (prop51-chain's d^2 < mid < d^2/c,
+cor51-nonneg's psi_q'^2 + ... >= 0) one inequality at a time: each a
+nonneg LinComb of Products of leaves (x, psi^(n), q-series, and q^x as
+e^(-rate x) with rate = -ln q), a square being one target's Product with
+itself.  Two q-analogue chains read their q-series as columns of rows:
+eq14-bounds and thm52-chain.  No entry defines a coefficient function
 or calls a scalar psi_q or psi_q^(n) evaluator; scalar ln Gamma_q is read
 by cor5-ineq's rows and by the eq14 claims' constant ``alzer_v``.
 """
@@ -711,23 +715,23 @@ def _build_ilm(desc, grid, K, ov):
 
 
 @_register(PropertyDescriptor(
-    "kv-bounds", "chain_le",
+    "kv-bounds", "nonneg",
     "Keckic-Vasic bracket for the gamma ratio",
     default_grid=GridSpec(0.5, 8.0, 16, "linear"),
 ))
 def _build_kv(desc, grid, K, ov):
-    pts = [
-        {"x": a, "b": a + da}
-        for a in grid.values()
-        for da in (0.5, 1.0, 2.5)
-    ]
-
-    def row(p):
-        b = bd.keckic_vasic_bounds(p["x"], p["b"])
-        ratio = math.exp(bd._psi_q(-1, p["b"], 1.0) - bd._psi_q(-1, p["x"], 1.0))
-        return [b.lower, ratio, b.upper]
-
-    return [_chain_check("kv-bounds", row, pts)]
+    """``keckic_vasic_bounds(x, x + d)`` around Gamma(x + d)/Gamma(x), one
+    link at a time in logs: each end is (x + d - t) ln(x + d) - (x - t) ln x
+    - d, with t = 1 for the lower end and t = 1/2 for the upper."""
+    checks = []
+    for d in (0.5, 1.0, 2.5):
+        ln_ratio = _psi_sum(1.0, [(1.0, -1, d), (-1.0, -1, 0.0)])
+        for end, t, sign in (("lower", 1.0, 1.0), ("upper", 0.5, -1.0)):
+            bound = LinComb([(1.0, Product(Affine(d - t, 1.0), LogShift(d))),
+                             (-1.0, Product(Affine(-t, 1.0), LogShift(0.0))), (-d, Const(1.0))])
+            link = LinComb([(sign, ln_ratio), (-sign, bound)])
+            checks.append(_nonneg_check(f"kv-bounds[d={d},{end}]", link, grid, {"d": d, "link": end}))
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -922,18 +926,22 @@ def _pair_order(c, lhs, mid, rhs):
 
 
 @_register(PropertyDescriptor(
-    "prop51-chain", "chain_lt",
+    "prop51-chain", "nonneg",
     "squared digamma-difference chain, both regimes",
     default_grid=_GRID50,
 ))
 def _build_prop51(desc, grid, K, ov):
-    pts = [{"x": x, "c": c} for c in _PAIR_CS for x in grid.values()]
-
-    def row(p):
-        t = bd.psi_pair_inequality(p["x"], p["c"], "classical")
-        return _pair_order(p["c"], t.lhs, t.mid, t.rhs)
-
-    return [_chain_check("prop51-chain", row, pts, "chain_lt")]
+    """``psi_pair_inequality(x, c)`` one strict link at a time: with
+    d = psi(x + c) - psi(x) and mid = psi'(x) - psi'(x + c), d^2 < mid <
+    d^2/c for c < 1, and the reverse for c > 1."""
+    checks = []
+    for c, sign in zip(_PAIR_CS, (1.0, -1.0)):
+        d = _psi_sum(1.0, [(1.0, 0, c), (-1.0, 0, 0.0)])
+        mid, d2 = _psi_sum(1.0, [(1.0, 1, 0.0), (-1.0, 1, c)]), Product(d, d)
+        for end, link in (("d^2", [(sign, mid), (-sign, d2)]), ("d^2/c", [(sign / c, d2), (-sign, mid)])):
+            checks.append(_nonneg_check(f"prop51-chain[c={c},{end}]", LinComb(link), grid,
+                                        {"c": c, "link": end}, strict=True))
+    return checks
 
 
 @_register(PropertyDescriptor(
@@ -962,22 +970,20 @@ def _build_thm52(desc, grid, K, ov):
 
 
 @_register(PropertyDescriptor(
-    "cor51-nonneg", "chain_le",
+    "cor51-nonneg", "nonneg",
     "squared q-trigamma dominates the weighted q-tetragamma",
     _domains(q=(0.01, 0.99)), _GRID50,
 ))
 def _build_cor51(desc, grid, K, ov):
+    """``cor51_expr``: psi_q'^2 + (ln(1/q)/(1 - q)) q^x psi_q'' >= 0."""
     qs = [ov["q"]] if "q" in ov else list(_Q_DEFAULT)
-    pts = [{"x": x, "q": q} for q in qs for x in grid.values()]
-    # psi_q' and psi_q''
-    columns = {(q, n): QSeriesTarget(q, [(1.0, n, 0.0)]) for q in qs for n in (1, 2)}
-
-    def row(p, read):
-        x, q = p["x"], p["q"]
-        p1, p2 = read((q, 1)), read((q, 2))
-        return [0.0, p1 * p1 + math.log(1.0 / q) * (q**x) / (1.0 - q) * p2]
-
-    return [_chain_check("cor51-nonneg", row, pts, columns=columns)]
+    checks = []
+    for q in qs:
+        p1, p2 = (QSeriesTarget(q, [(1.0, n, 0.0)]) for n in (1, 2))
+        target = LinComb([(1.0, Product(p1, p1)),
+                          (math.log(1.0 / q) / (1.0 - q), Product(ExpNegX(-math.log(q)), p2))])
+        checks.append(_nonneg_check(f"cor51-nonneg[q={q}]", target, grid, {"q": q}))
+    return checks
 
 
 # ---------------------------------------------------------------------------

@@ -242,13 +242,19 @@ def _slop(ops: float, magnitude):
     return ops * _EPS_MACH * abs(magnitude)
 
 
+def _exp_value(v: float) -> float:
+    """exp(v); DomainError, not OverflowError, where it overflows double
+    precision."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise DomainError(f"exp({v}) overflows double precision") from None
+
+
 def _exp(log_val: float, enc: Enclosure, ops: int = 0) -> Enclosure:
     """Enclosure of exp(log_val), where log_val is known to within
     ``enc.abs_error`` and took ``enc.terms_used + ops`` operations."""
-    try:
-        val = math.exp(log_val)
-    except OverflowError:
-        raise DomainError(f"exp({log_val}) overflows double precision") from None
+    val = _exp_value(log_val)
     err = val * math.expm1(enc.abs_error) if enc.abs_error < 1.0 else math.inf
     # the absolute floor covers a subnormal or underflowed val, whose
     # rounding error is not relative to val

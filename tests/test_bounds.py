@@ -110,6 +110,39 @@ def test_g_q_function():
     assert abs(bd.g_q_function(1e-9, 0.5, 1.0, v, 0.5) - 1.0) <= 1e-7
     with pytest.raises(DomainError):
         bd.g_q_function(0.1, 0.0, 1.0, -0.5, 1.0)
+    # Gamma(301)/Gamma(1) = 300! is past double precision
+    with pytest.raises(DomainError):
+        bd.g_q_function(1.0, 0.0, 300.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("x, a, b, c, q", [
+    (1.0, 0.0, 1.0, 0.5, 2.0),
+    (0.3, 0.5, 1.0, 0.25, 1.5),
+    (4.0, 0.3, 1.1, 0.6, 3.0),
+    (2.5, 0.0, 2.0, 1.0, 10.0),
+    (0.01, 0.5, 1.0, 0.0, 1.1),
+    (40.0, 1.0, 0.5, 2.0, 1.25),
+])
+def test_g_q_function_above_q_1_against_mpmath(x, a, b, c, q):
+    """Above q = 1, [y]_q = q^(y-1) [y]_{1/q} and Gamma_q(y) =
+    q^((y-1)(y-2)/2) Gamma_{1/q}(y); g_q is within its scalar cells'
+    errors and 8 eps of its summands of 40-digit values."""
+    from mpmath import log, mp, mpf
+
+    with mp.workdps(40):
+        Q = mpf(q)
+
+        def ln_gamma_q(y):
+            y = mpf(y)
+            return (y - 1) * (y - 2) / 2 * log(Q) + log(oracles.qgamma_hp(y, 1 / Q, terms=3000))
+
+        ln_bracket = log((Q ** (mpf(x) + c) - 1) / (Q - 1))
+        ref = mp.exp((a - b) * ln_bracket + ln_gamma_q(mpf(x) + b) - ln_gamma_q(mpf(x) + a))
+        cells = [sf.q_ln_gamma(x + b, q), sf.q_ln_gamma(x + a, q)]
+        size = abs((a - b) * float(ln_bracket)) + sum(abs(e.value) for e in cells) + 1.0
+        rel = sum(e.abs_error for e in cells) + 8.0 * 2.0**-52 * size
+        g = bd.g_q_function(x, a, b, c, q)
+        assert abs(mpf(g) - ref) <= rel * abs(ref), (g, ref)
 
 
 def test_keckic_vasic():
@@ -122,6 +155,9 @@ def test_keckic_vasic():
     assert bp.upper - bp.lower < 1e-4
     with pytest.raises(UsageError):
         bd.keckic_vasic_bounds(2.0, 2.0)
+    # Gamma(200)/Gamma(1) = 199! is past double precision
+    with pytest.raises(DomainError):
+        bd.keckic_vasic_bounds(1.0, 200.0)
 
 
 def test_ball_ratio_bounds():
@@ -171,6 +207,9 @@ def test_auxiliary_usage_errors():
         bd.auxiliary_function("nope", 1.0, {})
     with pytest.raises(DomainError):
         bd.auxiliary_function("g_AG", 1.0, {"a": 0.5, "q": 1.5})
+    # x^alpha at x = alpha = 1e5 is past double precision
+    with pytest.raises(DomainError):
+        bd.auxiliary_function("f_ILM", 1e5, {"alpha": 1e5})
 
 
 # ---------------------------------------------------------------------------

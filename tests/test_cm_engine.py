@@ -163,6 +163,26 @@ def test_product_slop_weighs_the_summands_not_the_cancelled_sum():
     assert abs(Fraction(enc.value) - exact) <= Fraction(enc.abs_error)
 
 
+def test_a_square_fills_its_factor_once_and_keeps_its_bits(monkeypatch):
+    """Product(f, f) evaluates f once, and gives the bits of the product
+    of two equal but distinct factors."""
+    xs = [0.01, 0.44, 3.0, 19.9]
+    square, twin = ce.QSeriesTarget(0.3, [(1.0, 1, 0.0)]), ce.QSeriesTarget(0.3, [(1.0, 1, 0.0)])
+    expected = ce.Product(square, twin).jet_grid(xs, 4)
+    grids = collections.Counter()
+    jets = ce.QSeriesTarget._jets
+
+    def counted(self, xs, K, policy):
+        grids[id(self)] += 1
+        return jets(self, xs, K, policy)
+
+    monkeypatch.setattr(ce.QSeriesTarget, "_jets", counted)
+    got = ce.Product(square, square).jet_grid(xs, 4)
+    assert grids == {id(square): 1}
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+
+
 def test_lincomb_slop_weighs_the_summands_not_the_cancelled_sum():
     # 0.1 + 0.2 - 0.3 rounds to 5.55e-17, where the doubles sum exactly to
     # 2.78e-17: a slop on |value| (4.9e-32) misses by 5.6e14 times

@@ -166,9 +166,7 @@ def test_only_if_probe_records_violations():
 @pytest.mark.parametrize("claim_id, bracket, points", [
     ("eq14-bounds", "ratio_bounds", 2430),
     ("refined-chain", "ratio_bounds", 384),
-    ("prop51-chain", "psi_pair_inequality", 128),
     ("cor5-ineq", "cor5_inequality", 16),
-    ("kv-bounds", "keckic_vasic_bounds", 48),
     ("lemma10-ineq", "lemma10_lhs_rhs", 405),
 ])
 def test_chain_computes_its_bracket_once_per_point(monkeypatch, claim_id, bracket, points):
@@ -190,19 +188,21 @@ def test_chain_computes_its_bracket_once_per_point(monkeypatch, claim_id, bracke
 # the q-analogue brackets, with the number of q-series each reads: the
 # columns of a chain, or those in the targets of the links and derivative
 # signs checked one at a time
-_COLUMN_CHAINS = {"eq14-bounds": 81, "thm52-chain": 8, "cor51-nonneg": 8}
+_COLUMN_CHAINS = {"eq14-bounds": 81, "thm52-chain": 8}
 _LINK_CLAIMS = {"thm3-chain": 24, "ag-gx": 4, "eq14-sharp-u": 1, "eq14-sharp-v": 1,
-                "qthm-monotone": 12}
+                "qthm-monotone": 12, "cor51-nonneg": 8}
 
 
 def _q_series_in(t):
-    """The QSeriesTargets in target t, a composite's leaves included."""
+    """The QSeriesTargets in target t, a composite's leaves included; the
+    factor of a square, a Product of a target with itself, counts once, as
+    it is evaluated once."""
     if isinstance(t, ce.QSeriesTarget):
         return [t]
     if isinstance(t, ce.LinComb):
         return [u for _, term in t.terms for u in _q_series_in(term)]
     if isinstance(t, ce.Product):
-        return _q_series_in(t.f) + _q_series_in(t.g)
+        return _q_series_in(t.f) + ([] if t.g is t.f else _q_series_in(t.g))
     return []
 
 
@@ -414,17 +414,65 @@ def test_pair_columns_agree_with_psi_pair_inequality():
 
 
 def test_cor51_columns_agree_with_cor51_expr():
-    columns = _columns("cor51-nonneg")
-    for q in {q for q, _ in columns}:
+    """cor51-nonneg's link, one per q, is ``cor51_expr``: its certified
+    error, plus the error of the scalar psi_q' and psi_q'' cells behind
+    ``cor51_expr`` through the square and the weight, plus 8 eps of its
+    summands for the float arithmetic of both."""
+    links = _links("cor51-nonneg")
+    assert [params["q"] for params, _ in links] == [0.3, 0.5, 0.7, 0.9]
+    for params, link in links:
+        q = params["q"]
         for x in _XS_DYADIC:
-            p1, p2 = columns[q, 1].deriv(0, x), columns[q, 2].deriv(0, x)
+            e = link.deriv(0, x)
             s1, s2 = sf.q_polygamma(1, x, q), sf.q_polygamma(2, x, q)
             k = math.log(1.0 / q) * (q**x) / (1.0 - q)
-            e1, e2 = p1.abs_error + s1.abs_error, p2.abs_error + s2.abs_error
-            bound = 2.0 * abs(p1.value) * e1 + e1 * e1 + abs(k) * e2
-            bound += 8.0 * _EPS * (p1.value**2 + abs(k * p2.value) + 1.0)
-            row = p1.value * p1.value + k * p2.value
-            assert abs(row - bd.cor51_expr(x, q)) <= bound, (q, x)
+            e1, e2 = s1.abs_error, s2.abs_error
+            bound = e.abs_error + 2.0 * abs(s1.value) * e1 + e1 * e1 + abs(k) * e2
+            bound += 8.0 * _EPS * (s1.value**2 + abs(k * s2.value) + 1.0)
+            assert abs(e.value - bd.cor51_expr(x, q)) <= bound, (q, x)
+
+
+def test_prop51_links_agree_with_psi_pair_inequality():
+    """prop51-chain's links are sign (mid - d^2) and sign (d^2/c - mid) of
+    ``psi_pair_inequality(x, c)``, sign = +1 at c = 1/2 and -1 at c = 2."""
+    links = _links("prop51-chain")
+    assert [(p["c"], p["link"]) for p, _ in links] == [
+        (0.5, "d^2"), (0.5, "d^2/c"), (2.0, "d^2"), (2.0, "d^2/c")]
+    for params, link in links:
+        c = params["c"]
+        sign = 1.0 if c < 1.0 else -1.0
+        for x in _XS_DYADIC:
+            t = bd.psi_pair_inequality(x, c)
+            public = sign * (t.mid - t.rhs if params["link"] == "d^2" else t.lhs - t.mid)
+            psi = [sf.digamma(x + c), sf.digamma(x)]
+            psi1 = [sf.polygamma(1, x), sf.polygamma(1, x + c)]
+            d = psi[0].value - psi[1].value
+            e_d = psi[0].abs_error + psi[1].abs_error
+            size_d = abs(psi[0].value) + abs(psi[1].value)
+            # d^2 moves by 2 |d| e_d + e_d^2, and d^2/c by 1/c of that; d
+            # rounds relative to the size of psi(x + c) and psi(x)
+            errors = [max(1.0, 1.0 / c) * (2.0 * abs(d) * e_d + e_d * e_d)]
+            errors += [e.abs_error for e in psi1]
+            magnitude = t.lhs + t.rhs + sum(abs(e.value) for e in psi1) + 2.0 * abs(d) * size_d
+            _agrees(link, x, public, errors, magnitude)
+
+
+def test_kv_links_agree_with_keckic_vasic_bounds():
+    """kv-bounds' links are ln ratio - ln lower and ln upper - ln ratio, of
+    Gamma(x + d)/Gamma(x) and ``keckic_vasic_bounds(x, x + d)``."""
+    links = _links("kv-bounds")
+    assert [(p["d"], p["link"]) for p, _ in links] == [
+        (d, end) for d in (0.5, 1.0, 2.5) for end in ("lower", "upper")]
+    for params, link in links:
+        d, lower = params["d"], params["link"] == "lower"
+        for x in _XS_DYADIC:
+            b = bd.keckic_vasic_bounds(x, x + d)
+            a, z = sf.ln_gamma(x + d), sf.ln_gamma(x)
+            ln_ratio = a.value - z.value
+            public = ln_ratio - math.log(b.lower) if lower else math.log(b.upper) - ln_ratio
+            t = 1.0 if lower else 0.5
+            ends = abs((x + d - t) * math.log(x + d)) + abs((x - t) * math.log(x)) + d
+            _agrees(link, x, public, [a.abs_error, z.abs_error], abs(a.value) + abs(z.value) + ends)
 
 
 def test_qpow_constant_cancels_with_no_error():
