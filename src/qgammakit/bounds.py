@@ -186,13 +186,15 @@ def gamma_ratio(x: float, s: float, q: float, policy=None) -> float:
 
 
 def _qbracket_log(y: float, q: float) -> float:
-    """log((1 - q^y)/(1 - q)); reduces to log(y) as q -> 1.  For q > 1,
-    [y]_q = q^(y-1) [y]_{1/q} = q^y (1 - q^(-y))/(q - 1), whose log is
-    t + log(-expm1(-t)) - log(q - 1) with t = y ln q."""
+    """log((1 - q^y)/(1 - q)); reduces to log(y) as q -> 1.  For q < 1,
+    1 - q^y is -expm1(y ln q), which keeps its relative accuracy as y -> 0
+    where q^y rounds to 1.  For q > 1, [y]_q = q^(y-1) [y]_{1/q} =
+    q^y (1 - q^(-y))/(q - 1), whose log is t + log(-expm1(-t)) -
+    log(q - 1) with t = y ln q."""
     if q > 1.0:
         t = y * math.log(q)
         return t + math.log(-math.expm1(-t)) - math.log(q - 1.0)
-    return math.log1p(-(q**y)) - math.log1p(-q)
+    return math.log(-math.expm1(y * math.log(q))) - math.log1p(-q)
 
 
 def ratio_bounds(

@@ -31,13 +31,13 @@ floor where q^z underflows.
 The elementary leaves (``Const``, ``Affine``, ``PowShift``, ``LogShift``,
 ``ExpNegX``, ``SinPlus2``) compute their grid in numpy, a row per order.
 The psi-family leaves (``LnGammaFn``, ``PolyGammaShift``, ``QLnGammaFn``,
-``QPolyGammaShift``) are one class, ``_PsiLeaf``: order k is the evaluator
-of order m + k at x + a, with or without q, picked by ``specfun._psi``, and
-read through specfun's run-scoped cell table, one scalar evaluator call per
-cell, by ``_rows``: a row per order, a column per point, and a point fails
-where its first failing order does.  Within a verification run each
-(order, point) cell is evaluated once, whether a scalar call or a leaf's
-grid asks for it, and keeps the bits of the scalar jet.
+``QPolyGammaShift``) are one class, ``_PsiLeaf``: order k is psi^(m+k) or
+psi_q^(m+k) at x + a, a row per order, a column per point, and a point
+fails where its first failing order does.  Without q the grid comes from
+specfun's grid kernel (``specfun._psi_grid``), whose rows a verification
+run computes once each; with q, from one scalar evaluator call per cell,
+picked by ``specfun._psi`` and read through the run's cell table by
+``_rows``.
 
 Two composites combine targets: ``LinComb``, a weighted sum, and
 ``Product``, f g by Leibniz, the one product rule; ``MonomialPolyGamma``,
@@ -68,7 +68,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PreconditionError, UsageError
 from .specfun import (
-    _BLOCK, _EPS_MACH, DEFAULT_POLICY, _blocks, _psi, _slop, Enclosure, TruncationPolicy,
+    _BLOCK, _EPS_MACH, DEFAULT_POLICY, _blocks, _psi, _psi_grid, _slop, Enclosure,
+    TruncationPolicy,
 )
 
 __all__ = [
@@ -265,10 +266,10 @@ class Target:
     ``deriv(k, x)`` gives one order, ``jet(x, K)`` orders 0..K at one point,
     and ``jet_grid(xs, K)`` orders 0..K at every point of a grid.  All three
     go through ``_jets``, the grid at once: ``jet`` is the grid at one point
-    and ``deriv`` reads one order off the jet.  Every target here defines
-    ``_jets`` alone; ``_PsiLeaf`` adds a one-cell ``deriv`` over the same
-    cells as its grid.  A subclass that defines ``deriv`` alone gets the
-    default ``_jets``, which fills the grid with it through ``_rows``.
+    and ``deriv`` reads one order off the jet, so the three share one set
+    of bits.  Every target here defines ``_jets`` alone.  A subclass that
+    defines ``deriv`` alone gets the default ``_jets``, which fills the grid
+    with it through ``_rows``.
     ``QSeriesTarget``, ``LinComb``, ``MonomialPolyGamma`` and
     ``PolyProductTarget`` bind ``deriv = Target.deriv`` by name, so that
     each has a ``deriv`` of its own to wrap and time
@@ -385,18 +386,18 @@ class LogShift(Target):
 
 
 class _PsiLeaf(Target):
-    """psi^(m)(x + a), or psi_q^(m)(x + a) when q is given: order k is the
-    evaluator of order m + k at x + a (``specfun._psi``)."""
+    """psi^(m)(x + a), or psi_q^(m)(x + a) when q is given: order k is
+    psi^(m+k) at x + a, from specfun's grid kernel (``specfun._psi_grid``),
+    or psi_q^(m+k), one scalar evaluator call per cell (``specfun._psi``)."""
 
     def __init__(self, m: int, a: float = 0.0, q: float | None = None):
         self.m, self.a, self.q = m, a, q
 
-    def deriv(self, k, x, policy=None):
-        return _psi(self.m + k, self.q, policy)(x + self.a)
-
     def _jets(self, xs, K, policy):
-        orders = range(self.m, self.m + K + 1)
-        return _rows(xs + self.a, orders, lambda n: _psi(n, self.q, policy))
+        ys = xs + self.a
+        if self.q is None:
+            return _JetGrid(*_psi_grid(self.m, K, ys, policy))
+        return _rows(ys, range(self.m, self.m + K + 1), lambda n: _psi(n, self.q, policy))
 
 
 class LnGammaFn(_PsiLeaf):

@@ -49,18 +49,28 @@ a geometric tail from |B_2m|/(2m)! < 4/(2 pi)^(2m).  It stops once the tail
 is at most eps * sum|term|, a relative rule; past the budget or the table,
 ConvergenceError.
 
-The layers above (cm_engine's psi-family leaves, the bounds functions, and
-the corpus probes and chains that meet a point twice) reach lnGamma, psi,
-psi^(n) and their q-analogues by one route, ``_psi(n, q, policy)``, the one
-map from (n, q) to an evaluator and its cells.  Within one verification run
-the cells live in one table that ``_run_cells`` opens around the run's
-claims.  The cells of each (evaluator, non-point arguments, policy) are
-keyed by the point; a cell is evaluated by one call the first time it is
-asked for, and later asks get the same Enclosure object, or a
+A grid of ln Gamma, psi and psi^(n), orders n0..n0+K at many points, has
+a kernel of its own, ``_psi_kernel``: the rule above in numpy arrays,
+certified as the scalars are, whose bits are not the scalars' (their shift
+sums in order where the scalars take fsum, and their series is summed
+scaled at n >= 1).  A row's bits depend only on (n, y, eps), never on the
+other orders or points of a call.
+
+The layers above reach these functions by two routes.  cm_engine's
+classical psi-family leaves read grids through ``_psi_grid``; the
+q-family leaves, the bounds functions and the corpus probes and chains
+that meet a point twice read scalar cells through ``_psi(n, q, policy)``,
+the one map from (n, q) to an evaluator and its cells.  Within one
+verification run both live in one table that ``_run_cells`` opens around
+the run's claims.  The kernel's rows are keyed by (n, the points' bytes,
+eps), and a grid computes only the rows it misses, in one kernel call.
+The cells of each (evaluator, non-point arguments, policy) are keyed by
+the point; a cell is evaluated by one call the first time it is asked for,
+and later asks get the same Enclosure object, or a
 DomainError/ConvergenceError of the same class and message raised again, so
 results keep their bits.  policy=None and DEFAULT_POLICY share their cells.
 The table is a ContextVar that the run resets when it ends; outside a run
-the lookup just calls the evaluator and keeps nothing.
+the lookup just evaluates and keeps nothing.
 """
 
 from __future__ import annotations
@@ -420,6 +430,152 @@ def polygamma(n: int, x: float, policy: TruncationPolicy | None = None) -> Enclo
     """
     _require_order(n)
     return _psi_shifted(n, x, policy)
+
+
+@functools.cache
+def _grid_rows(n0: int, K: int):
+    """The constants of ``_psi_kernel``'s rows n = n0..n0+K, as columns of
+    shape (K+1, 1), built once per (n0, K), as ``_asymptotic_coeffs`` builds
+    its rows, so that a kernel call builds no table: n; the shift threshold;
+    the signs of the series, (-1)^(n+1), and of the shift, the same but -1
+    at n = -1; the shift's factor n! and the unit's (n-1)! (1 at n <= 0,
+    nan where not a double); ln n! and ln (n-1)!; the least shift term
+    scaled by n! directly (below it, or where n! is not a double, the terms
+    go to logs; -inf at n <= 0); the slop's fixed operations and those of
+    the rounded x + i; and the series coefficients, scaled at n >= 1, as
+    (16, K+1, 1)."""
+    ns = range(n0, n0 + K + 1)
+
+    def fact(m):
+        return 1.0 if m < 1 else float(math.factorial(m)) if m <= 170 else math.nan
+
+    def col(values):
+        return np.array(list(values), dtype=float)[:, None]
+
+    rows = (
+        col(ns),
+        col(20.0 if m < 1 else 10.0 + m for m in ns),
+        col(1.0 if m % 2 else -1.0 for m in ns),
+        col(-1.0 if m == -1 else 1.0 if m % 2 else -1.0 for m in ns),
+        col(fact(m) for m in ns),
+        col(fact(m - 1) for m in ns),
+        col(math.log(math.factorial(max(m, 0))) for m in ns),
+        col(math.log(math.factorial(max(m - 1, 0))) for m in ns),
+        col(-math.inf if m < 1 else _NORMAL_MIN if m <= 170 else math.inf for m in ns),
+        col(8.0 if m > 0 else 4.0 for m in ns),
+        col((m + 3.0) / 2.0 for m in ns),
+        np.array([_asymptotic_coeffs(m, m > 0) for m in ns]).T[:, :, None],
+    )
+    for a in rows:  # shared by every call: never written
+        a.setflags(write=False)
+    return rows
+
+
+def _power(a, e):
+    """a^e with both operands spread to their common shape, so that numpy
+    runs one contiguous loop whatever that shape is: where e is a scalar in
+    its inner loop, numpy squares or takes reciprocals by paths that round
+    otherwise than its general loop."""
+    base, out = np.empty((2,) + np.broadcast(a, e).shape)
+    base[...], out[...] = a, e
+    return np.power(base, out, out=out)
+
+
+def _psi_kernel(n0: int, K: int, ys: np.ndarray, eps: float):
+    """(values, errors, terms, failed), each of shape (K+1, P): psi^(n)(y)
+    for n = n0..n0+K, n0 >= -1, at every y of ``ys``, by ``_psi_shifted``'s
+    rule in array form; ``failed`` marks the cells where the scalar raises
+    DomainError (y not positive and finite, or a value out of double range),
+    and their value and error are nan.
+
+    Each point moves up by count = ceil(threshold - y) steps.  The shift
+    terms ln, 1/ and ^-(n+1) of x + i, i < count, are summed in order, and
+    n! scales their sum, or, where n! is not a double or the least term is
+    not normal, each n! (x+i)^-(n+1) is formed in logs, as
+    ``_shift_in_logs`` forms it.  At n >= 1 the series is summed scaled,
+    as ``_polygamma_far`` sums it, times unit = (n-1)!/y^n, which is formed
+    in logs where it is not a normal double.  The stop rule, the first
+    omitted term as the tail bound and the slop over |series| + sum |shift
+    terms| (ln x counted twice where it is negative) are the scalar's.  The
+    slop also counts the roundings of unit and of its product (4 more), and,
+    where the point moved, the rounding of x + i, which moves a term of
+    order n by up to n + 1 half-ulps ((n + 3)/2 more).
+
+    Every operation acts cell by cell, with constants of n alone, and the
+    sums run in order along their own axis, so a row's bits depend only on
+    (n, y, eps): not on the other orders or points of the call.
+    """
+    (n, threshold, sign, shift_sign, fact, fact1, lfact, lfact1, least_min, ops0, arg_ops,
+     coeffs) = _grid_rows(n0, K)
+    ulp0 = math.ulp(0.0)
+    with np.errstate(all="ignore"):
+        outside = ~(ys > 0.0) | (ys == math.inf)
+        x = np.where(outside, 1.0, ys)
+        count = np.maximum(np.ceil(threshold - x), 0.0)
+        moved = count > 0.0
+        y = x + count
+        rows, cols = np.arange(K + 1)[:, None], np.arange(len(ys))
+        # the shift: each cell's terms summed in order up to its last one
+        shift, shift_err = np.zeros_like(y), np.zeros_like(y)
+        steps = int(count.max(initial=0.0))
+        if steps:
+            xi = x + np.arange(steps, dtype=float)[:, None]
+            parts = _power(xi, -(n[:, :, None] + 1.0))
+            if n0 == -1:
+                parts[0] = np.log(xi)
+            last = rows, np.maximum(count - 1.0, 0.0).astype(np.intp), cols
+            shift = np.where(moved, np.add.accumulate(parts, axis=1)[last] * fact, 0.0)
+            logs = moved & (parts[last] < least_min)
+            if logs.any():
+                log_y = (n[:, :, None] + 1.0) * np.log(xi)
+                term = np.exp(lfact[:, :, None] - log_y)
+                err = term * np.expm1(_slop(4, lfact[:, :, None] + np.abs(log_y)))
+                err += _slop(2, term) + 4.0 * ulp0
+                shift = np.where(logs, np.add.accumulate(term, axis=1)[last], shift)
+                shift_err = np.where(logs, np.add.accumulate(err, axis=1)[last], 0.0)
+        # the series at y: term k over y^(2k+2), or y^(2k+1) at n = -1
+        ypow = np.empty((len(coeffs),) + y.shape)
+        ypow[:] = y * y
+        lead = 1.0 + n / (2.0 * y)
+        if n0 <= 0 < n0 + K + 1:
+            lead[-n0] = 0.5 / y[-n0] - np.log(y[-n0])
+        if n0 == -1:
+            lead[0] = (y[0] - 0.5) * np.log(y[0]) - y[0] + 0.5 * _LN_2PI
+            ypow[0, 0] = y[0]
+        t = np.zeros((len(coeffs) + 1,) + y.shape)
+        np.divide(coeffs, np.multiply.accumulate(ypow, out=ypow), out=t[1:])
+        before = np.add.accumulate(t[:-1])  # the sum of the terms before term k
+        bound = np.abs(t[1:])
+        stop = bound <= eps * (np.abs(lead) + np.abs(before))
+        stop[1:] |= bound[1:] >= bound[:-1]
+        stop[_TABLED] = True
+        terms = stop.argmax(axis=0)
+        series = lead + before[terms, rows, cols]
+        bound = bound[terms, rows, cols]
+        # unit = (n-1)!/y^n at n >= 1, 1 below
+        unit = fact1 / _power(y, np.maximum(n, 0.0))
+        unit_err = np.zeros_like(y)
+        far = ~(unit >= _NORMAL_MIN)
+        if far.any():
+            log_yn = n * np.log(y)
+            by_logs = np.exp(lfact1 - log_yn)
+            unit = np.where(far, by_logs, unit)
+            unit_err = by_logs * np.expm1(_slop(4, lfact1 + log_yn)) + _slop(2, by_logs)
+            unit_err = np.where(far, unit_err + 4.0 * ulp0, 0.0)
+        asym = unit * series
+        val = sign * asym + shift_sign * shift
+        magnitude = np.abs(asym) + shift
+        if n0 == -1:
+            magnitude[0] -= 2.0 * np.minimum(np.log(x), 0.0)
+        terms = terms + count
+        ops = terms + ops0 + np.where(moved, arg_ops, 0.0)
+        err = unit * bound + unit_err * np.abs(series) + shift_err + _slop(ops, magnitude)
+        err += 4.0 * ulp0
+        failed = outside | ~(np.isfinite(val) & np.isfinite(err))
+    return (
+        np.where(failed, math.nan, val), np.where(failed, math.nan, err),
+        np.where(failed, 0, terms).astype(np.int64), failed,
+    )
 
 
 def _polygamma_far(n: int, y: float, eps: float):
@@ -895,12 +1051,14 @@ def _run_cells():
 
 def _psi(n: int, q: float | None, policy):
     """The function y -> Enclosure of psi^(n)(y), n >= -1, where psi^(0) = psi
-    and psi^(-1) = ln Gamma, or of psi_q^(n)(y) when q is given.  Each call
-    goes through the run's cell table, so inside a run a cell is evaluated
-    once, also where two grids or a grid and a scalar call share it; outside
-    a run nothing is kept.  A DomainError/ConvergenceError is stored as its
-    class and arguments, and each later read raises a fresh instance, so the
-    table holds no traceback and keeps no caller's frame alive."""
+    and psi^(-1) = ln Gamma, or of psi_q^(n)(y) when q is given, one scalar
+    evaluator call per cell.  Each call goes through the run's cell table,
+    so inside a run a cell is evaluated once, also where two grids of a
+    q-leaf or a grid and a scalar call share it; outside a run nothing is
+    kept.  The classical leaves' grids read ``_psi_grid`` instead.  A
+    DomainError/ConvergenceError is stored as its class and arguments, and
+    each later read raises a fresh instance, so the table holds no
+    traceback and keeps no caller's frame alive."""
     if q is None:
         fn, tail = (ln_gamma, digamma, polygamma)[min(n, 1) + 1], ()
     else:
@@ -929,3 +1087,38 @@ def _psi(n: int, q: float | None, policy):
         return cell
 
     return read
+
+
+def _psi_grid(n0: int, K: int, ys: np.ndarray, policy):
+    """Orders n0..n0+K of psi^(n)(y), n0 >= -1, at every y of ``ys`` by
+    ``_psi_kernel``: (values, errors, terms) of shape (K+1, P), and per
+    point the DomainError of its first failing order, or None.
+
+    Inside a run the rows live in the run's table, keyed by (n, the bytes
+    of ``ys``, eps): a grid computes only the orders it misses, in one
+    kernel call over the range from the first to the last of them, and a
+    row's bits do not depend on that range, so every grid over the same
+    points, and a one-point jet, reads the same bits.  Outside a run
+    nothing is kept."""
+    eps = (policy or DEFAULT_POLICY).eps
+    table = _RUN_CELLS.get()
+    if table is None:
+        values, errors, terms, failed = _psi_kernel(n0, K, ys, eps)
+    else:
+        key = ys.tobytes()
+        rows = [table.get((_psi_kernel, n, key, eps)) for n in range(n0, n0 + K + 1)]
+        missing = [i for i, row in enumerate(rows) if row is None]
+        if missing:
+            lo = missing[0]
+            got = _psi_kernel(n0 + lo, missing[-1] - lo, ys, eps)
+            for i in missing:
+                rows[i] = table[_psi_kernel, n0 + i, key, eps] = tuple(a[i - lo] for a in got)
+        values, errors, terms, failed = (np.array(a) for a in zip(*rows))
+    failures = [None] * len(ys)
+    for p in np.flatnonzero(failed.any(axis=0)).tolist():
+        y = float(ys[p])
+        failures[p] = DomainError(
+            f"psi^({n0 + int(failed[:, p].argmax())})({y}) is out of double-precision range"
+            if 0.0 < y < math.inf else f"x must be positive and finite, got {y!r}"
+        )
+    return values, errors, terms, failures

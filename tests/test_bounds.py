@@ -145,6 +145,27 @@ def test_g_q_function_above_q_1_against_mpmath(x, a, b, c, q):
         assert abs(mpf(g) - ref) <= rel * abs(ref), (g, ref)
 
 
+@pytest.mark.parametrize("q", [0.01, 0.5, 0.99])
+@pytest.mark.parametrize("y", [1e-300, 1e-17, 1e-12, 1e-10, 1e-6, 1.0, 50.0])
+def test_qbracket_log_below_q_1_against_mpmath(y, q):
+    """ln((1 - q^y)/(1 - q)) for q < 1 keeps its accuracy as y -> 0, where
+    q^y rounds to 1: within 2 eps of 1 + |ln(1 - q^y)| + |ln(1 - q)| of
+    40-digit values, the logs of two rounded arguments and their sum."""
+    from mpmath import mp, mpf
+
+    with mp.workdps(40):
+        outer = mp.log(-mp.expm1(mpf(y) * mp.log(mpf(q))))
+        inner = mp.log(1 - mpf(q))
+        tol = 2.0 * 2.0**-52 * (1.0 + abs(outer) + abs(inner))
+        assert abs(bd._qbracket_log(y, q) - (outer - inner)) <= tol
+
+
+def test_g_q_function_near_0_below_q_1():
+    # q^y rounds to 1 at y = 1e-17, where 1 - q^y read 0 and took no log
+    g = bd.g_q_function(1e-17, 0.0, 1.0, 0.0, 0.5)
+    assert math.isfinite(g) and abs(g - 1.0) <= 1e-12
+
+
 def test_keckic_vasic():
     bp = bd.keckic_vasic_bounds(1.0, 2.0)
     assert abs(bp.lower - 2.0 * math.exp(-1.0)) <= 1e-14

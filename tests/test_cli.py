@@ -298,21 +298,23 @@ def test_verify_fixed_point_claims_ignore_grid_points(tmp_path, capsys):
 
 
 def test_verify_run_evaluates_each_polygamma_cell_once(monkeypatch):
-    calls = collections.Counter()
-    polygamma = sf.polygamma
+    # a cell of the classical psi-family leaves is a row (order, points,
+    # eps) of the grid kernel
+    rows = collections.Counter()
+    kernel = sf._psi_kernel
 
-    def counted(n, x, policy=None):
-        calls[n, x] += 1
-        return polygamma(n, x, policy)
+    def counted(n0, K, ys, eps):
+        rows.update((n, ys.tobytes(), eps) for n in range(n0, n0 + K + 1))
+        return kernel(n0, K, ys, eps)
 
-    monkeypatch.setattr(sf, "polygamma", counted)
+    monkeypatch.setattr(sf, "_psi_kernel", counted)
     ids = ["cor4-lcm", "thm30-lcm"]
     doc, unexpected = cli._report_document("rows", ids, None, None, 1e-12)
     assert unexpected == 0
-    assert calls and max(calls.values()) == 1
+    assert rows and max(rows.values()) == 1
     # the same entries as the claims run one by one, outside any run
     alone = [cli._entry(corpus.run_descriptor(cid)) for cid in ids]
-    assert max(calls.values()) > 1
+    assert max(rows.values()) > 1
     assert cli._canonical_json(doc["entries"]) == cli._canonical_json(alone)
 
 
@@ -328,11 +330,11 @@ def test_verify_run_evaluates_each_bounds_cell_once(monkeypatch):
 
         return counted
 
-    # the chains that read their cells one scalar call at a time, and the
-    # q = 1 links and derivative signs, whose ln Gamma and psi leaves fill
-    # their grids through the same cell table; the links and the slope of
-    # eq43-range and prop-cor45 share their psi^(n) cells.  No claim reads
-    # a scalar psi_q^(n): qthm-monotone's q-series sum their grids in numpy
+    # the chains that read their cells one scalar call at a time.  The q = 1
+    # links and derivative signs fill the grids of their ln Gamma and psi
+    # leaves in the grid kernel, so no claim reads a scalar psi^(n), n >= 1;
+    # nor a scalar psi_q^(n): qthm-monotone's q-series sum their grids in
+    # numpy
     names = ("ln_gamma", "digamma", "polygamma", "q_ln_gamma", "q_polygamma")
     for name in names:
         monkeypatch.setattr(sf, name, counting(name))
@@ -340,7 +342,7 @@ def test_verify_run_evaluates_each_bounds_cell_once(monkeypatch):
            "prop-cor45", "prop51-chain", "qthm-monotone", "refined-chain"]
     doc, unexpected = cli._report_document("rows", ids, None, None, 1e-12)
     assert unexpected == 0
-    assert {name for name, _ in calls} == set(names) - {"q_polygamma"}
+    assert {name for name, _ in calls} == set(names) - {"polygamma", "q_polygamma"}
     assert max(calls.values()) == 1
 
 

@@ -21,7 +21,11 @@ zeros of ln Gamma and psi, under the default policy and a coarse one;
 ``q_ln_gamma``, ``q_gamma``, ``q_digamma`` and ``q_polygamma`` share one,
 at seven q on both sides of 1 and x from 1e-2 to 1e3, against the direct
 sums; ``digamma_series``, ``polygamma_series`` and ``unit_ball_volume``
-share one, from x = 1e-3 to 1e4 and up to dimension 1000.
+share one, from x = 1e-3 to 1e4 and up to dimension 1000.  The grid
+kernel behind the classical psi-family leaves (``specfun._psi_kernel``)
+has one too, at orders m..m+12 up to 40 and from 150 to 200, x from 1e-3
+to 1e4 and near those zeros; its cells fail exactly where the scalars
+raise DomainError.
 """
 
 import functools
@@ -693,6 +697,57 @@ def test_polygamma_certificates_hold(x_wide, x_mid, x_far, x_high):
     for n, x in cases + [(150, x_mid), (150, x_far), (200, x_far)]:
         _assert_scalar_sound(functools.partial(sf.polygamma, n),
                              lambda y: _polygamma_at(n, y, 40), x)
+
+
+def _assert_kernel_sound(n0, xs, policy):
+    """Each cell of ``specfun._psi_kernel``'s orders n0..n0+12 at ``xs`` is
+    within its error of 40 digits, and fails exactly where the scalar
+    ``ln_gamma``/``digamma``/``polygamma`` raises DomainError."""
+    values, errors, _, failed = sf._psi_kernel(
+        n0, 12, np.array(xs, dtype=float), (policy or sf.DEFAULT_POLICY).eps)
+    with mp.workdps(40):
+        for r, n in enumerate(range(n0, n0 + 13)):
+            for p, x in enumerate(xs):
+                try:
+                    sf._psi_shifted(n, x, policy)
+                except DomainError:
+                    assert failed[r, p], (n, x)
+                    continue
+                assert not failed[r, p], (n, x)
+                truth = mp.loggamma(x) if n == -1 else _polygamma_at(n, x, 40)
+                assert abs(mp.mpf(values[r, p]) - truth) <= errors[r, p], (n, x, policy)
+
+
+_KERNEL_X = st.floats(-3.0, 4.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.lists(_KERNEL_X, min_size=1, max_size=4),
+       st.tuples(_near(1.0), _near(2.0), _near(_PSI_ZERO)),
+       st.sampled_from([-1, 0, 3, 16, 28]), st.sampled_from(_SCALAR_POLICIES))
+@example([1e-3, 1e4], (1.0, 2.0, _PSI_ZERO), -1, None)
+# one step below the shift thresholds 10 + n = 32, 64 and 128, x + 1 rounds
+# to the coarser ulp past the power of 2, which moves psi^(n) by up to n + 1
+# half-ulps: the slop must count it at n = 118
+@example([31.95603427188927, 63.95603427188927, 127.95603427188927],
+         (1.0, 2.0, _PSI_ZERO), 106, None)
+def test_psi_grid_kernel_certificates_hold(xs, near_zeros, n0, policy):
+    """Orders n0..n0+12 of the grid kernel, up to 40 (and 118 in an
+    example), on [1e-3, 1e4] and near the zeros of ln Gamma and psi, where
+    the error stays relative to the summands, under the default policy and
+    a coarse one; the points x <= 0 and those whose value leaves double
+    range fail, as the scalar does."""
+    _assert_kernel_sound(n0, xs + list(near_zeros) + [0.0, -1.5, 1e-300, 5e-324], policy)
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(st.lists(_KERNEL_X, min_size=1, max_size=3))
+@example([1e-3, 0.5, 160.5, 1e4])
+def test_psi_grid_kernel_certificates_hold_at_high_orders(xs):
+    """Orders 150..200, where n! or a shift term leaves the normal range and
+    the kernel forms them in logs, or the value leaves double range."""
+    for n0 in (150, 188):
+        _assert_kernel_sound(n0, xs, None)
 
 
 def _ball_volume_ref(n):
