@@ -26,10 +26,15 @@ block of 256 terms and capped at 64 steps in all, so that near x = 0 its
 first block certifies where the plain series would need 37/(x |ln q|)
 terms.  The skipped steps come back in closed form, as polylogarithms of
 negative order in q^z, each with its own rounding slop and an ulp(0)
-floor where q^z underflows.
+floor where q^z underflows.  The q-series of one q can be summed as one
+stack (``_q_series_grids``), sharing each block's exps; a lone target's
+grid is the stack of one, and a chain's column reader fills the columns
+of one q as one stack.
 
 The elementary leaves (``Const``, ``Affine``, ``PowShift``, ``LogShift``,
-``ExpNegX``, ``SinPlus2``) compute their grid in numpy, a row per order.
+``ExpNegX``, ``SinPlus2``) compute their grid in numpy, a row per order,
+and so does the Clark-Ismail kernel's derivative (``_KernelLeaf``), from
+specfun's kernel-derivative grid.
 The psi-family leaves (``LnGammaFn``, ``PolyGammaShift``, ``QLnGammaFn``,
 ``QPolyGammaShift``) are one class, ``_PsiLeaf``: order k is psi^(m+k) or
 psi_q^(m+k) at x + a, a row per order, a column per point, and a point
@@ -68,8 +73,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PreconditionError, UsageError
 from .specfun import (
-    _BLOCK, _EPS_MACH, DEFAULT_POLICY, _blocks, _psi, _psi_grid, _slop, Enclosure,
-    TruncationPolicy,
+    _BLOCK, _EPS_MACH, _FLUSHED, DEFAULT_POLICY, _blocks, _exp_flushed, _kernel_grid, _psi,
+    _psi_grid, _slop, Enclosure, TruncationPolicy,
 )
 
 __all__ = [
@@ -424,6 +429,22 @@ class QPolyGammaShift(_PsiLeaf):
         super().__init__(m, a, q)
 
 
+class _KernelLeaf(Target):
+    """d^k/dt^k t^n/(1 - e^(-t)), the Clark-Ismail kernel's derivative:
+    order j is the (k + j)-th, a row per order from specfun's
+    kernel-derivative grid (``specfun._kernel_grid``), and a point fails
+    where its first failing order does."""
+
+    def __init__(self, n: int, k: int):
+        self.n, self.k = n, k
+
+    def _jets(self, xs, K, policy):
+        rows = [_kernel_grid(self.n, self.k + j, xs, policy) for j in range(K + 1)]
+        values, errors, terms = (np.array([row[i] for row in rows]) for i in range(3))
+        failures = [next((f for f in fs if f is not None), None) for fs in zip(*(row[3] for row in rows))]
+        return _JetGrid(values, errors, terms, failures)
+
+
 # A recurrence step of a q-series costs about as much as four of its series
 # terms (a Horner sum of up to max_order + 2 degrees per order, against one
 # exp and one product per order), so a target takes at most a quarter of a
@@ -443,24 +464,6 @@ def _li_table(n_max: int) -> np.ndarray:
         rows.append([math.factorial(k) * c for k, c in enumerate(s)] + [0] * (n_max + 1 - len(s)))
         s = [(k + 1) * c + (s[k - 1] if k else 0) for k, c in enumerate(s)] + [1]
     return np.array(rows, dtype=float)
-
-
-# numpy's exp takes a path 10 to 100 times slower per element where its
-# result falls below about 2^-1021, as q^(jy) does for most of a block at
-# large x; the q-series flush those results to 0 and bound them by 2^-1020
-_FLUSHED = 2.0**-1020
-_EXP_LOW = math.log(_FLUSHED)
-
-
-def _exp_flushed(a, least, out=None):
-    """exp(a), with each result below 2^-1020 set to 0; the other elements
-    keep the bits of np.exp.  ``least`` is a lower bound on ``a``."""
-    if least >= _EXP_LOW:
-        return np.exp(a, out=out)
-    low = a < _EXP_LOW
-    out = np.exp(np.maximum(a, _EXP_LOW, out=out), out=out)
-    out[low] = 0.0
-    return out
 
 
 def _span(idx):
@@ -544,10 +547,10 @@ class QSeriesTarget(Target):
         self._logs = sum(n for (_, m, _, _), n in ordered if m == -1)
         moved = [d + n * r for (_, _, d, r), n in zip(self.terms, self.steps)]
         self._start = min(moved)
-        # g_i(j) = w r (jL)^m exp(j a) / -expm1(j b), with a from the moved
-        # d at j >= 2 and from the given d at j = 1
-        self._g = [(w * r, m, (dm - self.shift) * lnq, (d - self.shift) * lnq, r * lnq)
-                   for (w, m, d, r), dm in zip(self.terms, moved)]
+        # g_i(j) = w r (jL)^m exp(j a) / -expm1(j b), with a = (d - shift) L
+        # from the moved d at j >= 2 and from the given d at j = 1: (w r, m,
+        # moved d, d, b)
+        self._g = [(w * r, m, dm, d, r * lnq) for (w, m, d, r), dm in zip(self.terms, moved)]
         # (q^r, the m = 0 weights of r summed, const and the w d of ln Gamma_q
         # among those of r = 1); q^r rounds by p/(1 - p) in ln(1 - p), and
         # each w d by eps/2 of itself
@@ -562,16 +565,17 @@ class QSeriesTarget(Target):
 
     deriv = Target.deriv
 
-    def _coeffs(self, j):
-        """c_j and its slop weight on the block ``j``."""
+    def _coeffs(self, j, shift):
+        """c_j and its slop weight on the block ``j``, for the series in
+        q^(j(x + shift)), shift <= ``self.shift``."""
         lnq = math.log(self.q)
         c, weight = np.zeros_like(j), np.zeros_like(j)
         # (jL)^m and -expm1(j b) are shared by the terms of one m and one r
         power, denom = {}, {}
-        for wr, m, a, a1, b in self._g:
-            ja = j * a
+        for wr, m, dm, d, b in self._g:
+            ja = j * ((dm - shift) * lnq)
             if j[0] == 1.0:
-                ja[0] = a1
+                ja[0] = (d - shift) * lnq
             if m not in power:
                 power[m] = (j * lnq) ** m
             if b not in denom:
@@ -651,123 +655,149 @@ class QSeriesTarget(Target):
         return values, _slop(1.0, errors) + floor[:, None]
 
     def _jets(self, xs, K, policy):
-        """One block loop for orders 0..K at every point.
+        return _q_series_grids([self], xs, K, policy)[0]
 
-        The rows (points x block) of a block share its j and coefficients,
-        while every (order, point) keeps its own sums, tail test and stop,
-        so each stops exactly where a lone order at a lone point would.
-        Points run in chunks, so that no temporary holds more than
-        _CHUNK_ELEMENTS elements or one row of the block.  The recurrence
-        part joins each cell as it stops; a point where it does not come
-        out finite fails with DomainError.
 
-        A term takes one exp, of e = j (x + shift) ln q, and t = exp(e) c_j;
-        order k is order k-1 times j (Taylor mode), up to the chunk's
-        highest order that is still active.  In the rounding slop, term k
-        weighs exp(e) j^k (c_j's weight) (1 + |e| + k): exp turns the |e|
-        ulp error of e into a relative error, and k products round.  Where
-        an exp or a product is subnormal or 0, its error is absolute, and
-        an exp below 2^-1020, in a term or in c_j, is flushed to 0
-        (``_exp_flushed``), so order k adds the floor ((k + 3) ulp(0) +
-        2^-1019) J max(amp, 1) (hi + 1)^max(k + jpow, 0) per block of J
-        terms, times |pref|, plus ulp(0) for the product with pref.  Past a
-        block, the terms' bound amp j^n q^(jy), n = k + jpow and y = x +
-        start, falls by at most ((hi + 2)/(hi + 1))^n q^y a step, or by q^y
-        where n < 0 (an ln Gamma_q term at order 0).
-        """
-        policy = policy or DEFAULT_POLICY
-        q, lnq, shift = self.q, math.log(self.q), self.shift
-        P = len(xs)
-        grid = _JetGrid(
-            np.full((K + 1, P), np.nan), np.full((K + 1, P), np.nan),
-            np.zeros((K + 1, P), dtype=np.int64), [None] * P,
-        )
-        outside = xs + shift <= 0.0
-        for p in np.flatnonzero(outside).tolist():
-            grid.fail(p, DomainError(f"x + {shift} must be positive, got x={float(xs[p])}"))
-        good = np.flatnonzero(~outside)
-        rate = (xs[good] + shift) * lnq
-        # the recurrence part's error weighs the same summands by 21 or more,
-        # so it is not finite where the value is not
-        rec, rec_err = self._recurrence(rate, K)
-        finite = np.isfinite(rec_err).all(axis=0)
-        if not finite.all():
-            for p in good[~finite].tolist():
-                grid.fail(p, DomainError(
-                    f"combined q-series (q={q}, K={K}) overflows at x={float(xs[p])}"))
-            good, rate = good[finite], rate[finite]
-            rec, rec_err = rec[:, finite], rec_err[:, finite]
-        # from here on, column i is the point good[i]
-        active = np.ones((K + 1, len(good)), dtype=bool)
-        total = np.zeros(active.shape)
-        abs_total = np.zeros(active.shape)
-        floor = np.zeros(K + 1)
-        # T^(k) = C[k=0] + pref[k] * sum j^k ... + the recurrence part
-        pref = np.array([-lnq * lnq**k for k in range(K + 1)])
-        const, const_err = np.zeros(K + 1), np.zeros(K + 1)
-        const[0], const_err[0] = self._const, self._const_err
-        y = xs[good] + self._start  # of the tail bound
-        qy = np.array([q**v for v in y.tolist()])
-        powers = [k + self.jpow for k in range(K + 1)]
-        try:
-            for j0, hi in _blocks(policy, "combined q-series (q={}, K={})", q, K):
-                j = np.arange(j0 + 1, hi + 1, dtype=float)
-                c, weight = self._coeffs(j)
-                live = np.flatnonzero(active.any(axis=0))
-                step = max(1, _CHUNK_ELEMENTS // len(j))
-                for c0 in range(0, len(live), step):
-                    pts = _span(live[c0:c0 + step])
+def _q_series_grids(targets, xs, K, policy) -> list[_JetGrid]:
+    """Orders 0..K of every QSeriesTarget of ``targets``, all of one q, at
+    every point of ``xs``: one grid per target (a column of the stack),
+    from one block loop.  A lone target's grid is the stack of one.
+
+    The stack sums every column as a series in q^(j(x + shift)), shift the
+    least of its columns' shifts, so that a block takes one exp per
+    (point, j), of e = j (x + shift) ln q, shared by the columns; each
+    column's coefficients absorb q^(j (its shift - shift)) (``_coeffs``),
+    so a column's bits move with the stack's shift, and a stack of one
+    keeps its own.  A point where x + shift <= 0 fails in every column.
+    The recurrence part, the constant and the tail bound stay per column,
+    and every (order, column, point) keeps its own sums, tail test and
+    stop.  Points run in chunks, so that no temporary holds more than
+    _CHUNK_ELEMENTS elements or one row of the block.  The recurrence part
+    joins each cell as it stops; a point where it does not come out finite
+    fails in its column with DomainError.
+
+    A term of a column is t = exp(e) c_j; order k is order k-1 times j
+    (Taylor mode), up to the chunk's highest order that is still active.
+    In the rounding slop, term k weighs exp(e) j^k (c_j's weight)
+    (1 + |e| + k): exp turns the |e| ulp error of e into a relative error,
+    and k products round.  Where an exp or a product is subnormal or 0,
+    its error is absolute, and an exp below 2^-1020, in a term or in c_j,
+    is flushed to 0 (``_exp_flushed``), so order k adds the floor
+    ((k + 3) ulp(0) + 2^-1019) J max(amp, 1) (hi + 1)^max(k + jpow, 0) per
+    block of J terms, times |pref|, plus ulp(0) for the product with pref
+    (|c_j| <= amp j^jpow, as start >= shift).  Past a block, the terms'
+    bound amp j^n q^(jy), n = k + jpow and y = x + start, falls by at most
+    ((hi + 2)/(hi + 1))^n q^y a step, or by q^y where n < 0 (an ln Gamma_q
+    term at order 0).
+    """
+    policy = policy or DEFAULT_POLICY
+    q, lnq = targets[0].q, math.log(targets[0].q)
+    T, P = len(targets), len(xs)
+    failures = [[None] * P for _ in targets]
+    shift = min(target.shift for target in targets)
+    outside = xs + shift <= 0.0
+    for p in np.flatnonzero(outside).tolist():
+        for column in failures:
+            column[p] = DomainError(f"x + {shift} must be positive, got x={float(xs[p])}")
+    good = np.flatnonzero(~outside)
+    # cells (order, column, point), the points being good's
+    shape = (K + 1, T, len(good))
+    rec, rec_err = np.empty(shape), np.empty(shape)
+    for c, target in enumerate(targets):
+        rec[:, c], rec_err[:, c] = target._recurrence((xs[good] + target.shift) * lnq, K)
+    # the recurrence part's error weighs the same summands by 21 or more, so
+    # it is not finite where the value is not
+    finite = np.isfinite(rec_err).all(axis=0)
+    if not finite.all():
+        for c, p in zip(*np.nonzero(~finite)):
+            failures[c][good[p]] = DomainError(
+                f"combined q-series (q={q}, K={K}) overflows at x={float(xs[good[p]])}")
+    active = np.repeat(finite[None], K + 1, axis=0)
+    values, errors = np.full(shape, np.nan), np.full(shape, np.nan)
+    terms = np.zeros(shape, dtype=np.int64)
+    total, abs_total = np.zeros(shape), np.zeros(shape)
+    rate = (xs[good] + shift) * lnq
+    # per column: amp, the floor, and T^(k) = C[k=0] + pref[k] * sum j^k ...
+    # + the recurrence part
+    amp = np.array([target.amp for target in targets])
+    floor = np.zeros((K + 1, T))
+    pref = np.array([-lnq * lnq**k for k in range(K + 1)])
+    const, const_err = np.zeros((K + 1, T, 1)), np.zeros((K + 1, T, 1))
+    const[0, :, 0] = [target._const for target in targets]
+    const_err[0, :, 0] = [target._const_err for target in targets]
+    y = xs[good] + np.array([[target._start] for target in targets])  # of the tail bound
+    qy = np.array([q**v for v in y.ravel().tolist()]).reshape(y.shape)
+    powers = [k + target.jpow for k in range(K + 1) for target in targets]  # (order, column)
+    try:
+        for j0, hi in _blocks(policy, "combined q-series (q={}, K={})", q, K):
+            j = np.arange(j0 + 1, hi + 1, dtype=float)
+            coeffs = [target._coeffs(j, shift) for target in targets]
+            live = np.flatnonzero(active.any(axis=(0, 1)))
+            step = max(1, _CHUNK_ELEMENTS // len(j))
+            for c0 in range(0, len(live), step):
+                pts = _span(live[c0:c0 + step])
+                e = np.multiply.outer(rate[pts], j)
+                w = np.abs(e) + 1.0
+                _exp_flushed(e, rate[pts].min() * j[-1], out=e)
+                for col, (c, weight) in enumerate(coeffs):
                     # the chunk's points where order k already stopped are
                     # summed along; their recorded values stay
-                    wanted = active[:, pts].any(axis=1).tolist()
+                    wanted = active[:, col, pts].any(axis=1).tolist()
+                    if not any(wanted):
+                        continue
                     top = max(k for k in range(K + 1) if wanted[k])
-                    e = np.multiply.outer(rate[pts], j)
-                    w = np.abs(e) + 1.0
-                    _exp_flushed(e, rate[pts].min() * j[-1], out=e)
                     t = e * c
-                    u = np.multiply(e, weight, out=e)  # exp(e) j^k weight
+                    # exp(e) j^k weight, in place in the last column
+                    u = np.multiply(e, weight, out=e if col == T - 1 else None)
                     wt = np.empty_like(t)  # u (1 + |e| + k)
                     for k in range(top + 1):
                         if k:
                             t *= j
                             u *= j
                         if wanted[k]:
-                            total[k, pts] += t.sum(axis=1)
+                            total[k, col, pts] += t.sum(axis=1)
                             np.add(w, k, out=wt)
                             wt *= u
-                            abs_total[k, pts] += wt.sum(axis=1)
-                live = _span(live)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    rho = np.multiply.outer(
-                        [((hi + 2.0) / (hi + 1.0)) ** max(n, 0) for n in powers], qy[live]
-                    )
-                    far = [q**v for v in ((hi + 1.0) * y[live]).tolist()]
-                    hpow = np.array([(hi + 1.0) ** n for n in powers])
-                    tail = np.multiply.outer(self.amp * hpow, far) / (1.0 - rho)
-                floor += (max(self.amp, 1.0) * len(j)) * np.maximum(hpow, 1.0)
-                sums = total[:, live]
-                done = active[:, live] & (rho < 1.0) & (tail <= policy.eps * (1.0 + np.abs(sums)))
-                if done.any():
-                    apref = np.abs(pref)[:, None]
-                    slop = _slop(2.0 + math.log2(max(hi, 2)), apref) * abs_total[:, live]
-                    cols = _span(good[live])
-                    val = const[:, None] + pref[:, None] * sums + rec[:, live]
-                    ulp0 = math.ulp(0.0)
-                    floor_k = (ulp0 * (np.arange(K + 1) + 3.0) + 2.0 * _FLUSHED) * floor
-                    under = apref * floor_k[:, None] + ulp0
-                    err = apref * tail + slop + const_err[:, None] + under + rec_err[:, live]
-                    if not done.all():
-                        val = np.where(done, val, grid.values[:, cols])
-                        err = np.where(done, err, grid.errors[:, cols])
-                    grid.values[:, cols], grid.errors[:, cols] = val, err
-                    grid.terms[:, cols] = np.where(done, hi, grid.terms[:, cols])
-                    active[:, live] &= ~done
-                if not active.any():
-                    break
-        except ConvergenceError as exc:
-            for p in good[active.any(axis=0)].tolist():
-                grid.fail(p, ConvergenceError(f"{exc} at x={xs[p]}"))
-        return grid
+                            abs_total[k, col, pts] += wt.sum(axis=1)
+            live = _span(live)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.array([((hi + 2.0) / (hi + 1.0)) ** max(n, 0) for n in powers])
+                rho = ratio.reshape(K + 1, T, 1) * qy[:, live]
+                far = np.array([q**v for v in ((hi + 1.0) * y[:, live]).ravel().tolist()])
+                hpow = np.array([(hi + 1.0) ** n for n in powers]).reshape(K + 1, T)
+                tail = (amp * hpow)[:, :, None] * far.reshape(T, -1) / (1.0 - rho)
+            floor += np.maximum(amp, 1.0) * len(j) * np.maximum(hpow, 1.0)
+            sums = total[:, :, live]
+            done = active[:, :, live] & (rho < 1.0) & (tail <= policy.eps * (1.0 + np.abs(sums)))
+            if done.any():
+                apref = np.abs(pref)[:, None, None]
+                slop = _slop(2.0 + math.log2(max(hi, 2)), apref) * abs_total[:, :, live]
+                val = const + pref[:, None, None] * sums + rec[:, :, live]
+                ulp0 = math.ulp(0.0)
+                floor_k = (ulp0 * (np.arange(K + 1) + 3.0) + 2.0 * _FLUSHED)[:, None] * floor
+                under = apref * floor_k[:, :, None] + ulp0
+                err = apref * tail + slop + const_err + under + rec_err[:, :, live]
+                if not done.all():
+                    val = np.where(done, val, values[:, :, live])
+                    err = np.where(done, err, errors[:, :, live])
+                values[:, :, live], errors[:, :, live] = val, err
+                terms[:, :, live] = np.where(done, hi, terms[:, :, live])
+                active[:, :, live] &= ~done
+            if not active.any():
+                break
+    except ConvergenceError as exc:
+        for c, p in zip(*np.nonzero(active.any(axis=0))):
+            failures[c][good[p]] = ConvergenceError(f"{exc} at x={xs[good[p]]}")
+    grids = []
+    for c in range(T):
+        cells = values[:, c], errors[:, c], terms[:, c]
+        if len(good) < P:  # the points outside hold nan
+            cells = [np.full((K + 1, P), np.nan), np.full((K + 1, P), np.nan),
+                     np.zeros((K + 1, P), dtype=np.int64)]
+            for a, b in zip(cells, (values[:, c], errors[:, c], terms[:, c])):
+                a[:, good] = b
+        grids.append(_JetGrid(*cells, failures[c]))
+    return grids
 
 
 class ExpNegX(Target):
@@ -1013,24 +1043,39 @@ def _as_value_err(v) -> tuple[float, float]:
 
 
 def _column_reader(columns: dict, xs: list[float]):
-    """read(key, x): the order-0 value of the target ``columns[key]`` at x.
+    """read(key, x): the order-0 Enclosure of the target ``columns[key]``
+    at x.
 
-    The first read of a key fills its column with one grid over the
-    distinct values of ``xs``; a point where the grid fails re-raises its
-    DomainError/ConvergenceError on every read.
+    Each column is a grid over the distinct values of ``xs``, filled the
+    first time a row reads it: the QSeriesTargets of one q together, as one
+    stack (``_q_series_grids``), any other target alone.  A point where a
+    grid fails re-raises its DomainError/ConvergenceError on every read.
     """
     distinct = list(dict.fromkeys(xs))
+    stacks, together = {}, {}  # q -> its q-series' keys; key -> the keys filled with it
+    for key, target in columns.items():
+        q_series = isinstance(target, QSeriesTarget)
+        together[key] = stacks.setdefault(target.q, []) if q_series else []
+        together[key].append(key)
     filled = {}
 
     def read(key, x):
         col = filled.get(key)
         if col is None:
-            grid = columns[key]._jets(np.array(distinct), 0, None)
-            col = filled[key] = dict(zip(distinct, zip(grid.values[0].tolist(), grid.failures)))
-        value, failure = col[x]
-        if failure is not None:
-            raise failure
-        return value
+            keys, ps = together[key], np.array(distinct)
+            if isinstance(columns[key], QSeriesTarget):
+                grids = _q_series_grids([columns[k] for k in keys], ps, 0, None)
+            else:
+                grids = [columns[key]._jets(ps, 0, None)]
+            for k, grid in zip(keys, grids):
+                cells = zip(grid.values[0].tolist(), grid.errors[0].tolist(), grid.terms[0].tolist())
+                filled[k] = dict(zip(distinct, (
+                    failure or Enclosure(*cell) for cell, failure in zip(cells, grid.failures))))
+            col = filled[key]
+        cell = col[x]
+        if isinstance(cell, Exception):
+            raise cell
+        return cell
 
     return read
 
@@ -1054,9 +1099,10 @@ def check_chain(
     sequence of non-empty parameter dicts; key 'x' is the reported point when
     present, else the first parameter.  ``columns`` maps keys to Targets:
     the row is then called as ``row(p, read)``, where ``read(key)`` is the
-    order-0 value of ``columns[key]`` at the point, and each column is
-    filled by one grid over the chain's distinct points the first time a
-    row reads it, so that it lives only as long as the check.  A point
+    order-0 Enclosure of ``columns[key]`` at the point, and each column is
+    filled over the chain's distinct points the first time a row reads it,
+    the q-series of one q in one stacked grid (``_column_reader``), so that
+    it lives only as long as the check.  A point
     whose row raises DomainError or ConvergenceError is inconclusive.  Each
     adjacent pair (lo, hi) is a cell of ``_decide`` with margin hi - lo.
     chain_lt adds the strict spot check of a strict sign pattern, and a

@@ -22,10 +22,13 @@ derivative, and a product inequality (prop51-chain's d^2 < mid < d^2/c,
 cor51-nonneg's psi_q'^2 + ... >= 0) one inequality at a time: each a
 nonneg LinComb of Products of leaves (x, psi^(n), q-series, and q^x as
 e^(-rate x) with rate = -ln q), a square being one target's Product with
-itself.  Two q-analogue chains read their q-series as columns of rows:
-eq14-bounds and thm52-chain.  No entry defines a coefficient function
-or calls a scalar psi_q or psi_q^(n) evaluator; scalar ln Gamma_q is read
-by cor5-ineq's rows and by the eq14 claims' constant ``alzer_v``.
+itself.  Two q-analogue chains read their q-series as columns of rows,
+each cell an Enclosure, the columns of one q filled as one stacked grid:
+eq14-bounds and thm52-chain.  ci-kernel checks each kernel derivative as
+a strict nonneg leaf on specfun's kernel-derivative grid.  No entry
+defines a coefficient function or calls a scalar psi_q, psi_q^(n) or
+kernel_derivative evaluator; scalar ln Gamma_q is read by cor5-ineq's
+rows and by the eq14 claims' constant ``alzer_v``.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .cm_engine import (
     VerificationReport,
     Violation,
     XLogX,
+    _KernelLeaf,
     check_chain,
     check_majorization,
     check_sign_pattern,
@@ -273,9 +277,8 @@ def _probe_check(label, fn, grid, direction, params, **kw):
     ))
 
 
-def _x_points(grid: GridSpec, extra: dict | None = None) -> list[dict]:
-    extra = extra or {}
-    return [{"x": x, **extra} for x in grid.values()]
+def _x_points(grid: GridSpec) -> list[dict]:
+    return [{"x": x} for x in grid.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +343,8 @@ def _build_eq14(desc, grid, K, ov):
         q, s = p["q"], p["s"]
         u, v = uv[(q, s)]
         b = bd.ratio_bounds(p["x"], s, q, "alzer_uv", u_override=u, v_override=v)
-        return [b.lower, math.exp(read((q, s))), b.upper]
+        ln_ratio = read((q, s))
+        return [b.lower, sf._exp(ln_ratio.value, ln_ratio), b.upper]
 
     return [_chain_check("eq14-bounds", row, _eq14_points(qs, ss, grid), "chain_lt", columns)]
 
@@ -962,9 +966,9 @@ def _build_thm52(desc, grid, K, ov):
 
     def row(p, read):
         x, c, q = p["x"], p["c"], p["q"]
-        d = read((q, c, "d"))
+        d = read((q, c, "d")).value
         pref = (1.0 - q) / (1.0 - q**c)
-        return _pair_order(c, pref * d * d, (q**x) * read((q, c, "mid")), d * d)
+        return _pair_order(c, pref * d * d, (q**x) * read((q, c, "mid")).value, d * d)
 
     return [_chain_check("thm52-chain", row, pts, "chain_lt", columns)]
 
@@ -1091,20 +1095,18 @@ def _build_ratio(desc, grid, K, ov):
 
 
 @_register(PropertyDescriptor(
-    "ci-kernel", "chain_lt",
+    "ci-kernel", "nonneg",
     "Clark-Ismail kernel derivatives stay positive up to order 16",
     _domains(n_max=(1, 16)), GridSpec(1e-2, 40.0, 64, "log"),
 ))
 def _build_ci_kernel(desc, grid, K, ov):
+    """d^n/dt^n t^n/(1 - e^(-t)) > 0: one strict nonneg check per n of
+    the kernel leaf, whose grid is specfun's kernel-derivative grid."""
     n_max = int(ov.get("n_max", 16))
-
-    def row(p):
-        return [0.0, sf.kernel_derivative(p["n"], p["n"], p["x"])]
-
     checks = []
     for n in range(1, n_max + 1):
         g = grid if n <= 8 else grid.with_points(max(8, grid.points // 2))
-        checks.append(_chain_check(f"ci-kernel[n={n}]", row, _x_points(g, {"n": n}), "chain_lt"))
+        checks.append(_nonneg_check(f"ci-kernel[n={n}]", _KernelLeaf(n, n), g, {"n": n}, strict=True))
     return checks
 
 

@@ -47,7 +47,10 @@ exponential series cancels: the Bernoulli generating function of
 t/(1 - e^(-t)), summed term by term from a table of its coefficients, with
 a geometric tail from |B_2m|/(2m)! < 4/(2 pi)^(2m).  It stops once the tail
 is at most eps * sum|term|, a relative rule; past the budget or the table,
-ConvergenceError.
+ConvergenceError.  A grid of one derivative at many t has a kernel of its
+own, ``_kernel_grid``: both regimes in numpy arrays, each cell certified
+by the scalar's stop index, tail bound and slop, and failing where the
+scalar raises.
 
 A grid of ln Gamma, psi and psi^(n), orders n0..n0+K at many points, has
 a kernel of its own, ``_psi_kernel``: the rule above in numpy arrays,
@@ -252,6 +255,25 @@ def _slop(ops: float, magnitude):
     return ops * _EPS_MACH * abs(magnitude)
 
 
+# numpy's exp takes a path 10 to 100 times slower per element where its
+# result falls below about 2^-1021, as q^(jy) does for most of a block at
+# large x; the q-series and the kernel-derivative grid flush those results
+# to 0 and bound them by 2^-1020
+_FLUSHED = 2.0**-1020
+_EXP_LOW = math.log(_FLUSHED)
+
+
+def _exp_flushed(a, least, out=None):
+    """exp(a), with each result below 2^-1020 set to 0; the other elements
+    keep the bits of np.exp.  ``least`` is a lower bound on ``a``."""
+    if least >= _EXP_LOW:
+        return np.exp(a, out=out)
+    low = a < _EXP_LOW
+    out = np.exp(np.maximum(a, _EXP_LOW, out=out), out=out)
+    out[low] = 0.0
+    return out
+
+
 def _exp_value(v: float) -> float:
     """exp(v); DomainError, not OverflowError, where it overflows double
     precision."""
@@ -396,7 +418,10 @@ def _psi_shifted(n: int, x: float, policy: TruncationPolicy | None) -> Enclosure
     if log and x < 1.0:  # ln x is the one negative shift term
         magnitude -= 2.0 * math.log(x)
     terms += len(parts)
-    return Enclosure(val, tail + shift_err + _slop(terms + 4, magnitude), terms)
+    # where the point moved, the rounding of x + i moves a term of order n
+    # by up to n + 1 half-ulps, as ``_psi_kernel`` counts it
+    ops = terms + 4 + ((n + 3) / 2 if parts else 0)
+    return Enclosure(val, tail + shift_err + _slop(ops, magnitude), terms)
 
 
 def _shift_in_logs(n: int, x: float, count: int):
@@ -899,6 +924,18 @@ _KERNEL_ORDER_CAP = 20
 _KERNEL_T0 = 2.0
 
 
+def _kernel_order(n, k) -> None:
+    """kernel_derivative's DomainError for an n or k it does not take."""
+    if not isinstance(n, int) or n < 1 or not isinstance(k, int) or k < 0:
+        raise DomainError(f"need integer n >= 1 and k >= 0, got n={n!r}, k={k!r}")
+    if k > _KERNEL_ORDER_CAP:
+        raise DomainError(f"derivative order {k} exceeds cap {_KERNEL_ORDER_CAP}")
+
+
+def _kernel_range_error(n: int, k: int, t: float) -> DomainError:
+    return DomainError(f"d^{k}/dt^{k} t^{n}/(1 - e^-t) at t={t} is out of double-precision range")
+
+
 def kernel_derivative(
     n: int, k: int, t: float, policy: TruncationPolicy | None = None
 ) -> Enclosure:
@@ -910,22 +947,19 @@ def kernel_derivative(
     a relative rule (``_kernel_bernoulli``).  Above t0 it expands
     1/(1-e^(-t)) = sum_m e^(-mt), whose alternating terms would cancel as
     t -> 0, with the block schedule and stop rule of the module docstring
-    (``_kernel_exp``).
+    (``_kernel_exp``).  A value or bound that leaves double precision
+    raises DomainError.
     """
     policy = policy or DEFAULT_POLICY
-    if not isinstance(n, int) or n < 1 or not isinstance(k, int) or k < 0:
-        raise DomainError(f"need integer n >= 1 and k >= 0, got n={n!r}, k={k!r}")
-    if k > _KERNEL_ORDER_CAP:
-        raise DomainError(f"derivative order {k} exceeds cap {_KERNEL_ORDER_CAP}")
+    _kernel_order(n, k)
     _require_positive(t, "t")
     try:
-        if t <= _KERNEL_T0:
-            return _kernel_bernoulli(n, k, t, policy)
-        return _kernel_exp(n, k, t, policy)
+        enc = _kernel_bernoulli(n, k, t, policy) if t <= _KERNEL_T0 else _kernel_exp(n, k, t, policy)
     except OverflowError:
-        raise DomainError(
-            f"d^{k}/dt^{k} t^{n}/(1 - e^-t) at t={t} is out of double-precision range"
-        ) from None
+        raise _kernel_range_error(n, k, t) from None
+    if not (math.isfinite(enc.value) and math.isfinite(enc.abs_error)):
+        raise _kernel_range_error(n, k, t)
+    return enc
 
 
 def _kernel_bernoulli(n: int, k: int, t: float, policy: TruncationPolicy) -> Enclosure:
@@ -965,10 +999,14 @@ def _kernel_bernoulli(n: int, k: int, t: float, policy: TruncationPolicy) -> Enc
                     i + 4 + ops, math.ldexp(magnitude * mant, expo)
                 )
                 return Enclosure(val, err + 4.0 * math.ulp(0.0), i + 1)
+    raise _bernoulli_unsure(n, k, t, policy)
+
+
+def _bernoulli_unsure(n: int, k: int, t: float, policy: TruncationPolicy) -> ConvergenceError:
     what = f"kernel derivative series (n={n}, k={k}, t={t}) did not certify within"
     if policy.max_terms < len(_KERNEL_C):
-        raise ConvergenceError(f"{what} {policy.max_terms} terms")
-    raise ConvergenceError(f"{what} its {len(_KERNEL_C)} tabulated Bernoulli terms")
+        return ConvergenceError(f"{what} {policy.max_terms} terms")
+    return ConvergenceError(f"{what} its {len(_KERNEL_C)} tabulated Bernoulli terms")
 
 
 def _power_parts(t: float, e: int):
@@ -985,6 +1023,9 @@ def _power_parts(t: float, e: int):
     return m, x, ops
 
 
+_KERNEL_SERIES = "kernel derivative series (n={}, k={}, t={})"
+
+
 def _kernel_exp(n: int, k: int, t: float, policy: TruncationPolicy) -> Enclosure:
     """kernel_derivative above t0 from 1/(1-e^(-t)) = sum_m e^(-mt): each
     t^n e^(-mt) differentiates in closed form by the product rule.  The tail
@@ -994,11 +1035,11 @@ def _kernel_exp(n: int, k: int, t: float, policy: TruncationPolicy) -> Enclosure
     coefs = [math.comb(k, j) * math.perm(n, j) * t ** (n - j) for j in range(jmax + 1)]
     # m = 0 contribution: d^k/dt^k t^n
     total = math.perm(n, k) * t ** (n - k) if k <= n else 0.0
+    if not math.isfinite(sum(coefs) + total):  # a product of t^(n-j) overflowed
+        raise OverflowError
     # the alternating terms cancel as t -> 0: base the slop on them
     abs_total = abs(total)
-    for m0, hi in _blocks(
-        policy, "kernel derivative series (n={}, k={}, t={})", n, k, t, first=512
-    ):
+    for m0, hi in _blocks(policy, _KERNEL_SERIES, n, k, t, first=512):
         m = np.arange(m0 + 1, hi + 1, dtype=float)
         emt = np.exp(-m * t)
         acc = np.zeros_like(m)
@@ -1015,6 +1056,155 @@ def _kernel_exp(n: int, k: int, t: float, policy: TruncationPolicy) -> Enclosure
             tail = pb * math.exp(-(hi + 1.0) * t) / (1.0 - ratio)
             if tail <= policy.eps * (1.0 + abs(total)):
                 return Enclosure(total, tail + _slop(hi, abs_total), hi)
+
+
+@functools.cache
+def _bernoulli_rows(n: int, k: int, count: int) -> np.ndarray:
+    """The constants of ``_kernel_bernoulli``'s first ``count`` terms, as
+    rows of shape (7, count, 1), built once per (n, k, count): term i's
+    factor c_j perm(p, k) and power p - k - e (0 and 0 where p < k); and
+    the tail test after it, on b_p of p = n-1+2i: the factor 4 perm(p, k),
+    the power p - k - e and the divisor (2 pi)^(2i) of b_p, and the
+    numerator and denominator of its ratio (nan, and so no test, at i = 0
+    and where p < k)."""
+    e = max(n - 1 - k, 0)
+    rows = []
+    for i in range(count):
+        p = n - 1 + (i if i < 2 else 2 * i - 2)
+        term = (_KERNEL_C[i] * math.perm(p, k), p - k - e) if p >= k else (0.0, 0)
+        p = n - 1 + 2 * i
+        tail = (math.nan, 0, 1.0, 1, 1)
+        if i and p >= k:
+            tail = (4.0 * math.perm(p, k), p - k - e, math.tau ** (2 * i),
+                    (p + 2) * (p + 1), (p + 2 - k) * (p + 1 - k))
+        rows.append(term + tail)
+    a = np.array(rows, dtype=float).T[:, :, None]
+    a.setflags(write=False)  # shared by every call: never written
+    return a
+
+
+def _kernel_bernoulli_grid(n: int, k: int, t: np.ndarray, policy: TruncationPolicy):
+    """``_kernel_bernoulli`` at every t of ``t`` (all in (0, t0]): (values,
+    errors, terms, certified).  Every term and every tail test of the table
+    is formed at once, the sums run in order along the terms, and each
+    point stops at its first certifying test; t^e is put back as
+    ``_power_parts`` puts it, on numpy's frexp and ldexp."""
+    count = min(policy.max_terms, len(_KERNEL_C))
+    coef, power, bfac, bpow, bdiv, num, den = _bernoulli_rows(n, k, count)
+    terms = coef * _power(t, power)
+    total = np.add.accumulate(terms)
+    magnitude = np.add.accumulate(np.abs(terms))
+    ratio = (t / math.tau) ** 2 * num / den
+    tail = bfac * _power(t, bpow) / bdiv / (1.0 - ratio)
+    stop = (ratio < 1.0) & (tail <= policy.eps * magnitude)
+    i, cols = stop.argmax(axis=0), np.arange(len(t))
+    # t^e = m 2^x, the mantissa of t raised to at most the 1000th power at a time
+    mant, expo = np.frexp(t)
+    m, x, e, ops = np.ones_like(t), np.zeros(t.shape, dtype=int), max(n - 1 - k, 0), 0
+    while e > 0:
+        step = min(e, 1000)
+        m, shift = np.frexp(m * _power(mant, step))
+        x += shift + expo * step
+        e, ops = e - step, ops + 2
+    val = np.ldexp(total[i, cols] * m, x)
+    err = np.ldexp(tail[i, cols] * m, x) + _slop(i + 4.0 + ops, np.ldexp(magnitude[i, cols] * m, x))
+    return val, err + 4.0 * math.ulp(0.0), i + 1, stop[i, cols]
+
+
+def _kernel_exp_grid(n: int, k: int, t: np.ndarray, policy: TruncationPolicy):
+    """``_kernel_exp`` at every t of ``t`` (all above t0): (values, errors,
+    terms, certified), each point stopping at its own block, by the
+    scalar's tail test; the points still open when the budget is spent are
+    not certified.
+
+    A block forms e^(-mt) once per (point, m), flushed to 0 below 2^-1020
+    (``_exp_flushed``), and its moments mu_i = sum_m m^i e^(-mt), i <= k,
+    so that it adds sum_j (-1)^(k-j) c_j mu_(k-j) to the value and
+    sum_j c_j mu_(k-j) to sum |terms|: the scalar's sums in another order,
+    whose rounding (k products, log2(hi) + 1 for a moment and jmax + 1 for
+    the sum over j) the slop hi eps sum |terms| covers, hi >= 512 being at
+    least 2 k + log2(hi) + 2.  A flushed exp drops less than 2^-1020 of
+    each c_j m^(k-j), so the block adds 2^-1020 (hi - m0) pb to the error,
+    pb = sum_j c_j (hi + 1)^(k-j) as in the tail."""
+    P = len(t)
+    coefs = np.array([float(math.comb(k, j) * math.perm(n, j)) * _power(t, n - j)
+                      for j in range(min(k, n) + 1)])
+    signs = np.array([(-1.0) ** (k - j) for j in range(len(coefs))])[:, None]
+    total = float(math.perm(n, k)) * _power(t, n - k) if k <= n else np.zeros(P)
+    abs_total, flushed = np.abs(total), np.zeros(P)
+    values, errors, terms = np.full(P, math.nan), np.full(P, math.nan), np.zeros(P, dtype=np.int64)
+    # where a power of t overflows, the scalar raises, and the cell stays nan
+    live = np.flatnonzero(np.isfinite(coefs.sum(axis=0) + total))
+    try:  # a point left open gets the scalar's message in ``_kernel_grid``
+        for m0, hi in _blocks(policy, _KERNEL_SERIES, n, k, "-", first=512):
+            m = np.arange(m0 + 1, hi + 1, dtype=float)
+            tl, cl = t[live], coefs[:, live]
+            w = _exp_flushed(np.multiply.outer(tl, -m), -hi * tl.max(initial=0.0))
+            moments = np.empty((k + 1, len(live)))
+            for i in range(k + 1):
+                if i:
+                    w *= m
+                moments[i] = w.sum(axis=1)
+            parts = cl * moments[k - np.arange(len(coefs))]
+            total[live] += (signs * parts).sum(axis=0)
+            abs_total[live] += parts.sum(axis=0)
+            ratio = np.exp(-tl) * ((hi + 2.0) / (hi + 1.0)) ** k
+            pb = (cl * ((hi + 1.0) ** (k - np.arange(len(coefs))))[:, None]).sum(axis=0)
+            flushed[live] += _FLUSHED * (hi - m0) * pb
+            tail = pb * np.exp(-(hi + 1.0) * tl) / (1.0 - ratio)
+            done = (ratio < 1.0) & (tail <= policy.eps * (1.0 + np.abs(total[live])))
+            at = live[done]
+            values[at], terms[at] = total[at], hi
+            errors[at] = tail[done] + _slop(hi, abs_total[at]) + flushed[at]
+            live = live[~done]
+            if not live.size:
+                break
+    except ConvergenceError:
+        pass
+    certified = np.ones(P, dtype=bool)
+    certified[live] = False
+    return values, errors, terms, certified
+
+
+def _kernel_grid(n: int, k: int, ts: np.ndarray, policy: TruncationPolicy | None):
+    """``kernel_derivative(n, k, t)`` at every t of ``ts``: (values, errors,
+    terms) of shape (P,), and per point the DomainError/ConvergenceError
+    the scalar raises there, or None; a failed point's value and error are
+    nan.  An n or k the scalar does not take raises its DomainError.
+
+    The points at t <= t0 take ``_kernel_bernoulli``'s rule and the others
+    ``_kernel_exp``'s, in arrays (``_kernel_bernoulli_grid``,
+    ``_kernel_exp_grid``): the same terms, stop index, tail bound, slop
+    over sum |terms| and absolute floor, so each cell is certified as the
+    scalar is, though its last bits differ (numpy's power, and the
+    exponential regime's sums by moments).  A cell depends only on
+    (n, k, t, policy), not on the other points."""
+    policy = policy or DEFAULT_POLICY
+    _kernel_order(n, k)
+    P = len(ts)
+    values, errors, terms = np.full(P, math.nan), np.full(P, math.nan), np.zeros(P, dtype=np.int64)
+    certified = np.ones(P, dtype=bool)
+    inside = (ts > 0.0) & (ts < math.inf)
+    with np.errstate(all="ignore"):
+        for part, grid in ((ts <= _KERNEL_T0, _kernel_bernoulli_grid),
+                           (ts > _KERNEL_T0, _kernel_exp_grid)):
+            idx = np.flatnonzero(part & inside)
+            if idx.size:
+                values[idx], errors[idx], terms[idx], certified[idx] = grid(n, k, ts[idx], policy)
+    finite = np.isfinite(values) & np.isfinite(errors)
+    failures = [None] * P
+    for p in np.flatnonzero(~(inside & certified & finite)).tolist():
+        t = float(ts[p])
+        if not inside[p]:
+            failures[p] = DomainError(f"t must be positive and finite, got {t!r}")
+        elif not certified[p]:
+            failures[p] = (_bernoulli_unsure(n, k, t, policy) if t <= _KERNEL_T0 else ConvergenceError(
+                f"{_KERNEL_SERIES.format(n, k, t)} did not certify within {policy.max_terms} terms"))
+        else:
+            failures[p] = _kernel_range_error(n, k, t)
+        values[p] = errors[p] = math.nan
+        terms[p] = 0
+    return values, errors, terms, failures
 
 
 def unit_ball_volume(n: int, policy: TruncationPolicy | None = None) -> Enclosure:

@@ -245,7 +245,7 @@ def _per_order(t, k, x, policy=None):
         while True:
             hi = min(j0 + block, policy.max_terms)
             j = np.arange(j0 + 1, hi + 1, dtype=float)
-            c, weight = t._coeffs(j)
+            c, weight = t._coeffs(j, t.shift)
             # one exp per term, then k products by j
             arg = j * (y * lnq)
             terms = ce._exp_flushed(arg, -math.inf) * c
@@ -376,6 +376,7 @@ def _jet_targets():
         ce.QSeriesTarget(0.6, _LN_GAMMA_Q_TERMS),
         ce.ExpNegX(),
         ce.SinPlus2(),
+        ce._KernelLeaf(3, 2),  # orders 2..14 of the kernel, both regimes
         ce.MonomialPolyGamma(2, 1, 1.0, 1.0),
         ce.MonomialPolyGamma(1, 0, 0.5, -1.0),
         ce.PolyProductTarget(3, 2, 2, 1, consts.c),
@@ -656,7 +657,9 @@ def test_q_series_grid_caps_its_block_temporaries(monkeypatch):
             return np.exp(a, *args, **kwargs)
 
     recorder = RecordingNumpy()
+    # the block's exps go through specfun._exp_flushed
     monkeypatch.setattr(ce, "np", recorder)
+    monkeypatch.setattr(sf, "np", recorder)
     q = 0.95
     target = ce.QSeriesTarget(q, _Q_TERMS[:3])  # jpow = 0
     xs = [float(v) for v in np.geomspace(0.05, 5.0, 64)]
@@ -696,6 +699,7 @@ def test_q_series_near_q_1_keeps_its_steps_and_temporaries_bounded(monkeypatch):
     assert sum(target.steps) <= ce._MAX_STEPS
     recorder = RecordingNumpy()
     monkeypatch.setattr(ce, "np", recorder)
+    monkeypatch.setattr(sf, "np", recorder)
     xs = [0.01, 50.0]
     grid = target._jets(np.array(xs), 2, None)
     monkeypatch.undo()
@@ -881,36 +885,39 @@ def test_chain_eval_failure_is_inconclusive():
     assert rep.status == "inconclusive"
 
 
-def test_chain_fills_each_column_it_reads_with_one_grid_per_check(monkeypatch):
+def test_chain_fills_the_columns_of_a_q_with_one_grid_per_check(monkeypatch):
     grids = []
-    jets = ce.QSeriesTarget._jets
+    stacked = ce._q_series_grids
 
-    def counted(self, xs, K, policy):
-        grids.append((self, xs.tolist(), K))
-        return jets(self, xs, K, policy)
+    def counted(targets, xs, K, policy):
+        grids.append((targets, xs.tolist(), K))
+        return stacked(targets, xs, K, policy)
 
-    monkeypatch.setattr(ce.QSeriesTarget, "_jets", counted)
-    psi = ce.QSeriesTarget(0.5, [(1.0, 0, 0.0)])
-    columns = {"psi": psi, "unread": ce.QSeriesTarget(0.5, [(1.0, 1, 0.0)])}
+    monkeypatch.setattr(ce, "_q_series_grids", counted)
+    psi, psi1 = (ce.QSeriesTarget(0.5, [(1.0, m, 0.0)]) for m in (0, 1))
+    columns = {"psi": psi, "psi1": psi1, "unread": ce.QSeriesTarget(0.7, [(1.0, 0, 0.0)])}
     pts = [{"x": x, "k": k} for k in (1.0, 2.0) for x in (0.5, 1.0, 2.0)]
     seen = []
 
     def row(p, read):
         seen.append(read("psi"))
-        return [read("psi"), read("psi") + p["k"]]
+        return [read("psi"), read("psi").value + p["k"], read("psi1").value + 9.0]
 
     for _ in range(2):
         assert ce.check_chain(row, pts, "chain_lt", columns=columns).status == "pass"
-    # one order-0 grid over the distinct points, per check: no column
-    # outlives its check, and one no row reads is never filled
-    assert grids == [(psi, [0.5, 1.0, 2.0], 0)] * 2
-    assert seen[:3] == [psi.deriv(0, x).value for x in (0.5, 1.0, 2.0)]
+    # one order-0 grid over the distinct points for the columns of q = 0.5,
+    # per check: no column outlives its check, and those of a q that no row
+    # reads are never filled
+    assert grids == [([psi, psi1], [0.5, 1.0, 2.0], 0)] * 2
+    # a cell is the Enclosure of its column's grid; these columns share
+    # their shift, so the stack keeps each one's own bits
+    assert seen[:3] == [psi.deriv(0, x) for x in (0.5, 1.0, 2.0)]
 
 
 def test_chain_column_failure_is_inconclusive():
     # psi_q(x + 1) fails at x = -2; the other point passes
     columns = {"psi": ce.QSeriesTarget(0.5, [(1.0, 0, 1.0)])}
-    rep = ce.check_chain(lambda p, read: [read("psi"), read("psi") + 1.0], _pts([-2.0, 1.0]),
+    rep = ce.check_chain(lambda p, read: [read("psi"), read("psi").value + 1.0], _pts([-2.0, 1.0]),
                          "chain_le", columns=columns)
     assert rep.status == "inconclusive" and not rep.violations
     with pytest.raises(UsageError):

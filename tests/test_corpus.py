@@ -228,15 +228,17 @@ def _count_scalar_q_calls(monkeypatch):
 @pytest.mark.parametrize("claim_id", sorted(_COLUMN_CHAINS | _LINK_CLAIMS))
 def test_chain_fills_each_column_once_and_calls_no_scalar_q_series(monkeypatch, claim_id):
     """Each column of a chain, and each link target of a claim checked
-    link by link, fills one grid, and no check calls a scalar q-series."""
-    grids = collections.Counter()
-    jets = ce.QSeriesTarget._jets
+    link by link, fills one grid, and no check calls a scalar q-series.  A
+    chain fills the columns of one q in one stacked grid."""
+    grids, stacks = collections.Counter(), []
+    stacked = ce._q_series_grids
 
-    def counted(self, xs, K, policy):
-        grids[id(self)] += 1
-        return jets(self, xs, K, policy)
+    def counted(targets, xs, K, policy):
+        grids.update(id(t) for t in targets)
+        stacks.append({t.q for t in targets})
+        return stacked(targets, xs, K, policy)
 
-    monkeypatch.setattr(ce.QSeriesTarget, "_jets", counted)
+    monkeypatch.setattr(ce, "_q_series_grids", counted)
     calls = _count_scalar_q_calls(monkeypatch)
     checks = corpus.instantiate(claim_id)
     q_series = _read_q_series(checks)
@@ -244,6 +246,9 @@ def test_chain_fills_each_column_once_and_calls_no_scalar_q_series(monkeypatch, 
     rep = ce.merge_reports(claim_id, [c.run() for c in checks])
     assert rep.status == ("fail" if corpus.get_descriptor(claim_id).expects_violation else "pass")
     assert grids == collections.Counter(id(t) for t in q_series)
+    if claim_id in _COLUMN_CHAINS:  # 9 stacks for eq14-bounds, 2 for thm52-chain
+        assert sorted(min(qs) for qs in stacks) == sorted({t.q for t in q_series})
+        assert all(len(qs) == 1 for qs in stacks)
     assert not calls
 
 

@@ -483,6 +483,63 @@ def test_chain_column_certificates_hold(label, target, xs):
     _assert_sound(target, [xs[0], 0.44, 19.9, xs[-1]], 2)
 
 
+def _chain_stacks():
+    """(label, columns, points) of each stacked grid a corpus chain fills:
+    its QSeriesTarget columns of one q, over the chain's distinct x."""
+    found = []
+    for cid in corpus.ALL_IDS:
+        for check in corpus.instantiate(cid):
+            columns = check.kwargs.get("columns") or {}
+            xs = sorted({p["x"] for p in check.kwargs.get("points", [])})
+            for q in sorted({t.q for t in columns.values()}):
+                found.append((f"{check.label}[q={q}]", [t for t in columns.values() if t.q == q], xs))
+    return found
+
+
+_STACKS = _chain_stacks()
+
+
+def test_stacks_come_from_every_column_chain():
+    assert {label.split("[")[0] for label, *_ in _STACKS} == {"eq14-bounds", "thm52-chain"}
+    assert sorted(len(columns) for _, columns, _ in _STACKS) == [4, 4] + [9] * 9
+
+
+@pytest.mark.parametrize("label, columns, xs", _STACKS, ids=[c[0] for c in _STACKS])
+def test_stacked_chain_column_certificates_hold(label, columns, xs):
+    """Orders 0..2 of every column of a chain's stacked grid, where each
+    column sums at the least shift of the stack, at the ends of the chain's
+    points and at x = 0.44 and 19.9, against the reference derived from its
+    terms."""
+    pts = [xs[0], 0.44, 19.9, xs[-1]]
+    grids = ce._q_series_grids(columns, np.array(pts), 2, None)
+    with mp.workdps(40):
+        for target, grid in zip(columns, grids):
+            assert all(f is None for f in grid.failures), label
+            for k in range(3):
+                for p, x in enumerate(pts):
+                    miss = abs(mp.mpf(grid.values[k, p]) - _ref(target, k, mp.mpf(x)))
+                    assert miss <= grid.errors[k, p], (label, target.terms, k, x)
+
+
+@pytest.mark.parametrize("label, columns, xs", _STACKS, ids=[c[0] for c in _STACKS])
+def test_a_stack_of_one_is_the_lone_grid_bit_for_bit(label, columns, xs):
+    """Each column alone, a stack of one, gives the bits of its target's
+    own grid at every point of the chain; in the stack, a column keeps
+    those bits where the columns share one shift (thm52-chain), and
+    otherwise agrees with them within the sum of the two errors."""
+    ps = np.array(xs)
+    stacked = ce._q_series_grids(columns, ps, 0, None)
+    for target, grid in zip(columns, stacked):
+        (alone,) = ce._q_series_grids([target], ps, 0, None)
+        values, errors, ok = target.jet_grid(xs, 0)
+        assert ok.all() and grid.ok.all(), label
+        assert alone.values.tobytes() == values.tobytes() and alone.errors.tobytes() == errors.tobytes()
+        if len({t.shift for t in columns}) == 1:
+            assert grid.values.tobytes() == values.tobytes(), label
+            assert grid.errors.tobytes() == errors.tobytes(), label
+        assert (np.abs(grid.values - values) <= grid.errors + errors).all(), label
+
+
 def test_corpus_q_series_keep_their_sign_at_every_cell():
     """(-1)^k f^(k) >= 0 at every cell of every corpus q-series check, and
     each link >= 0 at every point of its grid: no cell reads negative and
@@ -677,6 +734,11 @@ def test_digamma_certificates_hold(xs):
 
 # the orders above 40 where (x+i)^-(n+1), n! or y^n leave the normal range
 _HIGH_ORDERS = (150, 160, 170, 171, 180, 200)
+# one step below the shift thresholds 10 + n = 32, 64 and 128, with an odd
+# last bit: x + 1 rounds to the coarser ulp past the power of 2, which moves
+# psi^(n) by up to n + 1 half-ulps (1.55 times the bound at n = 118 before
+# the slop counted it)
+_BELOW_POWERS_OF_2 = ((22, 31.95603427188927), (54, 63.95603427188927), (118, 127.95603427188927))
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -688,12 +750,13 @@ _HIGH_ORDERS = (150, 160, 170, 171, 180, 200)
 def test_polygamma_certificates_hold(x_wide, x_mid, x_far, x_high):
     """Orders 1..40 at both x; order 150 at x_mid (the shift plus the
     scaled series of ``_polygamma_far``, as y^150 overflows); orders 150
-    and 200 at x >= 10 + n, where the scaled series is all; and each order
+    and 200 at x >= 10 + n, where the scaled series is all; each order
     of ``_HIGH_ORDERS`` at x_high, which reaches 10 + n + 50 for every one
     of them: there n! (n >= 171) or a shift term leaves the normal range,
-    and the value is representable or raises DomainError."""
+    and the value is representable or raises DomainError; and the cases of
+    ``_BELOW_POWERS_OF_2``, where the rounded x + 1 crosses a power of 2."""
     cases = [(n, x) for n in range(1, 41) for x in (x_wide, x_mid)]
-    cases += [(n, x_high) for n in _HIGH_ORDERS]
+    cases += [(n, x_high) for n in _HIGH_ORDERS] + list(_BELOW_POWERS_OF_2)
     for n, x in cases + [(150, x_mid), (150, x_far), (200, x_far)]:
         _assert_scalar_sound(functools.partial(sf.polygamma, n),
                              lambda y: _polygamma_at(n, y, 40), x)
@@ -726,11 +789,9 @@ _KERNEL_X = st.floats(-3.0, 4.0).map(lambda e: 10.0**e)
        st.tuples(_near(1.0), _near(2.0), _near(_PSI_ZERO)),
        st.sampled_from([-1, 0, 3, 16, 28]), st.sampled_from(_SCALAR_POLICIES))
 @example([1e-3, 1e4], (1.0, 2.0, _PSI_ZERO), -1, None)
-# one step below the shift thresholds 10 + n = 32, 64 and 128, x + 1 rounds
-# to the coarser ulp past the power of 2, which moves psi^(n) by up to n + 1
-# half-ulps: the slop must count it at n = 118
-@example([31.95603427188927, 63.95603427188927, 127.95603427188927],
-         (1.0, 2.0, _PSI_ZERO), 106, None)
+# the points of _BELOW_POWERS_OF_2, orders 106..118: the slop must count
+# the rounding of x + 1 there
+@example([x for _, x in _BELOW_POWERS_OF_2], (1.0, 2.0, _PSI_ZERO), 106, None)
 def test_psi_grid_kernel_certificates_hold(xs, near_zeros, n0, policy):
     """Orders n0..n0+12 of the grid kernel, up to 40 (and 118 in an
     example), on [1e-3, 1e4] and near the zeros of ln Gamma and psi, where
@@ -843,6 +904,39 @@ def test_kernel_certificates_hold(n, k, t):
     enc = sf.kernel_derivative(n, k, t)
     with mp.workdps(40):
         assert abs(mp.mpf(enc.value) - _kernel_ref(n, k, t)) <= enc.abs_error, enc
+
+
+# a budget of 8 terms, which both regimes run out of near t0, and an eps
+# far below the default
+_KERNEL_POLICIES = (None, sf.TruncationPolicy(max_terms=8), sf.TruncationPolicy(eps=1e-30))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 40), st.integers(0, 20), st.lists(_KERNEL_T, min_size=2, max_size=6),
+       st.sampled_from(_KERNEL_POLICIES))
+@example(40, 0, [1e-10, 1.0, 40.0], None)
+@example(40, 20, [3e-17, _T0, _T0 * (1.0 + 1e-9), 40.0], None)
+@example(16, 16, [1e-2, 1.99, 2.01, 40.0], sf.TruncationPolicy(max_terms=8))
+@example(770, 20, [2.5, 3.0], None)  # C(k, j) n!/(n-j)! t^(n-j) overflows at j = 1
+def test_kernel_grid_certificates_hold(n, k, ts, policy):
+    """Each cell of the kernel-derivative grid (``specfun._kernel_grid``)
+    on a grid of points on both sides of t0 is within its error of 40
+    digits, and fails exactly where ``kernel_derivative`` raises, with its
+    class and message; t <= 0 and t = inf fail with DomainError."""
+    ts = ts + [0.0, -1.0, math.inf]
+    values, errors, terms, failures = sf._kernel_grid(n, k, np.array(ts), policy)
+    with mp.workdps(40):
+        for p, t in enumerate(ts):
+            try:
+                enc = sf.kernel_derivative(n, k, t, policy)
+            except (DomainError, ConvergenceError) as exc:
+                assert type(failures[p]) is type(exc) and str(failures[p]) == str(exc), (n, k, t)
+                assert math.isnan(values[p]) and math.isnan(errors[p])
+                continue
+            assert failures[p] is None, (n, k, t, failures[p])
+            assert terms[p] == enc.terms_used, (n, k, t)
+            miss = abs(mp.mpf(values[p]) - _kernel_ref(n, k, t))
+            assert miss <= errors[p], (n, k, t, policy, values[p], errors[p])
 
 
 @pytest.mark.parametrize("t", [1.9, 1.99, _T0, 2.01, 2.1])
