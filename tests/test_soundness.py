@@ -25,7 +25,10 @@ share one, from x = 1e-3 to 1e4 and up to dimension 1000.  The grid
 kernel behind the classical psi-family leaves (``specfun._psi_kernel``)
 has one too, at orders m..m+12 up to 40 and from 150 to 200, x from 1e-3
 to 1e4 and near those zeros; its cells fail exactly where the scalars
-raise DomainError.
+raise DomainError.  So does the kernel-derivative grid
+(``specfun._kernel_grid``), against ``mp.diff`` and ``kernel_derivative``'s
+failures, and each column of a chain's stacked q-series grid is checked
+against its terms' reference.
 """
 
 import functools
