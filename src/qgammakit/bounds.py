@@ -185,16 +185,18 @@ def gamma_ratio(x: float, s: float, q: float, policy=None) -> float:
     return _exp_value(_psi_q(-1, x + 1.0, q, policy) - _psi_q(-1, x + s, q, policy))
 
 
-def _qbracket_log(y: float, q: float) -> float:
+def _qbracket_log(y, q):
     """log((1 - q^y)/(1 - q)); reduces to log(y) as q -> 1.  For q < 1,
     1 - q^y is -expm1(y ln q), which keeps its relative accuracy as y -> 0
     where q^y rounds to 1.  For q > 1, [y]_q = q^(y-1) [y]_{1/q} =
     q^y (1 - q^(-y))/(q - 1), whose log is t + log(-expm1(-t)) -
-    log(q - 1) with t = y ln q."""
-    if q > 1.0:
+    log(q - 1) with t = y ln q.  y and q may be numpy arrays, with
+    0 < q < 1: numpy then takes the same operations at every element."""
+    xp = np if isinstance(y, np.ndarray) or isinstance(q, np.ndarray) else math
+    if xp is math and q > 1.0:
         t = y * math.log(q)
         return t + math.log(-math.expm1(-t)) - math.log(q - 1.0)
-    return math.log(-math.expm1(y * math.log(q))) - math.log1p(-q)
+    return xp.log(-xp.expm1(y * xp.log(q))) - xp.log1p(-q)
 
 
 def ratio_bounds(

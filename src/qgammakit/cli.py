@@ -41,32 +41,49 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
+# a string's escapes: the quote, the backslash and the control characters
+_ESCAPES = str.maketrans({'"': '\\"', "\\": "\\\\", **{chr(c): f"\\u{c:04x}" for c in range(0x20)}})
+
+
 def _canonical_json(obj) -> str:
-    if isinstance(obj, dict):
-        inner = ",".join(
-            f"{_canonical_json(str(k))}:{_canonical_json(v)}" for k, v in sorted(obj.items())
-        )
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canonical_json(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt(obj)
-    if obj is None:
-        return "null"
-    out = ['"']
-    for ch in str(obj):
-        if ch in ('"', "\\"):
-            out.append("\\" + ch)
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
+    """Canonical JSON of dicts (keys sorted, written as strings), lists and
+    tuples, bools, ints, floats (``_fmt``) and None; anything else is
+    written as the string ``str(obj)``, so a numpy float is a float and a
+    numpy int a string."""
+    out = []
+    _encode(obj, out.append)
     return "".join(out)
+
+
+def _encode(obj, put) -> None:
+    if isinstance(obj, dict):
+        sep = "{"
+        for k, v in sorted(obj.items()):
+            key = f'{sep}"{str(k).translate(_ESCAPES)}":'
+            if type(v) is float:  # most values: one put, no call
+                put(key + _fmt(v))
+            else:
+                put(key)
+                _encode(v, put)
+            sep = ","
+        put("{}" if sep == "{" else "}")
+    elif isinstance(obj, (list, tuple)):
+        sep = "["
+        for v in obj:
+            put(sep)
+            _encode(v, put)
+            sep = ","
+        put("[]" if sep == "[" else "]")
+    elif isinstance(obj, bool):  # before int, of which bool is a subclass
+        put("true" if obj else "false")
+    elif isinstance(obj, int):
+        put(str(obj))
+    elif isinstance(obj, float):
+        put(_fmt(obj))
+    elif obj is None:
+        put("null")
+    else:
+        put(f'"{str(obj).translate(_ESCAPES)}"')
 
 
 class _Parser(argparse.ArgumentParser):

@@ -56,7 +56,9 @@ Each check builds its cells (margin, certified error, lhs, rhs) and hands
 them to ``_decide``, the one place that computes tau, swamping, the strict
 spot check, the worst margin and the status pass / fail / inconclusive.  A
 swamped cell or a point that cannot be evaluated is inconclusive, never
-silently passed.
+silently passed.  A chain's values are arrays, a row per point, from which
+``_chain`` forms all its cells at once: ``check_chain`` fills them from
+its row function, and a claim may compute them as arrays itself.
 
 Violations are sorted by (point, order), so a report depends only on the
 check's inputs.
@@ -1042,16 +1044,15 @@ def _as_value_err(v) -> tuple[float, float]:
     return float(v), 0.0
 
 
-def _column_reader(columns: dict, xs: list[float]):
-    """read(key, x): the order-0 Enclosure of the target ``columns[key]``
-    at x.
+def _column_reader(columns: dict, distinct: np.ndarray):
+    """read(key): the order-0 grid (a ``_JetGrid``) of the target
+    ``columns[key]`` over the points ``distinct``.
 
-    Each column is a grid over the distinct values of ``xs``, filled the
-    first time a row reads it: the QSeriesTargets of one q together, as one
-    stack (``_q_series_grids``), any other target alone.  A point where a
-    grid fails re-raises its DomainError/ConvergenceError on every read.
+    A column is filled the first time it is read: the QSeriesTargets of one
+    q together, as one stack (``_q_series_grids``), any other target alone.
+    A point where a grid fails holds nan, and the grid's ``failures`` keep
+    its DomainError/ConvergenceError.
     """
-    distinct = list(dict.fromkeys(xs))
     stacks, together = {}, {}  # q -> its q-series' keys; key -> the keys filled with it
     for key, target in columns.items():
         q_series = isinstance(target, QSeriesTarget)
@@ -1059,25 +1060,70 @@ def _column_reader(columns: dict, xs: list[float]):
         together[key].append(key)
     filled = {}
 
-    def read(key, x):
-        col = filled.get(key)
-        if col is None:
-            keys, ps = together[key], np.array(distinct)
+    def read(key):
+        if key not in filled:
+            keys = together[key]
             if isinstance(columns[key], QSeriesTarget):
-                grids = _q_series_grids([columns[k] for k in keys], ps, 0, None)
+                grids = _q_series_grids([columns[k] for k in keys], distinct, 0, None)
             else:
-                grids = [columns[key]._jets(ps, 0, None)]
-            for k, grid in zip(keys, grids):
-                cells = zip(grid.values[0].tolist(), grid.errors[0].tolist(), grid.terms[0].tolist())
-                filled[k] = dict(zip(distinct, (
-                    failure or Enclosure(*cell) for cell, failure in zip(cells, grid.failures))))
-            col = filled[key]
-        cell = col[x]
-        if isinstance(cell, Exception):
-            raise cell
-        return cell
+                grids = [columns[key]._jets(distinct, 0, None)]
+            filled.update(zip(keys, grids))
+        return filled[key]
 
     return read
+
+
+def _point_xs(points) -> list[float]:
+    """The reported point of each parameter dict: 'x' when present, else
+    the first parameter; UsageError for no point or an empty one."""
+    if not points or not all(points):
+        raise UsageError("a chain needs at least one point, each with a parameter")
+    return [float(pt["x"] if "x" in pt else next(iter(pt.values()))) for pt in points]
+
+
+def _chain(
+    ends,
+    points,
+    claim: str = "chain_le",
+    tol: float = 1e-12,
+    label: str = "chain",
+    columns: dict | None = None,
+) -> VerificationReport:
+    """The one path of a chain, as arrays: ``ends(read)`` gives the chain's
+    values at every point as (values, errors), each of shape (P, n), a row
+    per point of ``points`` and nan where the point cannot be evaluated.
+    ``read(key)`` is the order-0 grid of ``columns[key]`` over the chain's
+    distinct x, in the order they first appear (``_column_reader``), and
+    ``read`` is None for a chain without columns.
+
+    Each adjacent pair (lo, hi) of a row is a cell of ``_decide``, point-major,
+    with margin hi - lo and the sum of the two errors; a nan cell is
+    swamped, so its check is inconclusive and the cell is never a
+    violation.  chain_lt adds the strict spot check of a strict sign
+    pattern, and a pair that fails it is a violation (order i, lo, hi,
+    margin) marked ``strict_spot``.
+    """
+    if claim not in ("chain_lt", "chain_le"):
+        raise UsageError(f"claim {claim!r} is not a chain claim")
+    pts = list(points)
+    xs = _point_xs(pts)
+    read = None if columns is None else _column_reader(columns, np.array(list(dict.fromkeys(xs))))
+    values, errors = ends(read)
+    pairs = values.shape[1] - 1
+    cells = np.empty((len(pts), pairs, 4))
+    cells[:, :, 2], cells[:, :, 3] = lo, hi = values[:, :-1], values[:, 1:]
+    with np.errstate(invalid="ignore"):  # inf - inf is a nan margin, as in Python floats
+        np.subtract(hi, lo, out=cells[:, :, 0])
+    np.add(errors[:, :-1], errors[:, 1:], out=cells[:, :, 1])
+    cells = cells.reshape(-1, 4)
+
+    def violation(c):
+        p, i = divmod(c, pairs)
+        margin, _, lo, hi = cells[c].tolist()
+        return Violation(xs[p], dict(pts[p]), i, lo, hi, margin)
+
+    spots = (len(pts), np.repeat(np.arange(len(pts)), pairs)) if claim == "chain_lt" else None
+    return _decide(label, tol, cells, False, violation, spots)
 
 
 def check_chain(
@@ -1095,22 +1141,20 @@ def check_chain(
     runs as the row ``lambda p: [e(p) for e in exprs]``.  A value is a float
     or an Enclosure.  A row function lets the values of a point share work,
     such as a bracket that gives both the lower and the upper end; a row
-    with fewer than two values raises UsageError.  ``points`` is a non-empty
+    with fewer than two values, or with another number of values than the
+    other rows, raises UsageError.  ``points`` is a non-empty
     sequence of non-empty parameter dicts; key 'x' is the reported point when
     present, else the first parameter.  ``columns`` maps keys to Targets:
     the row is then called as ``row(p, read)``, where ``read(key)`` is the
-    order-0 Enclosure of ``columns[key]`` at the point, and each column is
-    filled over the chain's distinct points the first time a row reads it,
-    the q-series of one q in one stacked grid (``_column_reader``), so that
-    it lives only as long as the check.  A point
-    whose row raises DomainError or ConvergenceError is inconclusive.  Each
-    adjacent pair (lo, hi) is a cell of ``_decide`` with margin hi - lo.
-    chain_lt adds the strict spot check of a strict sign pattern, and a
-    pair that fails it is a violation (order i, lo, hi, margin) marked
-    ``strict_spot``.
+    order-0 Enclosure of ``columns[key]`` at the point, built from the
+    column's grid over the chain's distinct points, filled the first time
+    a row reads it, the q-series of one q in one stacked grid
+    (``_column_reader``), so that it lives only as long as the check.  A
+    point whose row raises DomainError or ConvergenceError is
+    inconclusive.  The rows fill the arrays of ``_chain``, the path every
+    chain takes: each adjacent pair (lo, hi) is a cell of ``_decide`` with
+    margin hi - lo, and chain_lt adds the strict spot check.
     """
-    if claim not in ("chain_lt", "chain_le"):
-        raise UsageError(f"claim {claim!r} is not a chain claim")
     if callable(exprs):
         row_fn = exprs
     elif columns is not None:
@@ -1120,32 +1164,31 @@ def check_chain(
     else:
         row_fn = lambda p: [e(p) for e in exprs]
     pts = list(points)
-    if not pts or not all(pts):
-        raise UsageError("a chain needs at least one point, each with a parameter")
-    xs = [float(pt["x"] if "x" in pt else next(iter(pt.values()))) for pt in pts]
-    read = None if columns is None else _column_reader(columns, xs)
+    xs = _point_xs(pts)
 
-    # a cell per adjacent pair (margin, error, lo, hi), and its (point, pair)
-    cells, where, failed = [], [], False
-    for p, pt in enumerate(pts):
-        try:
-            values = row_fn(pt) if read is None else row_fn(pt, lambda key: read(key, xs[p]))
-            row = [_as_value_err(v) for v in values]
-        except (DomainError, ConvergenceError):
-            failed = True
-            continue
-        if len(row) < 2:
-            raise UsageError(f"a chain row needs at least two values, got {len(row)}")
-        for i, ((lo, elo), (hi, ehi)) in enumerate(zip(row, row[1:])):
-            cells.append((hi - lo, elo + ehi, lo, hi))
-            where.append((p, i))
+    def ends(read):
+        if read is not None:
+            slot = {x: i for i, x in enumerate(dict.fromkeys(xs))}
+        rows = []
+        for pt, x in zip(pts, xs):
+            try:
+                if read is None:
+                    values = row_fn(pt)
+                else:
+                    values = row_fn(pt, lambda key: read(key).jet(slot[x])[0])
+                rows.append([_as_value_err(v) for v in values])
+            except (DomainError, ConvergenceError):
+                rows.append(None)
+                continue
+            if len(rows[-1]) < 2:
+                raise UsageError(f"a chain row needs at least two values, got {len(rows[-1])}")
+        width = next((len(row) for row in rows if row is not None), 2)
+        if any(row is not None and len(row) != width for row in rows):
+            raise UsageError("the rows of a chain need the same number of values")
+        cells = np.array([row or [(math.nan, math.nan)] * width for row in rows], dtype=float)
+        return cells[:, :, 0], cells[:, :, 1]
 
-    def violation(c):
-        (p, i), (margin, _, lo, hi) = where[c], cells[c]
-        return Violation(xs[p], dict(pts[p]), i, lo, hi, margin)
-
-    spots = (len(pts), [p for p, _ in where]) if claim == "chain_lt" else None
-    return _decide(label, tol, cells, failed, violation, spots)
+    return _chain(ends, pts, claim, tol, label, columns)
 
 
 def check_majorization(a, b) -> bool:

@@ -22,9 +22,12 @@ derivative, and a product inequality (prop51-chain's d^2 < mid < d^2/c,
 cor51-nonneg's psi_q'^2 + ... >= 0) one inequality at a time: each a
 nonneg LinComb of Products of leaves (x, psi^(n), q-series, and q^x as
 e^(-rate x) with rate = -ln q), a square being one target's Product with
-itself.  Two q-analogue chains read their q-series as columns of rows,
-each cell an Enclosure, the columns of one q filled as one stacked grid:
-eq14-bounds and thm52-chain.  ci-kernel checks each kernel derivative as
+itself.  Three chains compute their values as arrays over all their
+points, each with its error, and reach ``_decide`` once per check
+(``cm_engine._chain``): eq14-bounds and refined-chain in logs, and
+thm52-chain as products; the two q-analogue ones read their q-series as
+columns, those of one q filled as one stacked grid, and refined-chain
+reads psi and ln Gamma grids.  ci-kernel checks each kernel derivative as
 a strict nonneg leaf on specfun's kernel-derivative grid.  No entry
 defines a coefficient function or calls a scalar psi_q, psi_q^(n) or
 kernel_derivative evaluator; scalar ln Gamma_q is read by cor5-ineq's
@@ -61,6 +64,7 @@ from .cm_engine import (
     Violation,
     XLogX,
     _KernelLeaf,
+    _chain,
     check_chain,
     check_majorization,
     check_sign_pattern,
@@ -265,6 +269,30 @@ def _chain_check(label, row, points, claim="chain_le", columns=None):
     return Check(label, check_chain, dict(exprs=row, points=points, claim=claim, columns=columns))
 
 
+def _ends_check(label, ends, points, claim="chain_le", columns=None):
+    """A chain whose ``ends(read)`` gives all its values at every point at
+    once, as (values, errors) arrays with a row per point: ``cm_engine._chain``,
+    the path of every chain, without rows."""
+    return Check(label, _chain, dict(ends=ends, points=points, claim=claim, columns=columns))
+
+
+def _stacked(ends):
+    """(values, errors) of shape (P, n) from a chain's n ends, each a
+    (values, errors) pair of arrays over its P points."""
+    return np.column_stack([v for v, _ in ends]), np.column_stack([e for _, e in ends])
+
+
+def _joined(grids):
+    """(values, errors) of order 0 of the grids, one after another."""
+    return np.concatenate([g.values[0] for g in grids]), np.concatenate([g.errors[0] for g in grids])
+
+
+def _product_error(a, ea, b, eb):
+    """The error of a*b from those of its factors, before its own rounding,
+    which the caller adds."""
+    return np.abs(a) * eb + np.abs(b) * ea + ea * eb
+
+
 def _ln_ratio(q, s):
     """ln Gamma_q(x + 1) - ln Gamma_q(x + s) as one q-series: the log of
     ``bounds.gamma_ratio``."""
@@ -334,19 +362,40 @@ def _eq14_points(qs, ss, grid):
     _EQ14_DOM, GridSpec(0.1, 10.0, 30, "linear"),
 ))
 def _build_eq14(desc, grid, K, ov):
+    """The sharp bracket in logs, as arrays over all points:
+    (1 - s) ln [x + u]_q < ln Gamma_q(x + 1) - ln Gamma_q(x + s) <
+    (1 - s) ln [x + v]_q, the middle a column per (q, s) and each end a
+    ``_qbracket_end``."""
     qs = [ov["q"]] if "q" in ov else [round(0.1 * i, 1) for i in range(1, 10)]
     ss = [ov["s"]] if "s" in ov else [round(0.1 * i, 1) for i in range(1, 10)]
-    uv = {(q, s): (bd.alzer_u(q, s), bd.alzer_v(q, s)) for q in qs for s in ss}
-    columns = {(q, s): _ln_ratio(q, s) for q in qs for s in ss}
+    groups = [(q, s) for q in qs for s in ss]
+    columns = {g: _ln_ratio(*g) for g in groups}
+    points = _eq14_points(qs, ss, grid)
+    # q, s and the shifts u and v at every point, in the points' order:
+    # group-major, then x
+    n = grid.points
+    consts = [(q, s, bd.alzer_u(q, s), bd.alzer_v(q, s)) for q, s in groups]
+    x = np.tile([p["x"] for p in points[:n]], len(groups))
+    q, s, u, v = (np.repeat(c, n) for c in zip(*consts))
 
-    def row(p, read):
-        q, s = p["q"], p["s"]
-        u, v = uv[(q, s)]
-        b = bd.ratio_bounds(p["x"], s, q, "alzer_uv", u_override=u, v_override=v)
-        ln_ratio = read((q, s))
-        return [b.lower, sf._exp(ln_ratio.value, ln_ratio), b.upper]
+    def ends(read):
+        ratio = _joined([read(g) for g in groups])
+        return _stacked([_qbracket_end(x + u, q, s), ratio, _qbracket_end(x + v, q, s)])
 
-    return [_chain_check("eq14-bounds", row, _eq14_points(qs, ss, grid), "chain_lt", columns)]
+    return [_ends_check("eq14-bounds", ends, points, "chain_lt", columns)]
+
+
+def _qbracket_end(y, q, s):
+    """(1 - s) ln [y]_q, 0 < q < 1, and its error at every point of the
+    arrays y, q and s.  Each operation rounds by at most 4 ulp (numpy's
+    log, log1p and expm1 too).  The roundings of y = x + shift, of ln q
+    and of t = y ln q move ln(-expm1(t)) by at most |t|/(e^|t| - 1) <= 1
+    times their relative error; the logs, the difference and the product
+    by 1 - s round relative to ln(1 - q^y), ln(1 - q) and the result.
+    10 eps of (1 - s)(1 + |ln [y]_q| + |ln(1 - q)|) bounds the sum."""
+    w = 1.0 - s
+    ln = bd._qbracket_log(y, q)
+    return w * ln, sf._slop(10, w * (1.0 + np.abs(ln) + np.abs(np.log1p(-q))))
 
 
 @_register(PropertyDescriptor(
@@ -495,17 +544,6 @@ def _build_cor2(desc, grid, K, ov):
 # ---------------------------------------------------------------------------
 
 
-def _bracket_chain(method, grid, label):
-    """A classical (q = 1) bracket of ``ratio_bounds`` around ``gamma_ratio``."""
-    points = [{"x": x, "q": 1.0, "s": s} for s in _S_DEFAULT for x in grid.values()]
-
-    def row(p):
-        b = bd.ratio_bounds(p["x"], p["s"], 1.0, method)
-        return [b.lower, bd.gamma_ratio(p["x"], p["s"], 1.0), b.upper]
-
-    return _chain_check(label, row, points)
-
-
 @_register(PropertyDescriptor(
     "thm3-chain", "nonneg",
     "Hadamard chain for psi_q: endpoint average below, midpoint above",
@@ -547,10 +585,53 @@ def _build_thm3(desc, grid, K, ov):
     default_grid=_GRID20,
 ))
 def _build_refined(desc, grid, K, ov):
-    return [
-        _bracket_chain("geomean_refined", grid, "refined-chain[geo]"),
-        _bracket_chain("logmean_refined", grid, "refined-chain[logmean]"),
-    ]
+    """``ratio_bounds``' geomean_refined and logmean_refined around
+    ``gamma_ratio`` at q = 1, in logs: (1 - s) psi(lo) <= ln Gamma(x + 1) -
+    ln Gamma(x + s) <= (1 - s) psi(hi), lo and hi being means of x + s and
+    x + 1 (geometric and arithmetic, or logarithmic and identric), as
+    arrays over all points."""
+    points = [{"x": x, "q": 1.0, "s": s} for s in _S_DEFAULT for x in grid.values()]
+    x = np.tile(grid.values(), len(_S_DEFAULT))
+    s = np.repeat(_S_DEFAULT, grid.points)
+
+    def ends(lo, hi):
+        return lambda read: _stacked([_psi_end(lo, s), _ln_gamma_difference(x + s, x + 1.0), _psi_end(hi, s)])
+
+    return [_ends_check(f"refined-chain[{name}]", ends(*pair), points)
+            for name, pair in _refined_means(x, s).items()]
+
+
+def _refined_means(x, s):
+    """The lower and upper points of each refinement at every x and s: the
+    geometric and arithmetic means of x + s and x + 1, and their
+    logarithmic and identric means (``log_mean`` of order 0 and 1)."""
+    a, b = x + s, x + 1.0
+    return {
+        "geo": (np.sqrt(b * a), x + 0.5 * (1.0 + s)),
+        "logmean": tuple(np.array([sf.log_mean(r, *ab) for ab in zip(a.tolist(), b.tolist())])
+                         for r in (0.0, 1.0)),
+    }
+
+
+def _psi_end(y, s):
+    """(1 - s) psi(y) at every point, with its error, y being a mean of
+    x + s and x + 1 computed to within 16 eps relatively: as
+    psi'(y) < 1/y + 1/y^2, that moves psi by at most 16 eps (1 + 1/y)."""
+    w = 1.0 - s
+    (psi,), (err,), _ = PolyGammaShift(0).jet_grid(y, 0)
+    end = w * psi
+    return end, w * (err + sf._slop(16, 1.0 + 1.0 / y)) + sf._slop(2, end)
+
+
+def _ln_gamma_difference(a, b):
+    """ln Gamma(b) - ln Gamma(a) at every point, with its error, a = x + s
+    and b = x + 1 each rounded once: as |psi(y)| < 1/y + |ln y| + 1, that
+    moves ln Gamma(y) by at most eps/2 (1 + y (|ln y| + 1))."""
+    (ln_gamma,), (err,), _ = LnGammaFn().jet_grid(np.concatenate([b, a]), 0)
+    (gb, ga), (eb, ea) = np.split(ln_gamma, 2), np.split(err, 2)
+    diff = gb - ga
+    moved = 2.0 + a * (np.abs(np.log(a)) + 1.0) + b * (np.abs(np.log(b)) + 1.0)
+    return diff, ea + eb + sf._slop(0.5, moved + np.abs(diff))
 
 
 # ---------------------------------------------------------------------------
@@ -924,11 +1005,6 @@ def _build_eq42(desc, grid, K, ov):
 _PAIR_CS = (0.5, 2.0)
 
 
-def _pair_order(c, lhs, mid, rhs):
-    """The chain lhs > mid > rhs for c < 1, reversed for c > 1, ascending."""
-    return [rhs, mid, lhs] if c < 1.0 else [lhs, mid, rhs]
-
-
 @_register(PropertyDescriptor(
     "prop51-chain", "nonneg",
     "squared digamma-difference chain, both regimes",
@@ -954,23 +1030,37 @@ def _build_prop51(desc, grid, K, ov):
     _domains(q=(0.01, 0.99)), _GRID20,
 ))
 def _build_thm52(desc, grid, K, ov):
-    """``psi_pair_inequality(x, c, "q_analogue", q)`` from two columns:
-    psi_q(x + c) - psi_q(x) and psi_q'(x) - psi_q'(x + c)."""
+    """``psi_pair_inequality(x, c, "q_analogue", q)`` as arrays over all
+    points, from two columns per (q, c), d = psi_q(x + c) - psi_q(x) and
+    mid = psi_q'(x) - psi_q'(x + c): d^2 < q^x mid < pref d^2 for c < 1,
+    reversed for c > 1, pref = (1 - q)/(1 - q^c), each a product with its
+    error."""
     qs = [ov["q"]] if "q" in ov else (0.3, 0.7)
-    pts = [{"x": x, "c": c, "q": q} for q in qs for c in _PAIR_CS for x in grid.values()]
+    groups = [(q, c) for q in qs for c in _PAIR_CS]
+    xs = grid.values()
+    points = [{"x": x, "c": c, "q": q} for q, c in groups for x in xs]
     columns = {}
-    for q in qs:
-        for c in _PAIR_CS:
-            columns[q, c, "d"] = QSeriesTarget(q, [(1.0, 0, c), (-1.0, 0, 0.0)])
-            columns[q, c, "mid"] = QSeriesTarget(q, [(1.0, 1, 0.0), (-1.0, 1, c)])
+    for q, c in groups:
+        columns[q, c, "d"] = QSeriesTarget(q, [(1.0, 0, c), (-1.0, 0, 0.0)])
+        columns[q, c, "mid"] = QSeriesTarget(q, [(1.0, 1, 0.0), (-1.0, 1, c)])
+    # q^x and q^c as the scalar pow rounds them (numpy's power differs in
+    # some last bits); 1 - q^c cancels q^c's rounding by q^c/(1 - q^c)
+    qx = np.array([q**x for q, _ in groups for x in xs])
+    q, qc, below = (np.repeat(a, len(xs)) for a in zip(*((q, q**c, c < 1.0) for q, c in groups)))
+    pref = (1.0 - q) / (1.0 - qc)
+    pref_err = sf._slop(4.0 + qc / np.abs(1.0 - qc), pref)
 
-    def row(p, read):
-        x, c, q = p["x"], p["c"], p["q"]
-        d = read((q, c, "d")).value
-        pref = (1.0 - q) / (1.0 - q**c)
-        return _pair_order(c, pref * d * d, (q**x) * read((q, c, "mid")).value, d * d)
+    def ends(read):
+        (dv, de), (mv, me) = (_joined([read((q, c, part)) for q, c in groups]) for part in ("d", "mid"))
+        # the values in the scalar row's operation order, pref d^2 as (pref d) d
+        d2, lhs, mid = dv * dv, pref * dv * dv, qx * mv
+        d2 = d2, _product_error(dv, de, dv, de) + sf._slop(1, d2)
+        lhs = lhs, _product_error(pref, pref_err, *d2) + sf._slop(1, lhs)
+        mid = mid, _product_error(qx, sf._slop(2, qx), mv, me) + sf._slop(1, mid)
+        lo, hi = (tuple(np.where(below, u, v) for u, v in zip(*pair)) for pair in ((d2, lhs), (lhs, d2)))
+        return _stacked([lo, mid, hi])
 
-    return [_chain_check("thm52-chain", row, pts, "chain_lt", columns)]
+    return [_ends_check("thm52-chain", ends, points, "chain_lt", columns)]
 
 
 @_register(PropertyDescriptor(

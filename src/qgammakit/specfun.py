@@ -82,7 +82,7 @@ import contextlib
 import contextvars
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -283,14 +283,15 @@ def _exp_value(v: float) -> float:
         raise DomainError(f"exp({v}) overflows double precision") from None
 
 
-def _exp(log_val: float, enc: Enclosure, ops: int = 0) -> Enclosure:
+def _exp(log_val: float, enc: Enclosure, ops: int = 1) -> Enclosure:
     """Enclosure of exp(log_val), where log_val is known to within
-    ``enc.abs_error`` and took ``enc.terms_used + ops`` operations."""
+    ``enc.abs_error``, the log's own rounding included, and the exp takes
+    ``ops`` rounded operations relative to its result."""
     val = _exp_value(log_val)
     err = val * math.expm1(enc.abs_error) if enc.abs_error < 1.0 else math.inf
     # the absolute floor covers a subnormal or underflowed val, whose
     # rounding error is not relative to val
-    err += _slop(enc.terms_used + ops, val) + 4.0 * math.ulp(0.0)
+    err += _slop(ops, val) + 4.0 * math.ulp(0.0)
     return Enclosure(val, err, enc.terms_used, enc.warn_slow)
 
 
@@ -1212,7 +1213,11 @@ def unit_ball_volume(n: int, policy: TruncationPolicy | None = None) -> Enclosur
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"dimension must be a nonnegative integer, got {n!r}")
     enc = ln_gamma(1.0 + 0.5 * n, policy)
-    return _exp(0.5 * n * math.log(math.pi) - enc.value, enc, 2)
+    head = 0.5 * n * math.log(math.pi)
+    # the log and the product in head, and the difference, round in units
+    # of the summands
+    log_err = enc.abs_error + _slop(2, abs(head) + abs(enc.value))
+    return _exp(head - enc.value, replace(enc, abs_error=log_err))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgammakit import cli
 from qgammakit import corpus
@@ -73,13 +75,14 @@ def test_eval_logmean_bound_holds_where_a_power_overflows(capsys, r, x, y):
 
 
 def test_eval_gamma_propagates_the_log_error_like_q_gamma(capsys):
-    """exp turns the ln Gamma error into val * expm1(err) and adds its own
-    rounding slop, as q_gamma and unit_ball_volume do."""
+    """exp turns the ln Gamma error into val * expm1(err) and adds the
+    rounding slop of its one operation, as q_gamma and unit_ball_volume
+    do; the log's terms are in its error, not counted again."""
     code, out, _ = run(capsys, "eval", "--fn", "gamma", "--x", "5", "--json")
     doc = json.loads(out)
     enc = sf.ln_gamma(5.0)
     val = math.exp(enc.value)
-    slop = enc.terms_used * 2.220446049250313e-16 * val
+    slop = 2.220446049250313e-16 * val
     assert code == 0 and doc["value"] == val
     assert doc["abs_error"] == val * math.expm1(enc.abs_error) + slop
 
@@ -331,10 +334,10 @@ def test_verify_run_evaluates_each_bounds_cell_once(monkeypatch):
         return counted
 
     # the chains that read their cells one scalar call at a time.  The q = 1
-    # links and derivative signs fill the grids of their ln Gamma and psi
-    # leaves in the grid kernel, so no claim reads a scalar psi^(n), n >= 1;
-    # nor a scalar psi_q^(n): qthm-monotone's q-series sum their grids in
-    # numpy
+    # links and derivative signs, and refined-chain's ends, fill the grids
+    # of their ln Gamma and psi leaves in the grid kernel, so no claim reads
+    # a scalar ln Gamma or psi^(n), n >= 1; nor a scalar psi_q^(n):
+    # qthm-monotone's q-series sum their grids in numpy
     names = ("ln_gamma", "digamma", "polygamma", "q_ln_gamma", "q_polygamma")
     for name in names:
         monkeypatch.setattr(sf, name, counting(name))
@@ -342,7 +345,7 @@ def test_verify_run_evaluates_each_bounds_cell_once(monkeypatch):
            "prop-cor45", "prop51-chain", "qthm-monotone", "refined-chain"]
     doc, unexpected = cli._report_document("rows", ids, None, None, 1e-12)
     assert unexpected == 0
-    assert {name for name, _ in calls} == set(names) - {"polygamma", "q_polygamma"}
+    assert {name for name, _ in calls} == set(names) - {"ln_gamma", "polygamma", "q_polygamma"}
     assert max(calls.values()) == 1
 
 
@@ -399,3 +402,58 @@ def test_canonical_float_formatting():
 def test_canonical_json_sorted_keys():
     s = cli._canonical_json({"b": 1, "a": {"d": 2.0, "c": [True, None]}})
     assert s == '{"a":{"c":[true,null],"d":2.0000000000000000e+00},"b":1}'
+
+
+def _canonical_json_oracle(obj) -> str:
+    """The encoder ``cli._canonical_json`` replaced, kept as its oracle:
+    one recursive call per value and a character loop for strings."""
+    if isinstance(obj, dict):
+        inner = ",".join(
+            f"{_canonical_json_oracle(str(k))}:{_canonical_json_oracle(v)}" for k, v in sorted(obj.items())
+        )
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_canonical_json_oracle(v) for v in obj) + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return cli._fmt(obj)
+    if obj is None:
+        return "null"
+    out = ['"']
+    for ch in str(obj):
+        if ch in ('"', "\\"):
+            out.append("\\" + ch)
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
+
+
+class _Str(str):
+    pass
+
+
+_TEXT = st.text(st.characters(max_codepoint=0x2FF), max_size=6)
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**20, 10**20), _TEXT, _TEXT.map(_Str),
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([-0.0, 0.0, math.inf, -math.inf]),
+    st.floats(-1e3, 1e3).map(np.float64), st.integers(-5, 5).map(np.int64),
+)
+_JSON = st.recursive(_JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.tuples(inner, inner), st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_JSON)
+def test_canonical_json_matches_its_oracle(obj):
+    """Nested dicts, lists and tuples of floats (nan, +-inf, -0.0, numpy
+    floats), bools, ints (numpy ints written as strings), None and strings
+    with control characters, quotes and backslashes (str subclasses too)
+    encode as the oracle does."""
+    assert cli._canonical_json(obj) == _canonical_json_oracle(obj)

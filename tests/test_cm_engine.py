@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgammakit import cm_engine as ce
 from qgammakit import specfun as sf
@@ -922,6 +923,98 @@ def test_chain_column_failure_is_inconclusive():
     assert rep.status == "inconclusive" and not rep.violations
     with pytest.raises(UsageError):
         ce.check_chain([lambda p: 0.0, lambda p: 1.0], _pts([1.0]), columns=columns)
+
+
+def _chain_oracle(row_fn, pts, claim, read=None):
+    """The report of the row loop that ``check_chain`` ran before its rows
+    filled arrays: a cell (margin, error, lo, hi) per adjacent pair of each
+    row, a row that raises left out and the check marked failed."""
+    xs = [float(pt["x"] if "x" in pt else next(iter(pt.values()))) for pt in pts]
+    cells, where, failed = [], [], False
+    for p, pt in enumerate(pts):
+        try:
+            values = row_fn(pt) if read is None else row_fn(pt, lambda key: read(key, xs[p]))
+            row = [(v.value, v.abs_error) if isinstance(v, sf.Enclosure) else (float(v), 0.0)
+                   for v in values]
+        except (DomainError, ConvergenceError):
+            failed = True
+            continue
+        for i, ((lo, elo), (hi, ehi)) in enumerate(zip(row, row[1:])):
+            cells.append((hi - lo, elo + ehi, lo, hi))
+            where.append((p, i))
+
+    def violation(c):
+        (p, i), (margin, _, lo, hi) = where[c], cells[c]
+        return ce.Violation(xs[p], dict(pts[p]), i, lo, hi, margin)
+
+    spots = (len(pts), [p for p, _ in where]) if claim == "chain_lt" else None
+    return ce._decide("chain", 1e-12, cells, failed, violation, spots)
+
+
+_CHAIN_VALUE = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e-13]),
+    st.builds(lambda v, e: sf.Enclosure(float(v), e, 1), st.integers(-2, 2), st.sampled_from([0.0, 0.5, 3.0])),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 4).flatmap(lambda w: st.tuples(st.just(w), st.lists(
+           st.one_of(st.sampled_from([DomainError, ConvergenceError]),
+                     st.lists(_CHAIN_VALUE, min_size=w, max_size=w)), min_size=1, max_size=9))),
+       st.sampled_from(["chain_le", "chain_lt"]))
+def test_chain_rows_decide_as_the_row_loop_did(width_rows, claim):
+    """A row function and the list of callables give the status, worst
+    margin and violations of the row loop, with floats, Enclosures, nan,
+    inf and rows that raise, at every spot rule."""
+    width, rows = width_rows
+    pts = [{"x": float(i)} for i in range(len(rows))]
+
+    def row(p):
+        r = rows[int(p["x"])]
+        if isinstance(r, type):
+            raise r("cannot evaluate")
+        return r
+
+    expected = _chain_oracle(row, pts, claim)
+    assert ce.check_chain(row, pts, claim) == expected
+    assert ce.check_chain([lambda p, i=i: row(p)[i] for i in range(width)], pts, claim) == expected
+
+
+def test_chain_columns_decide_as_the_row_loop_did():
+    """With columns, each read is the Enclosure of its column at the point,
+    and a point where a column fails is left out as a raising row was."""
+    columns = {"psi": ce.QSeriesTarget(0.5, [(1.0, 0, 0.0)]), "psi1": ce.QSeriesTarget(0.5, [(1.0, 1, 0.0)])}
+    pts = [{"x": x, "k": k} for k in (-1.0, 1e-13, 2.0) for x in (-2.0, 0.5, 1.0, 2.0, 7.0)]
+
+    def row(p, read):
+        return [read("psi"), read("psi").value + p["k"], read("psi1").value + 9.0]
+
+    for claim in ("chain_le", "chain_lt"):
+        rep = ce.check_chain(row, pts, claim, columns=columns)
+        assert rep == _chain_oracle(row, pts, claim, lambda key, x: columns[key].deriv(0, x))
+        assert rep.status == "fail" and rep.violations
+
+
+@pytest.mark.parametrize("error", [DomainError, ConvergenceError])
+def test_a_raising_row_is_inconclusive_and_no_violation(error):
+    # the row at the middle spot point of a strict chain raises; the
+    # others hold with room, so nothing fails
+    def row(p):
+        if p["x"] == 5.0:
+            raise error("cannot evaluate")
+        return [0.0, 1.0]
+
+    rep = ce.check_chain(row, _pts(range(1, 9)), "chain_lt")
+    assert rep.status == "inconclusive" and not rep.violations and rep.worst_margin == 1.0
+    # beside a row that violates, the check fails on that row alone
+    rep = ce.check_chain(lambda p: [0.0, -1.0] if p["x"] == 2.0 else row(p), _pts(range(1, 9)), "chain_le")
+    assert rep.status == "fail" and [v.point for v in rep.violations] == [2.0]
+
+
+def test_chain_rows_need_one_width():
+    with pytest.raises(UsageError):
+        ce.check_chain(lambda p: [0.0, 1.0] if p["x"] == 1.0 else [0.0, 1.0, 2.0], _pts([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------

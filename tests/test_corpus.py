@@ -2,6 +2,7 @@ import collections
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qgammakit import bounds as bd
@@ -164,8 +165,6 @@ def test_only_if_probe_records_violations():
 
 
 @pytest.mark.parametrize("claim_id, bracket, points", [
-    ("eq14-bounds", "ratio_bounds", 2430),
-    ("refined-chain", "ratio_bounds", 384),
     ("cor5-ineq", "cor5_inequality", 16),
     ("lemma10-ineq", "lemma10_lhs_rhs", 405),
 ])
@@ -183,6 +182,76 @@ def test_chain_computes_its_bracket_once_per_point(monkeypatch, claim_id, bracke
     assert sum(len(c.kwargs["points"]) for c in checks) == points
     assert corpus.run_descriptor(claim_id).status == "pass"
     assert len(calls) == points
+
+
+# the chains whose values are arrays, with their checks; each decides once
+_ARRAY_CHAINS = {"eq14-bounds": 1, "refined-chain": 2, "thm52-chain": 1}
+
+
+def _decided_cells(monkeypatch):
+    """Record the cells (margin, error, lhs, rhs) of each ``_decide`` call
+    from here on."""
+    decided = []
+    decide = ce._decide
+
+    def recorded(label, tol, cells, *args, **kwargs):
+        decided.append(np.asarray(cells, dtype=float).reshape(-1, 4))
+        return decide(label, tol, cells, *args, **kwargs)
+
+    monkeypatch.setattr(ce, "_decide", recorded)
+    return decided
+
+
+@pytest.mark.parametrize("claim_id", sorted(_ARRAY_CHAINS))
+def test_array_chains_decide_once_and_call_no_scalar_bracket(monkeypatch, claim_id):
+    """Each check of the three array chains reaches ``_decide`` once, and
+    none calls a scalar bracket, ratio, exp or psi-family cell."""
+    calls = collections.Counter()
+    for module, names in ((bd, ("ratio_bounds", "gamma_ratio", "psi_pair_inequality")),
+                          (sf, ("_exp", "ln_gamma", "digamma", "q_digamma", "q_polygamma"))):
+        for name in names:
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name, **k: calls.update([name]) or fn(*a, **k))
+    decided = _decided_cells(monkeypatch)
+    checks = corpus.instantiate(claim_id)
+    assert all(c.fn is ce._chain for c in checks)
+    assert corpus.run_descriptor(claim_id).status == "pass"
+    assert len(decided) == len(checks) == _ARRAY_CHAINS[claim_id]
+    assert not calls
+
+
+@pytest.mark.parametrize("claim_id", sorted(_ARRAY_CHAINS))
+def test_array_chain_cells_all_carry_an_error(monkeypatch, claim_id):
+    """No cell of the three array chains reaches ``_decide`` with an error
+    of exactly 0, and none is swamped (its error stays below |margin| +
+    tol max(1, |lhs|, |rhs|))."""
+    decided = _decided_cells(monkeypatch)
+    corpus.run_descriptor(claim_id)
+    cells = np.concatenate(decided)
+    margin, err = cells[:, 0], cells[:, 1]
+    tau = 1e-12 * np.maximum(1.0, np.abs(cells[:, 2:]).max(axis=1))
+    assert len(cells) and (err > 0.0).all() and (err <= np.abs(margin) + tau).all()
+
+
+def _rows_of(check):
+    """The values of an array chain's check as the row function of
+    ``check_chain``: row p is its (value, error) pairs as Enclosures."""
+    kw = check.kwargs
+    xs = ce._point_xs(kw["points"])
+    values, errors = kw["ends"](ce._column_reader(kw["columns"] or {}, np.array(list(dict.fromkeys(xs)))))
+    cells = {id(p): [sf.Enclosure(v, e, 0) for v, e in zip(vs, es)]
+             for p, vs, es in zip(kw["points"], values.tolist(), errors.tolist())}
+    return lambda p: cells[id(p)]
+
+
+@pytest.mark.parametrize("claim_id", sorted(_ARRAY_CHAINS))
+def test_array_chains_agree_with_their_rows(claim_id):
+    """An array chain's report equals ``check_chain``'s on the same values
+    given as rows: status, worst margin and violations."""
+    for check in corpus.instantiate(claim_id):
+        kw = check.kwargs
+        rowed = ce.check_chain(_rows_of(check), kw["points"], kw["claim"], label=check.label)
+        assert check.run() == rowed
 
 
 # the q-analogue brackets, with the number of q-series each reads: the

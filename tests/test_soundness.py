@@ -556,6 +556,115 @@ def test_corpus_q_series_keep_their_sign_at_every_cell():
         assert (signed >= 0.0).all(), (label, int((signed < 0.0).sum()))
 
 
+def _chain_ends(check):
+    """The values and errors, each of shape (points, ends), of an array
+    chain's check, and its points."""
+    kw = check.kwargs
+    xs = ce._point_xs(kw["points"])
+    read = ce._column_reader(kw["columns"] or {}, np.array(list(dict.fromkeys(xs))))
+    return (*kw["ends"](read), kw["points"])
+
+
+def _assert_ends_sound(label, values, errors, refs):
+    """|value - ref| <= error at every cell, refs being mpf at 40 digits."""
+    for p, row in enumerate(refs):
+        for i, ref in enumerate(row):
+            if ref is not None:
+                assert abs(mp.mpf(values[p, i]) - ref) <= errors[p, i], (label, p, i, values[p, i], ref)
+
+
+def _qbracket_ref(y, q, s):
+    """(1 - s) ln [y]_q at 40 digits, for the exact y."""
+    q = mp.mpf(q)
+    return (1 - mp.mpf(s)) * mp.log((1 - q**y) / (1 - q))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-2.0, 2.0).map(lambda e: 10.0**e), min_size=1, max_size=6),
+       st.floats(1e-3, 0.999), st.floats(1e-3, 0.999))
+@example([1e-2, 1.0, 100.0], 0.999, 0.001)
+@example([1e-2, 1.0, 100.0], 0.001, 0.999)
+def test_qbracket_end_certificates_hold(ys, q, s):
+    """``corpus._qbracket_end``, eq14-bounds' end (1 - s) ln [y]_q, against
+    40 digits, y from 1e-2 to 1e2 and q and s across (0, 1), unwidened."""
+    y = np.array(ys)
+    value, error = corpus._qbracket_end(y, np.full_like(y, q), np.full_like(y, s))
+    with mp.workdps(40):
+        refs = [[_qbracket_ref(mp.mpf(v), q, s)] for v in ys]
+        _assert_ends_sound("qbracket", value[:, None], error[:, None], refs)
+
+
+def test_eq14_bracket_ends_hold_at_every_point():
+    """Both ends of every eq14-bounds point, (1 - s) ln [x + u]_q and
+    (1 - s) ln [x + v]_q, at the exact x + u and x + v, unwidened."""
+    (check,) = corpus.instantiate("eq14-bounds")
+    values, errors, points = _chain_ends(check)
+    shifts = {}
+    with mp.workdps(40):
+        refs = []
+        for p in points:
+            q, s = p["q"], p["s"]
+            u, v = shifts.get((q, s)) or shifts.setdefault((q, s), (bd.alzer_u(q, s), bd.alzer_v(q, s)))
+            x = mp.mpf(p["x"])
+            refs.append([_qbracket_ref(x + u, q, s), None, _qbracket_ref(x + v, q, s)])
+        _assert_ends_sound("eq14-bounds", values, errors, refs)
+
+
+def _means_ref(name, a, b):
+    """The two means of a < b at 40 digits: geometric and arithmetic, or
+    logarithmic and identric."""
+    if name == "geo":
+        return mp.sqrt(a * b), (a + b) / 2
+    return (b - a) / mp.log(b / a), mp.exp((b * mp.log(b) - a * mp.log(a)) / (b - a) - 1)
+
+
+def test_refined_chain_ends_hold_at_every_point():
+    """(1 - s) psi at the exact mean points of x + s and x + 1, and
+    ln Gamma(x + 1) - ln Gamma(x + s), at every point of both
+    refined-chain checks, unwidened."""
+    for check in corpus.instantiate("refined-chain"):
+        name = check.label.split("[")[1].rstrip("]")
+        values, errors, points = _chain_ends(check)
+        with mp.workdps(40):
+            refs = []
+            for p in points:
+                x, s = mp.mpf(p["x"]), mp.mpf(p["s"])
+                lo, hi = _means_ref(name, x + s, x + 1)
+                refs.append([(1 - s) * mp.digamma(lo), mp.loggamma(x + 1) - mp.loggamma(x + s),
+                             (1 - s) * mp.digamma(hi)])
+            _assert_ends_sound(check.label, values, errors, refs)
+
+
+def test_refined_chain_mean_points_hold_to_16_eps():
+    """The mean points of refined-chain, whose rounding ``_psi_end``
+    bounds by 16 eps relatively, at its points and at s near 0 and 1."""
+    x = np.tile(corpus._GRID20.values() + [1e-2, 0.37, 3.0, 50.0], 5)
+    s = np.repeat([0.25, 0.5, 0.75, 1e-3, 0.999], len(x) // 5)
+    with mp.workdps(40):
+        for name, pair in corpus._refined_means(x, s).items():
+            for xi, si, lo, hi in zip(x.tolist(), s.tolist(), *pair):
+                refs = _means_ref(name, mp.mpf(xi) + mp.mpf(si), mp.mpf(xi) + 1)
+                for y, ref in zip((lo, hi), refs):
+                    assert abs(mp.mpf(y) - ref) <= 16 * sf._EPS_MACH * ref, (name, xi, si, y)
+
+
+def test_thm52_chain_products_hold_at_every_point():
+    """d^2, pref d^2 and q^x mid of thm52-chain at every point of its
+    8-point grid, from its columns' 40-digit references, pref =
+    (1 - q)/(1 - q^c) and q^x exact, unwidened."""
+    (check,) = corpus.instantiate("thm52-chain", {"grid_points": 8})
+    values, errors, points = _chain_ends(check)
+    columns = check.kwargs["columns"]
+    with mp.workdps(40):
+        refs = []
+        for p in points:
+            x, q, c = mp.mpf(p["x"]), mp.mpf(p["q"]), p["c"]
+            d, mid = (_ref(columns[p["q"], c, part], 0, x) for part in ("d", "mid"))
+            lhs, rhs = (1 - q) / (1 - q**c) * d * d, d * d
+            refs.append([rhs, q**x * mid, lhs] if c < 1.0 else [lhs, q**x * mid, rhs])
+        _assert_ends_sound("thm52-chain", values, errors, refs)
+
+
 # cor51-nonneg's cells with margin - error < 0, as the number of the last
 # points of its 64-point grid, per q: from x = 12.94 at q = 0.3, 22.2 at
 # q = 0.5 and 38.2 at q = 0.7.  There psi_q'^2 and the q^x psi_q'' term,
@@ -832,6 +941,27 @@ def test_reference_route_certificates_hold(x, dim):
     for n in range(1, 41):
         _assert_scalar_sound(functools.partial(sf.polygamma_series, n),
                              lambda y: _polygamma_at(n, y, 40), x)
+    _assert_scalar_sound(sf.unit_ball_volume, _ball_volume_ref, dim)
+
+
+@pytest.mark.parametrize("q", [0.9, 0.99, 0.999])
+def test_q_gamma_counts_the_logs_terms_once(q):
+    """q_gamma's exp adds its own rounding to the certified error of
+    ln Gamma_q, which already holds the log's rounding, and counts none of
+    the log's terms again: the bound is below val (expm1(err) + terms eps)
+    and still holds against 40 digits, unwidened, near q = 1 too."""
+    for x in (0.5, 1.5, 7.0, 40.0):
+        _assert_scalar_sound(lambda y, policy: sf.q_gamma(y, q, policy),
+                             lambda y: mp.exp(_q_psi(-1, y, q)), x)
+        log, enc = sf.q_ln_gamma(x, q), sf.q_gamma(x, q)
+        assert enc.abs_error < enc.value * (math.expm1(log.abs_error) + log.terms_used * sf._EPS_MACH)
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 3, 7, 10, 25, 50, 100, 171, 300, 1000])
+def test_unit_ball_volume_weighs_its_logs_summands(dim):
+    """unit_ball_volume's log, (n/2) ln pi - ln Gamma(1 + n/2), rounds in
+    units of its two summands, and its exp counts no term of ln Gamma
+    again; the bound holds against 40 digits, unwidened."""
     _assert_scalar_sound(sf.unit_ball_volume, _ball_volume_ref, dim)
 
 
