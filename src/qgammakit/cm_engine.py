@@ -22,7 +22,7 @@ ops*eps*sum|summands|.  A sign-pattern check asks for one grid.
 A q-series, ``QSeriesTarget``, is data: psi_q terms and a constant, from
 which it derives its coefficients, tail bound and rounding slop.  It sums
 each term past a recurrence shift of N steps, derived from q and the first
-block of 256 terms and capped at 64 steps in all, so that near x = 0 its
+block of 64 terms and capped at 64 steps in all, so that near x = 0 its
 first block certifies where the plain series would need 37/(x |ln q|)
 terms.  The skipped steps come back in closed form, as polylogarithms of
 negative order in q^z, each with its own rounding slop and an ulp(0)
@@ -75,8 +75,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PreconditionError, UsageError
 from .specfun import (
-    _BLOCK, _EPS_MACH, _FLUSHED, DEFAULT_POLICY, _blocks, _exp_flushed, _kernel_grid, _psi,
-    _psi_grid, _slop, Enclosure, TruncationPolicy,
+    _EPS_MACH, _FLUSHED, DEFAULT_POLICY, _blocks, _exp_flushed, _kernel_grid, _psi, _psi_grid,
+    _slop, Enclosure, TruncationPolicy,
 )
 
 __all__ = [
@@ -447,11 +447,19 @@ class _KernelLeaf(Target):
         return _JetGrid(values, errors, terms, failures)
 
 
-# A recurrence step of a q-series costs about as much as four of its series
-# terms (a Horner sum of up to max_order + 2 degrees per order, against one
-# exp and one product per order), so a target takes at most a quarter of a
-# first block of them: the closed-form part never costs more than that block.
-_MAX_STEPS = _BLOCK // 4
+# The first block of a q-series grid, in terms.  The recurrence shift is
+# sized to it, so that past the shift every corpus cell certifies in this
+# block; the scalar evaluators keep specfun's first block of 256.
+_FIRST_BLOCK = 64
+
+# The recurrence steps a q-series target takes in all.  A step costs about
+# as much as four series terms (a Horner sum of up to max_order + 2 degrees
+# per order, against one exp and one product per order), yet a second
+# block costs more than the steps that spare it.  Measured by the benchmark
+# on `verify --suite all` against a first block of 256 terms: with a cap of
+# 16 steps, 15 of the pass's 100 grids ran a second block and the pass was
+# 7.5% faster; with 64, no grid runs one and it was 9% faster.
+_MAX_STEPS = 64
 
 
 @functools.cache
@@ -498,11 +506,11 @@ class QSeriesTarget(Target):
     psi_{q^r}(y/r) = psi_{q^r}(y/r + 1) + r L q^y/(1 - q^y) moves term i
     right by N_i steps of r_i (``steps``), and the values it skips come back
     in closed form (the recurrence part, ``_recurrence``).  N_i =
-    ceil(D/r_i), D = (2 ln(1/eps) + ln B)/(B |L|) with B = 256 the first
-    block: past the shift the B-th power has fallen by eps^2/B, and every
-    corpus cell certifies in the first block.  D is capped so that the N_i
-    add up to at most _MAX_STEPS; near q = 1 the series then runs its later
-    blocks as before.
+    ceil(D/r_i), D = (2 ln(1/eps) + ln B)/(B |L|) with B = _FIRST_BLOCK =
+    64 the grid's first block: past the shift the B-th power has fallen by
+    eps^2/B, and every corpus cell certifies in the first block.  D is
+    capped so that the N_i add up to at most _MAX_STEPS; near q = 1 the
+    series then runs its later blocks as before.
 
     The series is C + (-L) sum_{j>=1} q^(j(x + shift)) c_j, c_j =
     -sum_i g_i(j), where g_i(j) = w_i r_i (jL)^(m_i) q^(j(d_i + N_i r_i -
@@ -535,7 +543,7 @@ class QSeriesTarget(Target):
         self.amp = sum(abs(w) * r * abs(lnq)**m / -math.expm1(r * lnq) for w, m, _, r in self.terms)
         # the recurrence shift: N_i steps of r_i per term, D capped so that
         # sum N_i <= sum (D/r_i + 1) <= _MAX_STEPS
-        reach = (-2.0 * math.log(_EPS_MACH) + math.log(_BLOCK)) / (_BLOCK * -lnq)
+        reach = (-2.0 * math.log(_EPS_MACH) + math.log(_FIRST_BLOCK)) / (_FIRST_BLOCK * -lnq)
         cap = (_MAX_STEPS - len(self.terms)) / sum(1.0 / r for *_, r in self.terms)
         reach = max(0.0, min(reach, cap))
         self.steps = tuple(math.ceil(reach / r) for *_, r in self.terms)
@@ -731,7 +739,7 @@ def _q_series_grids(targets, xs, K, policy) -> list[_JetGrid]:
     qy = np.array([q**v for v in y.ravel().tolist()]).reshape(y.shape)
     powers = [k + target.jpow for k in range(K + 1) for target in targets]  # (order, column)
     try:
-        for j0, hi in _blocks(policy, "combined q-series (q={}, K={})", q, K):
+        for j0, hi in _blocks(policy, "combined q-series (q={}, K={})", q, K, first=_FIRST_BLOCK):
             j = np.arange(j0 + 1, hi + 1, dtype=float)
             coeffs = [target._coeffs(j, shift) for target in targets]
             live = np.flatnonzero(active.any(axis=(0, 1)))

@@ -374,28 +374,55 @@ def _build_eq14(desc, grid, K, ov):
     # q, s and the shifts u and v at every point, in the points' order:
     # group-major, then x
     n = grid.points
-    consts = [(q, s, bd.alzer_u(q, s), bd.alzer_v(q, s)) for q, s in groups]
+    shifts = [(q, s, bd.alzer_u(q, s), bd.alzer_v(q, s)) for q, s in groups]
+    consts = [(*c, *_shift_errors(*c)) for c in shifts]
     x = np.tile([p["x"] for p in points[:n]], len(groups))
-    q, s, u, v = (np.repeat(c, n) for c in zip(*consts))
+    q, s, u, v, du, dv = (np.repeat(c, n) for c in zip(*consts))
 
     def ends(read):
         ratio = _joined([read(g) for g in groups])
-        return _stacked([_qbracket_end(x + u, q, s), ratio, _qbracket_end(x + v, q, s)])
+        return _stacked([_qbracket_end(x + u, q, s, du), ratio, _qbracket_end(x + v, q, s, dv)])
 
     return [_ends_check("eq14-bounds", ends, points, "chain_lt", columns)]
 
 
-def _qbracket_end(y, q, s):
+def _shift_errors(q, s, u, v):
+    """First-order bounds on the rounding of u = ``alzer_u(q, s)`` and
+    v = ``alzer_v(q, s)``, counting eps for each operation (math's pow, exp
+    and log too).  u = ln A / ln q, A = (q^s - q)/((1 - s)(1 - q)): q^s - q
+    is off by eps (q^s/(q^s - q) + 1) relatively, and A by 4 eps more;
+    ln A adds eps |ln A| = eps |u ln q|, and the division by the rounded
+    ln q 2 eps of u.  v = ln B / ln q, B = 1 - c, c = (1 - q) exp(t),
+    t = L/(s - 1), with L = ln Gamma_q(s) within its certified error e_L:
+    t is off by e_L/(1 - s) + 2 eps |t|, c by that and 3 eps relatively,
+    and B by that of c plus eps B; ln B and the division follow as for u."""
+    eps, lnq = sf._EPS_MACH, -math.log(q)
+    ps = q**s
+    du = eps * ((ps / (ps - q) + 5.0) / lnq + 3.0 * abs(u))
+    ln_gamma = sf._psi(-1, q, None)(s)
+    t = ln_gamma.value / (s - 1.0)
+    c = (1.0 - q) * math.exp(t)
+    b = 1.0 - c
+    db = c * (ln_gamma.abs_error / (1.0 - s) + 2.0 * eps * abs(t) + 3.0 * eps) + eps * b
+    return du, db / b / lnq + 3.0 * eps * abs(v)
+
+
+def _qbracket_end(y, q, s, shift_err):
     """(1 - s) ln [y]_q, 0 < q < 1, and its error at every point of the
-    arrays y, q and s.  Each operation rounds by at most 4 ulp (numpy's
-    log, log1p and expm1 too).  The roundings of y = x + shift, of ln q
-    and of t = y ln q move ln(-expm1(t)) by at most |t|/(e^|t| - 1) <= 1
-    times their relative error; the logs, the difference and the product
-    by 1 - s round relative to ln(1 - q^y), ln(1 - q) and the result.
-    10 eps of (1 - s)(1 + |ln [y]_q| + |ln(1 - q)|) bounds the sum."""
+    arrays y, q and s, where y = x + a shift off by up to ``shift_err``.
+    Each operation rounds by at most 4 ulp (numpy's log, log1p and expm1
+    too).  The roundings of y = x + shift, of ln q and of t = y ln q move
+    ln(-expm1(t)) by at most |t|/(e^|t| - 1) <= 1 times their relative
+    error; the logs, the difference and the product by 1 - s round
+    relative to ln(1 - q^y), ln(1 - q) and the result.  10 eps of
+    (1 - s)(1 + |ln [y]_q| + |ln(1 - q)|) bounds the sum.  The shift's
+    error moves the end by its slope, (1 - s) |ln q| q^y/(1 - q^y), to
+    first order."""
     w = 1.0 - s
+    lnq = np.log(q)
     ln = bd._qbracket_log(y, q)
-    return w * ln, sf._slop(10, w * (1.0 + np.abs(ln) + np.abs(np.log1p(-q))))
+    slope = w * -lnq / np.expm1(-y * lnq)
+    return w * ln, sf._slop(10, w * (1.0 + np.abs(ln) + np.abs(np.log1p(-q)))) + slope * shift_err
 
 
 @_register(PropertyDescriptor(

@@ -733,12 +733,21 @@ def _q_psi_sum(x: float, q: float, n: int, policy: TruncationPolicy):
     A term whose exp or quotient is subnormal or 0 loses up to ulp(0)/2 in
     each, which is not relative to the term: the returned tail adds the
     floor 2 ulp(0)/(1 - q) for every summed term and for the last one in
-    the geometric tail.
+    the geometric tail.  The exponent of term k is at most k x ln q +
+    n ln hi (+ (n+1) ln|ln q| at n >= 1) in a block that ends at hi; past
+    the k where that bound falls below ln(2^-1020) - 1, the block's terms
+    are below 2^-1020/(1 - q) and are flushed to 0 without an exp, which
+    numpy takes 10 to 100 times slower per element there.  From the first
+    block that flushes on, the floor adds 2^-1020/(1 - q) a term, and the
+    last term of a flushed block, in the tail, is 0 under that floor.  The
+    terms before the cut keep the bits of np.exp.
     """
     lnq = math.log(q)
+    rate = x * lnq
     under = 2.0 * math.ulp(0.0) / (1.0 - q)
     log_lnq = math.log(-lnq)
     lift = (n + 1) * log_lnq if n else 0.0
+    low = _EXP_LOW - 1.0 - lift  # term k is flushed where k x ln q + n ln hi < low
     # the stop test's floor, 1 in the unscaled sum's units, kept normal
     floor = math.exp(min(max(lift, -700.0), 700.0))
     may_overflow = x * -lnq * policy.max_terms > 1e308 or (
@@ -752,19 +761,26 @@ def _q_psi_sum(x: float, q: float, n: int, policy: TruncationPolicy):
     total = 0.0
     with np.errstate(over="ignore") if may_overflow else contextlib.nullcontext():
         for k0, hi in _blocks(policy, "q-series (x={}, q={}, order={})", x, q, n):
-            k = np.arange(k0 + 1, hi + 1, dtype=float)
-            logs = k * (x * lnq)
+            kept = hi
+            if hi * rate < low and rate:  # a term may be flushed
+                cut = (low - n * math.log(hi)) / rate
+                if cut < hi:  # the terms past cut are flushed
+                    kept = max(math.floor(cut), k0)
+                    under = (2.0 * math.ulp(0.0) + _FLUSHED) / (1.0 - q)
+            k = np.arange(k0 + 1, kept + 1, dtype=float)
+            logs = k * rate
             if n:
                 logs += n * np.log(k) + lift
             t = np.exp(logs, out=logs)  # in place: a large block allocates no more
             t /= -np.expm1(k * lnq)
             total += float(t.sum())
             try:
-                ratio = ((hi + 1.0) / hi) ** n * math.exp(x * lnq)
+                ratio = ((hi + 1.0) / hi) ** n * math.exp(rate)
             except OverflowError:  # (1 + 1/hi)^n: far short of the hump
                 continue
             if ratio < 1.0:
-                tail = (float(t[-1]) + under) * ratio / (1.0 - ratio)
+                last = float(t[-1]) if kept == hi else 0.0
+                tail = (last + under) * ratio / (1.0 - ratio)
                 if tail <= policy.eps * (floor + total):
                     return total, tail + hi * under, hi
 

@@ -242,7 +242,7 @@ def _per_order(t, k, x, policy=None):
         y = x + t.shift
         yt = x + t._start  # the tail of the moved terms
         total = abs_total = floor = 0.0
-        j0, block = 0, 256
+        j0, block = 0, ce._FIRST_BLOCK
         while True:
             hi = min(j0 + block, policy.max_terms)
             j = np.arange(j0 + 1, hi + 1, dtype=float)
@@ -441,11 +441,11 @@ def test_one_raising_order_makes_the_point_inconclusive():
     with pytest.raises(DomainError):
         target.jet(2.0, 4)
     # a q-series whose high orders run out of terms before the low ones: past
-    # the recurrence shift every order certifies in 256 terms, so the budget
-    # is half of that
+    # the recurrence shift every order certifies in the grid's first block,
+    # so the budget is half of that
     q = 0.9
     series = _neg_psi_q(q)
-    tight = sf.TruncationPolicy(max_terms=128)
+    tight = sf.TruncationPolicy(max_terms=ce._FIRST_BLOCK // 2)
     rep = ce.check_sign_pattern(series, 0, grid, "completely_monotonic", policy=tight)
     assert rep.status == "pass"
     with pytest.raises(ConvergenceError):
@@ -544,10 +544,11 @@ def test_jet_grid_marks_exactly_the_points_that_raise():
         with sf._run_cells():
             for _ in range(2):
                 assert _assert_grid_matches_per_order(leaf, xs, 4).tolist() == expected
-    # high orders at small x run out of terms; the rest of the grid certifies
+    # high orders at small x run out of half the first block; the rest of the
+    # grid certifies
     series = _neg_psi_q(0.9)
-    tight = sf.TruncationPolicy(max_terms=128)
-    ok = _assert_grid_matches_per_order(series, [0.5, 1.0, 2.0, 4.0, 8.0], 12, tight)
+    tight = sf.TruncationPolicy(max_terms=ce._FIRST_BLOCK // 2)
+    ok = _assert_grid_matches_per_order(series, [0.5, 1.0, 2.0, 4.0, 8.0, 16.0], 12, tight)
     assert not ok.all() and ok.any()
 
 
@@ -665,14 +666,33 @@ def test_q_series_grid_caps_its_block_temporaries(monkeypatch):
     target = ce.QSeriesTarget(q, _Q_TERMS[:3])  # jpow = 0
     xs = [float(v) for v in np.geomspace(0.05, 5.0, 64)]
     # past the recurrence shift the default eps certifies in the first block;
-    # a far smaller one runs blocks of up to 2048 terms
+    # a far smaller one runs four blocks, the last of 8 first blocks
     fine = sf.TruncationPolicy(eps=1e-300)
     target.jet_grid(xs, 12, fine)
-    assert max(recorder.rows) == 2048
-    # 64 points x 256 terms fill the cap exactly, and so do the larger blocks
+    assert max(recorder.rows) == 8 * ce._FIRST_BLOCK
+    # the 64 points fill the cap exactly in the blocks of 256 terms or more
     assert max(recorder.sizes) == ce._CHUNK_ELEMENTS == 1 << 14
     monkeypatch.undo()
     _assert_grid_matches_per_order(target, xs[::9], 12, fine)
+
+
+def test_no_q_series_grid_of_the_corpus_enters_a_second_block(monkeypatch, tmp_path):
+    """The recurrence shift is sized to the grid's first block: over a
+    ``verify --suite all`` run, every q-series grid certifies in it."""
+    from qgammakit import cli
+
+    blocks = []
+    schedule = ce._blocks
+
+    def counted(*args, **kwargs):
+        blocks.append(0)
+        for block in schedule(*args, **kwargs):
+            blocks[-1] += 1
+            yield block
+
+    monkeypatch.setattr(ce, "_blocks", counted)
+    assert cli.main(["verify", "--suite", "all", "--out", str(tmp_path / "report.json")]) == 0
+    assert blocks and set(blocks) == {1}
 
 
 def test_q_series_near_q_1_keeps_its_steps_and_temporaries_bounded(monkeypatch):

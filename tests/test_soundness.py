@@ -588,15 +588,38 @@ def test_qbracket_end_certificates_hold(ys, q, s):
     """``corpus._qbracket_end``, eq14-bounds' end (1 - s) ln [y]_q, against
     40 digits, y from 1e-2 to 1e2 and q and s across (0, 1), unwidened."""
     y = np.array(ys)
-    value, error = corpus._qbracket_end(y, np.full_like(y, q), np.full_like(y, s))
+    value, error = corpus._qbracket_end(y, np.full_like(y, q), np.full_like(y, s), 0.0)
     with mp.workdps(40):
         refs = [[_qbracket_ref(mp.mpf(v), q, s)] for v in ys]
         _assert_ends_sound("qbracket", value[:, None], error[:, None], refs)
 
 
+def _alzer_shifts_ref(q, s):
+    """u(q, s) and v(q, s) at 40 digits, for the float q and s, v through a
+    40-digit ln Gamma_q(s)."""
+    q, s = mp.mpf(q), mp.mpf(s)
+    u = mp.log((q**s - q) / ((1 - s) * (1 - q))) / mp.log(q)
+    g = mp.exp(_ln_gamma_q_at(s, q, 40) / (s - 1))
+    return u, mp.log(1 - (1 - q) * g) / mp.log(q)
+
+
+def test_eq14_shift_errors_cover_the_rounding_of_the_shifts():
+    """``corpus._shift_errors`` bounds the miss of ``alzer_u`` and
+    ``alzer_v`` at each of eq14-bounds' 81 (q, s), unwidened."""
+    pairs = [(round(0.1 * i, 1), round(0.1 * j, 1)) for i in range(1, 10) for j in range(1, 10)]
+    with mp.workdps(40):
+        for q, s in pairs:
+            u, v = bd.alzer_u(q, s), bd.alzer_v(q, s)
+            du, dv = corpus._shift_errors(q, s, u, v)
+            exact_u, exact_v = _alzer_shifts_ref(q, s)
+            assert abs(mp.mpf(u) - exact_u) <= du, (q, s, du)
+            assert abs(mp.mpf(v) - exact_v) <= dv, (q, s, dv)
+
+
 def test_eq14_bracket_ends_hold_at_every_point():
     """Both ends of every eq14-bounds point, (1 - s) ln [x + u]_q and
-    (1 - s) ln [x + v]_q, at the exact x + u and x + v, unwidened."""
+    (1 - s) ln [x + v]_q, at the exact x + u and x + v of the 40-digit u
+    and v: each end's error covers the rounding of its shift, unwidened."""
     (check,) = corpus.instantiate("eq14-bounds")
     values, errors, points = _chain_ends(check)
     shifts = {}
@@ -604,7 +627,7 @@ def test_eq14_bracket_ends_hold_at_every_point():
         refs = []
         for p in points:
             q, s = p["q"], p["s"]
-            u, v = shifts.get((q, s)) or shifts.setdefault((q, s), (bd.alzer_u(q, s), bd.alzer_v(q, s)))
+            u, v = shifts.get((q, s)) or shifts.setdefault((q, s), _alzer_shifts_ref(q, s))
             x = mp.mpf(p["x"])
             refs.append([_qbracket_ref(x + u, q, s), None, _qbracket_ref(x + v, q, s)])
         _assert_ends_sound("eq14-bounds", values, errors, refs)
@@ -708,10 +731,12 @@ _XS_SMALL = st.lists(st.one_of(
 
 def _recurrence_cases():
     """(id, K, target, reference, points, edge points) of q-series that lean
-    on their recurrence part: psi_q at q = 0.95 and 0.99 (up to 31 steps),
+    on their recurrence part: psi_q at q = 0.95 and 0.99 (up to 63 steps),
     the beta-lcm targets at q = 0.9, whose two terms take different steps,
-    an ln Gamma_q ratio at q = 0.99, and a psi_q' difference at q = 5e-4,
-    where q^z underflows in the steps too."""
+    an ln Gamma_q ratio at q = 0.99, psi_q and an ln Gamma_q ratio at
+    q = 0.999, where the step cap binds and later blocks run (one point a
+    draw: their references take 4000 steps each), and a psi_q' difference
+    at q = 5e-4, where q^z underflows in the steps too."""
     small = [0.01, math.exp(-1.0)]
     cases = [
         (f"psi_q-{q}", 12, _psi_q_series(q), lambda k, x, q=q: _psi_q(k, x, q), _XS_SMALL, small[:n])
@@ -722,6 +747,10 @@ def _recurrence_cases():
         target = ce.QSeriesTarget(0.9, [(sign, 0, 0.0, 1.0 / beta), (-sign, 0, 0.0)])
         cases.append((f"beta-0.9-{beta}", 8, target, _beta_ref(0.9, beta), _XS, small))
     cases.append(("ln-ratio-0.99", 2, corpus._ln_ratio(0.99, 0.3), None, _XS_SMALL, small))
+    one_small = _XS_SMALL.map(lambda xs: xs[:1])
+    cases.append(("psi_q-0.999", 4, _psi_q_series(0.999), lambda k, x: _psi_q(k, x, 0.999),
+                  one_small, small[:1]))
+    cases.append(("ln-ratio-0.999", 2, corpus._ln_ratio(0.999, 0.3), None, one_small, small[:1]))
     cases.append(("psi1-diff-5e-4", 7, ce.QSeriesTarget(5e-4, [(1.0, 1, 0.0), (-1.0, 1, 0.25)]),
                   None, st.lists(st.floats(93.0, 100.0), min_size=1, max_size=4), [93.0, 100.0]))
     return cases
@@ -1008,6 +1037,16 @@ def test_q_scalar_certificates_hold(x, n, near):
 ], ids=lambda v: str(v))
 def test_q_polygamma_certificates_hold_at_the_edges(n, x, q):
     _q_scalar_sound(n, x, q)
+
+
+@pytest.mark.parametrize("x", [30.0, 60.0, 100.0, 590.0, 600.0])
+def test_q_psi_sum_covers_its_flushed_terms(x):
+    # at q = 0.3 most of the first block's exps fall below 2^-1020 and are
+    # flushed to 0; at x = 590 and 600, q^x is near 2^-1020 itself, so the
+    # value is about the flushed terms (at x = 600 the first term of orders
+    # 1..3 is flushed) and only the floor covers them
+    for n in range(4):
+        _q_scalar_sound(n, x, 0.3)
 
 
 def _kernel_ref(n, k, t):
