@@ -224,10 +224,6 @@ class _JetGrid:
     def ok(self) -> np.ndarray:
         return np.array([f is None for f in self.failures], dtype=bool)
 
-    def fail(self, p: int, exc: Exception) -> None:
-        self.failures[p] = exc
-        self.values[:, p] = self.errors[:, p] = np.nan
-
     def jet(self, p: int) -> list[Enclosure]:
         """The scalar jet at point p; re-raises the error it failed with."""
         if self.failures[p] is not None:
@@ -434,8 +430,9 @@ class QPolyGammaShift(_PsiLeaf):
 class _KernelLeaf(Target):
     """d^k/dt^k t^n/(1 - e^(-t)), the Clark-Ismail kernel's derivative:
     order j is the (k + j)-th, a row per order from specfun's
-    kernel-derivative grid (``specfun._kernel_grid``), and a point fails
-    where its first failing order does."""
+    kernel-derivative grid (``specfun._kernel_grid``), whose cells have the
+    bits of ``kernel_derivative``, and a point fails where its first
+    failing order does."""
 
     def __init__(self, n: int, k: int):
         self.n, self.k = n, k

@@ -28,7 +28,8 @@ points, each with its error, and reach ``_decide`` once per check
 thm52-chain as products; the two q-analogue ones read their q-series as
 columns, those of one q filled as one stacked grid, and refined-chain
 reads psi and ln Gamma grids.  ci-kernel checks each kernel derivative as
-a strict nonneg leaf on specfun's kernel-derivative grid.  No entry
+a strict nonneg leaf on specfun's kernel-derivative grid, whose cells have
+the bits of the scalar kernel_derivative.  No entry
 defines a coefficient function or calls a scalar psi_q, psi_q^(n) or
 kernel_derivative evaluator; scalar ln Gamma_q is read by cor5-ineq's
 rows and by the eq14 claims' constant ``alzer_v``.

@@ -47,10 +47,14 @@ exponential series cancels: the Bernoulli generating function of
 t/(1 - e^(-t)), summed term by term from a table of its coefficients, with
 a geometric tail from |B_2m|/(2m)! < 4/(2 pi)^(2m).  It stops once the tail
 is at most eps * sum|term|, a relative rule; past the budget or the table,
-ConvergenceError.  A grid of one derivative at many t has a kernel of its
-own, ``_kernel_grid``: both regimes in numpy arrays, each cell certified
-by the scalar's stop index, tail bound and slop, and failing where the
-scalar raises.
+ConvergenceError.  Each regime has one implementation, in the form that
+suits its series: the Bernoulli series, at most 62 terms, is a scalar loop
+over constants built once per (n, k) (``_kernel_bernoulli``), and the
+exponential series, in blocks of 512 terms and more, a numpy kernel over
+many t (``_kernel_exp_grid``).  ``kernel_derivative`` reads that kernel
+at its one point, and the grid of one derivative at many t,
+``_kernel_grid``, calls the loop point by point, so the scalar and the
+grid give the same bits, or raise the same error.
 
 A grid of ln Gamma, psi and psi^(n), orders n0..n0+K at many points, has
 a kernel of its own, ``_psi_kernel``: the rule above in numpy arrays,
@@ -501,10 +505,14 @@ def _power(a, e):
     """a^e with both operands spread to their common shape, so that numpy
     runs one contiguous loop whatever that shape is: where e is a scalar in
     its inner loop, numpy squares or takes reciprocals by paths that round
-    otherwise than its general loop."""
-    base, out = np.empty((2,) + np.broadcast(a, e).shape)
-    base[...], out[...] = a, e
-    return np.power(base, out, out=out)
+    otherwise than its general loop, and so it does on a one-element
+    operation, which is padded to two elements."""
+    shape = np.broadcast(a, e).shape
+    size = math.prod(shape)
+    base, out = np.ones((2, 2)) if size < 2 else np.empty((2, size))
+    base[:size].reshape(shape)[...] = a
+    out[:size].reshape(shape)[...] = e
+    return np.power(base, out, out=out)[:size].reshape(shape)
 
 
 def _psi_kernel(n0: int, K: int, ys: np.ndarray, eps: float):
@@ -939,6 +947,7 @@ _KERNEL_ORDER_CAP = 20
 # kernel_derivative sums the Bernoulli series at t <= t0 and the exponential
 # series above it
 _KERNEL_T0 = 2.0
+_KERNEL_SERIES = "kernel derivative series (n={}, k={}, t={})"
 
 
 def _kernel_order(n, k) -> None:
@@ -963,20 +972,45 @@ def kernel_derivative(
     generating function, and stops once the tail is at most eps * sum|term|,
     a relative rule (``_kernel_bernoulli``).  Above t0 it expands
     1/(1-e^(-t)) = sum_m e^(-mt), whose alternating terms would cancel as
-    t -> 0, with the block schedule and stop rule of the module docstring
-    (``_kernel_exp``).  A value or bound that leaves double precision
-    raises DomainError.
+    t -> 0, with the block schedule and stop rule of the module docstring,
+    and reads that regime's array kernel at its one point
+    (``_kernel_exp_grid``).  Both regimes are the ones ``_kernel_grid``
+    reads, so the scalar and the grid give the same bits.  A value or bound
+    that leaves double precision raises DomainError.
     """
     policy = policy or DEFAULT_POLICY
     _kernel_order(n, k)
     _require_positive(t, "t")
-    try:
-        enc = _kernel_bernoulli(n, k, t, policy) if t <= _KERNEL_T0 else _kernel_exp(n, k, t, policy)
-    except OverflowError:
-        raise _kernel_range_error(n, k, t) from None
-    if not (math.isfinite(enc.value) and math.isfinite(enc.abs_error)):
-        raise _kernel_range_error(n, k, t)
-    return enc
+    if t <= _KERNEL_T0:
+        return _kernel_bernoulli(n, k, t, policy)
+    (value,), (error,), (terms,), (failure,) = _kernel_exp_grid(n, k, np.array([float(t)]), policy)
+    if failure is not None:
+        raise failure
+    return Enclosure(float(value), float(error), int(terms))
+
+
+@functools.cache
+def _bernoulli_terms(n: int, k: int) -> tuple:
+    """The constants of ``_kernel_bernoulli``'s terms, built once per
+    (n, k), so that a call forms no perm: per term i, its factor
+    c_j perm(p, k) and power p - k - e (0.0 and 0 where p < k); and for the
+    tail test after it, on b_p of p = n-1+2i, the factor 4 perm(p, k), the
+    power p - k - e and the divisor (2 pi)^(2i) of b_p, and the numerator
+    and denominator of its ratio (nan, and so no test, at i = 0, where b_p
+    does not bound c_1, and where p < k).  Each is the float the loop would
+    form from the same operands, so every term keeps its bits."""
+    e = max(n - 1 - k, 0)
+    rows = []
+    for i, c in enumerate(_KERNEL_C):
+        p = n - 1 + (i if i < 2 else 2 * i - 2)
+        term = (c * math.perm(p, k), p - k - e) if p >= k else (0.0, 0)
+        p = n - 1 + 2 * i
+        test = (math.nan, 0, 1.0, math.nan, 1.0)
+        if i and p >= k:
+            test = (4.0 * math.perm(p, k), p - k - e, math.tau ** (2 * i),
+                    float((p + 2) * (p + 1)), float((p + 2 - k) * (p + 1 - k)))
+        rows.append(term + test)
+    return tuple(rows)
 
 
 def _kernel_bernoulli(n: int, k: int, t: float, policy: TruncationPolicy) -> Enclosure:
@@ -992,38 +1026,40 @@ def _kernel_bernoulli(n: int, k: int, t: float, policy: TruncationPolicy) -> Enc
     3 eps of every |term| (the roundings of c_j, perm(p, k), the power and
     two products), one op per term for the sum, and those of the scaling;
     the absolute floor, as in ``_exp``, covers a value that underflows.
+
+    A scalar loop over ``_bernoulli_terms``, which stops after 6 to 25 of
+    its at most 62 terms; ``_kernel_grid`` calls it point by point.  Past
+    the budget or the table: ConvergenceError; where the value or its bound
+    leaves double precision: DomainError.
     """
     e = max(n - 1 - k, 0)
     r2 = (t / math.tau) ** 2
     total = magnitude = 0.0
-    for i in range(min(policy.max_terms, len(_KERNEL_C))):
-        p = n - 1 + (i if i < 2 else 2 * i - 2)
-        if p >= k:
-            term = _KERNEL_C[i] * math.perm(p, k) * t ** (p - k - e)
+    try:
+        for i, (coef, power, bfac, bpow, bdiv, num, den) in zip(
+            range(policy.max_terms), _bernoulli_terms(n, k)
+        ):
+            term = coef * t**power
             total += term
             magnitude += abs(term)
-        p = n - 1 + 2 * i
-        if i == 0 or p < k:  # b_p does not bound c_1; perm(p, k) = 0 below k
-            continue
-        ratio = r2 * ((p + 2) * (p + 1)) / ((p + 2 - k) * (p + 1 - k))
-        if ratio < 1.0:
-            bound = 4.0 * math.perm(p, k) * t ** (p - k - e) / math.tau ** (2 * i)
-            tail = bound / (1.0 - ratio)
-            if tail <= policy.eps * magnitude:
-                mant, expo, ops = _power_parts(t, e)
-                val = math.ldexp(total * mant, expo)
-                err = math.ldexp(tail * mant, expo) + _slop(
-                    i + 4 + ops, math.ldexp(magnitude * mant, expo)
-                )
-                return Enclosure(val, err + 4.0 * math.ulp(0.0), i + 1)
-    raise _bernoulli_unsure(n, k, t, policy)
-
-
-def _bernoulli_unsure(n: int, k: int, t: float, policy: TruncationPolicy) -> ConvergenceError:
-    what = f"kernel derivative series (n={n}, k={k}, t={t}) did not certify within"
+            ratio = r2 * num / den
+            if ratio < 1.0:
+                tail = bfac * t**bpow / bdiv / (1.0 - ratio)
+                if tail <= policy.eps * magnitude:
+                    mant, expo, ops = _power_parts(t, e)
+                    val = math.ldexp(total * mant, expo)
+                    err = math.ldexp(tail * mant, expo) + _slop(
+                        i + 4 + ops, math.ldexp(magnitude * mant, expo)
+                    )
+                    if not (math.isfinite(val) and math.isfinite(err)):
+                        raise _kernel_range_error(n, k, t)
+                    return Enclosure(val, err + 4.0 * math.ulp(0.0), i + 1)
+    except OverflowError:  # a perm, power or ldexp passed the largest double
+        raise _kernel_range_error(n, k, t) from None
+    what = f"{_KERNEL_SERIES.format(n, k, t)} did not certify within"
     if policy.max_terms < len(_KERNEL_C):
-        return ConvergenceError(f"{what} {policy.max_terms} terms")
-    return ConvergenceError(f"{what} its {len(_KERNEL_C)} tabulated Bernoulli terms")
+        raise ConvergenceError(f"{what} {policy.max_terms} terms")
+    raise ConvergenceError(f"{what} its {len(_KERNEL_C)} tabulated Bernoulli terms")
 
 
 def _power_parts(t: float, e: int):
@@ -1040,147 +1076,92 @@ def _power_parts(t: float, e: int):
     return m, x, ops
 
 
-_KERNEL_SERIES = "kernel derivative series (n={}, k={}, t={})"
-
-
-def _kernel_exp(n: int, k: int, t: float, policy: TruncationPolicy) -> Enclosure:
-    """kernel_derivative above t0 from 1/(1-e^(-t)) = sum_m e^(-mt): each
-    t^n e^(-mt) differentiates in closed form by the product rule.  The tail
-    over m is geometric with ratio at most e^(-t/2) once m >= 2k/t."""
-    jmax = min(k, n)
-    # C(k,j) * n!/(n-j)! * t^(n-j) for j = 0..jmax
-    coefs = [math.comb(k, j) * math.perm(n, j) * t ** (n - j) for j in range(jmax + 1)]
-    # m = 0 contribution: d^k/dt^k t^n
-    total = math.perm(n, k) * t ** (n - k) if k <= n else 0.0
-    if not math.isfinite(sum(coefs) + total):  # a product of t^(n-j) overflowed
-        raise OverflowError
-    # the alternating terms cancel as t -> 0: base the slop on them
-    abs_total = abs(total)
-    for m0, hi in _blocks(policy, _KERNEL_SERIES, n, k, t, first=512):
-        m = np.arange(m0 + 1, hi + 1, dtype=float)
-        emt = np.exp(-m * t)
-        acc = np.zeros_like(m)
-        bound = np.zeros_like(m)
-        for j, c in enumerate(coefs):
-            mp = m ** (k - j)
-            acc += c * ((-1.0) ** (k - j)) * mp
-            bound += c * mp
-        total += float((acc * emt).sum())
-        abs_total += float(bound @ emt)
-        ratio = math.exp(-t) * ((hi + 2.0) / (hi + 1.0)) ** k
-        if ratio < 1.0:
-            pb = sum(c * (hi + 1.0) ** (k - j) for j, c in enumerate(coefs))
-            tail = pb * math.exp(-(hi + 1.0) * t) / (1.0 - ratio)
-            if tail <= policy.eps * (1.0 + abs(total)):
-                return Enclosure(total, tail + _slop(hi, abs_total), hi)
-
-
-@functools.cache
-def _bernoulli_rows(n: int, k: int, count: int) -> np.ndarray:
-    """The constants of ``_kernel_bernoulli``'s first ``count`` terms, as
-    rows of shape (7, count, 1), built once per (n, k, count): term i's
-    factor c_j perm(p, k) and power p - k - e (0 and 0 where p < k); and
-    the tail test after it, on b_p of p = n-1+2i: the factor 4 perm(p, k),
-    the power p - k - e and the divisor (2 pi)^(2i) of b_p, and the
-    numerator and denominator of its ratio (nan, and so no test, at i = 0
-    and where p < k)."""
-    e = max(n - 1 - k, 0)
-    rows = []
-    for i in range(count):
-        p = n - 1 + (i if i < 2 else 2 * i - 2)
-        term = (_KERNEL_C[i] * math.perm(p, k), p - k - e) if p >= k else (0.0, 0)
-        p = n - 1 + 2 * i
-        tail = (math.nan, 0, 1.0, 1, 1)
-        if i and p >= k:
-            tail = (4.0 * math.perm(p, k), p - k - e, math.tau ** (2 * i),
-                    (p + 2) * (p + 1), (p + 2 - k) * (p + 1 - k))
-        rows.append(term + tail)
-    a = np.array(rows, dtype=float).T[:, :, None]
-    a.setflags(write=False)  # shared by every call: never written
-    return a
-
-
-def _kernel_bernoulli_grid(n: int, k: int, t: np.ndarray, policy: TruncationPolicy):
-    """``_kernel_bernoulli`` at every t of ``t`` (all in (0, t0]): (values,
-    errors, terms, certified).  Every term and every tail test of the table
-    is formed at once, the sums run in order along the terms, and each
-    point stops at its first certifying test; t^e is put back as
-    ``_power_parts`` puts it, on numpy's frexp and ldexp."""
-    count = min(policy.max_terms, len(_KERNEL_C))
-    coef, power, bfac, bpow, bdiv, num, den = _bernoulli_rows(n, k, count)
-    terms = coef * _power(t, power)
-    total = np.add.accumulate(terms)
-    magnitude = np.add.accumulate(np.abs(terms))
-    ratio = (t / math.tau) ** 2 * num / den
-    tail = bfac * _power(t, bpow) / bdiv / (1.0 - ratio)
-    stop = (ratio < 1.0) & (tail <= policy.eps * magnitude)
-    i, cols = stop.argmax(axis=0), np.arange(len(t))
-    # t^e = m 2^x, the mantissa of t raised to at most the 1000th power at a time
-    mant, expo = np.frexp(t)
-    m, x, e, ops = np.ones_like(t), np.zeros(t.shape, dtype=int), max(n - 1 - k, 0), 0
-    while e > 0:
-        step = min(e, 1000)
-        m, shift = np.frexp(m * _power(mant, step))
-        x += shift + expo * step
-        e, ops = e - step, ops + 2
-    val = np.ldexp(total[i, cols] * m, x)
-    err = np.ldexp(tail[i, cols] * m, x) + _slop(i + 4.0 + ops, np.ldexp(magnitude[i, cols] * m, x))
-    return val, err + 4.0 * math.ulp(0.0), i + 1, stop[i, cols]
+def _sum_j(a: np.ndarray) -> np.ndarray:
+    """The sum of ``a`` over its first axis, added in order for every
+    column, so that a column's bits do not depend on how many columns there
+    are (``sum`` adds one column pairwise, several row by row)."""
+    return np.add.accumulate(a, axis=0)[-1]
 
 
 def _kernel_exp_grid(n: int, k: int, t: np.ndarray, policy: TruncationPolicy):
-    """``_kernel_exp`` at every t of ``t`` (all above t0): (values, errors,
-    terms, certified), each point stopping at its own block, by the
-    scalar's tail test; the points still open when the budget is spent are
-    not certified.
+    """kernel_derivative above t0 at every t of ``t`` (all finite): (values,
+    errors, terms, failures), each point stopping at its own block.
+
+    From 1/(1-e^(-t)) = sum_m e^(-mt), each t^n e^(-mt) differentiates in
+    closed form by the product rule: m >= 1 adds
+    sum_j (-m)^(k-j) c_j e^(-mt), c_j = C(k, j) n!/(n-j)! t^(n-j),
+    j <= min(k, n), and m = 0 adds d^k/dt^k t^n.  The tail over m is
+    geometric with ratio at most e^(-t/2) once m >= 2k/t: after a block
+    that ends at hi it is at most pb e^(-(hi+1)t)/(1 - ratio), with
+    pb = sum_j c_j (hi + 1)^(k-j) and ratio = e^(-t) ((hi+2)/(hi+1))^k.
+    ``failures[p]`` is the ConvergenceError of a point still open when the
+    budget is spent, the DomainError of one whose value or bound leaves
+    double precision, or None; a failed point's value and error are nan.
 
     A block forms e^(-mt) once per (point, m), flushed to 0 below 2^-1020
     (``_exp_flushed``), and its moments mu_i = sum_m m^i e^(-mt), i <= k,
     so that it adds sum_j (-1)^(k-j) c_j mu_(k-j) to the value and
-    sum_j c_j mu_(k-j) to sum |terms|: the scalar's sums in another order,
-    whose rounding (k products, log2(hi) + 1 for a moment and jmax + 1 for
-    the sum over j) the slop hi eps sum |terms| covers, hi >= 512 being at
-    least 2 k + log2(hi) + 2.  A flushed exp drops less than 2^-1020 of
-    each c_j m^(k-j), so the block adds 2^-1020 (hi - m0) pb to the error,
-    pb = sum_j c_j (hi + 1)^(k-j) as in the tail."""
+    sum_j c_j mu_(k-j) to sum |terms|, whose rounding (k products,
+    log2(hi) + 1 for a moment and jmax + 1 for the sum over j) the slop
+    hi eps sum |terms| covers, hi >= 512 being at least 2 k + log2(hi) + 2.
+    A flushed exp drops less than 2^-1020 of each c_j m^(k-j), so the block
+    adds 2^-1020 (hi - m0) pb to the error.  Each moment sums one point's
+    row and each sum over j runs in order (``_sum_j``), so a cell's bits
+    depend only on (n, k, t, policy), not on the other points."""
     P = len(t)
-    coefs = np.array([float(math.comb(k, j) * math.perm(n, j)) * _power(t, n - j)
-                      for j in range(min(k, n) + 1)])
-    signs = np.array([(-1.0) ** (k - j) for j in range(len(coefs))])[:, None]
-    total = float(math.perm(n, k)) * _power(t, n - k) if k <= n else np.zeros(P)
-    abs_total, flushed = np.abs(total), np.zeros(P)
+    jmax = min(k, n)
+    try:
+        lead = float(math.perm(n, k)) if k <= n else 0.0
+        facs = [float(math.comb(k, j) * math.perm(n, j)) for j in range(jmax + 1)]
+    except OverflowError:  # so does t^(n-j) at t > 2: every point fails
+        lead, facs = math.inf, [math.inf] * (jmax + 1)
     values, errors, terms = np.full(P, math.nan), np.full(P, math.nan), np.zeros(P, dtype=np.int64)
-    # where a power of t overflows, the scalar raises, and the cell stays nan
-    live = np.flatnonzero(np.isfinite(coefs.sum(axis=0) + total))
-    try:  # a point left open gets the scalar's message in ``_kernel_grid``
-        for m0, hi in _blocks(policy, _KERNEL_SERIES, n, k, "-", first=512):
-            m = np.arange(m0 + 1, hi + 1, dtype=float)
-            tl, cl = t[live], coefs[:, live]
-            w = _exp_flushed(np.multiply.outer(tl, -m), -hi * tl.max(initial=0.0))
-            moments = np.empty((k + 1, len(live)))
-            for i in range(k + 1):
-                if i:
-                    w *= m
-                moments[i] = w.sum(axis=1)
-            parts = cl * moments[k - np.arange(len(coefs))]
-            total[live] += (signs * parts).sum(axis=0)
-            abs_total[live] += parts.sum(axis=0)
-            ratio = np.exp(-tl) * ((hi + 2.0) / (hi + 1.0)) ** k
-            pb = (cl * ((hi + 1.0) ** (k - np.arange(len(coefs))))[:, None]).sum(axis=0)
-            flushed[live] += _FLUSHED * (hi - m0) * pb
-            tail = pb * np.exp(-(hi + 1.0) * tl) / (1.0 - ratio)
-            done = (ratio < 1.0) & (tail <= policy.eps * (1.0 + np.abs(total[live])))
-            at = live[done]
-            values[at], terms[at] = total[at], hi
-            errors[at] = tail[done] + _slop(hi, abs_total[at]) + flushed[at]
-            live = live[~done]
-            if not live.size:
-                break
-    except ConvergenceError:
-        pass
-    certified = np.ones(P, dtype=bool)
-    certified[live] = False
-    return values, errors, terms, certified
+    with np.errstate(all="ignore"):
+        j = np.arange(jmax + 1)
+        powers = _power(t, n - j[:, None])  # row j: t^(n-j), and t^(n-k) at j = k <= n
+        coefs = np.array(facs)[:, None] * powers
+        signs = ((-1.0) ** (k - j))[:, None]
+        total = lead * powers[k] if k <= n else np.zeros(P)
+        abs_total, flushed = np.abs(total), np.zeros(P)
+        # where a power of t overflows, the cell stays nan and fails below
+        live = np.flatnonzero(np.isfinite(_sum_j(coefs) + total))
+        try:
+            for m0, hi in _blocks(policy, _KERNEL_SERIES, n, k, "-", first=512):
+                m = np.arange(m0 + 1, hi + 1, dtype=float)
+                tl, cl = t[live], coefs[:, live]
+                w = _exp_flushed(np.multiply.outer(tl, -m), -hi * tl.max(initial=0.0))
+                moments = np.empty((k + 1, len(live)))
+                for i in range(k + 1):
+                    if i:
+                        w *= m
+                    moments[i] = w.sum(axis=1)
+                parts = cl * moments[k - j]
+                total[live] += _sum_j(signs * parts)
+                abs_total[live] += _sum_j(parts)
+                ratio = np.exp(-tl) * ((hi + 2.0) / (hi + 1.0)) ** k
+                pb = _sum_j(cl * ((hi + 1.0) ** (k - j))[:, None])
+                flushed[live] += _FLUSHED * (hi - m0) * pb
+                tail = pb * np.exp(-(hi + 1.0) * tl) / (1.0 - ratio)
+                done = (ratio < 1.0) & (tail <= policy.eps * (1.0 + np.abs(total[live])))
+                at = live[done]
+                values[at], terms[at] = total[at], hi
+                errors[at] = tail[done] + _slop(hi, abs_total[at]) + flushed[at]
+                live = live[~done]
+                if not live.size:
+                    break
+        except ConvergenceError:  # the points still live did not certify
+            pass
+    tp = t.tolist()
+    failures = [None] * P
+    for p in live.tolist():
+        failures[p] = ConvergenceError(
+            f"{_KERNEL_SERIES.format(n, k, tp[p])} did not certify within {policy.max_terms} terms")
+    for p in np.flatnonzero(~(np.isfinite(values) & np.isfinite(errors))).tolist():
+        if failures[p] is None:
+            failures[p] = _kernel_range_error(n, k, tp[p])
+        values[p] = errors[p] = math.nan
+        terms[p] = 0
+    return values, errors, terms, failures
 
 
 def _kernel_grid(n: int, k: int, ts: np.ndarray, policy: TruncationPolicy | None):
@@ -1189,38 +1170,31 @@ def _kernel_grid(n: int, k: int, ts: np.ndarray, policy: TruncationPolicy | None
     the scalar raises there, or None; a failed point's value and error are
     nan.  An n or k the scalar does not take raises its DomainError.
 
-    The points at t <= t0 take ``_kernel_bernoulli``'s rule and the others
-    ``_kernel_exp``'s, in arrays (``_kernel_bernoulli_grid``,
-    ``_kernel_exp_grid``): the same terms, stop index, tail bound, slop
-    over sum |terms| and absolute floor, so each cell is certified as the
-    scalar is, though its last bits differ (numpy's power, and the
-    exponential regime's sums by moments).  A cell depends only on
-    (n, k, t, policy), not on the other points."""
+    Each regime has one implementation, the one the scalar reads: the
+    points at t <= t0 take ``_kernel_bernoulli``, one call a point, and
+    those above t0 ``_kernel_exp_grid``, in one call.  So each cell has the
+    bits, or the error, of ``kernel_derivative`` at its t, and depends only
+    on (n, k, t, policy), not on the other points."""
     policy = policy or DEFAULT_POLICY
     _kernel_order(n, k)
     P = len(ts)
     values, errors, terms = np.full(P, math.nan), np.full(P, math.nan), np.zeros(P, dtype=np.int64)
-    certified = np.ones(P, dtype=bool)
-    inside = (ts > 0.0) & (ts < math.inf)
-    with np.errstate(all="ignore"):
-        for part, grid in ((ts <= _KERNEL_T0, _kernel_bernoulli_grid),
-                           (ts > _KERNEL_T0, _kernel_exp_grid)):
-            idx = np.flatnonzero(part & inside)
-            if idx.size:
-                values[idx], errors[idx], terms[idx], certified[idx] = grid(n, k, ts[idx], policy)
-    finite = np.isfinite(values) & np.isfinite(errors)
     failures = [None] * P
-    for p in np.flatnonzero(~(inside & certified & finite)).tolist():
-        t = float(ts[p])
-        if not inside[p]:
-            failures[p] = DomainError(f"t must be positive and finite, got {t!r}")
-        elif not certified[p]:
-            failures[p] = (_bernoulli_unsure(n, k, t, policy) if t <= _KERNEL_T0 else ConvergenceError(
-                f"{_KERNEL_SERIES.format(n, k, t)} did not certify within {policy.max_terms} terms"))
-        else:
-            failures[p] = _kernel_range_error(n, k, t)
-        values[p] = errors[p] = math.nan
-        terms[p] = 0
+    above = (ts > _KERNEL_T0) & (ts < math.inf)
+    idx = np.flatnonzero(above)
+    if idx.size:
+        values[idx], errors[idx], terms[idx], exp_failures = _kernel_exp_grid(n, k, ts[idx], policy)
+        for p, failure in zip(idx.tolist(), exp_failures):
+            failures[p] = failure
+    idx = np.flatnonzero(~above)
+    for p, t in zip(idx.tolist(), ts[idx].tolist()):
+        try:
+            _require_positive(t, "t")
+            enc = _kernel_bernoulli(n, k, t, policy)
+        except (DomainError, ConvergenceError) as exc:
+            failures[p] = exc
+            continue
+        values[p], errors[p], terms[p] = enc.value, enc.abs_error, enc.terms_used
     return values, errors, terms, failures
 
 

@@ -521,7 +521,11 @@ def _assert_grid_matches_per_order(target, xs, K, policy=None):
 
 @pytest.mark.parametrize("target", _jet_targets(), ids=_jet_id)
 def test_jet_grid_columns_equal_per_order_derivatives_bit_for_bit(target):
-    _assert_grid_matches_per_order(target, [0.05, 0.7, 3.0, 25.0], target.max_order)
+    # at 2.637844611528822 (_KernelLeaf(3, 2), order 1) and 13.62406015037594
+    # (PolyGammaShift(2), order 0), numpy's power on one element rounds
+    # otherwise than the same power in a larger array
+    xs = [0.05, 0.7, 2.637844611528822, 3.0, 13.62406015037594, 25.0]
+    _assert_grid_matches_per_order(target, xs, target.max_order)
 
 
 def test_jet_grid_marks_exactly_the_points_that_raise():

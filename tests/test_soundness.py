@@ -1090,11 +1090,13 @@ _KERNEL_POLICIES = (None, sf.TruncationPolicy(max_terms=8), sf.TruncationPolicy(
 @example(40, 20, [3e-17, _T0, _T0 * (1.0 + 1e-9), 40.0], None)
 @example(16, 16, [1e-2, 1.99, 2.01, 40.0], sf.TruncationPolicy(max_terms=8))
 @example(770, 20, [2.5, 3.0], None)  # C(k, j) n!/(n-j)! t^(n-j) overflows at j = 1
+@example(10**16, 20, [0.5, 3.0], None)  # perm(n, k) is past the largest double
 def test_kernel_grid_certificates_hold(n, k, ts, policy):
     """Each cell of the kernel-derivative grid (``specfun._kernel_grid``)
     on a grid of points on both sides of t0 is within its error of 40
-    digits, and fails exactly where ``kernel_derivative`` raises, with its
-    class and message; t <= 0 and t = inf fail with DomainError."""
+    digits, holds ``kernel_derivative``'s value, error and terms bit for
+    bit, and fails exactly where it raises, with its class and message;
+    t <= 0 and t = inf fail with DomainError."""
     ts = ts + [0.0, -1.0, math.inf]
     values, errors, terms, failures = sf._kernel_grid(n, k, np.array(ts), policy)
     with mp.workdps(40):
@@ -1106,7 +1108,8 @@ def test_kernel_grid_certificates_hold(n, k, ts, policy):
                 assert math.isnan(values[p]) and math.isnan(errors[p])
                 continue
             assert failures[p] is None, (n, k, t, failures[p])
-            assert terms[p] == enc.terms_used, (n, k, t)
+            assert (values[p].hex(), errors[p].hex(), terms[p]) == (
+                enc.value.hex(), enc.abs_error.hex(), enc.terms_used), (n, k, t, policy)
             miss = abs(mp.mpf(values[p]) - _kernel_ref(n, k, t))
             assert miss <= errors[p], (n, k, t, policy, values[p], errors[p])
 
@@ -1114,9 +1117,11 @@ def test_kernel_grid_certificates_hold(n, k, ts, policy):
 @pytest.mark.parametrize("t", [1.9, 1.99, _T0, 2.01, 2.1])
 def test_kernel_regimes_agree_near_t0(t):
     """Both series converge around t0: their values agree within the sum of
-    their certificates."""
+    their certificates.  The exponential side is its one implementation,
+    the array kernel, read at the one point."""
     for n in (1, 2, 5, 16, 40):
         for k in (0, 1, 7, 16, 20):
             a = sf._kernel_bernoulli(n, k, t, sf.DEFAULT_POLICY)
-            b = sf._kernel_exp(n, k, t, sf.DEFAULT_POLICY)
-            assert abs(a.value - b.value) <= a.abs_error + b.abs_error, (n, k, a, b)
+            (b,), (b_err,), _, (failure,) = sf._kernel_exp_grid(n, k, np.array([t]), sf.DEFAULT_POLICY)
+            assert failure is None, (n, k, failure)
+            assert abs(a.value - b) <= a.abs_error + b_err, (n, k, a, b, b_err)

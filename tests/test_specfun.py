@@ -719,6 +719,27 @@ def test_kernel_bernoulli_series_keeps_to_the_term_budget():
         sf.kernel_derivative(1, 20, 2.0, sf.TruncationPolicy(eps=1e-60))
 
 
+def test_grid_cells_keep_their_bits_alone_or_among_other_points():
+    """A cell of the kernel-derivative grid and of the psi-family grid
+    kernel has the same bits whether its point is computed alone, with one
+    neighbour or among 40 points, on both sides of t0."""
+    rng = np.random.default_rng(3)
+    # at the first two, numpy's power on one element rounds otherwise than
+    # in a larger array
+    pts = np.concatenate([[2.637844611528822, 13.62406015037594],
+                          np.exp(rng.uniform(math.log(1e-2), math.log(100.0), 38))])
+    kernels = [functools.partial(sf._kernel_grid, n, n, policy=None) for n in range(1, 17)]
+    kernels += [functools.partial(sf._psi_kernel, n0, K, eps=1e-16)
+                for n0, K in ((-1, 12), (0, 0), (2, 0), (3, 12))]
+    for kernel in kernels:
+        among = kernel(pts)
+        for p in range(len(pts)):
+            for some in (pts[p:p + 1], pts[[p, p - 1]]):
+                cells = kernel(some)
+                for a, b in zip(among[:3], cells[:3]):
+                    assert a[..., p].tobytes() == b[..., 0].tobytes(), (kernel.args, pts[p])
+
+
 def test_unit_ball_volume():
     within(sf.unit_ball_volume(0), 1.0, 1e-14)
     within(sf.unit_ball_volume(1), 2.0, 1e-13)
