@@ -27,9 +27,15 @@ first block certifies where the plain series would need 37/(x |ln q|)
 terms.  The skipped steps come back in closed form, as polylogarithms of
 negative order in q^z, each with its own rounding slop and an ulp(0)
 floor where q^z underflows.  The q-series of one q can be summed as one
-stack (``_q_series_grids``), sharing each block's exps; a lone target's
-grid is the stack of one, and a chain's column reader fills the columns
-of one q as one stack.
+stack (``_q_series_grids``), sharing each block's exps, with the
+coefficients, recurrence steps, constants, tail bounds and stop tests of
+its columns as arrays over (order, column); a lone target's grid is the
+stack of one, and a chain's column reader fills the columns of one q as
+one stack.  Inside a verification run, the first grid read of a
+QSeriesTarget fills the stack of every q-series its claim built with its
+q and shift, at that grid's points, K and policy, and the others read
+their columns from the run's table (``_RunStacks``); stacks keep to one
+shift, so each column keeps the bits it has alone.
 
 The elementary leaves (``Const``, ``Affine``, ``PowShift``, ``LogShift``,
 ``ExpNegX``, ``SinPlus2``) compute their grid in numpy, a row per order,
@@ -75,8 +81,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PreconditionError, UsageError
 from .specfun import (
-    _EPS_MACH, _FLUSHED, DEFAULT_POLICY, _blocks, _exp_flushed, _kernel_grid, _psi, _psi_grid,
-    _slop, Enclosure, TruncationPolicy,
+    _EPS_MACH, _FLUSHED, _RUN_CELLS, DEFAULT_POLICY, _blocks, _exp_flushed, _kernel_grid, _psi,
+    _psi_grid, _slop, Enclosure, TruncationPolicy,
 )
 
 __all__ = [
@@ -116,9 +122,14 @@ class GridSpec:
             raise UsageError("log spacing requires lo > 0")
 
     def values(self) -> list[float]:
-        if self.spacing == "linear":
-            return [float(v) for v in np.linspace(self.lo, self.hi, self.points)]
-        return [float(v) for v in np.geomspace(self.lo, self.hi, self.points)]
+        """The points, a fresh list at each call."""
+        return list(self._values)
+
+    @functools.cached_property
+    def _values(self) -> tuple[float, ...]:
+        # computed once per instance, and kept where no caller can change it
+        space = np.linspace if self.spacing == "linear" else np.geomspace
+        return tuple(space(self.lo, self.hi, self.points).tolist())
 
     def with_points(self, points: int) -> "GridSpec":
         return GridSpec(self.lo, self.hi, points, self.spacing)
@@ -218,7 +229,8 @@ class _JetGrid:
         self.values, self.errors, self.terms = values, errors, terms
         self.failures = failures
         failed = [p for p, f in enumerate(failures) if f is not None]
-        values[:, failed] = errors[:, failed] = np.nan
+        if failed:  # an empty index still costs a few microseconds
+            values[:, failed] = errors[:, failed] = np.nan
 
     @property
     def ok(self) -> np.ndarray:
@@ -549,8 +561,8 @@ class QSeriesTarget(Target):
         ordered = sorted(zip(self.terms, self.steps), key=lambda tn: tn[0][1])
         rec = [(m, ((d - self.shift) + ell * r) * lnq, w * r)
                for (w, m, d, r), n in ordered for ell in range(n)]
-        ms, self._delta, self._wr = np.array(rec, dtype=float).reshape(-1, 3).T.copy()
-        self._m = ms.astype(int)
+        ms, delta, wr = np.array(rec, dtype=float).reshape(-1, 3).T
+        self._m, self._steps = ms.astype(int), np.array([delta, wr])  # (S,) and (2, S)
         self._logs = sum(n for (_, m, _, _), n in ordered if m == -1)
         moved = [d + n * r for (_, _, d, r), n in zip(self.terms, self.steps)]
         self._start = min(moved)
@@ -569,32 +581,59 @@ class QSeriesTarget(Target):
         magnitude = sum(abs(w) * (p / (1.0 - p) - math.log1p(-p)) for p, w in parts)
         self._const_err = _slop(3 + len(parts), magnitude) + _slop(
             1, -math.log1p(-q) * sum(abs(w * d) for w, d, _ in log_gamma))
+        table = _RUN_CELLS.get()
+        if table is not None:
+            _RunStacks.of(table).enlist(self)
 
     deriv = Target.deriv
 
-    def _coeffs(self, j, shift):
-        """c_j and its slop weight on the block ``j``, for the series in
-        q^(j(x + shift)), shift <= ``self.shift``."""
-        lnq = math.log(self.q)
-        c, weight = np.zeros_like(j), np.zeros_like(j)
+    @staticmethod
+    def _coeffs(stack, j, shift):
+        """c_j and its slop weight on the block ``j`` for every column of
+        ``stack``, as (columns, J) arrays, for the series in
+        q^(j(x + shift)), shift <= each column's ``shift``.  The terms are
+        rows, term i of every column before term i + 1, so each column adds
+        its terms in order; a column with fewer terms than the widest is
+        padded with terms of weight 0, which add exact zeros.  Rows run in
+        chunks that keep every temporary within _CHUNK_ELEMENTS or one row."""
+        lnq = math.log(stack[0].q)
+        T, width = len(stack), max(len(t._g) for t in stack)
+        rows = [t._g[i] if i < len(t._g) else (0.0, *t._g[0][1:]) for i in range(width) for t in stack]
+        wr, _, dm, d, _ = np.array(rows, dtype=float).T
+        moved, given = (dm - shift) * lnq, (d - shift) * lnq
         # (jL)^m and -expm1(j b) are shared by the terms of one m and one r
-        power, denom = {}, {}
-        for wr, m, dm, d, b in self._g:
-            ja = j * ((dm - shift) * lnq)
+        ms, bs = [row[1] for row in rows], [row[4] for row in rows]
+        power = {m: (j * lnq) ** m for m in set(ms)}
+        denom = {b: -np.expm1(j * b) for b in set(bs)}
+        c, weight = np.empty((2, T, len(j)))
+        step = max(1, _CHUNK_ELEMENTS // len(j))
+        for r0 in range(0, len(rows), step):
+            r1 = min(r0 + step, len(rows))
+            ja = np.multiply.outer(moved[r0:r1], j)
             if j[0] == 1.0:
-                ja[0] = (d - shift) * lnq
-            if m not in power:
-                power[m] = (j * lnq) ** m
-            if b not in denom:
-                denom[b] = -np.expm1(j * b)
-            g = wr * power[m] * _exp_flushed(ja, ja[-1]) / denom[b]  # ja falls with j
-            c -= g
-            weight += np.abs(g) * (1.0 - ja)
+                ja[:, 0] = given[r0:r1]
+            least = min(moved[r0:r1].tolist()) * j[-1]  # ja falls with j
+            g = (wr[r0:r1, None] * _rows_of(power, ms[r0:r1])
+                 * _exp_flushed(ja, least) / _rows_of(denom, bs[r0:r1]))
+            np.subtract(1.0, ja, out=ja)
+            ja *= np.abs(g)  # |g| (1 - ja)
+            # the chunk's rows of each term i, columns lo..hi
+            for i in range(r0 // T, (r1 - 1) // T + 1):
+                lo, hi = max(r0, i * T) - r0, min(r1, (i + 1) * T) - r0
+                cols = slice(lo + r0 - i * T, hi + r0 - i * T)
+                if i:
+                    c[cols] -= g[lo:hi]
+                    weight[cols] += ja[lo:hi]
+                else:  # 0 - g and 0 + |g| (1 - ja), as from zeros
+                    np.subtract(0.0, g[lo:hi], out=c[cols])
+                    np.add(0.0, ja[lo:hi], out=weight[cols])
         return c, weight
 
-    def _recurrence(self, rate, K):
-        """The recurrence part at orders 0..K: (values, errors), (K+1, P),
-        at the points where (x + shift) ln q is ``rate``.
+    @staticmethod
+    def _recurrence(stack, rates, K):
+        """The recurrence part of every column of ``stack`` at orders 0..K:
+        (values, errors) of shape (K+1, columns, P), at the points where
+        (x + the column's shift) ln q is ``rates``, (columns, P).
 
         Step l of term i at order k is w r L^(n+1) Li_{-n}(u), with n = m + k
         and u = q^z, z = x + d + l r.  Its first power, w r L^(n+1) u, is
@@ -605,8 +644,13 @@ class QSeriesTarget(Target):
         give u and v = u / -expm1(e); then Li_{-n}(u) - u = v (u +
         sum_{k>=1} k! S(n+1, k+1) v^k) by Horner (the leading zeros of a
         lower order leave its bits alone), and Li_1(u) - u = log1p(v) - u.
-        The steps of a point are summed along one axis of fixed length, so
-        a column depends only on its point.
+
+        The columns are one array over (order, column, point, step), a
+        column with fewer steps padded with steps of weight 0, in pieces of
+        columns whose padding costs less than a piece; each column sums its
+        own steps along the last axis, a row of its own length as it has
+        alone (numpy's pairwise sum groups by length), so a column's bits
+        depend only on its own steps and point.
 
         Each summand's relative error adds up: e carries 2.5 eps of itself
         (both of its parts are negative), u and v 2.5 |e| + 5 eps (exp's
@@ -615,54 +659,167 @@ class QSeriesTarget(Target):
         them, weighing log1p(v) + u where n = -1.  The sum adds S + 7 eps of
         the summands' magnitudes, which may cancel between terms.  Where u
         is subnormal or 0 its error is absolute: each step adds
-        2 ulp(0)(|w r L^(n+1)| + 1).  Points run in chunks that keep every
-        temporary within _CHUNK_ELEMENTS.
+        2 ulp(0)(|w r L^(n+1)| + 1).  Columns and points run in chunks that
+        keep every temporary within _CHUNK_ELEMENTS.
         """
-        delta, logs = self._delta, self._logs
-        P, S = len(rate), len(delta)
-        values, errors = np.zeros((K + 1, P)), np.zeros((K + 1, P))
-        if not S:
-            return values, errors
-        lnq = math.log(self.q)
-        n1 = (self._m + 1) + np.arange(K + 1)[:, None]  # n + 1, (K+1, S)
-        top = int(self._m[-1]) + K  # the steps of the highest m come last
-        f = self._wr * np.array([lnq**p for p in range(top + 2)])[n1]
-        size = np.abs(f)
-        floor = 2.0 * math.ulp(0.0) * (size + 1.0).sum(axis=1)
-        size *= n1 + (1.0 + (S + 7.0) / 7.0)
-        # Horner coefficients of degrees D-1..1, highest first: (D-1, K+1, 1, S)
-        coef = _li_table(max(top, 0))[n1].transpose(2, 0, 1)[:0:-1, :, None, :]
-        f, size = f[:, None, :], size[:, None, :]
-        step = max(1, _CHUNK_ELEMENTS // ((K + 1) * S))
+        T, P = rates.shape
+        values, errors, floor = np.zeros((K + 1, T, P)), np.zeros((K + 1, T, P)), np.zeros((K + 1, T))
+        lnq = math.log(stack[0].q)
+        counts = [len(t._m) for t in stack]
+        # L^p for every n + 1 of the stack; m is sorted within each column
+        top = max((int(t._m[-1]) for t in stack if len(t._m)), default=-1) + K
+        lnq_pow = np.array([lnq**p for p in range(top + 2)])
+        # pieces: the columns by step count, those of the next count joining
+        # while their padding adds at most _CHUNK_ELEMENTS / 8 cells; each
+        # piece in column order, as _recurrence_part reads a range of
+        # columns as a slice
+        pieces = []
+        for n in sorted(set(counts) - {0}):
+            same = [c for c, k in enumerate(counts) if k == n]
+            if pieces and (K + 1) * P * sum(n - counts[c] for c in pieces[-1]) <= _CHUNK_ELEMENTS // 8:
+                pieces[-1] = sorted(pieces[-1] + same)
+            else:
+                pieces.append(same)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for c0 in range(0, P, step):
-                cols = slice(c0, c0 + step)
-                e = rate[cols, None] + delta
-                u = np.exp(e)
-                v = np.expm1(e)
-                np.divide(u, v, out=v)
-                np.negative(v, out=v)
-                rest = np.zeros((K + 1, len(e), S))
-                for c in coef:
-                    rest += c
-                    rest *= v
-                rest += u
-                rest *= v
-                if logs:
-                    li1, ul = np.log1p(v[:, :logs]), u[:, :logs]
-                    rest[0, :, :logs] = li1 - ul
-                values[:, cols] = (rest * f).sum(axis=-1)
-                if logs:
-                    rest[0, :, :logs] = li1 + ul
-                e *= -3.0  # e <= 0
-                e += 7.0
-                rest *= e
-                rest *= size
-                errors[:, cols] = rest.sum(axis=-1)
-        return values, _slop(1.0, errors) + floor[:, None]
+            for cols in pieces:
+                width = max(1, _CHUNK_ELEMENTS // ((K + 1) * max(counts[c] for c in cols)))
+                for i in range(0, len(cols), width):
+                    _recurrence_part(stack, cols[i:i + width], rates, K, lnq_pow, values, errors, floor)
+        return values, _slop(1.0, errors) + floor[:, :, None]
 
     def _jets(self, xs, K, policy):
-        return _q_series_grids([self], xs, K, policy)[0]
+        table = _RUN_CELLS.get()
+        if table is None:
+            return _q_series_grids([self], xs, K, policy)[0]
+        return _RunStacks.of(table).grid(self, xs, K, policy)
+
+
+def _rows_of(rows, keys):
+    """The rows ``rows[key]`` for ``keys``: one row, which broadcasts, where
+    every key is the same, else a (len(keys), J) array."""
+    if len(set(keys)) == 1:
+        return rows[keys[0]]
+    return np.array([rows[key] for key in keys])
+
+
+def _recurrence_part(stack, cols, rates, K, lnq_pow, values, errors, floor):
+    """``QSeriesTarget._recurrence`` for the columns ``cols`` of ``stack``:
+    their values, their errors before the sum's slop, and their floors,
+    into ``values[:, cols]``, ``errors[:, cols]`` and ``floor[:, cols]``."""
+    counts = [len(stack[c]._m) for c in cols]
+    S = max(counts)
+    cs = _span(cols)
+    # the steps in order of m (the steps of ln Gamma_q terms first), a
+    # shorter column padded with m = -1 and weight 0 (then e = rate), and
+    # (n, the columns of n steps) for each count n where the counts differ
+    if counts.count(S) == len(cols):
+        m, groups = np.array([stack[c]._m for c in cols]), None
+        delta, wr = np.array([stack[c]._steps for c in cols]).transpose(1, 0, 2)
+    else:
+        m, (delta, wr) = np.full((len(cols), S), -1), np.zeros((2, len(cols), S))
+        for i, c in enumerate(cols):
+            m[i, :counts[i]], delta[i, :counts[i]], wr[i, :counts[i]] = stack[c]._m, *stack[c]._steps
+        groups = [(n, [i for i, k in enumerate(counts) if k == n]) for n in sorted(set(counts))]
+    delta = delta[:, None, :]
+    # the first _logs steps of each column, the ln Gamma_q steps
+    logs = [[[stack[c]._logs]] for c in cols]
+    logs = np.arange(S) < np.array(logs) if any(n for [[n]] in logs) else None
+    n1 = (m + 1) + np.arange(K + 1)[:, None, None]  # n + 1, (K+1, columns, S)
+    f = wr * lnq_pow[n1]
+    size = np.abs(f)
+    floor[:, cs] = 2.0 * math.ulp(0.0) * _row_sums(size + 1.0, groups)
+    size *= n1 + (1.0 + ((S if groups is None else np.array(counts)[:, None]) + 7.0) / 7.0)
+    # Horner coefficients of degrees D-1..1, highest first: (D-1, K+1, columns, 1, S)
+    coef = _li_table(max(int(m.max()) + K, 0))[n1].transpose(3, 0, 1, 2)[:0:-1, :, :, None, :]
+    f, size = f[:, :, None, :], size[:, :, None, :]
+    step = max(1, _CHUNK_ELEMENTS // ((K + 1) * len(cols) * S))
+    for p0 in range(0, rates.shape[1], step):
+        pts = slice(p0, p0 + step)
+        e = rates[cs, pts, None] + delta
+        u = np.exp(e)
+        v = np.expm1(e)
+        np.divide(u, v, out=v)
+        np.negative(v, out=v)
+        rest = np.zeros((K + 1,) + e.shape)
+        for i, c in enumerate(coef):
+            # orders below K - i have only leading zeros up to this degree:
+            # they stay 0, as they would at any finite v
+            rest[max(0, K - i):] += c[max(0, K - i):]
+            rest[max(0, K - i):] *= v
+        rest += u
+        rest *= v
+        if logs is not None:
+            li1 = np.log1p(v)
+            rest[0] = np.where(logs, li1 - u, rest[0])
+        values[:, cs, pts] = _row_sums(rest * f, groups)
+        if logs is not None:
+            rest[0] = np.where(logs, li1 + u, rest[0])
+        e *= -3.0  # e <= 0
+        e += 7.0
+        rest *= e
+        rest *= size
+        errors[:, cs, pts] = _row_sums(rest, groups)
+
+
+def _row_sums(parts, groups):
+    """The sum of ``parts``, (K+1, columns, ..., steps), over each column's
+    own steps: all of them where ``groups`` is None, else the first n for
+    the columns of each (n, columns) of ``groups``."""
+    if groups is None:
+        return parts.sum(axis=-1)
+    out = np.empty(parts.shape[:-1])
+    for n, cols in groups:
+        out[:, cols] = parts[:, cols, ..., :n].sum(axis=-1)
+    return out
+
+
+class _RunStacks:
+    """The q-series grids of a verification run, one stack per (q, shift,
+    points, K, policy) of a claim.
+
+    A claim builds all its checks before any of them runs, so every
+    QSeriesTarget built inside a run is enlisted (``enlist``), under its
+    (q, shift), before its grid is first read.  The first read of a grid
+    fills the stack of every enlisted target of that (q, shift) not yet
+    filled, at the grid's points, K and policy, and later reads of those
+    columns find theirs here.  A target built after a read starts the next
+    claim's stacks and drops these.  Only columns of one shift share a
+    stack, so each keeps the bits it has alone.  Outside a run nothing is
+    kept, and a grid is the stack of one.
+    """
+
+    @staticmethod
+    def of(table) -> "_RunStacks":
+        """The stacks of the run whose cell table is ``table``."""
+        stacks = table.get(_RunStacks)
+        if stacks is None:
+            stacks = table[_RunStacks] = _RunStacks()
+        return stacks
+
+    def __init__(self):
+        self.built = {}  # (q, shift) -> the targets enlisted since the last claim
+        self.grids = {}  # (target, points, K, policy) -> its grid
+        self.filled = set()
+        self.read = False
+
+    def enlist(self, target):
+        if self.read:
+            self.__init__()
+        self.built.setdefault((target.q, target.shift), []).append(target)
+
+    def grid(self, target, xs, K, policy):
+        self.read = True
+        key = (xs.tobytes(), K, policy or DEFAULT_POLICY)
+        grid = self.grids.get((target, *key))
+        if grid is None:
+            stack = [t for t in self.built.get((target.q, target.shift), ()) if t not in self.filled]
+            if target not in stack:
+                stack.append(target)
+            for t, g in zip(stack, _q_series_grids(stack, xs, K, policy)):
+                self.grids[(t, *key)] = g
+            self.filled.update(stack)
+            grid = self.grids[(target, *key)]
+        return grid
 
 
 def _q_series_grids(targets, xs, K, policy) -> list[_JetGrid]:
@@ -674,28 +831,34 @@ def _q_series_grids(targets, xs, K, policy) -> list[_JetGrid]:
     least of its columns' shifts, so that a block takes one exp per
     (point, j), of e = j (x + shift) ln q, shared by the columns; each
     column's coefficients absorb q^(j (its shift - shift)) (``_coeffs``),
-    so a column's bits move with the stack's shift, and a stack of one
-    keeps its own.  A point where x + shift <= 0 fails in every column.
-    The recurrence part, the constant and the tail bound stay per column,
-    and every (order, column, point) keeps its own sums, tail test and
-    stop.  Points run in chunks, so that no temporary holds more than
-    _CHUNK_ELEMENTS elements or one row of the block.  The recurrence part
-    joins each cell as it stops; a point where it does not come out finite
-    fails in its column with DomainError.
+    so a column's bits move with the stack's shift, and a column in a
+    stack of its own shift keeps the bits it has alone.  A point where
+    x + shift <= 0 fails in every column.  The recurrence part
+    (``QSeriesTarget._recurrence``), the constants and the tail bounds
+    are arrays over the columns, and every (order, column, point) keeps
+    its own sums, tail test and stop.  The recurrence part joins each cell
+    as it stops; a point where it does not come out finite fails in its
+    column with DomainError.
 
     A term of a column is t = exp(e) c_j; order k is order k-1 times j
-    (Taylor mode), up to the chunk's highest order that is still active.
-    In the rounding slop, term k weighs exp(e) j^k (c_j's weight)
-    (1 + |e| + k): exp turns the |e| ulp error of e into a relative error,
-    and k products round.  Where an exp or a product is subnormal or 0,
-    its error is absolute, and an exp below 2^-1020, in a term or in c_j,
-    is flushed to 0 (``_exp_flushed``), so order k adds the floor
+    (Taylor mode), one product per order over a whole (column, point, j)
+    block, up to the highest order still active, and each cell sums its
+    row along j.  (One ``np.multiply.accumulate`` along an order axis
+    would round alike, but it ran about five times slower than the loop
+    on an (8, 1, 32, 64) block.)  Columns and points run in chunks, the
+    columns counting toward the size, so that no temporary holds more
+    than _CHUNK_ELEMENTS elements or one row of the block.  In the
+    rounding slop, term k weighs exp(e) j^k (c_j's weight) (1 + |e| + k):
+    exp turns the |e| ulp error of e into a relative error, and k
+    products round.  Where an exp or a product is subnormal or 0, its
+    error is absolute, and an exp below 2^-1020, in a term or in c_j, is
+    flushed to 0 (``_exp_flushed``), so order k adds the floor
     ((k + 3) ulp(0) + 2^-1019) J max(amp, 1) (hi + 1)^max(k + jpow, 0) per
     block of J terms, times |pref|, plus ulp(0) for the product with pref
-    (|c_j| <= amp j^jpow, as start >= shift).  Past a block, the terms'
-    bound amp j^n q^(jy), n = k + jpow and y = x + start, falls by at most
-    ((hi + 2)/(hi + 1))^n q^y a step, or by q^y where n < 0 (an ln Gamma_q
-    term at order 0).
+    (|c_j| <= amp j^jpow, as start >= shift).  Past a block, the
+    terms' bound amp j^n q^(jy), n = k + jpow and y = x + start, falls by
+    at most ((hi + 2)/(hi + 1))^n q^y a step, or by q^y where n < 0 (an
+    ln Gamma_q term at order 0).
     """
     policy = policy or DEFAULT_POLICY
     q, lnq = targets[0].q, math.log(targets[0].q)
@@ -707,73 +870,85 @@ def _q_series_grids(targets, xs, K, policy) -> list[_JetGrid]:
         for column in failures:
             column[p] = DomainError(f"x + {shift} must be positive, got x={float(xs[p])}")
     good = np.flatnonzero(~outside)
+    xg = xs[good]
     # cells (order, column, point), the points being good's
     shape = (K + 1, T, len(good))
-    rec, rec_err = np.empty(shape), np.empty(shape)
-    for c, target in enumerate(targets):
-        rec[:, c], rec_err[:, c] = target._recurrence((xs[good] + target.shift) * lnq, K)
+    shifts = np.array([[target.shift] for target in targets])
+    rec, rec_err = QSeriesTarget._recurrence(targets, (xg + shifts) * lnq, K)
     # the recurrence part's error weighs the same summands by 21 or more, so
     # it is not finite where the value is not
     finite = np.isfinite(rec_err).all(axis=0)
     if not finite.all():
         for c, p in zip(*np.nonzero(~finite)):
             failures[c][good[p]] = DomainError(
-                f"combined q-series (q={q}, K={K}) overflows at x={float(xs[good[p]])}")
+                f"combined q-series (q={q}, K={K}) overflows at x={float(xg[p])}")
     active = np.repeat(finite[None], K + 1, axis=0)
-    values, errors = np.full(shape, np.nan), np.full(shape, np.nan)
+    values, errors = np.full((2,) + shape, np.nan)
     terms = np.zeros(shape, dtype=np.int64)
-    total, abs_total = np.zeros(shape), np.zeros(shape)
-    rate = (xs[good] + shift) * lnq
+    total, abs_total = np.zeros((2,) + shape)
+    rate = (xg + shift) * lnq
     # per column: amp, the floor, and T^(k) = C[k=0] + pref[k] * sum j^k ...
     # + the recurrence part
     amp = np.array([target.amp for target in targets])
     floor = np.zeros((K + 1, T))
     pref = np.array([-lnq * lnq**k for k in range(K + 1)])
-    const, const_err = np.zeros((K + 1, T, 1)), np.zeros((K + 1, T, 1))
+    const, const_err = np.zeros((2, K + 1, T, 1))
     const[0, :, 0] = [target._const for target in targets]
     const_err[0, :, 0] = [target._const_err for target in targets]
-    y = xs[good] + np.array([[target._start] for target in targets])  # of the tail bound
-    qy = np.array([q**v for v in y.ravel().tolist()]).reshape(y.shape)
+    # the tail bound's y = x + start, and q^y, once per distinct start:
+    # row[c] is the row of column c where starts repeat
+    starts = list(dict.fromkeys(target._start for target in targets))
+    row = [starts.index(target._start) for target in targets] if len(starts) < T else slice(None)
+    y = xg + np.array(starts)[:, None]
+    qy = _pow(q, y)[row]
     powers = [k + target.jpow for k in range(K + 1) for target in targets]  # (order, column)
     try:
         for j0, hi in _blocks(policy, "combined q-series (q={}, K={})", q, K, first=_FIRST_BLOCK):
+            if not active.any():  # no point of the stack is finite
+                break
             j = np.arange(j0 + 1, hi + 1, dtype=float)
-            coeffs = [target._coeffs(j, shift) for target in targets]
+            J = len(j)
+            # the points, columns and orders still active; the cells that
+            # already stopped are summed along, and their values stay
             live = np.flatnonzero(active.any(axis=(0, 1)))
-            step = max(1, _CHUNK_ELEMENTS // len(j))
-            for c0 in range(0, len(live), step):
-                pts = _span(live[c0:c0 + step])
-                e = np.multiply.outer(rate[pts], j)
-                w = np.abs(e) + 1.0
-                _exp_flushed(e, rate[pts].min() * j[-1], out=e)
-                for col, (c, weight) in enumerate(coeffs):
-                    # the chunk's points where order k already stopped are
-                    # summed along; their recorded values stay
-                    wanted = active[:, col, pts].any(axis=1).tolist()
-                    if not any(wanted):
-                        continue
-                    top = max(k for k in range(K + 1) if wanted[k])
-                    t = e * c
-                    # exp(e) j^k weight, in place in the last column
-                    u = np.multiply(e, weight, out=e if col == T - 1 else None)
-                    wt = np.empty_like(t)  # u (1 + |e| + k)
-                    for k in range(top + 1):
+            act = active.any(axis=2)  # (order, column)
+            cols = np.flatnonzero(act.any(axis=0)).tolist()
+            orders = int(np.flatnonzero(act.any(axis=1))[-1]) + 1
+            tc = min(len(cols), max(1, _CHUNK_ELEMENTS // J))
+            pc = max(1, _CHUNK_ELEMENTS // (J * tc))
+            for c0 in range(0, len(cols), tc):
+                cs = _span(np.array(cols[c0:c0 + tc]))
+                c, weight = QSeriesTarget._coeffs([targets[i] for i in cols[c0:c0 + tc]], j, shift)
+                c, weight = c[:, None, :], weight[:, None, :]
+                for p0 in range(0, len(live), pc):
+                    pts = _span(live[p0:p0 + pc])
+                    e = np.multiply.outer(rate[pts], j)
+                    w = np.abs(e) + 1.0
+                    _exp_flushed(e, rate[pts].min() * j[-1], out=e)
+                    # t = exp(e) c_j and u = exp(e) j^k (c_j's weight), and
+                    # each cell's sums of t and of u (1 + |e| + k) along j
+                    t, u = e * c, e * weight
+                    wk, wt = np.empty_like(w), np.empty_like(t)
+                    sums = np.empty((2, orders) + t.shape[:2])
+                    for k in range(orders):
                         if k:
                             t *= j
                             u *= j
-                        if wanted[k]:
-                            total[k, col, pts] += t.sum(axis=1)
-                            np.add(w, k, out=wt)
-                            wt *= u
-                            abs_total[k, col, pts] += wt.sum(axis=1)
+                        t.sum(axis=-1, out=sums[0, k])
+                        np.add(w, k, out=wk)
+                        np.multiply(u, wk, out=wt)
+                        wt.sum(axis=-1, out=sums[1, k])
+                    cells = _outer(slice(0, orders), cs, pts)
+                    total[cells] += sums[0]
+                    abs_total[cells] += sums[1]
             live = _span(live)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.array([((hi + 2.0) / (hi + 1.0)) ** max(n, 0) for n in powers])
                 rho = ratio.reshape(K + 1, T, 1) * qy[:, live]
-                far = np.array([q**v for v in ((hi + 1.0) * y[:, live]).ravel().tolist()])
+                far = _pow(q, (hi + 1.0) * y[:, live])[row]
                 hpow = np.array([(hi + 1.0) ** n for n in powers]).reshape(K + 1, T)
-                tail = (amp * hpow)[:, :, None] * far.reshape(T, -1) / (1.0 - rho)
-            floor += np.maximum(amp, 1.0) * len(j) * np.maximum(hpow, 1.0)
+                tail = (amp * hpow)[:, :, None] * far / (1.0 - rho)
+            floor += np.maximum(amp, 1.0) * J * np.maximum(hpow, 1.0)
             sums = total[:, :, live]
             done = active[:, :, live] & (rho < 1.0) & (tail <= policy.eps * (1.0 + np.abs(sums)))
             if done.any():
@@ -805,6 +980,20 @@ def _q_series_grids(targets, xs, K, policy) -> list[_JetGrid]:
                 a[:, good] = b
         grids.append(_JetGrid(*cells, failures[c]))
     return grids
+
+
+def _pow(q, a):
+    """q**a at every element of ``a``, as Python's float power rounds it
+    (numpy's power differs in some last bits)."""
+    return np.fromiter(map(q.__pow__, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
+def _outer(*idx):
+    """An index of the cells at every combination of ``idx``, one slice or
+    index array per axis."""
+    if sum(not isinstance(i, slice) for i in idx) < 2:
+        return idx
+    return np.ix_(*(np.arange(i.start, i.stop) if isinstance(i, slice) else i for i in idx))
 
 
 class ExpNegX(Target):

@@ -691,20 +691,33 @@ def _q_ln_gamma_sub1(x: float, q: float, policy: TruncationPolicy):
     x -> 1.  |term_n| <= q^n |q^x - q| / (1 - q^(n+min(x,1))), which decays
     geometrically with ratio q.  Every term has the sign of x - 1, so the
     summands' magnitudes add up to |const| + |total|, returned for the slop.
+
+    From n = floor((ln(2^-1020) - 1)/ln q) + 1 on, the exponent (n+1) ln q
+    is surely below ln(2^-1020) - 1, where numpy's exp takes its slow path:
+    those terms are left out without an exp, each under the floor
+    2 * 2^-1020 |q^(x-1) - 1| / (1 - q^(n'+min(x,1))), n' the first one
+    left out, which the returned tail adds.  The terms before the cut keep
+    the bits of np.exp.
     """
     lnq = math.log(q)
     const = (1.0 - x) * math.log1p(-q)
     shift = math.expm1((x - 1.0) * lnq)  # q^(x-1) - 1
     diff = q * abs(shift)  # |q^x - q|
     m = min(x, 1.0)
-    total = 0.0
+    cut = math.floor((_EXP_LOW - 1.0) / lnq) + 1  # the first term left out
+    total = under = 0.0
     for n0, hi in _blocks(policy, "q-gamma product (x={}, q={})", x, q):
-        n = np.arange(n0, hi, dtype=float)
+        kept = min(hi, max(n0, cut))
+        n = np.arange(n0, kept, dtype=float)
         a = np.exp((n + 1.0) * lnq)  # q^(n+1)
         total += float(np.log1p(a * shift / -np.expm1((n + x) * lnq)).sum())
+        if kept < hi:  # |log1p(y)| <= 2 |y| for |y| <= 1/2
+            under += (hi - kept) * 2.0 * _FLUSHED * abs(shift) / -math.expm1((kept + m) * lnq)
         qN = math.exp(hi * lnq)
         denom = (1.0 - math.exp((hi + m) * lnq)) * (1.0 - q)
         tail = diff * qN / denom if denom > 0.0 else math.inf
+        if under:
+            tail += under
         val = const + total
         if tail <= policy.eps * (1.0 + abs(val)):
             return val, tail, hi, abs(const) + abs(total)

@@ -1,5 +1,6 @@
 import collections
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -246,7 +247,7 @@ def _per_order(t, k, x, policy=None):
         while True:
             hi = min(j0 + block, policy.max_terms)
             j = np.arange(j0 + 1, hi + 1, dtype=float)
-            c, weight = t._coeffs(j, t.shift)
+            (c,), (weight,) = ce.QSeriesTarget._coeffs([t], j, t.shift)  # a stack of one
             # one exp per term, then k products by j
             arg = j * (y * lnq)
             terms = ce._exp_flushed(arg, -math.inf) * c
@@ -657,10 +658,16 @@ def test_q_series_grid_caps_its_block_temporaries(monkeypatch):
         def __getattr__(self, name):
             return getattr(np, name)
 
-        def exp(self, a, *args, **kwargs):
-            self.sizes.append(np.size(a))
-            self.rows.append(np.shape(a)[-1])
-            return np.exp(a, *args, **kwargs)
+        def _recorded(self, out):
+            self.sizes.append(np.size(out))
+            self.rows.append(np.shape(out)[-1])
+            return out
+
+        def exp(self, *args, **kwargs):
+            return self._recorded(np.exp(*args, **kwargs))
+
+        def empty_like(self, *args, **kwargs):  # the block's (column, point, j) products
+            return self._recorded(np.empty_like(*args, **kwargs))
 
     recorder = RecordingNumpy()
     # the block's exps go through specfun._exp_flushed
@@ -676,8 +683,37 @@ def test_q_series_grid_caps_its_block_temporaries(monkeypatch):
     assert max(recorder.rows) == 8 * ce._FIRST_BLOCK
     # the 64 points fill the cap exactly in the blocks of 256 terms or more
     assert max(recorder.sizes) == ce._CHUNK_ELEMENTS == 1 << 14
+    # a stack of three columns at K = 7 (shift 0, 1 to 3 terms, orders
+    # -1 to 1) counts its columns toward the cap: its points run in chunks
+    stack = [target, ce.QSeriesTarget(q, [(1.0, -1, 0.0), (-1.0, -1, 0.5)]), ce.QSeriesTarget(q, [(1.0, 1, 0.0)])]
+    recorder.sizes.clear()
+    grids = ce._q_series_grids(stack, np.array(xs), 7, fine)
+    assert ce._CHUNK_ELEMENTS // 2 < max(recorder.sizes) <= ce._CHUNK_ELEMENTS
     monkeypatch.undo()
     _assert_grid_matches_per_order(target, xs[::9], 12, fine)
+    for column, grid in zip(stack, grids):
+        (alone,) = ce._q_series_grids([column], np.array(xs), 7, fine)
+        for a, b in zip((grid.values, grid.errors, grid.terms), (alone.values, alone.errors, alone.terms)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_a_stack_keeps_each_column_whatever_the_order_of_its_step_counts():
+    """Columns of 2 and 4 recurrence steps, of one shift, in every order: the
+    recurrence part joins the columns of both counts into one piece, which
+    must keep the columns' order, and each column keeps the bits it has
+    alone."""
+    q = 0.5
+    columns = [ce.QSeriesTarget(q, [(1.0, 0, 0.0)]), ce.QSeriesTarget(q, [(1.0, 0, 0.0), (-1.0, 0, 0.25)]),
+               ce.QSeriesTarget(q, [(2.0, 1, 0.0)]), ce.QSeriesTarget(q, [(1.0, 1, 0.0), (-1.0, 1, 0.5)])]
+    assert [len(t._m) for t in columns] == [2, 4, 2, 4]
+    xs = np.geomspace(0.1, 10.0, 8)
+    for K in (0, 3):
+        alone = {t: ce._q_series_grids([t], xs, K, None)[0] for t in columns}
+        for order in itertools.permutations(columns):
+            for t, grid in zip(order, ce._q_series_grids(list(order), xs, K, None)):
+                for a, b in zip((grid.values, grid.errors, grid.terms),
+                                (alone[t].values, alone[t].errors, alone[t].terms)):
+                    assert a.tobytes() == b.tobytes(), (K, t.terms)
 
 
 def test_no_q_series_grid_of_the_corpus_enters_a_second_block(monkeypatch, tmp_path):
@@ -1265,3 +1301,23 @@ def test_grid_spec_validation():
         ce.GridSpec(-math.inf, 1.0, 4, "linear")
     g = ce.GridSpec(0.0, 2.0, 5, "linear")
     assert g.values() == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+
+def test_grid_spec_values_are_computed_once_and_shared_by_no_caller(monkeypatch):
+    """A spec computes its points once, with numpy's floats, and each call
+    returns a fresh list, so that no caller can change another's points."""
+    calls = []
+    geomspace = np.geomspace
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return geomspace(*args, **kwargs)
+
+    monkeypatch.setattr(ce.np, "geomspace", counted)
+    g = ce.GridSpec(1e-2, 50.0, 64, "log")
+    first = g.values()
+    assert first == [float(v) for v in geomspace(1e-2, 50.0, 64)]
+    first[0] = -1.0
+    second = g.values()
+    assert second[0] == 1e-2 and second is not first
+    assert g.values() == second and len(calls) == 1

@@ -333,6 +333,125 @@ def test_column_chains_pass_near_q_1(monkeypatch, claim_id, overrides):
 
 
 # ---------------------------------------------------------------------------
+# the q-series stacks of a verification run
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def verify_stacks(tmp_path_factory):
+    """(claim, columns, xs, K, grids) of each ``_q_series_grids`` call of
+    one ``verify --suite all`` pass, and the number of
+    ``QSeriesTarget._recurrence`` calls."""
+    from qgammakit import cli
+
+    calls, claim, recurrences = [], [None], [0]
+    stacked, run, recurrence = ce._q_series_grids, corpus.run_descriptor, ce.QSeriesTarget._recurrence
+
+    def counted(targets, xs, K, policy):
+        grids = stacked(targets, xs, K, policy)
+        calls.append((claim[0], list(targets), xs.copy(), K, grids))
+        return grids
+
+    def named(claim_id, *args, **kwargs):
+        claim[0] = claim_id
+        return run(claim_id, *args, **kwargs)
+
+    def counted_recurrence(*args):
+        recurrences[0] += 1
+        return recurrence(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ce, "_q_series_grids", counted)
+        mp.setattr(corpus, "run_descriptor", named)
+        mp.setattr(ce.QSeriesTarget, "_recurrence", staticmethod(counted_recurrence))
+        out = tmp_path_factory.mktemp("verify") / "report.json"
+        assert cli.main(["verify", "--suite", "all", "--out", str(out)]) == 0
+    return calls, recurrences[0]
+
+
+def test_a_verify_pass_fills_one_stack_per_claim_q_grid_order_and_shift(verify_stacks):
+    """64 stacks, not one grid per check: a claim's q-series of one (q,
+    shift, points, K) share one, across its checks, and each stack takes
+    one recurrence call.  thm8-lcm keeps its 12, whose shifts differ."""
+    calls, recurrences = verify_stacks
+    assert len(calls) == recurrences == 64
+    per_claim = collections.Counter(claim for claim, *_ in calls)
+    assert {c: per_claim[c] for c in ("thm3-chain", "qthm-monotone", "cor2-lcm", "thm8-lcm")} == {
+        "thm3-chain": 12, "qthm-monotone": 2, "cor2-lcm": 4, "thm8-lcm": 12}
+    keys = [(claim, t.q, t.shift, xs.tobytes(), K) for claim, ts, xs, K, _ in calls for t in ts
+            if claim not in _COLUMN_CHAINS]
+    assert len(set(keys)) == sum(claim not in _COLUMN_CHAINS for claim, *_ in calls)
+
+
+def _bits(grid):
+    cells = (grid.values, grid.errors, grid.terms)
+    return [a.tobytes() for a in cells] + [None if f is None else (type(f), str(f)) for f in grid.failures]
+
+
+def test_a_column_keeps_its_bits_alone_in_its_claim_stack_and_across_claims(verify_stacks):
+    """Every corpus q-series column of a same-shift stack has the bits, in
+    value, error and terms, that it has alone: in its claim-wide stack, and
+    in a stack of every corpus column of its q and shift, whatever their
+    orders and steps, at each points and K of those columns."""
+    calls, _ = verify_stacks
+    alone = {}
+
+    def lone(target, xs, K):
+        key = (target, xs.tobytes(), K)
+        if key not in alone:
+            alone[key] = _bits(ce._q_series_grids([target], xs, K, None)[0])
+        return alone[key]
+
+    by_shift = collections.defaultdict(dict)  # (q, shift) -> the distinct columns
+    for claim, targets, xs, K, grids in calls:
+        for target, grid in zip(targets, grids):
+            by_shift[target.q, target.shift].setdefault((target.terms, target.const), target)
+            if claim not in _COLUMN_CHAINS:  # the chains stack across shifts
+                assert _bits(grid) == lone(target, xs, K), (claim, target.terms)
+    mixed = 0
+    for (q, shift), columns in by_shift.items():
+        columns = list(columns.values())
+        if len(columns) < 2:
+            continue
+        mixed += len({t.steps for t in columns}) > 1
+        seen = set()
+        for claim, targets, xs, K, _ in calls:
+            if targets[0].q != q or (xs.tobytes(), K) in seen:
+                continue
+            seen.add((xs.tobytes(), K))
+            for target, grid in zip(columns, ce._q_series_grids(columns, xs, K, None)):
+                assert _bits(grid) == lone(target, xs, K), (q, shift, K, target.terms)
+    assert mixed  # some stacks join columns of other step counts
+
+
+def test_run_stacks_are_refilled_by_each_run_and_kept_by_none(monkeypatch):
+    """A run fills each stack once; a second run fills its own again, so a
+    tracer sees the same work in every run, and outside a run each
+    q-series grid is a stack of one and nothing is kept."""
+    calls = []
+    stacked = ce._q_series_grids
+
+    def counted(targets, xs, K, policy):
+        calls.append(len(targets))
+        return stacked(targets, xs, K, policy)
+
+    monkeypatch.setattr(ce, "_q_series_grids", counted)
+    reports = []
+    for _ in range(2):
+        with sf._run_cells():
+            reports.append(corpus.run_descriptor("cor2-lcm"))
+    assert calls == [2] * 8
+    calls.clear()
+    reports.append(corpus.run_descriptor("cor2-lcm"))
+    assert calls == [1] * 8 and sf._RUN_CELLS.get() is None
+    target = ce.QSeriesTarget(0.5, [(1.0, 0, 0.0)])
+    for _ in range(2):
+        target.jet_grid([0.5, 2.0], 3)
+    assert calls == [1] * 10
+    assert len({repr(r) for r in reports}) == 1
+
+
+# ---------------------------------------------------------------------------
 # each chain column and each link equals the public bounds function it
 # replaces
 # ---------------------------------------------------------------------------

@@ -130,33 +130,48 @@ def _eulerian(k):
     ]
 
 
+def _reach(q):
+    """The z at which the references below sum their series: z |ln q| is
+    4, or 10 sqrt(|ln q|) where that is less.  Near q = 1 the series in
+    q^(jz) then takes about 10/sqrt(|ln q|) terms at 40 digits, and the
+    steps that bring y up to z as many, where z |ln q| = 4 took 4/|ln q|
+    steps (4,000 at q = 0.999)."""
+    lnq = -mp.log(q)
+    return min(4, 10 * mp.sqrt(lnq)) / lnq
+
+
 def _psi_q(k, y, q, const=True):
     """psi_q^(k)(y) for 0 < q < 1 as an mpf; call inside ``mp.workdps``.
 
     The series (ln q)^(k+1) sum_j j^k q^(jy) / (1 - q^j) (plus -ln(1 - q) at
-    k = 0, unless ``const`` is False) is summed term by term at y + N, where
-    its terms fall by e^-4 or faster, until a term is below eps of the sum.
-    The functional equation psi_q(y) = psi_q(y + N) + ln q sum_{i<N}
-    q^(y+i) / (1 - q^(y+i)) brings it back; its terms differentiate to
-    (ln q)^(k+1) Li_{-k}(q^(y+i)).
+    k = 0, unless ``const`` is False) is summed term by term at y + N, N
+    the steps that bring y to ``_reach(q)``, until the geometric bound on
+    the rest, from the ratio (1 + 1/j)^k q^(y+N) of its terms, is below
+    eps of the sum.  The functional equation psi_q(y) = psi_q(y + N) +
+    ln q sum_{i<N} q^(y+i) / (1 - q^(y+i)) brings it back; its terms
+    differentiate to (ln q)^(k+1) Li_{-k}(q^(y+i)).  Five guard digits
+    cover the roundings of the longer sums.
     """
-    y, q = mp.mpf(y), mp.mpf(q)
-    lnq = mp.log(q)
-    n = max(0, math.ceil(4 / -lnq - y))
-    qz = q ** (y + n)
-    total, qjz, qj = mp.zero, mp.one, mp.one  # qjz = q^(jz), qj = q^j
-    j = 0
-    while True:
-        j += 1
-        qjz *= qz
-        qj *= q
-        term = mp.mpf(j) ** k * qjz / (1 - qj)
-        total += term
-        if j >= k and term <= mp.eps * total:
-            break
-    qy = q**y
-    shifted = mp.fsum(_li_neg(k, qy * q**i) for i in range(n))
-    return (-mp.log(1 - q) if k == 0 and const else 0) + lnq ** (k + 1) * (total + shifted)
+    with mp.extradps(5):
+        y, q = mp.mpf(y), mp.mpf(q)
+        lnq = mp.log(q)
+        n = max(0, math.ceil(_reach(q) - y))
+        qz = q ** (y + n)
+        total, qjz, qj = mp.zero, mp.one, mp.one  # qjz = q^(jz), qj = q^j
+        j = 0
+        while True:
+            j += 1
+            qjz *= qz
+            qj *= q
+            term = mp.mpf(j) ** k * qjz / (1 - qj)
+            total += term
+            if term <= mp.eps * total:
+                ratio = (1 + mp.one / j) ** k * qz
+                if ratio < 1 and term * ratio / (1 - ratio) <= mp.eps * total:
+                    break
+        qy = q**y
+        shifted = mp.fsum(_li_neg(k, qy * q**i) for i in range(n))
+        return (-mp.log(1 - q) if k == 0 and const else 0) + lnq ** (k + 1) * (total + shifted)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -171,25 +186,29 @@ def _ln_gamma_q(y, q):
     """ln Gamma_q(y) for 0 < q < 1 as an mpf; call inside ``mp.workdps``.
 
     Gamma_q(y) = (1 - q)^(1 - y) prod_{n>=0} (1 - q^(n+1))/(1 - q^(n+y)) is
-    multiplied out directly for n < N, where q^N is below e^-4; both powers
+    multiplied out directly for n < N = ceil(``_reach(q)``); both powers
     are formed alike, so that ln Gamma_q(1) reads 0 exactly.  Expanding
     each log of the factors n >= N as -ln(1 - u) = sum u^j/j sums them to
-    sum_{j>=1} q^(jN) (q^(jy) - q^j) / (j (1 - q^j)), whose terms fall by
-    e^-4 or faster; it stops once q^(jN)/(1 - q) is below eps.
+    sum_{j>=1} q^(jN) (q^(jy) - q^j) / (j (1 - q^j)), whose terms are at
+    most q^(jN)/(1 - q); it stops once the geometric bound on the rest,
+    q^(jN)/((1 - q)(1 - q^N)), is below eps.  Five guard digits cover the
+    roundings of the longer sum.
     """
-    y, q = mp.mpf(y), mp.mpf(q)
-    n = max(0, math.ceil(4 / -mp.log(q)))
-    qy, prod = q**y, mp.one
-    for i in range(n):
-        prod *= (1 - q ** (i + 1)) / (1 - q ** (y + i))
-    qn, tail, j = q**n, mp.zero, 0
-    while True:
-        j += 1
-        qjn = qn**j
-        tail += qjn * (qy**j - q**j) / (j * (1 - q**j))
-        if qjn < mp.eps * (1 - q):
-            break
-    return (1 - y) * mp.log(1 - q) + mp.log(prod) + tail
+    with mp.extradps(5):
+        y, q = mp.mpf(y), mp.mpf(q)
+        n = max(0, math.ceil(_reach(q)))
+        qy, prod = q**y, mp.one
+        for i in range(n):
+            prod *= (1 - q ** (i + 1)) / (1 - q ** (y + i))
+        qn, tail = q**n, mp.zero
+        qjn, qyj, qj, j = mp.one, mp.one, mp.one, 0
+        while True:
+            j += 1
+            qjn, qyj, qj = qjn * qn, qyj * qy, qj * q
+            tail += qjn * (qyj - qj) / (j * (1 - qj))
+            if qjn * qn < mp.eps * (1 - q) * (1 - qn):
+                break
+        return (1 - y) * mp.log(1 - q) + mp.log(prod) + tail
 
 
 @functools.lru_cache(maxsize=4096)
@@ -735,7 +754,7 @@ def _recurrence_cases():
     the beta-lcm targets at q = 0.9, whose two terms take different steps,
     an ln Gamma_q ratio at q = 0.99, psi_q and an ln Gamma_q ratio at
     q = 0.999, where the step cap binds and later blocks run (one point a
-    draw: their references take 4000 steps each), and a psi_q' difference
+    draw), and a psi_q' difference
     at q = 5e-4, where q^z underflows in the steps too."""
     small = [0.01, math.exp(-1.0)]
     cases = [
@@ -1037,6 +1056,31 @@ def test_q_scalar_certificates_hold(x, n, near):
 ], ids=lambda v: str(v))
 def test_q_polygamma_certificates_hold_at_the_edges(n, x, q):
     _q_scalar_sound(n, x, q)
+
+
+@pytest.mark.parametrize("q", [0.01, 1e-4])
+def test_q_ln_gamma_certificates_hold_where_its_product_is_cut(q, monkeypatch):
+    """At small q, q^(n+1) underflows early in ln Gamma_q's first block: the
+    terms past the cut take no exp (none below ln(2^-1020) - 1 + ln q reaches
+    numpy's exp), and ln Gamma_q and Gamma_q hold against 40 digits,
+    unwidened, at x from 1e-2 to 1e3 and next to the zeros 1 and 2."""
+    least = []
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, a, *args, **kwargs):
+            least.append(float(np.min(a, initial=0.0)))
+            return np.exp(a, *args, **kwargs)
+
+    monkeypatch.setattr(sf, "np", RecordingNumpy())
+    for x in (0.01, 0.3, 1.0 - 1e-12, 1.5, 2.0 + 1e-12, 7.0, 40.0, 1e3):
+        sf.q_ln_gamma(x, q)
+    monkeypatch.undo()
+    assert least and min(least) >= sf._EXP_LOW - 1.0 + math.log(q)
+    for x in (0.01, 0.3, 1.0 - 1e-12, 1.5, 2.0 + 1e-12, 7.0, 40.0, 1e3):
+        _q_scalar_sound(-1, x, q)
 
 
 @pytest.mark.parametrize("x", [30.0, 60.0, 100.0, 590.0, 600.0])
