@@ -29,13 +29,15 @@ negative order in q^z, each with its own rounding slop and an ulp(0)
 floor where q^z underflows.  The q-series of one q can be summed as one
 stack (``_q_series_grids``), sharing each block's exps, with the
 coefficients, recurrence steps, constants, tail bounds and stop tests of
-its columns as arrays over (order, column); a lone target's grid is the
-stack of one, and a chain's column reader fills the columns of one q as
-one stack.  Inside a verification run, the first grid read of a
-QSeriesTarget fills the stack of every q-series its claim built with its
-q and shift, at that grid's points, K and policy, and the others read
-their columns from the run's table (``_RunStacks``); stacks keep to one
-shift, so each column keeps the bits it has alone.
+its columns as arrays over (order, column), and its recurrence part one
+array per step count; a lone target's grid is the stack of one, and a
+chain's column reader fills the columns of one q as one stack.  Inside a
+verification run every stack is filled and kept by the run's table
+(``_RunStacks``): the first grid read of a QSeriesTarget fills the stack
+of every q-series its claim built with its q and shift, at that grid's
+points, K and policy, and the others read their columns from the table;
+those stacks keep to one shift, so each column keeps the bits it has
+alone.
 
 The elementary leaves (``Const``, ``Affine``, ``PowShift``, ``LogShift``,
 ``ExpNegX``, ``SinPlus2``) compute their grid in numpy, a row per order,
@@ -114,8 +116,8 @@ class GridSpec:
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise UsageError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
-        if self.points < 2:
-            raise UsageError("need at least 2 grid points")
+        if not isinstance(self.points, int) or self.points < 2:
+            raise UsageError(f"need an integer of at least 2 grid points, got {self.points!r}")
         if self.spacing not in ("linear", "log"):
             raise UsageError(f"unknown spacing {self.spacing!r}")
         if self.spacing == "log" and self.lo <= 0.0:
@@ -645,12 +647,10 @@ class QSeriesTarget(Target):
         sum_{k>=1} k! S(n+1, k+1) v^k) by Horner (the leading zeros of a
         lower order leave its bits alone), and Li_1(u) - u = log1p(v) - u.
 
-        The columns are one array over (order, column, point, step), a
-        column with fewer steps padded with steps of weight 0, in pieces of
-        columns whose padding costs less than a piece; each column sums its
-        own steps along the last axis, a row of its own length as it has
-        alone (numpy's pairwise sum groups by length), so a column's bits
-        depend only on its own steps and point.
+        The columns of each step count run as one array over (order, column,
+        point, step), in chunks of columns, and each column sums its own
+        steps along the last axis, so a column's bits depend only on its own
+        steps and point.
 
         Each summand's relative error adds up: e carries 2.5 eps of itself
         (both of its parts are negative), u and v 2.5 |e| + 5 eps (exp's
@@ -669,20 +669,10 @@ class QSeriesTarget(Target):
         # L^p for every n + 1 of the stack; m is sorted within each column
         top = max((int(t._m[-1]) for t in stack if len(t._m)), default=-1) + K
         lnq_pow = np.array([lnq**p for p in range(top + 2)])
-        # pieces: the columns by step count, those of the next count joining
-        # while their padding adds at most _CHUNK_ELEMENTS / 8 cells; each
-        # piece in column order, as _recurrence_part reads a range of
-        # columns as a slice
-        pieces = []
-        for n in sorted(set(counts) - {0}):
-            same = [c for c, k in enumerate(counts) if k == n]
-            if pieces and (K + 1) * P * sum(n - counts[c] for c in pieces[-1]) <= _CHUNK_ELEMENTS // 8:
-                pieces[-1] = sorted(pieces[-1] + same)
-            else:
-                pieces.append(same)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for cols in pieces:
-                width = max(1, _CHUNK_ELEMENTS // ((K + 1) * max(counts[c] for c in cols)))
+            for n in sorted(set(counts) - {0}):
+                cols = [c for c, k in enumerate(counts) if k == n]
+                width = max(1, _CHUNK_ELEMENTS // ((K + 1) * n))
                 for i in range(0, len(cols), width):
                     _recurrence_part(stack, cols[i:i + width], rates, K, lnq_pow, values, errors, floor)
         return values, _slop(1.0, errors) + floor[:, :, None]
@@ -703,23 +693,15 @@ def _rows_of(rows, keys):
 
 
 def _recurrence_part(stack, cols, rates, K, lnq_pow, values, errors, floor):
-    """``QSeriesTarget._recurrence`` for the columns ``cols`` of ``stack``:
-    their values, their errors before the sum's slop, and their floors,
-    into ``values[:, cols]``, ``errors[:, cols]`` and ``floor[:, cols]``."""
-    counts = [len(stack[c]._m) for c in cols]
-    S = max(counts)
+    """``QSeriesTarget._recurrence`` for the columns ``cols`` of ``stack``,
+    all of one step count: their values, their errors before the sum's
+    slop, and their floors, into ``values[:, cols]``, ``errors[:, cols]``
+    and ``floor[:, cols]``."""
+    S = len(stack[cols[0]]._m)
     cs = _span(cols)
-    # the steps in order of m (the steps of ln Gamma_q terms first), a
-    # shorter column padded with m = -1 and weight 0 (then e = rate), and
-    # (n, the columns of n steps) for each count n where the counts differ
-    if counts.count(S) == len(cols):
-        m, groups = np.array([stack[c]._m for c in cols]), None
-        delta, wr = np.array([stack[c]._steps for c in cols]).transpose(1, 0, 2)
-    else:
-        m, (delta, wr) = np.full((len(cols), S), -1), np.zeros((2, len(cols), S))
-        for i, c in enumerate(cols):
-            m[i, :counts[i]], delta[i, :counts[i]], wr[i, :counts[i]] = stack[c]._m, *stack[c]._steps
-        groups = [(n, [i for i, k in enumerate(counts) if k == n]) for n in sorted(set(counts))]
+    # the steps in order of m (the steps of ln Gamma_q terms first)
+    m = np.array([stack[c]._m for c in cols])
+    delta, wr = np.array([stack[c]._steps for c in cols]).transpose(1, 0, 2)
     delta = delta[:, None, :]
     # the first _logs steps of each column, the ln Gamma_q steps
     logs = [[[stack[c]._logs]] for c in cols]
@@ -727,8 +709,8 @@ def _recurrence_part(stack, cols, rates, K, lnq_pow, values, errors, floor):
     n1 = (m + 1) + np.arange(K + 1)[:, None, None]  # n + 1, (K+1, columns, S)
     f = wr * lnq_pow[n1]
     size = np.abs(f)
-    floor[:, cs] = 2.0 * math.ulp(0.0) * _row_sums(size + 1.0, groups)
-    size *= n1 + (1.0 + ((S if groups is None else np.array(counts)[:, None]) + 7.0) / 7.0)
+    floor[:, cs] = 2.0 * math.ulp(0.0) * (size + 1.0).sum(axis=-1)
+    size *= n1 + (1.0 + (S + 7.0) / 7.0)
     # Horner coefficients of degrees D-1..1, highest first: (D-1, K+1, columns, 1, S)
     coef = _li_table(max(int(m.max()) + K, 0))[n1].transpose(3, 0, 1, 2)[:0:-1, :, :, None, :]
     f, size = f[:, :, None, :], size[:, :, None, :]
@@ -751,26 +733,14 @@ def _recurrence_part(stack, cols, rates, K, lnq_pow, values, errors, floor):
         if logs is not None:
             li1 = np.log1p(v)
             rest[0] = np.where(logs, li1 - u, rest[0])
-        values[:, cs, pts] = _row_sums(rest * f, groups)
+        values[:, cs, pts] = (rest * f).sum(axis=-1)
         if logs is not None:
             rest[0] = np.where(logs, li1 + u, rest[0])
         e *= -3.0  # e <= 0
         e += 7.0
         rest *= e
         rest *= size
-        errors[:, cs, pts] = _row_sums(rest, groups)
-
-
-def _row_sums(parts, groups):
-    """The sum of ``parts``, (K+1, columns, ..., steps), over each column's
-    own steps: all of them where ``groups`` is None, else the first n for
-    the columns of each (n, columns) of ``groups``."""
-    if groups is None:
-        return parts.sum(axis=-1)
-    out = np.empty(parts.shape[:-1])
-    for n, cols in groups:
-        out[:, cols] = parts[:, cols, ..., :n].sum(axis=-1)
-    return out
+        errors[:, cs, pts] = rest.sum(axis=-1)
 
 
 class _RunStacks:
@@ -782,10 +752,12 @@ class _RunStacks:
     (q, shift), before its grid is first read.  The first read of a grid
     fills the stack of every enlisted target of that (q, shift) not yet
     filled, at the grid's points, K and policy, and later reads of those
-    columns find theirs here.  A target built after a read starts the next
-    claim's stacks and drops these.  Only columns of one shift share a
-    stack, so each keeps the bits it has alone.  Outside a run nothing is
-    kept, and a grid is the stack of one.
+    columns find theirs here.  A chain's column reader fills its stacks
+    here too (``fill``), so its columns count as filled.  A target built
+    after a read starts the next claim's stacks and drops these.  Only
+    columns of one shift share a stack that ``grid`` fills, so each keeps
+    the bits it has alone.  Outside a run nothing is kept, and a grid is
+    the stack of one.
     """
 
     @staticmethod
@@ -808,18 +780,24 @@ class _RunStacks:
         self.built.setdefault((target.q, target.shift), []).append(target)
 
     def grid(self, target, xs, K, policy):
-        self.read = True
-        key = (xs.tobytes(), K, policy or DEFAULT_POLICY)
-        grid = self.grids.get((target, *key))
+        grid = self.grids.get((target, xs.tobytes(), K, policy or DEFAULT_POLICY))
         if grid is None:
             stack = [t for t in self.built.get((target.q, target.shift), ()) if t not in self.filled]
             if target not in stack:
                 stack.append(target)
-            for t, g in zip(stack, _q_series_grids(stack, xs, K, policy)):
-                self.grids[(t, *key)] = g
-            self.filled.update(stack)
-            grid = self.grids[(target, *key)]
+            grid = self.fill(stack, xs, K, policy)[stack.index(target)]
         return grid
+
+    def fill(self, stack, xs, K, policy):
+        """The grids of ``stack`` (``_q_series_grids``), kept for this run's
+        later reads, the targets marked filled and the run as read."""
+        self.read = True
+        key = (xs.tobytes(), K, policy or DEFAULT_POLICY)
+        grids = _q_series_grids(stack, xs, K, policy)
+        for t, g in zip(stack, grids):
+            self.grids[(t, *key)] = g
+        self.filled.update(stack)
+        return grids
 
 
 def _q_series_grids(targets, xs, K, policy) -> list[_JetGrid]:
@@ -1243,7 +1221,8 @@ def _column_reader(columns: dict, distinct: np.ndarray):
     ``columns[key]`` over the points ``distinct``.
 
     A column is filled the first time it is read: the QSeriesTargets of one
-    q together, as one stack (``_q_series_grids``), any other target alone.
+    q together, as one stack (``_q_series_grids``, through the run's
+    ``_RunStacks.fill`` inside a verification run), any other target alone.
     A point where a grid fails holds nan, and the grid's ``failures`` keep
     its DomainError/ConvergenceError.
     """
@@ -1258,7 +1237,9 @@ def _column_reader(columns: dict, distinct: np.ndarray):
         if key not in filled:
             keys = together[key]
             if isinstance(columns[key], QSeriesTarget):
-                grids = _q_series_grids([columns[k] for k in keys], distinct, 0, None)
+                table = _RUN_CELLS.get()
+                fill = _q_series_grids if table is None else _RunStacks.of(table).fill
+                grids = fill([columns[k] for k in keys], distinct, 0, None)
             else:
                 grids = [columns[key]._jets(distinct, 0, None)]
             filled.update(zip(keys, grids))
@@ -1343,9 +1324,9 @@ def check_chain(
     order-0 Enclosure of ``columns[key]`` at the point, built from the
     column's grid over the chain's distinct points, filled the first time
     a row reads it, the q-series of one q in one stacked grid
-    (``_column_reader``), so that it lives only as long as the check.  A
-    point whose row raises DomainError or ConvergenceError is
-    inconclusive.  The rows fill the arrays of ``_chain``, the path every
+    (``_column_reader``), which outside a verification run lives only as
+    long as the check.  A point whose row raises DomainError or
+    ConvergenceError is inconclusive.  The rows fill the arrays of ``_chain``, the path every
     chain takes: each adjacent pair (lo, hi) is a cell of ``_decide`` with
     margin hi - lo, and chain_lt adds the strict spot check.
     """

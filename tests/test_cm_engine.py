@@ -698,14 +698,15 @@ def test_q_series_grid_caps_its_block_temporaries(monkeypatch):
 
 
 def test_a_stack_keeps_each_column_whatever_the_order_of_its_step_counts():
-    """Columns of 2 and 4 recurrence steps, of one shift, in every order: the
-    recurrence part joins the columns of both counts into one piece, which
-    must keep the columns' order, and each column keeps the bits it has
-    alone."""
+    """Columns of 2, 4 and 6 recurrence steps, of one shift, in every order:
+    the recurrence part runs the columns of each count apart, reading those
+    of one count wherever they stand in the stack, and each column keeps
+    the bits it has alone."""
     q = 0.5
     columns = [ce.QSeriesTarget(q, [(1.0, 0, 0.0)]), ce.QSeriesTarget(q, [(1.0, 0, 0.0), (-1.0, 0, 0.25)]),
-               ce.QSeriesTarget(q, [(2.0, 1, 0.0)]), ce.QSeriesTarget(q, [(1.0, 1, 0.0), (-1.0, 1, 0.5)])]
-    assert [len(t._m) for t in columns] == [2, 4, 2, 4]
+               ce.QSeriesTarget(q, [(2.0, 1, 0.0)]), ce.QSeriesTarget(q, [(1.0, 1, 0.0), (-1.0, 1, 0.5)]),
+               ce.QSeriesTarget(q, [(1.0, 0, 0.0), (-2.0, 1, 0.25), (0.5, 2, 0.75)])]
+    assert [len(t._m) for t in columns] == [2, 4, 2, 4, 6]
     xs = np.geomspace(0.1, 10.0, 8)
     for K in (0, 3):
         alone = {t: ce._q_series_grids([t], xs, K, None)[0] for t in columns}
@@ -1299,6 +1300,8 @@ def test_grid_spec_validation():
         ce.GridSpec(1.0, math.inf, 4)
     with pytest.raises(UsageError):
         ce.GridSpec(-math.inf, 1.0, 4, "linear")
+    with pytest.raises(UsageError):
+        ce.GridSpec(0.1, 1.0, 2.5)
     g = ce.GridSpec(0.0, 2.0, 5, "linear")
     assert g.values() == [0.0, 0.5, 1.0, 1.5, 2.0]
 

@@ -451,6 +451,36 @@ def test_run_stacks_are_refilled_by_each_run_and_kept_by_none(monkeypatch):
     assert len({repr(r) for r in reports}) == 1
 
 
+def test_a_chain_fills_its_columns_through_the_run_stacks(monkeypatch):
+    """thm52-chain's column reader fills its q-series through the run's
+    stacks, so qthm-monotone, run after it in one run with the same q and
+    shift, stacks only the targets it built: 20 columns in all, as in the
+    other order, and each claim's report is the same in both orders."""
+    calls, built, claim = [], {}, [None]
+    stacked, init = ce._q_series_grids, ce.QSeriesTarget.__init__
+
+    def counted(targets, xs, K, policy):
+        calls.append((claim[0], list(targets)))
+        return stacked(targets, xs, K, policy)
+
+    def owned(self, *args, **kwargs):
+        built[self] = claim[0]
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ce, "_q_series_grids", counted)
+    monkeypatch.setattr(ce.QSeriesTarget, "__init__", owned)
+    reports = collections.defaultdict(set)
+    for order in (("thm52-chain", "qthm-monotone"), ("qthm-monotone", "thm52-chain")):
+        calls.clear()
+        with sf._run_cells():
+            for claim_id in order:
+                claim[0] = claim_id
+                reports[claim_id].add(repr(corpus.run_descriptor(claim_id)))
+        assert sum(len(targets) for _, targets in calls) == 20, order
+        assert all(built[t] == c for c, targets in calls for t in targets), order
+    assert {c: len(r) for c, r in reports.items()} == {"thm52-chain": 1, "qthm-monotone": 1}
+
+
 # ---------------------------------------------------------------------------
 # each chain column and each link equals the public bounds function it
 # replaces
